@@ -12,7 +12,7 @@ test:
 # benchmarks/BENCH_<module>.json files for the perf trajectory
 bench-smoke:
 	$(PY) -m pytest benchmarks -o python_files='bench_*.py' -q \
-		-k "fig04a or fig04bc or fig06 or ivm_maintenance or partition_scan or server_throughput or replica_read_scaling or obs_overhead or offload_scan" \
+		-k "fig04a or fig04bc or fig06 or ivm_maintenance or server_throughput or replica_read_scaling or obs_overhead or offload_scan" \
 		--benchmark-min-rounds=3
 
 # the full benchmark matrix (slow)

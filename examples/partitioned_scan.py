@@ -1,19 +1,18 @@
-"""Walkthrough: horizontal partitioning + pruned, parallel scans.
+"""Walkthrough: horizontal partitioning + pruned scans.
 
 Run with ``PYTHONPATH=src python examples/partitioned_scan.py``.
 
 The script creates the retail customers table hash-partitioned on
 ``state``, shows how ``repro.exec.explain`` renders the partition plan
-(scheme, pruned vs scanned partitions, parallel vs serial merge), and
-demonstrates the three partition-aware layers: static pruning, the
-scatter–gather executor, and IVM's dirty-partition routing.
+(scheme, pruned vs scanned partitions, on the scan line), certifies the
+pruning by rows scanned rather than by a stopwatch, and shows IVM's
+dirty-partition routing.
 """
-
-import time
 
 import repro as fql
 from repro.exec import explain
-from repro.partition import hash_partition, using_parallel_mode
+from repro.obs.resources import metered
+from repro.partition import hash_partition
 from repro.workloads import generate_retail
 
 
@@ -37,30 +36,33 @@ def main() -> None:
     print("\n--- explain(filter(customers, state='NY')) ---")
     print(explain(ny))
 
-    # -- 3. scatter-gather vs the serial path -------------------------------------
-    heavy = fql.group_and_aggregate(
-        by=["state"], n=fql.Count(), total=fql.Sum("age"),
-        input=db.customers,
-    )
+    # -- 3. what pruning saves, counted ---------------------------------------------
+    def rows_scanned(expr):
+        with metered(db.engine) as meter:
+            results = sum(1 for _ in expr.items())
+        return meter.rows_scanned, results
 
-    def drain(fn):
-        return sum(1 for _ in fn.items())
-
-    with using_parallel_mode("on"):
-        drain(heavy)  # warm the plan cache
-        start = time.perf_counter()
-        drain(heavy)
-        parallel_s = time.perf_counter() - start
-    with using_parallel_mode("off"):
-        drain(heavy)
-        start = time.perf_counter()
-        drain(heavy)
-        serial_s = time.perf_counter() - start
-    print(
-        f"\ngroup-aggregate over {len(db.customers)} rows: "
-        f"parallel {parallel_s * 1e3:.2f}ms vs serial {serial_s * 1e3:.2f}ms "
-        f"({serial_s / parallel_s:.2f}x)"
-    )
+    total = len(db.customers)
+    for label, expr in [
+        ("state == 'NY'", ny),
+        (
+            "state in ['NY', 'CA']",
+            fql.filter(db.customers, "state in ['NY', 'CA']"),
+        ),
+        (
+            "age > 40 (not the scheme attribute)",
+            fql.filter(db.customers, "age > 40"),
+        ),
+        (
+            "opaque lambda",
+            fql.filter(lambda c: c.state == "NY", db.customers),
+        ),
+    ]:
+        scanned, results = rows_scanned(expr)
+        print(
+            f"{label:<38} scanned {scanned:>5}/{total} rows "
+            f"-> {results} results"
+        )
 
     # -- 4. IVM routes maintenance by dirty partition ------------------------------
     view = db.create_maintained_view("ny_customers", ny)

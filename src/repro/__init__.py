@@ -28,13 +28,7 @@ from repro.fql import *  # noqa: F401,F403 - the operator algebra
 from repro.fql import __all__ as _fql_all
 from repro.database import FunctionalDatabase, connect
 from repro.ivm import MaintainedView, maintained_view
-from repro.partition import (
-    hash_partition,
-    parallel_mode,
-    range_partition,
-    set_parallel_mode,
-    using_parallel_mode,
-)
+from repro.partition import hash_partition, range_partition
 from repro.txn import (
     Transaction,
     TransactionManager,
@@ -81,10 +75,7 @@ __all__ = (
         "set_default_database",
         "transaction",
         "hash_partition",
-        "parallel_mode",
         "range_partition",
-        "set_parallel_mode",
-        "using_parallel_mode",
         "client",
         "replication",
         "server",

@@ -19,7 +19,7 @@ interpretation and the batched executor:
   :class:`~repro.compile.offload.OffloadPipeline` the router caches.
 
 This module owns only the ``REPRO_OFFLOAD`` escape hatch, mirroring the
-``REPRO_EXEC`` / ``REPRO_BATCH`` idiom: ``off`` disables offloading,
+``REPRO_EXEC`` idiom: ``off`` disables offloading,
 ``auto`` (default) lets the cost model choose, ``force`` offloads every
 compilable query regardless of cost.
 """

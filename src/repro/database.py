@@ -445,7 +445,7 @@ class FunctionalDatabase(DatabaseFunction):
         without reaching into subsystem internals.
         """
         from repro.compile import offload_stats
-        from repro.exec.batch import batch_mode, counters_for
+        from repro.exec.batch import counters_for
         from repro.exec.kernels import kernel_backend
         from repro.obs.resources import resources_for
 
@@ -465,12 +465,11 @@ class FunctionalDatabase(DatabaseFunction):
                 if engine.plan_cache is not None
                 else None
             ),
-            # per-database executor counters (the batch/kernel switches
-            # stay process-wide, but zone-map effectiveness and batch
+            # per-database executor counters (the kernel switch stays
+            # process-wide, but zone-map effectiveness and batch
             # totals are attributed to this engine — two databases in
             # one process no longer pollute each other's numbers)
             "executor": {
-                "batch_mode": batch_mode(),
                 "kernel_backend": kernel_backend(),
                 **counters_for(engine).snapshot(),
             },

@@ -19,13 +19,7 @@ Public surface:
   :func:`fingerprint`
 """
 
-from repro.exec.batch import (
-    COLUMNAR_BATCH_SIZE,
-    ColumnBatch,
-    batch_mode,
-    set_batch_mode,
-    using_batch_mode,
-)
+from repro.exec.batch import COLUMNAR_BATCH_SIZE, ColumnBatch
 from repro.exec.cache import (
     PlanCache,
     cache_for,
@@ -58,7 +52,6 @@ __all__ = [
     "PhysicalPipeline",
     "PlanCache",
     "analyze",
-    "batch_mode",
     "cache_for",
     "default_plan_cache",
     "exec_mode",
@@ -70,10 +63,8 @@ __all__ = [
     "pipeline_for",
     "route_items",
     "route_keys",
-    "set_batch_mode",
     "set_exec_mode",
     "set_kernel_backend",
-    "using_batch_mode",
     "using_exec_mode",
     "using_kernel_backend",
 ]

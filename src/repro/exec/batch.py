@@ -14,18 +14,12 @@ data lazily:
 Selection is a *mask + take*: filters compute a boolean mask over the
 batch and :meth:`ColumnBatch.take` compresses keys and rows without
 touching per-row tuple objects.
-
-``REPRO_BATCH=rows`` is the escape hatch back to the PR-1 row-batch
-executor, mirroring ``REPRO_EXEC``/``REPRO_PARALLEL``; the plan cache
-keys pipelines by this mode so cached plans never cross modes.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
-from contextlib import contextmanager
 from itertools import compress
 from typing import Any, Iterator
 
@@ -35,9 +29,6 @@ __all__ = [
     "COLUMNAR_BATCH_SIZE",
     "ColumnBatch",
     "batch_bytes",
-    "batch_mode",
-    "set_batch_mode",
-    "using_batch_mode",
     "counters",
     "counters_for",
     "reset_counters",
@@ -48,40 +39,6 @@ __all__ = [
 #: over more rows, and columns of this size still fit comfortably in
 #: cache.
 COLUMNAR_BATCH_SIZE = 1024
-
-#: Session override; ``None`` means "read the REPRO_BATCH env var".
-_MODE_OVERRIDE: str | None = None
-
-
-def batch_mode() -> str:
-    """``"columnar"`` (default) or ``"rows"`` (``REPRO_BATCH=rows``)."""
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    mode = os.environ.get("REPRO_BATCH", "").strip().lower()
-    if mode in ("rows", "row", "off", "0"):
-        return "rows"
-    return "columnar"
-
-
-def set_batch_mode(mode: str | None) -> None:
-    """Force a batch mode for this process (``None`` restores env control)."""
-    global _MODE_OVERRIDE
-    if mode is not None and mode not in ("columnar", "rows"):
-        raise ValueError(
-            f"batch mode must be 'columnar' or 'rows', got {mode!r}"
-        )
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_batch_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force a batch mode (used by the differential tests)."""
-    previous = _MODE_OVERRIDE
-    set_batch_mode(mode)
-    try:
-        yield
-    finally:
-        set_batch_mode(previous)
 
 
 class ColumnBatch:
@@ -184,15 +141,9 @@ class ExecutorCounters:
     bump both.
 
     Attribution semantics (pinned by tests/test_resources.py): scan
-    leaves attribute to the engine their function graph resolves to.
-    *Partition slices resolve to no engine*, so scans over a
-    partitioned table — serial or scatter-gather — land in the shared
-    unattributed sink, not the per-engine instance; the process-global
-    instance stays exact in both modes. Per-query resource meters
-    (obs.resources) do NOT share this gap: they are forked into
-    scatter workers explicitly and always attribute to the engine the
-    query started on. Diff the global instance (or use meters) when a
-    workload touches partitioned tables.
+    leaves attribute to the engine their function graph resolves to,
+    partitioned tables included; only ad-hoc material functions land
+    in the shared unattributed sink.
     """
 
     FIELDS = (

@@ -91,17 +91,14 @@ def _offload_summary(fn: FDMFunction, optimized: Any) -> list[str]:
 
 
 def _batching_summary(pipeline: Any) -> list[str]:
-    """Batch representation, kernel backend, and static zone verdicts."""
-    from repro.exec.batch import batch_mode
+    """Kernel backend and static zone verdicts."""
     from repro.exec.kernels import HAVE_NUMPY, kernel_backend
 
-    mode = batch_mode()
     out = [
-        f"  batches: {mode}",
         f"  kernels: {kernel_backend()}"
         + ("" if HAVE_NUMPY else " (numpy unavailable)"),
     ]
-    if pipeline is None or mode != "columnar":
+    if pipeline is None:
         return out
     for node, _depth in _walk(pipeline.root):
         zone_line = _zone_verdict(node)
@@ -111,26 +108,18 @@ def _batching_summary(pipeline: Any) -> list[str]:
 
 
 def _zone_verdict(node: Any) -> str | None:
-    """Static zone-map verdict for a node carrying a zone predicate.
+    """Static zone-map verdict for a scan carrying a zone predicate.
 
-    Covers both carriers: serial scans over stored relations, and
-    scatter–gather nodes (which check zones per partition at scatter
-    time). The verdict is computed against the *current* committed zone
-    maps — the same maps execution will consult.
+    The verdict is computed against the *current* committed zone maps —
+    the same maps execution will consult.
     """
     from repro.exec.nodes import ScanNode
-    from repro.partition.parallel import ScatterGatherNode
     from repro.storage.stats import zone_may_match
 
-    if isinstance(node, ScanNode):
-        fn = node.fn
-    elif isinstance(node, ScatterGatherNode):
-        fn = node.relation
-    else:
+    if not isinstance(node, ScanNode) or node.zone_predicate is None:
         return None
+    fn = node.fn
     pred = node.zone_predicate
-    if pred is None:
-        return None
     engine = getattr(fn, "_engine", None)
     if engine is None:
         return None
@@ -155,15 +144,12 @@ def analyze(fn: FDMFunction) -> str:
     hook the slow-query log and traced execution use, so the three
     reports can't drift — drains the root, and renders the operator
     tree annotated with ``batches / rows / wall`` per node plus the
-    zone-map skip totals the run accumulated. Scatter–gather workers
-    report their per-partition pipelines through an active collector,
-    so parallel plans are analyzed inside the workers too.
+    zone-map skip totals the run accumulated.
     """
     from repro.optimizer import optimize
     from repro.exec.batch import counters
     from repro.exec.run import pipeline_rules
     from repro.obs.instrument import (
-        collecting,
         instrument_pipeline,
         render_stats,
         tree_stats,
@@ -185,16 +171,12 @@ def analyze(fn: FDMFunction) -> str:
     stats = instrument_pipeline(pipeline.root)
     before = counters.snapshot()
     start = time.perf_counter_ns()
-    with collecting() as collector:
-        for _batch in pipeline.root.batches():
-            pass
+    for _batch in pipeline.root.batches():
+        pass
     total_wall = time.perf_counter_ns() - start
     after = counters.snapshot()
 
     lines.extend(render_stats(tree_stats(pipeline.root, stats)))
-    if collector.partitions:
-        lines.append("  scatter workers:")
-        lines.extend(collector.render(indent=2))
     skipped = after["zone_segments_skipped"] - before["zone_segments_skipped"]
     scanned = after["zone_segments_scanned"] - before["zone_segments_scanned"]
     if skipped or scanned:
@@ -207,20 +189,15 @@ def analyze(fn: FDMFunction) -> str:
 
 
 def _partition_summary(fn: FDMFunction) -> list[str]:
-    """Per partitioned base table: scheme, pruning verdict, parallel mode.
+    """Per partitioned base table: scheme and pruning verdict.
 
-    The physical pipeline already renders the scatter_gather node; this
-    section states the same facts declaratively even when the plan stays
-    serial (``REPRO_PARALLEL=off``), so the partition story is always
-    visible in one place.
+    Scan lines of the physical pipeline carry the same verdict; this
+    section also covers leaves that never lower to a scan node (join
+    atoms), so the partition story is visible in one place.
     """
-    from repro.partition.parallel import parallel_mode
     from repro.partition.prune import expression_partition_prunes
 
     prunes = expression_partition_prunes(fn)
-    if not prunes:
-        return []
-    mode = parallel_mode()
     out = []
     for leaf, surviving in prunes.values():
         table = leaf._engine.tables.get(leaf.table_name)
@@ -230,7 +207,6 @@ def _partition_summary(fn: FDMFunction) -> list[str]:
         out.append(
             f"  {leaf.fn_name!r}: {table.scheme.describe()}, "
             f"scan {len(surviving)}/{total} partitions "
-            f"({total - len(surviving)} pruned), "
-            f"merge={'parallel' if mode == 'on' and len(surviving) > 1 else 'serial'}"
+            f"({total - len(surviving)} pruned)"
         )
     return out

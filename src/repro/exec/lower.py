@@ -91,23 +91,25 @@ def lower(
     root = _node_for(fn)
     if isinstance(root, NaiveNode) and root.fn is fn:
         return None
-    _attach_zone_predicates(root)
+    _attach_scan_pruning(root)
     # NB: not `logical or fn` — truthiness of an FDM function is len()
     return PhysicalPipeline(
         root, fn if logical is None else logical, fired_rules
     )
 
 
-def _attach_zone_predicates(node: PhysicalNode, pending: list | None = None) -> None:
+def _attach_scan_pruning(node: PhysicalNode, pending: list | None = None) -> None:
     """Push transparent filter conjunctions down onto their scan leaves.
 
     Walks the physical tree collecting the transparent predicates of
     consecutive filter/restrict nodes; when the chain bottoms out at a
     :class:`ScanNode` over a stored relation, the conjunction becomes the
     scan's zone predicate — the may-analysis that skips whole segments
-    whose zone maps rule the filters out. Any other node breaks the
-    chain (a map re-shapes tuples, a limit re-orders nothing but the
-    pending filters no longer sit directly above the scan's output).
+    whose zone maps rule the filters out — and, over a partitioned
+    table, decides once which partitions the scheme lets the scan skip
+    (DESIGN.md §10). Any other node breaks the chain (a map re-shapes
+    tuples, a limit re-orders nothing but the pending filters no longer
+    sit directly above the scan's output).
     """
     from repro.predicates.ast import And
 
@@ -119,36 +121,35 @@ def _attach_zone_predicates(node: PhysicalNode, pending: list | None = None) -> 
             if node.predicate.is_transparent
             else []
         )
-        _attach_zone_predicates(node.children[0], below)
+        _attach_scan_pruning(node.children[0], below)
         return
     if isinstance(node, RestrictNode):
         # restriction only drops keys: filters above still apply to
         # every row the scan produces
-        _attach_zone_predicates(node.children[0], pending)
+        _attach_scan_pruning(node.children[0], pending)
         return
     if isinstance(node, ScanNode):
-        if pending:
-            from repro.storage.relation import StoredRelationFunction
+        from repro.partition.prune import prune_report
+        from repro.storage.relation import StoredRelationFunction
 
-            if isinstance(node.fn, StoredRelationFunction):
-                node.zone_predicate = (
-                    pending[0] if len(pending) == 1 else And(*pending)
-                )
+        if not isinstance(node.fn, StoredRelationFunction):
+            return
+        if pending:
+            node.zone_predicate = (
+                pending[0] if len(pending) == 1 else And(*pending)
+            )
+        table = node.fn._engine.tables.get(node.fn.table_name)
+        if table is not None and table.is_partitioned:
+            node.pruning = (
+                table.scheme,
+                prune_report(table.scheme, node.zone_predicate)[0],
+            )
         return
     for child in node.children:
-        _attach_zone_predicates(child, [])
+        _attach_scan_pruning(child, [])
 
 
 def _node_for(fn: FDMFunction) -> PhysicalNode:
-    # Scatter-gather first: subtrees rooted in partitioned storage lower
-    # to per-partition pipelines (DESIGN.md §10). The hook declines —
-    # returning None — for serial mode, non-partitioned leaves, shapes
-    # without a partition-wise merge rule, and open transactions.
-    from repro.partition.parallel import try_parallel
-
-    scattered = try_parallel(fn, _node_for)
-    if scattered is not None:
-        return scattered
     if not isinstance(fn, DerivedFunction):
         return ScanNode(fn)
 

@@ -23,7 +23,6 @@ from repro.exec.batch import (
     COLUMNAR_BATCH_SIZE,
     ColumnBatch,
     batch_bytes,
-    batch_mode,
     counters,
     counters_for,
 )
@@ -114,6 +113,10 @@ class ScanNode(PhysicalNode):
         #: scan (attached by the lowerer); drives zone-map segment
         #: skipping inside the columnar scan.
         self.zone_predicate = zone_predicate
+        #: Over a partitioned table, ``(scheme, surviving partition ids)``
+        #: — the partitions the table's scheme lets *zone_predicate*
+        #: reach (attached by the lowerer); the scan skips the rest.
+        self.pruning: tuple | None = None
 
     def batches(self) -> Iterator[list]:
         # class-level lookup: FDM functions route instance attribute
@@ -129,23 +132,16 @@ class ScanNode(PhysicalNode):
         except AttributeError:
             engine = None
         scoped = counters_for(engine)
-        if columnar is None or batch_mode() != "columnar":
-            for batch in self.fn.iter_batches(BATCH_SIZE):
-                counters.row_batches += 1
-                counters.row_rows += len(batch)
-                scoped.row_batches += 1
-                scoped.row_rows += len(batch)
-                # read per batch, not per generator: the pulls of one
-                # enumeration always run under the same meter, but the
-                # batch boundary is also the budget checkpoint
-                meter = active_meter()
-                if meter is not None:
-                    meter.on_scan_batch(len(batch), batch_bytes(batch))
-                yield batch
-            return
-        for batch in columnar(
-            self.fn, COLUMNAR_BATCH_SIZE, zone_predicate=self.zone_predicate
-        ):
+        if columnar is None:
+            stream = self.fn.iter_batches(BATCH_SIZE)
+        else:
+            stream = columnar(
+                self.fn,
+                COLUMNAR_BATCH_SIZE,
+                zone_predicate=self.zone_predicate,
+                pruning=self.pruning,
+            )
+        for batch in stream:
             if isinstance(batch, ColumnBatch):
                 counters.columnar_batches += 1
                 counters.columnar_rows += len(batch)
@@ -156,6 +152,9 @@ class ScanNode(PhysicalNode):
                 counters.row_rows += len(batch)
                 scoped.row_batches += 1
                 scoped.row_rows += len(batch)
+            # read per batch, not per generator: the pulls of one
+            # enumeration always run under the same meter, but the
+            # batch boundary is also the budget checkpoint
             meter = active_meter()
             if meter is not None:
                 meter.on_scan_batch(len(batch), batch_bytes(batch))
@@ -168,6 +167,13 @@ class ScanNode(PhysicalNode):
         label = f"scan {self.fn.fn_name!r} [{self.fn.kind}]"
         if self.zone_predicate is not None:
             label += f" [zones: {self.zone_predicate.to_source()}]"
+        if self.pruning is not None:
+            scheme, surviving = self.pruning
+            total = scheme.n_partitions
+            label += (
+                f" [{scheme.describe()}: scan {len(surviving)}/{total} "
+                f"partitions, {total - len(surviving)} pruned]"
+            )
         return label
 
 
@@ -444,8 +450,7 @@ def fold_group_batches(stream: Iterator, by: Any, aggs: dict) -> dict:
     ``step_value`` (when :func:`_column_fold_specs` allows); anything
     else falls back to the per-tuple ``step`` path. Both fold in stream
     order, so results are bit-identical across paths (float addition is
-    order-sensitive). Shared by the serial group-aggregate node and the
-    scatter-gather per-partition merge.
+    order-sensitive).
     """
     specs = _column_fold_specs(by, aggs)
     attrs = by.attrs

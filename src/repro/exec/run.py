@@ -110,23 +110,16 @@ def pipeline_rules() -> list:
 
 def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
     """The cached physical pipeline for *fn*, planning it on a miss."""
-    from repro.exec.batch import batch_mode
     from repro.obs.trace import span
-    from repro.partition.parallel import parallel_mode
 
     try:
-        # parallel mode is part of the plan: a scatter-gather pipeline
-        # cached under REPRO_PARALLEL=on must not serve the off mode.
-        # Batch mode likewise: columnar pipelines carry zone predicates
-        # and columnar filter kernels that the rows mode must not see.
+        # Offload mode is part of the plan: a compiled-to-SQL pipeline
+        # cached under REPRO_OFFLOAD=force must not serve the off mode.
         # (The kernel backend is NOT part of the key — numpy vs python
         # dispatch happens per batch at run time.)
-        # Offload mode is part of the key too: a compiled-to-SQL plan
-        # cached under REPRO_OFFLOAD=force must not serve the off mode.
         from repro.compile import offload_mode
 
-        key = (fingerprint(fn), parallel_mode(), batch_mode(),
-               offload_mode())
+        key = (fingerprint(fn), offload_mode())
     except Exception:
         return None
     if key in _planning.inflight:
@@ -274,9 +267,9 @@ def _metered_iter(
     try:
         while True:
             # the meter is active only *during* our pulls — generator
-            # frames run on the consumer's thread between yields (the
-            # _observed_iter set_collector idiom), and the consumer may
-            # carry its own meter that ours must not shadow
+            # frames run on the consumer's thread between yields, and
+            # the consumer may carry its own meter that ours must not
+            # shadow
             previous = local.meter
             local.meter = meter
             try:
@@ -319,8 +312,6 @@ def _profiled_iter(
 ) -> Iterator[Any]:
     import time
 
-    from repro.exec.batch import batch_mode
-
     rows = 0
     start = time.perf_counter_ns()
     it = pipeline.iter_keys() if keys else pipeline.iter_entries()
@@ -330,11 +321,7 @@ def _profiled_iter(
             yield item
     finally:
         wall_ns = time.perf_counter_ns() - start
-        fingerprint, shape, plan_hash, plan_text = info
-        profile.record(
-            fingerprint, shape, plan_hash, plan_text,
-            wall_ns, rows, batch_mode(),
-        )
+        profile.record(*info, wall_ns, rows)
 
 
 def _observed(
@@ -379,13 +366,7 @@ def _observed_iter(
     import time
 
     from repro.exec.batch import counters_for
-    from repro.obs.instrument import (
-        PartitionCollector,
-        instrument_pipeline,
-        set_collector,
-        tree_stats,
-        walk,
-    )
+    from repro.obs.instrument import instrument_pipeline, tree_stats, walk
     from repro.obs.slowlog import SlowQueryEntry
     from repro.obs.trace import add_span, span
 
@@ -405,7 +386,6 @@ def _observed_iter(
 
     stats = instrument_pipeline(fresh.root)
     before = counters_for(engine).snapshot() if slog is not None else None
-    collector = PartitionCollector()
     # NOT entered as a context manager: the generator's frames run on
     # the consumer's thread between yields, and the execute span must
     # not hang on that thread's span stack while consumer code runs
@@ -414,16 +394,7 @@ def _observed_iter(
     start = time.perf_counter_ns()
     it = fresh.iter_keys() if keys else fresh.iter_entries()
     try:
-        while True:
-            # the collector is active only *during* our pulls, for the
-            # same reason the span stays off the thread-local stack
-            previous = set_collector(collector)
-            try:
-                item = next(it)
-            except StopIteration:
-                break
-            finally:
-                set_collector(previous)
+        for item in it:
             rows += 1
             yield item
     finally:
@@ -460,7 +431,6 @@ def _observed_iter(
                         zone_scanned=after["zone_segments_scanned"]
                         - before["zone_segments_scanned"],
                         trace_id=exec_span.trace_id,
-                        partitions=collector.partitions,
                     )
                 )
                 from repro.obs.events import emit

@@ -182,14 +182,18 @@ class MaterialRelationFunction(RelationFunction):
         return chunked(entries(), batch_size)
 
     def iter_columnar_batches(
-        self, batch_size: int = 1024, zone_predicate: Any = None
+        self,
+        batch_size: int = 1024,
+        zone_predicate: Any = None,
+        pruning: Any = None,
     ) -> Iterator[Any]:
         """Columnar enumeration over the row store (DESIGN.md §13).
 
         Row dicts are shared with the store, never copied: writes install
         fresh dicts (:meth:`__setitem__`/``_write_attr``), so a batch is
         a consistent snapshot of the rows it captured. In-memory
-        relations have no segments, so *zone_predicate* is ignored.
+        relations have no segments, so *zone_predicate* and *pruning*
+        are ignored.
         """
         from repro.exec.batch import ColumnBatch
 

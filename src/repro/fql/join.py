@@ -389,22 +389,19 @@ def _note_build_rows(rows: int) -> None:
 def _enum_items(fn: Any, prefetch: bool) -> Iterator[tuple[Any, Any]]:
     """Enumerate an atom for hash-build/prefetch scans.
 
-    In prefetching (batched) columnar mode, stored and material
-    relations expose ``snapshot_items()`` — a direct walk of the
-    committed rows that skips the per-key bound-tuple construction of
-    ``items()``. Falls back to plain ``items()`` whenever the fast path
-    is unavailable (rows mode, open transaction, other function kinds).
+    In prefetching (batched) mode, stored and material relations expose
+    ``snapshot_items()`` — a direct walk of the committed rows that
+    skips the per-key bound-tuple construction of ``items()``. Falls
+    back to plain ``items()`` whenever the fast path is unavailable
+    (open transaction, other function kinds).
     """
     if prefetch:
-        from repro.exec.batch import batch_mode
-
-        if batch_mode() == "columnar":
-            # class-level lookup: FDM __getattr__ is relation access
-            snapshot = getattr(type(fn), "snapshot_items", None)
-            if snapshot is not None:
-                items = snapshot(fn)
-                if items is not None:
-                    return items
+        # class-level lookup: FDM __getattr__ is relation access
+        snapshot = getattr(type(fn), "snapshot_items", None)
+        if snapshot is not None:
+            items = snapshot(fn)
+            if items is not None:
+                return items
     return fn.items()
 
 

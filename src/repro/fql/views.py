@@ -119,7 +119,7 @@ class MaterializedView(DerivedFunction):
         pending = state.pending()
         if pending is None:
             return None
-        base, _consumed = pending
+        base = pending[0]
         if not base:
             return set(), set(), set()
         delta = derive_delta(

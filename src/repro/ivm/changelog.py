@@ -61,15 +61,18 @@ class ChangeLog:
     def append(self, ts: int, deltas: dict[Any, Delta]) -> None:
         """Record one commit's per-source deltas (empty ones are dropped)."""
         deltas = {key: d for key, d in deltas.items() if d}
+        if deltas:
+            # the record lands before the watermark moves: a consumer
+            # that reads the watermark and then since() never holds a
+            # stamp whose record is still missing
+            self._records.append((ts, deltas))
+            while len(self._records) > self.capacity:
+                evicted_ts, _ = self._records.popleft()
+                self._floor = max(self._floor, evicted_ts)
         self._last = max(self._last, ts)
-        if not deltas:
-            return
-        self._records.append((ts, deltas))
-        while len(self._records) > self.capacity:
-            evicted_ts, _ = self._records.popleft()
-            self._floor = max(self._floor, evicted_ts)
-        for subscriber in list(self.subscribers):
-            subscriber(ts)
+        if deltas:
+            for subscriber in list(self.subscribers):
+                subscriber(ts)
 
     def observe_row(self, data: Any) -> None:
         """Inspect a captured row; live nested functions poison capture."""

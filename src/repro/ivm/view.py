@@ -188,16 +188,32 @@ class IVMState:
                 return True
         return False
 
-    def pending(self) -> tuple[dict[int, Delta], int] | None:
-        """Net base deltas since the watermarks, plus records consumed.
+    def pending(
+        self,
+    ) -> tuple[dict[int, Delta], int, dict[int, int]] | None:
+        """Net base deltas since the watermarks, the number of records
+        consumed, and — per change source — the watermark those records
+        reach, for :meth:`advance`.
 
         ``None`` means the history needed is gone (truncated changelog,
         or a nested view refreshed under us): recompute fully.
         """
         base: dict[int, Delta] = {}
         consumed = 0
+        reached: dict[int, int] = {}
+
+        def drain(source: Any, log: Any) -> list | None:
+            # read the watermark *before* the records: a commit landing
+            # after since() must stay pending, so with no records the
+            # source has provably reached only what it showed before
+            mark = log.watermark
+            records = log.since(self.watermarks[id(source)])
+            if records is not None:
+                reached[id(source)] = records[-1][0] if records else mark
+            return records
+
         for engine in self.engines.values():
-            records = engine.changelog.since(self.watermarks[id(engine)])
+            records = drain(engine, engine.changelog)
             if records is None:
                 return None
             consumed += len(records)
@@ -206,7 +222,7 @@ class IVMState:
                     for leaf in self.stored.get((id(engine), table), ()):
                         base.setdefault(id(leaf), Delta()).merge(delta)
         for rel in self.material.values():
-            records = rel._changes.since(self.watermarks[id(rel)])
+            records = drain(rel, rel._changes)
             if records is None:
                 return None
             consumed += len(records)
@@ -216,10 +232,18 @@ class IVMState:
         for vid, view in self.inner_views.items():
             if view._snapshot_version != self.view_versions[vid]:
                 return None  # a nested snapshot moved: no delta exists
-        return base, consumed
+        return base, consumed, reached
 
-    def advance(self) -> None:
-        """Jump every watermark to the present."""
+    def advance(self, reached: dict[int, int] | None = None) -> None:
+        """Move the watermarks to what :meth:`pending` consumed.
+
+        Without *reached* (a full rebuild just read the present state)
+        every watermark jumps to the present instead.
+        """
+        if reached is not None:
+            # nested-view versions stay put: pending() verified them
+            self.watermarks.update(reached)
+            return
         for engine in self.engines.values():
             self.watermarks[id(engine)] = engine.changelog.watermark
         for rel in self.material.values():
@@ -290,7 +314,7 @@ def apply_incremental(view: MaterializedView) -> int | None:
     pending = state.pending()
     if pending is None:
         return None
-    base, consumed = pending
+    base, consumed, reached = pending
     relevant = {
         leaf_id: delta
         for leaf_id, delta in base.items()
@@ -299,20 +323,20 @@ def apply_incremental(view: MaterializedView) -> int | None:
     if base and not relevant:
         # every change landed in partitions the view's filters prune
         # away: nothing it reads moved, so just advance the watermarks
-        state.advance()
+        state.advance(reached)
         state.stats.syncs += 1
         state.stats.commits_consumed += consumed
         state.stats.partition_skips += 1
         return 0
     base = relevant
     if not base:
-        state.advance()
+        state.advance(reached)
         return 0
     delta = derive_delta(view.expression, base, state.aux, state.stats)
     if delta is FALLBACK:
         return None
     _apply_delta_to_snapshot(view, delta)
-    state.advance()
+    state.advance(reached)
     state.stats.syncs += 1
     state.stats.commits_consumed += consumed
     state.stats.deltas_applied += sum(len(d) for d in base.values())

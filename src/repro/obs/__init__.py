@@ -23,8 +23,7 @@ Six pillars, each usable on its own:
   HEALTH verb serves on leaders and replicas alike.
 
 :mod:`repro.obs.instrument` is the shared per-node instrumentation hook
-both ``analyze()`` and the capture paths use, including inside
-scatter–gather workers.
+both ``analyze()`` and the capture paths use.
 
 See ``docs/observability.md`` for the operator-facing guide.
 """
@@ -58,11 +57,7 @@ from repro.obs.metrics import (
     metrics_for,
 )
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog, slowlog_for
-from repro.obs.instrument import (
-    PartitionCollector,
-    collecting,
-    instrument_pipeline,
-)
+from repro.obs.instrument import instrument_pipeline
 from repro.obs.events import Event, EventLog, emit, events_for
 from repro.obs.workload import (
     QueryClass,
@@ -104,8 +99,6 @@ __all__ = [
     "SlowQueryEntry",
     "SlowQueryLog",
     "slowlog_for",
-    "PartitionCollector",
-    "collecting",
     "instrument_pipeline",
     "Event",
     "EventLog",

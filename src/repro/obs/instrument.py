@@ -1,16 +1,9 @@
 """Per-node pipeline instrumentation — the one shim everybody uses.
 
-Historically ``exec/explain.py`` instrumented serial pipelines while the
-scatter–gather path had no per-node visibility at all, so the two
-analysis stories could drift. This module is now the single hook:
-
-* :func:`instrument_pipeline` wraps every physical node's ``batches``
-  stream with counting/timing shims and returns the stats mapping —
-  used by ``analyze()``, the slow-query log, and traced execution;
-* :func:`collecting` activates a thread-local
-  :class:`PartitionCollector` that scatter–gather workers report their
-  per-partition instrumented trees into, so a single ``analyze()`` call
-  sees inside worker pipelines built on other threads.
+:func:`instrument_pipeline` wraps every physical node's ``batches``
+stream with counting/timing shims and returns the stats mapping — used
+by ``analyze()``, the slow-query log, and traced execution, so the three
+reports cannot drift.
 
 The shims monkeypatch ``node.batches`` on a *specific node instance* —
 callers must only ever instrument freshly lowered pipelines, never the
@@ -19,9 +12,7 @@ cached ones served to ordinary queries.
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from typing import Any, Iterator
 
 __all__ = [
@@ -30,9 +21,6 @@ __all__ = [
     "tree_stats",
     "render_stats",
     "fmt_ns",
-    "PartitionCollector",
-    "collecting",
-    "active_collector",
 ]
 
 
@@ -122,75 +110,3 @@ def fmt_ns(ns: int) -> str:
     if ns >= 1_000:
         return f"{ns / 1_000:.1f}us"
     return f"{ns}ns"
-
-
-class PartitionCollector:
-    """Per-partition node stats reported by scatter–gather workers.
-
-    The scattering thread activates one via :func:`collecting`; workers
-    instrument their freshly built partition pipelines with the same
-    :func:`instrument_pipeline` shim and :meth:`record` the flattened
-    tree here (lock-protected — workers finish concurrently).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.partitions: dict[int, list[dict[str, Any]]] = {}
-
-    def record(
-        self, partition_id: int, root: Any, stats: dict[int, dict[str, int]]
-    ) -> None:
-        """File one partition's flattened instrumented tree."""
-        rows = tree_stats(root, stats)
-        with self._lock:
-            self.partitions[partition_id] = rows
-
-    def render(self, indent: int = 1) -> list[str]:
-        """Per-partition analyze-style lines, partitions in id order."""
-        with self._lock:
-            items = sorted(self.partitions.items())
-        lines = []
-        for pid, rows in items:
-            lines.append("  " * indent + f"partition {pid}:")
-            lines.extend(render_stats(rows, indent=indent + 1))
-        return lines
-
-
-class _Collect(threading.local):
-    def __init__(self) -> None:
-        self.collector: PartitionCollector | None = None
-
-
-_collect = _Collect()
-
-
-def active_collector() -> PartitionCollector | None:
-    """The collector scatter dispatch should hand to its workers, if any."""
-    return _collect.collector
-
-
-def set_collector(
-    collector: PartitionCollector | None,
-) -> PartitionCollector | None:
-    """Swap the thread's active collector, returning the previous one.
-
-    For generator-based callers that must activate the collector only
-    *during* their ``next()`` calls (thread-local state must not leak
-    into the consumer's code between yields); plain callers should use
-    :func:`collecting` instead.
-    """
-    previous = _collect.collector
-    _collect.collector = collector
-    return previous
-
-
-@contextmanager
-def collecting() -> Iterator[PartitionCollector]:
-    """Activate a :class:`PartitionCollector` on this thread."""
-    previous = _collect.collector
-    collector = PartitionCollector()
-    _collect.collector = collector
-    try:
-        yield collector
-    finally:
-        _collect.collector = previous

@@ -1,7 +1,7 @@
 """The unified metrics registry: counters, gauges, histograms.
 
 One :class:`MetricsRegistry` per database engine (``metrics_for``) and
-one per server absorbs the scattered per-subsystem counters behind a
+one per server absorbs the per-subsystem counters behind a
 single surface with two renderings:
 
 * :meth:`MetricsRegistry.snapshot` — a structured dict for the STATS

@@ -5,9 +5,7 @@ says *how long* queries take; this module says *what they cost*. A
 :class:`ResourceMeter` rides each query as a thread-local, fed by cheap
 batch-boundary hooks in the executor: rows/batches/bytes per scan,
 kernel-vs-python dispatch counts, peak live-batch estimate, join
-build-side sizes, result rows, and WAL bytes on the DML path. Scatter
-workers fork a child meter per partition and merge it back into the
-parent, so a parallel scan accounts identically to a serial one.
+build-side sizes, result rows, and WAL bytes on the DML path.
 
 Finished meters aggregate three ways in the per-engine
 :class:`ResourceAccounting` (``resources_for(engine)``): per *active*
@@ -101,9 +99,9 @@ def active_meter() -> "ResourceMeter | None":
 def set_active_meter(meter: "ResourceMeter | None") -> "ResourceMeter | None":
     """Install *meter* as the thread's active meter; returns the previous.
 
-    Mirrors ``repro.obs.instrument.set_collector``: enumeration wrappers
-    re-install the meter around each generator pull, because generator
-    frames run on the *consumer's* thread between yields.
+    Enumeration wrappers re-install the meter around each generator
+    pull, because generator frames run on the *consumer's* thread
+    between yields.
     """
     previous = _local.meter
     _local.meter = meter
@@ -127,8 +125,8 @@ class ResourceMeter:
     Executor hooks do plain unlocked increments (the
     :class:`~repro.exec.batch.ExecutorCounters` precedent: counts are
     informational, a rare lost update under threads is acceptable — and
-    a meter is only ever *written* by the one thread running its query
-    or, for a forked child, its one worker). ``_armed`` is precomputed
+    a meter is only ever *written* by the one thread running its
+    query). ``_armed`` is precomputed
     at construction: with no budget set, the per-batch enforcement cost
     is a single attribute test.
     """
@@ -157,7 +155,6 @@ class ResourceMeter:
         "max_result_rows",
         "killed",
         "_armed",
-        "_parent",
     )
 
     def __init__(
@@ -179,7 +176,6 @@ class ResourceMeter:
         self.query = query
         self.fingerprint: str | None = None
         self.killed: str | None = None
-        self._parent: ResourceMeter | None = None
         self.started_ns = time.perf_counter_ns()
         self.max_rows_scanned = max_rows_scanned
         self.max_result_rows = max_result_rows
@@ -211,21 +207,17 @@ class ResourceMeter:
     def exceeded(self) -> str | None:
         """The budget this query has blown, or ``None`` while healthy."""
         limit = self.max_rows_scanned
-        if limit is not None:
-            total = self.rows_scanned
-            parent = self._parent
-            if parent is not None:
-                total += parent.rows_scanned
-            if total > limit:
-                return f"rows scanned {total} exceeds budget {int(limit)}"
+        if limit is not None and self.rows_scanned > limit:
+            return (
+                f"rows scanned {self.rows_scanned} exceeds budget "
+                f"{int(limit)}"
+            )
         limit = self.max_result_rows
-        if limit is not None:
-            total = self.result_rows
-            parent = self._parent
-            if parent is not None:
-                total += parent.result_rows
-            if total > limit:
-                return f"result rows {total} exceeds budget {int(limit)}"
+        if limit is not None and self.result_rows > limit:
+            return (
+                f"result rows {self.result_rows} exceeds budget "
+                f"{int(limit)}"
+            )
         if (
             self.deadline_ns is not None
             and time.perf_counter_ns() > self.deadline_ns
@@ -247,59 +239,16 @@ class ResourceMeter:
     def kill(self, reason: str) -> None:
         """Abort the query: mark it killed, emit ``query_killed``, raise.
 
-        Called at a batch boundary on whatever thread hit the budget (a
-        scatter worker's child meter kills the whole query — the error
-        propagates through the gatherer). Never swallows: always raises
+        Called at a batch boundary on the thread running the query.
+        Never swallows: always raises
         :class:`~repro.errors.ResourceExhaustedError`.
         """
         from repro.obs.events import emit
 
-        root = self
-        while root._parent is not None:
-            root = root._parent
-        root.killed = reason
-        snap = root.snapshot()
-        if root is not self:
-            # fold this worker's in-flight counts into the picture; the
-            # scatter machinery will absorb() them for real on unwind
-            for field in self.FIELDS:
-                snap[field] += getattr(self, field)
-        emit(root.engine, "query_killed", reason=reason, meter=snap)
+        self.killed = reason
+        snap = self.snapshot()
+        emit(self.engine, "query_killed", reason=reason, meter=snap)
         raise ResourceExhaustedError(f"query killed: {reason}", snapshot=snap)
-
-    # -- scatter-gather ------------------------------------------------
-
-    def fork(self) -> "ResourceMeter":
-        """A zeroed child meter for one scatter worker.
-
-        The child shares the root's budgets and deadline and checks them
-        against ``root + own`` counts (sibling workers' in-flight counts
-        are not visible — enforcement is cooperative and approximate,
-        never less strict than the serial plan). Merge it back with
-        :meth:`absorb`.
-        """
-        root = self
-        while root._parent is not None:
-            root = root._parent
-        child = ResourceMeter(root.engine)
-        child.max_rows_scanned = root.max_rows_scanned
-        child.max_result_rows = root.max_result_rows
-        child.deadline_ns = root.deadline_ns
-        child.started_ns = root.started_ns
-        child._armed = root._armed
-        child._parent = root
-        return child
-
-    def absorb(self, child: "ResourceMeter") -> None:
-        """Merge a finished worker's counts into this (root) meter."""
-        for field in self.FIELDS:
-            if field == "peak_batch_bytes":
-                if child.peak_batch_bytes > self.peak_batch_bytes:
-                    self.peak_batch_bytes = child.peak_batch_bytes
-            else:
-                setattr(
-                    self, field, getattr(self, field) + getattr(child, field)
-                )
 
     # -- reporting -----------------------------------------------------
 

@@ -70,7 +70,6 @@ class SlowQueryEntry:
         "zone_scanned",
         "trace_id",
         "wall_clock",
-        "partitions",
     )
 
     def __init__(
@@ -82,7 +81,6 @@ class SlowQueryEntry:
         zone_skipped: int,
         zone_scanned: int,
         trace_id: str | None,
-        partitions: dict[int, list[dict[str, Any]]] | None = None,
     ) -> None:
         self.query = query
         self.wall_ms = wall_ms
@@ -91,7 +89,6 @@ class SlowQueryEntry:
         self.zone_skipped = zone_skipped
         self.zone_scanned = zone_scanned
         self.trace_id = trace_id
-        self.partitions = partitions or {}
         self.wall_clock = time.time()
 
     def to_dict(self) -> dict[str, Any]:
@@ -104,7 +101,6 @@ class SlowQueryEntry:
             "zone_skipped": self.zone_skipped,
             "zone_scanned": self.zone_scanned,
             "trace_id": self.trace_id,
-            "partitions": self.partitions,
             "wall_clock": self.wall_clock,
         }
 
@@ -117,9 +113,6 @@ class SlowQueryEntry:
             f"wall={self.wall_ms:.2f}ms rows={self.rows}"
         ]
         lines.extend(render_stats(self.tree))
-        for pid in sorted(self.partitions):
-            lines.append(f"  partition {pid}:")
-            lines.extend(render_stats(self.partitions[pid], indent=2))
         if self.zone_skipped or self.zone_scanned:
             lines.append(
                 f"  zone maps: {self.zone_skipped} segment(s) skipped, "

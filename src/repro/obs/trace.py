@@ -3,8 +3,8 @@
 A *trace* is the full life of one query: the client mints a ``trace_id``
 when head-based sampling fires, ships it inside the request envelope's
 optional ``trace`` field, and every stage that does interesting work —
-session dispatch, plan-cache lookup, physical-node execution, scatter
-workers, IVM delta application, replica WAL apply — opens a
+session dispatch, plan-cache lookup, physical-node execution, IVM
+delta application, replica WAL apply — opens a
 :class:`Span` under it. Spans carry monotonic-clock timings
 (``time.perf_counter_ns``), so durations are immune to wall-clock
 steps; only relative times within a process are meaningful.

@@ -2,11 +2,9 @@
 
 Every executed query normalizes to a stable **fingerprint**: the
 canonical shape of its derived-function graph with predicate literals
-parameterized (``age > 41`` and ``age > 12`` are the same class) plus
-the executor-relevant environment (``REPRO_BATCH``/``REPRO_PARALLEL``
-are part of the plan, so they are part of the class). Per fingerprint
-the profiler aggregates a latency histogram, call/row totals, the
-executor mode, and the **plan hash** — a digest of the physical
+parameterized (``age > 41`` and ``age > 12`` are the same class). Per
+fingerprint the profiler aggregates a latency histogram, call/row
+totals, and the **plan hash** — a digest of the physical
 operator tree, literal-normalized, so the same class re-lowering to a
 *different* plan is detectable.
 
@@ -273,13 +271,13 @@ def _shape(fn: Any) -> Any:
 
 def fingerprint_of(fn: Any) -> str:
     """The query-class fingerprint of *fn*: a short stable hex digest
-    over the literal-free graph shape plus the executor-relevant
-    environment (batch and parallel modes are part of the plan)."""
-    from repro.exec.batch import batch_mode
-    from repro.partition.parallel import parallel_mode
+    over the literal-free graph shape."""
+    return hashlib.sha1(repr(_shape(fn)).encode()).hexdigest()[:12]
 
-    token = (_shape(fn), batch_mode(), parallel_mode())
-    return hashlib.sha1(repr(token).encode()).hexdigest()[:12]
+
+def _fan_out(node: Any) -> int | None:
+    pruning = getattr(node, "pruning", None)
+    return pruning[0].n_partitions if pruning is not None else None
 
 
 def plan_hash_of(pipeline: Any) -> str:
@@ -287,12 +285,12 @@ def plan_hash_of(pipeline: Any) -> str:
 
     Hashes ``(depth, node class, literal-normalized describe)`` per
     node, so two lowerings of the same class with different predicate
-    constants hash equal while a structurally different plan (a
-    scatter–gather tree after partitioning, a key-lookup conversion)
-    hashes different. A scatter node's partition fan-out is structure,
-    not a literal — its describe renders the count as a number that
-    normalization would erase, so it is hashed explicitly (a 4-way to
-    2-way repartition is a plan change).
+    constants hash equal while a structurally different plan (a scan
+    gaining a partition annotation, a key-lookup conversion) hashes
+    different. A partitioned scan's fan-out is structure, not a literal
+    — its describe renders the count as a number that normalization
+    would erase, so it is hashed explicitly (a 4-way to 2-way
+    repartition is a plan change).
     """
     from repro.obs.instrument import walk
 
@@ -301,7 +299,7 @@ def plan_hash_of(pipeline: Any) -> str:
             depth,
             type(node).__name__,
             normalize_source(node.describe()),
-            len(getattr(node, "surviving", ())) or None,
+            _fan_out(node),
         )
         for node, depth in walk(pipeline.root)
     )
@@ -319,7 +317,6 @@ class QueryClass:
     __slots__ = (
         "fingerprint",
         "shape",
-        "executor",
         "calls",
         "rows",
         "latency",
@@ -342,7 +339,6 @@ class QueryClass:
         self.fingerprint = fingerprint
         #: Literal-normalized physical root describe — the class label.
         self.shape = shape
-        self.executor: str = ""
         self.calls = 0
         self.rows = 0
         self.latency = Histogram(f"workload_{fingerprint}")
@@ -363,7 +359,6 @@ class QueryClass:
         return {
             "fingerprint": self.fingerprint,
             "shape": self.shape,
-            "executor": self.executor,
             "calls": self.calls,
             "rows": self.rows,
             "p50_ms": self.latency.percentile(0.50) * 1e3,
@@ -465,7 +460,6 @@ class WorkloadProfile:
         plan_text: str,
         wall_ns: int,
         rows: int,
-        executor: str,
     ) -> None:
         """Fold one sampled enumeration into its class."""
         seconds = wall_ns / 1e9
@@ -474,7 +468,6 @@ class WorkloadProfile:
             cls = self._class_for(fingerprint, shape, plan_hash, plan_text)
             cls.calls += 1
             cls.rows += rows
-            cls.executor = executor
             cls.last_seen = time.time()
             cls.latency.observe(seconds)
             cls._recent.append(seconds)
@@ -645,21 +638,9 @@ def record_run(
     if profile_interval() <= 0:
         return
     try:
-        from repro.exec.batch import batch_mode
         from repro.exec.cache import engine_of
 
         profile = workload_for(engine_of(fn))
-        fingerprint, shape, plan_hash, plan_text = _pipeline_info(
-            fn, pipeline
-        )
-        profile.record(
-            fingerprint,
-            shape,
-            plan_hash,
-            plan_text,
-            wall_ns,
-            rows,
-            batch_mode(),
-        )
+        profile.record(*_pipeline_info(fn, pipeline), wall_ns, rows)
     except Exception:
         pass

@@ -1,4 +1,4 @@
-"""Horizontal partitioning with pruned, parallel scatter–gather execution.
+"""Horizontal partitioning with pruned serial scans.
 
 DESIGN.md §10. The subsystem has four faces, one per layer it threads
 through:
@@ -12,10 +12,10 @@ through:
   statically eliminates partitions a transparent filter cannot touch,
   and per-partition :class:`~repro.storage.stats.TableStatistics` let
   cardinality estimation sum only the survivors.
-* **executor** — :func:`~repro.partition.parallel.try_parallel` lowers
-  one logical function into N per-partition physical pipelines with
-  partition-wise merge rules (``REPRO_PARALLEL=off`` restores the serial
-  path).
+* **executor** — the lowerer attaches the surviving partitions to each
+  scan over a partitioned table, and the scan skips the pruned segments
+  (one physical path; DESIGN.md §10 records why there is no thread
+  fan-out).
 * **IVM** — commit-time deltas carry partition tags, so maintained views
   skip upkeep entirely when every change landed in a partition their
   filters prune away.
@@ -25,13 +25,6 @@ only reaches in lazily) and *beside* ``repro.exec``; anything heavier
 (fql, optimizer) is imported inside functions.
 """
 
-from repro.partition.parallel import (
-    ScatterGatherNode,
-    parallel_mode,
-    set_parallel_mode,
-    try_parallel,
-    using_parallel_mode,
-)
 from repro.partition.prune import prune_report, surviving_partitions
 from repro.partition.scheme import (
     HashScheme,
@@ -42,24 +35,17 @@ from repro.partition.scheme import (
     range_partition,
     stable_hash,
 )
-from repro.partition.slice import PartitionSliceFunction
 from repro.partition.table import PartitionedTable
 
 __all__ = [
     "HashScheme",
     "PartitionScheme",
-    "PartitionSliceFunction",
     "PartitionedTable",
     "RangeScheme",
-    "ScatterGatherNode",
     "as_scheme",
     "hash_partition",
-    "parallel_mode",
     "prune_report",
     "range_partition",
-    "set_parallel_mode",
     "stable_hash",
     "surviving_partitions",
-    "try_parallel",
-    "using_parallel_mode",
 ]

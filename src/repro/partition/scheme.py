@@ -7,7 +7,7 @@ partition id in ``range(n_partitions)``, from either the row's key
 * :class:`HashScheme` — a *stable* hash of the partitioning value modulo
   the partition count. Stability matters: Python's builtin ``hash`` is
   salted per process (``PYTHONHASHSEED``), which would make WAL replay
-  scatter rows differently than the original run. The scheme therefore
+  place rows differently than the original run. The scheme therefore
   hashes a canonical byte encoding with CRC-32.
 * :class:`RangeScheme` — sorted boundary values ``[b1, .., bk]`` carve
   the value space into ``k+1`` partitions: ``(-inf, b1)``, ``[b1, b2)``,

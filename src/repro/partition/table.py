@@ -3,7 +3,7 @@
 A :class:`PartitionedTable` presents the exact :class:`VersionedTable`
 contract — ``read``/``apply``/``scan_at``/``latest_ts``/``vacuum`` —
 while fanning every key's version chain into one of N per-partition
-segment tables. The invariant the scatter–gather executor relies on:
+segment tables. The invariant segment-by-segment scans rely on:
 
     **at any snapshot timestamp, every live key is visible in exactly
     one segment**, so per-segment scans are disjoint and their
@@ -128,7 +128,7 @@ class PartitionedTable(VersionedTable):
         for segment in self.segments:
             yield from segment.scan_at(ts)
 
-    # -- per-partition access (the scatter side) ---------------------------------
+    # -- per-partition access ----------------------------------------------------
 
     def scan_partition(self, pid: int, ts: int) -> Iterator[tuple[Any, Any]]:
         return self.segments[pid].scan_at(ts)

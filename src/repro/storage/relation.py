@@ -141,16 +141,22 @@ class StoredRelationFunction(RelationFunction):
         return chunked(entries(), batch_size)
 
     def iter_columnar_batches(
-        self, batch_size: int = 1024, zone_predicate: Any = None
+        self,
+        batch_size: int = 1024,
+        zone_predicate: Any = None,
+        pruning: Any = None,
     ) -> Iterator[Any]:
-        """Columnar snapshot enumeration with zone-map segment skipping.
+        """Columnar snapshot enumeration with segment skipping.
 
         Reads the version chains directly (segment by segment for
-        partitioned tables, preserving the serial enumeration order) and
-        skips any segment whose zone map proves *zone_predicate* cannot
-        hold there. Inside an open transaction the buffered writes make
-        chain-direct scanning (and zone skipping) unsound, so the scan
-        falls back to the row-batch path.
+        partitioned tables, preserving the table's enumeration order).
+        Two tests skip a segment: *pruning* — ``(scheme, surviving
+        partition ids)`` computed by the lowerer — drops the partitions
+        the scheme proves the filters cannot reach, and the zone map
+        drops any remaining segment where *zone_predicate* cannot hold.
+        Inside an open transaction the buffered writes make chain-direct
+        scanning (and both skips) unsound, so the scan falls back to the
+        row-batch path.
         """
         txn = self._manager.current()
         if txn is not None:
@@ -165,8 +171,15 @@ class StoredRelationFunction(RelationFunction):
         engine_counters = counters_for(self._engine)
         segments = table.segments if table.is_partitioned else [table]
         zones = self._engine.zones.get(self._table_name)
+        # a plan lowered before a re-partition carries the old scheme's
+        # partition ids: they say nothing about the new segments
+        live = None
+        if pruning is not None and getattr(table, "scheme", None) is pruning[0]:
+            live = pruning[1]
         name = self._name
         for pid, segment in enumerate(segments):
+            if live is not None and pid not in live:
+                continue
             if zone_predicate is not None and zones is not None:
                 if not zone_may_match(zones[pid], zone_predicate):
                     counters.zone_segments_skipped += 1

@@ -1,14 +1,13 @@
-"""Differential suite: columnar execution ≡ row-at-a-time execution.
+"""Differential suite: columnar kernels ≡ the naive interpreter.
 
-The operator zoo runs under the full switch matrix — ``REPRO_BATCH``
-(columnar vs rows) × ``REPRO_PARALLEL`` (on vs off) × ``REPRO_KERNEL``
-(numpy vs pure python) — over both a flat and a hash-partitioned copy
-of the same data, and every combination must reproduce the rows-mode
-serial baseline *exactly*: same keys, same enumeration order,
-extensionally equal values. The data deliberately includes the value
-shapes that make vectorization treacherous: missing attributes, None,
-NaN, booleans (``True == 1``), mixed numeric/string columns, and
-integers beyond the float64-exact range.
+The operator zoo runs under both kernel backends (``REPRO_KERNEL``:
+numpy vs pure python) over a flat and a hash-partitioned copy of the
+same data, and each must reproduce the naive per-key interpretation
+*exactly*: same keys, same enumeration order, extensionally equal
+values. The data deliberately includes the value shapes that make
+vectorization treacherous: missing attributes, None, NaN, booleans
+(``True == 1``), mixed numeric/string columns, and integers beyond the
+float64-exact range.
 """
 
 import pytest
@@ -18,15 +17,14 @@ from zoo import ordered as _ordered
 
 import repro as fql
 from repro.exec import (
-    batch_mode,
     kernel_backend,
-    set_batch_mode,
     set_kernel_backend,
-    using_batch_mode,
+    using_exec_mode,
     using_kernel_backend,
 )
 from repro.exec.kernels import HAVE_NUMPY
-from repro.partition import hash_partition, using_parallel_mode
+from repro.partition import hash_partition
+
 
 @pytest.fixture(scope="module")
 def flat_db():
@@ -47,18 +45,11 @@ def part_db():
 
 
 def _baseline(build, db):
-    with using_parallel_mode("off"), using_batch_mode("rows"):
+    with using_exec_mode("naive"):
         return _ordered(build(db))
 
 
 KERNELS = ["numpy", "python"] if HAVE_NUMPY else ["python"]
-
-MATRIX = [
-    (batch, parallel, kernel)
-    for batch in ("columnar", "rows")
-    for parallel in ("on", "off")
-    for kernel in KERNELS
-]
 
 
 @pytest.mark.parametrize("layout", ["flat", "part"])
@@ -67,14 +58,11 @@ def test_zoo_matrix(name, layout, flat_db, part_db):
     db = flat_db if layout == "flat" else part_db
     build = ZOO[name]
     expected = _baseline(build, db)
-    for batch, parallel, kernel in MATRIX:
-        with using_batch_mode(batch), using_parallel_mode(
-            parallel
-        ), using_kernel_backend(kernel):
+    for kernel in KERNELS:
+        with using_kernel_backend(kernel):
             got = _ordered(build(db))
         assert got == expected, (
-            f"{name}/{layout} diverged under "
-            f"batch={batch} parallel={parallel} kernel={kernel}"
+            f"{name}/{layout} diverged under kernel={kernel}"
         )
 
 
@@ -83,22 +71,7 @@ def test_zoo_matrix_inside_transaction(flat_db):
     db = flat_db
     expected = _baseline(ZOO["filter_range"], db)
     with db.transaction():
-        with using_batch_mode("columnar"):
-            assert _ordered(ZOO["filter_range"](db)) == expected
-
-
-def test_batch_mode_escape_hatch(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert batch_mode() == "columnar"
-    monkeypatch.setenv("REPRO_BATCH", "rows")
-    assert batch_mode() == "rows"
-    monkeypatch.setenv("REPRO_BATCH", "columnar")
-    assert batch_mode() == "columnar"
-    set_batch_mode("rows")
-    assert batch_mode() == "rows"
-    set_batch_mode(None)
-    with pytest.raises(ValueError):
-        set_batch_mode("sideways")
+        assert _ordered(ZOO["filter_range"](db)) == expected
 
 
 def test_kernel_backend_escape_hatch(monkeypatch):
@@ -111,17 +84,6 @@ def test_kernel_backend_escape_hatch(monkeypatch):
     set_kernel_backend(None)
     with pytest.raises(ValueError):
         set_kernel_backend("fortran")
-
-
-def test_plan_cache_keyed_by_batch_mode(flat_db):
-    """A columnar plan cached under one mode must not serve the other."""
-    db = flat_db
-    expr = fql.filter(db.customers, "age > 30")
-    with using_batch_mode("columnar"):
-        columnar = _ordered(expr)
-    with using_batch_mode("rows"):
-        rows = _ordered(expr)
-    assert columnar == rows
 
 
 def test_kernel_flip_without_replanning(flat_db):
@@ -141,11 +103,10 @@ def test_columnar_after_dml(flat_db):
     db = fql.connect("columnar-dml", default=False)
     db["customers"] = hostile_rows()
     expr = fql.filter(db.customers, "age > 30")
-    with using_batch_mode("columnar"):
-        before = dict(_ordered(expr))
-        db.customers[1000] = {"name": "new", "age": 99, "state": "NY"}
-        after = dict(_ordered(expr))
-        assert 1000 in after and 1000 not in before
-        del db.customers[1000]
-        assert 1000 not in dict(_ordered(expr))
+    before = dict(_ordered(expr))
+    db.customers[1000] = {"name": "new", "age": 99, "state": "NY"}
+    after = dict(_ordered(expr))
+    assert 1000 in after and 1000 not in before
+    del db.customers[1000]
+    assert 1000 not in dict(_ordered(expr))
     db.close()

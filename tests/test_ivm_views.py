@@ -476,3 +476,44 @@ class TestSecondReviewRegressions:
         # the commit is durable; maintenance failures stay out of it
         stored_db.customers[9] = {"name": "Ok", "age": 20, "state": "CA"}
         assert stored_db.customers(9)("name") == "Ok"
+
+
+class TestCommitLandingMidSync:
+    """``advance()`` must move each watermark to exactly what
+    ``pending()`` consumed: a commit another session lands between the
+    two calls stays pending, instead of being jumped over for good."""
+
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize(
+        "step", ["derive_delta", "_apply_delta_to_snapshot"]
+    )
+    def test_second_commit_between_pending_and_advance_is_not_lost(
+        self, stored_db, monkeypatch, eager, step
+    ):
+        from repro.ivm import view as ivm_view
+
+        view = maintained_view(
+            fql.filter(stored_db.customers, state="NY"), eager=eager
+        )
+        len(view)  # settle
+        real = getattr(ivm_view, step)
+        landed = []
+
+        def step_then_second_commit(*args, **kwargs):
+            if not landed:
+                landed.append(True)
+                # after pending() read the changelog, before advance()
+                stored_db.customers[11] = {
+                    "name": "Late", "age": 51, "state": "NY"
+                }
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ivm_view, step, step_then_second_commit)
+        with using_ivm_mode("on"):  # the delta path is the one under test
+            stored_db.customers[10] = {
+                "name": "First", "age": 50, "state": "NY"
+            }
+            len(view)  # the sync during which the second commit lands
+            assert landed
+            assert {10, 11} <= set(view.keys())  # the next read has both
+            assert extensionally_equal(view, view.expression)

@@ -307,7 +307,6 @@ class TestPerDatabaseCounters:
         ex_a = a.stats()["executor"]
         ex_b = b.stats()["executor"]
         assert set(ex_a) == {
-            "batch_mode",
             "kernel_backend",
             "columnar_batches",
             "columnar_rows",

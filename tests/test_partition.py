@@ -3,11 +3,9 @@
 Covers the four layers separately: scheme placement (stable across
 processes), the PartitionedTable invariants (one live segment per key
 per snapshot, moves, time travel, vacuum, WAL recovery byte-for-byte),
-static pruning, per-partition statistics feeding cardinality, plan-cache
-mode keying, explain rendering, and the IVM partition-skip path.
+static pruning, per-partition statistics feeding cardinality, explain
+rendering, and the IVM partition-skip path.
 """
-
-import threading
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.partition import (
     range_partition,
     stable_hash,
     surviving_partitions,
-    using_parallel_mode,
 )
 from repro.partition.scheme import as_scheme
 from repro.predicates.parser import parse_predicate
@@ -40,8 +37,8 @@ _LATEST = 2**62
 
 class TestSchemes:
     def test_stable_hash_is_process_independent(self):
-        # pinned values: a changed canonical encoding would re-scatter
-        # every existing WAL on recovery
+        # pinned values: a changed canonical encoding would re-place
+        # every existing WAL row on recovery
         assert stable_hash("NY") == stable_hash("NY")
         assert stable_hash(1) != stable_hash("1")
         assert stable_hash((1, "a")) == stable_hash((1, "a"))
@@ -63,11 +60,7 @@ class TestSchemes:
             partition_by=hash_partition("age", 8),
         )
         expr = fql.filter(db.t, "age == 30")
-        with using_parallel_mode("on"):
-            parallel = sorted(expr.keys())
-        with using_parallel_mode("off"):
-            serial = sorted(expr.keys())
-        assert parallel == serial == [1, 2]
+        assert sorted(expr.keys()) == [1, 2]
 
     def test_hash_placement_covers_all_partitions(self):
         scheme = hash_partition("state", 4)
@@ -424,79 +417,24 @@ class TestStatisticsAndCardinality:
 class TestExecutorIntegration:
     def test_explain_renders_partition_plan(self, stored_pair):
         _plain, part = stored_pair
-        with using_parallel_mode("on"):
-            text = explain(fql.filter(part.customers, state="NY"))
+        text = explain(fql.filter(part.customers, state="NY"))
         assert "== partitioning ==" in text
         assert "hash(state, 4)" in text
         assert "scan 1/4 partitions (3 pruned)" in text
-        assert "scatter_gather" in text
+        # the scan line itself carries scheme, fan-out and verdict
+        assert "[hash(state, 4): scan 1/4 partitions, 3 pruned]" in text
 
-    def test_explain_serial_under_parallel_off(self, stored_pair):
-        _plain, part = stored_pair
-        with using_parallel_mode("off"):
-            text = explain(fql.filter(part.customers, state="NY"))
-        assert "== partitioning ==" in text
-        assert "scatter_gather" not in text
-
-    def test_plan_cache_keyed_by_parallel_mode(self, stored_pair):
-        _plain, part = stored_pair
-        from repro.exec import pipeline_for
-        from repro.partition.parallel import ScatterGatherNode
-
-        expr = fql.filter(part.customers, state="CA")
-        with using_parallel_mode("on"):
-            on_pipeline = pipeline_for(expr)
-        with using_parallel_mode("off"):
-            off_pipeline = pipeline_for(expr)
-        assert isinstance(on_pipeline.root, ScatterGatherNode)
-        assert not isinstance(off_pipeline.root, ScatterGatherNode)
-
-    def test_open_transaction_stays_serial_and_sees_buffer(self, stored_pair):
+    def test_open_transaction_sees_buffer(self, stored_pair):
         _plain, part = stored_pair
         expr = fql.filter(part.customers, state="NY")
-        with using_parallel_mode("on"):
-            baseline = len(expr)
-            txn = part.begin()
-            try:
-                part.customers[9999] = {"age": 33, "state": "NY"}
-                assert len(expr) == baseline + 1  # buffered write visible
-            finally:
-                txn.rollback()
-            assert len(expr) == baseline
-
-    def test_nested_scatter_from_worker_runs_inline(self):
-        """An opaque predicate that enumerates another cached scatter
-        pipeline per row runs on pool workers; the inner scatter must
-        execute inline there, not submit into the exhausted pool."""
-        db = fql.connect("nested", default=False)
-        for name in ("a", "b"):
-            db.create_table(
-                name,
-                rows={i: {"w": i * 3, "state": ["NY", "CA", "TX"][i % 3]}
-                      for i in range(1, 13)},
-                key_name="k",
-                partition_by=hash_partition("state", 4),
-            )
-        inner = fql.filter(db.b, "w > 10")
-        with using_parallel_mode("on"):
-            len(inner)  # pre-cache the inner scatter pipeline
-
-            def probe(entry):
-                return entry.value("w") in {w for _k, t in inner.items()
-                                            for w in [t("w")]}
-
-            outer = fql.filter(probe, db.a)
-            done = {}
-
-            def run():
-                done["keys"] = sorted(outer.keys())
-
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            thread.join(timeout=30)
-            assert "keys" in done, "nested scatter deadlocked"
-        with using_parallel_mode("off"):
-            assert done["keys"] == sorted(outer.keys())
+        baseline = len(expr)
+        txn = part.begin()
+        try:
+            part.customers[9999] = {"age": 33, "state": "NY"}
+            assert len(expr) == baseline + 1  # buffered write visible
+        finally:
+            txn.rollback()
+        assert len(expr) == baseline
 
     def test_decimal_values_place_and_prune_with_equal_ints(self):
         from decimal import Decimal
@@ -510,23 +448,7 @@ class TestExecutorIntegration:
             partition_by=hash_partition("price", 8),
         )
         expr = fql.filter(db.goods, price=30)
-        with using_parallel_mode("on"):
-            parallel = sorted(expr.keys())
-        with using_parallel_mode("off"):
-            serial = sorted(expr.keys())
-        assert parallel == serial == [1, 2]
-
-    def test_scatter_node_survives_mode_flip(self, stored_pair):
-        _plain, part = stored_pair
-        from repro.exec import pipeline_for
-
-        expr = fql.filter(part.customers, state="TX")
-        with using_parallel_mode("on"):
-            pipeline = pipeline_for(expr)
-            expected = sorted(k for k, _ in pipeline.iter_entries())
-        with using_parallel_mode("off"):
-            # a held scatter pipeline must degrade to serial, not crash
-            assert sorted(k for k, _ in pipeline.iter_entries()) == expected
+        assert sorted(expr.keys()) == [1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Per-query resource accounting and budget enforcement
 (docs/observability.md#resource-accounting): meters threaded through
-the executor, scatter-gather fork/absorb parity, the three budget
+the executor (partitioned scans included), the three budget
 knobs (env, session HELLO, per-request frame) killing over-budget
 queries with a typed retryable error while the session stays usable,
 the TOP verb / `client.top()`, and `db.stats()["resources"]`. Also
@@ -271,34 +271,21 @@ class TestBudgetKillsWire:
 
 
 # ---------------------------------------------------------------------------
-# scatter-gather parity
+# budgets over partitioned scans
 # ---------------------------------------------------------------------------
 
 
-class TestScatterGather:
-    def test_parallel_counts_match_serial(self, part_db, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "off")
-        dict(fql.filter("v > 100", input=part_db.big).items())
-        serial = resources_for(part_db.engine).snapshot()["totals"]
-        reset_resources()
-        monkeypatch.setenv("REPRO_PARALLEL", "on")
-        dict(fql.filter("v > 100", input=part_db.big).items())
-        parallel = resources_for(part_db.engine).snapshot()["totals"]
-        assert parallel["rows_scanned"] == serial["rows_scanned"] == 5000
-        assert parallel["bytes_scanned"] == serial["bytes_scanned"]
-        assert parallel["result_rows"] == serial["result_rows"]
-
-    def test_kill_under_scatter_gather(self, part_db, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "on")
+class TestPartitionedScans:
+    def test_kill_over_partitioned_scan(self, part_db, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_ROWS_SCANNED", "1000")
         with pytest.raises(ResourceExhaustedError):
             dict(fql.filter("v > 1", input=part_db.big).items())
         monkeypatch.delenv("REPRO_MAX_ROWS_SCANNED")
-        # the engine is immediately usable for the next parallel query
+        # the engine is immediately usable for the next query
         result = dict(fql.filter("v > 4000", input=part_db.big).items())
         assert len(result) == 999
 
-    def test_wire_kill_under_scatter_gather(self, part_db):
+    def test_wire_kill_over_partitioned_scan(self, part_db):
         with repro.server.serve(part_db, port=0) as srv:
             with client_for(srv) as c:
                 c.set_budgets(max_rows_scanned=1000)
@@ -401,11 +388,10 @@ class TestTopVerb:
 
 
 class TestExecutorCounterSemantics:
-    """Attribution semantics documented on ExecutorCounters: partition
-    slices resolve to no engine, so partitioned scans land in the
-    unattributed sink while the process-global instance stays exact.
-    Meters do not share the gap. A change to either behaviour must
-    update the docs and these pins together."""
+    """Attribution semantics documented on ExecutorCounters: scans
+    attribute to the engine their function graph resolves to,
+    partitioned tables included, and meters agree. A change to either
+    behaviour must update the docs and these pins together."""
 
     def test_unpartitioned_scans_attribute_to_engine(self, db):
         dict(fql.filter("age > 40", input=db.people).items())
@@ -418,20 +404,17 @@ class TestExecutorCounterSemantics:
             _unattributed.columnar_rows + _unattributed.row_rows == 0
         )
 
-    def test_partitioned_scans_land_unattributed(self, part_db):
+    def test_partitioned_scans_attribute_to_engine(self, part_db):
         dict(fql.filter("v > 100", input=part_db.big).items())
         engine_counters = counters_for(part_db.engine).snapshot()
-        assert (
-            engine_counters["columnar_rows"] + engine_counters["row_rows"]
-            == 0
-        )
         global_counters = counters.snapshot()
         assert (
-            global_counters["columnar_rows"] + global_counters["row_rows"]
+            engine_counters["columnar_rows"] + engine_counters["row_rows"]
+            == global_counters["columnar_rows"] + global_counters["row_rows"]
             == 5000
         )
         assert (
-            _unattributed.columnar_rows + _unattributed.row_rows == 5000
+            _unattributed.columnar_rows + _unattributed.row_rows == 0
         )
 
     def test_meters_attribute_partitioned_scans_to_engine(self, part_db):
@@ -533,18 +516,6 @@ class TestRingsConcurrent:
 
 
 class TestMeterMechanics:
-    def test_fork_absorb_merges_peak_by_max(self):
-        parent = ResourceMeter(engine=None)
-        child_a, child_b = parent.fork(), parent.fork()
-        child_a.rows_scanned = 10
-        child_a.peak_batch_bytes = 100
-        child_b.rows_scanned = 20
-        child_b.peak_batch_bytes = 700
-        parent.absorb(child_a)
-        parent.absorb(child_b)
-        assert parent.rows_scanned == 30
-        assert parent.peak_batch_bytes == 700
-
     def test_snapshot_is_json_safe(self, db):
         dict(fql.filter("age > 40", input=db.people).items())
         import json

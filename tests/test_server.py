@@ -760,7 +760,7 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# parallel scatter-gather stays correct through server sessions
+# partitioned tables stay correct through concurrent server sessions
 # ---------------------------------------------------------------------------
 
 

@@ -19,7 +19,6 @@ import repro as fql
 import repro.client
 import repro.replication as repl
 import repro.server
-from repro.exec.batch import using_batch_mode
 from repro.obs.events import EventLog, events_for
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -110,16 +109,6 @@ class TestFingerprint:
         flt = fql.filter("v > 10", input=db.item)
         grouped = fql.group(by=["grp"], input=flt)
         assert fingerprint_of(flt) != fingerprint_of(grouped)
-
-    def test_executor_env_is_part_of_the_class(self, db):
-        """REPRO_BATCH selects a different executor: that is a
-        different plan regime, so it must be a different class."""
-        flt = fql.filter("v > 10", input=db.item)
-        with using_batch_mode("columnar"):
-            a = fingerprint_of(flt)
-        with using_batch_mode("rows"):
-            b = fingerprint_of(flt)
-        assert a != b
 
     def test_rebuilt_graph_same_fingerprint(self, db):
         """Fingerprints are structural, not identity-based: a freshly
@@ -214,8 +203,13 @@ class TestPlanChange:
         _run(flt)
         diff = db.plan_diff(fp)
         assert diff["current"]["hash"] != diff["last_good"]["hash"]
-        assert "scatter_gather" in diff["current"]["plan"]
-        assert "scatter_gather" not in diff["last_good"]["plan"]
+        # the partition annotation rides the scan line
+        scan = next(
+            line for line in diff["current"]["plan"].splitlines()
+            if line.lstrip().startswith("scan ")
+        )
+        assert "hash(__key__, 4): scan 4/4 partitions, 0 pruned" in scan
+        assert "partitions" not in diff["last_good"]["plan"]
 
     def test_unknown_fingerprint_diff_is_none(self, db):
         assert db.plan_diff("ffffffffffff") is None
@@ -235,9 +229,9 @@ class TestPlanChange:
         assert a == b
 
     def test_repartition_fanout_is_a_plan_change(self, profiled):
-        """4-way to 2-way: the scatter tree renders identically after
-        literal normalization, but fan-out is structure, not a
-        literal — it must fire."""
+        """4-way to 2-way: the scan line's partition annotation renders
+        identically after literal normalization, but fan-out is
+        structure, not a literal — it must fire."""
         db = profiled
         flt = fql.filter("v > 10", input=db.item)
         fp = fingerprint_of(flt)
@@ -257,9 +251,9 @@ class TestLatencyRegression:
         profile = WorkloadProfile()
         fast, slow = int(1e6), int(100e6)  # 1ms baseline, 100ms after
         for _ in range(40):
-            profile.record("fp1", "shape", "h1", "plan", fast, 10, "columnar")
+            profile.record("fp1", "shape", "h1", "plan", fast, 10)
         for _ in range(40):
-            profile.record("fp1", "shape", "h1", "plan", slow, 10, "columnar")
+            profile.record("fp1", "shape", "h1", "plan", slow, 10)
         row = profile.snapshot()["fp1"]
         assert row["regressions"] == 1
 

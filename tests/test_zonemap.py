@@ -11,9 +11,9 @@ import math
 import pytest
 
 import repro as fql
-from repro.exec import explain, using_batch_mode
+from repro.exec import explain
 from repro.exec.batch import counters, reset_counters
-from repro.partition import range_partition, using_parallel_mode
+from repro.partition import range_partition
 from repro.predicates import parse_predicate
 from repro.storage.stats import (
     AttrZone,
@@ -203,8 +203,7 @@ class TestEngineMaintenance:
         zone = db.engine.zones["events"][1]
         assert zone.attrs["ts"].num_min == 5  # widened down
         assert zone.attrs["ts"].num_max == 299  # old bound retained
-        with using_parallel_mode("off"), using_batch_mode("columnar"):
-            got = dict(fql.filter(db.events, "ts == 5").items())
+        got = dict(fql.filter(db.events, "ts == 5").items())
         assert set(got) == {150}
         db.close()
 
@@ -231,44 +230,22 @@ class TestEngineMaintenance:
 class TestExecutorSkipping:
     def test_counters_prove_segments_skipped(self):
         db = _events_db("zm-count")
-        with using_parallel_mode("off"), using_batch_mode("columnar"):
-            expr = fql.filter(db.events, "ts >= 450")
-            reset_counters()
-            got = dict(expr.items())
-            assert set(got) == set(range(350, 400))
-            assert counters.zone_segments_skipped == 3
-            assert counters.zone_segments_scanned == 1
-        db.close()
-
-    def test_parallel_scatter_skips_partitions(self):
-        db = _events_db("zm-scatter")
-        with using_parallel_mode("on"), using_batch_mode("columnar"):
-            expr = fql.filter(db.events, "ts >= 450")
-            reset_counters()
-            got = dict(expr.items())
-            assert set(got) == set(range(350, 400))
-            assert counters.zone_segments_skipped == 3
-        db.close()
-
-    def test_rows_mode_never_skips(self):
-        db = _events_db("zm-rows")
-        with using_parallel_mode("off"), using_batch_mode("rows"):
-            expr = fql.filter(db.events, "ts >= 450")
-            reset_counters()
-            got = dict(expr.items())
-            assert set(got) == set(range(350, 400))
-            assert counters.zone_segments_skipped == 0
+        expr = fql.filter(db.events, "ts >= 450")
+        reset_counters()
+        got = dict(expr.items())
+        assert set(got) == set(range(350, 400))
+        assert counters.zone_segments_skipped == 3
+        assert counters.zone_segments_scanned == 1
         db.close()
 
     def test_open_transaction_falls_back_to_row_scan(self):
         db = _events_db("zm-txn")
-        with using_parallel_mode("off"), using_batch_mode("columnar"):
-            with db.transaction():
-                db.events[1000] = {"seq": 399, "ts": 451}
-                reset_counters()
-                got = dict(fql.filter(db.events, "ts >= 450").items())
-                assert set(got) == set(range(350, 400)) | {1000}
-                assert counters.zone_segments_skipped == 0  # no skipping
+        with db.transaction():
+            db.events[1000] = {"seq": 399, "ts": 451}
+            reset_counters()
+            got = dict(fql.filter(db.events, "ts >= 450").items())
+            assert set(got) == set(range(350, 400)) | {1000}
+            assert counters.zone_segments_skipped == 0  # no skipping
         db.close()
 
     def test_skipping_respects_nan_rows(self):
@@ -285,19 +262,17 @@ class TestExecutorSkipping:
             },
             partition_by=range_partition("seq", [50]),
         )
-        with using_parallel_mode("off"), using_batch_mode("columnar"):
-            reset_counters()
-            got = dict(fql.filter(db.m, "v > 100").items())
-            assert got == {}
-            # segment 0 holds the NaN: must have been scanned, not skipped
-            assert counters.zone_segments_scanned >= 1
+        reset_counters()
+        got = dict(fql.filter(db.m, "v > 100").items())
+        assert got == {}
+        # segment 0 holds the NaN: must have been scanned, not skipped
+        assert counters.zone_segments_scanned >= 1
         db.close()
 
 
 def test_explain_reports_zone_verdicts():
     db = _events_db("zm-explain")
-    with using_parallel_mode("off"), using_batch_mode("columnar"):
-        text = explain(fql.filter(db.events, "ts >= 450"))
+    text = explain(fql.filter(db.events, "ts >= 450"))
     assert "== batching ==" in text
     assert "zone maps" in text
     assert "3 skipped" in text

@@ -1,9 +1,10 @@
 """The shared operator zoo: one corpus, every differential suite.
 
 Every execution-mode differential in this repo — batched vs naive
-(``test_exec_differential``), columnar vs rows (``test_columnar_
-differential``), partitioned vs flat (``test_partition_differential``),
-and SQL offload vs both (``test_offload_differential``) — pins the same
+(``test_exec_differential``), both kernel backends vs naive
+(``test_columnar_differential``), partitioned vs flat vs naive
+(``test_partition_differential``), and SQL offload vs both
+(``test_offload_differential``) — pins the same
 contract: alternative physical paths must reproduce the naive per-key
 interpretation *exactly*. This module is the corpus they share, so a
 new operator (or a new hostile value shape) added here is automatically
