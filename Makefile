@@ -8,11 +8,11 @@ test:
 	$(PY) -m pytest -x -q
 
 # quick perf check: the executor-sensitive figures plus view
-# maintenance, server throughput, and replica read scaling; writes
+# maintenance, the observability tax, and offloaded scans; writes
 # benchmarks/BENCH_<module>.json files for the perf trajectory
 bench-smoke:
 	$(PY) -m pytest benchmarks -o python_files='bench_*.py' -q \
-		-k "fig04a or fig04bc or fig06 or ivm_maintenance or server_throughput or replica_read_scaling or obs_overhead or offload_scan" \
+		-k "fig04a or fig04bc or fig06 or ivm_maintenance or obs_overhead or offload_scan" \
 		--benchmark-min-rounds=3
 
 # the full benchmark matrix (slow)

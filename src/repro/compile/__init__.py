@@ -2,9 +2,9 @@
 
 The same optimized derived-function graphs :mod:`repro.exec.lower`
 consumes can, for a useful analytic subset, be *compiled* to SQL and
-executed on an embedded first-order engine (stdlib ``sqlite3``; DuckDB
-rides the same interface when importable) over per-table columnar
-snapshots — the relation **mirror** kept fresh off the commit clock.
+executed on an embedded first-order engine (stdlib ``sqlite3``) over
+per-table columnar snapshots — the relation **mirror** kept fresh off
+the commit clock.
 
 The offload path is the third physical mode, after naive per-key
 interpretation and the batched executor:
@@ -26,9 +26,7 @@ compilable query regardless of cost.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
+from repro.config import OFFLOAD
 
 __all__ = [
     "offload_mode",
@@ -38,43 +36,11 @@ __all__ = [
     "offload_stats",
 ]
 
-#: Session override; ``None`` means "read the REPRO_OFFLOAD env var".
-_MODE_OVERRIDE: str | None = None
-
-_MODES = ("off", "auto", "force")
-
-
-def offload_mode() -> str:
-    """``"off"``, ``"auto"`` (default), or ``"force"``."""
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    env = os.environ.get("REPRO_OFFLOAD", "auto").strip().lower()
-    if env in ("force", "on", "always"):
-        return "force"
-    if env in ("off", "0", "never", "disabled"):
-        return "off"
-    return "auto"
-
-
-def set_offload_mode(mode: str | None) -> None:
-    """Force a mode for this process (``None`` restores env control)."""
-    global _MODE_OVERRIDE
-    if mode is not None and mode not in _MODES:
-        raise ValueError(
-            f"offload mode must be one of {_MODES}, got {mode!r}"
-        )
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_offload_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force an offload mode (used by the differential tests)."""
-    previous = _MODE_OVERRIDE
-    set_offload_mode(mode)
-    try:
-        yield
-    finally:
-        set_offload_mode(previous)
+#: ``"off"``, ``"auto"`` (default), or ``"force"``; ``set_`` forces a
+#: mode for this process, ``using_`` temporarily (the differential tests).
+offload_mode = OFFLOAD.get
+set_offload_mode = OFFLOAD.set
+using_offload_mode = OFFLOAD.using
 
 
 def try_offload(fn, optimized, fired_rules):

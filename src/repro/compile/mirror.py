@@ -1,8 +1,7 @@
 """Per-engine relation mirrors backing the SQL offload path.
 
 A mirror is a columnar snapshot of one table inside an embedded SQL
-engine (stdlib ``sqlite3`` by default, DuckDB behind the same
-connection seam when importable), kept fresh off the commit clock:
+engine (stdlib ``sqlite3``), kept fresh off the commit clock:
 
 * **version-keyed** — each table's snapshot records the engine's
   ``mirror_epochs`` token it was built from; DML, WAL replay, replica
@@ -28,9 +27,9 @@ result *objects* are exactly what the interpreted paths produce.
 from __future__ import annotations
 
 import math
-import os
+import sqlite3
 import threading
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "ColumnProfile",
@@ -39,7 +38,6 @@ __all__ = [
     "OffloadCounters",
     "mirror_for",
     "stats_for",
-    "backend_name",
 ]
 
 #: SQLite INTEGERs are signed 64-bit; anything at or past 2^63 cannot
@@ -54,34 +52,8 @@ _EXACT_INT_LIMIT = 2**53
 _LATEST = 2**62
 
 
-def backend_name() -> str:
-    """The embedded engine behind the mirror: ``sqlite`` or ``duckdb``.
-
-    ``REPRO_OFFLOAD_ENGINE=duckdb`` opts into DuckDB *when the module
-    is importable*; the baked-in environment has no third-party
-    downloads, so an absent DuckDB silently falls back to sqlite
-    rather than erroring.
-    """
-    choice = os.environ.get("REPRO_OFFLOAD_ENGINE", "sqlite").strip().lower()
-    if choice == "duckdb":
-        try:
-            import duckdb  # noqa: F401
-
-            return "duckdb"
-        except ImportError:
-            return "sqlite"
-    return "sqlite"
-
-
-def _connect(backend: str) -> Any:
-    """An in-memory connection for *backend* (shared, lock-serialized)."""
-    if backend == "duckdb":
-        import duckdb
-
-        return duckdb.connect(":memory:")
-    import sqlite3
-
-    return sqlite3.connect(":memory:", check_same_thread=False)
+#: The embedded engine behind every mirror (``stats()["offload"]["backend"]``).
+BACKEND = "sqlite"
 
 
 class ColumnProfile:
@@ -287,7 +259,7 @@ class OffloadCounters:
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict view for ``db.stats()`` / the STATS verb."""
         return {
-            "backend": backend_name(),
+            "backend": BACKEND,
             "queries_offloaded": self.queries_offloaded,
             "mirror_syncs": self.mirror_syncs,
             "rows_mirrored": self.rows_mirrored,
@@ -309,7 +281,7 @@ class EngineMirror:
     def __init__(self, engine: Any):
         self.engine = engine
         self.lock = threading.RLock()
-        self.backend = backend_name()
+        self.backend = BACKEND
         self.counters = OffloadCounters()
         self._conn: Any = None
         self._tables: dict[str, TableMirror] = {}
@@ -318,7 +290,10 @@ class EngineMirror:
     def connection(self) -> Any:
         """The lazily-opened embedded connection (callers hold the lock)."""
         if self._conn is None:
-            self._conn = _connect(self.backend)
+            # shared across sessions, serialized by :attr:`lock`
+            self._conn = sqlite3.connect(
+                ":memory:", check_same_thread=False
+            )
         return self._conn
 
     def current_epoch(self, table_name: str) -> int:
@@ -433,16 +408,6 @@ class EngineMirror:
         self.counters.mirror_syncs += 1
         self.counters.rows_mirrored += len(params)
 
-    def read_row(self, table_name: str, key: Any, ts: int) -> Any:
-        """One row dict at the sync snapshot (decode-side late read)."""
-        return self.engine.table(table_name).read(key, ts)
-
-    def execute(self, sql: str, params: list) -> list[tuple]:
-        """Run one compiled query, eagerly fetching every result row."""
-        with self.lock:
-            cursor = self.connection().execute(sql, params)
-            return cursor.fetchall()
-
     def close(self) -> None:
         """Release the embedded connection (idempotent)."""
         if self._closed:
@@ -478,11 +443,3 @@ def stats_for(engine: Any) -> dict[str, Any]:
     if mirror is None:
         return OffloadCounters().snapshot()
     return mirror.counters.snapshot()
-
-
-def iter_mirrored_tables(engine: Any) -> Iterator[tuple[str, TableMirror]]:
-    """(table name, mirror) pairs for *engine*'s synced tables."""
-    mirror = getattr(engine, "offload_mirror", None)
-    if mirror is None:
-        return iter(())
-    return iter(list(mirror._tables.items()))

@@ -37,18 +37,10 @@ from repro.compile.sqlgen import (
     parse_graph,
 )
 from repro.fdm.tuples import RowTuple
+from repro.optimizer.physical import offload_worthwhile
 
 __all__ = ["OffloadPipeline", "try_offload", "offload_worthwhile",
            "explain_offload"]
-
-
-def offload_worthwhile(relation: Any) -> tuple[bool, str]:
-    """Re-export of the optimizer's cost verdict (the chooser lives
-    with the other physical-mode decisions in
-    :mod:`repro.optimizer.physical`)."""
-    from repro.optimizer.physical import offload_worthwhile as _verdict
-
-    return _verdict(relation)
 
 
 class _OffloadRoot:
@@ -179,9 +171,7 @@ class OffloadPipeline:
                 # the compiled SQL (e.g. a rollback raced a re-sync):
                 # recompile against the fresh profiles, or decline
                 try:
-                    compiled = generate_sql(
-                        shape, table_mirror, mirror.backend
-                    )
+                    compiled = generate_sql(shape, table_mirror)
                     self._compiled = compiled
                 except Unsupported as unsupported:
                     mirror.counters.note_fallback(unsupported.slug)
@@ -330,7 +320,7 @@ def try_offload(
             mirror.counters.note_fallback("unmirrorable_rows")
             return None
         try:
-            compiled = generate_sql(shape, table_mirror, mirror.backend)
+            compiled = generate_sql(shape, table_mirror)
         except Unsupported as unsupported:
             mirror.counters.note_fallback(unsupported.slug)
             return None
@@ -397,7 +387,7 @@ def explain_offload(fn: Any, optimized: Any) -> list[str]:
             lines.append("  verdict: batched (unmirrorable rows)")
             return lines
         try:
-            compiled = generate_sql(shape, table_mirror, mirror.backend)
+            compiled = generate_sql(shape, table_mirror)
         except Unsupported as unsupported:
             lines.append(
                 f"  verdict: batched "

@@ -219,16 +219,9 @@ def parse_graph(optimized: Any) -> QueryShape:
 # ---------------------------------------------------------------------------
 
 
-def generate_sql(
-    shape: QueryShape, mirror: Any, backend: str = "sqlite"
-) -> CompiledQuery:
-    """Emit the SQL + decode plan for *shape* over *mirror*, or decline."""
-    if backend != "sqlite":
-        # The typeof()/NULL-ordering templates below are SQLite
-        # dialect; other engines ride the connection seam but need
-        # their own templates before they may serve queries.
-        raise Unsupported("backend_dialect", f"{backend} dialect unverified")
-
+def generate_sql(shape: QueryShape, mirror: Any) -> CompiledQuery:
+    """Emit the SQL (SQLite dialect) + decode plan for *shape* over
+    *mirror*, or decline."""
     params: list = []
     where: list[str] = []
     for predicate in shape.filters:

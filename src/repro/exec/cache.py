@@ -2,8 +2,9 @@
 
 Repeated queries over the same data skip optimize+lower entirely. The
 fingerprint of a derived-function graph covers the operator structure
-(classes, transparent predicate sources, parameters) plus, at the
-leaves, the *identity and data version* of each base function. DML bumps
+(classes, transparent predicate sources, parameters — each operator's
+``token`` in :mod:`repro.operators`) plus, at the leaves, the
+*identity and data version* of each base function. DML bumps
 the version (a mutation counter on material functions, the WAL length on
 stored ones), so a mutated database simply stops matching its old cache
 entries — invalidation is structural, with the LRU evicting the garbage.
@@ -19,7 +20,7 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro.fdm.functions import DerivedFunction, FDMFunction
+from repro.fdm.functions import FDMFunction
 
 __all__ = [
     "PlanCache",
@@ -120,176 +121,17 @@ def cache_for(fn: FDMFunction) -> PlanCache:
     return cache
 
 
-def _predicate_token(predicate: Any) -> Any:
-    if predicate is None:
-        return None
-    if getattr(predicate, "is_transparent", False):
-        return predicate.to_source()
-    # opaque predicates are identified by the callable they wrap
-    return ("opaque", id(predicate))
-
-
-def _version_token(fn: FDMFunction) -> Any:
-    """Identity + data version of a base (leaf) function."""
-    from repro.storage.relation import StoredRelationFunction
-
-    if isinstance(fn, StoredRelationFunction):
-        manager = fn._manager
-        txn = manager.current()
-        txn_token = (
-            (txn.start_ts, txn.write_seq) if txn is not None else None
-        )
-        # the commit clock, not the WAL length: the clock is monotonic
-        # even across a replica snapshot resync (which truncates and
-        # re-seeds the WAL, letting its length revisit old values)
-        return (
-            "stored",
-            id(fn._engine),
-            fn.table_name,
-            manager.now(),
-            txn_token,
-        )
-    version = getattr(fn, "_version", None)
-    return ("leaf", id(fn), version)
-
-
 def fingerprint(fn: FDMFunction) -> Any:
     """A hashable token identifying graph structure + leaf data versions.
 
     Equal fingerprints mean "the same plan is valid"; a DML statement
     anywhere beneath the graph changes a leaf version and therefore the
-    fingerprint (the plan-cache invalidation tests pin this down).
+    fingerprint (the plan-cache invalidation tests pin this down). It is
+    the graph's plan token read with literals; the workload profiler's
+    :func:`~repro.obs.workload.fingerprint_of` reads the same token
+    without them.
     """
-    from repro.fdm.databases import (
-        MaterialDatabaseFunction,
-        OverlayDatabaseFunction,
-    )
-    from repro.fql.views import MaterializedView
+    # local import: the operator table imports the layers that call it
+    from repro.operators import plan_token
 
-    if isinstance(fn, MaterializedView):
-        # Reads go to the snapshot, not the live expression, so the
-        # token is the snapshot version: DML without a refresh keeps
-        # cached plans valid, a refresh (or maintained-view sync)
-        # invalidates everything reading through the view.
-        return ("mview", id(fn), fn.maintenance_version())
-    if isinstance(fn, DerivedFunction):
-        return (
-            type(fn).__name__,
-            _params_token(fn),
-            tuple(fingerprint(child) for child in fn.children),
-        )
-    if isinstance(fn, MaterialDatabaseFunction):
-        return (
-            "db",
-            id(fn),
-            getattr(fn, "_version", None),
-            tuple(
-                (name, fingerprint(sub))
-                for name, sub in fn._functions.items()
-            ),
-        )
-    if isinstance(fn, OverlayDatabaseFunction):
-        return (
-            "overlay",
-            fingerprint(fn.base),
-            tuple(
-                (name, fingerprint(sub))
-                for name, sub in fn._overlay.items()
-            ),
-            frozenset(fn._hidden),
-        )
-    return _version_token(fn)
-
-
-def _params_token(fn: DerivedFunction) -> Any:
-    """Class-specific structural token beyond children fingerprints."""
-    from repro.fql.filter import FilteredFunction, RestrictedFunction
-    from repro.fql.group import (
-        AggregatedRelationFunction,
-        GroupedDatabaseFunction,
-    )
-    from repro.fql.join import JoinedRelationFunction
-    from repro.fql.order import LimitedFunction, OrderedFunction
-    from repro.fql.project import MappedFunction
-    from repro.optimizer.physical import (
-        FusedGroupAggregateFunction,
-        IndexLookupFunction,
-        KeyLookupFunction,
-    )
-
-    if isinstance(fn, FilteredFunction):
-        return _predicate_token(fn.predicate)
-    if isinstance(fn, RestrictedFunction):
-        # the frozenset itself is the token: a hash would collide
-        try:
-            hash(fn.restricted_keys)
-            return ("keys", fn.restricted_keys)
-        except TypeError:
-            return ("keys", id(fn))
-    if isinstance(fn, MappedFunction):
-        params = fn.op_params()
-        if fn.op_name == "project":
-            return ("project", tuple(params["attrs"]))
-        if fn.op_name == "rename":
-            return ("rename", tuple(sorted(params["mapping"].items())))
-        if fn.op_name == "extend" and set(
-            params.get("transparent", {})
-        ) == set(params.get("computed", ())):
-            return ("extend", tuple(sorted(params["transparent"].items())))
-        # opaque transform closure: identity is part of the plan
-        return (fn.op_name, id(fn._transform))
-    if isinstance(fn, OrderedFunction):
-        spec = fn._key_spec
-        spec_token = (
-            tuple(spec)
-            if isinstance(spec, (list, tuple))
-            else (spec if isinstance(spec, str) else ("fn", id(spec)))
-        )
-        return (spec_token, fn._reverse)
-    if isinstance(fn, LimitedFunction):
-        return fn._n
-    if isinstance(fn, (GroupedDatabaseFunction, FusedGroupAggregateFunction)):
-        by = fn._by
-        by_token = by.attrs if by.attrs is not None else ("fn", id(by.fn))
-        if isinstance(fn, FusedGroupAggregateFunction):
-            return (by_token, _aggs_token(fn._aggs))
-        return by_token
-    if isinstance(fn, AggregatedRelationFunction):
-        return _aggs_token(fn.aggregates)
-    if isinstance(fn, JoinedRelationFunction):
-        plan = fn.plan
-        return (
-            tuple(
-                (name, fingerprint(atom))
-                for name, atom in plan.atoms.items()
-            ),
-            tuple(f"{a!r}={b!r}" for a, b in plan.edges),
-            tuple(plan.order_hint) if plan.order_hint else None,
-        )
-    if isinstance(fn, KeyLookupFunction):
-        try:
-            hash(fn._key_value)
-            key_token = fn._key_value
-        except TypeError:
-            key_token = repr(fn._key_value)
-        return (key_token, _predicate_token(fn._residual))
-    if isinstance(fn, IndexLookupFunction):
-        return (
-            fn._attr,
-            repr((fn._eq, fn._lo, fn._hi, fn._lo_open, fn._hi_open)),
-            _predicate_token(fn._residual),
-        )
-    # unknown derived operator: parameters may hide opaque state, so the
-    # instance identity itself is the only safe token
-    return ("instance", id(fn))
-
-
-def _aggs_token(aggs: dict) -> Any:
-    out = []
-    for name, agg in aggs.items():
-        attr = getattr(agg, "attr", None)
-        if callable(attr):
-            out.append((name, type(agg).__name__, ("fn", id(attr))))
-        else:
-            out.append((name, type(agg).__name__, attr))
-    return tuple(out)
+    return plan_token(fn, literals=True)

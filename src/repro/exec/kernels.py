@@ -30,11 +30,10 @@ to the python backend instead of silently losing precision.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro._util import MISSING
+from repro.config import KERNEL
 
 try:  # optional accelerator: everything below works without it
     import numpy as _np
@@ -60,43 +59,16 @@ HAVE_NUMPY = _np is not None
 #: Largest integer magnitude float64 represents exactly.
 _EXACT_INT = 2**53
 
-#: Session override; ``None`` means "read the REPRO_KERNEL env var".
-_BACKEND_OVERRIDE: str | None = None
-
-
 def kernel_backend() -> str:
     """``"numpy"`` when numpy is importable (the default), else
     ``"python"``; ``REPRO_KERNEL=python`` forces the pure-Python path."""
-    if _BACKEND_OVERRIDE is not None:
-        backend = _BACKEND_OVERRIDE
-    else:
-        backend = os.environ.get("REPRO_KERNEL", "").strip().lower()
-        if backend in ("python", "pure", "off", "0"):
-            backend = "python"
-        else:
-            backend = "numpy"
-    return backend if backend == "numpy" and HAVE_NUMPY else "python"
+    return "numpy" if HAVE_NUMPY and KERNEL.get() == "numpy" else "python"
 
 
-def set_kernel_backend(backend: str | None) -> None:
-    """Force a backend for this process (``None`` restores env control)."""
-    global _BACKEND_OVERRIDE
-    if backend is not None and backend not in ("numpy", "python"):
-        raise ValueError(
-            f"kernel backend must be 'numpy' or 'python', got {backend!r}"
-        )
-    _BACKEND_OVERRIDE = backend
-
-
-@contextmanager
-def using_kernel_backend(backend: str | None) -> Iterator[None]:
-    """Temporarily force a backend (used by the differential tests)."""
-    previous = _BACKEND_OVERRIDE
-    set_kernel_backend(backend)
-    try:
-        yield
-    finally:
-        set_kernel_backend(previous)
+#: Force a backend for this process (``None`` restores env control), or
+#: temporarily (the differential tests).
+set_kernel_backend = KERNEL.set
+using_kernel_backend = KERNEL.using
 
 
 # ---------------------------------------------------------------------------

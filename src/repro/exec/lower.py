@@ -2,8 +2,9 @@
 physical pipeline (DESIGN.md §6).
 
 A derived FQL function *is* its own logical plan (DESIGN.md §5); this
-module is the other half of the split — one physical node per logical
-operator class. Operators without a specialized lowering fall back to a
+module is the other half of the split — each logical operator class
+names its physical node in the operator table (:mod:`repro.operators`).
+Operators without an entry fall back to a
 :class:`~repro.exec.nodes.NaiveNode` leaf (their subtree runs per-key),
 so lowering is total: it never fails, it only degrades.
 """
@@ -12,24 +13,11 @@ from __future__ import annotations
 
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.exec.nodes import (
-    AggregateOverGroupsNode,
     FilterNode,
-    FusedGroupAggregateNode,
-    GroupAggregateNode,
-    GroupNode,
-    HashJoinNode,
-    IndexLookupNode,
-    IntersectNode,
-    KeyLookupNode,
-    LimitNode,
-    MapNode,
-    MinusNode,
     NaiveNode,
-    OrderNode,
     PhysicalNode,
     RestrictNode,
     ScanNode,
-    UnionNode,
 )
 
 __all__ = ["lower", "PhysicalPipeline"]
@@ -152,108 +140,7 @@ def _attach_scan_pruning(node: PhysicalNode, pending: list | None = None) -> Non
 def _node_for(fn: FDMFunction) -> PhysicalNode:
     if not isinstance(fn, DerivedFunction):
         return ScanNode(fn)
+    # local import: the operator table imports the layers that call it
+    from repro.operators import operator_of
 
-    # local imports: the fql/optimizer layers import fdm, which routes
-    # enumeration back here — keep module import time cycle-free
-    from repro.fql.filter import FilteredFunction, RestrictedFunction
-    from repro.fql.group import (
-        AggregatedRelationFunction,
-        GroupedDatabaseFunction,
-    )
-    from repro.fql.join import JoinedRelationFunction
-    from repro.fql.order import LimitedFunction, OrderedFunction
-    from repro.fql.project import MappedFunction
-    from repro.fql.setops import (
-        IntersectFunction,
-        MinusFunction,
-        UnionFunction,
-    )
-    from repro.optimizer.physical import (
-        FusedGroupAggregateFunction,
-        IndexLookupFunction,
-        KeyLookupFunction,
-    )
-
-    if isinstance(fn, FilteredFunction):
-        return FilterNode(_node_for(fn.source), fn.predicate)
-    if isinstance(fn, RestrictedFunction):
-        if not fn.source.is_enumerable:
-            return NaiveNode(fn)
-        return RestrictNode(_node_for(fn.source), fn.restricted_keys)
-    if isinstance(fn, MappedFunction):
-        return MapNode(
-            _node_for(fn.source),
-            fn._transform,
-            label=fn.op_name,
-            attrs=(
-                fn.op_params().get("attrs")
-                if fn.op_name == "project"
-                else None
-            ),
-        )
-    if isinstance(fn, OrderedFunction):
-        return OrderNode(
-            _node_for(fn.source),
-            fn._sort_key,
-            fn._reverse,
-            label=f"order [{fn.op_params()['key']!r}]",
-        )
-    if isinstance(fn, LimitedFunction):
-        # limit ∘ map ≡ map ∘ limit (maps preserve keys): truncate below
-        # the transforms so only surviving rows are ever evaluated, as
-        # the naive path does
-        inner = fn.source
-        maps: list[MappedFunction] = []
-        while isinstance(inner, MappedFunction):
-            maps.append(inner)
-            inner = inner.source
-        node: PhysicalNode = LimitNode(_node_for(inner), fn._n)
-        for mapped in reversed(maps):
-            node = MapNode(
-                node,
-                mapped._transform,
-                label=mapped.op_name,
-                attrs=(
-                    mapped.op_params().get("attrs")
-                    if mapped.op_name == "project"
-                    else None
-                ),
-            )
-        return node
-    if isinstance(fn, GroupedDatabaseFunction):
-        return GroupNode(_node_for(fn.source), fn)
-    if isinstance(fn, AggregatedRelationFunction):
-        source = fn.source
-        if isinstance(source, GroupedDatabaseFunction):
-            # collapse the group/aggregate pair into one-pass folding
-            return GroupAggregateNode(
-                _node_for(source.source),
-                source.by,
-                fn.aggregates,
-                name=fn.fn_name,
-            )
-        return AggregateOverGroupsNode(
-            _node_for(source), fn.aggregates, name=fn.fn_name
-        )
-    if isinstance(fn, FusedGroupAggregateFunction):
-        return FusedGroupAggregateNode(
-            _node_for(fn.source), fn._by, fn._aggs, name=fn.fn_name
-        )
-    if isinstance(fn, JoinedRelationFunction):
-        return HashJoinNode(fn)
-    if isinstance(fn, UnionFunction):
-        return UnionNode(_node_for(fn.left), _node_for(fn.right), fn)
-    if isinstance(fn, (IntersectFunction, MinusFunction)):
-        # the naive path never enumerates the right operand (point probes
-        # via defined_at), so a non-enumerable right side must stay naive
-        if not fn.right.is_enumerable:
-            return NaiveNode(fn)
-        node_cls = (
-            IntersectNode if isinstance(fn, IntersectFunction) else MinusNode
-        )
-        return node_cls(_node_for(fn.left), _node_for(fn.right), fn)
-    if isinstance(fn, KeyLookupFunction):
-        return KeyLookupNode(fn)
-    if isinstance(fn, IndexLookupFunction):
-        return IndexLookupNode(fn)
-    return NaiveNode(fn)
+    return operator_of(fn).lower(fn, _node_for)

@@ -16,11 +16,10 @@ which case the inner enumeration simply runs naive.
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.config import EXEC
 from repro.fdm.functions import FDMFunction
 from repro.exec.cache import cache_for, engine_of, fingerprint
 from repro.exec.lower import PhysicalPipeline, lower
@@ -35,38 +34,16 @@ __all__ = [
     "join_bindings",
 ]
 
-#: Session override; ``None`` means "read the REPRO_EXEC env var".
-_MODE_OVERRIDE: str | None = None
-
 #: Sentinel cached for graphs whose root has no specialized lowering.
 _NAIVE = object()
 
 
-def exec_mode() -> str:
-    """``"batch"`` (default) or ``"naive"`` (the per-key escape hatch)."""
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    env = os.environ.get("REPRO_EXEC", "batch").strip().lower()
-    return "naive" if env in ("naive", "perkey", "off", "0") else "batch"
-
-
-def set_exec_mode(mode: str | None) -> None:
-    """Force a mode for this process (``None`` restores env control)."""
-    global _MODE_OVERRIDE
-    if mode is not None and mode not in ("batch", "naive"):
-        raise ValueError(f"exec mode must be 'batch' or 'naive', got {mode!r}")
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_exec_mode(mode: str | None):
-    """Temporarily force an exec mode (used by the differential tests)."""
-    previous = _MODE_OVERRIDE
-    set_exec_mode(mode)
-    try:
-        yield
-    finally:
-        set_exec_mode(previous)
+#: ``"batch"`` (default) or ``"naive"`` (the per-key escape hatch);
+#: ``set_`` forces a mode for this process, ``using_`` temporarily (the
+#: differential tests).
+exec_mode = EXEC.get
+set_exec_mode = EXEC.set
+using_exec_mode = EXEC.using
 
 
 class _Planning(threading.local):
@@ -335,7 +312,8 @@ def _observed(
     *cached* pipeline (its nodes are shared across threads); it plans a
     fresh one, applies the shared ``repro.obs.instrument`` shims, and
     streams from that instead. Fresh plans are behavior-neutral: lowering
-    is deterministic, so the entry stream is identical.
+    is deterministic, so the entry stream is identical. An offloaded
+    plan is one SQL statement with nothing to shim: it is timed as is.
     """
     from repro.obs.slowlog import any_active, slowlog_for
     from repro.obs.trace import active
@@ -370,29 +348,30 @@ def _observed_iter(
     from repro.obs.slowlog import SlowQueryEntry
     from repro.obs.trace import add_span, span
 
-    try:
-        from repro.optimizer import optimize
+    # An offloaded plan has no per-node tree to instrument, and
+    # re-lowering it would run (and log) a physical mode the query never
+    # normally takes: the cached pipeline itself is timed, under one
+    # execute span. So is a batched plan whose re-planning fails.
+    observed, stats = pipeline, {}
+    if isinstance(pipeline, PhysicalPipeline):
+        try:
+            from repro.optimizer import optimize
 
-        trace: list[str] = []
-        optimized = optimize(fn, rules=pipeline_rules(), trace=trace)
-        fresh = lower(optimized, logical=fn, fired_rules=trace)
-    except Exception:
-        fresh = None
-    if fresh is None:
-        # planning regressed between the cached lookup and now (clock
-        # moved, plan invalidated): stream the cached plan unobserved
-        yield from pipeline.iter_keys() if keys else pipeline.iter_entries()
-        return
-
-    stats = instrument_pipeline(fresh.root)
+            trace: list[str] = []
+            optimized = optimize(fn, rules=pipeline_rules(), trace=trace)
+            fresh = lower(optimized, logical=fn, fired_rules=trace)
+        except Exception:
+            fresh = None
+        if fresh is not None:
+            observed, stats = fresh, instrument_pipeline(fresh.root)
     before = counters_for(engine).snapshot() if slog is not None else None
     # NOT entered as a context manager: the generator's frames run on
     # the consumer's thread between yields, and the execute span must
     # not hang on that thread's span stack while consumer code runs
-    exec_span = span("execute", root=fresh.root.describe())
+    exec_span = span("execute", root=observed.root.describe())
     rows = 0
     start = time.perf_counter_ns()
-    it = fresh.iter_keys() if keys else fresh.iter_entries()
+    it = observed.iter_keys() if keys else observed.iter_entries()
     try:
         for item in it:
             rows += 1
@@ -402,7 +381,7 @@ def _observed_iter(
         exec_span.annotate(rows=rows)
         exec_span.finish()
         if exec_span.trace_id is not None:
-            for node, _depth in walk(fresh.root):
+            for node, _depth in walk(observed.root):
                 st = stats.get(id(node))
                 if st is None or not st["first_ns"]:
                     continue
@@ -422,10 +401,10 @@ def _observed_iter(
                 after = counters_for(engine).snapshot()
                 slog.record(
                     SlowQueryEntry(
-                        query=fresh.root.describe(),
+                        query=observed.root.describe(),
                         wall_ms=wall_ms,
                         rows=rows,
-                        tree=tree_stats(fresh.root, stats),
+                        tree=tree_stats(observed.root, stats),
                         zone_skipped=after["zone_segments_skipped"]
                         - before["zone_segments_skipped"],
                         zone_scanned=after["zone_segments_scanned"]
@@ -438,7 +417,7 @@ def _observed_iter(
                 emit(
                     engine,
                     "slow_query",
-                    query=fresh.root.describe(),
+                    query=observed.root.describe(),
                     wall_ms=wall_ms,
                     rows=rows,
                     trace_id=exec_span.trace_id,

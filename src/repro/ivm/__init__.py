@@ -7,9 +7,9 @@ maintenance trade-off algebraically: the storage engine's commit path
 emits per-commit :class:`~repro.ivm.delta.Delta` sets into a bounded
 :class:`~repro.ivm.changelog.ChangeLog`, and
 :func:`~repro.ivm.operators.derive_delta` pushes those base deltas
-through a derived-function graph operator by operator — mirroring the
-``exec/lower.py`` dispatch — so a :class:`~repro.ivm.view.MaintainedView`
-touches only the mappings that actually changed (DESIGN.md §9).
+through a derived-function graph, each operator's rule read from the
+operator table (:mod:`repro.operators`), so a
+:class:`~repro.ivm.view.MaintainedView` touches only the mappings that actually changed (DESIGN.md §9).
 
 ``REPRO_IVM=off`` (or :func:`set_ivm_mode`) restores the diff-based
 maintenance path everywhere; the differential suite runs every operator
@@ -18,10 +18,7 @@ under both modes and asserts identical results.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
+from repro.config import IVM
 from repro.ivm.changelog import ChangeLog, ensure_capture
 from repro.ivm.delta import Delta, snapshot_value
 from repro.ivm.operators import FALLBACK, derive_delta
@@ -45,32 +42,9 @@ __all__ = [
     "using_ivm_mode",
 ]
 
-#: Session override; ``None`` means "read the REPRO_IVM env var".
-_MODE_OVERRIDE: str | None = None
-
-
-def ivm_mode() -> str:
-    """``"on"`` (default) or ``"off"`` (the diff-based escape hatch)."""
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    env = os.environ.get("REPRO_IVM", "on").strip().lower()
-    return "off" if env in ("off", "0", "diff", "naive") else "on"
-
-
-def set_ivm_mode(mode: str | None) -> None:
-    """Force a mode for this process (``None`` restores env control)."""
-    global _MODE_OVERRIDE
-    if mode is not None and mode not in ("on", "off"):
-        raise ValueError(f"ivm mode must be 'on' or 'off', got {mode!r}")
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_ivm_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force an IVM mode (used by the differential tests)."""
-    previous = _MODE_OVERRIDE
-    set_ivm_mode(mode)
-    try:
-        yield
-    finally:
-        set_ivm_mode(previous)
+#: ``"on"`` (default) or ``"off"`` (the diff-based escape hatch);
+#: ``set_`` forces a mode for this process, ``using_`` temporarily (the
+#: differential tests).
+ivm_mode = IVM.get
+set_ivm_mode = IVM.set
+using_ivm_mode = IVM.using

@@ -1,13 +1,13 @@
 """``derive_delta(fn, base_deltas)``: the per-operator delta algebra.
 
-The lowering mirrors :mod:`repro.exec.lower`: one propagation rule per
-logical operator class, dispatched over the derived-function graph.
-Rules compose — a delta derived for an operator's source feeds the
-operator's own rule — so arbitrary FQL pipelines maintain incrementally
-as long as every node on the path has a rule.
+One propagation rule per logical operator class, named in the operator
+table (:mod:`repro.operators`) and looked up over the derived-function
+graph. Rules compose — a delta derived for an operator's source feeds
+the operator's own rule — so arbitrary FQL pipelines maintain
+incrementally as long as every node on the path has a rule.
 
-Where no sound rule exists (ordering/limits, unknown operators,
-order-sensitive aggregates) the lowering returns :data:`FALLBACK`
+Where no sound rule exists (ordering/limits, operators without an
+entry, order-sensitive aggregates) derivation returns :data:`FALLBACK`
 instead of guessing; the consuming view then recomputes fully. Like
 ``lower()``, derivation is *total*: it never fails, it only degrades.
 
@@ -267,7 +267,7 @@ def _group_key_of(by: Any, member: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# The dispatcher
+# The lookup
 # ---------------------------------------------------------------------------
 
 
@@ -288,30 +288,6 @@ def derive_delta(
     """
     if aux is None:
         aux = {}
-
-    # local imports: mirrors lower.py — the fql layer routes enumeration
-    # back through exec, keep module import time cycle-free
-    from repro.fql.filter import FilteredFunction, RestrictedFunction
-    from repro.fql.group import (
-        AggregatedRelationFunction,
-        GroupedDatabaseFunction,
-    )
-    from repro.fql.join import JoinedRelationFunction
-    from repro.fql.order import LimitedFunction, OrderedFunction
-    from repro.fql.project import MappedFunction
-    from repro.fql.setops import (
-        IntersectFunction,
-        MinusFunction,
-        UnionFunction,
-    )
-    from repro.fql.views import MaterializedView
-
-    if isinstance(fn, MaterializedView):
-        # Views read from their snapshot; the consuming IVMState guards
-        # snapshot-version drift separately, so between guarded syncs a
-        # nested view is a stable leaf.
-        return Delta()
-
     if not isinstance(fn, DerivedFunction):
         delta = base_deltas.get(id(fn))
         if delta is not None:
@@ -319,43 +295,13 @@ def derive_delta(
         if _reads_changed_base(fn, base_deltas):
             return FALLBACK  # changed data behind an opaque combinator
         return Delta()
+    # local import: the table imports this module for its rules
+    from repro.operators import operator_of
 
-    if isinstance(fn, FilteredFunction):
-        return _filter_rule(fn, base_deltas, aux, stats)
-    if isinstance(fn, RestrictedFunction):
-        return _restrict_rule(fn, base_deltas, aux, stats)
-    if isinstance(fn, MappedFunction):
-        return _map_rule(fn, base_deltas, aux, stats)
-    if isinstance(fn, (OrderedFunction, LimitedFunction)):
-        source_delta = derive_delta(fn.source, base_deltas, aux, stats)
-        if source_delta is FALLBACK or source_delta:
-            return FALLBACK  # presentation order cannot be patched in place
-        return Delta()
-    if isinstance(fn, GroupedDatabaseFunction):
-        return _group_rule(
-            fn, fn.source, fn.by, None, base_deltas, aux, stats
-        )
-    if isinstance(fn, AggregatedRelationFunction):
-        grouped = fn.source
-        if isinstance(grouped, GroupedDatabaseFunction):
-            return _group_rule(
-                fn, grouped.source, grouped.by, fn.aggregates,
-                base_deltas, aux, stats,
-            )
-        return _fallback_if_changed(fn, base_deltas, aux, stats)
-    if isinstance(fn, JoinedRelationFunction):
-        return _join_rule(fn, base_deltas, aux, stats)
-    if isinstance(fn, (UnionFunction, IntersectFunction, MinusFunction)):
-        return _setop_rule(fn, base_deltas, aux, stats)
-
-    from repro.optimizer.physical import FusedGroupAggregateFunction
-
-    if isinstance(fn, FusedGroupAggregateFunction):
-        return _group_rule(
-            fn, fn.source, fn._by, fn._aggs, base_deltas, aux, stats
-        )
-
-    return _fallback_if_changed(fn, base_deltas, aux, stats)
+    rule = operator_of(fn).delta
+    if rule is FALLBACK:
+        return fallback_if_changed(fn, base_deltas)
+    return rule(fn, base_deltas, aux, stats)
 
 
 def _reads_changed_base(fn: FDMFunction, base_deltas: dict[int, Delta]) -> bool:
@@ -381,11 +327,25 @@ def _reads_changed_base(fn: FDMFunction, base_deltas: dict[int, Delta]) -> bool:
     return False
 
 
-def _fallback_if_changed(
-    fn: FDMFunction, base_deltas: dict[int, Delta], aux: dict, stats: Any
-) -> Any:
-    """Unknown operator: transparent while its inputs are quiet."""
+def fallback_if_changed(fn: FDMFunction, base_deltas: dict[int, Delta]) -> Any:
+    """No rule for this operator: transparent while its inputs are quiet."""
     if _reads_changed_base(fn, base_deltas):
+        return FALLBACK
+    return Delta()
+
+
+def snapshot_rule(fn, base_deltas, aux, stats):
+    """Materialized views read from their snapshot; the consuming
+    IVMState guards snapshot-version drift separately, so between
+    guarded syncs a nested view is a stable leaf."""
+    return Delta()
+
+
+def presentation_rule(fn, base_deltas, aux, stats):
+    """order_by / limit: presentation order cannot be patched in place,
+    so any change in the source marks the view dirty."""
+    source_delta = derive_delta(fn.source, base_deltas, aux, stats)
+    if source_delta is FALLBACK or source_delta:
         return FALLBACK
     return Delta()
 
@@ -395,7 +355,7 @@ def _fallback_if_changed(
 # ---------------------------------------------------------------------------
 
 
-def _filter_rule(fn, base_deltas, aux, stats):
+def filter_rule(fn, base_deltas, aux, stats):
     from repro.fdm.entry import Entry
 
     source_delta = derive_delta(fn.source, base_deltas, aux, stats)
@@ -418,7 +378,7 @@ def _filter_rule(fn, base_deltas, aux, stats):
     return out
 
 
-def _restrict_rule(fn, base_deltas, aux, stats):
+def restrict_rule(fn, base_deltas, aux, stats):
     source_delta = derive_delta(fn.source, base_deltas, aux, stats)
     if source_delta is FALLBACK:
         return FALLBACK
@@ -430,7 +390,7 @@ def _restrict_rule(fn, base_deltas, aux, stats):
     return out
 
 
-def _map_rule(fn, base_deltas, aux, stats):
+def map_rule(fn, base_deltas, aux, stats):
     source_delta = derive_delta(fn.source, base_deltas, aux, stats)
     if source_delta is FALLBACK:
         return FALLBACK
@@ -454,7 +414,13 @@ def _map_rule(fn, base_deltas, aux, stats):
 # ---------------------------------------------------------------------------
 
 
-def _group_rule(fn, source, by, aggs, base_deltas, aux, stats):
+def group_rule(fn, base_deltas, aux, stats, parts=None):
+    """``group`` and the fused group-aggregate; *parts* names the
+    ``(source, by, aggregates)`` of an ``aggregate(group(x))`` pair,
+    whose maintained state stays keyed by *fn*, the view's own node."""
+    if parts is None:
+        parts = (fn.source, fn._by, getattr(fn, "_aggs", None))
+    source, by, aggs = parts
     source_delta = derive_delta(source, base_deltas, aux, stats)
     if source_delta is FALLBACK:
         return FALLBACK
@@ -547,7 +513,7 @@ def _group_output(fn, state, gk, by, aggs, stats):
 # ---------------------------------------------------------------------------
 
 
-def _join_rule(fn, base_deltas, aux, stats):
+def join_rule(fn, base_deltas, aux, stats):
     from repro.fdm.tuples import TupleFunction
     from repro.fql.join import JoinPlan, _merge_binding_into_row
 
@@ -627,7 +593,7 @@ def _connected_order(plan, start: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _setop_rule(fn, base_deltas, aux, stats):
+def setop_rule(fn, base_deltas, aux, stats):
     left_delta = derive_delta(fn.left, base_deltas, aux, stats)
     if left_delta is FALLBACK:
         return FALLBACK

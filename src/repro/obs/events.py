@@ -28,11 +28,12 @@ a broken file sink must not take down a commit path.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from typing import Any
+
+from repro.config import EVENTS_PATH
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -79,7 +80,7 @@ class EventLog:
     ) -> None:
         self._lock = threading.Lock()
         self._ring: deque[Event] = deque(maxlen=capacity)
-        self._sink = sink or os.environ.get("REPRO_EVENTS_PATH") or None
+        self._sink = sink or EVENTS_PATH.get()
         self.emitted = 0
 
     @property

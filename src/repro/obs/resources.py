@@ -29,13 +29,18 @@ single attribute test per batch.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.config import (
+    MAX_RESULT_ROWS,
+    MAX_ROWS_SCANNED,
+    METER,
+    QUERY_DEADLINE_MS,
+)
 from repro.errors import ResourceExhaustedError
 
 __all__ = [
@@ -52,35 +57,12 @@ __all__ = [
     "metered",
 ]
 
-#: Session override; ``None`` means "read the REPRO_METER env var".
-_MODE_OVERRIDE: str | None = None
-
-
-def meter_mode() -> str:
-    """``"on"`` (default) or ``"off"`` (``REPRO_METER=off``)."""
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    env = os.environ.get("REPRO_METER", "").strip().lower()
-    return "off" if env in ("off", "0", "none", "disabled") else "on"
-
-
-def set_meter_mode(mode: str | None) -> None:
-    """Force a meter mode for this process (``None`` restores env control)."""
-    global _MODE_OVERRIDE
-    if mode is not None and mode not in ("on", "off"):
-        raise ValueError(f"meter mode must be 'on' or 'off', got {mode!r}")
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_meter_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force a meter mode (tests and the overhead benchmark)."""
-    previous = _MODE_OVERRIDE
-    set_meter_mode(mode)
-    try:
-        yield
-    finally:
-        set_meter_mode(previous)
+#: ``"on"`` (default) or ``"off"`` (``REPRO_METER=off``); ``set_`` forces
+#: a mode for this process, ``using_`` temporarily (tests and the
+#: overhead benchmark).
+meter_mode = METER.get
+set_meter_mode = METER.set
+using_meter_mode = METER.using
 
 
 class _Active(threading.local):
@@ -106,17 +88,6 @@ def set_active_meter(meter: "ResourceMeter | None") -> "ResourceMeter | None":
     previous = _local.meter
     _local.meter = meter
     return previous
-
-
-def _env_budget(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 class ResourceMeter:
@@ -448,14 +419,14 @@ def start_meter(
     overrides = overrides or {}
     max_rows = overrides.get("max_rows_scanned")
     if max_rows is None:
-        max_rows = _env_budget("REPRO_MAX_ROWS_SCANNED")
+        max_rows = MAX_ROWS_SCANNED.get()
     max_result = overrides.get("max_result_rows")
     if max_result is None:
-        max_result = _env_budget("REPRO_MAX_RESULT_ROWS")
+        max_result = MAX_RESULT_ROWS.get()
     if deadline_ms is None:
         deadline_ms = overrides.get("deadline_ms")
     if deadline_ms is None:
-        deadline_ms = _env_budget("REPRO_QUERY_DEADLINE_MS")
+        deadline_ms = QUERY_DEADLINE_MS.get()
     return ResourceMeter(
         engine,
         session_id=session_id,

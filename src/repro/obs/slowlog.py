@@ -17,11 +17,12 @@ keeping the per-enumeration check near-free when nobody does.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from typing import Any
+
+from repro.config import SLOW_MS
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -46,16 +47,8 @@ def any_active() -> bool:
     return _active_count > 0
 
 
-def default_threshold_ms() -> float | None:
-    """The ``REPRO_SLOW_MS`` threshold, or ``None`` when unset/invalid."""
-    raw = os.environ.get("REPRO_SLOW_MS", "").strip()
-    if not raw:
-        return None
-    try:
-        ms = float(raw)
-    except ValueError:
-        return None
-    return ms if ms >= 0 else None
+#: The ``REPRO_SLOW_MS`` threshold, or ``None`` when unset/invalid.
+default_threshold_ms = SLOW_MS.get
 
 
 class SlowQueryEntry:

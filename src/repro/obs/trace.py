@@ -31,8 +31,9 @@ import random
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
+
+from repro.config import TRACE
 
 __all__ = [
     "MAX_TRACES",
@@ -56,15 +57,12 @@ __all__ = [
     "render_tree",
 ]
 
-#: Session override; ``None`` means "read the REPRO_TRACE env var".
-_MODE_OVERRIDE: str | None = None
-
-
-def trace_mode() -> str:
-    """``"off"`` (default), ``"on"``, or a sampling rate as a string."""
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    return os.environ.get("REPRO_TRACE", "off").strip().lower() or "off"
+#: ``"off"`` (default), ``"on"``, or a sampling rate as a string;
+#: ``set_`` forces a mode for this process (``ValueError`` unless it is
+#: one of those), ``using_`` temporarily (tests and benchmarks).
+trace_mode = TRACE.get
+set_trace_mode = TRACE.set
+using_trace_mode = TRACE.using
 
 
 def trace_rate() -> float:
@@ -79,32 +77,6 @@ def trace_rate() -> float:
     except ValueError:
         return 0.0
     return min(max(rate, 0.0), 1.0)
-
-
-def set_trace_mode(mode: str | None) -> None:
-    """Force a trace mode for this process (``None`` restores env control)."""
-    global _MODE_OVERRIDE
-    if mode is not None:
-        mode = mode.strip().lower()
-        if mode not in ("off", "on", "false", "no", "none", "true", "yes"):
-            try:
-                float(mode)
-            except ValueError:
-                raise ValueError(
-                    f"trace mode must be 'off', 'on', or a rate, got {mode!r}"
-                ) from None
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_trace_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force a trace mode (used by tests and benchmarks)."""
-    previous = _MODE_OVERRIDE
-    set_trace_mode(mode)
-    try:
-        yield
-    finally:
-        set_trace_mode(previous)
 
 
 # -- span machinery ---------------------------------------------------------------

@@ -29,14 +29,14 @@ rides the same routing hooks as tracing and the slow-query log, so the
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
+from repro.config import DEFAULT_PROFILE_INTERVAL as DEFAULT_INTERVAL
+from repro.config import PROFILE
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -55,57 +55,24 @@ __all__ = [
     "record_run",
 ]
 
-#: Default sampling interval: every Nth enumeration is timed.
-DEFAULT_INTERVAL = 16
-
 #: Calls before a class freezes its baseline p95.
 BASELINE_CALLS = 32
 
 #: Recent-window size for the p95 degradation check.
 RECENT_WINDOW = 32
 
-#: Session override; ``None`` means "read the REPRO_PROFILE env var".
-_MODE_OVERRIDE: str | None = None
-
 #: Per-process sampling clock (plain int under the GIL; an occasional
 #: lost increment merely shifts which query gets sampled).
 _TICK = 0
 
 
-def profile_interval() -> int:
-    """The sampling interval: 0 = off, 1 = every query, N = 1-in-N."""
-    raw = _MODE_OVERRIDE
-    if raw is None:
-        raw = os.environ.get("REPRO_PROFILE", "")
-    raw = raw.strip().lower()
-    if raw in ("", "default"):
-        return DEFAULT_INTERVAL
-    if raw in ("off", "none", "false"):
-        return 0
-    if raw in ("on", "all", "true"):
-        return 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_INTERVAL
-
-
-def set_profile_mode(mode: str | None) -> None:
-    """Force a profiling mode for this process (``None`` restores env
-    control). Accepts the same spellings as ``REPRO_PROFILE``."""
-    global _MODE_OVERRIDE
-    _MODE_OVERRIDE = mode
-
-
-@contextmanager
-def using_profile_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force a profiling mode (tests and benchmarks)."""
-    previous = _MODE_OVERRIDE
-    set_profile_mode(mode)
-    try:
-        yield
-    finally:
-        set_profile_mode(previous)
+#: The sampling interval: 0 = off, 1 = every query, N = 1-in-N.
+#: ``set_profile_mode`` forces a mode for this process (the spellings
+#: ``REPRO_PROFILE`` accepts; ``None`` restores env control),
+#: ``using_profile_mode`` temporarily (tests and benchmarks).
+profile_interval = PROFILE.get
+set_profile_mode = PROFILE.set
+using_profile_mode = PROFILE.using
 
 
 # ---------------------------------------------------------------------------
@@ -129,150 +96,15 @@ def normalize_source(text: str) -> str:
     return _LITERAL.sub("?", text)
 
 
-def _predicate_shape(predicate: Any) -> Any:
-    if predicate is None:
-        return None
-    if getattr(predicate, "is_transparent", False):
-        return normalize_source(predicate.to_source())
-    # opaque predicates group by their class: two arbitrary lambdas
-    # are indistinguishable anyway, and identity-based tokens would
-    # split one logical query into a class per closure instance
-    return ("opaque", type(predicate).__name__)
-
-
-def _params_shape(fn: Any) -> Any:
-    """Class-specific structural token, literal-free and version-free.
-
-    Mirrors the plan cache's ``_params_token`` but parameterizes every
-    literal (restricted key sets, LIMIT counts, lookup bounds) and
-    drops instance identities, so re-built graphs of the same shape
-    land in the same class.
-    """
-    from repro.fql.filter import FilteredFunction, RestrictedFunction
-    from repro.fql.group import (
-        AggregatedRelationFunction,
-        GroupedDatabaseFunction,
-    )
-    from repro.fql.join import JoinedRelationFunction
-    from repro.fql.order import LimitedFunction, OrderedFunction
-    from repro.fql.project import MappedFunction
-    from repro.optimizer.physical import (
-        FusedGroupAggregateFunction,
-        IndexLookupFunction,
-        KeyLookupFunction,
-    )
-
-    if isinstance(fn, FilteredFunction):
-        return _predicate_shape(fn.predicate)
-    if isinstance(fn, RestrictedFunction):
-        return ("keys", "?")
-    if isinstance(fn, MappedFunction):
-        params = fn.op_params()
-        if fn.op_name == "project":
-            return ("project", tuple(params["attrs"]))
-        if fn.op_name == "rename":
-            return ("rename", tuple(sorted(params["mapping"].items())))
-        transparent = params.get("transparent", {})
-        if fn.op_name == "extend" and set(transparent) == set(
-            params.get("computed", ())
-        ):
-            return (
-                "extend",
-                tuple(
-                    sorted(
-                        (name, normalize_source(str(src)))
-                        for name, src in transparent.items()
-                    )
-                ),
-            )
-        return (fn.op_name, "opaque")
-    if isinstance(fn, OrderedFunction):
-        spec = fn._key_spec
-        spec_token = (
-            tuple(spec)
-            if isinstance(spec, (list, tuple))
-            else (spec if isinstance(spec, str) else "fn")
-        )
-        return (spec_token, fn._reverse)
-    if isinstance(fn, LimitedFunction):
-        return ("limit", "?")
-    if isinstance(fn, (GroupedDatabaseFunction, FusedGroupAggregateFunction)):
-        by = fn._by
-        by_token = by.attrs if by.attrs is not None else "fn"
-        if isinstance(fn, FusedGroupAggregateFunction):
-            return (by_token, _aggs_shape(fn._aggs))
-        return by_token
-    if isinstance(fn, AggregatedRelationFunction):
-        return _aggs_shape(fn.aggregates)
-    if isinstance(fn, JoinedRelationFunction):
-        plan = fn.plan
-        return (
-            tuple(
-                (name, _shape(atom)) for name, atom in plan.atoms.items()
-            ),
-            tuple(
-                normalize_source(f"{a!r}={b!r}") for a, b in plan.edges
-            ),
-            tuple(plan.order_hint) if plan.order_hint else None,
-        )
-    if isinstance(fn, KeyLookupFunction):
-        return ("key", "?", _predicate_shape(fn._residual))
-    if isinstance(fn, IndexLookupFunction):
-        return (fn._attr, "bounds?", _predicate_shape(fn._residual))
-    return ("op", type(fn).__name__)
-
-
-def _aggs_shape(aggs: dict) -> Any:
-    out = []
-    for name, agg in aggs.items():
-        attr = getattr(agg, "attr", None)
-        out.append((name, type(agg).__name__, "fn" if callable(attr) else attr))
-    return tuple(out)
-
-
-def _shape(fn: Any) -> Any:
-    """The canonical structural token of a derived-function graph —
-    the plan-cache fingerprint minus data versions and literals."""
-    from repro.fdm.databases import (
-        MaterialDatabaseFunction,
-        OverlayDatabaseFunction,
-    )
-    from repro.fdm.functions import DerivedFunction
-    from repro.fql.views import MaterializedView
-    from repro.storage.relation import StoredRelationFunction
-
-    if isinstance(fn, MaterializedView):
-        return ("mview", getattr(fn, "name", None) or "mview")
-    if isinstance(fn, StoredRelationFunction):
-        return ("stored", fn.table_name)
-    if isinstance(fn, DerivedFunction):
-        return (
-            type(fn).__name__,
-            _params_shape(fn),
-            tuple(_shape(child) for child in fn.children),
-        )
-    if isinstance(fn, MaterialDatabaseFunction):
-        return (
-            "db",
-            tuple(
-                (name, _shape(sub)) for name, sub in fn._functions.items()
-            ),
-        )
-    if isinstance(fn, OverlayDatabaseFunction):
-        return (
-            "overlay",
-            _shape(fn.base),
-            tuple((name, _shape(sub)) for name, sub in fn._overlay.items()),
-            tuple(sorted(fn._hidden)),
-        )
-    name = getattr(fn, "fn_name", None) or getattr(fn, "_name", None)
-    return ("leaf", str(name) if name else type(fn).__name__)
-
-
 def fingerprint_of(fn: Any) -> str:
     """The query-class fingerprint of *fn*: a short stable hex digest
-    over the literal-free graph shape."""
-    return hashlib.sha1(repr(_shape(fn)).encode()).hexdigest()[:12]
+    of its plan token read without literals, identities or data
+    versions — the plan cache's :func:`~repro.exec.cache.fingerprint`
+    is the other reading of the same token."""
+    from repro.operators import plan_token
+
+    token = plan_token(fn, literals=False)
+    return hashlib.sha1(repr(token).encode()).hexdigest()[:12]
 
 
 def _fan_out(node: Any) -> int | None:

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.fdm.functions import FDMFunction
-from repro.fql.filter import FilteredFunction, RestrictedFunction
-from repro.fql.group import AggregatedRelationFunction, GroupedDatabaseFunction
-from repro.fql.join import JoinedRelationFunction
-from repro.fql.order import LimitedFunction, OrderedFunction
-from repro.fql.outer import PartitionedRelationFunction
-from repro.fql.project import MappedFunction
-from repro.fql.setops import IntersectFunction, MinusFunction, UnionFunction
+from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.predicates.ast import (
     And,
     Between,
@@ -131,95 +124,84 @@ def _single_attr(expr: Any) -> str | None:
 
 def estimate_cardinality(fn: FDMFunction) -> float:
     """Estimated number of mappings of *fn* (never enumerates non-leaves
-    when statistics can answer)."""
+    when statistics can answer). Each operator's estimate is its ``rows``
+    entry in the operator table (:mod:`repro.operators`)."""
     if isinstance(fn, StoredRelationFunction):
         return float(fn.statistics().row_count)
-    if isinstance(fn, FilteredFunction):
-        base = _base_of(fn.source)
-        standard = estimate_cardinality(fn.source) * estimate_selectivity(
-            fn.predicate, base
-        )
-        pruned = _pruned_filter_estimate(fn.predicate, base)
-        if pruned is not None:
-            return min(standard, pruned)
-        return standard
-    if isinstance(fn, RestrictedFunction):
-        return float(
-            min(len(fn.restricted_keys), estimate_cardinality(fn.source))
-        )
-    if isinstance(fn, LimitedFunction):
-        return float(min(fn.op_params()["n"], estimate_cardinality(fn.source)))
-    if isinstance(fn, (OrderedFunction, MappedFunction,
-                       PartitionedRelationFunction)):
-        return estimate_cardinality(fn.source)
-    if isinstance(fn, GroupedDatabaseFunction):
-        base = estimate_cardinality(fn.source)
-        stats = _stats_of(_base_of(fn.source))
-        if stats is not None and fn.by.attrs:
-            distinct = 1.0
-            for attr in fn.by.attrs:
-                attr_stats = stats.attr(attr)
-                if attr_stats is not None:
-                    distinct *= max(1, attr_stats.n_distinct)
-            return float(min(base, distinct))
-        return max(1.0, base / DEFAULT_GROUP_SHRINK)
-    if isinstance(fn, AggregatedRelationFunction):
-        return estimate_cardinality(fn.source)
-    if isinstance(fn, UnionFunction):
-        return estimate_cardinality(fn.left) + estimate_cardinality(fn.right)
-    if isinstance(fn, IntersectFunction):
-        return min(
-            estimate_cardinality(fn.left), estimate_cardinality(fn.right)
-        )
-    if isinstance(fn, MinusFunction):
-        return estimate_cardinality(fn.left)
-    if isinstance(fn, JoinedRelationFunction):
-        plan = fn.plan
-        total = 1.0
-        for atom in plan.atoms.values():
-            total *= max(1.0, estimate_cardinality(atom))
-        for left, right in plan.edges:
-            left_size = max(
-                1.0, estimate_cardinality(plan.atoms[left.atom])
-            )
-            right_size = max(
-                1.0, estimate_cardinality(plan.atoms[right.atom])
-            )
-            total /= max(left_size, right_size)
-        return max(0.0, total)
-    # physical operators
-    from repro.optimizer.physical import (
-        FusedGroupAggregateFunction,
-        IndexLookupFunction,
-        KeyLookupFunction,
-    )
+    if isinstance(fn, DerivedFunction):
+        # local import: the operator table imports this module
+        from repro.operators import operator_of
 
-    if isinstance(fn, KeyLookupFunction):
-        return 1.0
-    if isinstance(fn, IndexLookupFunction):
-        stats = _stats_of(fn.source)
-        params = fn.op_params()
-        if stats is not None:
-            attr_stats = stats.attr(params["attr"])
-            if attr_stats is not None:
-                if "eq" in params:
-                    sel = attr_stats.selectivity_eq(params["eq"])
-                else:
-                    lo, hi = params["range"]
-                    sel = attr_stats.selectivity_range(lo, hi)
-                return estimate_cardinality(fn.source) * sel
-        return estimate_cardinality(fn.source) * DEFAULT_EQ_SELECTIVITY
-    if isinstance(fn, FusedGroupAggregateFunction):
-        return max(
-            1.0, estimate_cardinality(fn.source) / DEFAULT_GROUP_SHRINK
-        )
-    # leaves: material functions know their size; data spaces count as big
+        rows = operator_of(fn).rows
+        if rows is not None:
+            return rows(fn)
+    # leaves (and operators that declare no estimate): material
+    # functions know their size; data spaces count as big
     if fn.is_enumerable:
         try:
             return float(len(fn))
         except Exception:
             return float(sum(1 for _ in fn.keys()))
     return float("inf")
+
+
+def filter_rows(fn: Any) -> float:
+    """σ: source rows × selectivity, tightened by partition pruning."""
+    base = _base_of(fn.source)
+    standard = estimate_cardinality(fn.source) * estimate_selectivity(
+        fn.predicate, base
+    )
+    pruned = _pruned_filter_estimate(fn.predicate, base)
+    if pruned is not None:
+        return min(standard, pruned)
+    return standard
+
+
+def group_rows(fn: Any) -> float:
+    """γ (``group`` or the fused group-aggregate, one estimate for both
+    so fusing a plan never moves it): the product of the group-by
+    attributes' distinct counts when statistics know them, else a fixed
+    shrink of the source."""
+    source, by = fn.source, fn._by
+    base = estimate_cardinality(source)
+    stats = _stats_of(_base_of(source))
+    if stats is not None and by.attrs:
+        distinct = 1.0
+        for attr in by.attrs:
+            attr_stats = stats.attr(attr)
+            if attr_stats is not None:
+                distinct *= max(1, attr_stats.n_distinct)
+        return float(min(base, distinct))
+    return max(1.0, base / DEFAULT_GROUP_SHRINK)
+
+
+def join_rows(fn: Any) -> float:
+    """⋈: the atoms' product, divided per edge by its larger side."""
+    plan = fn.plan
+    total = 1.0
+    for atom in plan.atoms.values():
+        total *= max(1.0, estimate_cardinality(atom))
+    for left, right in plan.edges:
+        left_size = max(1.0, estimate_cardinality(plan.atoms[left.atom]))
+        right_size = max(1.0, estimate_cardinality(plan.atoms[right.atom]))
+        total /= max(left_size, right_size)
+    return max(0.0, total)
+
+
+def index_lookup_rows(fn: Any) -> float:
+    """Index access: source rows × the indexed attribute's selectivity."""
+    stats = _stats_of(fn.source)
+    params = fn.op_params()
+    if stats is not None:
+        attr_stats = stats.attr(params["attr"])
+        if attr_stats is not None:
+            if "eq" in params:
+                sel = attr_stats.selectivity_eq(params["eq"])
+            else:
+                lo, hi = params["range"]
+                sel = attr_stats.selectivity_range(lo, hi)
+            return estimate_cardinality(fn.source) * sel
+    return estimate_cardinality(fn.source) * DEFAULT_EQ_SELECTIVITY
 
 
 def _pruned_filter_estimate(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping
 
 from repro._util import normalize_key
+from repro.config import OFFLOAD_MIN_ROWS
 from repro.errors import OperatorError, UndefinedInputError
 from repro.fdm.domains import Domain, PredicateDomain
 from repro.fdm.entry import Entry
@@ -347,15 +348,7 @@ def offload_worthwhile(relation: Any) -> tuple[bool, str]:
     tunes the crossover (default 100000 rows); ``REPRO_OFFLOAD=force``
     bypasses the verdict entirely.
     """
-    import os
-
-    try:
-        threshold = int(
-            os.environ.get("REPRO_OFFLOAD_MIN_ROWS", "100000")
-        )
-    except ValueError:
-        threshold = 100000
     rows = getattr(relation.statistics(), "row_count", 0)
-    if rows < threshold:
+    if rows < OFFLOAD_MIN_ROWS.get():
         return False, "small_table"
     return True, "ok"

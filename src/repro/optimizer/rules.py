@@ -81,6 +81,7 @@ __all__ = [
     "DEFAULT_RULES",
     "conjuncts",
     "combine",
+    "fused_parts",
 ]
 
 
@@ -486,18 +487,30 @@ class FilterToIndexLookup(Rule):
         return None
 
 
+def fused_parts(node: FDMFunction) -> tuple | None:
+    """``(source, by, aggregates)`` when *node* is ``aggregate(group(x))``,
+    else ``None``.
+
+    The one statement of "aggregate∘group collapses": the rewrite rule
+    below applies it to plans, and the operator table reads an unfused
+    pair's lowering and delta rule through it.
+    """
+    if not isinstance(node, AggregatedRelationFunction):
+        return None
+    grouped = node.source
+    if not isinstance(grouped, GroupedDatabaseFunction):
+        return None
+    return grouped.source, grouped.by, node.aggregates
+
+
 class FuseGroupAggregate(Rule):
     name = "fuse_group_aggregate"
 
     def apply(self, node: FDMFunction) -> FDMFunction | None:
-        if not isinstance(node, AggregatedRelationFunction):
+        parts = fused_parts(node)
+        if parts is None:
             return None
-        grouped = node.source
-        if not isinstance(grouped, GroupedDatabaseFunction):
-            return None
-        return FusedGroupAggregateFunction(
-            grouped.source, grouped.by, node.aggregates, name=node.fn_name
-        )
+        return FusedGroupAggregateFunction(*parts, name=node.fn_name)
 
 
 class CollapseProjects(Rule):

@@ -375,6 +375,36 @@ class TestSlowQueryCapture:
         entry = db.slow_queries()[-1]
         assert entry.trace_id == T.latest_trace_id()
 
+    def test_capture_keeps_an_offloaded_query_offloaded(
+        self, db, monkeypatch
+    ):
+        """Observing a query must not change its physical mode: an
+        offloaded plan still runs as SQL (the counter moves) and the
+        entry names the plan that ran, not a batched re-plan of it."""
+        from repro.compile import using_offload_mode
+
+        for budget in ("MAX_ROWS_SCANNED", "MAX_RESULT_ROWS", "QUERY_DEADLINE_MS"):
+            # a budget-armed query deliberately declines to offload
+            monkeypatch.delenv(f"REPRO_{budget}", raising=False)
+
+        def offloaded():
+            return db.stats()["offload"]["queries_offloaded"]
+
+        with using_offload_mode("force"):
+            flt = fql.filter("v >= 300", input=db.item)
+            expected = dict(flt.items())
+            assert offloaded() == 1
+            db.set_slow_query_threshold(0.0)
+            assert dict(flt.items()) == expected
+            assert offloaded() == 2
+            with T.start_trace("offloaded"):
+                assert dict(flt.items()) == expected
+            assert offloaded() == 3
+        entries = db.slow_queries()
+        assert [e.query for e in entries] == ["offload[sqlite](item)"] * 2
+        assert entries[-1].rows == len(expected) == 100
+        assert entries[-1].trace_id == T.latest_trace_id()
+
 
 # ---------------------------------------------------------------------------
 # stats schemas (dashboard contract)

@@ -200,6 +200,26 @@ class TestCardinality:
         g = fql.group(by=["age"], input=stored_db.customers)
         assert estimate_cardinality(g) == 50  # n_distinct from stats
 
+    def test_fusing_does_not_move_the_estimate(self, stored_db):
+        """The fused operator and the aggregate∘group pair it replaces
+        share one estimate, with statistics and without."""
+        for by, expected in ((["age"], 50), (["age", "state"], 100)):
+            unfused = fql.group_and_aggregate(
+                by=by, n=Count(), input=stored_db.customers
+            )
+            fused = optimize(unfused)
+            assert isinstance(fused, FusedGroupAggregateFunction)
+            assert estimate_cardinality(unfused) == expected
+            assert estimate_cardinality(fused) == expected
+        opaque = fql.aggregate(
+            fql.group(lambda t: t.age % 7, stored_db.customers), n=Count()
+        )
+        assert (
+            estimate_cardinality(optimize(opaque))
+            == estimate_cardinality(opaque)
+            == 30
+        )
+
 
 class TestJoinOrder:
     def test_chosen_order_not_worse(self, retail):
