@@ -5,7 +5,8 @@ Nothing in this module is part of the public API.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+import threading
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class _Sentinel:
@@ -38,6 +39,27 @@ MISSING = _lookup_sentinel("MISSING")
 
 #: Marks a deleted row inside MVCC version chains and diffs.
 TOMBSTONE = _lookup_sentinel("TOMBSTONE")
+
+
+_ATTACH_LOCK = threading.Lock()
+
+
+def attached(
+    engine: Any, attr: str, factory: Callable[[], Any], default: Any = None
+) -> Any:
+    """The object hung on *engine* as *attr*, made by *factory* on first
+    use (double-checked, so concurrent sessions agree on one instance);
+    *default* when there is no engine to hang it on."""
+    if engine is None:
+        return default
+    got = getattr(engine, attr, None)
+    if got is None:
+        with _ATTACH_LOCK:
+            got = getattr(engine, attr, None)
+            if got is None:
+                got = factory()
+                setattr(engine, attr, got)
+    return got
 
 
 def freeze(value: Any) -> Any:

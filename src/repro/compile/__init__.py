@@ -43,13 +43,13 @@ set_offload_mode = OFFLOAD.set
 using_offload_mode = OFFLOAD.using
 
 
-def try_offload(fn, optimized, fired_rules):
+def try_offload(fn, optimized, fired_rules, engine):
     """Plan-time hook: an :class:`OffloadPipeline` for *optimized*, or
     ``None`` to lower onto the batched executor (thin re-export so the
     router needs only this package's light top level)."""
     from repro.compile.offload import try_offload as _try
 
-    return _try(fn, optimized, fired_rules)
+    return _try(fn, optimized, fired_rules, engine)
 
 
 def offload_stats(engine) -> dict:

@@ -31,6 +31,8 @@ import sqlite3
 import threading
 from typing import Any
 
+from repro._util import attached
+
 __all__ = [
     "ColumnProfile",
     "TableMirror",
@@ -430,11 +432,7 @@ class EngineMirror:
 
 def mirror_for(engine: Any) -> EngineMirror:
     """The lazily-created :class:`EngineMirror` attached to *engine*."""
-    mirror = getattr(engine, "offload_mirror", None)
-    if mirror is None:
-        mirror = EngineMirror(engine)
-        engine.offload_mirror = mirror
-    return mirror
+    return attached(engine, "offload_mirror", lambda: EngineMirror(engine))
 
 
 def stats_for(engine: Any) -> dict[str, Any]:

@@ -60,8 +60,7 @@ class OffloadPipeline:
     """A compiled-to-SQL physical plan, cache- and router-compatible.
 
     Duck-types :class:`repro.exec.lower.PhysicalPipeline`: the router,
-    plan cache, workload profiler, and resource meter all consume it
-    unchanged. Execution is eager (the SQL result is fully fetched and
+    plan cache and query context consume it unchanged. Execution is eager (the SQL result is fully fetched and
     decoded before the first yield) so a runtime fallback can restart
     cleanly on the batched pipeline.
     """
@@ -77,6 +76,8 @@ class OffloadPipeline:
     ):
         self.logical = logical
         self.fired_rules = list(fired_rules)
+        self.engine = mirror.engine
+        self.workload_info: tuple | None = None
         self._optimized = optimized
         self._shape = shape
         self._mirror = mirror
@@ -131,6 +132,7 @@ class OffloadPipeline:
                 self._optimized,
                 logical=self.logical,
                 fired_rules=self.fired_rules,
+                engine=self.engine,
             )
         return self._fallback
 
@@ -274,13 +276,11 @@ class OffloadPipeline:
 
 
 def try_offload(
-    fn: Any, optimized: Any, fired_rules: list[str]
+    fn: Any, optimized: Any, fired_rules: list[str], engine: Any
 ) -> OffloadPipeline | None:
-    """Plan-time gate: an :class:`OffloadPipeline` for *optimized*, or
-    ``None`` (with the fallback reason counted) to lower as usual."""
-    from repro.exec.cache import engine_of
-
-    engine = engine_of(fn)
+    """Plan-time gate: an :class:`OffloadPipeline` for *optimized* over
+    *engine* (the one the router resolved for *fn*), or ``None`` (with
+    the fallback reason counted) to lower as usual."""
     if engine is None:
         return None
     mode = offload_mode()

@@ -18,12 +18,11 @@ touching per-row tuple objects.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from itertools import compress
 from typing import Any, Iterator
 
-from repro._util import MISSING
+from repro._util import MISSING, attached
 
 __all__ = [
     "COLUMNAR_BATCH_SIZE",
@@ -127,6 +126,11 @@ def batch_bytes(batch: Any) -> int:
     return len(batch) * 128
 
 
+#: Every live counters instance (the global plus per-engine ones), so
+#: :func:`reset_counters` keeps meaning "zero everything" for tests.
+_instances: "weakref.WeakSet[ExecutorCounters]" = weakref.WeakSet()
+
+
 class ExecutorCounters:
     """Executor telemetry, surfaced via ``db.stats()`` and metrics.
 
@@ -159,6 +163,7 @@ class ExecutorCounters:
 
     def __init__(self) -> None:
         self.reset()
+        _instances.add(self)
 
     def reset(self) -> None:
         self.columnar_batches = 0
@@ -174,18 +179,11 @@ class ExecutorCounters:
 
 counters = ExecutorCounters()
 
-#: Every live counters instance (the global plus per-engine ones), so
-#: :func:`reset_counters` keeps meaning "zero everything" for tests.
-_instances: "weakref.WeakSet[ExecutorCounters]" = weakref.WeakSet()
-_instances.add(counters)
-_counters_create_lock = threading.Lock()
-
 #: Sink for scans whose function resolves to no engine (ad-hoc material
 #: functions). A distinct instance — never the global — because
 #: increment sites bump both their scoped instance *and* the global,
 #: and aliasing the two would double-count.
 _unattributed = ExecutorCounters()
-_instances.add(_unattributed)
 
 
 def counters_for(engine: Any) -> ExecutorCounters:
@@ -193,19 +191,9 @@ def counters_for(engine: Any) -> ExecutorCounters:
 
     ``None`` maps to a shared "unattributed" instance so call sites can
     bump the result unconditionally alongside the global."""
-    if engine is None:
-        return _unattributed
-    got = getattr(engine, "executor_counters", None)
-    if got is not None:
-        return got
-    with _counters_create_lock:
-        got = getattr(engine, "executor_counters", None)
-        if got is not None:
-            return got
-        got = ExecutorCounters()
-        _instances.add(got)
-        engine.executor_counters = got
-        return got
+    return attached(
+        engine, "executor_counters", ExecutorCounters, _unattributed
+    )
 
 
 def reset_counters() -> None:

@@ -20,6 +20,7 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
+from repro._util import attached
 from repro.fdm.functions import FDMFunction
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "engine_of",
     "fingerprint",
     "cache_for",
+    "cache_of",
     "default_plan_cache",
 ]
 
@@ -98,27 +100,36 @@ def engine_of(fn: FDMFunction) -> Any:
     ``None`` for purely in-memory graphs. The routing key for every
     per-database attachment: the plan cache here, and the workload
     profile and event log in :mod:`repro.obs`."""
+    from repro.fdm.databases import DatabaseFunction
+    from repro.fdm.functions import DerivedFunction
     from repro.storage.relation import StoredRelationFunction
 
     if isinstance(fn, StoredRelationFunction):
         return fn._engine
-    for child in getattr(fn, "children", ()):
+    if isinstance(fn, DatabaseFunction) and not isinstance(
+        fn, DerivedFunction
+    ):
+        # a database container (a join's input) holds its relations as
+        # mapping values, not children
+        below = (v for _n, v in fn.items() if isinstance(v, FDMFunction))
+    else:
+        below = getattr(fn, "children", ())
+    for child in below:
         engine = engine_of(child)
         if engine is not None:
             return engine
     return None
 
 
+def cache_of(engine: Any) -> PlanCache:
+    """The lazily-attached plan cache of *engine* (the process-wide
+    default for ``None``)."""
+    return attached(engine, "plan_cache", PlanCache, _DEFAULT_CACHE)
+
+
 def cache_for(fn: FDMFunction) -> PlanCache:
     """The per-database plan cache owning this graph."""
-    engine = engine_of(fn)
-    if engine is None:
-        return _DEFAULT_CACHE
-    cache = getattr(engine, "plan_cache", None)
-    if cache is None:
-        cache = PlanCache()
-        engine.plan_cache = cache
-    return cache
+    return cache_of(engine_of(fn))
 
 
 def fingerprint(fn: FDMFunction) -> Any:

@@ -14,7 +14,7 @@ from typing import Any
 
 from repro.fdm.functions import FDMFunction
 from repro.exec.lower import lower
-from repro.obs.instrument import fmt_ns as _fmt_ns
+from repro.obs.instrument import fmt_ns
 from repro.obs.instrument import walk as _walk
 
 __all__ = ["explain", "analyze"]
@@ -137,27 +137,20 @@ def _zone_verdict(node: Any) -> str | None:
 def analyze(fn: FDMFunction) -> str:
     """Run *fn* once and report per-node batch/row/time counters.
 
-    Plans a **fresh** pipeline (never the cached one — instrumentation
-    must not leak into plans served to ordinary queries), wraps every
-    physical node's batch stream with the shared
-    :func:`repro.obs.instrument.instrument_pipeline` shims — the same
-    hook the slow-query log and traced execution use, so the three
-    reports can't drift — drains the root, and renders the operator
-    tree annotated with ``batches / rows / wall`` per node plus the
-    zone-map skip totals the run accumulated.
+    Drains a fresh instrumented copy of the plan
+    (:func:`repro.obs.instrument.fresh_instrumented`, the same copy a
+    traced or slow-logged enumeration drains; never the cached plan)
+    and renders the operator tree annotated with ``batches / rows /
+    wall`` per node plus the zone-map skip totals the run accumulated.
     """
-    from repro.optimizer import optimize
     from repro.exec.batch import counters
-    from repro.exec.run import pipeline_rules
     from repro.obs.instrument import (
-        instrument_pipeline,
+        fresh_instrumented,
         render_stats,
         tree_stats,
     )
 
-    trace: list[str] = []
-    optimized = optimize(fn, rules=pipeline_rules(), trace=trace)
-    pipeline = lower(optimized, logical=fn, fired_rules=trace)
+    pipeline, stats = fresh_instrumented(fn)
 
     lines: list[str] = ["== analyze =="]
     if pipeline is None:
@@ -165,10 +158,9 @@ def analyze(fn: FDMFunction) -> str:
         n = sum(1 for _ in fn.items())
         wall = time.perf_counter_ns() - start
         lines.append("  (naive per-key interpretation)")
-        lines.append(f"  rows={n} wall={_fmt_ns(wall)}")
+        lines.append(f"  rows={n} wall={fmt_ns(wall)}")
         return "\n".join(lines)
 
-    stats = instrument_pipeline(pipeline.root)
     before = counters.snapshot()
     start = time.perf_counter_ns()
     for _batch in pipeline.root.batches():
@@ -183,7 +175,7 @@ def analyze(fn: FDMFunction) -> str:
         lines.append(
             f"  zone maps: {skipped} segment(s) skipped, {scanned} scanned"
         )
-    lines.append(f"  total wall={_fmt_ns(total_wall)}")
+    lines.append(f"  total wall={fmt_ns(total_wall)}")
     lines.extend(_batching_summary(pipeline))
     return "\n".join(lines)
 

@@ -11,6 +11,8 @@ so lowering is total: it never fails, it only degrades.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.exec.nodes import (
     FilterNode,
@@ -31,10 +33,16 @@ class PhysicalPipeline:
         root: PhysicalNode,
         logical: FDMFunction,
         fired_rules: list[str] | None = None,
+        engine: Any = None,
     ):
         self.root = root
         self.logical = logical
         self.fired_rules = list(fired_rules or [])
+        #: The storage engine the router resolved for *logical*: where
+        #: this plan's cache, meter rollup and profile live.
+        self.engine = engine
+        #: Memo of :func:`repro.obs.workload.info_of`.
+        self.workload_info: tuple | None = None
 
     def iter_entries(self):
         """Flattened (key, value) stream, in naive-equivalent order."""
@@ -69,6 +77,7 @@ def lower(
     fn: FDMFunction,
     logical: FDMFunction | None = None,
     fired_rules: list[str] | None = None,
+    engine: Any = None,
 ) -> PhysicalPipeline | None:
     """Lower *fn* (usually an optimized graph) into a physical pipeline.
 
@@ -82,7 +91,7 @@ def lower(
     _attach_scan_pruning(root)
     # NB: not `logical or fn` — truthiness of an FDM function is len()
     return PhysicalPipeline(
-        root, fn if logical is None else logical, fired_rules
+        root, fn if logical is None else logical, fired_rules, engine
     )
 
 

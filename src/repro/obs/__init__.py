@@ -1,6 +1,11 @@
 """``repro.obs`` — the unified observability subsystem.
 
-Six pillars, each usable on its own:
+One spine: :mod:`repro.obs.context` gives every query one
+:class:`~repro.obs.context.QueryContext`, which decides at route time
+which of the observers below are watching and reports the run's one
+measurement (rows, wall time, meter, per-node stats) to each of them
+when its stream closes. Six pillars hang off it, each usable on its
+own:
 
 * :mod:`repro.obs.trace` — structured spans with head-based sampling
   (``REPRO_TRACE``), propagated through the wire protocol and exported
@@ -22,8 +27,9 @@ Six pillars, each usable on its own:
 * :mod:`repro.obs.health` — the one-dict cluster health snapshot the
   HEALTH verb serves on leaders and replicas alike.
 
-:mod:`repro.obs.instrument` is the shared per-node instrumentation hook
-both ``analyze()`` and the capture paths use.
+:mod:`repro.obs.resources` holds the per-query cost meters and budgets,
+and :mod:`repro.obs.instrument` the per-node shims and the fresh
+instrumented plan copy ``analyze()`` and an observed enumeration drain.
 
 See ``docs/observability.md`` for the operator-facing guide.
 """
@@ -58,6 +64,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog, slowlog_for
 from repro.obs.instrument import instrument_pipeline
+from repro.obs.context import QueryContext
 from repro.obs.events import Event, EventLog, emit, events_for
 from repro.obs.workload import (
     QueryClass,
@@ -100,6 +107,7 @@ __all__ = [
     "SlowQueryLog",
     "slowlog_for",
     "instrument_pipeline",
+    "QueryContext",
     "Event",
     "EventLog",
     "emit",

@@ -33,6 +33,7 @@ import time
 from collections import deque
 from typing import Any
 
+from repro._util import attached
 from repro.config import EVENTS_PATH
 
 __all__ = [
@@ -136,8 +137,6 @@ class EventLog:
         return f"<EventLog {len(self)} events, sink={self._sink!r}>"
 
 
-_CREATE_LOCK = threading.Lock()
-
 #: Events from graphs that reach no storage engine (pure in-memory).
 _DEFAULT_LOG = EventLog()
 
@@ -145,18 +144,7 @@ _DEFAULT_LOG = EventLog()
 def events_for(engine: Any) -> EventLog:
     """The lazily-attached :class:`EventLog` for *engine* (or the
     process-wide default log when *engine* is ``None``)."""
-    if engine is None:
-        return _DEFAULT_LOG
-    log = getattr(engine, "event_log", None)
-    if log is not None:
-        return log
-    with _CREATE_LOCK:
-        log = getattr(engine, "event_log", None)
-        if log is not None:
-            return log
-        log = EventLog()
-        engine.event_log = log
-        return log
+    return attached(engine, "event_log", EventLog, _DEFAULT_LOG)
 
 
 def emit(engine: Any, kind: str, **data: Any) -> None:

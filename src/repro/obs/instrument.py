@@ -1,13 +1,12 @@
-"""Per-node pipeline instrumentation — the one shim everybody uses.
+"""Per-node pipeline instrumentation.
 
 :func:`instrument_pipeline` wraps every physical node's ``batches``
-stream with counting/timing shims and returns the stats mapping — used
-by ``analyze()``, the slow-query log, and traced execution, so the three
-reports cannot drift.
-
-The shims monkeypatch ``node.batches`` on a *specific node instance* —
-callers must only ever instrument freshly lowered pipelines, never the
-cached ones served to ordinary queries.
+stream with counting/timing shims and returns the stats mapping.
+The shims monkeypatch ``node.batches`` on a *specific node instance*, so
+only freshly lowered pipelines are ever instrumented, never the cached
+ones served to ordinary queries: :func:`fresh_instrumented` is the one
+way ``analyze()`` and an observed enumeration
+(:mod:`repro.obs.context`) get a pipeline with shims on.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from typing import Any, Iterator
 __all__ = [
     "walk",
     "instrument_pipeline",
+    "fresh_instrumented",
     "tree_stats",
     "render_stats",
     "fmt_ns",
@@ -65,6 +65,25 @@ def instrument_pipeline(root: Any) -> dict[int, dict[str, int]]:
 
         node.batches = wrapped
     return stats
+
+
+def fresh_instrumented(fn: Any, engine: Any = None) -> tuple[Any, dict]:
+    """Plan *fn* afresh with the router's own rules and shim every node.
+
+    Returns ``(pipeline, stats)``, or ``(None, {})`` when the root has
+    no specialized lowering. Never consults the plan cache and never
+    offloads: the copy exists to be measured node by node.
+    """
+    from repro.exec.lower import lower
+    from repro.exec.run import pipeline_rules
+    from repro.optimizer import optimize
+
+    fired: list[str] = []
+    optimized = optimize(fn, rules=pipeline_rules(), trace=fired)
+    pipeline = lower(optimized, logical=fn, fired_rules=fired, engine=engine)
+    if pipeline is None:
+        return None, {}
+    return pipeline, instrument_pipeline(pipeline.root)
 
 
 def tree_stats(

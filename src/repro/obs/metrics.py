@@ -23,6 +23,8 @@ import threading
 import weakref
 from typing import Any, Callable, Iterator
 
+from repro._util import attached
+
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
@@ -307,9 +309,6 @@ class MetricsRegistry:
 
 # -- per-engine registries --------------------------------------------------------
 
-_CREATE_LOCK = threading.Lock()
-
-
 def metrics_for(engine: Any) -> MetricsRegistry:
     """The lazily-attached :class:`MetricsRegistry` for *engine*.
 
@@ -317,20 +316,11 @@ def metrics_for(engine: Any) -> MetricsRegistry:
     callback gauges (plan-cache hit rate, WAL bytes, replication lag,
     executor counters), mirroring ``cache_for``/``registry_for``.
     """
-    registry = getattr(engine, "metrics", None)
-    if registry is not None:
-        return registry
-    with _CREATE_LOCK:
-        registry = getattr(engine, "metrics", None)
-        if registry is not None:
-            return registry
-        registry = MetricsRegistry()
-        _wire_engine_gauges(registry, engine)
-        engine.metrics = registry
-        return registry
+    return attached(engine, "metrics", lambda: _engine_registry(engine))
 
 
-def _wire_engine_gauges(registry: MetricsRegistry, engine: Any) -> None:
+def _engine_registry(engine: Any) -> MetricsRegistry:
+    registry = MetricsRegistry()
     ref = weakref.ref(engine)
 
     def plan_cache_hit_rate() -> float | None:
@@ -472,3 +462,4 @@ def _wire_engine_gauges(registry: MetricsRegistry, engine: Any) -> None:
         registry.gauge(
             f"resource_{field}", help, fn=resource_total(source)
         )
+    return registry

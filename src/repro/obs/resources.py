@@ -2,8 +2,9 @@
 
 Latency observability (traces, the workload profile, slow-query capture)
 says *how long* queries take; this module says *what they cost*. A
-:class:`ResourceMeter` rides each query as a thread-local, fed by cheap
-batch-boundary hooks in the executor: rows/batches/bytes per scan,
+:class:`ResourceMeter` rides each query in its thread's
+:class:`~repro.obs.context.QueryContext`, fed by cheap batch-boundary
+hooks in the executor: rows/batches/bytes per scan,
 kernel-vs-python dispatch counts, peak live-batch estimate, join
 build-side sizes, result rows, and WAL bytes on the DML path.
 
@@ -35,6 +36,7 @@ import weakref
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro._util import attached
 from repro.config import (
     MAX_RESULT_ROWS,
     MAX_ROWS_SCANNED,
@@ -42,6 +44,7 @@ from repro.config import (
     QUERY_DEADLINE_MS,
 )
 from repro.errors import ResourceExhaustedError
+from repro.obs.context import QueryContext, _local
 
 __all__ = [
     "ResourceMeter",
@@ -65,28 +68,18 @@ set_meter_mode = METER.set
 using_meter_mode = METER.using
 
 
-class _Active(threading.local):
-    def __init__(self) -> None:
-        self.meter: ResourceMeter | None = None
-
-
-_local = _Active()
-
-
 def active_meter() -> "ResourceMeter | None":
-    """The meter attached to the current thread's running query, if any."""
-    return _local.meter
+    """The meter attached to the current thread's running query, if any
+    (the one its :class:`~repro.obs.context.QueryContext` carries)."""
+    context = _local.context
+    return None if context is None else context.meter
 
 
 def set_active_meter(meter: "ResourceMeter | None") -> "ResourceMeter | None":
-    """Install *meter* as the thread's active meter; returns the previous.
-
-    Enumeration wrappers re-install the meter around each generator
-    pull, because generator frames run on the *consumer's* thread
-    between yields.
-    """
-    previous = _local.meter
-    _local.meter = meter
+    """Install *meter* as the thread's active meter (a context that
+    carries nothing else); returns the previous meter."""
+    previous = active_meter()
+    _local.context = None if meter is None else QueryContext(meter)
     return previous
 
 
@@ -173,6 +166,12 @@ class ResourceMeter:
         if self._armed:
             self.check()
 
+    def add_result_rows(self, rows: int) -> None:
+        """*rows* more rows handed to the consumer (or the wire)."""
+        self.result_rows += rows
+        if self._armed:
+            self.check()
+
     # -- enforcement ---------------------------------------------------
 
     def exceeded(self) -> str | None:
@@ -242,6 +241,10 @@ class ResourceMeter:
         return snap
 
 
+#: Every live accounting, so :func:`reset_resources` zeroes them all.
+_instances: "weakref.WeakSet[ResourceAccounting]" = weakref.WeakSet()
+
+
 class ResourceAccounting:
     """Per-engine rollup of finished meters plus the live-query registry.
 
@@ -263,6 +266,7 @@ class ResourceAccounting:
         self._active: dict[int, ResourceMeter] = {}
         self._sessions: dict[str, dict] = {}
         self._fingerprints: dict[str, dict] = {}
+        _instances.add(self)
 
     def begin(self, meter: ResourceMeter) -> None:
         """Register a starting query's meter in the live view."""
@@ -372,26 +376,12 @@ class ResourceAccounting:
 #: Rollup for queries whose graph resolves to no storage engine.
 _DEFAULT = ResourceAccounting()
 
-_instances: "weakref.WeakSet[ResourceAccounting]" = weakref.WeakSet()
-_instances.add(_DEFAULT)
-_CREATE_LOCK = threading.Lock()
-
 
 def resources_for(engine: Any) -> ResourceAccounting:
     """The lazily-attached per-engine accounting (``None`` → shared default)."""
-    if engine is None:
-        return _DEFAULT
-    got = getattr(engine, "resource_accounting", None)
-    if got is not None:
-        return got
-    with _CREATE_LOCK:
-        got = getattr(engine, "resource_accounting", None)
-        if got is not None:
-            return got
-        got = ResourceAccounting()
-        _instances.add(got)
-        engine.resource_accounting = got
-        return got
+    return attached(
+        engine, "resource_accounting", ResourceAccounting, _DEFAULT
+    )
 
 
 def reset_resources() -> None:
@@ -470,11 +460,11 @@ def metered(
         return
     accounting = resources_for(engine)
     accounting.begin(meter)
-    previous = set_active_meter(meter)
+    outer, _local.context = _local.context, QueryContext(meter)
     try:
         if meter._armed:
             meter.check()
         yield meter
     finally:
-        set_active_meter(previous)
+        _local.context = outer
         accounting.finish(meter)

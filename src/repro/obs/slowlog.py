@@ -2,15 +2,15 @@
 
 Queries whose batched enumeration exceeds a per-engine threshold get a
 :class:`SlowQueryEntry` recorded into a bounded ring: the physical
-operator tree annotated with per-node batch/row/wall counters (the same
-shims ``analyze()`` uses), zone-map skip totals, row count, total wall
+operator tree annotated with per-node batch/row/wall counters (what
+``analyze()`` prints), zone-map skip totals, row count, total wall
 time, and — when the query was traced — its trace id. Operators read
 the ring via ``db.slow_queries()`` without having to reproduce the
 query.
 
 The threshold defaults to the ``REPRO_SLOW_MS`` env var (unset → off).
-Capture implies per-query instrumentation (a fresh lowered pipeline
-with timing shims), so enable it with a threshold that fires rarely.
+Capture implies per-query instrumentation (the query's context drains
+a fresh instrumented copy of the plan), so enable it with a threshold that fires rarely.
 A process-global flag tracks whether *any* engine has capture enabled,
 keeping the per-enumeration check near-free when nobody does.
 """
@@ -22,6 +22,7 @@ import time
 from collections import deque
 from typing import Any
 
+from repro._util import attached
 from repro.config import SLOW_MS
 
 __all__ = [
@@ -178,18 +179,6 @@ def _bump(delta: int) -> None:
         _active_count += delta
 
 
-_CREATE_LOCK = threading.Lock()
-
-
 def slowlog_for(engine: Any) -> SlowQueryLog:
     """The lazily-attached :class:`SlowQueryLog` for *engine*."""
-    log = getattr(engine, "slow_log", None)
-    if log is not None:
-        return log
-    with _CREATE_LOCK:
-        log = getattr(engine, "slow_log", None)
-        if log is not None:
-            return log
-        log = SlowQueryLog()
-        engine.slow_log = log
-        return log
+    return attached(engine, "slow_log", SlowQueryLog)

@@ -34,6 +34,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro.config import TRACE
+from repro.obs.instrument import fmt_ns
 
 __all__ = [
     "MAX_TRACES",
@@ -399,7 +400,7 @@ def render_tree(trace_id: str | None = None) -> str:
                 f"{k}={v!r}" for k, v in sorted(sp.args.items())
             )
         lines.append(
-            "  " * (depth + 1) + f"{sp.name}  {_fmt_ns(sp.dur_ns)}{detail}"
+            "  " * (depth + 1) + f"{sp.name}  {fmt_ns(sp.dur_ns)}{detail}"
         )
         for child in children.get(sp.span_id, ()):
             visit(child, depth + 1)
@@ -408,10 +409,3 @@ def render_tree(trace_id: str | None = None) -> str:
         visit(root, 0)
     return "\n".join(lines)
 
-
-def _fmt_ns(ns: int) -> str:
-    if ns >= 1_000_000:
-        return f"{ns / 1_000_000:.2f}ms"
-    if ns >= 1_000:
-        return f"{ns / 1_000:.1f}us"
-    return f"{ns}ns"

@@ -21,9 +21,10 @@ Two regression detectors ride the aggregation:
 
 Sampling: ``REPRO_PROFILE`` is ``off``, ``on`` (every enumeration), or
 an integer N (every Nth; unset → every 16th). The unsampled hot path
-pays one counter increment and one env read per query — the profiler
-rides the same routing hooks as tracing and the slow-query log, so the
-``bench_obs_overhead`` budget (<5%) holds at the default sampling.
+pays one counter increment and one switch read per query: the profiler
+is one of the observers a query's context
+(:mod:`repro.obs.context`) may carry, so the ``bench_obs_overhead``
+budget (<5%) holds at the default sampling.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import time
 from collections import deque
 from typing import Any
 
+from repro._util import attached
 from repro.config import DEFAULT_PROFILE_INTERVAL as DEFAULT_INTERVAL
 from repro.config import PROFILE
 from repro.obs.metrics import Histogram
@@ -51,8 +53,8 @@ __all__ = [
     "set_profile_mode",
     "using_profile_mode",
     "note_planned",
-    "maybe_profile",
-    "record_run",
+    "info_of",
+    "sampled_profile",
 ]
 
 #: Calls before a class freezes its baseline p95.
@@ -220,14 +222,14 @@ class WorkloadProfile:
     profile without limit.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
+    def __init__(self, capacity: int = 512, engine: Any = None) -> None:
         self._lock = threading.Lock()
         self._classes: dict[str, QueryClass] = {}
         self.capacity = capacity
         #: Recent-window p95 beyond ``factor * baseline`` flags a
         #: latency regression for the class.
         self.regression_factor = 3.0
-        self._engine_ref: Any = None  # set by workload_for
+        self._engine_ref = engine  # where this profile's events go
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -372,8 +374,6 @@ class WorkloadProfile:
         return f"<WorkloadProfile {len(self)} classes>"
 
 
-_CREATE_LOCK = threading.Lock()
-
 #: Profile for graphs that reach no storage engine.
 _DEFAULT_PROFILE = WorkloadProfile()
 
@@ -381,43 +381,32 @@ _DEFAULT_PROFILE = WorkloadProfile()
 def workload_for(engine: Any) -> WorkloadProfile:
     """The lazily-attached :class:`WorkloadProfile` for *engine* (the
     process-wide default when *engine* is ``None``)."""
-    if engine is None:
-        return _DEFAULT_PROFILE
-    profile = getattr(engine, "workload", None)
-    if profile is not None:
-        return profile
-    with _CREATE_LOCK:
-        profile = getattr(engine, "workload", None)
-        if profile is not None:
-            return profile
-        profile = WorkloadProfile()
-        profile._engine_ref = engine
-        engine.workload = profile
-        return profile
-
-
-# ---------------------------------------------------------------------------
-# routing hooks (called from repro.exec.run)
-# ---------------------------------------------------------------------------
-
-
-def _pipeline_info(fn: Any, pipeline: Any) -> tuple[str, str, str, str]:
-    """(fingerprint, shape, plan hash, plan text) for a pipeline —
-    computed once per cached plan object and memoized on it."""
-    cached = getattr(pipeline, "_workload_info", None)
-    if cached is not None:
-        return cached
-    info = (
-        fingerprint_of(fn),
-        normalize_source(pipeline.root.describe()),
-        plan_hash_of(pipeline),
-        pipeline.explain(),
+    return attached(
+        engine, "workload", lambda: WorkloadProfile(engine=engine),
+        _DEFAULT_PROFILE,
     )
-    pipeline._workload_info = info
+
+
+# ---------------------------------------------------------------------------
+# routing hooks (called from repro.exec.run and repro.obs.context)
+# ---------------------------------------------------------------------------
+
+
+def info_of(pipeline: Any) -> tuple[str, str, str, str]:
+    """(fingerprint, shape, plan hash, plan text) of a routed plan,
+    computed on first use and kept on the plan object."""
+    info = pipeline.workload_info
+    if info is None:
+        info = pipeline.workload_info = (
+            fingerprint_of(pipeline.logical),
+            normalize_source(pipeline.root.describe()),
+            plan_hash_of(pipeline),
+            pipeline.explain(),
+        )
     return info
 
 
-def note_planned(fn: Any, pipeline: Any) -> None:
+def note_planned(pipeline: Any) -> None:
     """Plan-cache miss hook: register what this fingerprint lowered
     to, firing the plan-change detector when the hash moved. Off the
     enumeration hot path (planning already walks the graph); never
@@ -425,54 +414,24 @@ def note_planned(fn: Any, pipeline: Any) -> None:
     if profile_interval() <= 0:
         return
     try:
-        from repro.exec.cache import engine_of
-
-        profile = workload_for(engine_of(fn))
-        fingerprint, shape, plan_hash, plan_text = _pipeline_info(
-            fn, pipeline
-        )
-        profile.observe_plan(fingerprint, shape, plan_hash, plan_text)
+        workload_for(pipeline.engine).observe_plan(*info_of(pipeline))
     except Exception:
         pass
 
 
-def maybe_profile(
-    fn: Any, pipeline: Any
-) -> tuple[WorkloadProfile, tuple[str, str, str, str]] | None:
-    """Sampling gate for one enumeration.
-
-    Returns ``(profile, info)`` when this enumeration should be timed,
-    ``None`` on the fast path. The unsampled cost is one counter
-    increment, one modulo, and one env read.
-    """
+def sampled_profile(
+    engine: Any, always: bool = False
+) -> WorkloadProfile | None:
+    """Sampling gate for one enumeration: *engine*'s profile when this
+    run should be recorded, ``None`` on the fast path (one counter
+    increment, one modulo, one switch read). *always* skips the gate
+    for a run that is fully timed anyway."""
     interval = profile_interval()
     if interval <= 0:
         return None
-    global _TICK
-    _TICK += 1
-    if interval > 1 and _TICK % interval:
-        return None
-    try:
-        from repro.exec.cache import engine_of
-
-        profile = workload_for(engine_of(fn))
-        return profile, _pipeline_info(fn, pipeline)
-    except Exception:
-        return None
-
-
-def record_run(
-    fn: Any, pipeline: Any, wall_ns: int, rows: int
-) -> None:
-    """Fold one already-measured enumeration (the traced/slow-logged
-    path, which times every run anyway) into the profile, bypassing
-    the sampling gate."""
-    if profile_interval() <= 0:
-        return
-    try:
-        from repro.exec.cache import engine_of
-
-        profile = workload_for(engine_of(fn))
-        profile.record(*_pipeline_info(fn, pipeline), wall_ns, rows)
-    except Exception:
-        pass
+    if not always:
+        global _TICK
+        _TICK += 1
+        if interval > 1 and _TICK % interval:
+            return None
+    return workload_for(engine)

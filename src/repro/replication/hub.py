@@ -22,6 +22,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro._util import attached
 from repro.errors import FencedLeaderError, ReplicationError
 from repro.obs.trace import current_context, span
 from repro.replication import wire
@@ -353,21 +354,12 @@ class ReplicationHub:
         )
 
 
-#: Serializes hub creation: two followers handshaking at once on a
-#: thread-per-connection server must not each build a hub and orphan
-#: one registration (only ``engine.replication_hub`` is ever shipped
-#: to by the commit path).
-_HUB_CREATE_LOCK = threading.Lock()
-
-
 def hub_for(db: Any) -> ReplicationHub:
     """The database's hub, created (and wired to the commit path via
-    ``engine.replication_hub``) on first use."""
-    hub = getattr(db.engine, "replication_hub", None)
-    if hub is None:
-        with _HUB_CREATE_LOCK:
-            hub = getattr(db.engine, "replication_hub", None)
-            if hub is None:
-                hub = ReplicationHub(db)
-                db.engine.replication_hub = hub
-    return hub
+    ``engine.replication_hub``) on first use. Creation is serialized:
+    two followers handshaking at once on a thread-per-connection server
+    must not each build a hub and orphan one registration (only
+    ``engine.replication_hub`` is ever shipped to by the commit path)."""
+    return attached(
+        db.engine, "replication_hub", lambda: ReplicationHub(db)
+    )

@@ -325,7 +325,7 @@ class Session:
             "budgets": dict(self.budgets),
         }
 
-    def _metered(self, request: dict[str, Any], verb: str, query: Any = None):
+    def _budgeted(self, request: dict[str, Any], verb: str, query: Any = None):
         """The resource-meter context for one read/write verb.
 
         Budget precedence: the frame's ``deadline_ms``, then this
@@ -392,7 +392,7 @@ class Session:
         if not isinstance(expr, str):
             raise ProtocolError("FQL verb requires an 'expr' string")
         self._read_barrier(request)
-        with self._metered(request, "fql", expr) as meter:
+        with self._budgeted(request, "fql", expr) as meter:
             result = self._eval_fql(expr, request.get("params"))
             payload = protocol.encode_value(result, request.get("max_rows"))
             if (
@@ -404,9 +404,7 @@ class Session:
                 # the enumeration underneath attributed its scans to
                 # this meter already, and the encoded row list is the
                 # answer actually leaving the server
-                meter.result_rows += len(payload.get("rows") or ())
-                if meter._armed:
-                    meter.check()
+                meter.add_result_rows(len(payload.get("rows") or ()))
             return payload
 
     def _verb_explain(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -456,7 +454,7 @@ class Session:
                 "the SQL verb is read-only (SELECT / set operations); "
                 "route writes through the DML verb"
             )
-        with self._metered(request, "sql", sql_text) as meter:
+        with self._budgeted(request, "sql", sql_text) as meter:
             mirror = SQLDatabase(f"{self.db._name}-mirror")
             for table_name in self._statement_tables(statement):
                 if table_name in self.db._stored:
@@ -468,9 +466,7 @@ class Session:
             from repro.relational.nulls import is_null
 
             if meter is not None:
-                meter.result_rows += len(relation.rows)
-                if meter._armed:
-                    meter.check()
+                meter.add_result_rows(len(relation.rows))
             return {
                 "columns": list(relation.columns),
                 "rows": [
@@ -568,7 +564,7 @@ class Session:
             raise SchemaError(f"{table!r} is not a stored relation")
         key = protocol.decode_key(request.get("key"))
         row = protocol.decode_value(request.get("row"))
-        with self._metered(request, "dml", f"{op} {table}"):
+        with self._budgeted(request, "dml", f"{op} {table}"):
             # the meter rides the statement: WAL bytes are attributed in
             # WriteAheadLog.append, and an expired deadline aborts at
             # the pre-apply gate in TransactionManager.commit — never

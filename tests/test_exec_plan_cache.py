@@ -116,6 +116,27 @@ def test_stored_graphs_use_per_database_cache(customers):
     assert cache_for(material_expr) is default_plan_cache()
 
 
+def test_a_join_plan_lives_and_dies_with_its_database():
+    """A join reaches its engine through the database container it
+    joins, so its plan is cached on that database, not pinned (with
+    the database's tables) by the process-wide default cache."""
+    import gc
+    import weakref
+
+    db = connect("join-cache-owner-db", default=False)
+    db["customers"] = {1: {"name": "Alice"}, 2: {"name": "Bob"}}
+    db["orders"] = {10: {"customer": 1}, 11: {"customer": 2}}
+    joined = fql.join(db, on=[["orders.customer", "customers.__key__"]])
+    assert cache_for(joined) is db.engine.plan_cache
+    list(joined.items())
+    assert len(default_plan_cache()) == 0
+    engine = weakref.ref(db.engine)
+    db.close()
+    del db, joined
+    gc.collect()
+    assert engine() is None
+
+
 def test_lru_eviction():
     cache = PlanCache(maxsize=2)
     cache.put("a", 1)

@@ -406,6 +406,92 @@ class TestSlowQueryCapture:
         assert entries[-1].trace_id == T.latest_trace_id()
 
 
+    def test_a_join_is_one_query_not_its_atoms(self, db):
+        """The build and probe sides of a join are inner work of the
+        join: one entry, one workload class, both naming the join."""
+        from repro.fdm.databases import database
+        from repro.obs.workload import using_profile_mode
+
+        db.create_table(
+            "tag", {g: {"label": f"g{g}"} for g in range(5)}, key_name="gid"
+        )
+        joined = fql.join(
+            database(
+                {
+                    "item": fql.filter("v > 100", input=db.item),
+                    "tag": fql.filter("label != 'g0'", input=db.tag),
+                }
+            ),
+            on=[["item.grp", "tag.gid"]],
+        )
+        with using_profile_mode("off"):
+            expected = len(dict(joined.items()))  # plans all three
+        assert expected > 0
+        db.set_slow_query_threshold(0.0)
+        with using_profile_mode("on"):
+            assert len(dict(joined.items())) == expected
+        (entry,) = db.slow_queries()
+        assert "join" in entry.query and entry.rows == expected
+        (cls,) = db.workload_profile().values()
+        assert (cls["calls"], cls["rows"]) == (1, expected)
+
+
+# ---------------------------------------------------------------------------
+# one query, one context (DESIGN.md "One query, one context")
+# ---------------------------------------------------------------------------
+
+
+class TestOneQueryOneContext:
+    @pytest.fixture
+    def all_armed(self, db, monkeypatch):
+        """Every observer watching every enumeration at once."""
+        from repro.obs.resources import reset_resources
+        from repro.obs.workload import using_profile_mode
+
+        with using_profile_mode("off"):
+            flt = fql.filter("v > 100", input=db.item)
+            self.unobserved = dict(flt.items())
+        monkeypatch.setenv("REPRO_MAX_ROWS_SCANNED", "1000000000")
+        monkeypatch.setenv("REPRO_MAX_RESULT_ROWS", "1000000000")
+        monkeypatch.setenv("REPRO_QUERY_DEADLINE_MS", "600000")
+        reset_resources()
+        db.set_slow_query_threshold(0.0)
+        with using_profile_mode("on"), T.start_trace("armed"):
+            yield db
+
+    def test_all_observers_agree(self, all_armed):
+        db = all_armed
+        rows = dict(fql.filter("v > 100", input=db.item).items())
+        assert rows == self.unobserved and len(rows) == 166
+        snap = db.stats()["resources"]
+        assert snap["queries"] == 1 and snap["killed"] == 0
+        assert snap["totals"]["result_rows"] == 166
+        (cls,) = db.workload_profile().values()
+        assert (cls["calls"], cls["rows"]) == (1, 166)
+        (entry,) = db.slow_queries()
+        assert entry.rows == 166
+        executes = [e for e in _events() if e["name"] == "execute"]
+        assert [e["args"]["rows"] for e in executes] == [166]
+
+    def test_interleaved_queries_report_independently(self, all_armed):
+        """A second query started between two pulls of the first is its
+        own query, not inner work of the first."""
+        db = all_armed
+        first = fql.filter("v > 100", input=db.item).items()
+        next(first)
+        second = dict(fql.filter("grp == 1", input=db.item).items())
+        rest = sum(1 for _ in first)
+        assert (1 + rest, len(second)) == (166, 40)
+        assert db.stats()["resources"]["queries"] == 2
+        assert sorted(e.rows for e in db.slow_queries()) == [40, 166]
+        assert sorted(
+            e["args"]["rows"] for e in _events() if e["name"] == "execute"
+        ) == [40, 166]
+        assert sorted(
+            (c["calls"], c["rows"]) for c in db.workload_profile().values()
+        ) == [(1, 40), (1, 166)]
+
+
 # ---------------------------------------------------------------------------
 # stats schemas (dashboard contract)
 # ---------------------------------------------------------------------------

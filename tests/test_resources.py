@@ -28,6 +28,7 @@ from repro.exec.batch import (
 from repro.obs.events import EventLog, events_for
 from repro.obs.resources import (
     ResourceMeter,
+    active_meter,
     reset_resources,
     resources_for,
     using_meter_mode,
@@ -110,15 +111,28 @@ class TestMeterCore:
         store = data.to_stored_database(name="resJoinDB")
         try:
             dict(fql.join(store).items())
-            # a joined-relation graph resolves no single engine, so its
-            # meter rolls up in the shared default accounting
-            assert (
-                _DEFAULT.totals["join_build_rows"]
-                + resources_for(store.engine).totals["join_build_rows"]
-                > 0
-            )
+            dict(fql.join(store).items())
+            # a join reaches its engine through the database container:
+            # its meter, and its plan, belong to that database
+            accounting = resources_for(store.engine)
+            assert accounting.totals["join_build_rows"] > 0
+            assert store.stats()["resources"]["queries"] == 2
+            assert _DEFAULT.queries == 0
+            assert store.stats()["plan_cache"]["hits"] == 1
         finally:
             store.close()
+
+    def test_abandoned_stream_reports_once(self, db):
+        stream = fql.filter("age > 40", input=db.people).items()
+        next(stream)
+        assert active_meter() is None  # nothing leaks to the consumer
+        assert len(resources_for(db.engine)._active) == 1
+        stream.close()
+        stream.close()
+        snap = db.stats()["resources"]
+        assert snap["queries"] == 1 and snap["active"] == []
+        assert snap["totals"]["result_rows"] == 1
+        assert active_meter() is None
 
     def test_fingerprint_rollup_joins_workload(self, db):
         dict(fql.filter("age > 40", input=db.people).items())
@@ -161,6 +175,11 @@ class TestBudgetKillsEmbedded:
         monkeypatch.setenv("REPRO_MAX_RESULT_ROWS", "10")
         with pytest.raises(ResourceExhaustedError):
             dict(fql.filter("age > 1", input=db.people).items())
+        # killed mid-stream: one report, and the consumer's thread is clean
+        snap = db.stats()["resources"]
+        assert (snap["queries"], snap["killed"]) == (1, 1)
+        assert snap["totals"]["result_rows"] == 11 and snap["active"] == []
+        assert active_meter() is None
 
     def test_deadline_budget(self, db, monkeypatch):
         monkeypatch.setenv("REPRO_QUERY_DEADLINE_MS", "0.000001")
