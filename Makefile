@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-check lint docs-check
+.PHONY: test bench-smoke bench lint docs-check
 
 # tier-1: the full correctness suite
 test:
@@ -18,12 +18,6 @@ bench-smoke:
 # the full benchmark matrix (slow)
 bench:
 	$(PY) -m pytest benchmarks -o python_files='bench_*.py' -q
-
-# perf regression gate: compares the freshly-run BENCH_*.json files
-# against the HEAD-committed baselines; >30% slowdowns of the
-# headline stat fail. Run bench-smoke (or bench) first.
-bench-check:
-	$(PY) tools/bench_check.py
 
 # documentation health: public-API docstrings (protocol surface
 # included) and cross-reference link/anchor integrity over

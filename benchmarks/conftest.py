@@ -127,7 +127,6 @@ def pytest_sessionfinish(session, exitstatus):
     for stem, results in by_module.items():
         path = _BENCH_DIR / f"BENCH_{stem}.json"
         merged: dict[str, dict] = {}
-        module_tolerance = None
         if path.exists():
             # a filtered run (-k) must not truncate the committed
             # baseline: update measured tests, keep the rest
@@ -135,21 +134,12 @@ def pytest_sessionfinish(session, exitstatus):
                 previous = json.loads(path.read_text())
                 for old in previous["results"]:
                     merged[old["name"]] = old
-                module_tolerance = previous.get("tolerance")
             except (ValueError, KeyError):
                 merged = {}
         for result in results:
-            # hand-set regression tolerances (tools/bench_check.py)
-            # ride along across refreshes — a re-run must not silently
-            # reset a benchmark to the default gate
-            old = merged.get(result["name"])
-            if old is not None and "tolerance" in old:
-                result = dict(result, tolerance=old["tolerance"])
             merged[result["name"]] = result
         payload = {
             "module": f"bench_{stem}",
             "results": sorted(merged.values(), key=lambda r: r["name"]),
         }
-        if module_tolerance is not None:
-            payload["tolerance"] = module_tolerance
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

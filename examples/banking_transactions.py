@@ -75,9 +75,7 @@ def main() -> None:
 
     # ---- durability: recover from the WAL -------------------------------------------
     db.engine.wal.close()
-    recovered = StorageEngine.recover(
-        WriteAheadLog.load(wal_path), schemas={"accounts": None}
-    )
+    recovered = StorageEngine.recover(WriteAheadLog.load(wal_path))
     recovered_total = sum(
         row["balance"] for _k, row in recovered.scan("accounts", 2**62)
     )

@@ -310,7 +310,6 @@ class RemoteDatabase:
             event.update(
                 {
                     "records": frame.get("records", []),
-                    "schemas": frame.get("schemas", {}),
                     "leader_ts": frame.get("leader_ts", 0),
                     "epoch": frame.get("epoch", 0),
                     # leader commit wall-clock: the replica's apply

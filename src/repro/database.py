@@ -53,16 +53,35 @@ class FunctionalDatabase(DatabaseFunction):
 
     def __init__(self, name: str = "DB", wal_path: str | None = None):
         super().__init__(name=name)
-        self._engine = _open_engine(name, wal_path)
-        self._manager = self._manager_cls(self._engine)
-        self._stored: dict[str, FDMFunction] = {
-            table_name: StoredRelationFunction(
-                self._engine, self._manager, table_name, name=table_name
-            )
-            for table_name in self._engine.table_names()
-        }
+        self._adopt(_open_engine(name, wal_path))
+
+    def _adopt(self, engine: StorageEngine) -> None:
+        """Start serving *engine*: a manager whose clock resumes at the
+        engine's newest logged stamp, and a handle per table."""
+        self._engine = engine
+        self._manager = self._manager_cls(engine)
+        self._stored: dict[str, StoredRelationFunction] = {}
         self._views: dict[str, FDMFunction] = {}
         self._closed = False
+        self._sync_stored()
+
+    def _sync_stored(self) -> None:
+        """Make ``_stored`` name exactly the engine's tables: a handle
+        for each table that has none (recovery, checkpoint restore, a
+        snapshot or a schema record on a replica brought it), none for
+        a table that is gone."""
+        tables = self._engine.tables
+        stored = {
+            name: handle
+            for name, handle in self._stored.items()
+            if handle.table_name in tables
+        }
+        for name in tables:
+            if name not in stored:
+                stored[name] = StoredRelationFunction(
+                    self._engine, self._manager, name, name=name
+                )
+        self._stored = stored  # one swap: readers never see it half-built
 
     # -- engine access ---------------------------------------------------------------
 
@@ -137,13 +156,25 @@ class FunctionalDatabase(DatabaseFunction):
 
     def _drop_name(self, name: str) -> None:
         if name in self._stored:
-            self._engine.drop_table(
-                self._stored[name].table_name
-                if isinstance(self._stored[name], StoredRelationFunction)
-                else name
+            table_name = self._stored[name].table_name
+            self._manager.commit_schema(
+                table_name, lambda: self._engine.drop_table(table_name)
             )
             del self._stored[name]
         self._views.pop(name, None)
+
+    def _create_table(
+        self,
+        name: str,
+        key_name: str | tuple[str, ...] | None,
+        partition_by: Any = None,
+    ) -> None:
+        self._manager.commit_schema(
+            name,
+            lambda: self._engine.create_table(
+                name, key_name=key_name, partition_by=partition_by
+            ),
+        )
 
     def _store_rows(
         self,
@@ -153,9 +184,7 @@ class FunctionalDatabase(DatabaseFunction):
         partition_by: Any = None,
     ) -> None:
         self._drop_name(name)
-        self._engine.create_table(
-            name, key_name=key_name, partition_by=partition_by
-        )
+        self._create_table(name, key_name, partition_by)
         stored = StoredRelationFunction(
             self._engine, self._manager, name, name=name
         )
@@ -185,7 +214,7 @@ class FunctionalDatabase(DatabaseFunction):
                         target = stored
                         break
             participants.append((part.param, target))
-        self._engine.create_table(name, key_name=value.param_names())
+        self._create_table(name, value.param_names())
         stored = StoredRelationshipFunction(
             self._engine,
             self._manager,
@@ -238,9 +267,9 @@ class FunctionalDatabase(DatabaseFunction):
         """
         if name not in self._stored:
             raise UnknownRelationError(name, self._name)
-        self._engine.partition_table(name, partition_by)
-        if self._engine.plan_cache is not None:
-            self._engine.plan_cache.clear()
+        self._manager.commit_schema(
+            name, lambda: self._engine.partition_table(name, partition_by)
+        )
         return self._stored[name]
 
     def partition_layout(self, name: str) -> dict[str, Any]:
@@ -302,9 +331,7 @@ class FunctionalDatabase(DatabaseFunction):
                 target = self(target)
             resolved.append((param, target))
         self._drop_name(name)
-        self._engine.create_table(
-            name, key_name=tuple(p for p, _t in resolved)
-        )
+        self._create_table(name, tuple(p for p, _t in resolved))
         stored = StoredRelationshipFunction(
             self._engine, self._manager, name, resolved, name=name,
             enforce=enforce,
@@ -322,10 +349,15 @@ class FunctionalDatabase(DatabaseFunction):
         views)."""
         if relation not in self._stored:
             raise UnknownRelationError(relation, self._name)
-        self._engine.create_index(relation, attr, kind=kind)
+        self._manager.commit_schema(
+            relation,
+            lambda: self._engine.create_index(relation, attr, kind=kind),
+        )
 
     def drop_index(self, relation: str, attr: str) -> None:
-        self._engine.drop_index(relation, attr)
+        self._manager.commit_schema(
+            relation, lambda: self._engine.drop_index(relation, attr)
+        )
 
     # -- transactions (Fig. 11) ---------------------------------------------------------------
 
@@ -609,17 +641,7 @@ class FunctionalDatabase(DatabaseFunction):
         engine.wal.set_floor(clock)
         db = cls.__new__(cls)
         DatabaseFunction.__init__(db, name=name)
-        db._engine = engine
-        db._manager = cls._manager_cls(engine)
-        db._manager._clock = clock
-        db._stored = {
-            table_name: StoredRelationFunction(
-                engine, db._manager, table_name, name=table_name
-            )
-            for table_name in engine.table_names()
-        }
-        db._views = {}
-        db._closed = False
+        db._adopt(engine)
         return db
 
     def __repr__(self) -> str:
@@ -634,10 +656,9 @@ def _open_engine(name: str, wal_path: str | None) -> StorageEngine:
 
     ``connect(wal_path=p)`` against a non-empty log replays it back
     into version chains (reopen-after-close), then reattaches the
-    append handle so new commits extend the same file. The WAL records
-    data, not DDL, so recovered tables come back without ``key_name``
-    or partition schemes; ``StorageEngine.recover`` accepts both
-    explicitly for callers that track schema out of band.
+    append handle so new commits extend the same file. Schema changes
+    ride the log, so tables come back with their key names, partition
+    layout and indexes, and dropped tables stay dropped.
     """
     if (
         wal_path is not None
@@ -648,6 +669,10 @@ def _open_engine(name: str, wal_path: str | None) -> StorageEngine:
         engine = StorageEngine.recover(wal, name=name)
         engine.wal = wal
         wal.reopen()
+        if wal.torn_bytes:
+            from repro.obs.events import emit
+
+            emit(engine, "wal_torn_tail", path=wal_path, bytes=wal.torn_bytes)
         return engine
     return StorageEngine(name=name, wal_path=wal_path)
 

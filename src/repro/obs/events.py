@@ -10,6 +10,10 @@ mirrored to a JSON-lines file sink (``REPRO_EVENTS_PATH``, or
 * ``promote`` — a replica became a writable leader (failover);
 * ``fence`` — a demoted leader started refusing writes;
 * ``snapshot_sync`` — a follower rebuilt from a full leader copy;
+* ``replication_error`` — the hub detached a follower it could not
+  ship a record to (a row the one written form refuses);
+* ``wal_torn_tail`` — reopening dropped a torn final WAL line left by
+  a crash mid-append (the byte count attached);
 * ``shed`` — the server refused a connection (admission queue full);
 * ``slow_query`` — the slow-query log captured an entry;
 * ``plan_change`` — the workload profiler saw a fingerprint re-lower

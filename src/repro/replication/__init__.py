@@ -9,9 +9,9 @@ served at the same commit stamp.
 Three moving parts:
 
 * :class:`ReplicationHub` (leader side, lazily attached by the server's
-  ``REPLICA_HELLO`` verb) ships WAL suffixes — plus checkpoint-shaped
-  snapshots for initial sync — as ``WAL_BATCH`` push frames over the
-  ordinary wire protocol;
+  ``REPLICA_HELLO`` verb) ships WAL suffixes — plus an engine image
+  (:mod:`repro.storage.image`) for initial sync — as ``WAL_BATCH`` push
+  frames over the ordinary wire protocol;
 * :class:`ReplicaDatabase` + :class:`ReplicationClient` (follower side)
   replay them through ``engine.apply_commit``, preserving partition
   layout, indexes, and the follower's own WAL byte-for-byte, and
@@ -30,19 +30,23 @@ batches are rejected — see ``docs/operations.md`` for the runbook::
     replica = repro.replication.start_replica(port=7878)
 """
 
-from repro.replication.hub import ReplicaPeer, ReplicationHub, hub_for
+from repro.replication.hub import (
+    ReplicaPeer,
+    ReplicationHub,
+    hub_for,
+    snapshot_payload,
+)
 from repro.replication.replica import (
     ReplicaDatabase,
     ReplicaTransactionManager,
     ReplicationClient,
     start_replica,
 )
-from repro.replication.wire import (
+from repro.storage.image import (
     decode_record,
     decode_records,
     encode_record,
     encode_records,
-    snapshot_payload,
     table_schema,
 )
 

@@ -14,6 +14,10 @@ notification (outside the commit lock), and the hub pushes
 Because the logical clock only moves on commits, there is nothing to
 heartbeat between them — a follower that has applied the last shipped
 stamp *is* current.
+
+Frames carry records and images exactly as :mod:`repro.storage.image`
+writes them to the WAL file and to checkpoints (schema changes
+included), so replication has no codec of its own.
 """
 
 from __future__ import annotations
@@ -23,15 +27,29 @@ import time
 from typing import Any, Callable
 
 from repro._util import attached
-from repro.errors import FencedLeaderError, ReplicationError
+from repro.errors import FencedLeaderError, PersistenceError, ReplicationError
+from repro.obs.events import emit
 from repro.obs.trace import current_context, span
-from repro.replication import wire
+from repro.storage.image import dumps, encode_records, engine_image
 
-__all__ = ["ReplicaPeer", "ReplicationHub", "hub_for"]
+__all__ = ["ReplicaPeer", "ReplicationHub", "hub_for", "snapshot_payload"]
 
 #: Records per WAL_BATCH push frame; a long backlog ships as several
 #: ordered frames instead of one unbounded one.
 BATCH_RECORDS = 256
+
+
+def snapshot_payload(db: Any) -> dict[str, Any]:
+    """A consistent image of *db*'s latest committed state.
+
+    The scan runs under a pinned read transaction so a concurrent
+    vacuum cannot collect the versions mid-copy.
+    """
+    txn = db.manager.begin(activate=False)
+    try:
+        return engine_image(db.engine, txn.start_ts)
+    finally:
+        db.manager.abort(txn)
 
 
 class ReplicaPeer:
@@ -139,14 +157,14 @@ class ReplicationHub:
             "server": self.db._name,
         }
         if backlog is None:
-            snapshot = wire.snapshot_payload(self.db)
+            snapshot = self._shippable(
+                session_id, "a snapshot", lambda: snapshot_payload(self.db)
+            )
             with peer.lock:
                 peer.sent_ts = max(peer.sent_ts, snapshot["ts"])
             result["mode"] = "snapshot"
             result["snapshot"] = snapshot
             self.snapshots_sent += 1
-            from repro.obs.events import emit
-
             emit(
                 self.db.engine,
                 "snapshot_served",
@@ -155,15 +173,9 @@ class ReplicationHub:
             )
         else:
             result["mode"] = "stream"
-            result["records"] = wire.encode_records(backlog)
-            # every table's DDL sidecar, not just the backlog's: a
-            # follower recovered from its own WAL has the data but
-            # not the key names / partition schemes (the WAL records
-            # data, not DDL) and must reconcile them here
-            result["schemas"] = {
-                name: wire.table_schema(self.db.engine, name)
-                for name in self.db.engine.table_names()
-            }
+            result["records"] = self._shippable(
+                session_id, "the WAL backlog", lambda: encode_records(backlog)
+            )
             self.records_sent += len(backlog)
             # backlog beyond the first chunk: push it now, as ordered
             # WAL_BATCH frames queued behind this response
@@ -174,6 +186,30 @@ class ReplicationHub:
         """Forget one follower (its session closed or re-synced)."""
         with self._lock:
             self._peers.pop(session_id, None)
+
+    def _shippable(
+        self, session_id: int, what: str, build: Callable[[], Any]
+    ) -> Any:
+        """``build()`` (records or an image) checked against the one
+        value rule before a frame is queued. A memory-only leader never
+        encoded its records at commit, so a row JSON cannot hold
+        surfaces here: the peer is detached, a ``replication_error``
+        event says why, and :class:`ReplicationError` is raised — a
+        repr is never shipped in place of the row."""
+        try:
+            payload = build()
+            dumps(payload)
+            return payload
+        except PersistenceError as exc:
+            self.detach(session_id)
+            error = ReplicationError(f"cannot ship {what}: {exc}")
+            emit(
+                self.db.engine,
+                "replication_error",
+                session=session_id,
+                error=f"ReplicationError: {error}",
+            )
+            raise error from exc
 
     # -- shipping ----------------------------------------------------------------
 
@@ -193,7 +229,7 @@ class ReplicationHub:
         # caught-up peers share one cursor, so the encoded payload for
         # a given record span is memoized across them: one JSON-ready
         # encoding per commit, not one per follower
-        encoded: dict[tuple[int, int], tuple[Any, Any]] = {}
+        encoded: dict[tuple[int, int], list[dict[str, Any]]] = {}
         for session_id, peer in peers:
             self._ship_to_peer(session_id, peer, commit_ts, encoded)
 
@@ -233,11 +269,14 @@ class ReplicationHub:
                 batch = records[start:start + BATCH_RECORDS]
                 span_key = (batch[0].commit_ts, batch[-1].commit_ts)
                 if span_key not in encoded:
-                    encoded[span_key] = (
-                        wire.encode_records(batch),
-                        self._schemas_for(batch),
-                    )
-                batch_records, batch_schemas = encoded[span_key]
+                    try:
+                        encoded[span_key] = self._shippable(
+                            session_id,
+                            f"WAL records {span_key[0]}..{span_key[1]}",
+                            lambda: encode_records(batch),
+                        )
+                    except ReplicationError:
+                        return  # the commit stands; only this peer goes
                 payload = {
                     "push": "wal_batch",
                     "epoch": self.epoch,
@@ -247,8 +286,7 @@ class ReplicationHub:
                     # within queueing): followers subtract it from
                     # their own clock on apply for seconds-based lag
                     "commit_wall": time.time(),
-                    "records": batch_records,
-                    "schemas": batch_schemas,
+                    "records": encoded[span_key],
                 }
                 if ctx is not None:
                     payload["trace"] = ctx
@@ -273,19 +311,6 @@ class ReplicationHub:
         except Exception:
             self.detach(session_id)
             return False
-
-    def _schemas_for(self, records: list[Any]) -> dict[str, Any]:
-        """DDL sidecars for every table the batch touches."""
-        engine = self.db.engine
-        names = {
-            table
-            for record in records
-            for table, _key, _data in record.writes
-            if engine.has_table(table)
-        }
-        return {
-            name: wire.table_schema(engine, name) for name in sorted(names)
-        }
 
     # -- acknowledgement / introspection ------------------------------------------
 

@@ -32,8 +32,7 @@ from repro.errors import (
     ReplicaLagError,
     ReplicationError,
 )
-from repro.replication import wire
-from repro.server import protocol
+from repro.storage.image import decode_records, install_image
 from repro.txn.manager import Transaction, TransactionManager
 
 __all__ = [
@@ -48,6 +47,12 @@ MAX_CATCHUP_TIMEOUT = 30.0
 
 _LATEST = 2**62
 
+_READ_ONLY = (
+    "this database is a read replica: it applies the leader's WAL "
+    "stream and accepts no local writes (route DML and DDL to the "
+    "leader, or promote() this replica)"
+)
+
 
 class ReplicaTransactionManager(TransactionManager):
     """A transaction manager that refuses local writing commits.
@@ -56,7 +61,7 @@ class ReplicaTransactionManager(TransactionManager):
     replica's applied stamp as their snapshot); a commit carrying
     buffered writes aborts with :class:`~repro.errors.
     ReadOnlyReplicaError` until :meth:`ReplicaDatabase.promote` clears
-    the ``read_only`` flag.
+    the ``read_only`` flag. Schema changes are refused the same way.
     """
 
     def __init__(self, engine: Any):
@@ -67,12 +72,15 @@ class ReplicaTransactionManager(TransactionManager):
         """Commit *txn*, rejecting writes while this side is a replica."""
         if self.read_only and txn.writes:
             self.abort(txn)
-            raise ReadOnlyReplicaError(
-                "this database is a read replica: it applies the "
-                "leader's WAL stream and accepts no local writes "
-                "(route DML to the leader, or promote() this replica)"
-            )
+            raise ReadOnlyReplicaError(_READ_ONLY)
         return super().commit(txn)
+
+    def commit_schema(self, name: str, change: Any) -> None:
+        """Log a schema change, refusing it (before the catalog
+        changes) while this side is a replica."""
+        if self.read_only:
+            raise ReadOnlyReplicaError(_READ_ONLY)
+        super().commit_schema(name, change)
 
 
 class ReplicaDatabase(FunctionalDatabase):
@@ -163,7 +171,6 @@ class ReplicaDatabase(FunctionalDatabase):
         records: list[Any],
         leader_ts: int,
         epoch: int,
-        schemas: dict[str, Any] | None = None,
         trace: dict[str, Any] | None = None,
         commit_wall: float | None = None,
     ) -> int:
@@ -176,10 +183,11 @@ class ReplicaDatabase(FunctionalDatabase):
         the epoch moved. Records at or below ``applied_ts`` are
         skipped (re-delivery after a reconnect is harmless), the rest
         replay through ``engine.apply_commit`` — appending to the
-        replica's own WAL, then version chains, indexes, statistics,
-        and the IVM changelog — before the applied clock is published
-        and eager views sync. Readers sampling the clock concurrently
-        therefore never see a half-applied commit. Finally this
+        replica's own WAL, then the record's schema changes, version
+        chains, indexes, statistics, and the IVM changelog — before the
+        applied clock is published and eager views sync. Readers
+        sampling the clock concurrently therefore never see a
+        half-applied commit. Finally this
         replica's own replication hub (if sub-replicas attached to
         it) ships the fresh suffix onward — cascading fan-out.
         """
@@ -203,8 +211,11 @@ class ReplicaDatabase(FunctionalDatabase):
             for record in records:
                 if record.commit_ts <= self.applied_ts():
                     continue  # duplicate delivery after a reconnect
-                self._ensure_tables(record, schemas or {})
-                self._engine.apply_commit(record.commit_ts, record.writes)
+                self._engine.apply_commit(
+                    record.commit_ts, record.writes, record.schemas
+                )
+                if record.schemas:
+                    self._sync_stored()
                 with self._manager._lock:
                     self._manager._clock = record.commit_ts
                 applied += 1
@@ -248,40 +259,13 @@ class ReplicaDatabase(FunctionalDatabase):
         their old snapshots (and their subscribers' mirrors, via the
         resync push) would otherwise silently miss its rows.
         """
-        from repro._util import TOMBSTONE
-        from repro.storage.engine import StorageEngine
-        from repro.storage.relation import StoredRelationFunction
-        from repro.storage.wal import WALRecord
-
         with self._apply_lock:
             ts = int(snapshot["ts"])
             # stage the whole rebuild aside, then swap references:
             # concurrent readers (this replica keeps serving during a
             # resync) see either the complete old state or the
             # complete new one, never dropped tables or partial loads
-            staging = StorageEngine(name=self._engine.name)
-            seed_writes: list[tuple[str, Any, Any]] = []
-            for name, spec in snapshot.get("tables", {}).items():
-                schema = spec.get("schema", {})
-                table = staging.create_table(
-                    name,
-                    key_name=wire.decode_key_name(schema),
-                    partition_by=schema.get("partition"),
-                )
-                stats = staging.stats[name]
-                for key, data in spec.get("rows", ()):
-                    key = protocol.decode_key(key)
-                    data = protocol.decode_value(data)
-                    table.apply(key, data, ts)
-                    seed_writes.append((name, key, data))
-                    if table.is_partitioned:
-                        stats.on_write(
-                            TOMBSTONE, data, new_pid=table.placement_of(key)
-                        )
-                    else:
-                        stats.on_write(TOMBSTONE, data)
-                for index in schema.get("indexes", ()):
-                    staging.create_index(name, index["attr"], index["kind"])
+            staging = install_image(snapshot, name=self._engine.name)
             # clock first (old tables serve stale-but-complete reads
             # at the new stamp), then the reference swaps
             with self._manager._lock:
@@ -289,19 +273,16 @@ class ReplicaDatabase(FunctionalDatabase):
             self._engine.tables = staging.tables
             self._engine.indexes = staging.indexes
             self._engine.stats = staging.stats
-            self._stored = {
-                name: StoredRelationFunction(
-                    self._engine, self._manager, name, name=name
-                )
-                for name in staging.tables
-            }
+            self._engine.zones = staging.zones
+            self._sync_stored()
             if self._engine.plan_cache is not None:
                 self._engine.plan_cache.clear()
             # the old WAL describes a state that no longer exists;
             # replaying it before the seed record on restart would
             # resurrect rows the snapshot deleted
             self._engine.wal.truncate()
-            self._engine.wal.append(WALRecord(ts, seed_writes))
+            for seed in staging.wal.records():
+                self._engine.wal.append(seed)
             self.leader_ts = max(self.leader_ts, ts)
             self.snapshots_loaded += 1
         from repro.obs.events import emit
@@ -327,65 +308,6 @@ class ReplicaDatabase(FunctionalDatabase):
         with self._applied_cond:
             self._ready_ts = max(self._ready_ts, self.applied_ts())
             self._applied_cond.notify_all()
-
-    def reconcile_schemas(self, schemas: dict[str, Any] | None) -> None:
-        """Align local tables with the leader's DDL sidecars.
-
-        A follower recovered from its own WAL copy has every row but no
-        DDL — the WAL records data, not key names or partition schemes.
-        The leader ships sidecars for *all* tables in the stream-mode
-        HELLO response; missing tables are created, bare recovered
-        tables gain their key names, get re-partitioned in place
-        (history included, same machinery as ``partition_table``), and
-        missing secondary indexes are rebuilt — restoring layout parity
-        across a restart.
-        """
-        with self._apply_lock:
-            for name, schema in (schemas or {}).items():
-                if not self._engine.has_table(name):
-                    self._create_from_schema(name, schema)
-                    continue
-                table = self._engine.table(name)
-                key_name = wire.decode_key_name(schema)
-                if key_name is not None and table.key_name != key_name:
-                    table.key_name = key_name
-                spec = schema.get("partition")
-                if spec is not None and (
-                    not table.is_partitioned
-                    or table.scheme.spec() != spec
-                ):
-                    self._engine.partition_table(name, spec)
-                have = set(self._engine.indexes[name].attrs())
-                for index in schema.get("indexes", ()):
-                    if index["attr"] not in have:
-                        self._engine.create_index(
-                            name, index["attr"], index["kind"]
-                        )
-
-    def _ensure_tables(
-        self, record: Any, schemas: dict[str, Any]
-    ) -> None:
-        """Create any table the record writes that does not exist yet,
-        from its shipped DDL sidecar (the WAL carries data, not DDL)."""
-        for table_name, _key, _data in record.writes:
-            if not self._engine.has_table(table_name):
-                self._create_from_schema(
-                    table_name, schemas.get(table_name, {})
-                )
-
-    def _create_from_schema(
-        self, name: str, schema: dict[str, Any]
-    ) -> None:
-        from repro.storage.relation import StoredRelationFunction
-
-        self._engine.create_table(
-            name,
-            key_name=wire.decode_key_name(schema),
-            partition_by=schema.get("partition"),
-        )
-        self._stored[name] = StoredRelationFunction(
-            self._engine, self._manager, name, name=name
-        )
 
     # -- read barriers (staleness modes) ------------------------------------------
 
@@ -606,12 +528,10 @@ class ReplicationClient:
                     [], hello["leader_ts"], hello["epoch"]
                 )
             else:
-                self.db.reconcile_schemas(hello.get("schemas"))
                 self.db.apply_wal_batch(
-                    wire.decode_records(hello.get("records", [])),
+                    decode_records(hello.get("records", [])),
                     hello["leader_ts"],
                     hello["epoch"],
-                    schemas=hello.get("schemas"),
                 )
             client._call(
                 {
@@ -630,10 +550,9 @@ class ReplicationClient:
                     kind = event.get("event")
                     if kind == "wal_batch":
                         self.db.apply_wal_batch(
-                            wire.decode_records(event.get("records", [])),
+                            decode_records(event.get("records", [])),
                             event.get("leader_ts", 0),
                             event.get("epoch", self.db.epoch),
-                            schemas=event.get("schemas"),
                             trace=event.get("trace"),
                             commit_wall=event.get("commit_wall"),
                         )

@@ -127,7 +127,8 @@ def _encode_key_element(key: Any) -> Any:
     if key is None or isinstance(key, (bool, int, float, str)):
         return key
     # non-JSON key types degrade to their repr — a stable, hashable
-    # stand-in (the WAL's on-disk mirror makes the same tradeoff)
+    # stand-in, good enough to display a query result (committed state
+    # never passes through here: repro.storage.image refuses instead)
     return {"@": "repr", "type": type(key).__name__, "repr": repr(key)}
 
 

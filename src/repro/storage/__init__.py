@@ -1,5 +1,7 @@
 """The storage substrate: MVCC tables, WAL, indexes, statistics,
-checkpoints, and stored (transactional) relation functions."""
+checkpoints, the one written form of committed state
+(:mod:`repro.storage.image`), and stored (transactional) relation
+functions."""
 
 from repro.storage.engine import StorageEngine
 from repro.storage.index import HashIndex, IndexSet, SortedIndex

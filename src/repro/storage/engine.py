@@ -84,7 +84,7 @@ class StorageEngine:
             self.changelog = ChangeLog(start_ts=clock)
         return self.changelog
 
-    # -- DDL (not versioned; see DESIGN.md) ---------------------------------------
+    # -- DDL (logged, not versioned; DESIGN.md §4) --------------------------------
 
     def create_table(
         self,
@@ -141,6 +141,9 @@ class StorageEngine:
         # segment), which the offload mirror bakes into its row order
         self.bump_mirror_epoch(name)
         self._invalidate_partition_consumers(name)
+        # cached plans were lowered against the old segment layout
+        if self.plan_cache is not None:
+            self.plan_cache.clear()
         return table
 
     def _invalidate_partition_consumers(self, name: str) -> None:
@@ -174,9 +177,6 @@ class StorageEngine:
         self.zones.pop(name, None)
         self.bump_mirror_epoch(name)
 
-    def has_table(self, name: str) -> bool:
-        return name in self.tables
-
     def table(self, name: str) -> VersionedTable:
         try:
             return self.tables[name]
@@ -201,31 +201,81 @@ class StorageEngine:
         if table in self.indexes:
             self.indexes[table].drop(attr)
 
+    def apply_schema(self, name: str, schema: dict[str, Any] | None) -> None:
+        """Make table *name* match *schema*, a
+        :func:`~repro.storage.image.table_schema` dict; ``None`` drops it.
+
+        Recovery, replica apply and image install all learn DDL here. A
+        missing table is created; an existing one has its key name
+        aligned, is re-partitioned in place when the scheme differs
+        (history kept), and gains or loses indexes to match.
+        """
+        if schema is None:
+            if name in self.tables:
+                self.drop_table(name)
+            return
+        key_name = schema.get("key_name")
+        if isinstance(key_name, list):
+            key_name = tuple(key_name)
+        spec = schema.get("partition")
+        table = self.tables.get(name)
+        if table is None:
+            self.create_table(name, key_name=key_name, partition_by=spec)
+        else:
+            table.key_name = key_name
+            if spec is not None and (
+                not table.is_partitioned or table.scheme.spec() != spec
+            ):
+                self.partition_table(name, spec)
+        wanted = {i["attr"]: i["kind"] for i in schema.get("indexes", ())}
+        indexes = self.indexes[name]
+        for attr in indexes.attrs():
+            if indexes.get(attr).kind != wanted.get(attr):
+                indexes.drop(attr)
+        for attr, kind in wanted.items():
+            if indexes.get(attr) is None:
+                self.create_index(name, attr, kind)
+
     # -- commit application ----------------------------------------------------------
 
     def apply_commit(
-        self, commit_ts: int, writes: list[tuple[str, Any, Any]]
+        self,
+        commit_ts: int,
+        writes: list[tuple[str, Any, Any]],
+        schemas: dict[str, Any] | None = None,
     ) -> None:
-        """Durably apply one committed transaction's writes.
+        """Durably apply one commit: row *writes*, and the new catalog
+        entry of each table in *schemas*.
 
-        Order matters: WAL first (durability), then version chains, then
-        index/statistics maintenance and changelog publication.
+        Order matters: WAL first (durability), then schemas, then
+        version chains, then index/statistics maintenance and changelog
+        publication.
         """
-        self.wal.append(WALRecord(commit_ts, list(writes)))
-        self._apply_writes(commit_ts, writes)
+        self.wal.append(WALRecord(commit_ts, list(writes), schemas))
+        self._apply_writes(commit_ts, writes, schemas)
 
     def _apply_writes(
-        self, commit_ts: int, writes: list[tuple[str, Any, Any]]
+        self,
+        commit_ts: int,
+        writes: list[tuple[str, Any, Any]],
+        schemas: dict[str, Any] | None = None,
     ) -> None:
-        """Version-chain application plus per-table delta capture.
+        """Schema changes, then version-chain application plus
+        per-table delta capture.
 
         Only committed writes pass through here, so aborted transactions
         never publish a delta. With no changelog attached (no view ever
         created over this engine) capture is skipped entirely.
         """
+        for name, schema in (schemas or {}).items():
+            self.apply_schema(name, schema)
         changelog = self.changelog
         deltas: dict[str, Delta] = {}
         for table_name in {t for t, _k, _d in writes}:
+            if table_name not in self.tables:
+                # no schema record named it (a log from before schemas
+                # rode it, or an engine-level caller): create it bare
+                self.create_table(table_name)
             # one funnel for commits, recovery replay, and replica
             # apply: any of them staling the offload mirror bumps here
             self.bump_mirror_epoch(table_name)
@@ -290,23 +340,17 @@ class StorageEngine:
 
     @classmethod
     def recover(
-        cls,
-        wal: WriteAheadLog,
-        schemas: dict[str, str | tuple[str, ...] | None] | None = None,
-        name: str = "engine",
-        partition_schemes: dict[str, Any] | None = None,
+        cls, wal: WriteAheadLog, name: str = "engine"
     ) -> "StorageEngine":
         """Rebuild an engine by replaying a WAL in commit order.
 
-        *partition_schemes* maps table names to partition schemes (or
-        specs): replayed tables re-partition identically — placement is
-        a pure function of the stable hash / boundaries and the write
-        order, both of which the WAL preserves, so the recovered segment
-        layout is bit-identical to the original's.
+        Schema records restore key names, indexes and partition schemes
+        in the order they were committed, and placement is a pure
+        function of the scheme and the write order, both of which the
+        WAL preserves, so the recovered segment layout is bit-identical
+        to the original's.
         """
         engine = cls(name=name)
-        schemas = schemas or {}
-        partition_schemes = partition_schemes or {}
         records = wal.records_since(0)
         if records is None:
             raise WALError(
@@ -314,18 +358,10 @@ class StorageEngine:
                 "the checkpoint first, then the WAL suffix"
             )
         for record in records:
-            for table_name, key, data in record.writes:
-                if not engine.has_table(table_name):
-                    engine.create_table(
-                        table_name,
-                        key_name=schemas.get(table_name),
-                        partition_by=partition_schemes.get(table_name),
-                    )
-            engine._replay(record)
+            engine._apply_writes(
+                record.commit_ts, record.writes, record.schemas
+            )
         return engine
-
-    def _replay(self, record: WALRecord) -> None:
-        self._apply_writes(record.commit_ts, record.writes)
 
     # -- introspection ------------------------------------------------------------------
 

@@ -1,81 +1,29 @@
-"""Checkpointing: save/load a consistent snapshot of an engine to JSON.
+"""Checkpointing: an engine image (:mod:`repro.storage.image`) in a file.
 
-A checkpoint captures the latest committed state of every table (not the
-version history) plus index and key metadata. ``load`` rebuilds an engine
-whose clock resumes after the checkpoint stamp, so recovery is
-``load(checkpoint) + replay(WAL suffix)``.
-
-Values must be JSON-representable; nested FDM functions are rejected with a
-clear error rather than silently mangled (store them in dynamic views
-instead — they are code, not data).
+A checkpoint captures the committed state of every table at one stamp
+(not the version history) with each table's catalog entry. ``load``
+rebuilds an engine whose clock resumes at the checkpoint stamp, so
+recovery is ``load(checkpoint) + replay(WAL suffix)``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
 
-from repro._util import TOMBSTONE
 from repro.errors import PersistenceError
 from repro.storage.engine import StorageEngine
+from repro.storage.image import dumps, engine_image, install_image
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
-_LATEST = 2**62
-
-
-def _encode_key(key: Any) -> Any:
-    if isinstance(key, tuple):
-        return {"__tuple__": [_encode_key(k) for k in key]}
-    return key
-
-
-def _decode_key(key: Any) -> Any:
-    if isinstance(key, dict) and "__tuple__" in key:
-        return tuple(_decode_key(k) for k in key["__tuple__"])
-    return key
-
-
-def _check_row(table: str, key: Any, data: Any) -> Any:
-    if not isinstance(data, dict):
-        raise PersistenceError(
-            f"{table!r}[{key!r}] holds a non-tuple value {data!r}; "
-            "checkpoints cover stored tuples only"
-        )
-    try:
-        json.dumps(data)
-    except (TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"{table!r}[{key!r}] contains non-JSON values: {exc}"
-        ) from exc
-    return data
-
 
 def save_checkpoint(engine: StorageEngine, path: str, clock: int) -> None:
-    """Write the latest committed state of *engine* to *path*."""
-    payload: dict[str, Any] = {"clock": clock, "tables": {}}
-    for name, table in engine.tables.items():
-        key_name = table.key_name
-        rows = [
-            {"key": _encode_key(key), "data": _check_row(name, key, data)}
-            for key, data in table.scan_at(_LATEST)
-        ]
-        payload["tables"][name] = {
-            "key_name": list(key_name)
-            if isinstance(key_name, tuple)
-            else key_name,
-            "composite": isinstance(key_name, tuple),
-            "rows": rows,
-            "indexes": [
-                {"attr": attr, "kind": engine.indexes[name].get(attr).kind}
-                for attr in engine.indexes[name].attrs()
-            ],
-            # partition schemes round-trip so a restored database keeps
-            # its physical layout (DESIGN.md §10)
-            "partition": table.scheme.spec() if table.is_partitioned else None,
-        }
+    """Write the state of *engine* committed at or before *clock* to
+    *path*; a value JSON cannot hold raises :class:`PersistenceError`
+    before the file is touched."""
+    text = dumps(engine_image(engine, clock))
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+        f.write(text)
 
 
 def load_checkpoint(
@@ -83,40 +31,16 @@ def load_checkpoint(
 ) -> tuple[StorageEngine, int]:
     """Rebuild an engine from a checkpoint; returns (engine, clock).
 
-    All rows re-enter under one synthetic commit stamp (the checkpoint
-    clock), which preserves snapshot semantics for everything committed
-    after the checkpoint.
+    All rows re-enter under one commit stamp (the checkpoint clock),
+    which preserves snapshot semantics for everything committed after
+    the checkpoint.
     """
     try:
         with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
+            image = json.load(f)
     except (OSError, ValueError) as exc:
         raise PersistenceError(
             f"cannot load checkpoint {path!r}: {exc}"
         ) from exc
-    engine = StorageEngine(name=name)
-    clock = max(int(payload.get("clock", 0)), 1)
-    for table_name, spec in payload.get("tables", {}).items():
-        key_name = spec.get("key_name")
-        if spec.get("composite") and isinstance(key_name, list):
-            key_name = tuple(key_name)
-        table = engine.create_table(
-            table_name,
-            key_name=key_name,
-            partition_by=spec.get("partition"),
-        )
-        for row in spec.get("rows", ()):
-            key = _decode_key(row["key"])
-            data = row["data"]
-            table.apply(key, data, clock)
-            if table.is_partitioned:
-                engine.stats[table_name].on_write(
-                    TOMBSTONE, data, new_pid=table.placement_of(key)
-                )
-            else:
-                engine.stats[table_name].on_write(TOMBSTONE, data)
-        for index_spec in spec.get("indexes", ()):
-            engine.create_index(
-                table_name, index_spec["attr"], index_spec["kind"]
-            )
-    return engine, clock
+    engine = install_image(image, name=name)
+    return engine, image["ts"]

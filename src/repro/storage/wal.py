@@ -1,83 +1,28 @@
 """Write-ahead log: durability for committed transactions.
 
-Every commit appends one record — ``(commit_ts, [(table, key, data), ...])``
-with ``data=None`` encoding a delete — *before* the versions are applied to
-the tables. Recovery replays records in commit order onto a fresh engine,
-reproducing exactly the committed state (aborted transactions never reach
-the log).
+Every commit appends one record (:class:`~repro.storage.image.WALRecord`:
+row writes, plus the new catalog entry of any table whose schema the
+commit changed) *before* the versions are applied to the tables.
+Recovery replays records in commit order onto a fresh engine,
+reproducing exactly the committed state (aborted transactions never
+reach the log).
 
-The log lives in memory and optionally mirrors to a JSON-lines file; both
-paths share the same record format so tests can exercise recovery without
-touching disk.
+The log lives in memory and optionally mirrors to a JSON-lines file, one
+:func:`~repro.storage.image.encode_record` dict per line. A memory-only
+log keeps the records as they are and never encodes them.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_right
-from typing import Any, Iterator
+from typing import Iterator
 
-from repro._util import TOMBSTONE, decode_tuple_key, encode_tuple_key
 from repro.errors import WALError
 from repro.obs.resources import active_meter
+from repro.storage.image import WALRecord
 
 __all__ = ["WALRecord", "WriteAheadLog"]
-
-
-class WALRecord:
-    """One committed transaction's effects."""
-
-    __slots__ = ("commit_ts", "writes")
-
-    def __init__(self, commit_ts: int, writes: list[tuple[str, Any, Any]]):
-        self.commit_ts = commit_ts
-        self.writes = writes  # (table, key, data-or-TOMBSTONE)
-
-    def to_json(self) -> str:
-        payload = {
-            "ts": self.commit_ts,
-            "writes": [
-                {
-                    "table": table,
-                    "key": _encode_key(key),
-                    "data": None if data is TOMBSTONE else data,
-                    "deleted": data is TOMBSTONE,
-                }
-                for table, key, data in self.writes
-            ],
-        }
-        return json.dumps(payload, default=_encode_opaque)
-
-    @classmethod
-    def from_json(cls, line: str) -> "WALRecord":
-        try:
-            payload = json.loads(line)
-            writes = [
-                (
-                    w["table"],
-                    _decode_key(w["key"]),
-                    TOMBSTONE if w["deleted"] else w["data"],
-                )
-                for w in payload["writes"]
-            ]
-            return cls(payload["ts"], writes)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WALError(f"corrupt WAL record: {exc}") from exc
-
-    def __repr__(self) -> str:
-        return f"<WAL @{self.commit_ts}: {len(self.writes)} writes>"
-
-
-# the tuple-key envelope is shared with the wire protocol (repro._util)
-_encode_key = encode_tuple_key
-_decode_key = decode_tuple_key
-
-
-def _encode_opaque(value: Any) -> Any:
-    # Nested FDM functions and other non-JSON values degrade to reprs in
-    # the on-disk mirror; the in-memory log keeps the real objects.
-    return {"__repr__": repr(value)}
 
 
 class WriteAheadLog:
@@ -93,6 +38,8 @@ class WriteAheadLog:
         #: from a checkpoint into a fresh log). Consumers asking for
         #: records below the floor must resync from a snapshot.
         self._floor = 0
+        #: Bytes of a torn final line that :meth:`load` dropped.
+        self.torn_bytes = 0
         if path is not None:
             self._file = open(path, "a", encoding="utf-8")
 
@@ -114,19 +61,30 @@ class WriteAheadLog:
         (a checkpoint); :meth:`records_since` refuses requests below it."""
         self._floor = max(self._floor, commit_ts)
 
-    def append(self, record: WALRecord) -> None:
+    def check_open(self) -> None:
+        """Raise :class:`WALError` if appends are refused."""
         if self._closed:
             raise WALError(
                 f"write-ahead log {self._path!r} is closed; reopen the "
                 "database before committing"
             )
-        self._records.append(record)
+
+    def append(self, record: WALRecord) -> None:
+        """Make *record* durable, then retain it.
+
+        Encoding comes first: a record that cannot be written down
+        raises :class:`~repro.errors.PersistenceError` before the file
+        or the retained list changes, so a refused commit leaves no
+        phantom behind to replay or ship.
+        """
+        self.check_open()
         line: str | None = None
         if self._file is not None:
             line = record.to_json() + "\n"
             self._file.write(line)
             self._file.flush()
             os.fsync(self._file.fileno())
+        self._records.append(record)
         # meter the DML path's durability cost. Accounting only — this
         # runs mid-commit, after the conflict checks, so it must never
         # raise (budget enforcement happens *before* apply, in
@@ -211,14 +169,39 @@ class WriteAheadLog:
 
     @classmethod
     def load(cls, path: str) -> "WriteAheadLog":
-        """Read a log back from disk (for recovery)."""
+        """Read a log back from disk (for recovery).
+
+        A crash mid-append leaves a torn final line: a prefix of a
+        record, so it has no newline. It was never acknowledged and is
+        dropped: the file is cut back to the end of the last good
+        record (the next append starts on a line boundary) and
+        :attr:`torn_bytes` says how much went. An undecodable *whole*
+        line — newline-terminated, so possibly acknowledged, and the
+        only kind a good record can follow — is corruption, not a torn
+        tail, and raises :class:`WALError`.
+        """
         log = cls()
         log._path = path
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    log._records.append(WALRecord.from_json(line))
+        end = 0  # offset just past the last good record
+        raw = b"\n"
+        with open(path, "rb") as f:
+            for raw in f:
+                if raw.strip():
+                    try:
+                        log._records.append(WALRecord.from_json(raw))
+                    except WALError:
+                        if raw.endswith(b"\n"):
+                            raise
+                        log.torn_bytes = len(raw)
+                        break
+                end += len(raw)
+        if log.torn_bytes:
+            with open(path, "r+b") as f:
+                f.truncate(end)
+        elif not raw.endswith(b"\n"):
+            # a whole record that lost only its newline
+            with open(path, "ab") as f:
+                f.write(b"\n")
         return log
 
     def truncate(self) -> None:

@@ -33,15 +33,18 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro._util import TOMBSTONE
 from repro.errors import (
     FencedLeaderError,
+    PersistenceError,
     TransactionConflictError,
     TransactionStateError,
+    WALError,
 )
 from repro.storage.engine import StorageEngine
+from repro.storage.image import WALRecord, table_schema
 
 __all__ = ["Transaction", "TransactionManager"]
 
@@ -196,30 +199,37 @@ class TransactionManager:
             self.fenced = True
             self.fence_token = token
 
+    def _refuse_writes_if_fenced(self, what: str) -> None:
+        """The fence gate; call under the commit lock. fence() must win
+        against any commit it did not observe completing — a write
+        slipping through after fence() returned would fork the
+        timeline."""
+        if self.fenced:
+            raise FencedLeaderError(
+                f"{what} rejected: this database was fenced by failover "
+                f"token {self.fence_token!r} and no longer accepts writes"
+            )
+
     def commit(self, txn: Transaction) -> int:
         """Validate and durably apply *txn*; returns its commit stamp
         (the unchanged clock for a read-only transaction)."""
         txn._check_active("commit")
         with self._lock:
-            # checked under the lock: fence() must win against any
-            # commit it did not observe completing — a write slipping
-            # through after fence() returned would fork the timeline
-            if self.fenced and txn.writes:
+            try:
+                if txn.writes:
+                    self._refuse_writes_if_fenced(
+                        f"transaction {txn.txn_id}"
+                    )
+                for (table_name, key) in txn.writes:
+                    table = self.engine.table(table_name)
+                    if table.latest_ts(key) > txn.start_ts:
+                        raise TransactionConflictError(
+                            txn.txn_id, key=key, table=table_name
+                        )
+            except (FencedLeaderError, TransactionConflictError):
                 self._finish(txn, ABORTED)
                 self.aborts += 1
-                raise FencedLeaderError(
-                    f"transaction {txn.txn_id} rejected: this database "
-                    f"was fenced by failover token {self.fence_token!r} "
-                    "and no longer accepts writes"
-                )
-            for (table_name, key) in txn.writes:
-                table = self.engine.table(table_name)
-                if table.latest_ts(key) > txn.start_ts:
-                    self._finish(txn, ABORTED)
-                    self.aborts += 1
-                    raise TransactionConflictError(
-                        txn.txn_id, key=key, table=table_name
-                    )
+                raise
             if txn.writes:
                 # pre-apply budget checkpoint: a metered DML statement
                 # whose deadline expired aborts cleanly *here* — once
@@ -241,31 +251,63 @@ class TransactionManager:
                 # lock, and must never adopt a snapshot whose commit is
                 # still mid-application (a torn read).
                 commit_at = self._clock + 1
-                self.engine.apply_commit(
-                    commit_at,
-                    [(t, k, data) for (t, k), data in txn.writes.items()],
-                )
+                try:
+                    self.engine.apply_commit(
+                        commit_at,
+                        [(t, k, data) for (t, k), data in txn.writes.items()],
+                    )
+                except (PersistenceError, WALError):
+                    # the log refused the record before the file, the
+                    # retained records or a version chain changed
+                    self._finish(txn, ABORTED)
+                    self.aborts += 1
+                    raise
                 self._clock = commit_at
             self._finish(txn, COMMITTED)
             self.commits += 1
             commit_ts = self._clock
         if txn.writes:
-            from repro.obs.trace import span
-
-            # outside the lock (eager view upkeep must not serialize
-            # other committers) and after _finish (views must read the
-            # post-commit state, not the gone transaction buffer)
-            with span("commit.hooks", commit_ts=commit_ts):
-                registry = getattr(self.engine, "view_registry", None)
-                if registry is not None:
-                    registry.notify_commit(commit_ts)
-                # WAL shipping rides the same post-commit hook: the hub
-                # reads the new suffix via records_since and pushes it to
-                # every attached follower (DESIGN.md §12)
-                hub = getattr(self.engine, "replication_hub", None)
-                if hub is not None:
-                    hub.on_commit(commit_ts)
+            self._after_commit(commit_ts)
         return commit_ts
+
+    def commit_schema(self, name: str, change: Callable[[], Any]) -> None:
+        """Run the catalog *change* to table *name* and log it as a
+        commit with no row writes.
+
+        A schema change takes the next stamp like any commit, under the
+        commit lock and behind the fence gate, so recovery and followers
+        replay DDL and DML in the one order they happened in. The record
+        carries the table's whole new catalog entry (``None`` once it is
+        dropped). The catalog stays *logged, not versioned*: no read
+        consults the stamp (DESIGN.md §4).
+        """
+        with self._lock:
+            self._refuse_writes_if_fenced(f"schema change to {name!r}")
+            self.engine.wal.check_open()
+            change()
+            commit_at = self._clock + 1
+            self.engine.wal.append(
+                WALRecord(commit_at, [], {name: table_schema(self.engine, name)})
+            )
+            self._clock = commit_at
+        self._after_commit(commit_at)
+
+    def _after_commit(self, commit_ts: int) -> None:
+        """Post-commit hooks: outside the lock (eager view upkeep must
+        not serialize other committers) and after _finish (views must
+        read the post-commit state, not the gone transaction buffer)."""
+        from repro.obs.trace import span
+
+        with span("commit.hooks", commit_ts=commit_ts):
+            registry = getattr(self.engine, "view_registry", None)
+            if registry is not None:
+                registry.notify_commit(commit_ts)
+            # WAL shipping rides the same post-commit hook: the hub
+            # reads the new suffix via records_since and pushes it to
+            # every attached follower (DESIGN.md §12)
+            hub = getattr(self.engine, "replication_hub", None)
+            if hub is not None:
+                hub.on_commit(commit_ts)
 
     def abort(self, txn: Transaction) -> None:
         txn._check_active("rollback")

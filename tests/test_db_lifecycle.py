@@ -9,7 +9,8 @@ import os
 import pytest
 
 import repro
-from repro.errors import WALError
+from repro.errors import PersistenceError, WALError
+from repro.storage.image import table_schema
 
 
 @pytest.fixture
@@ -143,3 +144,159 @@ class TestStats:
         rows = layout["rows"]
         counts = rows.values() if isinstance(rows, dict) else rows
         assert sum(counts) == 12
+
+
+# ---------------------------------------------------------------------------
+# the log is enough: schema changes ride it (DESIGN.md §4)
+# ---------------------------------------------------------------------------
+
+
+def _catalog(db):
+    """Everything a reopen must reproduce: per table its catalog entry,
+    partition layout and rows."""
+    return {
+        name: (
+            table_schema(db.engine, name),
+            db.partition_layout(name),
+            dict(db.engine.table(name).scan_at(2**62)),
+        )
+        for name in db.engine.table_names()
+    }
+
+
+def _build_history(db):
+    db.create_table(
+        "t",
+        {k: {"state": "NY" if k % 2 else "CA", "v": k} for k in range(1, 9)},
+        key_name="id",
+        partition_by=repro.hash_partition("state", n=4),
+    )
+    db.create_index("t", "state")
+    db.create_index("t", "v", kind="sorted")
+    db["gone"] = {1: {"a": 1}}
+    db.t[9] = {"state": "TX", "v": 9}
+    db["u"] = {(1, "x"): {"w": 1}, (2, "y"): {"w": 2}}
+    db.partition_table("u", 2)
+    del db["gone"]
+    db.drop_index("t", "v")
+    del db.t[2]
+    db.t[1]["state"] = "WA"  # moves partitions
+
+
+class TestSchemaRidesTheLog:
+    def test_reopen_reproduces_catalog_and_rows(self, wal_path):
+        db = repro.connect(name="lc", wal_path=wal_path, default=False)
+        _build_history(db)
+        before, clock = _catalog(db), db.manager.now()
+        db.close()
+        db2 = repro.connect(name="lc", wal_path=wal_path, default=False)
+        assert _catalog(db2) == before
+        assert sorted(db2.keys()) == ["t", "u"]  # the drop stayed dropped
+        assert db2.engine.table("t").key_name == "id"
+        assert db2.engine.indexes["t"].attrs() == ["state"]
+        assert db2.manager.now() == clock
+        db2.t[10] = {"state": "NY", "v": 10}  # and it keeps working
+        db2.close()
+
+    def test_checkpoint_restore_reproduces_catalog_and_rows(self, tmp_path):
+        db = repro.connect(name="ck", default=False)
+        _build_history(db)
+        path = str(tmp_path / "ck.json")
+        db.checkpoint(path)
+        restored = repro.FunctionalDatabase.restore(path, name="ck")
+        assert _catalog(restored) == _catalog(db)
+        assert restored.manager.now() == db.manager.now()
+        assert restored.engine.wal.floor == db.manager.now()
+
+    def test_a_schema_change_takes_a_stamp(self):
+        db = repro.connect(name="stamp", default=False)
+        db["t"] = {1: {"v": 1}}
+        clock = db.manager.now()
+        db.create_index("t", "v")
+        assert db.manager.now() == clock + 1
+        record = list(db.engine.wal.records())[-1]
+        assert record.writes == [] and list(record.schemas) == ["t"]
+
+    def test_fenced_database_refuses_ddl_before_changing_anything(self):
+        db = repro.connect(name="fenced", default=False)
+        db["t"] = {1: {"v": 1}}
+        db.fence(2)
+        with pytest.raises(repro.errors.FencedLeaderError):
+            del db["t"]
+        with pytest.raises(repro.errors.FencedLeaderError):
+            db.create_index("t", "v")
+        assert db.t(1)("v") == 1
+        assert db.engine.indexes["t"].attrs() == []
+
+
+class TestUnencodableCommitIsRefused:
+    """A row JSON cannot hold used to leave a phantom log record and a
+    zombie transaction behind the TypeError."""
+
+    def test_refused_before_log_file_or_chains_change(self, wal_path):
+        db = repro.connect(name="bad", wal_path=wal_path, default=False)
+        db["t"] = {1: {"v": 1}}
+        records, size = len(db.engine.wal), os.path.getsize(wal_path)
+        clock = db.manager.now()
+        with pytest.raises(PersistenceError):
+            db.t.insert(2, {"v": {(1, 2): "x"}})  # tuple dict key
+        assert len(db.engine.wal) == records
+        assert os.path.getsize(wal_path) == size
+        assert db.manager.now() == clock
+        assert not db.t.defined_at(2)
+        assert db.manager.current() is None  # no zombie transaction
+        db.t.insert(3, {"v": 3})  # the next statement commits normally
+        assert db.manager.now() == clock + 1
+        db.close()
+        reopened = repro.connect(name="bad", wal_path=wal_path, default=False)
+        assert sorted(reopened.t.keys()) == [1, 3]
+        reopened.close()
+
+    def test_explicit_transaction_ends_aborted(self, wal_path):
+        db = repro.connect(name="bad", wal_path=wal_path, default=False)
+        db["t"] = {1: {"v": 1}}
+        txn = db.begin()
+        db.t[2] = {"v": {1, 2}}  # a set
+        with pytest.raises(PersistenceError):
+            db.commit()
+        assert txn.state == "aborted" and db.manager.current() is None
+        db.close()
+
+    def test_memory_only_database_still_takes_live_values(self):
+        db = repro.connect(name="mem", default=False)
+        db["t"] = {1: {"v": {1, 2}}}
+        assert db.t(1)("v") == {1, 2}
+        with pytest.raises(PersistenceError):
+            db.checkpoint(os.devnull)  # but it cannot be written down
+
+
+class TestTornTail:
+    def test_torn_final_line_is_dropped_and_the_database_opens(self, wal_path):
+        with repro.connect(name="torn", wal_path=wal_path,
+                           default=False) as db:
+            db["t"] = {1: {"v": 1}}
+        good = os.path.getsize(wal_path)
+        with open(wal_path, "ab") as f:
+            f.write(b'{"ts": 3, "writes": [{"table": "t", "ke')
+        db2 = repro.connect(name="torn", wal_path=wal_path, default=False)
+        assert os.path.getsize(wal_path) == good
+        (event,) = db2.lifecycle_events("wal_torn_tail")
+        assert event.data["bytes"] == 39
+        assert db2.t(1)("v") == 1
+        db2.t[2] = {"v": 2}  # starts on a line boundary
+        db2.close()
+        db3 = repro.connect(name="torn", wal_path=wal_path, default=False)
+        assert sorted(db3.t.keys()) == [1, 2]
+        assert db3.lifecycle_events("wal_torn_tail") == []
+        db3.close()
+
+    def test_bad_line_followed_by_a_good_one_is_corruption(self, wal_path):
+        with repro.connect(name="torn", wal_path=wal_path,
+                           default=False) as db:
+            db["t"] = {1: {"v": 1}}
+        with open(wal_path, "rb") as f:
+            lines = f.readlines()
+        with open(wal_path, "wb") as f:
+            f.writelines([lines[0], b'{"ts": 2, "wri\n', lines[1]])
+        with pytest.raises(WALError):
+            repro.connect(name="torn", wal_path=wal_path, default=False)

@@ -24,6 +24,7 @@ from repro.partition import (
 from repro.partition.scheme import as_scheme
 from repro.predicates.parser import parse_predicate
 from repro.storage.engine import StorageEngine
+from repro.storage.image import table_schema
 from repro.storage.stats import PartitionedTableStatistics
 from repro.storage.wal import WriteAheadLog
 
@@ -287,17 +288,15 @@ class TestRecovery:
         engine = StorageEngine(name="orig", wal_path=path)
         scheme = hash_partition("state", 4)
         engine.create_table("t", key_name="k", partition_by=scheme)
+        # the layout comes back from the log alone: the schema rides
+        # the first record
         engine.apply_commit(1, [
             ("t", i, {"state": s, "v": i})
             for i, s in enumerate(["NY", "CA", "TX", "NY", "WA"])
-        ])
+        ], schemas={"t": table_schema(engine, "t")})
         engine.apply_commit(2, [("t", 0, {"state": "TX", "v": 99})])  # move
         engine.apply_commit(3, [("t", 1, TOMBSTONE)])  # delete
-        recovered = StorageEngine.recover(
-            WriteAheadLog.load(path),
-            schemas={"t": "k"},
-            partition_schemes={"t": scheme.spec()},
-        )
+        recovered = StorageEngine.recover(WriteAheadLog.load(path))
         original, replayed = engine.table("t"), recovered.table("t")
         assert isinstance(replayed, PartitionedTable)
         assert replayed.layout() == original.layout()

@@ -8,6 +8,7 @@ promote."""
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -27,7 +28,9 @@ from repro.errors import (
 )
 from repro.partition import hash_partition
 from repro.storage.engine import StorageEngine
+from repro.storage.persist import load_checkpoint
 from repro.storage.wal import WALRecord, WriteAheadLog
+from zoo import hostile_rows
 
 STATES = ["NY", "CA", "TX", "WA"]
 
@@ -195,7 +198,7 @@ class TestWireCodec:
         assert decoded.writes[1] == ("t", (1, "x"), TOMBSTONE)
 
     def test_corrupt_record_raises_typed_error(self):
-        with pytest.raises(ReplicationError):
+        with pytest.raises(WALError):
             repl.decode_record({"ts": 1})
 
     def test_table_schema_carries_partition_and_indexes(self):
@@ -274,7 +277,7 @@ class TestReplicaStream:
             leader.partition_layout("customers")
         )
 
-    def test_new_table_created_from_schema_sidecar(self, leader, replica):
+    def test_new_table_created_from_its_schema_record(self, leader, replica):
         leader.create_table(
             "orders",
             rows={(1, 1): {"qty": 2}},
@@ -285,6 +288,28 @@ class TestReplicaStream:
         assert replica.orders((1, 1))("qty") == 2
         assert replica.engine.table("orders").key_name == ("cid", "oid")
         assert replica.partition_layout("orders")["scheme"]["n"] == 2
+
+    def test_ddl_reaches_an_attached_follower_as_records(self, leader, replica):
+        """create_index / partition_table / drop are commits like any
+        other: the follower learns them in order, on the stream it is
+        already attached to."""
+        hub = leader.engine.replication_hub
+        session = hub.stats()["replicas"][0]["session"]
+        leader.create_index("customers", "age", kind="sorted")
+        leader.partition_table("regions", 2)
+        leader["scratch"] = {1: {"v": 1}}
+        del leader["scratch"]
+        _caught_up(leader, replica)
+        assert replica.engine.indexes["customers"].get("age").kind == "sorted"
+        assert replica.partition_layout("regions") == (
+            leader.partition_layout("regions")
+        )
+        assert "scratch" not in replica.keys()
+        assert replica.applied_ts() == leader.manager.now()
+        assert [r["session"] for r in hub.stats()["replicas"]] == [session]
+        assert hub.snapshots_sent == 0
+        with pytest.raises(ReadOnlyReplicaError):
+            replica.create_index("customers", "state")  # DDL is a write
 
     def test_rollback_ships_nothing(self, leader, replica):
         before = len(replica.engine.wal)
@@ -398,7 +423,7 @@ class TestReplicaStream:
 
     def test_snapshot_initial_sync_after_wal_truncation(self, leader, server):
         """A follower asking for history below the WAL floor gets the
-        checkpoint-shaped full snapshot, then streams normally."""
+        full engine image, then streams normally."""
         leader.engine.wal.truncate()
         follower = repl.start_replica(
             port=server.port, name="repl-snap", poll_interval=0.05
@@ -449,9 +474,8 @@ class TestRestartCatchup:
             assert leader.engine.replication_hub.snapshots_sent == 0
             assert second.customers(7)("age") == 70
             assert _canon(leader.customers) == _canon(second.customers)
-            # DDL survives the restart: the local WAL carries data
-            # only, so key names and partition layout come back from
-            # the HELLO schema sidecars
+            # DDL survives the restart: schema changes rode the
+            # stream into the follower's own WAL copy
             assert second.engine.table("customers").key_name == "cid"
             assert second.partition_layout("customers") == (
                 leader.partition_layout("customers")
@@ -659,3 +683,188 @@ class TestFailover:
                 client.set_attr("customers", 1, "age", 123)
                 assert replica.customers(1)("age") == 123
                 assert leader.customers(1)("age") != 123
+
+
+# ---------------------------------------------------------------------------
+# one written form: four carriers, one history (DESIGN.md §4)
+# ---------------------------------------------------------------------------
+
+
+class _Feed:
+    """Attach *replica* to *leader*'s hub with no socket in between:
+    every frame is JSON round-tripped as the wire would, kept in
+    ``frames`` for inspection, and applied by :meth:`pump`."""
+
+    def __init__(self, leader, replica, session_id=1):
+        self.replica, self.frames, self._pending = replica, [], []
+        self.hub = repl.hub_for(leader)
+        self.hello = self._wire(
+            self.hub.hello(
+                session_id, replica.applied_ts(), replica.epoch,
+                lambda frame: self._pending.append(self._wire(frame)),
+            )
+        )
+        if self.hello["mode"] == "snapshot":
+            replica.apply_snapshot(self.hello["snapshot"])
+        else:
+            self._apply(self.hello)
+        self.pump()
+
+    def _wire(self, frame):
+        frame = json.loads(json.dumps(frame, separators=(",", ":")))
+        self.frames.append(frame)
+        return frame
+
+    def _apply(self, frame):
+        self.replica.apply_wal_batch(
+            repl.decode_records(frame["records"]),
+            frame["leader_ts"], frame["epoch"],
+        )
+
+    def pump(self):
+        while self._pending:
+            self._apply(self._pending.pop(0))
+
+
+def _history(db):
+    """DDL and DML interleaved over the zoo's hostile rows (NaN, None,
+    bools, > 2**53 ints, mixed columns) and tuple keys."""
+    db.create_table(
+        "customers", rows=hostile_rows(), key_name="cid",
+        partition_by=hash_partition("state", 4),
+    )
+    db.create_index("customers", "age", kind="sorted")
+    db.create_table(
+        "pairs",
+        rows={(i, f"k{i}"): {"n": i, "nested": {"a": [i, None]}}
+              for i in range(6)},
+        key_name=("i", "k"),
+    )
+    db["doomed"] = {1: {"v": 1}}
+    with db.transaction():
+        db.customers[3]["state"] = "WA"  # moves partitions
+        del db.customers[5]
+        db.pairs[(9, "k9")] = {"n": 9}
+    db.partition_table("pairs", 2)
+    db.create_index("customers", "state")
+    db.drop_index("customers", "age")
+    del db["doomed"]
+    db.customers[200] = {"name": "late", "age": 1, "state": "NY"}
+
+
+def _written_down(engine):
+    """Tables, catalog entries and rows of one engine. Rows compare
+    as JSON text: NaN equals itself there and 1 differs from 1.0."""
+    return {
+        name: (
+            repl.table_schema(engine, name),
+            {
+                key: json.dumps(row, sort_keys=True)
+                for key, row in engine.table(name).scan_at(2**62)
+            },
+        )
+        for name in engine.table_names()
+    }
+
+
+def _via_wal_file(leader, tmp_path):
+    return StorageEngine.recover(WriteAheadLog.load(leader.engine.wal.path))
+
+
+def _via_wal_batch(leader, tmp_path):
+    path = os.fspath(tmp_path / "replica.wal")
+    replica = repl.ReplicaDatabase(wal_path=path)
+    feed = _Feed(leader, replica)
+    assert feed.hello["mode"] == "stream"
+    replica.close()
+    # the follower's log is the leader's, byte for byte
+    with open(path, "rb") as mine, open(leader.engine.wal.path, "rb") as theirs:
+        assert mine.read() == theirs.read()
+    return replica.engine
+
+
+def _via_checkpoint(leader, tmp_path):
+    path = os.fspath(tmp_path / "ckpt.json")
+    leader.checkpoint(path)
+    return load_checkpoint(path)[0]
+
+
+def _via_snapshot(leader, tmp_path):
+    leader.engine.wal.truncate()  # history gone: HELLO must snapshot
+    replica = repl.ReplicaDatabase()
+    assert _Feed(leader, replica).hello["mode"] == "snapshot"
+    # and the seed record it kept replays to the same engine
+    assert _written_down(StorageEngine.recover(replica.engine.wal)) == (
+        _written_down(replica.engine)
+    )
+    return replica.engine
+
+
+class TestOneWrittenForm:
+    @pytest.mark.parametrize(
+        "carrier",
+        [_via_wal_file, _via_wal_batch, _via_checkpoint, _via_snapshot],
+    )
+    def test_every_carrier_rebuilds_the_same_engine(self, carrier, tmp_path):
+        leader = fql.connect(
+            "form-leader", wal_path=os.fspath(tmp_path / "leader.wal"),
+            default=False,
+        )
+        _history(leader)
+        expected = _written_down(leader.engine)
+        rebuilt = carrier(leader, tmp_path)
+        assert _written_down(rebuilt) == expected
+        for name in expected:
+            original, copy = leader.engine.table(name), rebuilt.table(name)
+            assert copy.is_partitioned == original.is_partitioned
+            if original.is_partitioned:
+                assert copy.partition_counts(2**62) == (
+                    original.partition_counts(2**62)
+                )
+        leader.close()
+
+    def test_frames_carry_records_and_nothing_else(self, tmp_path):
+        """A durable follower stopped and restarted from its own WAL
+        comes back with key names, layout and indexes — and no frame
+        ever carried a schema outside a record."""
+        leader = fql.connect("form-leader", default=False)
+        _history(leader)
+        path = os.fspath(tmp_path / "replica.wal")
+        first = repl.ReplicaDatabase(wal_path=path)
+        feed = _Feed(leader, first)
+        first.close()
+        leader.create_index("pairs", "n")  # while the follower is down
+        leader.customers[201] = {"name": "later", "age": 2, "state": "CA"}
+        second = repl.ReplicaDatabase(wal_path=path)
+        restarted = _written_down(second.engine)  # from its own log alone
+        assert restarted["customers"][0]["key_name"] == "cid"
+        assert restarted["pairs"][0]["partition"]["n"] == 2
+        feed2 = _Feed(leader, second, session_id=2)
+        assert _written_down(second.engine) == _written_down(leader.engine)
+        assert feed.hub.snapshots_sent == 0
+        for frame in feed.frames + feed2.frames:
+            assert "schemas" not in frame and "snapshot" not in frame
+            stamps = {record["ts"] for record in frame["records"]}
+            on_disk = ", ".join(
+                r.to_json()
+                for r in leader.engine.wal.records()
+                if r.commit_ts in stamps
+            )
+            assert json.dumps(frame["records"]) == f"[{on_disk}]"
+        second.close()
+
+    def test_unshippable_record_detaches_the_peer(self):
+        """A memory-only leader accepts a live value; it can never be
+        shipped as a repr pretending to be the row."""
+        leader = fql.connect("form-live", default=False)
+        leader["t"] = {1: {"v": 1}}
+        replica = repl.ReplicaDatabase()
+        feed = _Feed(leader, replica)
+        leader.t[2] = {"v": {1, 2}}  # commits: nothing encodes it here
+        feed.pump()
+        assert len(feed.hub) == 0  # detached
+        (event,) = leader.lifecycle_events("replication_error")
+        assert "ReplicationError" in event.data["error"]
+        assert not replica.t.defined_at(2)
+        with pytest.raises(ReplicationError):
+            _Feed(leader, repl.ReplicaDatabase(), session_id=2)

@@ -4,7 +4,12 @@ checkpoints."""
 import pytest
 
 from repro._util import TOMBSTONE
-from repro.errors import StorageError, UnknownRelationError, WALError
+from repro.errors import (
+    PersistenceError,
+    StorageError,
+    UnknownRelationError,
+    WALError,
+)
 from repro.storage import (
     HashIndex,
     SortedIndex,
@@ -15,6 +20,7 @@ from repro.storage import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.storage.image import table_schema
 
 
 class TestVersionedTable:
@@ -96,6 +102,69 @@ class TestWAL:
         loaded = WriteAheadLog.load(path)
         assert len(loaded) == 2
         assert loaded.last_commit_ts() == 2
+
+    def test_append_encodes_before_it_touches_anything(self, tmp_path):
+        path = str(tmp_path / "test.wal")
+        log = WriteAheadLog(path)
+        log.append(WALRecord(1, [("t", 1, {"x": 1})]))
+        for bad in ({"x": {1, 2}}, {"x": {(1, 2): 3}}, "not a tuple"):
+            with pytest.raises(PersistenceError):
+                log.append(WALRecord(2, [("t", 2, bad)]))
+        assert len(log) == 1 and log.last_commit_ts() == 1
+        log.close()
+        assert len(WriteAheadLog.load(path)) == 1
+        # a memory-only log never encodes, so it keeps live values
+        memory = WriteAheadLog()
+        memory.append(WALRecord(1, [("t", 1, {"x": {1, 2}})]))
+        assert len(memory) == 1
+
+    def test_load_drops_a_torn_tail_and_cuts_the_file_back(self, tmp_path):
+        path = tmp_path / "test.wal"
+        log = WriteAheadLog(str(path))
+        log.append(WALRecord(1, [("t", 1, {"x": 1})]))
+        log.append(WALRecord(2, [("t", 2, {"x": 2})]))
+        log.close()
+        good = path.read_bytes()
+        path.write_bytes(good + b'{"ts": 3, "writes": [{"tab')
+        loaded = WriteAheadLog.load(str(path))
+        assert [r.commit_ts for r in loaded.records()] == [1, 2]
+        assert loaded.torn_bytes == 26
+        assert path.read_bytes() == good
+        # a whole record that lost only its newline is kept, and the
+        # next append still starts on a line boundary
+        path.write_bytes(good[:-1])
+        loaded = WriteAheadLog.load(str(path))
+        assert len(loaded) == 2 and loaded.torn_bytes == 0
+        assert path.read_bytes() == good
+        # an undecodable *whole* line is corruption, wherever it sits:
+        # it may have been acknowledged, and only it can precede a record
+        first, second = good.splitlines(keepends=True)
+        for corrupt in (first + b'{"ts": 9, "wr\n' + second,
+                        good + b'{"ts": 9, "wr\n'):
+            path.write_bytes(corrupt)
+            with pytest.raises(WALError):
+                WriteAheadLog.load(str(path))
+            assert path.read_bytes() == corrupt  # and nothing is cut
+
+    def test_schema_records_replay_ddl_in_commit_order(self):
+        engine = StorageEngine()
+        engine.create_table("t", key_name=("a", "b"), partition_by=2)
+        engine.create_index("t", "x", kind="sorted")
+        engine.apply_commit(
+            1, [("t", (1, 2), {"x": 1})],
+            schemas={"t": table_schema(engine, "t")},
+        )
+        engine.drop_index("t", "x")
+        engine.create_index("t", "y")
+        engine.apply_commit(2, [], schemas={"t": table_schema(engine, "t")})
+        engine.apply_commit(3, [("old", 1, {"z": 1})])  # no schema: bare
+        engine.apply_commit(4, [], schemas={"old": None})  # dropped
+        recovered = StorageEngine.recover(engine.wal)
+        assert recovered.table_names() == ["t"]
+        assert table_schema(recovered, "t") == table_schema(engine, "t")
+        assert recovered.table("t").key_name == ("a", "b")
+        assert recovered.indexes["t"].attrs() == ["y"]
+        assert recovered.table("t").read((1, 2), 99) == {"x": 1}
 
     def test_recovery_replays_committed_state(self, tmp_path):
         path = str(tmp_path / "engine.wal")
@@ -193,6 +262,18 @@ class TestCheckpoint:
         assert restored.table("r").read((1, 2), 99) == {"d": "a"}
         assert restored.table("r").key_name == ("cid", "pid")
         assert restored.indexes["t"].get("x").kind == "sorted"
+
+    def test_unwritable_values_and_malformed_files_raise_typed(self, tmp_path):
+        engine = StorageEngine()
+        engine.create_table("t")
+        engine.apply_commit(1, [("t", 1, {"x": {1, 2}})])
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(PersistenceError):
+            save_checkpoint(engine, str(path), clock=1)
+        assert not path.exists()  # refused before the file was touched
+        path.write_text('{"ts": 1, "tables": {"t": {"rows": [[1, {}]]}}}')
+        with pytest.raises(PersistenceError):
+            load_checkpoint(str(path))  # no schema member
 
     def test_engine_errors(self):
         engine = StorageEngine()

@@ -468,51 +468,6 @@ class TestReproTop:
 
 
 # ---------------------------------------------------------------------------
-# bench_check
-# ---------------------------------------------------------------------------
-
-
-class TestBenchCheck:
-    def test_committed_baselines_pass(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "bench_check.py")],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_regression_detected(self, tmp_path, monkeypatch):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_check", REPO / "tools" / "bench_check.py"
-        )
-        bc = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bc)
-
-        slowed = {
-            "module": "bench_x",
-            "results": [
-                {"name": "t", "group": "g", "min_s": 0.010, "mean_s": 0.011}
-            ],
-        }
-        base = {
-            "module": "bench_x",
-            "results": [
-                {"name": "t", "group": "g", "min_s": 0.001, "mean_s": 0.0011}
-            ],
-        }
-        (tmp_path / "BENCH_x.json").write_text(json.dumps(slowed))
-        monkeypatch.setattr(bc, "BENCH_DIR", tmp_path)
-        monkeypatch.setattr(bc, "committed_baseline", lambda name: base)
-        assert bc.main([]) == 1
-        # within threshold: passes
-        (tmp_path / "BENCH_x.json").write_text(json.dumps(base))
-        assert bc.main([]) == 0
-
-
-# ---------------------------------------------------------------------------
 # inertness
 # ---------------------------------------------------------------------------
 

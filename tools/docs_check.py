@@ -48,7 +48,7 @@ DOCSTRING_FILES = [
     "src/repro/replication/__init__.py",
     "src/repro/replication/hub.py",
     "src/repro/replication/replica.py",
-    "src/repro/replication/wire.py",
+    "src/repro/storage/image.py",
     "src/repro/compile/__init__.py",
     "src/repro/compile/mirror.py",
     "src/repro/compile/sqlgen.py",
