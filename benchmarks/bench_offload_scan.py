@@ -10,12 +10,14 @@ beats the batched executor by ≥2× (the headline claim — the C engine
 amortizes the fold loop the Python executor pays per row); and under
 ``auto`` routing a key lookup stays on the batched path (its index
 probe is already sub-millisecond, and shipping it through SQL would
-pay decode latency for nothing). ``BENCH_offload_scan.json`` carries
-the timings; the first-sync cost is recorded alongside so the
-trajectory shows what a cold mirror costs relative to the queries it
-serves.
+pay decode latency for nothing); and after a one-row commit the mirror
+resyncs by applying that row from the log, ≥20× faster than rebuilding
+the table. ``BENCH_offload_scan.json`` keeps only ratios taken within
+one run (``speedup_vs_batched``, ``resync_speedup_vs_rebuild``), which
+do not depend on the machine.
 """
 
+import itertools
 import time
 
 import pytest
@@ -94,15 +96,10 @@ def _snapshot(build, db, offload):
 def test_offload_vs_batched(benchmark, query):
     db = _wide_db()
     build = QUERIES[query]
-    # cold-mirror cost, recorded once per table state: the first forced
-    # query pays the snapshot build, every later one reuses it
-    cold = not mirror_for(db._engine).is_fresh("events")
     with using_exec_mode("batch"):
         with using_offload_mode("force"):
             expr = build(db)
-            start = time.perf_counter()
             _drain(expr)  # syncs the mirror (if cold) + warms the plan
-            first_s = time.perf_counter() - start
             offloaded = _best_of(lambda: _drain(expr))
         with using_offload_mode("off"):
             expr = build(db)
@@ -111,18 +108,13 @@ def test_offload_vs_batched(benchmark, query):
         with using_offload_mode("force"):
             expr = build(db)
             rows = benchmark(lambda: _drain(expr))
-    stats = offload_stats(db._engine)
     benchmark.extra_info.update(
         {
             "rows": rows,
-            "offload_best_s": offloaded,
-            "batched_best_s": batched,
             "speedup_vs_batched": (
                 batched / offloaded if offloaded else float("inf")
             ),
-            "first_query_s": first_s if cold else None,
-            "backend": stats["backend"],
-            "rows_mirrored": stats["rows_mirrored"],
+            "backend": offload_stats(db._engine)["backend"],
         }
     )
     # both physical modes enumerate the same answer in the same order
@@ -152,4 +144,51 @@ def test_point_lookup_routed_to_batched(benchmark):
     assert after == before, (
         "a point lookup was shipped to the offload backend; the auto "
         "cost gate should have kept it on the batched path"
+    )
+
+
+@pytest.mark.benchmark(group="offload-scan")
+def test_resync_after_one_row_commit(benchmark):
+    """After a one-row commit the next offloaded read applies that one
+    row from the log: in one run, a delta sync of the 60k-row table is
+    ≥20× faster than a forced rebuild of it, and moves one row."""
+    db = _wide_db()
+    engine = db._engine
+    mirror = mirror_for(engine)
+    key = N_ROWS // 2
+    values = itertools.count()
+
+    def commit():
+        db.events[key]["qty"] = 1 + next(values) % 9
+
+    def sync():
+        with mirror.lock:
+            mirror.ensure_synced("events", db._manager.now())
+
+    def timed_sync() -> float:
+        start = time.perf_counter()
+        sync()
+        return time.perf_counter() - start
+
+    sync()  # the first sync is a rebuild; time from a fresh mirror on
+    before = offload_stats(engine)
+    commit()
+    delta = timed_sync()
+    after = offload_stats(engine)
+    for _ in range(6):
+        commit()
+        delta = min(delta, timed_sync())
+    rebuild = float("inf")
+    for _ in range(3):
+        engine.bump_mirror_epoch("events")  # forces the fallback path
+        rebuild = min(rebuild, timed_sync())
+    benchmark.pedantic(sync, setup=commit, rounds=20)
+    benchmark.extra_info.update(
+        {"resync_speedup_vs_rebuild": rebuild / delta}
+    )
+    assert after["rows_mirrored"] == before["rows_mirrored"] + 1
+    assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
+    assert delta * 20 <= rebuild, (
+        f"a one-row delta sync ({delta:.6f}s) is not 20x faster than a "
+        f"rebuild of the table ({rebuild:.6f}s)"
     )

@@ -1,13 +1,16 @@
 """Per-engine relation mirrors backing the SQL offload path.
 
 A mirror is a columnar snapshot of one table inside an embedded SQL
-engine (stdlib ``sqlite3``), kept fresh off the commit clock:
+engine (stdlib ``sqlite3``), kept current from the commit log:
 
-* **version-keyed** — each table's snapshot records the engine's
-  ``mirror_epochs`` token it was built from; DML, WAL replay, replica
-  apply, re-sharding, and rollback all bump the token (the same
-  funnels that invalidate the plan cache), so a stale mirror is never
-  read — it is rebuilt lazily on the next offloaded query instead.
+* **log-fed** — each table's snapshot is stamped with the commit it
+  reflects; a sync reads the engine's retained WAL records since that
+  stamp and applies the ones writing this table, row by row. The
+  engine's ``mirror_epochs`` token covers only what the log cannot
+  say (engine-level re-shard or drop, a vacuum, a replica snapshot
+  install); when it moves — or a suffix record changes the table's
+  schema, or the log no longer reaches back to the stamp — the table
+  is rebuilt whole instead.
 * **presence-aware** — every attribute gets a data column *and* a
   presence column, because FDM distinguishes a tuple that defines
   ``bonus = None`` from one that does not define ``bonus`` at all,
@@ -15,13 +18,16 @@ engine (stdlib ``sqlite3``), kept fresh off the commit clock:
 * **profiled** — while syncing, each column accumulates a hostility
   profile (None/NaN/bools/mixed types/ints beyond 2^53/non-scalars).
   The compiler consults the profiles and declines exactly the
-  operations whose SQL semantics would diverge from Python's.
+  operations whose SQL semantics would diverge from Python's. Between
+  rebuilds profiles only widen.
 
-Rows are stored with a monotonically assigned ``ord`` column capturing
-the relation's naive enumeration order at sync time; offloaded queries
-return ``ord`` values and the decoder re-reads the surviving rows from
-the versioned table at the sync snapshot (late materialization), so
-result *objects* are exactly what the interpreted paths produce.
+Rows are stored under an ``ord`` column: a rebuild numbers every
+version chain in chain order (which is ``scan_at`` order) and a key
+first written later takes the next number, so ``ord`` order is the
+relation's naive enumeration order. Offloaded queries return ``ord``
+values and the decoder re-reads the surviving rows from the versioned
+table at the sync snapshot (late materialization), so result
+*objects* are exactly what the interpreted paths produce.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import sqlite3
 import threading
 from typing import Any
 
-from repro._util import attached
+from repro._util import TOMBSTONE, attached
 
 __all__ = [
     "ColumnProfile",
@@ -211,8 +217,12 @@ class TableMirror:
         #: attribute → data-column index (``c<i>`` / ``p<i>``).
         self.columns: dict[str, int] = {}
         self.profiles: dict[str, ColumnProfile] = {}
-        #: position → mapping key, in the enumeration order ``ord`` encodes.
+        #: ``ord`` → mapping key. Between rebuilds entries are only ever
+        #: appended, so a list captured under the lock stays valid.
         self.keys: list[Any] = []
+        #: mapping key → ``ord`` (the inverse of :attr:`keys`).
+        self.ords: dict[Any, int] = {}
+        #: The token of the last rebuild; ``None`` forces the next one.
         self.synced_epoch: int | None = None
         self.synced_ts: int = 0
         #: False when any row holds a non-tuple value (nested function).
@@ -235,18 +245,17 @@ class TableMirror:
         """The data-column index for *attr*, or ``None`` if absent."""
         return self.columns.get(attr)
 
-    @property
-    def row_count(self) -> int:
-        """Rows in the synced snapshot."""
-        return len(self.keys)
-
 
 class OffloadCounters:
     """The ``db.stats()["offload"]`` counters for one engine."""
 
     def __init__(self) -> None:
         self.queries_offloaded = 0
+        #: syncs that wrote something (a rebuild or a non-empty delta)
         self.mirror_syncs = 0
+        #: of which whole-table rebuilds
+        self.mirror_rebuilds = 0
+        #: rows written to (or deleted from) the SQL tables
         self.rows_mirrored = 0
         self.fallbacks = 0
         self.fallback_reasons: dict[str, int] = {}
@@ -264,6 +273,7 @@ class OffloadCounters:
             "backend": BACKEND,
             "queries_offloaded": self.queries_offloaded,
             "mirror_syncs": self.mirror_syncs,
+            "mirror_rebuilds": self.mirror_rebuilds,
             "rows_mirrored": self.rows_mirrored,
             "fallbacks": self.fallbacks,
             "fallback_reasons": dict(self.fallback_reasons),
@@ -292,9 +302,10 @@ class EngineMirror:
     def connection(self) -> Any:
         """The lazily-opened embedded connection (callers hold the lock)."""
         if self._conn is None:
-            # shared across sessions, serialized by :attr:`lock`
+            # shared across sessions, serialized by :attr:`lock`;
+            # autocommit, so each sync spells out its own transaction
             self._conn = sqlite3.connect(
-                ":memory:", check_same_thread=False
+                ":memory:", check_same_thread=False, isolation_level=None
             )
         return self._conn
 
@@ -302,113 +313,180 @@ class EngineMirror:
         """The engine's staleness token for *table_name* right now."""
         return self.engine.mirror_epochs.get(table_name, 0)
 
-    def is_fresh(self, table_name: str) -> bool:
-        """True when the synced snapshot matches the current token."""
+    def pending(self, table_name: str, ts: int) -> list | None:
+        """The logged commits in ``(synced_ts, ts]`` that write
+        *table_name* — what a delta sync would apply — or ``None`` when
+        only a rebuild can bring the mirror to *ts*."""
         mirror = self._tables.get(table_name)
-        return (
-            mirror is not None
-            and mirror.synced_epoch == self.current_epoch(table_name)
-        )
+        if (
+            mirror is None
+            or mirror.synced_epoch is None
+            or mirror.synced_epoch != self.current_epoch(table_name)
+        ):
+            return None
+        records = self.engine.wal.records_since(mirror.synced_ts)
+        if records is None:  # the stamp is below the WAL floor
+            return None
+        out = []
+        for record in records:
+            if record.commit_ts > ts:
+                break
+            if record.schemas and table_name in record.schemas:
+                return None
+            if any(name == table_name for name, _k, _d in record.writes):
+                out.append(record)
+        if out and (
+            not mirror.mirrorable
+            # a partition-attribute change moves a key to another
+            # segment, i.e. to another enumeration position
+            or self.engine.table(table_name).is_partitioned
+        ):
+            return None
+        return out
+
+    def is_fresh(self, table_name: str) -> bool:
+        """True when no rebuild is due and no retained logged commit
+        newer than the snapshot writes *table_name*."""
+        return self.pending(table_name, _LATEST) == []
 
     def ensure_synced(self, table_name: str, ts: int) -> TableMirror:
-        """The fresh mirror for *table_name*, rebuilding if stale.
+        """The mirror for *table_name* brought forward to *ts*.
 
         *ts* is the commit stamp the caller's (transaction-free) read
-        would use; the rebuilt snapshot captures ``scan_at(ts)`` in
-        enumeration order. Callers must hold :attr:`lock`.
+        would use. The commits logged since the mirror's stamp are
+        applied row by row; a rebuild captures ``scan_at(ts)`` whole
+        when :meth:`pending` says the log cannot. A newer stamp whose
+        commits never touched this table is adopted as is. Callers
+        must hold :attr:`lock`.
         """
         epoch = self.current_epoch(table_name)
         mirror = self._tables.get(table_name)
-        if mirror is not None and mirror.synced_epoch == epoch:
-            # the epoch is the per-table staleness token: every write
-            # funnel that touches this table bumps it, so an unchanged
-            # epoch means ``scan_at(ts)`` equals the synced snapshot
-            # even when the global commit clock moved (a commit to some
-            # *other* table) — adopt the newer stamp, don't rebuild
-            mirror.synced_ts = ts
-            return mirror
         if mirror is None:
             mirror = TableMirror(sql_name=f"m{len(self._tables)}")
             self._tables[table_name] = mirror
-        self._sync(mirror, table_name, ts, epoch)
-        return mirror
-
-    def _sync(
-        self, mirror: TableMirror, table_name: str, ts: int, epoch: int
-    ) -> None:
-        table = self.engine.table(table_name)
-        rows: list[tuple[Any, Any]] = []
-        keys: list[Any] = []
-        columns: dict[str, int] = {}
-        profiles: dict[str, ColumnProfile] = {}
-        mirrorable = True
-        for key, data in table.scan_at(ts):
-            if not isinstance(data, dict):
-                mirrorable = False
-                break
-            keys.append(key)
-            rows.append((key, data))
-            for attr in data:
-                if attr not in columns:
-                    columns[attr] = len(columns)
-                    profiles[attr] = ColumnProfile()
-
-        if not mirrorable:
+        records = self.pending(table_name, ts)
+        if records is None:
+            self._transact(mirror, self._rebuild, table_name, ts)
+            self.counters.mirror_rebuilds += 1
             mirror.synced_epoch = epoch
             mirror.synced_ts = ts
-            mirror.mirrorable = False
-            mirror.keys = keys
-            mirror.columns = columns
-            mirror.profiles = profiles
-            self.counters.mirror_syncs += 1
-            return
-
-        params: list[tuple] = []
-        for ord_, (_key, data) in enumerate(rows):
-            row: list[Any] = [ord_]
-            for attr, _idx in columns.items():
-                if attr in data:
-                    value, present = profiles[attr].observe(data[attr])
-                else:
-                    profiles[attr].has_missing = True
-                    value, present = None, 0
-                row.append(value)
-                row.append(present)
-            params.append(tuple(row))
-
-        conn = self.connection()
-        cols = ", ".join(
-            f"c{i}, p{i}" for i in range(len(columns))
-        )
-        try:
-            conn.execute(f'DROP TABLE IF EXISTS "{mirror.sql_name}"')
-            conn.execute(
-                f'CREATE TABLE "{mirror.sql_name}" '
-                f"(ord INTEGER PRIMARY KEY{', ' + cols if cols else ''})"
+            return mirror
+        if records:
+            table = self.engine.table(table_name)
+            keys = dict.fromkeys(  # first-written first, like the chains
+                key
+                for record in records
+                for name, key, _data in record.writes
+                if name == table_name
             )
-            if params:
-                placeholders = ", ".join("?" * (1 + 2 * len(columns)))
-                conn.executemany(
-                    f'INSERT INTO "{mirror.sql_name}" '
-                    f"VALUES ({placeholders})",
-                    params,
-                )
-        except Exception:
-            # the previous SQL table may be half-destroyed (DROP ran,
-            # INSERT failed): never let ensure_synced serve it again
+            changes = [(key, table.read(key, ts)) for key in keys]
+            self._transact(mirror, self._apply, changes)
+        mirror.synced_ts = max(mirror.synced_ts, ts)
+        return mirror
+
+    def _transact(self, mirror: TableMirror, write: Any, *args: Any) -> None:
+        """Run *write* as one SQL transaction, counting what it wrote.
+
+        On any error the transaction rolls back whole and the mirror
+        is marked for a rebuild: its Python side (keys, columns,
+        profiles) may have moved past the SQL table it describes.
+        """
+        conn = self.connection()
+        conn.execute("BEGIN")
+        try:
+            rows = write(conn, mirror, *args)
+            conn.execute("COMMIT")
+        except BaseException:
             mirror.synced_epoch = None
+            try:
+                conn.execute("ROLLBACK")
+            except Exception:
+                pass
             raise
-        # only a fully rebuilt snapshot is recorded as fresh; a raise
-        # anywhere above leaves the mirror stale and the next offloaded
-        # query retries (or keeps falling back)
-        mirror.synced_epoch = epoch
-        mirror.synced_ts = ts
-        mirror.mirrorable = True
-        mirror.keys = keys
-        mirror.columns = columns
-        mirror.profiles = profiles
         self.counters.mirror_syncs += 1
-        self.counters.rows_mirrored += len(params)
+        self.counters.rows_mirrored += rows
+
+    def _rebuild(
+        self, conn: Any, mirror: TableMirror, table_name: str, ts: int
+    ) -> int:
+        table = self.engine.table(table_name)
+        if table.is_partitioned:
+            keys = [key for key, _data in table.scan_at(ts)]
+        else:
+            # every chain, dead ones included, in chain (= scan_at)
+            # order: a key keeps its ord while its chain exists, so a
+            # reinserted key lands back where naive enumeration puts it
+            keys = list(table._chains)
+        live = [
+            (key, data)
+            for key in keys
+            if (data := table.read(key, ts)) is not TOMBSTONE
+        ]
+        # fresh containers: a concurrent decoder keeps the list it captured
+        mirror.keys = keys
+        mirror.ords = {key: ord_ for ord_, key in enumerate(keys)}
+        mirror.columns = {}
+        mirror.profiles = {}
+        mirror.mirrorable = True
+        conn.execute(f'DROP TABLE IF EXISTS "{mirror.sql_name}"')
+        conn.execute(f'CREATE TABLE "{mirror.sql_name}" (ord INTEGER PRIMARY KEY)')
+        return self._apply(conn, mirror, live)
+
+    def _apply(self, conn: Any, mirror: TableMirror, changes: list) -> int:
+        """Write *changes* (``(key, value)``; a tombstone deletes)."""
+        if not all(
+            data is TOMBSTONE or isinstance(data, dict) for _key, data in changes
+        ):
+            # a nested function: offload declines until a write to the
+            # table lets a rebuild look again (see :meth:`pending`)
+            mirror.mirrorable = False
+            return 0
+        name = mirror.sql_name
+        new_attrs = dict.fromkeys(
+            attr
+            for _key, data in changes
+            if data is not TOMBSTONE
+            for attr in data
+            if attr not in mirror.columns
+        )
+        if new_attrs:  # rows already in the table lack them
+            (had_rows,) = conn.execute(
+                f'SELECT EXISTS (SELECT 1 FROM "{name}")'
+            ).fetchone()
+        for attr in new_attrs:
+            idx = mirror.columns[attr] = len(mirror.columns)
+            mirror.profiles[attr] = ColumnProfile()
+            mirror.profiles[attr].has_missing = bool(had_rows)
+            conn.execute(f'ALTER TABLE "{name}" ADD COLUMN c{idx}')
+            conn.execute(f'ALTER TABLE "{name}" ADD COLUMN p{idx} DEFAULT 0')
+        upserts: list[list] = []
+        deletes: list[tuple] = []
+        for key, data in changes:
+            ord_ = mirror.ords.get(key)
+            if ord_ is None:  # a new chain enumerates after every other
+                ord_ = mirror.ords[key] = len(mirror.keys)
+                mirror.keys.append(key)
+            if data is TOMBSTONE:
+                deletes.append((ord_,))
+                continue
+            row: list[Any] = [ord_]
+            for attr in mirror.columns:
+                profile = mirror.profiles[attr]
+                if attr in data:
+                    row.extend(profile.observe(data[attr]))
+                else:
+                    profile.has_missing = True
+                    row.extend((None, 0))
+            upserts.append(row)
+        if deletes:
+            conn.executemany(f'DELETE FROM "{name}" WHERE ord = ?', deletes)
+        if upserts:
+            placeholders = ", ".join("?" * (1 + 2 * len(mirror.columns)))
+            conn.executemany(
+                f'INSERT OR REPLACE INTO "{name}" VALUES ({placeholders})',
+                upserts,
+            )
+        return len(changes)
 
     def close(self) -> None:
         """Release the embedded connection (idempotent)."""

@@ -9,12 +9,11 @@ SQL (:func:`~repro.compile.sqlgen.generate_sql`), and returns an
 in which case the router lowers onto the batched executor as before.
 
 The pipeline re-validates at **execution** time, not just plan time:
-the plan cache's fingerprints move with the commit clock, but a
-rollback bumps the mirror epoch *without* moving the clock, so a
-cached offload plan re-checks its snapshot token (and the column
-profile signature its SQL was compiled against) on every run, resyncs
-if stale, and falls back to the batched pipeline on any surprise —
-open transaction, unmirrorable rows, or a runtime SQL error.
+a cached offload plan brings the mirror forward to the run's stamp
+(applying the commits logged since its last sync), re-checks the
+column profile signature its SQL was compiled against, and falls back
+to the batched pipeline on any surprise — open transaction,
+unmirrorable rows, or a runtime SQL error.
 
 Results are decoded by **late materialization**: the SQL returns row
 ordinals (or per-group representative ordinals plus fold state); keys
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro._util import TOMBSTONE, chunked
+from repro._util import TOMBSTONE
 from repro.compile import offload_mode
 from repro.compile.mirror import EngineMirror, mirror_for
 from repro.compile.sqlgen import (
@@ -103,13 +102,6 @@ class OffloadPipeline:
             return self._batched().iter_keys()
         return iter(result)
 
-    def iter_batches(self) -> Iterator[list]:
-        """Entry stream re-chunked for batch consumers."""
-        result = self._execute(keys=False)
-        if result is None:
-            return self._batched().iter_batches()
-        return chunked(iter(result), 256)
-
     def explain(self) -> str:
         """Indented rendering: the offload root plus its compiled SQL."""
         lines = [self.root.describe()]
@@ -169,9 +161,9 @@ class OffloadPipeline:
                 return None
             compiled = self._compiled
             if compiled.signature != table_mirror.signature():
-                # the resynced snapshot's hostility profile moved under
-                # the compiled SQL (e.g. a rollback raced a re-sync):
-                # recompile against the fresh profiles, or decline
+                # the synced snapshot's hostility profile moved under
+                # the compiled SQL (a delta widened it, or a rebuild
+                # reset it): recompile against it, or decline
                 try:
                     compiled = generate_sql(shape, table_mirror)
                     self._compiled = compiled
@@ -189,9 +181,9 @@ class OffloadPipeline:
                 return None
             # snapshot the mirror state the ordinals index into while
             # still holding the lock: a concurrent offloaded query may
-            # resync this TableMirror and replace keys/synced_ts, and
+            # rebuild this TableMirror and replace keys/synced_ts, and
             # fetched ordinals must decode against the list their SQL
-            # ran over, not whatever a later sync installed
+            # ran over (a delta only appends to it)
             mirror_keys = table_mirror.keys
             synced_ts = table_mirror.synced_ts
         mirror.counters.queries_offloaded += 1
@@ -334,9 +326,9 @@ def explain_offload(fn: Any, optimized: Any) -> list[str]:
     router would reach for *optimized*, with the compiled SQL on
     success and the decline reason otherwise. Explaining a query is
     not running it: no fallback counter moves and no mirror sync runs
-    (a sync is a whole-table copy) — the SQL shown is compiled against
-    the existing snapshot's column profiles, with a ``mirror:`` line
-    flagging when that snapshot is stale or absent."""
+    — the SQL shown is compiled against the existing snapshot's column
+    profiles, with a ``mirror:`` line saying whether the next run finds
+    it fresh, applies logged commits, rebuilds it, or builds it."""
     from repro.exec.cache import engine_of
 
     mode = offload_mode()
@@ -377,12 +369,14 @@ def explain_offload(fn: Any, optimized: Any) -> list[str]:
                 " (first run copies the table and compiles the SQL)"
             )
             return lines
-        fresh = mirror.is_fresh(shape.table_name)
-        lines.append(
-            "  mirror: fresh"
-            if fresh
-            else "  mirror: stale (next run resyncs and may recompile)"
-        )
+        pending = mirror.pending(shape.table_name, relation._manager.now())
+        if pending is None:
+            lines.append("  mirror: stale (rebuild pending)")
+        elif pending:
+            commits = "commit" if len(pending) == 1 else "commits"
+            lines.append(f"  mirror: stale ({len(pending)} {commits} to apply)")
+        else:
+            lines.append("  mirror: fresh")
         if not table_mirror.mirrorable:
             lines.append("  verdict: batched (unmirrorable rows)")
             return lines

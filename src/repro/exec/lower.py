@@ -54,9 +54,6 @@ class PhysicalPipeline:
         for batch in self.root.key_batches():
             yield from batch
 
-    def iter_batches(self):
-        return self.root.batches()
-
     def explain(self) -> str:
         """Indented rendering of the physical operator tree."""
         lines: list[str] = []

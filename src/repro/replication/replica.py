@@ -270,6 +270,7 @@ class ReplicaDatabase(FunctionalDatabase):
             # at the new stamp), then the reference swaps
             with self._manager._lock:
                 self._manager._clock = ts
+            replaced = {*self._engine.tables, *staging.tables}
             self._engine.tables = staging.tables
             self._engine.indexes = staging.indexes
             self._engine.stats = staging.stats
@@ -283,6 +284,9 @@ class ReplicaDatabase(FunctionalDatabase):
             self._engine.wal.truncate()
             for seed in staging.wal.records():
                 self._engine.wal.append(seed)
+            # the swap bypassed the log the offload mirror follows
+            for name in replaced:
+                self._engine.bump_mirror_epoch(name)
             self.leader_ts = max(self.leader_ts, ts)
             self.snapshots_loaded += 1
         from repro.obs.events import emit

@@ -8,6 +8,7 @@ version chains, then index/statistics maintenance).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Iterator
 
 from repro._util import TOMBSTONE
@@ -57,19 +58,19 @@ class StorageEngine:
         #: :func:`repro.replication.hub_for` on the first REPLICA_HELLO
         #: so unreplicated databases pay nothing on the commit path.
         self.replication_hub = None
-        #: Per-table staleness tokens for the SQL offload mirror
-        #: (DESIGN.md §14). Every write application, re-shard, and
-        #: rollback bumps the touched tables' epochs; the mirror
-        #: compares its synced epoch before serving any offloaded
-        #: query, so a stale snapshot is never read.
-        self.mirror_epochs: dict[str, int] = {}
+        #: Per-table tokens for the changes the WAL cannot tell the SQL
+        #: offload mirror about (DESIGN.md §14): an engine-level
+        #: re-shard or drop, a vacuum that dropped versions, a replica
+        #: snapshot install. Any bump makes the next sync a rebuild;
+        #: commits reach the mirror through the log instead.
+        self.mirror_epochs: defaultdict[str, int] = defaultdict(int)
         #: The lazily-attached :class:`repro.compile.mirror.EngineMirror`
         #: (``None`` until the first offloaded query plans).
         self.offload_mirror = None
 
     def bump_mirror_epoch(self, name: str) -> None:
-        """Invalidate the offload mirror's snapshot of table *name*."""
-        self.mirror_epochs[name] = self.mirror_epochs.get(name, 0) + 1
+        """Make the offload mirror's next sync of *name* a rebuild."""
+        self.mirror_epochs[name] += 1
 
     def ensure_changelog(self) -> ChangeLog:
         """Start change capture (idempotent). The floor sits at the
@@ -276,9 +277,6 @@ class StorageEngine:
                 # no schema record named it (a log from before schemas
                 # rode it, or an engine-level caller): create it bare
                 self.create_table(table_name)
-            # one funnel for commits, recovery replay, and replica
-            # apply: any of them staling the offload mirror bumps here
-            self.bump_mirror_epoch(table_name)
         for table_name, key, data in writes:
             table = self.table(table_name)
             old = table.read(key, _LATEST)
@@ -331,7 +329,15 @@ class StorageEngine:
 
     def vacuum(self, watermark: int) -> int:
         """GC dead versions below *watermark*; returns versions dropped."""
-        return sum(t.vacuum(watermark) for t in self.tables.values())
+        total = 0
+        for name, table in self.tables.items():
+            dropped = table.vacuum(watermark)
+            if dropped:
+                # a dropped chain shifts the enumeration positions the
+                # offload mirror numbered, and no log record says so
+                self.bump_mirror_epoch(name)
+            total += dropped
+        return total
 
     def version_count(self) -> int:
         return sum(t.version_count() for t in self.tables.values())

@@ -314,13 +314,6 @@ class TransactionManager:
         with self._lock:
             self._finish(txn, ABORTED)
             self.aborts += 1
-            # Conservative offload-mirror invalidation: the buffered
-            # writes never reached the engine, but bumping the touched
-            # tables' epochs guarantees the next offloaded query
-            # re-verifies its snapshot rather than trusting any state
-            # planned while the transaction was open.
-            for table_name in {t for (t, _k) in txn.writes}:
-                self.engine.bump_mirror_epoch(table_name)
 
     def _finish(self, txn: Transaction, state: str) -> None:
         txn.state = state

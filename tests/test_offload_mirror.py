@@ -1,14 +1,16 @@
 """Mirror staleness: a stale offload snapshot is never read.
 
-The offload mirror records the engine's ``mirror_epochs`` token at
-sync time, and every write funnel bumps that token — DML commits (and
-with them WAL replay and replica apply, which share the same
-``apply_commit`` path), transaction rollback (which bumps *without*
-moving the commit clock), and in-place re-partitioning (which changes
-enumeration order, baked into the mirror's ``ord`` column). These
-tests pin each funnel: the epoch moves, ``is_fresh`` drops, and the
-next offloaded query rebuilds the snapshot (``mirror_syncs``
-increments) and returns exactly the naive answer.
+The offload mirror follows the commit log: a sync applies the WAL
+records written since its stamp, row by row, and rebuilds the table
+whole only when the log cannot say what changed — the engine's
+``mirror_epochs`` token moved (engine-level re-partition or drop, a
+vacuum that dropped versions, a replica snapshot install), a record
+changed the table's schema, or the stamp fell below the WAL floor.
+These tests pin each write funnel: ``is_fresh`` drops, the next
+offloaded query returns exactly the naive answer, and it did so by
+writing one row per changed key or by one rebuild, as the funnel
+demands. A seeded history checks the delta-maintained SQL table
+against a fresh rebuild after every step.
 
 Two gates are pinned alongside: a query inside an open transaction
 must take the batched path (its buffered writes are invisible to the
@@ -19,9 +21,12 @@ killable).
 
 import pytest
 
+import zoo
+
 import repro as fql
+import repro.replication as repl
 from repro.compile import offload_stats, set_offload_mode, using_offload_mode
-from repro.compile.mirror import mirror_for
+from repro.compile.mirror import EngineMirror, mirror_for
 from repro.exec import set_exec_mode, using_exec_mode
 from repro.partition import hash_partition
 
@@ -96,12 +101,15 @@ class TestWriteFunnels:
     def test_insert_bumps_epoch_and_resyncs(self, db):
         _offloaded_keys(db)
         engine = db._engine
-        epoch = engine.mirror_epochs["t"]
-        syncs = offload_stats(engine)["mirror_syncs"]
+        before = offload_stats(engine)
         db.t[99] = {"name": "new", "age": 80, "state": "NY"}
-        assert engine.mirror_epochs["t"] == epoch + 1
         assert 99 in _offloaded_keys(db)
-        assert offload_stats(engine)["mirror_syncs"] == syncs + 1
+        assert _offloaded_entries(db) == _naive_entries(db)
+        after = offload_stats(engine)
+        # one logged row applied, no whole-table copy
+        assert after["mirror_syncs"] == before["mirror_syncs"] + 1
+        assert after["rows_mirrored"] == before["rows_mirrored"] + 1
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
 
     def test_update_and_delete_resync(self, db):
         assert 1 not in _offloaded_keys(db)  # age 21
@@ -113,21 +121,23 @@ class TestWriteFunnels:
         assert _offloaded_entries(db) == _naive_entries(db)
 
     def test_rollback_bumps_without_moving_clock(self, db):
+        """The mirror is built from committed rows only, and a rollback
+        commits none: the snapshot stays fresh and nothing is copied."""
         _offloaded_keys(db)
         engine = db._engine
-        epoch = engine.mirror_epochs["t"]
         clock = db._manager.now()
+        before = offload_stats(engine)
         db.begin()
         db.t[50] = {"name": "ghost", "age": 99, "state": "NY"}
         db.rollback()
-        # the clock did not move — fingerprints alone would still
-        # consider a cached offload plan fresh — but the epoch did
         assert db._manager.now() == clock
-        assert engine.mirror_epochs["t"] == epoch + 1
-        assert not mirror_for(engine).is_fresh("t")
+        assert mirror_for(engine).is_fresh("t")
         keys = _offloaded_keys(db)
         assert 50 not in keys
         assert keys == [k for k, _ in _naive_entries(db)]
+        after = offload_stats(engine)
+        assert after["rows_mirrored"] == before["rows_mirrored"]
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
 
     def test_partition_table_bumps_epoch(self, db):
         _offloaded_keys(db)
@@ -144,15 +154,41 @@ class TestWriteFunnels:
         recovery path); the same funnel must stale the mirror."""
         _offloaded_keys(db)
         engine = db._engine
-        epoch = engine.mirror_epochs["t"]
+        before = offload_stats(engine)
         ts = db._manager.now() + 1
         engine.apply_commit(
             ts, [("t", 123, {"name": "repl", "age": 90, "state": "NY"})]
         )
         with db._manager._lock:
             db._manager._clock = ts
-        assert engine.mirror_epochs["t"] == epoch + 1
+        assert not mirror_for(engine).is_fresh("t")
         assert 123 in _offloaded_keys(db)
+        assert _offloaded_entries(db) == _naive_entries(db)
+        after = offload_stats(engine)
+        assert after["rows_mirrored"] == before["rows_mirrored"] + 1
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
+
+    def test_replica_snapshot_install_stales_the_mirror(self):
+        """A snapshot install swaps the replica's tables without going
+        through the log the mirror follows; offloaded reads after it
+        must see the new rows, not the old SQL table."""
+        leader = fql.connect("offload-leader", default=False)
+        replica = repl.ReplicaDatabase(name="offload-replica")
+        try:
+            leader["t"] = {
+                i: {"name": f"c{i}", "age": 20 + i} for i in range(1, 21)
+            }
+            replica.apply_snapshot(repl.snapshot_payload(leader))
+            _offloaded_keys(replica)
+            leader.t[1]["age"] = 95
+            leader.t[20]["age"] = 1
+            del leader.t[15]
+            replica.apply_snapshot(repl.snapshot_payload(leader))
+            assert _offloaded_keys(replica) == [1, *range(10, 15), 16, 17, 18, 19]
+            assert _offloaded_entries(replica) == _naive_entries(replica)
+        finally:
+            replica.close()
+            leader.close()
 
 
 class TestStalenessGranularity:
@@ -169,13 +205,14 @@ class TestStalenessGranularity:
         assert offload_stats(engine)["mirror_syncs"] == syncs
 
     def test_failed_rebuild_is_never_marked_fresh(self, db):
-        """A sync whose SQL rebuild raises must leave the mirror stale
-        (the old SQL table may be half-destroyed), fall back for that
-        query, and rebuild successfully on the next one."""
+        """A sync whose SQL writes raise — a delta or a rebuild — rolls
+        back whole, leaves the mirror stale (its Python side may have
+        moved past the SQL table), falls back for that query, and
+        rebuilds successfully on the next one."""
         _offloaded_keys(db)
         engine = db._engine
         mirror = mirror_for(engine)
-        db.t[99] = {"name": "new", "age": 80, "state": "NY"}
+        db.t[99] = {"name": "new", "age": 80, "state": "NY", "tier": 1}
 
         class _BrokenConn:
             def __init__(self, real):
@@ -185,35 +222,45 @@ class TestStalenessGranularity:
                 return self._real.execute(*args)
 
             def executemany(self, *args):
-                raise RuntimeError("injected rebuild failure")
+                raise RuntimeError("injected sync failure")
 
         real = mirror.connection()
         before = offload_stats(engine)
         mirror._conn = _BrokenConn(real)
         try:
+            # first the delta fails (after its ALTER TABLE ran) …
             entries = _offloaded_entries(db)
+            assert not mirror.is_fresh("t")
+            # … then the rebuild that replaces it fails too
+            assert _offloaded_entries(db, "age < 25") == _naive_entries(
+                db, "age < 25"
+            )
         finally:
             mirror._conn = real
         after = offload_stats(engine)
         # the batched fallback still served the post-write truth …
         assert entries == _naive_entries(db)
-        assert after["fallback_reasons"].get("sync_error", 0) > before[
+        assert after["fallback_reasons"].get("sync_error", 0) == before[
             "fallback_reasons"
-        ].get("sync_error", 0)
-        # … and the failed rebuild was not recorded as a fresh sync
+        ].get("sync_error", 0) + 2
+        # … and neither failed sync was recorded as a fresh one
         assert not mirror.is_fresh("t")
         assert after["mirror_syncs"] == before["mirror_syncs"]
+        assert after["rows_mirrored"] == before["rows_mirrored"]
+        # the rolled-back ALTER left the SQL table as it was
+        sql_name = mirror._tables["t"].sql_name
+        columns = real.execute(f'PRAGMA table_info("{sql_name}")').fetchall()
+        assert len(columns) == 1 + 2 * 3  # ord + name/age/state
         # the connection restored, the next *newly planned* query
-        # resyncs and offloads (the failed plan was cached as batched,
-        # so an identical query keeps serving the batched fallback)
-        assert _offloaded_entries(db, "age < 25") == _naive_entries(
-            db, "age < 25"
+        # rebuilds and offloads (the failed plans were cached as
+        # batched, so identical queries keep serving the fallback)
+        assert _offloaded_entries(db, "age < 26") == _naive_entries(
+            db, "age < 26"
         )
         assert mirror.is_fresh("t")
-        assert (
-            offload_stats(engine)["mirror_syncs"]
-            == before["mirror_syncs"] + 1
-        )
+        final = offload_stats(engine)
+        assert final["mirror_syncs"] == before["mirror_syncs"] + 1
+        assert final["mirror_rebuilds"] == before["mirror_rebuilds"] + 1
 
 
 class TestExplainSideEffects:
@@ -241,9 +288,16 @@ class TestExplainSideEffects:
         assert offload_stats(engine) == mid
         # a write stales the snapshot; explain says so without resyncing
         db.t[99] = {"name": "new", "age": 80, "state": "NY"}
+        db.t[98] = {"name": "new", "age": 81, "state": "NY"}
         with using_exec_mode("batch"), using_offload_mode("force"):
             text = explain(fql.filter(db.t, "age >= 30"))
-        assert "mirror: stale" in text
+        assert "mirror: stale (2 commits to apply)" in text
+        # a vacuum that drops versions leaves nothing a delta can apply
+        db.t[99]["age"] = 82
+        db.vacuum()
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            text = explain(fql.filter(db.t, "age >= 30"))
+        assert "mirror: stale (rebuild pending)" in text
         assert offload_stats(engine)["mirror_syncs"] == mid["mirror_syncs"]
 
 
@@ -278,3 +332,232 @@ class TestExecutionGates:
         assert after["fallback_reasons"].get("metered", 0) > before[
             "fallback_reasons"
         ].get("metered", 0)
+
+
+# -- a seeded history: every write funnel, checked after every step ----------
+
+#: Forced offloaded zoo shapes: filters, order/limit, group-aggregates.
+HISTORY_SHAPES = [
+    "filter_lt",
+    "filter_mixed",
+    "filter_none_attr",
+    "order_by_age",
+    "order_limit",
+    "agg",
+    "agg_sparse",
+    "agg_global",
+]
+
+
+def _zoo_answers(db, exec_mode, offload):
+    """Each shape's ordered answer, or the error it raised (a str in a
+    summed column raises in every mode alike)."""
+    answers = {}
+    with using_exec_mode(exec_mode), using_offload_mode(offload):
+        for name in HISTORY_SHAPES:
+            try:
+                answers[name] = zoo.ordered(zoo.ZOO[name](db))
+            except TypeError as exc:
+                answers[name] = type(exc).__name__
+    return answers
+
+
+def _sql_rows(conn, table_mirror):
+    """The mirror's SQL rows in ``ord`` order, as {attr: value} over
+    the present attributes (column numbering may differ)."""
+    rows = conn.execute(
+        f'SELECT * FROM "{table_mirror.sql_name}" ORDER BY ord'
+    ).fetchall()
+    attrs = sorted(table_mirror.columns.items(), key=lambda kv: kv[1])
+    return [
+        (
+            row[0],
+            {
+                attr: row[1 + 2 * idx]
+                for attr, idx in attrs
+                if row[2 + 2 * idx]
+            },
+        )
+        for row in rows
+    ]
+
+
+def _assert_matches_rebuild(db, table_name="customers"):
+    """Mirror-content oracle: the maintained SQL table equals a fresh
+    rebuild's, ord for ord, and each profile covers the rebuild's."""
+    engine = db._engine
+    mirror = mirror_for(engine)
+    fresh = EngineMirror(engine)
+    try:
+        ts = db._manager.now()
+        with mirror.lock:
+            kept = mirror.ensure_synced(table_name, ts)
+            rebuilt = fresh.ensure_synced(table_name, ts)
+            assert kept.mirrorable == rebuilt.mirrorable
+            if not rebuilt.mirrorable:
+                return
+            assert kept.keys == rebuilt.keys
+            assert _sql_rows(mirror.connection(), kept) == _sql_rows(
+                fresh.connection(), rebuilt
+            )
+            for attr, profile in rebuilt.profiles.items():
+                widened = kept.profiles[attr].signature()
+                assert all(
+                    mine or not theirs
+                    for mine, theirs in zip(widened, profile.signature())
+                ), attr
+    finally:
+        fresh.close()
+
+
+def _history(db):
+    """(label, step) pairs covering every write funnel the mirror sees."""
+    engine = db._engine
+    rows = db.customers
+
+    def insert():
+        rows[1000] = {"name": "n", "age": 33, "state": "NY"}
+
+    def update():
+        rows[5]["age"] = 77
+
+    def delete():
+        del rows[3]
+
+    def reinsert():
+        rows[3] = {"name": "back", "age": 25, "state": "CA"}
+
+    def new_attribute():
+        rows[7]["tier"] = "gold"
+
+    def drop_attribute():
+        rows[10] = {"name": "c10", "age": 30, "state": "WA"}
+
+    def widen(value):
+        def step():
+            rows[12]["age"] = value
+
+        return step
+
+    def nested():
+        rows[20] = fql.relation({1: {"x": 1}}, name="inner")
+
+    def drop_nested():
+        del rows[20]
+        rows[12]["age"] = 50
+
+    def vacuum():
+        assert db.vacuum() > 0  # drops key 20's chain among others
+
+    def reinsert_vacuumed():
+        rows[20] = {"name": "again", "age": 21, "state": "ZZ"}
+
+    def partition():
+        db.partition_table("customers", hash_partition("state", 3))
+
+    def move_segment():
+        rows[1]["state"] = "TX"  # moves the key to another segment
+
+    def drop_and_recreate():
+        db["customers"] = zoo.hostile_rows(40)
+
+    def rollback():
+        db.begin()
+        db.customers[2]["age"] = 99
+        db.rollback()
+
+    def engine_apply():
+        ts = db._manager.now() + 1
+        engine.apply_commit(
+            ts, [("customers", 500, {"name": "eng", "age": 33, "state": "NY"})]
+        )
+        with db._manager._lock:
+            db._manager._clock = ts
+
+    def wal_truncate():
+        db.customers[4]["age"] = 19
+        engine.wal.truncate()
+
+    def after_truncate():
+        db.customers[6]["score"] = 2.5
+
+    return [
+        ("insert", insert),
+        ("update", update),
+        ("delete", delete),
+        ("reinsert", reinsert),
+        ("new_attribute", new_attribute),
+        ("drop_attribute", drop_attribute),
+        ("widen_int_to_str", widen("old")),
+        ("none", widen(None)),
+        ("nan", widen(float("nan"))),
+        ("bool", widen(True)),
+        ("nested_function", nested),
+        ("drop_nested", drop_nested),
+        ("vacuum", vacuum),
+        ("reinsert_vacuumed", reinsert_vacuumed),
+        ("partition_table", partition),
+        ("move_segment", move_segment),
+        ("drop_and_recreate", drop_and_recreate),
+        ("rollback", rollback),
+        ("engine_apply_commit", engine_apply),
+        ("wal_truncate", wal_truncate),
+        ("after_truncate", after_truncate),
+    ]
+
+
+@pytest.fixture
+def zoo_db():
+    handle = fql.connect("offload-history", default=False)
+    handle["customers"] = zoo.hostile_rows(40)
+    yield handle
+    handle.close()
+
+
+class TestLoggedHistory:
+    def test_history_matches_naive_and_rebuild(self, zoo_db):
+        db = zoo_db
+        engine = db._engine
+        assert _zoo_answers(db, "batch", "force") == _zoo_answers(
+            db, "naive", "off"
+        )
+        start = offload_stats(engine)
+        for label, step in _history(db):
+            step()
+            offloaded = _zoo_answers(db, "batch", "force")
+            assert offloaded == _zoo_answers(db, "naive", "off"), label
+            _assert_matches_rebuild(db)
+        end = offload_stats(engine)
+        # the history exercised both paths, and SQL served answers
+        assert end["queries_offloaded"] > start["queries_offloaded"]
+        assert end["mirror_rebuilds"] > start["mirror_rebuilds"]
+        assert (
+            end["mirror_syncs"] - end["mirror_rebuilds"]
+            > start["mirror_syncs"] - start["mirror_rebuilds"]
+        )
+
+    def test_one_row_commit_moves_one_row(self, zoo_db):
+        db = zoo_db
+        _zoo_answers(db, "batch", "force")
+        before = offload_stats(db._engine)
+        db.customers[8]["age"] = 71
+        _zoo_answers(db, "batch", "force")
+        after = offload_stats(db._engine)
+        assert after["rows_mirrored"] == before["rows_mirrored"] + 1
+        assert after["mirror_syncs"] == before["mirror_syncs"] + 1
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
+
+    def test_vacuum_that_drops_versions_rebuilds_once(self, zoo_db):
+        db = zoo_db
+        _zoo_answers(db, "batch", "force")
+        db.customers[8]["age"] = 71
+        assert db.vacuum() > 0
+        before = offload_stats(db._engine)
+        _zoo_answers(db, "batch", "force")
+        _zoo_answers(db, "batch", "force")
+        after = offload_stats(db._engine)
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"] + 1
+        assert after["mirror_syncs"] == before["mirror_syncs"] + 1
+        # a vacuum with nothing to drop leaves the mirror alone
+        assert db.vacuum() == 0
+        assert mirror_for(db._engine).is_fresh("customers")
