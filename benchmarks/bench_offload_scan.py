@@ -5,16 +5,24 @@ physical modes from the same stored database: the batched columnar
 executor (``REPRO_OFFLOAD=off``) and the SQLite offload backend
 (``REPRO_OFFLOAD=force``, mirror pre-synced so the timing isolates
 query execution, not snapshot construction). Shape claims asserted per
-test: both modes enumerate identically; the offloaded group-aggregate
-beats the batched executor by ≥2× (the headline claim — the C engine
-amortizes the fold loop the Python executor pays per row); and under
-``auto`` routing a key lookup stays on the batched path (its index
-probe is already sub-millisecond, and shipping it through SQL would
-pay decode latency for nothing); and after a one-row commit the mirror
-resyncs by applying that row from the log, ≥20× faster than rebuilding
-the table. ``BENCH_offload_scan.json`` keeps only ratios taken within
-one run (``speedup_vs_batched``, ``resync_speedup_vs_rebuild``), which
-do not depend on the machine.
+test: both modes enumerate identically; under ``auto`` routing a key
+lookup stays on the batched path (its index probe is already
+sub-millisecond, and shipping it through SQL would pay decode latency
+for nothing); and after a one-row commit the mirror resyncs by
+applying that row from the log, ≥20× faster than rebuilding the table.
+``BENCH_offload_scan.json`` keeps only ratios taken within one run
+(``speedup_vs_batched``, ``resync_speedup_vs_rebuild``), which do not
+depend on the machine.
+
+``speedup_vs_batched`` is recorded, not asserted. It used to be the
+headline — offloaded ≥2× faster, because SQLite folded rows the Python
+executor touched one by one — but the batched executor now reads the
+table's column image (DESIGN.md §13): with no write between reads both
+queries run on cached typed columns, and the offloaded group-aggregate
+takes ~13× *longer* than the batched one (ratio ~0.08; the filter
+~0.1). What the SQL backend still has over the executor is the read
+after a write: its mirror applies the one written row, while the
+executor rescans the table into a new image.
 """
 
 import itertools
@@ -119,13 +127,6 @@ def test_offload_vs_batched(benchmark, query):
     )
     # both physical modes enumerate the same answer in the same order
     assert _snapshot(build, db, "force") == _snapshot(build, db, "off")
-    if query == "group_aggregate":
-        # the headline claim: the SQL engine folds 60k rows into 8
-        # groups at least 2x faster than the Python columnar loop
-        assert offloaded * 2 <= batched, (
-            f"offloaded group-aggregate ({offloaded:.6f}s) is not 2x "
-            f"faster than the batched executor ({batched:.6f}s)"
-        )
 
 
 @pytest.mark.benchmark(group="offload-scan")

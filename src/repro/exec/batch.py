@@ -1,28 +1,31 @@
 """Columnar batches: the physical tuple representation (DESIGN.md §13).
 
-A :class:`ColumnBatch` carries a chunk of a relation as parallel lists —
-``keys`` plus the committed row dicts — and materializes *views* of that
-data lazily:
+A :class:`ColumnBatch` is a *view*: a
+:class:`~repro.storage.versioned.ColumnImage` (a segment's keys and
+committed row dicts, with lazily derived whole-segment columns) plus a
+selection of its positions — a slice straight off a scan, an index
+list or array once a filter has run. Nothing is copied per batch:
 
-* ``col(attr)`` extracts one attribute column (undefined slots become the
-  shared ``MISSING`` sentinel), which is what predicate kernels and
-  vectorized aggregates consume;
+* ``col(attr)`` slices the image's column for the attribute (undefined
+  slots are the shared ``MISSING`` sentinel), which is what predicate
+  kernels and the Python folds consume; the kernels slice the image's
+  typed arrays the same way;
 * ``pairs()`` re-assembles ``(key, tuple_function)`` rows, which only
   happens at the client/wire boundary, the view-refresh boundary, or
   inside an operator that genuinely needs tuples (late materialization).
 
 Selection is a *mask + take*: filters compute a boolean mask over the
-batch and :meth:`ColumnBatch.take` compresses keys and rows without
-touching per-row tuple objects.
+batch and :meth:`ColumnBatch.take` narrows the selection, so a chain
+of filters carries one selection vector forward.
 """
 
 from __future__ import annotations
 
 import weakref
-from itertools import compress
 from typing import Any, Iterator
 
-from repro._util import MISSING, attached
+from repro._util import attached
+from repro.exec import kernels
 
 __all__ = [
     "COLUMNAR_BATCH_SIZE",
@@ -30,33 +33,58 @@ __all__ = [
     "batch_bytes",
     "counters",
     "counters_for",
+    "entry_batches",
+    "image_batches",
     "reset_counters",
 ]
 
 #: Columnar batches are larger than row batches (exec.nodes.BATCH_SIZE):
-#: per-batch overhead (column extraction, numpy conversion) amortizes
-#: over more rows, and columns of this size still fit comfortably in
-#: cache.
+#: per-batch overhead (kernel dispatch, selection bookkeeping)
+#: amortizes over more rows, and columns of this size still fit
+#: comfortably in cache.
 COLUMNAR_BATCH_SIZE = 1024
 
 
 class ColumnBatch:
-    """A chunk of rows held column-accessible, materialized late."""
+    """Selected rows of one image, column-accessible, materialized late."""
 
-    __slots__ = ("keys", "rows", "name", "np_cache", "_cols", "_pairs",
-                 "_nbytes")
+    __slots__ = ("image", "sel", "name", "_cols", "_pairs")
 
-    def __init__(self, keys: list, rows: list, name: str = "batch"):
-        self.keys = keys
-        self.rows = rows  # committed dicts, shared (never mutated in place)
+    def __init__(self, image: Any, sel: Any, name: str = "batch"):
+        self.image = image
+        #: ``slice`` of the image, or its positions (list or int array)
+        self.sel = sel
         self.name = name
-        self.np_cache: dict = {}
         self._cols: dict = {}
         self._pairs: list | None = None
-        self._nbytes: int | None = None
+
+    @classmethod
+    def of(cls, keys: list, rows: list, name: str = "batch") -> "ColumnBatch":
+        """All of *rows*, over a throwaway image of their own."""
+        from repro.storage.versioned import ColumnImage
+
+        return cls(ColumnImage(keys, rows), slice(0, len(keys)), name)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        sel = self.sel
+        return sel.stop - sel.start if type(sel) is slice else len(sel)
+
+    def gather(self, values: list) -> list:
+        """The selected entries of a whole-image list."""
+        sel = self.sel
+        if type(sel) is slice:
+            return values[sel]
+        if type(sel) is not list:
+            sel = sel.tolist()
+        return [values[i] for i in sel]
+
+    @property
+    def keys(self) -> list:
+        return self.gather(self.image.keys)
+
+    @property
+    def rows(self) -> list:
+        return self.gather(self.image.rows)
 
     def approx_bytes(self) -> int:
         """O(1) live-size estimate: row count × a first-row width model.
@@ -65,17 +93,15 @@ class ColumnBatch:
         an attribution heuristic, not an allocator measurement, so it
         deliberately avoids walking every row.
         """
-        if self._nbytes is None:
-            width = len(self.rows[0]) if self.rows else 0
-            self._nbytes = len(self.keys) * (64 + 48 * width)
-        return self._nbytes
+        rows = self.image.rows
+        width = len(rows[0]) if rows else 0
+        return len(self) * (64 + 48 * width)
 
     def col(self, attr: str) -> list:
         """One attribute as a value list; undefined slots are MISSING."""
         got = self._cols.get(attr)
         if got is None:
-            got = [row.get(attr, MISSING) for row in self.rows]
-            self._cols[attr] = got
+            got = self._cols[attr] = self.gather(self.image.column(attr))
         return got
 
     def pairs(self) -> list:
@@ -94,24 +120,58 @@ class ColumnBatch:
         return iter(self.pairs())
 
     def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            return ColumnBatch(
-                self.keys[index], self.rows[index], self.name
-            )
-        return self.pairs()[index]
+        if not isinstance(index, slice):
+            return self.pairs()[index]
+        sel = self.sel
+        if type(sel) is slice:
+            span = range(sel.start, sel.stop)[index]
+            sel = slice(span.start, span.stop) if span.step == 1 else list(span)
+        else:
+            sel = sel[index]
+        return ColumnBatch(self.image, sel, self.name)
 
     def take(self, mask: Any) -> "ColumnBatch":
-        """Rows selected by a boolean mask, as a new batch."""
-        if not isinstance(mask, list):
-            mask = mask.tolist()
+        """Rows selected by a boolean mask, as a narrower view."""
         return ColumnBatch(
-            list(compress(self.keys, mask)),
-            list(compress(self.rows, mask)),
-            self.name,
+            self.image, kernels.select(self.sel, mask), self.name
         )
 
     def __repr__(self) -> str:
-        return f"<ColumnBatch {self.name!r}: {len(self.keys)} rows>"
+        return f"<ColumnBatch {self.name!r}: {len(self)} rows>"
+
+
+def image_batches(image: Any, batch_size: int, name: str) -> Iterator[ColumnBatch]:
+    """An image as consecutive slices of *batch_size* rows."""
+    n = len(image)
+    for start in range(0, n, batch_size):
+        yield ColumnBatch(image, slice(start, min(start + batch_size, n)), name)
+
+
+def entry_batches(
+    entries: Iterator[tuple[Any, Any]], batch_size: int, name: str
+) -> Iterator[Any]:
+    """Batches over ``(key, data)`` entries no cached image covers.
+
+    Each run of up to *batch_size* dict rows becomes a throwaway image;
+    a value that is not a dict (a nested function) comes alone as a
+    one-entry row batch, so enumeration order is kept.
+    """
+    keys: list = []
+    rows: list = []
+    for key, data in entries:
+        if not isinstance(data, dict):
+            if keys:
+                yield ColumnBatch.of(keys, rows, name)
+                keys, rows = [], []
+            yield [(key, data)]
+            continue
+        keys.append(key)
+        rows.append(data)
+        if len(keys) >= batch_size:
+            yield ColumnBatch.of(keys, rows, name)
+            keys, rows = [], []
+    if keys:
+        yield ColumnBatch.of(keys, rows, name)
 
 
 def batch_bytes(batch: Any) -> int:
@@ -157,6 +217,7 @@ class ExecutorCounters:
         "row_rows",
         "zone_segments_skipped",
         "zone_segments_scanned",
+        "images_built",
     )
 
     __slots__ = FIELDS + ("__weakref__",)
@@ -172,6 +233,9 @@ class ExecutorCounters:
         self.row_rows = 0
         self.zone_segments_skipped = 0
         self.zone_segments_scanned = 0
+        #: segment images scanned from the version chains (a scan that
+        #: found its segment's image current builds none)
+        self.images_built = 0
 
     def snapshot(self) -> dict[str, int]:
         return {field: getattr(self, field) for field in self.FIELDS}

@@ -24,12 +24,19 @@ rather than erroring. The numpy paths preserve this by masking with
 NaN would wrongly select (``!=``) is covered by the same mask.
 
 Numeric safety: integers with magnitude above 2**53 do not round-trip
-through ``float64``, so columns (or constants) containing them fall back
-to the python backend instead of silently losing precision.
+through ``float64``, so batches selecting them (or constants beyond it)
+fall back to the python backend instead of silently losing precision.
+
+Every typed form is derived once per segment image
+(:class:`~repro.storage.versioned.ColumnImage`) and sliced per batch.
+The group fold and the sort below run on those forms only where the
+answer is bit- and type-identical to the naive fold or sort; anywhere
+else they decline and the operator keeps its Python loop.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any
 
 from repro._util import MISSING
@@ -52,6 +59,9 @@ __all__ = [
     "or_masks",
     "const_mask",
     "mask_to_list",
+    "select",
+    "fold_groups",
+    "sort_runs",
 ]
 
 HAVE_NUMPY = _np is not None
@@ -72,8 +82,17 @@ using_kernel_backend = KERNEL.using
 
 
 # ---------------------------------------------------------------------------
-# Column extraction (cached per batch)
+# Column derivations (once per image) and selections
 # ---------------------------------------------------------------------------
+
+
+def _derived(image: Any, token: tuple, derive: Any) -> Any:
+    """``derive(image, *token[1:])``, computed once per image."""
+    cache = image.derived
+    got = cache.get(token, MISSING)
+    if got is MISSING:
+        got = cache[token] = derive(image, *token[1:])
+    return got
 
 
 def _operand_col(batch: Any, kind: str, payload: Any) -> list:
@@ -83,48 +102,65 @@ def _operand_col(batch: Any, kind: str, payload: Any) -> list:
     return batch.col(payload)
 
 
-def numeric_col(batch: Any, kind: str, payload: Any):
-    """``(float64 values, bool defined)`` arrays for a column, or ``None``
-    when the column is not numeric-safe (non-numbers, or ints > 2**53).
-
-    Cached on the batch: conjunctions and range predicates over the same
-    attribute pay the conversion once.
-    """
-    cache = batch.np_cache
-    token = (kind, payload)
-    got = cache.get(token, MISSING)
-    if got is not MISSING:
-        return got
-    values = _operand_col(batch, kind, payload)
+def _numeric(image: Any, kind: str, payload: Any) -> tuple:
+    """``(float64 values, defined, unsafe)`` over a whole image; *unsafe*
+    marks values with no exact float64 form (non-numbers, ints beyond
+    2**53) and is ``None`` when there are none."""
+    values = image.keys if kind == "key" else image.column(payload)
     floats: list[float] = []
     defined: list[bool] = []
+    unsafe: list[int] = []
     append = floats.append
     dappend = defined.append
-    for v in values:
-        if v is MISSING:
-            append(0.0)
-            dappend(False)
-            continue
+    for i, v in enumerate(values):
         tv = type(v)
-        if tv is int:
-            if -_EXACT_INT <= v <= _EXACT_INT:
-                append(float(v))
-                dappend(True)
-                continue
-            cache[token] = None
-            return None
-        if tv is float or tv is bool:
+        if (
+            tv is float
+            or tv is bool
+            or (tv is int and -_EXACT_INT <= v <= _EXACT_INT)
+        ):
             append(float(v))
             dappend(True)
             continue
-        cache[token] = None
-        return None
-    out = (
+        append(0.0)
+        dappend(False)
+        if v is not MISSING:
+            unsafe.append(i)
+    mask = None
+    if unsafe:
+        mask = _np.zeros(len(values), dtype=bool)
+        mask[unsafe] = True
+    return (
         _np.array(floats, dtype=_np.float64),
         _np.array(defined, dtype=bool),
+        mask,
     )
-    cache[token] = out
-    return out
+
+
+def numeric_col(batch: Any, kind: str, payload: Any):
+    """``(float64 values, bool defined)`` arrays for a batch's rows, or
+    ``None`` when a selected value is not numeric-safe."""
+    values, defined, unsafe = _derived(
+        batch.image, ("numeric", kind, payload), _numeric
+    )
+    sel = batch.sel
+    if unsafe is not None and unsafe[sel].any():
+        return None
+    return values[sel], defined[sel]
+
+
+def select(sel: Any, mask: Any) -> Any:
+    """The positions of selection *sel* that *mask* keeps."""
+    if _np is not None and isinstance(mask, _np.ndarray):
+        picked = _np.flatnonzero(mask)
+        if type(sel) is slice:
+            return picked + sel.start
+        return _np.asarray(sel)[picked]
+    if type(sel) is slice:
+        sel = range(sel.start, sel.stop)
+    elif type(sel) is not list:
+        sel = sel.tolist()
+    return list(compress(sel, mask))
 
 
 def _numeric_const(value: Any) -> bool:
@@ -284,3 +320,217 @@ def mask_to_list(mask: Any) -> list:
     if isinstance(mask, list):
         return mask
     return mask.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Group fold and sort over image columns
+# ---------------------------------------------------------------------------
+
+
+def _kinds(column: list) -> set:
+    """The types of a column's defined values."""
+    kinds = set(map(type, column))
+    kinds.discard(type(MISSING))
+    return kinds
+
+
+def _typed(image: Any, attr: str) -> tuple:
+    """``(family, values, present, info)`` for one attribute.
+
+    *family* is ``"int"`` (every present value an ``int``, not a bool,
+    all within int64; *info* is the largest magnitude), ``"float"``
+    (every present value a ``float``; *info* is ``(has NaN, has -0.0)``),
+    ``""`` (no value present) or ``None`` (anything else: no *values*).
+    """
+    column = image.column(attr)
+    present = _np.array([v is not MISSING for v in column], dtype=bool)
+    kinds = _kinds(column)
+    if not kinds:
+        return "", None, present, None
+    if kinds == {int}:
+        ints = [v for v in column if v is not MISSING]
+        magnitude = max(max(ints), -min(ints))
+        if magnitude >= 2**63:
+            return None, None, present, None
+        values = _np.array(
+            [0 if v is MISSING else v for v in column], dtype=_np.int64
+        )
+        return "int", values, present, magnitude
+    if kinds == {float}:
+        values = _np.array(
+            [0.0 if v is MISSING else v for v in column], dtype=_np.float64
+        )
+        info = (
+            bool(_np.isnan(values).any()),
+            bool((_np.signbit(values) & (values == 0)).any()),
+        )
+        return "float", values, present, info
+    return None, None, present, None
+
+
+def _codes(image: Any, attr: str) -> tuple | None:
+    """``(codes, values)``: one code per row (-1 where undefined) into
+    the attribute's distinct values, or ``None`` unless every present
+    value is a ``str``, or every one an ``int`` — the key families
+    where equal means identical (``1 == 1.0 == True`` would collapse
+    groups the naive fold keeps apart the same way, but NaN would not)."""
+    column = image.column(attr)
+    kinds = _kinds(column)
+    if not (kinds <= {str} or kinds <= {int}):
+        return None
+    index: dict = {}
+    codes = [-1 if v is MISSING else index.setdefault(v, len(index))
+             for v in column]
+    return _np.array(codes, dtype=_np.intp), list(index)
+
+
+def fold_groups(batches: list, attr: str, specs: list) -> dict | None:
+    """Fold column batches grouped by one attribute into ``{group key:
+    {name: accumulator}}`` exactly as the per-row fold would, or
+    ``None`` to decline.
+
+    *specs* are ``(name, aggregate, attr or None)``. Count runs on
+    ``bincount``; Sum/Avg on an int column in int64 while no partial
+    sum can reach 2**63, on a float column with ``add.at`` into one
+    accumulator per group (which adds in stream order, like the fold);
+    Min/Max on one numeric family without NaN or -0.0. Groups come out
+    in order of first appearance.
+    """
+    if kernel_backend() != "numpy":
+        return None
+    from repro.fql.aggregates import Avg, Count, Max, Min, Sum
+
+    if any(type(agg) not in (Count, Sum, Avg, Min, Max) for _n, agg, _a in specs):
+        return None
+    if not batches:
+        return {}
+    slot_of: dict = {}
+    luts: dict = {}
+    slots, columns = [], {a: [] for _n, _g, a in specs if a is not None}
+    for batch in batches:
+        image, sel = batch.image, batch.sel
+        coded = _derived(image, ("codes", attr), _codes)
+        if coded is None:
+            return None
+        codes, values = coded
+        lut = luts.get(id(image))
+        if lut is None:
+            lut = luts[id(image)] = _np.full(len(values), -1, _np.intp)
+        chosen = codes[sel]
+        keep = chosen >= 0
+        everything = bool(keep.all())
+        if not everything:
+            chosen = chosen[keep]
+        fresh = chosen[lut[chosen] < 0]
+        if len(fresh):
+            new, first = _np.unique(fresh, return_index=True)
+            for code in new[_np.argsort(first)].tolist():
+                lut[code] = slot_of.setdefault(values[code], len(slot_of))
+        slots.append(lut[chosen])
+        for agg_attr, parts in columns.items():
+            family, typed, present, info = _derived(
+                image, ("typed", agg_attr), _typed
+            )
+            picked = present[sel] if everything else present[sel][keep]
+            if typed is not None:
+                typed = typed[sel] if everything else typed[sel][keep]
+            parts.append((family, typed, picked, info))
+    groups = len(slot_of)
+    slot = _np.concatenate(slots)
+    results = {}
+    for name, agg, agg_attr in specs:
+        if agg_attr is None:
+            results[name] = _np.bincount(slot, minlength=groups).tolist()
+            continue
+        folded = _fold_column(type(agg), slot, groups, columns[agg_attr])
+        if folded is None:
+            return None
+        results[name] = folded
+    keys = list(slot_of)
+    return {
+        key: {name: results[name][g] for name in results}
+        for g, key in enumerate(keys)
+    }
+
+
+def _fold_column(kind: type, slot: Any, groups: int, parts: list) -> list | None:
+    """One aggregate's accumulators per group slot, or ``None``."""
+    from repro.fql.aggregates import Avg, Count, Max, Min, Sum
+
+    present = _np.concatenate([p for _f, _v, p, _i in parts])
+    slot = slot[present]
+    counts = _np.bincount(slot, minlength=groups).tolist()
+    if kind is Count:
+        return counts
+    families = {f for f, _v, _p, _i in parts} - {""}
+    if len(families) > 1 or None in families:
+        return None
+    family = families.pop() if families else ""
+    if family == "":
+        seed = (0, 0) if kind is Avg else 0 if kind is Sum else MISSING
+        return [seed] * groups
+    values = _np.concatenate([v[p] for f, v, p, _i in parts if f])
+    infos = [i for f, _v, _p, i in parts if f]
+    if family == "float" and kind in (Min, Max) and any(
+        nan or negzero for nan, negzero in infos
+    ):
+        return None
+    if family == "int" and kind in (Sum, Avg) and max(infos) * len(slot) >= 2**63:
+        return None
+    cast = int if family == "int" else float
+    if kind in (Sum, Avg):
+        totals = _np.zeros(groups, values.dtype)
+        _np.add.at(totals, slot, values)
+        out = [cast(t) if n else 0 for t, n in zip(totals.tolist(), counts)]
+        return out if kind is Sum else [
+            (t, n) for t, n in zip(out, counts)
+        ]
+    if family == "int":
+        info = _np.iinfo(_np.int64)
+        seed = info.max if kind is Min else info.min
+    else:
+        seed = _np.inf if kind is Min else -_np.inf
+    best = _np.full(groups, seed, values.dtype)
+    (_np.minimum if kind is Min else _np.maximum).at(best, slot, values)
+    return [cast(b) if n else MISSING for b, n in zip(best.tolist(), counts)]
+
+
+def sort_runs(batches: list, attr: str, reverse: bool) -> list | None:
+    """The batches' rows as ``(image, name, positions)`` runs in the
+    order ``list.sort(key=attr, reverse=reverse)`` puts them (ties in
+    stream order), or ``None`` to decline: the attribute must be defined
+    on every row and all-int or all-float without NaN, where ``<`` is the
+    total order the logical sort key falls back to."""
+    if kernel_backend() != "numpy" or not batches:
+        return None
+    keys, positions, owners = [], [], []
+    families = set()
+    sources: dict = {}  # id(image) -> (index, image, name)
+    for batch in batches:
+        image, sel = batch.image, batch.sel
+        family, typed, present, info = _derived(image, ("typed", attr), _typed)
+        if family not in ("int", "float") or (family == "float" and info[0]):
+            return None
+        if not present[sel].all():
+            return None
+        families.add(family)
+        keys.append(typed[sel])
+        positions.append(_np.arange(sel.start, sel.stop) if type(sel) is slice
+                         else _np.asarray(sel, dtype=_np.intp))
+        owner = sources.setdefault(id(image), (len(sources), image, batch.name))
+        owners.append(_np.full(len(batch), owner[0], _np.intp))
+    if len(families) > 1:
+        return None
+    key = _np.concatenate(keys)
+    if reverse:  # descending, equal keys still in stream order
+        order = len(key) - 1 - _np.argsort(key[::-1], kind="stable")[::-1]
+    else:
+        order = _np.argsort(key, kind="stable")
+    position = _np.concatenate(positions)[order]
+    owner = _np.concatenate(owners)[order]
+    by_index = list(sources.values())
+    cuts = [0, *(_np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(owner)]
+    return [
+        (*by_index[owner[start]][1:], position[start:stop])
+        for start, stop in zip(cuts, cuts[1:])
+    ]

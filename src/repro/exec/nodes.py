@@ -15,10 +15,12 @@ child nodes, and only leaf :class:`ScanNode`\\ s touch base functions.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterator
 
 from repro._util import MISSING
 from repro.errors import UndefinedInputError
+from repro.exec import kernels
 from repro.exec.batch import (
     COLUMNAR_BATCH_SIZE,
     ColumnBatch,
@@ -323,7 +325,7 @@ class MapNode(PhysicalNode):
                 # UndefinedInputError the naive project would produce.
                 RowTuple(row, batch.name).project(attrs)
                 raise  # unreachable: project() always raises here
-        return ColumnBatch(batch.keys, out, batch.name)
+        return ColumnBatch.of(batch.keys, out, batch.name)
 
     def key_batches(self) -> Iterator[list]:
         # map preserves the key set: never evaluate the transform for keys
@@ -334,19 +336,37 @@ class MapNode(PhysicalNode):
 
 
 class OrderNode(PhysicalNode):
-    """Materialize, sort with the logical operator's sort key, re-batch."""
+    """Sort with the logical operator's sort key, re-batch.
+
+    Over column batches ordered by one attribute the kernels may sort
+    the image columns instead (:func:`~repro.exec.kernels.sort_runs`);
+    rows then stay views until a consumer — a limit, say — pulls them.
+    """
 
     op = "order"
 
     def __init__(self, child: PhysicalNode, sort_key: Any, reverse: bool,
-                 label: str = "order"):
+                 label: str = "order", attr: str | None = None):
         self.children = (child,)
         self.sort_key = sort_key
         self.reverse = reverse
         self.label = label
+        #: the one attribute the sort key reads, when it is one
+        self.attr = attr
 
     def batches(self) -> Iterator[list]:
-        pairs = list(self.children[0].entries())
+        held = list(self.children[0].batches())
+        if self.attr is not None and all(
+            isinstance(b, ColumnBatch) for b in held
+        ):
+            runs = kernels.sort_runs(held, self.attr, self.reverse)
+            if runs is not None:
+                for image, name, positions in runs:
+                    run = ColumnBatch(image, positions, name)
+                    for start in range(0, len(run), BATCH_SIZE):
+                        yield run[start:start + BATCH_SIZE]
+                return
+        pairs = [pair for batch in held for pair in batch]
         pairs.sort(key=lambda kv: self.sort_key(kv[1]), reverse=self.reverse)
         yield from rebatch(iter(pairs))
 
@@ -446,14 +466,28 @@ def _column_fold_specs(by: Any, aggs: dict) -> list | None:
 def fold_group_batches(stream: Iterator, by: Any, aggs: dict) -> dict:
     """Fold a batch stream into ``group_key → {agg_name: acc}``.
 
-    Columnar batches fold straight off attribute columns via
-    ``step_value`` (when :func:`_column_fold_specs` allows); anything
-    else falls back to the per-tuple ``step`` path. Both fold in stream
-    order, so results are bit-identical across paths (float addition is
+    A stream of column batches grouped by one attribute first goes to
+    :func:`~repro.exec.kernels.fold_groups`, which folds the image
+    columns or declines. Otherwise column batches fold straight off
+    attribute columns via ``step_value`` (when
+    :func:`_column_fold_specs` allows), and anything else takes the
+    per-tuple ``step`` path. Every path folds in stream order, so
+    results are bit-identical across paths (float addition is
     order-sensitive).
     """
     specs = _column_fold_specs(by, aggs)
     attrs = by.attrs
+    if specs is not None and len(attrs) == 1:
+        held: list = []
+        for batch in stream:
+            held.append(batch)
+            if not isinstance(batch, ColumnBatch):
+                break
+        else:
+            folded = kernels.fold_groups(held, attrs[0], specs)
+            if folded is not None:
+                return folded
+        stream = chain(held, stream)
     accs: dict[Any, dict] = {}
     for batch in stream:
         if specs is not None and isinstance(batch, ColumnBatch):
@@ -635,12 +669,16 @@ class HashJoinNode(PhysicalNode):
 
         fn = self.fn
         plan, order = fn.plan, fn.atom_order
+        labels = {
+            name: getattr(plan.atoms[name], "key_name", None) for name in order
+        }
+        label = fn.fn_name
 
         def entries() -> Iterator[tuple]:
             for binding in plan.bindings(prefetch=True):
                 key = tuple(binding[name][0] for name in order)
-                row = _merge_binding_into_row(binding, plan.atoms, order)
-                yield key, TupleFunction(row, name=f"{fn.fn_name}{key!r}")
+                row = _merge_binding_into_row(binding, plan.atoms, order, labels)
+                yield key, TupleFunction(row, name=f"{label}{key!r}")
 
         yield from rebatch(entries())
 

@@ -191,33 +191,24 @@ class MaterialRelationFunction(RelationFunction):
 
         Row dicts are shared with the store, never copied: writes install
         fresh dicts (:meth:`__setitem__`/``_write_attr``), so a batch is
-        a consistent snapshot of the rows it captured. In-memory
-        relations have no segments, so *zone_predicate* and *pruning*
-        are ignored.
+        a consistent snapshot of the rows it captured. Each batch is a
+        throwaway image, so columns derive the one way stored scans
+        derive them. In-memory relations have no segments, so
+        *zone_predicate* and *pruning* are ignored.
         """
-        from repro.exec.batch import ColumnBatch
+        from repro.exec.batch import entry_batches
 
         rows = self._rows
-        keys: list = []
-        datas: list = []
-        for key in list(rows):
-            try:
-                stored = rows[key]
-            except KeyError:
-                raise UndefinedInputError(self._name, key) from None
-            if not isinstance(stored, dict):
-                if keys:
-                    yield ColumnBatch(keys, datas, self._name)
-                    keys, datas = [], []
-                yield [(key, stored)]
-                continue
-            keys.append(key)
-            datas.append(stored)
-            if len(keys) >= batch_size:
-                yield ColumnBatch(keys, datas, self._name)
-                keys, datas = [], []
-        if keys:
-            yield ColumnBatch(keys, datas, self._name)
+
+        def entries() -> Iterator[tuple[Any, Any]]:
+            for key in list(rows):
+                try:
+                    stored = rows[key]
+                except KeyError:
+                    raise UndefinedInputError(self._name, key) from None
+                yield key, stored
+
+        return entry_batches(entries(), batch_size, self._name)
 
     def snapshot_items(self) -> Iterator[tuple[Any, Any]] | None:
         """``(key, tuple)`` pairs as cheap snapshot views.

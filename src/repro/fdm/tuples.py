@@ -73,6 +73,20 @@ class TupleFunction(FDMFunction):
         """The attribute names this tuple maps (its domain)."""
         return list(self._data)
 
+    # the domain is the data's keys in data order, so enumeration reads
+    # the dict directly
+    def keys(self):
+        return iter(self._data)
+
+    def items(self):
+        return iter(self._data.items())
+
+    def values(self):
+        return iter(self._data.values())
+
+    def __len__(self) -> int:
+        return len(self._data)
+
     def replace(self, **changes: Any) -> "TupleFunction":
         """A new tuple function with some attribute values replaced/added."""
         data = dict(self._data)
@@ -129,10 +143,13 @@ class RowTuple(TupleFunction):
     """
 
     def __init__(self, data: dict, name: str):
-        object.__setattr__(self, "_name", name)
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_codomain", ANY)
-        object.__setattr__(self, "_lazy_domain", None)
+        # straight into the instance dict: one per materialized row, and
+        # FDMFunction.__setattr__ would route each store through a check
+        state = self.__dict__
+        state["_name"] = name
+        state["_data"] = data
+        state["_codomain"] = ANY
+        state["_lazy_domain"] = None
 
     @property
     def domain(self) -> Domain:
@@ -145,18 +162,6 @@ class RowTuple(TupleFunction):
     @property
     def is_enumerable(self) -> bool:
         return True
-
-    def keys(self):
-        return iter(self._data)
-
-    def items(self):
-        return iter(self._data.items())
-
-    def values(self):
-        return iter(self._data.values())
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 class ComputedTupleFunction(FDMFunction):

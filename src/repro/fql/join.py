@@ -409,12 +409,15 @@ def _merge_binding_into_row(
     binding: dict[str, tuple[Any, Any]],
     atoms: dict[str, FDMFunction],
     order: list[str],
+    labels: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Denormalize one binding into a flat attribute dict.
 
     Keys become attributes named by each relation's ``key_name`` (falling
     back to ``<relation>_key``); colliding attribute names are disambiguated
-    with a ``<relation>_`` prefix, never silently overwritten.
+    with a ``<relation>_`` prefix, never silently overwritten. A caller
+    merging many bindings passes the ``key_name`` of each atom once, as
+    *labels*.
     """
     row: dict[str, Any] = {}
 
@@ -426,7 +429,11 @@ def _merge_binding_into_row(
 
     for name in order:
         key, value = binding[name]
-        key_label = getattr(atoms[name], "key_name", None)
+        key_label = (
+            getattr(atoms[name], "key_name", None)
+            if labels is None
+            else labels[name]
+        )
         if isinstance(key_label, tuple):
             components = key if isinstance(key, tuple) else (key,)
             for label, component in zip(key_label, components):

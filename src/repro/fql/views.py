@@ -162,23 +162,26 @@ class MaterializedView(DerivedFunction):
         (a fresh deep copy).
         """
         self.refresh_count += 1
+        state = self._ivm
         if not incremental:
+            before = state.present() if state is not None else None
             old_size = len(self._snapshot)
             self._snapshot = deep_copy(self.source)
             self._snapshot_version += 1
-            if self._ivm is not None:
-                self._ivm.reset()
+            if state is not None:
+                state.reset(before)
             self.last_refresh_changes = max(old_size, len(self._snapshot))
             return self.last_refresh_changes
         from repro.ivm.view import apply_incremental
 
         touched = apply_incremental(self)
         if touched is None:
+            before = state.present() if state is not None else None
             touched = self._apply_diff(*self._stale_keys_scan())
             if touched:
                 self._snapshot_version += 1
-            if self._ivm is not None:
-                self._ivm.reset()
+            if state is not None:
+                state.reset(before)
         self.last_refresh_changes = touched
         return touched
 

@@ -234,25 +234,36 @@ class IVMState:
                 return None  # a nested snapshot moved: no delta exists
         return base, consumed, reached
 
-    def advance(self, reached: dict[int, int] | None = None) -> None:
-        """Move the watermarks to what :meth:`pending` consumed.
+    def present(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Every change source's watermark and every nested view's
+        version, now. A full rebuild takes this *before* it reads
+        anything and hands it to :meth:`reset`, so a commit landing
+        mid-rebuild stays pending instead of being jumped over."""
+        marks = {id(e): e.changelog.watermark for e in self.engines.values()}
+        for rel in self.material.values():
+            marks[id(rel)] = rel._changes.watermark
+        versions = {
+            vid: view._snapshot_version
+            for vid, view in self.inner_views.items()
+        }
+        return marks, versions
 
-        Without *reached* (a full rebuild just read the present state)
-        every watermark jumps to the present instead.
-        """
+    def advance(self, reached: dict[int, int] | None = None) -> None:
+        """Move the watermarks to what :meth:`pending` consumed, or —
+        without *reached*, when nothing has been read yet — to the
+        present."""
         if reached is not None:
             # nested-view versions stay put: pending() verified them
             self.watermarks.update(reached)
             return
-        for engine in self.engines.values():
-            self.watermarks[id(engine)] = engine.changelog.watermark
-        for rel in self.material.values():
-            self.watermarks[id(rel)] = rel._changes.watermark
-        for vid, view in self.inner_views.items():
-            self.view_versions[vid] = view._snapshot_version
+        marks, versions = self.present()
+        self.watermarks.update(marks)
+        self.view_versions.update(versions)
 
-    def reset(self) -> None:
-        """After a non-delta snapshot rebuild: state is stale, drop it.
+    def reset(self, before: tuple[dict[int, int], dict[int, int]]) -> None:
+        """After a non-delta snapshot rebuild: state is stale, drop it,
+        and move to exactly what the rebuild read — *before*, the
+        :meth:`present` it took before reading.
 
         A rebuild inside an open transaction copied that transaction's
         buffered view of the data, so the state stays (or becomes)
@@ -260,7 +271,9 @@ class IVMState:
         not leave phantoms the watermarks would then certify as fresh.
         """
         self.aux.clear()
-        self.advance()
+        marks, versions = before
+        self.watermarks.update(marks)
+        self.view_versions.update(versions)
         self.tainted = self.in_active_transaction()
 
 
@@ -527,13 +540,14 @@ class MaintainedView(MaterializedView):
         """The FALLBACK path: rebuild the snapshot, drop derived state."""
         from repro.fql.copy import deep_copy
 
+        state = self._ivm
+        before = state.present() if state is not None else None
         old_size = len(self._snapshot)
         self._snapshot = deep_copy(self.source)
         self._snapshot_version += 1
         self.last_refresh_changes = max(old_size, len(self._snapshot))
-        state = self._ivm
         if state is not None:
-            state.reset()
+            state.reset(before)
             state.stats.fallback_recomputes += 1
             state.stats.syncs += 1
         _notify_delta_listeners(self, None)  # subscribers must resync
@@ -551,12 +565,13 @@ class MaintainedView(MaterializedView):
                 and not state.dirty()
             ):
                 return 0
+        before = state.present() if state is not None else None
         touched = self._apply_diff(*self._stale_keys_scan())
         if touched:
             self._snapshot_version += 1
             _notify_delta_listeners(self, None)  # diff path: resync
         if state is not None:
-            state.reset()
+            state.reset(before)
             state.stats.diff_refreshes += 1
             state.stats.syncs += 1
         return touched

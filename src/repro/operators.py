@@ -263,11 +263,13 @@ def _lower_restrict(fn, low):
 
 
 def _lower_order(fn, low):
+    spec = fn._key_spec
     return nodes.OrderNode(
         low(fn.source),
         fn._sort_key,
         fn._reverse,
         label=f"order [{fn.op_params()['key']!r}]",
+        attr=spec if isinstance(spec, str) else None,
     )
 
 

@@ -142,6 +142,8 @@ class PartitionedTable(VersionedTable):
     # -- writes -----------------------------------------------------------------
 
     def apply(self, key: Any, data: Any, ts: int) -> None:
+        if ts > self.written_ts:
+            self.written_ts = ts
         old_pid = self._placement.get(key)
         if data is TOMBSTONE:
             # deletes land where the key currently lives
@@ -163,9 +165,6 @@ class PartitionedTable(VersionedTable):
 
     def version_count(self) -> int:
         return sum(s.version_count() for s in self.segments)
-
-    def max_ts(self) -> int:
-        return max(s.max_ts() for s in self.segments)
 
     # -- introspection ------------------------------------------------------------
 

@@ -80,7 +80,7 @@ class StorageEngine:
         if self.changelog is None:
             clock = max(
                 [self.wal.last_commit_ts()]
-                + [t.max_ts() for t in self.tables.values()]
+                + [t.written_ts for t in self.tables.values()]
             )
             self.changelog = ChangeLog(start_ts=clock)
         return self.changelog

@@ -148,22 +148,30 @@ class StoredRelationFunction(RelationFunction):
     ) -> Iterator[Any]:
         """Columnar snapshot enumeration with segment skipping.
 
-        Reads the version chains directly (segment by segment for
-        partitioned tables, preserving the table's enumeration order).
-        Two tests skip a segment: *pruning* — ``(scheme, surviving
-        partition ids)`` computed by the lowerer — drops the partitions
-        the scheme proves the filters cannot reach, and the zone map
-        drops any remaining segment where *zone_predicate* cannot hold.
-        Inside an open transaction the buffered writes make chain-direct
-        scanning (and both skips) unsound, so the scan falls back to the
-        row-batch path.
+        Serves each segment's column image (segment by segment for
+        partitioned tables, preserving the table's enumeration order),
+        scanning the version chains into a new one when the cached
+        image does not serve the snapshot; a snapshot older than the
+        segment's newest write, or a segment holding a nested function,
+        walks the chains uncached. Two tests skip a segment: *pruning*
+        — ``(scheme, surviving partition ids)`` computed by the lowerer
+        — drops the partitions the scheme proves the filters cannot
+        reach, and the zone map drops any remaining segment where
+        *zone_predicate* cannot hold. Inside an open transaction the
+        buffered writes make chain-direct scanning (and both skips)
+        unsound, so the scan falls back to the row-batch path.
         """
         txn = self._manager.current()
         if txn is not None:
             yield from self.iter_batches(batch_size)
             return
 
-        from repro.exec.batch import ColumnBatch, counters, counters_for
+        from repro.exec.batch import (
+            counters,
+            counters_for,
+            entry_batches,
+            image_batches,
+        )
         from repro.storage.stats import zone_may_match
 
         ts = self._manager.now()
@@ -187,22 +195,16 @@ class StoredRelationFunction(RelationFunction):
                     continue
                 counters.zone_segments_scanned += 1
                 engine_counters.zone_segments_scanned += 1
-            keys: list = []
-            rows: list = []
-            for key, data in segment.scan_at(ts):
-                if not isinstance(data, dict):
-                    if keys:
-                        yield ColumnBatch(keys, rows, name)
-                        keys, rows = [], []
-                    yield [(key, data)]
-                    continue
-                keys.append(key)
-                rows.append(data)
-                if len(keys) >= batch_size:
-                    yield ColumnBatch(keys, rows, name)
-                    keys, rows = [], []
-            if keys:
-                yield ColumnBatch(keys, rows, name)
+            image = segment.image_at(ts)
+            if image is None:
+                image = segment.build_image(ts)
+                if image is not None:
+                    counters.images_built += 1
+                    engine_counters.images_built += 1
+            if image is None:
+                yield from entry_batches(segment.scan_at(ts), batch_size, name)
+            else:
+                yield from image_batches(image, batch_size, name)
 
     def snapshot_items(self) -> Iterator[tuple[Any, Any]] | None:
         """``(key, tuple)`` pairs as cheap snapshot views, or ``None``.

@@ -11,6 +11,9 @@ tombstone. This gives:
   compares a chain's newest stamp against the writer's snapshot),
 * time travel (`as_of`) and cheap garbage collection below the oldest
   active snapshot.
+
+A table also keeps one :class:`ColumnImage` — its live rows at the
+newest write, laid out for column reads (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -18,10 +21,45 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Iterator
 
-from repro._util import TOMBSTONE
+from repro._util import MISSING, TOMBSTONE
 from repro.errors import StorageError
 
-__all__ = ["Version", "VersionedTable", "TOMBSTONE"]
+__all__ = ["ColumnImage", "Version", "VersionedTable", "TOMBSTONE"]
+
+
+class ColumnImage:
+    """The live keys and row dicts of one segment at one snapshot, in
+    ``scan_at`` order. Immutable: a commit makes the next scan build a
+    new image and leaves readers of this one on the rows they started
+    with.
+
+    Column derivations are lazy and kept for the image's life: one
+    value list per attribute here, and whatever typed forms the
+    executor's kernels derive through :attr:`derived`.
+    """
+
+    __slots__ = ("keys", "rows", "stamp", "derived", "_columns")
+
+    def __init__(self, keys: list, rows: list, stamp: int | None = None):
+        self.keys = keys
+        self.rows = rows  # committed dicts, shared (never mutated in place)
+        #: The segment's ``written_ts`` when this image was scanned
+        #: (``None``: a throwaway image no segment caches).
+        self.stamp = stamp
+        self.derived: dict = {}
+        self._columns: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def column(self, attr: str) -> list:
+        """One attribute over every row; undefined slots are MISSING."""
+        got = self._columns.get(attr)
+        if got is None:
+            got = self._columns[attr] = [
+                row.get(attr, MISSING) for row in self.rows
+            ]
+        return got
 
 
 class Version:
@@ -50,6 +88,11 @@ class VersionedTable:
         self.name = name
         self.key_name = key_name
         self._chains: dict[Any, list[Version]] = {}
+        #: The newest commit stamp applied (0 if none). Set before the
+        #: commit's stamp is published, so a reader whose snapshot is at
+        #: or past it sees every version this table holds.
+        self.written_ts = 0
+        self._image: ColumnImage | None = None
 
     # -- reads ------------------------------------------------------------------
 
@@ -105,6 +148,36 @@ class VersionedTable:
     def count_at(self, ts: int) -> int:
         return sum(1 for _ in self.keys_at(ts))
 
+    def image_at(self, ts: int) -> ColumnImage | None:
+        """The cached image, if it serves a read at snapshot *ts*.
+
+        It does while no write has landed since it was scanned and *ts*
+        is at or past that write: every such snapshot sees the same
+        rows. The stamp check, not the drop in :meth:`apply`, is what
+        keeps an image scanned concurrently with a commit from serving.
+        """
+        image = self._image
+        if image is not None and image.stamp == self.written_ts <= ts:
+            return image
+        return None
+
+    def build_image(self, ts: int) -> ColumnImage | None:
+        """Scan the chains at *ts* into a new cached image, or ``None``
+        when *ts* predates the newest write (an older snapshot: walk
+        the chains uncached) or a row is not a dict."""
+        stamp = self.written_ts  # read before scanning (see image_at)
+        if ts < stamp:
+            return None
+        keys: list = []
+        rows: list = []
+        for key, data in self.scan_at(ts):
+            if not isinstance(data, dict):
+                return None
+            keys.append(key)
+            rows.append(data)
+        image = self._image = ColumnImage(keys, rows, stamp)
+        return image
+
     # -- writes (called by the transaction manager only) ---------------------------
 
     def apply(self, key: Any, data: Any, ts: int) -> None:
@@ -115,6 +188,9 @@ class VersionedTable:
                 f"non-monotonic commit stamp {ts} after {chain[-1].ts} on "
                 f"{self.name!r}[{key!r}]"
             )
+        if ts > self.written_ts:  # re-partitioning replays out of order
+            self.written_ts = ts
+        self._image = None
         if chain and chain[-1].ts == ts:
             chain[-1] = Version(ts, data)  # same-txn overwrite
         else:
@@ -129,6 +205,9 @@ class VersionedTable:
         plus everything after it; empty chains whose survivor is a
         tombstone disappear entirely. Returns versions dropped.
         """
+        # vacuum drops no live row, so the image stays correct; drop it
+        # anyway to free its memory
+        self._image = None
         dropped = 0
         for key in list(self._chains):
             chain = self._chains[key]
@@ -145,13 +224,6 @@ class VersionedTable:
 
     def version_count(self) -> int:
         return sum(len(chain) for chain in self._chains.values())
-
-    def max_ts(self) -> int:
-        """The newest commit stamp anywhere in the table (0 if empty)."""
-        return max(
-            (chain[-1].ts for chain in self._chains.values() if chain),
-            default=0,
-        )
 
     def __repr__(self) -> str:
         return (

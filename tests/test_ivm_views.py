@@ -517,3 +517,57 @@ class TestCommitLandingMidSync:
             assert landed
             assert {10, 11} <= set(view.keys())  # the next read has both
             assert extensionally_equal(view, view.expression)
+
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize("path", ["full_recompute", "diff_sync"])
+    def test_second_commit_after_a_rebuild_read_the_base_is_not_lost(
+        self, stored_db, monkeypatch, eager, path
+    ):
+        """The full-rebuild paths move the watermarks to what they read,
+        not to the present: a commit landing after the rebuild read the
+        base stays pending."""
+        import importlib
+
+        from repro.ivm.view import MaintainedView
+
+        # the module, not the fql.copy operator re-exported under its name
+        fql_copy = importlib.import_module("repro.fql.copy")
+
+        if path == "full_recompute":
+            # Collect depends on enumeration order, so it has no delta
+            # rule: every sync under IVM rebuilds by deep copy
+            expression = fql.group_and_aggregate(
+                by=["state"],
+                names=fql.Collect("name"),
+                input=stored_db.customers,
+            )
+            owner, step, mode = fql_copy, "deep_copy", "on"
+        else:
+            expression = fql.filter(stored_db.customers, state="NY")
+            owner, step, mode = MaintainedView, "_stale_keys_scan", "off"
+        with using_ivm_mode(mode):
+            view = maintained_view(expression, eager=eager)
+            len(view)  # settle
+            real = getattr(owner, step)
+            landed = []
+
+            def read_then_second_commit(*args, **kwargs):
+                out = real(*args, **kwargs)
+                if not landed:
+                    landed.append(True)
+                    stored_db.customers[11] = {
+                        "name": "Late", "age": 51, "state": "NY"
+                    }
+                return out
+
+            monkeypatch.setattr(owner, step, read_then_second_commit)
+            stored_db.customers[10] = {
+                "name": "First", "age": 50, "state": "NY"
+            }
+            len(view)  # the rebuild during which the second commit lands
+            assert landed
+            assert extensionally_equal(view, view.expression)
+            if path == "diff_sync":
+                assert {10, 11} <= set(view.keys())
+            else:
+                assert "Late" in view("NY")("names")

@@ -314,8 +314,10 @@ class TestPerDatabaseCounters:
             "row_rows",
             "zone_segments_skipped",
             "zone_segments_scanned",
+            "images_built",
         }
         assert ex_a["columnar_rows"] + ex_a["row_rows"] == 100
+        assert (ex_a["images_built"], ex_b["images_built"]) == (1, 0)
         assert ex_b["columnar_rows"] + ex_b["row_rows"] == 0
         a.close()
         b.close()
