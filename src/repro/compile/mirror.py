@@ -5,12 +5,14 @@ engine (stdlib ``sqlite3``), kept current from the commit log:
 
 * **log-fed** — each table's snapshot is stamped with the commit it
   reflects; a sync reads the engine's retained WAL records since that
-  stamp and applies the ones writing this table, row by row. The
-  engine's ``mirror_epochs`` token covers only what the log cannot
-  say (engine-level re-shard or drop, a vacuum, a replica snapshot
-  install); when it moves — or a suffix record changes the table's
-  schema, or the log no longer reaches back to the stamp — the table
-  is rebuilt whole instead.
+  stamp and applies the ones writing this table, row by row. What the
+  log cannot say is read off the table object itself: a snapshot
+  remembers the object it was built from and that object's vacuum
+  count, so a re-shard, a drop and re-create or a replica snapshot
+  install (each a new object) and a vacuum that dropped versions all
+  force a whole-table rebuild — as does a suffix record that changes
+  the table's schema, or a log that no longer reaches back to the
+  stamp.
 * **presence-aware** — every attribute gets a data column *and* a
   presence column, because FDM distinguishes a tuple that defines
   ``bonus = None`` from one that does not define ``bonus`` at all,
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import sqlite3
 import threading
+import weakref
 from typing import Any
 
 from repro._util import TOMBSTONE, attached
@@ -222,8 +225,10 @@ class TableMirror:
         self.keys: list[Any] = []
         #: mapping key → ``ord`` (the inverse of :attr:`keys`).
         self.ords: dict[Any, int] = {}
-        #: The token of the last rebuild; ``None`` forces the next one.
-        self.synced_epoch: int | None = None
+        #: The table object the last rebuild scanned (a weakref) and its
+        #: vacuum count then; ``None`` forces the next rebuild.
+        self.source: weakref.ref | None = None
+        self.source_vacuums = 0
         self.synced_ts: int = 0
         #: False when any row holds a non-tuple value (nested function).
         self.mirrorable = True
@@ -309,19 +314,18 @@ class EngineMirror:
             )
         return self._conn
 
-    def current_epoch(self, table_name: str) -> int:
-        """The engine's staleness token for *table_name* right now."""
-        return self.engine.mirror_epochs.get(table_name, 0)
-
     def pending(self, table_name: str, ts: int) -> list | None:
         """The logged commits in ``(synced_ts, ts]`` that write
         *table_name* — what a delta sync would apply — or ``None`` when
         only a rebuild can bring the mirror to *ts*."""
         mirror = self._tables.get(table_name)
+        table = self.engine.tables.get(table_name)
         if (
             mirror is None
-            or mirror.synced_epoch is None
-            or mirror.synced_epoch != self.current_epoch(table_name)
+            or table is None
+            or mirror.source is None
+            or mirror.source() is not table
+            or mirror.source_vacuums != table.vacuums
         ):
             return None
         records = self.engine.wal.records_since(mirror.synced_ts)
@@ -339,7 +343,7 @@ class EngineMirror:
             not mirror.mirrorable
             # a partition-attribute change moves a key to another
             # segment, i.e. to another enumeration position
-            or self.engine.table(table_name).is_partitioned
+            or table.is_partitioned
         ):
             return None
         return out
@@ -359,20 +363,21 @@ class EngineMirror:
         commits never touched this table is adopted as is. Callers
         must hold :attr:`lock`.
         """
-        epoch = self.current_epoch(table_name)
+        table = self.engine.table(table_name)
+        vacuums = table.vacuums  # read before the rebuild scans
         mirror = self._tables.get(table_name)
         if mirror is None:
             mirror = TableMirror(sql_name=f"m{len(self._tables)}")
             self._tables[table_name] = mirror
         records = self.pending(table_name, ts)
         if records is None:
-            self._transact(mirror, self._rebuild, table_name, ts)
+            self._transact(mirror, self._rebuild, table, ts)
             self.counters.mirror_rebuilds += 1
-            mirror.synced_epoch = epoch
+            mirror.source = weakref.ref(table)
+            mirror.source_vacuums = vacuums
             mirror.synced_ts = ts
             return mirror
         if records:
-            table = self.engine.table(table_name)
             keys = dict.fromkeys(  # first-written first, like the chains
                 key
                 for record in records
@@ -397,7 +402,7 @@ class EngineMirror:
             rows = write(conn, mirror, *args)
             conn.execute("COMMIT")
         except BaseException:
-            mirror.synced_epoch = None
+            mirror.source = None
             try:
                 conn.execute("ROLLBACK")
             except Exception:
@@ -407,9 +412,8 @@ class EngineMirror:
         self.counters.rows_mirrored += rows
 
     def _rebuild(
-        self, conn: Any, mirror: TableMirror, table_name: str, ts: int
+        self, conn: Any, mirror: TableMirror, table: Any, ts: int
     ) -> int:
-        table = self.engine.table(table_name)
         if table.is_partitioned:
             keys = [key for key, _data in table.scan_at(ts)]
         else:

@@ -359,7 +359,7 @@ def explain_offload(fn: Any, optimized: Any) -> list[str]:
     mirror = mirror_for(engine)
     with mirror.lock:
         table_mirror = mirror._tables.get(shape.table_name)
-        if table_mirror is None or table_mirror.synced_epoch is None:
+        if table_mirror is None or table_mirror.source is None:
             # compiling needs the snapshot's column profiles, and
             # explain must not pay (or count) a whole-table copy just
             # to show the SQL — the first real run syncs and compiles

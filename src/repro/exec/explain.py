@@ -110,8 +110,8 @@ def _batching_summary(pipeline: Any) -> list[str]:
 def _zone_verdict(node: Any) -> str | None:
     """Static zone-map verdict for a scan carrying a zone predicate.
 
-    The verdict is computed against the *current* committed zone maps —
-    the same maps execution will consult.
+    The verdict is computed against each segment's *current*
+    statistics — the same bounds execution will consult.
     """
     from repro.exec.nodes import ScanNode
     from repro.storage.stats import zone_may_match
@@ -121,15 +121,14 @@ def _zone_verdict(node: Any) -> str | None:
     fn = node.fn
     pred = node.zone_predicate
     engine = getattr(fn, "_engine", None)
-    if engine is None:
+    table = None if engine is None else engine.tables.get(fn.table_name)
+    if table is None:
         return None
-    zones = engine.zones.get(fn.table_name)
-    if zones is None:
-        return None
-    skipped = sum(1 for z in zones if not zone_may_match(z, pred))
+    segments = table.segments if table.is_partitioned else [table]
+    skipped = sum(1 for s in segments if not zone_may_match(s.stats, pred))
     return (
-        f"  zone maps {fn.fn_name!r}: scan {len(zones) - skipped}/"
-        f"{len(zones)} segments ({skipped} skipped) "
+        f"  zone maps {fn.fn_name!r}: scan {len(segments) - skipped}/"
+        f"{len(segments)} segments ({skipped} skipped) "
         f"[{pred.to_source()}]"
     )
 

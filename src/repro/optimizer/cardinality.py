@@ -221,26 +221,18 @@ def _pruned_filter_estimate(
     ever tighten.
     """
     from repro.partition.prune import surviving_partitions
-    from repro.partition.table import PartitionedTable
-    from repro.storage.stats import PartitionedTableStatistics
 
     if not isinstance(base, StoredRelationFunction):
         return None
     table = base._engine.tables.get(base.table_name)
-    stats = base.statistics()
-    if not isinstance(table, PartitionedTable) or not isinstance(
-        stats, PartitionedTableStatistics
-    ):
+    if table is None or not table.is_partitioned:
         return None
     surviving = surviving_partitions(table.scheme, pred)
     if len(surviving) >= table.n_partitions:
         return None  # nothing pruned: the plain path is identical
+    segments = [table.segments[pid].stats for pid in surviving]
     return float(
-        sum(
-            stats.partitions[pid].row_count
-            * _selectivity_against(pred, stats.partitions[pid])
-            for pid in surviving
-        )
+        sum(s.row_count * _selectivity_against(pred, s) for s in segments)
     )
 
 

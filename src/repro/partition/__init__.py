@@ -10,8 +10,8 @@ through:
   :class:`~repro.partition.scheme.RangeScheme` decide placement.
 * **optimizer** — :func:`~repro.partition.prune.surviving_partitions`
   statically eliminates partitions a transparent filter cannot touch,
-  and per-partition :class:`~repro.storage.stats.TableStatistics` let
-  cardinality estimation sum only the survivors.
+  and each segment's own :class:`~repro.storage.stats.TableStatistics`
+  let cardinality estimation sum only the survivors.
 * **executor** — the lowerer attaches the surviving partitions to each
   scan over a partitioned table, and the scan skips the pruned segments
   (one physical path; DESIGN.md §10 records why there is no thread

@@ -23,6 +23,7 @@ from typing import Any, Iterator
 
 from repro._util import TOMBSTONE
 from repro.partition.scheme import PartitionScheme
+from repro.storage.stats import SummedStatistics
 from repro.storage.versioned import VersionedTable
 
 __all__ = ["PartitionedTable"]
@@ -60,9 +61,12 @@ class PartitionedTable(VersionedTable):
 
         Each key's chain replays in stamp order through the normal write
         path, so historical moves get their tombstones exactly as if the
-        table had been partitioned from the start.
+        table had been partitioned from the start, and each segment's
+        statistics cover every version it receives. The indexes carry
+        over as they are: a re-shard changes no latest value.
         """
         out = cls(table.name, key_name=table.key_name, scheme=scheme)
+        out.indexes = table.indexes
         if isinstance(table, PartitionedTable):
             for key, versions in table.logical_chains():
                 for ts, data in versions:
@@ -93,6 +97,12 @@ class PartitionedTable(VersionedTable):
     @property
     def n_partitions(self) -> int:
         return self.scheme.n_partitions
+
+    @property
+    def stats(self) -> SummedStatistics:
+        """The whole table's statistics: sums over the segments', each
+        of which keeps its own at commit."""
+        return SummedStatistics([s.stats for s in self.segments])
 
     def placement_of(self, key: Any) -> int | None:
         """Segment holding the key's newest version (None if never seen)."""
@@ -161,7 +171,10 @@ class PartitionedTable(VersionedTable):
     # -- maintenance ------------------------------------------------------------
 
     def vacuum(self, watermark: int) -> int:
-        return sum(s.vacuum(watermark) for s in self.segments)
+        dropped = sum(s.vacuum(watermark) for s in self.segments)
+        if dropped:
+            self.vacuums += 1
+        return dropped
 
     def version_count(self) -> int:
         return sum(s.version_count() for s in self.segments)

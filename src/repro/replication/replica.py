@@ -267,14 +267,12 @@ class ReplicaDatabase(FunctionalDatabase):
             # complete new one, never dropped tables or partial loads
             staging = install_image(snapshot, name=self._engine.name)
             # clock first (old tables serve stale-but-complete reads
-            # at the new stamp), then the reference swaps
+            # at the new stamp), then one reference swap: each table
+            # carries its own statistics and indexes, and the offload
+            # mirror rebuilds for any table object it did not scan
             with self._manager._lock:
                 self._manager._clock = ts
-            replaced = {*self._engine.tables, *staging.tables}
             self._engine.tables = staging.tables
-            self._engine.indexes = staging.indexes
-            self._engine.stats = staging.stats
-            self._engine.zones = staging.zones
             self._sync_stored()
             if self._engine.plan_cache is not None:
                 self._engine.plan_cache.clear()
@@ -284,9 +282,6 @@ class ReplicaDatabase(FunctionalDatabase):
             self._engine.wal.truncate()
             for seed in staging.wal.records():
                 self._engine.wal.append(seed)
-            # the swap bypassed the log the offload mirror follows
-            for name in replaced:
-                self._engine.bump_mirror_epoch(name)
             self.leader_ts = max(self.leader_ts, ts)
             self.snapshots_loaded += 1
         from repro.obs.events import emit

@@ -1,27 +1,22 @@
-"""The storage engine: versioned tables + WAL + indexes + statistics.
+"""The storage engine: versioned tables + WAL.
 
 One engine backs one database function. The engine owns no transaction
 logic — the :mod:`repro.txn` manager validates and orders commits, then
 hands the engine a batch of writes to apply atomically (WAL first, then
-version chains, then index/statistics maintenance).
+version chains, which keep their own statistics, then index
+maintenance). Each table object carries its indexes and statistics, so
+replacing a table replaces everything derived from it in one step.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Iterator
 
 from repro._util import TOMBSTONE
 from repro.errors import StorageError, UnknownRelationError, WALError
 from repro.ivm.changelog import ChangeLog
 from repro.ivm.delta import Delta
-from repro.storage.index import HashIndex, IndexSet, SortedIndex
-from repro.storage.stats import (
-    PartitionedTableStatistics,
-    TableStatistics,
-    ZoneMap,
-    rebuild_zone_maps,
-)
+from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.versioned import VersionedTable
 from repro.storage.wal import WALRecord, WriteAheadLog
 
@@ -32,17 +27,10 @@ _LATEST = 2**62
 
 
 class StorageEngine:
-    """Owns tables, indexes, statistics, and the WAL for one database."""
+    """Owns the tables and the WAL for one database."""
     def __init__(self, name: str = "engine", wal_path: str | None = None):
         self.name = name
         self.tables: dict[str, VersionedTable] = {}
-        self.indexes: dict[str, IndexSet] = {}
-        self.stats: dict[str, TableStatistics] = {}
-        #: Per-segment zone maps (DESIGN.md §13): one per partition for
-        #: partitioned tables, a single-element list otherwise. Bounds
-        #: accumulate over every committed version, so a zone miss is
-        #: sound at any snapshot.
-        self.zones: dict[str, list[ZoneMap]] = {}
         self.wal = WriteAheadLog(wal_path)
         #: Per-database executor plan cache; created lazily by
         #: :func:`repro.exec.cache_for` so storage stays import-light.
@@ -58,19 +46,9 @@ class StorageEngine:
         #: :func:`repro.replication.hub_for` on the first REPLICA_HELLO
         #: so unreplicated databases pay nothing on the commit path.
         self.replication_hub = None
-        #: Per-table tokens for the changes the WAL cannot tell the SQL
-        #: offload mirror about (DESIGN.md §14): an engine-level
-        #: re-shard or drop, a vacuum that dropped versions, a replica
-        #: snapshot install. Any bump makes the next sync a rebuild;
-        #: commits reach the mirror through the log instead.
-        self.mirror_epochs: defaultdict[str, int] = defaultdict(int)
         #: The lazily-attached :class:`repro.compile.mirror.EngineMirror`
         #: (``None`` until the first offloaded query plans).
         self.offload_mirror = None
-
-    def bump_mirror_epoch(self, name: str) -> None:
-        """Make the offload mirror's next sync of *name* a rebuild."""
-        self.mirror_epochs[name] += 1
 
     def ensure_changelog(self) -> ChangeLog:
         """Start change capture (idempotent). The floor sits at the
@@ -99,20 +77,12 @@ class StorageEngine:
             # lazy: repro.partition subclasses this module's tables
             from repro.partition import PartitionedTable, as_scheme
 
-            scheme = as_scheme(partition_by)
             table: VersionedTable = PartitionedTable(
-                name, key_name=key_name, scheme=scheme
+                name, key_name=key_name, scheme=as_scheme(partition_by)
             )
-            self.stats[name] = PartitionedTableStatistics(
-                name, scheme.n_partitions
-            )
-            self.zones[name] = [ZoneMap() for _ in range(scheme.n_partitions)]
         else:
             table = VersionedTable(name, key_name=key_name)
-            self.stats[name] = TableStatistics(name)
-            self.zones[name] = [ZoneMap()]
         self.tables[name] = table
-        self.indexes[name] = IndexSet()
         return table
 
     def partition_table(self, name: str, partition_by: Any) -> VersionedTable:
@@ -120,27 +90,16 @@ class StorageEngine:
 
         The version chains replay into per-partition segments (historic
         attribute changes get their move tombstones as if the table had
-        always been partitioned) and the statistics are rebuilt from the
-        latest committed state.
+        always been partitioned), each segment's statistics covering
+        every version it receives. The new table object replaces the old
+        one in one step: the offload mirror, which keys on the object,
+        rebuilds for the new enumeration order.
         """
         from repro.partition import PartitionedTable, as_scheme
 
-        old = self.table(name)
-        scheme = as_scheme(partition_by)
-        table = PartitionedTable.from_table(old, scheme)
-        stats = PartitionedTableStatistics(name, scheme.n_partitions)
-        for key, data in table.scan_at(_LATEST):
-            stats.on_write(
-                TOMBSTONE, data, new_pid=table.placement_of(key)
-            )
-        self.tables[name] = table
-        self.stats[name] = stats
-        # Zones rebuild from ALL versions (not just latest) so readers at
-        # old snapshots stay covered by the new segment layout.
-        self.zones[name] = rebuild_zone_maps(table)
-        # re-sharding changes the table's enumeration order (segment by
-        # segment), which the offload mirror bakes into its row order
-        self.bump_mirror_epoch(name)
+        self.tables[name] = table = PartitionedTable.from_table(
+            self.table(name), as_scheme(partition_by)
+        )
         self._invalidate_partition_consumers(name)
         # cached plans were lowered against the old segment layout
         if self.plan_cache is not None:
@@ -173,10 +132,6 @@ class StorageEngine:
         if name not in self.tables:
             raise UnknownRelationError(name, self.name)
         del self.tables[name]
-        del self.indexes[name]
-        del self.stats[name]
-        self.zones.pop(name, None)
-        self.bump_mirror_epoch(name)
 
     def table(self, name: str) -> VersionedTable:
         try:
@@ -191,16 +146,15 @@ class StorageEngine:
         self, table: str, attr: str, kind: str = "hash"
     ) -> HashIndex | SortedIndex:
         """Create and backfill a secondary index on latest-committed data."""
-        if table not in self.tables:
-            raise UnknownRelationError(table, self.name)
-        index = self.indexes[table].create(attr, kind)
-        for key, data in self.tables[table].scan_at(_LATEST):
+        stored = self.table(table)
+        index = stored.indexes.create(attr, kind)
+        for key, data in stored.scan_at(_LATEST):
             index.update(key, TOMBSTONE, data)
         return index
 
     def drop_index(self, table: str, attr: str) -> None:
-        if table in self.indexes:
-            self.indexes[table].drop(attr)
+        if table in self.tables:
+            self.tables[table].indexes.drop(attr)
 
     def apply_schema(self, name: str, schema: dict[str, Any] | None) -> None:
         """Make table *name* match *schema*, a
@@ -229,7 +183,7 @@ class StorageEngine:
             ):
                 self.partition_table(name, spec)
         wanted = {i["attr"]: i["kind"] for i in schema.get("indexes", ())}
-        indexes = self.indexes[name]
+        indexes = self.tables[name].indexes
         for attr in indexes.attrs():
             if indexes.get(attr).kind != wanted.get(attr):
                 indexes.drop(attr)
@@ -249,8 +203,8 @@ class StorageEngine:
         entry of each table in *schemas*.
 
         Order matters: WAL first (durability), then schemas, then
-        version chains, then index/statistics maintenance and changelog
-        publication.
+        version chains (with their statistics), then index maintenance
+        and changelog publication.
         """
         self.wal.append(WALRecord(commit_ts, list(writes), schemas))
         self._apply_writes(commit_ts, writes, schemas)
@@ -280,22 +234,9 @@ class StorageEngine:
         for table_name, key, data in writes:
             table = self.table(table_name)
             old = table.read(key, _LATEST)
-            if table.is_partitioned:
-                old_pid = table.placement_of(key)
-                table.apply(key, data, commit_ts)
-                new_pid = table.placement_of(key)
-                self.stats[table_name].on_write(
-                    old, data, old_pid=old_pid, new_pid=new_pid
-                )
-            else:
-                old_pid = new_pid = None
-                table.apply(key, data, commit_ts)
-                self.stats[table_name].on_write(old, data)
-            if data is not TOMBSTONE:
-                zones = self.zones.get(table_name)
-                if zones is not None:
-                    zones[new_pid if new_pid is not None else 0].observe(data)
-            self.indexes[table_name].update(key, old, data)
+            old_pid = table.placement_of(key) if table.is_partitioned else None
+            table.apply(key, data, commit_ts)
+            table.indexes.update(key, old, data)
             if changelog is not None:
                 changelog.observe_row(data)
                 delta = deltas.setdefault(table_name, Delta())
@@ -304,9 +245,8 @@ class StorageEngine:
                     # tag the commit's delta with the partitions it
                     # touched, so maintained views whose filters prune
                     # those partitions can skip upkeep (DESIGN.md §10)
-                    delta.tag_partitions(
-                        pid for pid in (old_pid, new_pid) if pid is not None
-                    )
+                    pids = (old_pid, table.placement_of(key))
+                    delta.tag_partitions(p for p in pids if p is not None)
         if changelog is not None:
             changelog.append(commit_ts, deltas)
 
@@ -329,15 +269,7 @@ class StorageEngine:
 
     def vacuum(self, watermark: int) -> int:
         """GC dead versions below *watermark*; returns versions dropped."""
-        total = 0
-        for name, table in self.tables.items():
-            dropped = table.vacuum(watermark)
-            if dropped:
-                # a dropped chain shifts the enumeration positions the
-                # offload mirror numbered, and no log record says so
-                self.bump_mirror_epoch(name)
-            total += dropped
-        return total
+        return sum(t.vacuum(watermark) for t in self.tables.values())
 
     def version_count(self) -> int:
         return sum(t.version_count() for t in self.tables.values())

@@ -154,7 +154,7 @@ def table_schema(engine: Any, name: str) -> dict[str, Any] | None:
     if table is None:
         return None
     key_name = table.key_name
-    indexes = engine.indexes[name]
+    indexes = table.indexes
     return {
         "key_name": list(key_name) if isinstance(key_name, tuple) else key_name,
         "partition": table.scheme.spec() if table.is_partitioned else None,

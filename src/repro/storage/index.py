@@ -59,9 +59,6 @@ class HashIndex:
     def lookup(self, value: Any) -> set[Any]:
         return set(self._buckets.get(_hashable(value), ()))
 
-    def distinct_count(self) -> int:
-        return len(self._buckets)
-
     def __repr__(self) -> str:
         return f"<HashIndex on {self.attr!r}: {len(self._buckets)} values>"
 
@@ -144,15 +141,6 @@ class SortedIndex:
 
     def max_value(self) -> Any:
         return self._entries[-1][0] if self._entries else None
-
-    def distinct_count(self) -> int:
-        count = 0
-        previous = _ABSENT
-        for value, _key in self._entries:
-            if value != previous:
-                count += 1
-                previous = value
-        return count
 
     def __repr__(self) -> str:
         return f"<SortedIndex on {self.attr!r}: {len(self._entries)} entries>"

@@ -156,10 +156,11 @@ class StoredRelationFunction(RelationFunction):
         walks the chains uncached. Two tests skip a segment: *pruning*
         — ``(scheme, surviving partition ids)`` computed by the lowerer
         — drops the partitions the scheme proves the filters cannot
-        reach, and the zone map drops any remaining segment where
-        *zone_predicate* cannot hold. Inside an open transaction the
-        buffered writes make chain-direct scanning (and both skips)
-        unsound, so the scan falls back to the row-batch path.
+        reach, and each remaining segment's own statistics drop it when
+        *zone_predicate* cannot hold within their bounds. Inside an open
+        transaction the buffered writes make chain-direct scanning (and
+        both skips) unsound, so the scan falls back to the row-batch
+        path.
         """
         txn = self._manager.current()
         if txn is not None:
@@ -178,7 +179,6 @@ class StoredRelationFunction(RelationFunction):
         table = self._engine.table(self._table_name)
         engine_counters = counters_for(self._engine)
         segments = table.segments if table.is_partitioned else [table]
-        zones = self._engine.zones.get(self._table_name)
         # a plan lowered before a re-partition carries the old scheme's
         # partition ids: they say nothing about the new segments
         live = None
@@ -188,8 +188,8 @@ class StoredRelationFunction(RelationFunction):
         for pid, segment in enumerate(segments):
             if live is not None and pid not in live:
                 continue
-            if zone_predicate is not None and zones is not None:
-                if not zone_may_match(zones[pid], zone_predicate):
+            if zone_predicate is not None:
+                if not zone_may_match(segment.stats, zone_predicate):
                     counters.zone_segments_skipped += 1
                     engine_counters.zone_segments_skipped += 1
                     continue
@@ -315,7 +315,7 @@ class StoredRelationFunction(RelationFunction):
     def lookup_eq(self, attr: str, value: Any) -> Iterator[Any]:
         """Keys whose *attr* equals *value*, via a secondary index if one
         exists (with snapshot recheck), else by scan."""
-        index = self._engine.indexes[self._table_name].get(attr)
+        index = self._engine.table(self._table_name).indexes.get(attr)
         if index is None:
             for key in self.keys():
                 data = self._raw_read(key)
@@ -339,7 +339,7 @@ class StoredRelationFunction(RelationFunction):
     ) -> Iterator[Any]:
         """Keys whose *attr* falls in the range, via a sorted index if one
         exists (with snapshot recheck), else by scan."""
-        index = self._engine.indexes[self._table_name].get(attr)
+        index = self._engine.table(self._table_name).indexes.get(attr)
         if index is not None and index.kind == "sorted":
             for key in index.range(lo, hi, lo_open=lo_open, hi_open=hi_open):
                 data = self._raw_read(key)
@@ -359,13 +359,14 @@ class StoredRelationFunction(RelationFunction):
                 yield key
 
     def has_index(self, attr: str, kind: str | None = None) -> bool:
-        index = self._engine.indexes[self._table_name].get(attr)
+        index = self._engine.table(self._table_name).indexes.get(attr)
         if index is None:
             return False
         return kind is None or index.kind == kind
 
     def statistics(self) -> Any:
-        return self._engine.stats[self._table_name]
+        """The table's :class:`~repro.storage.stats.TableStatistics`."""
+        return self._engine.table(self._table_name).stats
 
     def __repr__(self) -> str:
         return f"<StoredRelationF {self._name!r} on {self._table_name!r}>"

@@ -1,11 +1,21 @@
-"""Table statistics for the optimizer's cardinality estimation.
+"""What a segment knows about its rows: statistics that double as zone
+maps (DESIGN.md §13).
 
-Maintained incrementally at commit time: row count, and per attribute the
-number of rows defining it, approximate distinct counts, numeric min/max,
-and a fixed-width histogram for numeric attributes. Estimation formulas
-are the textbook ones (uniformity within buckets, independence across
-predicates) — see :mod:`repro.optimizer.cardinality` for how they are
-consumed.
+Every :class:`~repro.storage.versioned.VersionedTable` (a flat table,
+or one segment of a partitioned one) owns one :class:`TableStatistics`
+and keeps it in step from its own write path. One pass per written row
+maintains two kinds of fact per attribute:
+
+* **latest-state counts** — rows defining it and a count per distinct
+  value — follow every write in both directions, so the optimizer's
+  cardinality estimates (:mod:`repro.optimizer.cardinality`; textbook
+  formulas, uniformity and independence) see the table as it is now;
+* **bounds** — numeric and string min/max, plus an ``other`` flag —
+  only ever widen, so they cover every version the segment holds and
+  a predicate they rule out is false at every snapshot a reader could
+  take. The scan skips such segments (:func:`zone_may_match`); a
+  vacuum that drops versions rebuilds the segment's statistics from
+  the survivors, which is what narrows them.
 """
 
 from __future__ import annotations
@@ -15,42 +25,56 @@ from typing import Any
 from repro._util import TOMBSTONE
 
 __all__ = [
-    "AttrStatistics",
-    "TableStatistics",
-    "PartitionedTableStatistics",
-    "HISTOGRAM_BUCKETS",
-    "AttrZone",
-    "ZoneMap",
-    "zone_may_match",
-    "rebuild_zone_maps",
+    "AttrStatistics", "TableStatistics", "SummedStatistics", "zone_may_match",
 ]
-
-HISTOGRAM_BUCKETS = 16
 
 
 class AttrStatistics:
-    """Statistics for one attribute of one table."""
+    """One attribute of one segment: latest-state counts plus
+    accumulate-only bounds.
 
-    __slots__ = ("defined", "values", "numeric_min", "numeric_max")
+    Numeric and string values keep separate bounds (the two families
+    are not mutually comparable), and booleans count as ints (``True ==
+    1``). NaN, None, containers and nested functions set ``other``,
+    which makes every range test on the attribute inconclusive.
+    """
+
+    __slots__ = (
+        "defined", "values", "num_min", "num_max", "str_min", "str_max",
+        "other",
+    )
 
     def __init__(self) -> None:
         self.defined = 0
-        self.values: dict[Any, int] = {}  # value-token → count
-        self.numeric_min: float | None = None
-        self.numeric_max: float | None = None
+        self.values: dict[Any, int] = {}  # value-token → latest-state count
+        self.num_min: Any = None
+        self.num_max: Any = None
+        self.str_min: str | None = None
+        self.str_max: str | None = None
+        self.other = False
 
     def add(self, value: Any) -> None:
+        """Count a value now defined, and widen the bounds to cover it."""
         self.defined += 1
         token = _token(value)
         self.values[token] = self.values.get(token, 0) + 1
-        if _is_numeric(value):
-            value = float(value)
-            if self.numeric_min is None or value < self.numeric_min:
-                self.numeric_min = value
-            if self.numeric_max is None or value > self.numeric_max:
-                self.numeric_max = value
+        if isinstance(value, (int, float)) and value == value:  # not NaN
+            if value.__class__ is bool:
+                value = int(value)
+            if self.num_min is None or value < self.num_min:
+                self.num_min = value
+            if self.num_max is None or value > self.num_max:
+                self.num_max = value
+        elif isinstance(value, str):
+            if self.str_min is None or value < self.str_min:
+                self.str_min = value
+            if self.str_max is None or value > self.str_max:
+                self.str_max = value
+        else:
+            self.other = True
 
     def remove(self, value: Any) -> None:
+        """Uncount a value no longer current; the bounds keep it."""
         self.defined = max(0, self.defined - 1)
         token = _token(value)
         count = self.values.get(token, 0)
@@ -58,10 +82,21 @@ class AttrStatistics:
             self.values.pop(token, None)
         else:
             self.values[token] = count - 1
-        # min/max are not shrunk on delete (cheap upper bound; standard)
+
+    def merge(self, other: "AttrStatistics") -> None:
+        """Add *other*'s counts and widen to its bounds."""
+        self.defined += other.defined
+        for token, count in other.values.items():
+            self.values[token] = self.values.get(token, 0) + count
+        self.num_min = _lower(self.num_min, other.num_min)
+        self.num_max = _upper(self.num_max, other.num_max)
+        self.str_min = _lower(self.str_min, other.str_min)
+        self.str_max = _upper(self.str_max, other.str_max)
+        self.other = self.other or other.other
 
     @property
     def n_distinct(self) -> int:
+        """Distinct values among the rows defining the attribute now."""
         return len(self.values)
 
     def selectivity_eq(self, value: Any) -> float:
@@ -78,182 +113,95 @@ class AttrStatistics:
     def selectivity_range(
         self, lo: float | None, hi: float | None
     ) -> float:
-        """Estimated fraction of defined rows inside [lo, hi]."""
+        """Estimated fraction of defined rows inside [lo, hi] (``None``
+        leaves that side open), by uniformity between the numeric
+        bounds."""
+        low, high = self.num_min, self.num_max
         if (
-            self.numeric_min is None
-            or self.numeric_max is None
+            low is None
             or self.defined == 0
+            or not all(_is_number(b) for b in (lo, hi) if b is not None)
         ):
             return 1.0 / 3.0  # the classic guess for un-histogrammed ranges
-        span = self.numeric_max - self.numeric_min
+        span = high - low
         if span <= 0:
-            inside = (lo is None or lo <= self.numeric_min) and (
-                hi is None or self.numeric_max <= hi
-            )
+            inside = (lo is None or lo <= low) and (hi is None or high <= hi)
             return 1.0 if inside else 0.0
-        lo_eff = self.numeric_min if lo is None else max(lo, self.numeric_min)
-        hi_eff = self.numeric_max if hi is None else min(hi, self.numeric_max)
+        lo_eff = low if lo is None else max(lo, low)
+        hi_eff = high if hi is None else min(hi, high)
         if hi_eff < lo_eff:
             return 0.0
         return min(1.0, (hi_eff - lo_eff) / span)
 
 
 class TableStatistics:
-    """Row count plus per-attribute statistics."""
+    """Row count and per-attribute statistics of one segment.
 
-    def __init__(self, name: str):
-        self.name = name
+    ``opaque`` is set once a non-dict value (a nested function) is
+    written: no per-attribute reasoning applies to such a segment, so
+    zone tests never skip it.
+    """
+
+    def __init__(self) -> None:
         self.row_count = 0
         self.attrs: dict[str, AttrStatistics] = {}
+        self.opaque = False
 
     def on_write(self, old_data: Any, new_data: Any) -> None:
-        """Incremental maintenance for one committed write."""
-        if old_data is not TOMBSTONE and isinstance(old_data, dict):
+        """Replace one key's current value *old_data* with *new_data*
+        (either may be TOMBSTONE)."""
+        if old_data is not TOMBSTONE:
             self.row_count = max(0, self.row_count - 1)
-            for attr, value in old_data.items():
-                stats = self.attrs.get(attr)
-                if stats is not None:
-                    stats.remove(value)
-        elif old_data is not TOMBSTONE and old_data is not None:
-            self.row_count = max(0, self.row_count - 1)
-        if new_data is not TOMBSTONE and isinstance(new_data, dict):
+            if isinstance(old_data, dict):
+                for attr, value in old_data.items():
+                    stats = self.attrs.get(attr)
+                    if stats is not None:
+                        stats.remove(value)
+        if new_data is not TOMBSTONE:
             self.row_count += 1
-            for attr, value in new_data.items():
-                self.attrs.setdefault(attr, AttrStatistics()).add(value)
-        elif new_data is not TOMBSTONE and new_data is not None:
-            self.row_count += 1
+            if isinstance(new_data, dict):
+                attrs = self.attrs
+                for attr, value in new_data.items():
+                    stats = attrs.get(attr)
+                    if stats is None:
+                        stats = attrs[attr] = AttrStatistics()
+                    stats.add(value)
+            else:
+                self.opaque = True
 
     def attr(self, name: str) -> AttrStatistics | None:
+        """The statistics of attribute *name*, if any version defined it."""
         return self.attrs.get(name)
 
     def __repr__(self) -> str:
-        return (
-            f"<Stats {self.name!r}: {self.row_count} rows, "
-            f"{len(self.attrs)} attrs>"
-        )
+        return f"<Stats {self.row_count} rows, {len(self.attrs)} attrs>"
 
 
-class PartitionedTableStatistics(TableStatistics):
-    """Table-level statistics plus one :class:`TableStatistics` per
-    partition segment (DESIGN.md §10).
+class SummedStatistics:
+    """A partitioned table's statistics: each figure is the sum of its
+    segments', computed when read. The segments keep theirs at commit;
+    nothing here is maintained."""
 
-    The engine maintains both on every committed write: the global stats
-    keep every existing consumer working unchanged, while the
-    per-partition ones let cardinality estimation sum row counts (and
-    read attribute distributions) over only the partitions a pruned
-    filter will actually scan.
-    """
+    def __init__(self, parts: list[TableStatistics]):
+        self.parts = parts
 
-    def __init__(self, name: str, n_partitions: int):
-        super().__init__(name)
-        self.partitions = [
-            TableStatistics(f"{name}.p{pid}") for pid in range(n_partitions)
-        ]
+    @property
+    def row_count(self) -> int:
+        """Live rows over every segment."""
+        return sum(part.row_count for part in self.parts)
 
-    def on_write(
-        self,
-        old_data: Any,
-        new_data: Any,
-        old_pid: int | None = None,
-        new_pid: int | None = None,
-    ) -> None:
-        super().on_write(old_data, new_data)
-        if old_pid is not None and old_data is not TOMBSTONE:
-            self.partitions[old_pid].on_write(old_data, TOMBSTONE)
-        if new_pid is not None and new_data is not TOMBSTONE:
-            self.partitions[new_pid].on_write(TOMBSTONE, new_data)
-
-    def partition(self, pid: int) -> TableStatistics:
-        return self.partitions[pid]
-
-    def rows_in(self, pids: Any) -> int:
-        """Total row count over a set of (surviving) partitions."""
-        return sum(self.partitions[pid].row_count for pid in pids)
-
-    def __repr__(self) -> str:
-        counts = "/".join(str(p.row_count) for p in self.partitions)
-        return (
-            f"<PartitionedStats {self.name!r}: {self.row_count} rows "
-            f"({counts})>"
-        )
+    def attr(self, name: str) -> AttrStatistics | None:
+        """Attribute *name* summed over the segments that saw it."""
+        found = [part.attrs[name] for part in self.parts if name in part.attrs]
+        if not found:
+            return None
+        out = AttrStatistics()
+        for stats in found:
+            out.merge(stats)
+        return out
 
 
-# ---------------------------------------------------------------------------
-# Zone maps (DESIGN.md §13): per-segment min/max for sub-partition skipping
-# ---------------------------------------------------------------------------
-
-
-class AttrZone:
-    """Min/max bounds for one attribute over one segment's versions.
-
-    Numeric and string value spaces keep separate bounds (they are not
-    mutually comparable); anything else — None, bool, NaN, containers,
-    nested functions — sets the ``other`` flag, which makes every range
-    test on this attribute inconclusive (the segment must be scanned).
-
-    Bounds only ever *widen*: segments accumulate every committed
-    version, so the zone over-approximates the rows visible at any
-    snapshot. That is exactly what makes skipping MVCC-sound — a
-    predicate the zone rules out is false for every version a reader
-    could see.
-    """
-
-    __slots__ = ("defined", "num_min", "num_max", "str_min", "str_max", "other")
-
-    def __init__(self) -> None:
-        self.defined = 0
-        self.num_min: float | None = None
-        self.num_max: float | None = None
-        self.str_min: str | None = None
-        self.str_max: str | None = None
-        self.other = False
-
-    def observe(self, value: Any) -> None:
-        self.defined += 1
-        if isinstance(value, bool):
-            value = int(value)  # booleans compare numerically (True == 1)
-        if _is_numeric(value) and value == value:  # excludes NaN
-            if self.num_min is None or value < self.num_min:
-                self.num_min = value
-            if self.num_max is None or value > self.num_max:
-                self.num_max = value
-        elif isinstance(value, str):
-            if self.str_min is None or value < self.str_min:
-                self.str_min = value
-            if self.str_max is None or value > self.str_max:
-                self.str_max = value
-        else:
-            self.other = True
-
-
-class ZoneMap:
-    """Zone bounds for every attribute seen in one segment."""
-
-    __slots__ = ("attrs", "rows", "opaque")
-
-    def __init__(self) -> None:
-        self.attrs: dict[str, AttrZone] = {}
-        self.rows = 0
-        #: Set when the segment holds non-dict values (nested functions):
-        #: no per-attribute reasoning applies, never skip.
-        self.opaque = False
-
-    def observe(self, data: Any) -> None:
-        if not isinstance(data, dict):
-            self.opaque = True
-            return
-        self.rows += 1
-        for attr, value in data.items():
-            zone = self.attrs.get(attr)
-            if zone is None:
-                zone = self.attrs[attr] = AttrZone()
-            zone.observe(value)
-
-    def __repr__(self) -> str:
-        return f"<ZoneMap {self.rows} rows, {len(self.attrs)} attrs>"
-
-
-def _zone_compare(az: AttrZone, op: str, const: Any) -> bool:
+def _zone_compare(az: AttrStatistics, op: str, const: Any) -> bool:
     """May any observed value satisfy ``value <op> const``?"""
     if az.other:
         return True
@@ -265,7 +213,7 @@ def _zone_compare(az: AttrZone, op: str, const: Any) -> bool:
         # constant's family prove nothing; the segment can be skipped
         # only when every observed value is the constant itself — a
         # single-family zone pinned to min == max == const
-        if _is_numeric(const) and const == const:
+        if _is_number(const):
             return not (
                 az.str_min is None
                 and az.num_min is not None
@@ -280,7 +228,7 @@ def _zone_compare(az: AttrZone, op: str, const: Any) -> bool:
         # None/NaN/containers: no zone-tracked value equals these
         # (None and containers land in ``other``, NaN != everything)
         return True
-    if _is_numeric(const) and const == const:
+    if _is_number(const):
         lo, hi = az.num_min, az.num_max
     elif isinstance(const, str):
         lo, hi = az.str_min, az.str_max
@@ -304,8 +252,8 @@ def _zone_compare(az: AttrZone, op: str, const: Any) -> bool:
     return True  # anything unexpected: inconclusive
 
 
-def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
-    """May-analysis of a predicate against one segment's zone map.
+def zone_may_match(stats: TableStatistics | None, pred: Any) -> bool:
+    """May-analysis of a predicate against one segment's bounds.
 
     Mirrors the partition-pruning lattice
     (:func:`repro.partition.prune.surviving_partitions`): ``True`` means
@@ -318,7 +266,6 @@ def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
         Between,
         Comparison,
         FalsePredicate,
-        KeyRef,
         Literal,
         Membership,
         Or,
@@ -327,17 +274,17 @@ def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
         _FLIP_OP,
     )
 
-    if zone is None or zone.opaque:
+    if stats is None or stats.opaque:
         return True
     if isinstance(pred, TruePredicate):
         return True
     if isinstance(pred, FalsePredicate):
         return False
     if isinstance(pred, And):
-        return all(zone_may_match(zone, p) for p in pred.parts)
+        return all(zone_may_match(stats, p) for p in pred.parts)
     if isinstance(pred, Or):
         return (
-            any(zone_may_match(zone, p) for p in pred.parts)
+            any(zone_may_match(stats, p) for p in pred.parts)
             if pred.parts
             else False
         )
@@ -350,8 +297,8 @@ def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
             return True
         kind, payload = column
         if kind == "key":
-            return True  # zones cover attribute values, not keys
-        az = zone.attrs.get(payload)
+            return True  # bounds cover attribute values, not keys
+        az = stats.attrs.get(payload)
         if az is None:
             # The attribute was never defined in any version of this
             # segment, so a direct comparison cannot hold for any row.
@@ -366,7 +313,7 @@ def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
         kind, payload = column
         if kind == "key":
             return True
-        az = zone.attrs.get(payload)
+        az = stats.attrs.get(payload)
         if az is None:
             return False
         try:
@@ -383,7 +330,7 @@ def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
         kind, payload = column
         if kind == "key":
             return True
-        az = zone.attrs.get(payload)
+        az = stats.attrs.get(payload)
         if az is None:
             return False
         return _zone_compare(az, ">=", pred.lo.value) and _zone_compare(
@@ -393,29 +340,17 @@ def zone_may_match(zone: "ZoneMap | None", pred: Any) -> bool:
     return True
 
 
-def rebuild_zone_maps(table: Any) -> list[ZoneMap]:
-    """Zone maps for every segment of *table*, from ALL stored versions.
-
-    Observing every version (not just the latest) keeps the maps sound
-    for readers at old snapshots; vacuum naturally narrows them on the
-    next rebuild.
-    """
-    from repro._util import TOMBSTONE as _TS
-
-    segments = table.segments if table.is_partitioned else [table]
-    maps = []
-    for segment in segments:
-        zone = ZoneMap()
-        for chain in segment._chains.values():
-            for version in chain:
-                if version.data is not _TS:
-                    zone.observe(version.data)
-        maps.append(zone)
-    return maps
+def _is_number(value: Any) -> bool:
+    """An int, float or bool other than NaN: what numeric bounds order."""
+    return isinstance(value, (int, float)) and value == value
 
 
-def _is_numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _lower(a: Any, b: Any) -> Any:
+    return b if a is None or (b is not None and b < a) else a
+
+
+def _upper(a: Any, b: Any) -> Any:
+    return b if a is None or (b is not None and b > a) else a
 
 
 def _token(value: Any) -> Any:

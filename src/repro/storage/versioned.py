@@ -12,8 +12,12 @@ tombstone. This gives:
 * time travel (`as_of`) and cheap garbage collection below the oldest
   active snapshot.
 
-A table also keeps one :class:`ColumnImage` — its live rows at the
-newest write, laid out for column reads (DESIGN.md §13).
+A table also carries everything derived from its rows: one
+:class:`ColumnImage` (its live rows at the newest write, laid out for
+column reads), its :class:`~repro.storage.stats.TableStatistics` (which
+double as zone maps) and its secondary :class:`~repro.storage.index.
+IndexSet` (DESIGN.md §13). Replacing the table object replaces all of
+them at once.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from typing import Any, Iterator
 
 from repro._util import MISSING, TOMBSTONE
 from repro.errors import StorageError
+from repro.storage.index import IndexSet
+from repro.storage.stats import TableStatistics
 
 __all__ = ["ColumnImage", "Version", "VersionedTable", "TOMBSTONE"]
 
@@ -93,6 +99,17 @@ class VersionedTable:
         #: or past it sees every version this table holds.
         self.written_ts = 0
         self._image: ColumnImage | None = None
+        #: Secondary indexes over the latest committed rows; the engine
+        #: updates them at commit.
+        self.indexes = IndexSet()
+        #: How many vacuums dropped versions here: a change to the
+        #: chains no commit record describes (the offload mirror's
+        #: rebuild trigger, with the table's identity).
+        self.vacuums = 0
+        if not self.is_partitioned:  # a partitioned table sums its segments'
+            #: Latest-state counts and accumulate-only bounds, kept in
+            #: step by :meth:`apply` and rebuilt by :meth:`vacuum`.
+            self.stats = TableStatistics()
 
     # -- reads ------------------------------------------------------------------
 
@@ -113,6 +130,7 @@ class VersionedTable:
         return chain[index].data
 
     def exists(self, key: Any, ts: int) -> bool:
+        """Whether *key* has a live version at snapshot *ts*."""
         return self.read(key, ts) is not TOMBSTONE
 
     def latest_ts(self, key: Any) -> int:
@@ -136,6 +154,8 @@ class VersionedTable:
                 yield key
 
     def scan_at(self, ts: int) -> Iterator[tuple[Any, Any]]:
+        """``(key, value)`` of every live version at snapshot *ts*, in
+        chain order."""
         for key, chain in list(self._chains.items()):
             newest = chain[-1] if chain else None
             if newest is not None and newest.ts <= ts:
@@ -146,6 +166,7 @@ class VersionedTable:
                 yield key, data
 
     def count_at(self, ts: int) -> int:
+        """Live keys at snapshot *ts* (walks the chains)."""
         return sum(1 for _ in self.keys_at(ts))
 
     def image_at(self, ts: int) -> ColumnImage | None:
@@ -191,6 +212,7 @@ class VersionedTable:
         if ts > self.written_ts:  # re-partitioning replays out of order
             self.written_ts = ts
         self._image = None
+        self.stats.on_write(chain[-1].data if chain else TOMBSTONE, data)
         if chain and chain[-1].ts == ts:
             chain[-1] = Version(ts, data)  # same-txn overwrite
         else:
@@ -203,7 +225,9 @@ class VersionedTable:
 
         Keeps, per chain, the newest version at or before the watermark
         plus everything after it; empty chains whose survivor is a
-        tombstone disappear entirely. Returns versions dropped.
+        tombstone disappear entirely. When anything went, the statistics
+        are rebuilt from the survivors, so their bounds narrow. Returns
+        versions dropped.
         """
         # vacuum drops no live row, so the image stays correct; drop it
         # anyway to free its memory
@@ -220,9 +244,19 @@ class VersionedTable:
                 del self._chains[key]
             else:
                 self._chains[key] = chain
+        if dropped:
+            self.vacuums += 1
+            stats = TableStatistics()
+            for chain in self._chains.values():
+                previous = TOMBSTONE
+                for version in chain:
+                    stats.on_write(previous, version.data)
+                    previous = version.data
+            self.stats = stats
         return dropped
 
     def version_count(self) -> int:
+        """Stored versions, tombstones included."""
         return sum(len(chain) for chain in self._chains.values())
 
     def __repr__(self) -> str:

@@ -369,8 +369,12 @@ class TransactionManager:
             return min(t.start_ts for t in self._active.values())
 
     def vacuum(self) -> int:
-        """GC versions no active snapshot can see."""
-        return self.engine.vacuum(self.oldest_active_snapshot())
+        """GC versions no active snapshot can see. Under the commit
+        lock: a vacuum rewrites chains and rebuilds the statistics
+        derived from them, which a commit's apply must not interleave
+        with."""
+        with self._lock:
+            return self.engine.vacuum(self.oldest_active_snapshot())
 
     def __repr__(self) -> str:
         return (

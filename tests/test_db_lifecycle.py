@@ -193,7 +193,7 @@ class TestSchemaRidesTheLog:
         assert _catalog(db2) == before
         assert sorted(db2.keys()) == ["t", "u"]  # the drop stayed dropped
         assert db2.engine.table("t").key_name == "id"
-        assert db2.engine.indexes["t"].attrs() == ["state"]
+        assert db2.engine.table("t").indexes.attrs() == ["state"]
         assert db2.manager.now() == clock
         db2.t[10] = {"state": "NY", "v": 10}  # and it keeps working
         db2.close()
@@ -226,7 +226,7 @@ class TestSchemaRidesTheLog:
         with pytest.raises(repro.errors.FencedLeaderError):
             db.create_index("t", "v")
         assert db.t(1)("v") == 1
-        assert db.engine.indexes["t"].attrs() == []
+        assert db.engine.table("t").indexes.attrs() == []
 
 
 class TestUnencodableCommitIsRefused:

@@ -99,7 +99,10 @@ def test_recovery_reproduces_committed_state(history):
     recovered = StorageEngine.recover(engine.wal)
     top = len(history) + 1
     assert dict(recovered.scan("t", top)) == dict(engine.scan("t", top))
-    assert recovered.stats["t"].row_count == engine.stats["t"].row_count
+    assert (
+        recovered.table("t").stats.row_count
+        == engine.table("t").stats.row_count
+    )
 
 
 # -- index/base consistency under random DML --------------------------------------------

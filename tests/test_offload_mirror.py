@@ -2,10 +2,11 @@
 
 The offload mirror follows the commit log: a sync applies the WAL
 records written since its stamp, row by row, and rebuilds the table
-whole only when the log cannot say what changed — the engine's
-``mirror_epochs`` token moved (engine-level re-partition or drop, a
-vacuum that dropped versions, a replica snapshot install), a record
-changed the table's schema, or the stamp fell below the WAL floor.
+whole only when the log cannot say what changed — the table is not the
+object the snapshot was built from (engine-level re-partition, drop and
+re-create, a replica snapshot install), a vacuum dropped versions from
+it, a record changed the table's schema, or the stamp fell below the
+WAL floor.
 These tests pin each write funnel: ``is_fresh`` drops, the next
 offloaded query returns exactly the naive answer, and it did so by
 writing one row per changed key or by one rebuild, as the funnel
@@ -142,12 +143,14 @@ class TestWriteFunnels:
     def test_partition_table_bumps_epoch(self, db):
         _offloaded_keys(db)
         engine = db._engine
-        epoch = engine.mirror_epochs["t"]
+        before = offload_stats(engine)
         db.partition_table("t", hash_partition("state", 3))
-        assert engine.mirror_epochs["t"] == epoch + 1
+        assert not mirror_for(engine).is_fresh("t")
         # the re-sharded table enumerates segment by segment; the
         # rebuilt mirror must bake in the *new* order
         assert _offloaded_entries(db) == _naive_entries(db)
+        after = offload_stats(engine)
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"] + 1
 
     def test_replica_apply_funnel_bumps_epoch(self, db):
         """Replica apply replays through ``engine.apply_commit`` (the
@@ -193,9 +196,9 @@ class TestWriteFunnels:
 
 class TestStalenessGranularity:
     def test_commit_to_other_table_reuses_snapshot(self, db):
-        """The commit clock is global but the epoch is per-table: a
-        commit that never touches ``t`` moves the clock without bumping
-        ``t``'s epoch, and must not force a whole-table re-copy."""
+        """The commit clock is global but staleness is per-table: a
+        commit that never touches ``t`` moves the clock without
+        touching ``t``, and must not force a whole-table re-copy."""
         db["u"] = {i: {"x": i} for i in range(3)}
         _offloaded_keys(db)
         engine = db._engine

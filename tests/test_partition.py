@@ -25,7 +25,6 @@ from repro.partition.scheme import as_scheme
 from repro.predicates.parser import parse_predicate
 from repro.storage.engine import StorageEngine
 from repro.storage.image import table_schema
-from repro.storage.stats import PartitionedTableStatistics
 from repro.storage.wal import WriteAheadLog
 
 _LATEST = 2**62
@@ -268,10 +267,21 @@ class TestPartitionedTable:
         assert isinstance(table, PartitionedTable)
         assert dict(table.scan_at(1)) == snapshot_before  # time travel kept
         assert dict(table.scan_at(_LATEST))[1] == {"age": 99}
-        stats = engine.stats["t"]
-        assert isinstance(stats, PartitionedTableStatistics)
-        assert stats.row_count == 6
-        assert sum(p.row_count for p in stats.partitions) == 6
+        assert table.stats.row_count == 6
+        assert sum(s.stats.row_count for s in table.segments) == 6
+
+    def test_repartition_keeps_indexes(self):
+        """A re-shard changes no latest value, so the new table carries
+        the old one's indexes on, and commits keep them current."""
+        engine = StorageEngine(name="rpi")
+        engine.create_table("t", key_name="k")
+        engine.apply_commit(1, [("t", i, {"age": i * 10}) for i in range(1, 7)])
+        index = engine.create_index("t", "age")
+        engine.partition_table("t", range_partition("age", [35]))
+        assert engine.table("t").indexes.get("age") is index
+        engine.apply_commit(2, [("t", 1, {"age": 99})])
+        assert index.lookup(99) == {1}
+        assert index.lookup(10) == set()
 
     def test_double_repartition(self):
         engine = _engine_with_partitioned()
@@ -302,9 +312,8 @@ class TestRecovery:
         assert replayed.layout() == original.layout()
         assert replayed._placement == original._placement
         # per-partition statistics replay identically too
-        orig_stats, new_stats = engine.stats["t"], recovered.stats["t"]
-        assert [p.row_count for p in new_stats.partitions] == [
-            p.row_count for p in orig_stats.partitions
+        assert [s.stats.row_count for s in replayed.segments] == [
+            s.stats.row_count for s in original.segments
         ]
 
     def test_checkpoint_roundtrips_partition_scheme(self, tmp_path):
@@ -348,16 +357,21 @@ def stored_pair():
 
 class TestStatisticsAndCardinality:
     def test_per_partition_stats_track_writes(self, stored_pair):
-        _plain, part = stored_pair
-        stats = part.engine.stats["customers"]
-        assert isinstance(stats, PartitionedTableStatistics)
-        assert stats.row_count == 200
-        assert sum(p.row_count for p in stats.partitions) == 200
+        plain, part = stored_pair
+        table = part.engine.table("customers")
+        assert table.stats.row_count == 200
+        assert sum(s.stats.row_count for s in table.segments) == 200
+        # summed over segments, an attribute reads as the flat table's
+        summed = table.stats.attr("age")
+        flat = plain.engine.table("customers").stats.attr("age")
+        assert (summed.defined, summed.values) == (flat.defined, flat.values)
+        assert (summed.num_min, summed.num_max) == (flat.num_min, flat.num_max)
+        assert table.stats.attr("missing") is None
         part.customers[1] = {"age": 30, "state": "NY"}
-        assert stats.row_count == 200
+        assert table.stats.row_count == 200
         del part.customers[1]
-        assert stats.row_count == 199
-        assert sum(p.row_count for p in stats.partitions) == 199
+        assert table.stats.row_count == 199
+        assert sum(s.stats.row_count for s in table.segments) == 199
 
     def test_pruned_estimate_never_looser_and_no_double_count(
         self, stored_pair

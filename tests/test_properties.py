@@ -3,8 +3,9 @@
 Covered: domain algebra, tuple-function value semantics, filter laws,
 set-operation algebra at database level, grouping partition laws,
 predicate parser round-trips, optimizer semantics preservation, reduce_DB
-agreement with join participation, and MVCC money conservation under
-random interleavings.
+agreement with join participation, MVCC money conservation under
+random interleavings, and segment statistics under seeded storage
+histories.
 """
 
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import fql
+from repro._util import TOMBSTONE
 from repro.errors import TransactionConflictError
 from repro.fdm import (
     DiscreteDomain,
@@ -24,7 +26,10 @@ from repro.fdm import (
     tuple_function,
 )
 from repro.optimizer import optimize
+from repro.partition import hash_partition, range_partition
 from repro.predicates import parse_predicate
+from repro.storage import StorageEngine, VersionedTable
+from repro.storage.image import engine_image, install_image, table_schema
 
 # -- strategies ---------------------------------------------------------------
 
@@ -380,3 +385,96 @@ def test_snapshot_reads_are_stable(seed):
     after = {k: rel(k)("v") for k in rel.keys()}
     assert before == after
     reader.commit()
+
+
+# -- segment statistics ------------------------------------------------------------------
+
+
+def _facts(stats):
+    """Everything a segment's statistics know, as one comparable value."""
+    return (
+        stats.row_count,
+        stats.opaque,
+        {
+            name: (a.defined, a.values, a.num_min, a.num_max, a.str_min,
+                   a.str_max, a.other)
+            for name, a in stats.attrs.items()
+        },
+    )
+
+
+def _replayed(segment):
+    """The statistics of a fresh segment fed *segment*'s surviving
+    chains."""
+    fresh = VersionedTable("replay")
+    for key, chain in segment._chains.items():
+        for version in chain:
+            fresh.apply(key, version.data, version.ts)
+    return fresh.stats
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_segment_statistics_equal_a_replay_of_their_chains(seed):
+    """Through inserts, updates, deletes, partition moves, re-shards,
+    vacuums, WAL recovery and image installs, every segment's facts
+    equal those of a fresh segment replaying its surviving chains, and
+    the segments' row counts sum to the live key count."""
+    rng = random.Random(seed)
+    latest = 2**62
+    engine = StorageEngine()
+    engine.create_table("t")
+    ts = 1
+    engine.apply_commit(ts, [], schemas={"t": table_schema(engine, "t")})
+    model: dict = {}
+
+    def value():
+        return rng.choice([
+            rng.randint(-5, 5), rng.random() * 10, float("nan"), None,
+            rng.choice(["NY", "CA", "TX"]), rng.random() < 0.5, [1, 2],
+        ])
+
+    for _step in range(40):
+        ts += 1
+        action = rng.random()
+        if action < 0.55:
+            key = rng.randrange(12)
+            row = {"p": rng.randrange(4)}
+            for attr in ("v", "w"):
+                if rng.random() < 0.7:
+                    row[attr] = value()
+            engine.apply_commit(ts, [("t", key, row)])
+            model[key] = row
+        elif action < 0.7 and model:
+            key = rng.choice(sorted(model))
+            engine.apply_commit(ts, [("t", key, TOMBSTONE)])
+            del model[key]
+        elif action < 0.8:
+            scheme = rng.choice([
+                hash_partition("p", rng.randint(1, 4)),
+                range_partition("p", [1]),
+                range_partition("p", [1, 3]),
+            ])
+            schema = table_schema(engine, "t")
+            schema["partition"] = scheme.spec()
+            engine.apply_commit(ts, [], schemas={"t": schema})
+        elif action < 0.9:
+            engine.vacuum(rng.randint(0, ts))
+        elif action < 0.95:  # a reopen: replay the log, keep appending
+            wal = engine.wal
+            engine = StorageEngine.recover(wal)
+            engine.wal = wal
+        else:
+            engine = install_image(engine_image(engine, ts))
+        table = engine.table("t")
+        segments = table.segments if table.is_partitioned else [table]
+        for segment in segments:
+            assert _facts(segment.stats) == _facts(_replayed(segment))
+        live = sum(1 for _ in table.keys_at(latest))
+        assert sum(s.stats.row_count for s in segments) == live
+        assert table.stats.row_count == live
+        # repr: a recovered NaN is another object, and NaN != NaN
+        assert repr(dict(table.scan_at(latest))) == repr(
+            {key: model[key] for key in table.keys_at(latest)}
+        )
+        assert sorted(table.keys_at(latest)) == sorted(model)

@@ -19,6 +19,7 @@ import repro.client
 import repro.replication as repl
 import repro.server
 from repro._util import TOMBSTONE
+from repro.compile import using_offload_mode
 from repro.errors import (
     FencedLeaderError,
     ReadOnlyReplicaError,
@@ -26,6 +27,7 @@ from repro.errors import (
     ReplicationError,
     WALError,
 )
+from repro.exec import using_exec_mode
 from repro.partition import hash_partition
 from repro.storage.engine import StorageEngine
 from repro.storage.persist import load_checkpoint
@@ -300,7 +302,7 @@ class TestReplicaStream:
         leader["scratch"] = {1: {"v": 1}}
         del leader["scratch"]
         _caught_up(leader, replica)
-        assert replica.engine.indexes["customers"].get("age").kind == "sorted"
+        assert replica.engine.table("customers").indexes.get("age").kind == "sorted"
         assert replica.partition_layout("regions") == (
             leader.partition_layout("regions")
         )
@@ -868,3 +870,71 @@ class TestOneWrittenForm:
         assert not replica.t.defined_at(2)
         with pytest.raises(ReplicationError):
             _Feed(leader, repl.ReplicaDatabase(), session_id=2)
+
+
+# ---------------------------------------------------------------------------
+# a snapshot install is one reference swap (DESIGN.md §12)
+# ---------------------------------------------------------------------------
+
+
+def _window_reads(db):
+    """A zone-skipped filter, an index lookup and an offloaded filter,
+    each as ``{key: v}``."""
+
+    def entries(fn):
+        return {key: row("v") for key, row in fn.items()}
+
+    with using_exec_mode("batch"):
+        zone = entries(fql.filter(db.t, "v >= 1000"))
+        index = entries(fql.filter(db.t, "v == 1005"))
+    with using_exec_mode("batch"), using_offload_mode("force"):
+        offload = entries(fql.filter(db.t, "v >= 1000"))
+    return {"zone": zone, "index": index, "offload": offload}
+
+
+class TestSnapshotInstallWindow:
+    """Reads that land at the instant a snapshot install assigns the
+    replica engine's tables see the new state whole: statistics,
+    indexes and the offload mirror's staleness all ride the table
+    objects, so nothing is swapped after them."""
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [(None, None), (hash_partition("k", 2), hash_partition("k", 4))],
+        ids=["flat", "partition_count_changes"],
+    )
+    def test_reads_at_the_table_swap(self, before, after, monkeypatch):
+        leader = fql.connect("window-leader", default=False)
+        replica = repl.ReplicaDatabase(name="window-replica")
+        try:
+            leader.create_table(
+                "t", rows={i: {"k": i, "v": i} for i in range(40)},
+                key_name="k", partition_by=before,
+            )
+            leader.create_index("t", "v")
+            replica.apply_snapshot(repl.snapshot_payload(leader))
+            _window_reads(replica)  # plans cached, mirror synced
+            for i in range(40):
+                leader.t[i]["v"] = 1000 + i
+            if after is not None:
+                leader.partition_table("t", after)
+            with using_exec_mode("naive"):
+                expected = _window_reads(leader)
+            assert len(expected["zone"]) == 40
+            assert expected["index"] == {5: 1005}
+
+            engine, seen = replica.engine, {}
+
+            def hook(obj, name, value):
+                object.__setattr__(obj, name, value)
+                if obj is engine and name == "tables" and not seen:
+                    seen.update(_window_reads(replica))
+
+            monkeypatch.setattr(StorageEngine, "__setattr__", hook)
+            replica.apply_snapshot(repl.snapshot_payload(leader))
+            monkeypatch.undo()
+            assert seen == expected
+            assert _window_reads(replica) == expected
+        finally:
+            replica.close()
+            leader.close()

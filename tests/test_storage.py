@@ -3,6 +3,7 @@ checkpoints."""
 
 import pytest
 
+import repro as fql
 from repro._util import TOMBSTONE
 from repro.errors import (
     PersistenceError,
@@ -10,6 +11,8 @@ from repro.errors import (
     UnknownRelationError,
     WALError,
 )
+from repro.optimizer.cardinality import estimate_selectivity
+from repro.predicates import parse_predicate
 from repro.storage import (
     HashIndex,
     SortedIndex,
@@ -163,7 +166,7 @@ class TestWAL:
         assert recovered.table_names() == ["t"]
         assert table_schema(recovered, "t") == table_schema(engine, "t")
         assert recovered.table("t").key_name == ("a", "b")
-        assert recovered.indexes["t"].attrs() == ["y"]
+        assert recovered.table("t").indexes.attrs() == ["y"]
         assert recovered.table("t").read((1, 2), 99) == {"x": 1}
 
     def test_recovery_replays_committed_state(self, tmp_path):
@@ -176,7 +179,7 @@ class TestWAL:
         recovered = StorageEngine.recover(WriteAheadLog.load(path))
         assert recovered.table("t").read(2, 99) == {"x": 2}
         assert recovered.table("t").read(1, 99) is TOMBSTONE
-        assert recovered.stats["t"].row_count == 1
+        assert recovered.table("t").stats.row_count == 1
 
 
 class TestIndexes:
@@ -228,7 +231,7 @@ class TestStatistics:
         engine = StorageEngine()
         engine.create_table("t")
         engine.apply_commit(1, [("t", 1, {"age": 47}), ("t", 2, {"age": 25})])
-        stats = engine.stats["t"]
+        stats = engine.table("t").stats
         assert stats.row_count == 2
         assert stats.attr("age").n_distinct == 2
         engine.apply_commit(2, [("t", 1, TOMBSTONE)])
@@ -240,11 +243,36 @@ class TestStatistics:
         engine.create_table("t")
         writes = [("t", i, {"age": 20 + (i % 10)}) for i in range(100)]
         engine.apply_commit(1, writes)
-        age = engine.stats["t"].attr("age")
+        age = engine.table("t").stats.attr("age")
         assert age.selectivity_eq(20) == pytest.approx(0.1)
         assert age.selectivity_eq(999) == pytest.approx(1 / 10)
         assert 0.4 < age.selectivity_range(20, 24) < 0.7
         assert age.selectivity_range(None, 19) == 0.0
+
+    def test_nan_first_does_not_pin_range_estimates(self):
+        """The bounds exclude NaN, so the order rows arrive in cannot
+        turn every range estimate into 1.0."""
+        values = [float("nan")] + [float(i) for i in range(100)]
+        estimates = []
+        for order in (values, values[::-1]):
+            db = fql.connect("nan-order", default=False)
+            db["t"] = {i: {"x": value} for i, value in enumerate(order)}
+            estimates.append(
+                estimate_selectivity(parse_predicate("x >= 90"), db.t)
+            )
+            db.close()
+        assert estimates[0] == estimates[1]
+        assert estimates[0] < 0.2
+
+    def test_range_over_another_value_family_takes_the_default(self):
+        """A string bound against numeric bounds cannot be interpolated;
+        the estimate falls back instead of raising."""
+        engine = StorageEngine()
+        engine.create_table("t")
+        engine.apply_commit(1, [("t", 1, {"a": 5}), ("t", 2, {"a": "zz"})])
+        a = engine.table("t").stats.attr("a")
+        assert a.selectivity_range("m", None) == pytest.approx(1 / 3)
+        assert a.selectivity_range(None, 3) == 0.0
 
 
 class TestCheckpoint:
@@ -261,7 +289,7 @@ class TestCheckpoint:
         assert restored.table("t").read(1, 99) == {"x": 1}
         assert restored.table("r").read((1, 2), 99) == {"d": "a"}
         assert restored.table("r").key_name == ("cid", "pid")
-        assert restored.indexes["t"].get("x").kind == "sorted"
+        assert restored.table("t").indexes.get("x").kind == "sorted"
 
     def test_unwritable_values_and_malformed_files_raise_typed(self, tmp_path):
         engine = StorageEngine()

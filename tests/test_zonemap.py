@@ -1,9 +1,11 @@
 """Zone-map unit tests (DESIGN.md §13).
 
-Covers the bound-tracking lattice (:class:`AttrZone` / :class:`ZoneMap`),
-the conservative may-analysis (:func:`zone_may_match`), the engine-side
-maintenance on commit, accumulate-only soundness after DML, and the
-executor counters that certify segments were actually skipped.
+A segment's statistics double as its zone map. Covers their
+bound-tracking lattice (:class:`AttrStatistics` /
+:class:`TableStatistics`), the conservative may-analysis
+(:func:`zone_may_match`), maintenance on commit, accumulate-only
+soundness after DML, narrowing by vacuum, and the executor counters
+that certify segments were actually skipped.
 """
 
 import math
@@ -11,77 +13,84 @@ import math
 import pytest
 
 import repro as fql
+from repro._util import TOMBSTONE
 from repro.exec import explain
 from repro.exec.batch import counters, reset_counters
 from repro.partition import range_partition
 from repro.predicates import parse_predicate
-from repro.storage.stats import (
-    AttrZone,
-    ZoneMap,
-    rebuild_zone_maps,
-    zone_may_match,
-)
+from repro.storage.stats import AttrStatistics, TableStatistics, zone_may_match
 
 
 def _zone(*rows):
-    zone = ZoneMap()
+    zone = TableStatistics()
     for row in rows:
-        zone.observe(row)
+        zone.on_write(TOMBSTONE, row)
     return zone
+
+
+def _segments(db, name="events"):
+    """Each segment's statistics, in partition order."""
+    table = db.engine.table(name)
+    segments = table.segments if table.is_partitioned else [table]
+    return [segment.stats for segment in segments]
 
 
 def _may(zone, source):
     return zone_may_match(zone, parse_predicate(source))
 
 
-# -- AttrZone bound tracking ------------------------------------------------
+# -- AttrStatistics bound tracking ------------------------------------------
 
 
 class TestAttrZone:
+    """The bounds half of :class:`AttrStatistics`."""
+
     def test_numeric_bounds(self):
-        az = AttrZone()
+        az = AttrStatistics()
         for v in (5, 2.5, 9, -1):
-            az.observe(v)
+            az.add(v)
         assert (az.num_min, az.num_max) == (-1, 9)
         assert az.str_min is None and not az.other
 
     def test_string_bounds_separate_from_numeric(self):
-        az = AttrZone()
-        az.observe("mango")
-        az.observe(7)
-        az.observe("apple")
+        az = AttrStatistics()
+        az.add("mango")
+        az.add(7)
+        az.add("apple")
         assert (az.str_min, az.str_max) == ("apple", "mango")
         assert (az.num_min, az.num_max) == (7, 7)
         assert not az.other  # mixed types are fine, not opaque
 
     def test_bool_unifies_with_numeric(self):
-        az = AttrZone()
-        az.observe(True)
-        az.observe(5)
+        az = AttrStatistics()
+        az.add(True)
+        az.add(5)
         assert (az.num_min, az.num_max) == (1, 5)
         assert not az.other
 
     def test_none_sets_other(self):
-        az = AttrZone()
-        az.observe(None)
+        az = AttrStatistics()
+        az.add(None)
         assert az.other and az.num_min is None
 
     def test_nan_sets_other_not_bounds(self):
-        az = AttrZone()
-        az.observe(float("nan"))
+        az = AttrStatistics()
+        az.add(float("nan"))
         assert az.num_min is None and az.num_max is None
         assert az.other  # NaN is incomparable: ranges become inconclusive
 
     def test_container_sets_other(self):
-        az = AttrZone()
-        az.observe([1, 2])
+        az = AttrStatistics()
+        az.add([1, 2])
         assert az.other
 
 
 class TestZoneMap:
+    """:class:`TableStatistics` read as a segment's zone map."""
+
     def test_per_attr_zones_and_row_count(self):
         zone = _zone({"a": 1, "b": "x"}, {"a": 3})
-        assert zone.rows == 2
+        assert zone.row_count == 2
         assert zone.attrs["a"].num_max == 3
         assert zone.attrs["b"].defined == 1
 
@@ -153,7 +162,7 @@ class TestMayMatch:
 
     def test_none_zone_is_none_and_empty(self):
         assert zone_may_match(None, parse_predicate("age > 1"))
-        empty = ZoneMap()
+        empty = TableStatistics()
         assert not zone_may_match(empty, parse_predicate("age > 1"))
 
     def test_opaque_lambda_is_inconclusive(self):
@@ -181,7 +190,7 @@ def _events_db(name):
 class TestEngineMaintenance:
     def test_zone_maps_exist_per_segment(self):
         db = _events_db("zm-exist")
-        zones = db.engine.zones["events"]
+        zones = _segments(db)
         assert len(zones) == 4
         assert [z.attrs["ts"].num_min for z in zones] == [100, 200, 300, 400]
         db.close()
@@ -189,7 +198,7 @@ class TestEngineMaintenance:
     def test_commit_widens_zone(self):
         db = _events_db("zm-widen")
         db.events[1000] = {"seq": 50, "ts": 9_999}
-        zone = db.engine.zones["events"][0]
+        zone = _segments(db)[0]
         assert zone.attrs["ts"].num_max == 9_999
         db.close()
 
@@ -200,7 +209,7 @@ class TestEngineMaintenance:
         exact either way."""
         db = _events_db("zm-stale")
         db.events[150]["ts"] = 5  # moves ts out of segment 1's [200, 299]
-        zone = db.engine.zones["events"][1]
+        zone = _segments(db)[1]
         assert zone.attrs["ts"].num_min == 5  # widened down
         assert zone.attrs["ts"].num_max == 299  # old bound retained
         got = dict(fql.filter(db.events, "ts == 5").items())
@@ -208,20 +217,24 @@ class TestEngineMaintenance:
         db.close()
 
     def test_rebuild_covers_all_versions(self):
+        """A re-shard replays every version into the new segments, so
+        their bounds cover readers at old snapshots too."""
         db = _events_db("zm-rebuild")
         db.events[0]["ts"] = -7
-        table = db.engine.tables["events"]
-        maps = rebuild_zone_maps(table)
-        assert maps[0].attrs["ts"].num_min == -7
-        assert maps[0].attrs["ts"].num_max == 199  # old versions observed
+        db.events[0]["ts"] = 150
+        db.partition_table("events", range_partition("seq", [100, 300]))
+        zone = _segments(db)[0]
+        assert zone.attrs["ts"].num_min == -7  # an old version observed
+        assert zone.attrs["ts"].num_max == 199
+        assert zone.row_count == 100  # counts follow the latest state
         db.close()
 
     def test_partition_table_rebuilds_zones(self):
         db = fql.connect("zm-repart", default=False)
         db["events"] = {i: {"seq": i, "ts": 100 + i} for i in range(400)}
-        assert len(db.engine.zones["events"]) == 1
+        assert len(_segments(db)) == 1
         db.partition_table("events", range_partition("seq", [200]))
-        zones = db.engine.zones["events"]
+        zones = _segments(db)
         assert len(zones) == 2
         assert zones[1].attrs["ts"].num_min == 300
         db.close()
@@ -280,20 +293,25 @@ def test_explain_reports_zone_verdicts():
 
 
 def test_vacuum_then_rebuild_narrows_zones():
+    """Bounds only widen at commit; a vacuum that drops the version
+    holding an out-of-range value rebuilds the segment's statistics
+    from the survivors, and the segment is skipped again."""
     db = _events_db("zm-vacuum")
-    db.events[0]["ts"] = 100  # dead version with ts=100 remains until vacuum
-    db.events[0]["ts"] = 42
-    table = db.engine.tables["events"]
-    wide = rebuild_zone_maps(table)
-    assert wide[0].attrs["ts"].num_min == 42
-    db.vacuum()
-    narrow = rebuild_zone_maps(table)
-    assert narrow[0].attrs["ts"].num_min == 42
-    # the vacuumed rebuild observes no more versions than the wide one
-    assert narrow[0].rows <= wide[0].rows
+    db.events[0]["ts"] = -7  # out of segment 0's [100, 199] ...
+    db.events[0]["ts"] = 150  # ... and back: -7 lives on in a dead version
+    expr = fql.filter(db.events, "ts < 0")
+    reset_counters()
+    assert dict(expr.items()) == {}
+    assert counters.zone_segments_scanned == 1  # the bound still says -7
+    assert db.vacuum() > 0
+    assert _segments(db)[0].attrs["ts"].num_min == 101
+    reset_counters()
+    assert dict(expr.items()) == {}
+    assert counters.zone_segments_skipped == 4
+    assert counters.zone_segments_scanned == 0
     db.close()
 
 
 def test_math_isnan_guard():
-    # regression guard for observe(): NaN != NaN is load-bearing
+    # regression guard for AttrStatistics.add(): NaN != NaN is load-bearing
     assert math.isnan(float("nan"))

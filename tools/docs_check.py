@@ -49,6 +49,8 @@ DOCSTRING_FILES = [
     "src/repro/replication/hub.py",
     "src/repro/replication/replica.py",
     "src/repro/storage/image.py",
+    "src/repro/storage/stats.py",
+    "src/repro/storage/versioned.py",
     "src/repro/compile/__init__.py",
     "src/repro/compile/mirror.py",
     "src/repro/compile/sqlgen.py",
