@@ -102,6 +102,15 @@ class OffloadPipeline:
             return self._batched().iter_keys()
         return iter(result)
 
+    def iter_batches(self) -> Iterator[list]:
+        """The decoded result as one entry list (``iter_entries``'
+        stream, unflattened)."""
+        result = self._execute(keys=False)
+        if result is None:
+            return self._batched().iter_batches()
+        # a generator, so the stream closes like the batched one's
+        return (batch for batch in (result,) if batch)
+
     def explain(self) -> str:
         """Indented rendering: the offload root plus its compiled SQL."""
         lines = [self.root.describe()]

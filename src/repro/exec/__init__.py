@@ -14,7 +14,8 @@ Public surface:
 * :func:`explain` — logical plan + fired rules + physical pipeline
 * :func:`exec_mode` / :func:`set_exec_mode` / :func:`using_exec_mode`
 * :func:`pipeline_for`, :func:`route_items`, :func:`route_keys` — the
-  enumeration seam used by :class:`repro.fdm.functions.DerivedFunction`
+  enumeration seam used by :class:`repro.fdm.functions.DerivedFunction`;
+  :func:`route_batches` — the same seam batch by batch (the wire encoder)
 * :class:`PlanCache`, :func:`cache_for`, :func:`default_plan_cache`,
   :func:`fingerprint`
 """
@@ -38,6 +39,7 @@ from repro.exec.run import (
     exec_mode,
     join_bindings,
     pipeline_for,
+    route_batches,
     route_items,
     route_keys,
     set_exec_mode,
@@ -61,6 +63,7 @@ __all__ = [
     "kernel_backend",
     "lower",
     "pipeline_for",
+    "route_batches",
     "route_items",
     "route_keys",
     "set_exec_mode",

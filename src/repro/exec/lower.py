@@ -54,6 +54,10 @@ class PhysicalPipeline:
         for batch in self.root.key_batches():
             yield from batch
 
+    def iter_batches(self):
+        """The root's batches, unflattened (the wire encoder's drain)."""
+        return self.root.batches()
+
     def explain(self) -> str:
         """Indented rendering of the physical operator tree."""
         lines: list[str] = []
@@ -149,4 +153,5 @@ def _node_for(fn: FDMFunction) -> PhysicalNode:
     # local import: the operator table imports the layers that call it
     from repro.operators import operator_of
 
-    return operator_of(fn).lower(fn, _node_for)
+    entry = operator_of(fn)
+    return NaiveNode(fn) if entry.lower is None else entry.lower(fn, _node_for)

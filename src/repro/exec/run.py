@@ -4,7 +4,7 @@
 :func:`route_keys`. In ``batch`` mode (the default) the graph is
 fingerprinted, looked up in the per-database plan cache, and — on a miss
 — optimized and lowered into a physical pipeline. In ``naive`` mode
-(``REPRO_EXEC=naive``, or :func:`set_exec_mode`) both return ``None``
+(``REPRO_EXEC=naive``, or :func:`set_exec_mode`) all three return ``None``
 and the caller falls back to the original per-key interpretation; the
 differential test suite runs every operator under both modes and asserts
 identical results.
@@ -27,7 +27,7 @@ from time import perf_counter_ns
 from typing import Any, Iterator
 
 from repro.config import EXEC
-from repro.fdm.functions import FDMFunction
+from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.exec.cache import cache_of, engine_of, fingerprint
 from repro.exec.lower import PhysicalPipeline, lower
 from repro.obs.context import QueryContext, _local
@@ -38,6 +38,7 @@ __all__ = [
     "using_exec_mode",
     "route_items",
     "route_keys",
+    "route_batches",
     "pipeline_for",
     "join_bindings",
 ]
@@ -94,9 +95,17 @@ def pipeline_rules() -> list:
 
 
 def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
-    """The cached physical pipeline for *fn*, planning it on a miss."""
+    """The physical pipeline for *fn* (cached, planned on a miss), or
+    ``None`` when it runs per key."""
     from repro.obs.trace import span
+    from repro.operators import operator_of
 
+    if not isinstance(fn, DerivedFunction):
+        # a base function's plan is its scan: nothing to optimize or
+        # offload, and nothing worth a cache entry that would pin it
+        return lower(fn, engine=engine_of(fn))
+    if operator_of(fn).lower is None:
+        return None  # it runs per key: there is nothing to plan
     try:
         # Offload mode is part of the plan: a compiled-to-SQL pipeline
         # cached under REPRO_OFFLOAD=force must not serve the off mode.
@@ -155,15 +164,27 @@ def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
 
 def route_items(fn: FDMFunction) -> Iterator[tuple] | None:
     """Batched (key, value) stream for *fn*, or ``None`` to run naive."""
-    return _route(fn, keys=False)
+    return _route(fn, "iter_entries")
 
 
 def route_keys(fn: FDMFunction) -> Iterator[Any] | None:
     """Batched key stream for *fn*, or ``None`` to run naive."""
-    return _route(fn, keys=True)
+    return _route(fn, "iter_keys")
 
 
-def _route(fn: FDMFunction, keys: bool) -> Iterator[Any] | None:
+def route_batches(fn: FDMFunction) -> Iterator[Any] | None:
+    """*fn*'s pipeline output batch by batch, or ``None`` to run naive.
+
+    Each batch is a :class:`~repro.exec.batch.ColumnBatch` or a list of
+    ``(key, value)`` entries; together they are exactly
+    :func:`route_items`' stream. A stored or material leaf lowers to a
+    scan, so its batches are the segment's column image. Close the
+    stream when stopping early: the query reports when it closes.
+    """
+    return _route(fn, "iter_batches")
+
+
+def _route(fn: FDMFunction, stream: str) -> Iterator[Any] | None:
     if exec_mode() != "batch":
         return None
     pipeline = pipeline_for(fn)
@@ -173,21 +194,22 @@ def _route(fn: FDMFunction, keys: bool) -> Iterator[Any] | None:
     if query is None:
         # inner work of an enclosing query, or nobody is watching: the
         # raw stream, at zero added per-row cost
-        return pipeline.iter_keys() if keys else pipeline.iter_entries()
-    return _enumerate(query, keys)
+        return getattr(pipeline, stream)()
+    return _enumerate(query, stream)
 
 
-def _enumerate(query: QueryContext, keys: bool) -> Iterator[Any]:
+def _enumerate(query: QueryContext, stream: str) -> Iterator[Any]:
     """The one generator between a pipeline and an observed consumer.
 
     Installs *query* around each pull (generator frames run on the
     consumer's thread between yields, and the consumer may carry a
-    context of its own that ours must not shadow), counts rows and
-    reads the clock once, and reports that one measurement when the
-    stream closes, however it closes.
+    context of its own that ours must not shadow), counts rows (a
+    batch counts its length) and reads the clock once, and reports
+    that one measurement when the stream closes, however it closes.
     """
     plan = query.begin()
-    inner = plan.iter_keys() if keys else plan.iter_entries()
+    inner = getattr(plan, stream)()
+    batched = stream == "iter_batches"
     live = query.meter if query.budgeted else None
     rows = 0
     start = perf_counter_ns()
@@ -201,9 +223,10 @@ def _enumerate(query: QueryContext, keys: bool) -> Iterator[Any]:
                 break
             finally:
                 _local.context = outer
-            rows += 1
-            if live is not None:  # budgets are enforced row by row
-                live.add_result_rows(1)
+            n = len(item) if batched else 1
+            rows += n
+            if live is not None:  # budgets are enforced pull by pull
+                live.add_result_rows(n)
             yield item
     finally:
         query.report(rows, perf_counter_ns() - start)

@@ -74,6 +74,9 @@ class MaterializedView(DerivedFunction):
     def keys(self) -> Iterator[Any]:
         return self._snapshot.keys()
 
+    def items(self) -> Iterator[tuple[Any, Any]]:
+        return self._snapshot.items()
+
     def __len__(self) -> int:
         return len(self._snapshot)
 

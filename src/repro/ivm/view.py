@@ -600,6 +600,10 @@ class MaintainedView(MaterializedView):
         self._maintenance_sync()
         return self._snapshot.keys()
 
+    def items(self) -> Iterator[tuple[Any, Any]]:
+        self._maintenance_sync()
+        return self._snapshot.items()
+
     def __len__(self) -> int:
         self._maintenance_sync()
         return len(self._snapshot)

@@ -73,7 +73,9 @@ class Operator:
     #: label, so rebuilt graphs of one shape agree.
     token: Callable[[Any, bool], Any] = _instance_token
     #: ``lower(fn, low)``: the physical node; ``low`` lowers an input.
-    lower: Callable[[Any, Callable], Any] = lambda fn, low: nodes.NaiveNode(fn)
+    #: ``None``: it runs per key (a ``NaiveNode``), and a graph rooted
+    #: at it is never planned.
+    lower: Callable[[Any, Callable], Any] | None = None
     #: ``delta(fn, base_deltas, aux, stats)``, or ``FALLBACK``: no sound
     #: rule, recompute when anything the operator reads has changed.
     delta: Any = ivm.FALLBACK

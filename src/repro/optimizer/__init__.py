@@ -67,10 +67,21 @@ def optimize(
 def _rewrite_once(
     fn: FDMFunction, rules: list[Rule], trace: list[str] | None = None
 ) -> tuple[FDMFunction, bool]:
+    # local import: the operator table imports this package's rules
+    from repro.operators import operator_of
+
     changed = False
 
     def visit(node: FDMFunction) -> FDMFunction:
         nonlocal changed
+        if (
+            isinstance(node, DerivedFunction)
+            and operator_of(node).reads_snapshot
+        ):
+            # a view answers from its snapshot, which is a leaf: a
+            # rewrite beneath it would rebuild the view, re-evaluating
+            # its whole expression
+            return node
         children = getattr(node, "children", ())
         if children:
             new_children = tuple(visit(child) for child in children)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from itertools import chain
 from typing import Any
 
 from repro._util import (
@@ -40,6 +41,8 @@ from repro._util import (
     encode_tuple_key,
 )
 from repro.errors import ConnectionClosedError, ProtocolError, RemoteError
+from repro.fdm.functions import FDMFunction
+from repro.relational.nulls import is_null
 
 __all__ = [
     "MAX_FRAME",
@@ -145,6 +148,8 @@ def encode_key(key: Any) -> Any:
 
 def decode_key(key: Any) -> Any:
     """Invert :func:`encode_key` back into a (possibly tuple) key."""
+    if type(key) in _SCALARS:
+        return key
     return decode_tuple_key(key, _decode_key_element)
 
 
@@ -158,6 +163,12 @@ class RemoteRows(dict):
     kind: str = "relation"
     name: str = ""
     truncated: bool = False
+
+
+#: What JSON carries as itself. Exact types: a subclass (an ``IntEnum``,
+#: say) takes the general path, which decides what it becomes.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+_NAMES = frozenset({str})
 
 
 def encode_value(
@@ -175,82 +186,81 @@ def encode_value(
         raise ProtocolError("result nesting exceeds the protocol depth cap")
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if value is MISSING:
-        return {"@": "missing"}
-    if value is TOMBSTONE:
-        return {"@": "missing"}
-    from repro.fdm.functions import FDMFunction
-    from repro.relational.nulls import is_null
-
-    if is_null(value):
-        return None
     if isinstance(value, dict):
-        return {
-            "@": "tuple",
-            "attrs": {
+        if (
+            _depth < _MAX_DEPTH
+            and _SCALARS.issuperset(map(type, value.values()))
+            and _NAMES.issuperset(map(type, value))
+        ):
+            attrs = dict(value)  # a committed row, nearly always
+        else:
+            attrs = {
                 str(attr): encode_value(v, max_rows, _depth + 1)
                 for attr, v in value.items()
-            },
-        }
-    if isinstance(value, FDMFunction):
-        if value.kind == "tuple" and value.is_enumerable:
-            return {
-                "@": "tuple",
-                "attrs": {
-                    str(attr): encode_value(v, max_rows, _depth + 1)
-                    for attr, v in value.items()
-                },
             }
-        if value.is_enumerable:
-            rows = []
-            truncated = False
-            for key in value.keys():
-                if max_rows is not None and len(rows) >= max_rows:
-                    truncated = True
-                    break
-                rows.append(
-                    [
-                        encode_key(key),
-                        encode_value(value(key), max_rows, _depth + 1),
-                    ]
-                )
-            envelope: dict[str, Any] = {
-                "@": "relation",
-                "kind": value.kind,
-                "name": value.name,
-                "rows": rows,
-            }
-            if truncated:
-                envelope["truncated"] = True
-            return envelope
-        return {
-            "@": "repr",
-            "type": type(value).__name__,
-            "repr": repr(value),
-        }
+        return {"@": "tuple", "attrs": attrs}
+    if value is MISSING or value is TOMBSTONE:
+        return {"@": "missing"}
+    if is_null(value):
+        return None
+    if isinstance(value, FDMFunction) and value.is_enumerable:
+        if value.kind == "tuple":
+            return encode_value(dict(value.items()), max_rows, _depth)
+        return _encode_relation(value, max_rows, _depth)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return {
-            "@": "list",
-            "items": [
-                encode_value(item, max_rows, _depth + 1) for item in value
-            ],
-        }
+        items = [encode_value(item, max_rows, _depth + 1) for item in value]
+        return {"@": "list", "items": items}
     return {"@": "repr", "type": type(value).__name__, "repr": repr(value)}
 
 
+def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
+    """A relation's envelope, from one drain of its executor pipeline
+    (``items()`` for a nested relation or one the executor cannot plan)."""
+    from repro.exec.batch import ColumnBatch
+    from repro.exec.run import route_batches
+
+    batches = route_batches(fn) if depth == 0 else None
+    entries = chain.from_iterable(
+        zip(batch.keys, batch.rows) if type(batch) is ColumnBatch else batch
+        for batch in ((fn.items(),) if batches is None else batches)
+    )
+    envelope = {"@": "relation", "kind": fn.kind, "name": fn.name}
+    rows = envelope["rows"] = []
+    try:
+        for key, value in entries:
+            if max_rows is not None and len(rows) >= max_rows:
+                envelope["truncated"] = True
+                break
+            value = encode_value(value, max_rows, depth + 1)
+            rows.append([encode_key(key), value])
+    finally:
+        if batches is not None:
+            batches.close()  # the query reports once, now
+    return envelope
+
+
 def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value` into plain Python structures."""
+    """Invert :func:`encode_value` into plain Python structures (a row
+    of scalars is returned as the envelope's own dict, not a copy)."""
     if not isinstance(value, dict):
         return value
     tag = value.get("@")
     if tag == "tuple":
-        return {
-            attr: decode_value(v) for attr, v in value["attrs"].items()
-        }
+        attrs = value["attrs"]
+        if _SCALARS.issuperset(map(type, attrs.values())):
+            return attrs
+        return {attr: decode_value(v) for attr, v in attrs.items()}
     if tag == "relation":
-        rows = RemoteRows(
-            (decode_key(key), decode_value(v)) for key, v in value["rows"]
-        )
+        rows = RemoteRows()
+        for key, v in value["rows"]:
+            if (  # the tuple case above, inlined: most replies are rows
+                type(v) is dict
+                and v.get("@") == "tuple"
+                and _SCALARS.issuperset(map(type, v["attrs"].values()))
+            ):
+                rows[decode_key(key)] = v["attrs"]
+            else:
+                rows[decode_key(key)] = decode_value(v)
         rows.kind = value.get("kind", "relation")
         rows.name = value.get("name", "")
         rows.truncated = bool(value.get("truncated", False))

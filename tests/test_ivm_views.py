@@ -571,3 +571,83 @@ class TestCommitLandingMidSync:
                 assert {10, 11} <= set(view.keys())
             else:
                 assert "Late" in view("NY")("names")
+
+
+class TestViewsEnumerateTheirSnapshot:
+    """A view's ``items()`` reads its snapshot: no plan over a view may
+    rebuild it (a rebuild re-evaluates the whole expression)."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        from repro.fql.views import MaterializedView
+
+        built = []
+        init = MaterializedView.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MaterializedView, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_items_after_a_commit_builds_no_view(
+        self, stored_db, constructions, eager
+    ):
+        from repro.exec import pipeline_for, using_exec_mode
+        from repro.server.protocol import encode_value
+
+        view = maintained_view(
+            fql.group_and_aggregate(
+                by=["state"], n=fql.Count(), total=fql.Sum("age"),
+                input=stored_db.customers,
+            ),
+            eager=eager,
+        )
+        cache = stored_db.engine.plan_cache
+        with using_exec_mode("batch"):
+            list(view.items())  # settle
+            del constructions[:]
+            for age in (31, 32, 33):
+                stored_db.customers[4] = {"name": "Dan", "age": age,
+                                          "state": "TX"}
+                view.sync()  # diff-based upkeep (REPRO_IVM=off) plans
+                before = cache.stats()
+                rows = {k: dict(v.items()) for k, v in view.items()}
+                assert rows["TX"] == {"state": "TX", "n": 1, "total": age}
+                assert rows == {k: dict(view(k).items()) for k in view.keys()}
+                served = encode_value(view)["rows"]
+                assert [k for k, _v in served] == list(rows)
+                assert pipeline_for(view) is None  # a view is not planned
+                assert cache.stats() == before
+        assert constructions == []
+
+    def test_the_optimizer_does_not_descend_into_a_view(self, stored_db):
+        from repro.exec.run import pipeline_rules
+        from repro.optimizer import optimize
+
+        view = fql.materialized_view(
+            fql.group_and_aggregate(
+                by=["state"], n=fql.Count(), input=stored_db.customers
+            )
+        )
+        trace = []
+        assert optimize(view, rules=pipeline_rules(), trace=trace) is view
+        above = fql.filter(fql.filter(view, "n > 0"), "n < 9")
+        optimized = optimize(above, rules=pipeline_rules(), trace=trace)
+        assert trace == ["fuse_filters"]
+        assert optimized.source is view
+
+    def test_a_stale_view_enumerates_its_snapshot(self, stored_db):
+        view = fql.materialized_view(
+            fql.group_and_aggregate(
+                by=["state"], n=fql.Count(), input=stored_db.customers
+            )
+        )
+        stored_db.customers[9] = {"name": "Ida", "age": 33, "state": "NY"}
+        snapshot = {k: dict(view(k).items()) for k in view.keys()}
+        assert snapshot["NY"]["n"] == 2  # stale until refreshed
+        assert {k: dict(v.items()) for k, v in view.items()} == snapshot
+        view.refresh()
+        assert {k: dict(v.items()) for k, v in view.items()}["NY"]["n"] == 3
