@@ -52,12 +52,9 @@ __all__ = [
     "kernel_backend",
     "set_kernel_backend",
     "using_kernel_backend",
-    "compare_mask",
-    "membership_mask",
-    "between_mask",
+    "atom_mask",
     "and_masks",
     "or_masks",
-    "const_mask",
     "mask_to_list",
     "select",
     "fold_groups",
@@ -95,18 +92,16 @@ def _derived(image: Any, token: tuple, derive: Any) -> Any:
     return got
 
 
-def _operand_col(batch: Any, kind: str, payload: Any) -> list:
-    """The raw value column for one compiled operand."""
-    if kind == "key":
-        return batch.keys
-    return batch.col(payload)
+def _operand_col(batch: Any, column: str | None) -> list:
+    """The raw value column of an atom's *column* (``None``: the key)."""
+    return batch.keys if column is None else batch.col(column)
 
 
-def _numeric(image: Any, kind: str, payload: Any) -> tuple:
+def _numeric(image: Any, column: str | None) -> tuple:
     """``(float64 values, defined, unsafe)`` over a whole image; *unsafe*
     marks values with no exact float64 form (non-numbers, ints beyond
     2**53) and is ``None`` when there are none."""
-    values = image.keys if kind == "key" else image.column(payload)
+    values = image.keys if column is None else image.column(column)
     floats: list[float] = []
     defined: list[bool] = []
     unsafe: list[int] = []
@@ -137,11 +132,11 @@ def _numeric(image: Any, kind: str, payload: Any) -> tuple:
     )
 
 
-def numeric_col(batch: Any, kind: str, payload: Any):
+def numeric_col(batch: Any, column: str | None):
     """``(float64 values, bool defined)`` arrays for a batch's rows, or
     ``None`` when a selected value is not numeric-safe."""
     values, defined, unsafe = _derived(
-        batch.image, ("numeric", kind, payload), _numeric
+        batch.image, ("numeric", column), _numeric
     )
     sel = batch.sel
     if unsafe is not None and unsafe[sel].any():
@@ -204,18 +199,29 @@ def _note_dispatch(vectorized: bool) -> None:
             meter.python_batches += 1
 
 
-def compare_mask(
-    batch: Any, kind: str, payload: Any, op: str, const: Any
+def atom_mask(batch: Any, atom: Any, negated: bool = False) -> Any:
+    """One :class:`~repro.predicates.ast.Atom` as a selection mask
+    (*negated* turns ``in`` into ``not in``)."""
+    column, op, value = atom
+    if op == "in":
+        return _membership_mask(batch, column, value, negated)
+    if op == "between":
+        return _between_mask(batch, column, *value)
+    return _compare_mask(batch, column, op, value)
+
+
+def _compare_mask(
+    batch: Any, column: str | None, op: str, const: Any
 ) -> Any:
     """``column <op> const`` as a selection mask."""
     if kernel_backend() == "numpy" and _numeric_const(const):
-        nc = numeric_col(batch, kind, payload)
+        nc = numeric_col(batch, column)
         if nc is not None:
             values, defined = nc
             _note_dispatch(True)
             return _PY_OPS[op](values, const) & defined
     _note_dispatch(False)
-    values = _operand_col(batch, kind, payload)
+    values = _operand_col(batch, column)
     py_op = _PY_OPS[op]
     out = [False] * len(values)
     for i, v in enumerate(values):
@@ -229,16 +235,14 @@ def compare_mask(
     return out
 
 
-def membership_mask(
-    batch: Any, kind: str, payload: Any, collection: Any, negated: bool
+def _membership_mask(
+    batch: Any, column: str | None, collection: Any, negated: bool
 ) -> Any:
     """``column in collection`` (or ``not in``) as a selection mask."""
-    if (
-        kernel_backend() == "numpy"
-        and isinstance(collection, (list, tuple, set, frozenset))
-        and all(_numeric_const(v) and v == v for v in collection)
+    if kernel_backend() == "numpy" and all(
+        _numeric_const(v) and v == v for v in collection
     ):
-        nc = numeric_col(batch, kind, payload)
+        nc = numeric_col(batch, column)
         if nc is not None:
             values, defined = nc
             hits = _np.isin(values, list(collection))
@@ -247,7 +251,7 @@ def membership_mask(
             _note_dispatch(True)
             return hits & defined
     _note_dispatch(False)
-    values = _operand_col(batch, kind, payload)
+    values = _operand_col(batch, column)
     out = [False] * len(values)
     for i, v in enumerate(values):
         if v is MISSING:
@@ -261,8 +265,8 @@ def membership_mask(
     return out
 
 
-def between_mask(
-    batch: Any, kind: str, payload: Any, lo: Any, hi: Any
+def _between_mask(
+    batch: Any, column: str | None, lo: Any, hi: Any
 ) -> Any:
     """``lo <= column <= hi`` as a selection mask."""
     if (
@@ -270,13 +274,13 @@ def between_mask(
         and _numeric_const(lo)
         and _numeric_const(hi)
     ):
-        nc = numeric_col(batch, kind, payload)
+        nc = numeric_col(batch, column)
         if nc is not None:
             values, defined = nc
             _note_dispatch(True)
             return (values >= lo) & (values <= hi) & defined
     _note_dispatch(False)
-    values = _operand_col(batch, kind, payload)
+    values = _operand_col(batch, column)
     out = [False] * len(values)
     for i, v in enumerate(values):
         if v is MISSING:
@@ -309,10 +313,6 @@ def or_masks(masks: list) -> Any:
         return out
     lists = [mask_to_list(m) for m in masks]
     return [any(vals) for vals in zip(*lists)]
-
-
-def const_mask(n: int, value: bool) -> list:
-    return [value] * n
 
 
 def mask_to_list(mask: Any) -> list:

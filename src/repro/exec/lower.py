@@ -89,25 +89,26 @@ def lower(
     root = _node_for(fn)
     if isinstance(root, NaiveNode) and root.fn is fn:
         return None
-    _attach_scan_pruning(root)
+    _attach_scan_predicates(root)
     # NB: not `logical or fn` — truthiness of an FDM function is len()
     return PhysicalPipeline(
         root, fn if logical is None else logical, fired_rules, engine
     )
 
 
-def _attach_scan_pruning(node: PhysicalNode, pending: list | None = None) -> None:
+def _attach_scan_predicates(
+    node: PhysicalNode, pending: list | None = None
+) -> None:
     """Push transparent filter conjunctions down onto their scan leaves.
 
     Walks the physical tree collecting the transparent predicates of
     consecutive filter/restrict nodes; when the chain bottoms out at a
     :class:`ScanNode` over a stored relation, the conjunction becomes the
-    scan's zone predicate — the may-analysis that skips whole segments
-    whose zone maps rule the filters out — and, over a partitioned
-    table, decides once which partitions the scheme lets the scan skip
-    (DESIGN.md §10). Any other node breaks the chain (a map re-shapes
-    tuples, a limit re-orders nothing but the pending filters no longer
-    sit directly above the scan's output).
+    scan's zone predicate, which the scan tests each segment against
+    when it runs — the partition scheme first, then the segment's zone
+    map (DESIGN.md §10, §13). Any other node breaks the chain (a map
+    re-shapes tuples, a limit re-orders nothing but the pending filters
+    no longer sit directly above the scan's output).
     """
     from repro.predicates.ast import And
 
@@ -119,32 +120,23 @@ def _attach_scan_pruning(node: PhysicalNode, pending: list | None = None) -> Non
             if node.predicate.is_transparent
             else []
         )
-        _attach_scan_pruning(node.children[0], below)
+        _attach_scan_predicates(node.children[0], below)
         return
     if isinstance(node, RestrictNode):
         # restriction only drops keys: filters above still apply to
         # every row the scan produces
-        _attach_scan_pruning(node.children[0], pending)
+        _attach_scan_predicates(node.children[0], pending)
         return
     if isinstance(node, ScanNode):
-        from repro.partition.prune import prune_report
         from repro.storage.relation import StoredRelationFunction
 
-        if not isinstance(node.fn, StoredRelationFunction):
-            return
-        if pending:
+        if pending and isinstance(node.fn, StoredRelationFunction):
             node.zone_predicate = (
                 pending[0] if len(pending) == 1 else And(*pending)
             )
-        table = node.fn._engine.tables.get(node.fn.table_name)
-        if table is not None and table.is_partitioned:
-            node.pruning = (
-                table.scheme,
-                prune_report(table.scheme, node.zone_predicate)[0],
-            )
         return
     for child in node.children:
-        _attach_scan_pruning(child, [])
+        _attach_scan_predicates(child, [])
 
 
 def _node_for(fn: FDMFunction) -> PhysicalNode:

@@ -87,10 +87,6 @@ class PhysicalNode:
         for batch in self.batches():
             yield [key for key, _value in batch]
 
-    def entries(self) -> Iterator[tuple]:
-        for batch in self.batches():
-            yield from batch
-
     def describe(self) -> str:
         """One-line label for pipeline explain output."""
         return self.op
@@ -112,13 +108,10 @@ class ScanNode(PhysicalNode):
     def __init__(self, fn: FDMFunction, zone_predicate: Any = None):
         self.fn = fn
         #: Conjunction of the transparent filters directly above this
-        #: scan (attached by the lowerer); drives zone-map segment
-        #: skipping inside the columnar scan.
+        #: scan (attached by the lowerer); the columnar scan skips the
+        #: segments where it cannot hold — by partition scheme, then by
+        #: zone map.
         self.zone_predicate = zone_predicate
-        #: Over a partitioned table, ``(scheme, surviving partition ids)``
-        #: — the partitions the table's scheme lets *zone_predicate*
-        #: reach (attached by the lowerer); the scan skips the rest.
-        self.pruning: tuple | None = None
 
     def batches(self) -> Iterator[list]:
         # class-level lookup: FDM functions route instance attribute
@@ -138,10 +131,7 @@ class ScanNode(PhysicalNode):
             stream = self.fn.iter_batches(BATCH_SIZE)
         else:
             stream = columnar(
-                self.fn,
-                COLUMNAR_BATCH_SIZE,
-                zone_predicate=self.zone_predicate,
-                pruning=self.pruning,
+                self.fn, COLUMNAR_BATCH_SIZE, zone_predicate=self.zone_predicate
             )
         for batch in stream:
             if isinstance(batch, ColumnBatch):
@@ -165,16 +155,29 @@ class ScanNode(PhysicalNode):
     def key_batches(self) -> Iterator[list]:
         return rebatch(self.fn.keys())
 
+    def partitioned_table(self) -> Any:
+        """The partitioned table this scan reads now, else ``None``."""
+        from repro.storage.relation import StoredRelationFunction
+
+        if not isinstance(self.fn, StoredRelationFunction):
+            return None
+        table = self.fn._engine.tables.get(self.fn.table_name)
+        return table if table is not None and table.is_partitioned else None
+
     def describe(self) -> str:
+        from repro.partition.prune import surviving_partitions
+
         label = f"scan {self.fn.fn_name!r} [{self.fn.kind}]"
         if self.zone_predicate is not None:
             label += f" [zones: {self.zone_predicate.to_source()}]"
-        if self.pruning is not None:
-            scheme, surviving = self.pruning
+        table = self.partitioned_table()
+        if table is not None:
+            scheme = table.scheme
             total = scheme.n_partitions
+            kept = len(surviving_partitions(scheme, self.zone_predicate))
             label += (
-                f" [{scheme.describe()}: scan {len(surviving)}/{total} "
-                f"partitions, {total - len(surviving)} pruned]"
+                f" [{scheme.describe()}: scan {kept}/{total} "
+                f"partitions, {total - kept} pruned]"
             )
         return label
 

@@ -182,10 +182,7 @@ class MaterialRelationFunction(RelationFunction):
         return chunked(entries(), batch_size)
 
     def iter_columnar_batches(
-        self,
-        batch_size: int = 1024,
-        zone_predicate: Any = None,
-        pruning: Any = None,
+        self, batch_size: int = 1024, zone_predicate: Any = None
     ) -> Iterator[Any]:
         """Columnar enumeration over the row store (DESIGN.md §13).
 
@@ -194,7 +191,7 @@ class MaterialRelationFunction(RelationFunction):
         a consistent snapshot of the rows it captured. Each batch is a
         throwaway image, so columns derive the one way stored scans
         derive them. In-memory relations have no segments, so
-        *zone_predicate* and *pruning* are ignored.
+        *zone_predicate* is ignored.
         """
         from repro.exec.batch import entry_batches
 

@@ -110,8 +110,10 @@ def fingerprint_of(fn: Any) -> str:
 
 
 def _fan_out(node: Any) -> int | None:
-    pruning = getattr(node, "pruning", None)
-    return pruning[0].n_partitions if pruning is not None else None
+    from repro.exec.nodes import ScanNode
+
+    table = node.partitioned_table() if isinstance(node, ScanNode) else None
+    return table.n_partitions if table is not None else None
 
 
 def plan_hash_of(pipeline: Any) -> str:

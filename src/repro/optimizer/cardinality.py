@@ -14,15 +14,12 @@ from typing import Any
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.predicates.ast import (
     And,
-    Between,
-    Comparison,
-    Literal,
-    Membership,
+    Atom,
     Not,
     Or,
     Predicate,
     TruePredicate,
-    AttrRef,
+    atom_of,
 )
 from repro.storage.relation import StoredRelationFunction
 
@@ -65,61 +62,36 @@ def _selectivity_against(pred: Predicate, stats: Any) -> float:
             return min(1.0, out)
         if isinstance(p, Not):
             return max(0.0, 1.0 - of(p.operand))
-        if isinstance(p, Comparison):
-            attr = _single_attr(p.left) or _single_attr(p.right)
-            literal = (
-                p.right.value
-                if isinstance(p.right, Literal)
-                else (p.left.value if isinstance(p.left, Literal) else None)
-            )
-            if attr is not None and stats is not None:
-                attr_stats = stats.attr(attr)
-                if attr_stats is not None:
-                    if p.op == "==":
-                        return attr_stats.selectivity_eq(literal)
-                    if p.op in ("<", "<="):
-                        return attr_stats.selectivity_range(None, literal)
-                    if p.op in (">", ">="):
-                        return attr_stats.selectivity_range(literal, None)
-                    if p.op == "!=":
-                        return 1.0 - attr_stats.selectivity_eq(literal)
-            if p.op == "==":
-                return DEFAULT_EQ_SELECTIVITY
-            if p.op == "!=":
-                return 1.0 - DEFAULT_EQ_SELECTIVITY
-            return DEFAULT_RANGE_SELECTIVITY
-        if isinstance(p, Between):
-            attr = _single_attr(p.item)
-            if (
-                attr is not None
-                and stats is not None
-                and isinstance(p.lo, Literal)
-                and isinstance(p.hi, Literal)
-            ):
-                attr_stats = stats.attr(attr)
-                if attr_stats is not None:
-                    return attr_stats.selectivity_range(
-                        p.lo.value, p.hi.value
-                    )
-            return DEFAULT_RANGE_SELECTIVITY
-        if isinstance(p, Membership):
-            if isinstance(p.collection, Literal):
-                try:
-                    n = len(p.collection.value)
-                except TypeError:
-                    n = 1
-                sel = min(1.0, n * DEFAULT_EQ_SELECTIVITY)
-                return (1.0 - sel) if p.negated else sel
-            return DEFAULT_RANGE_SELECTIVITY
-        return DEFAULT_OPAQUE_SELECTIVITY
+        atom = atom_of(p)
+        if atom is None:
+            return DEFAULT_OPAQUE_SELECTIVITY
+        return _atom_selectivity(atom, stats)
 
     return max(0.0, min(1.0, of(pred)))
 
 
-def _single_attr(expr: Any) -> str | None:
-    if isinstance(expr, AttrRef) and len(expr.path) == 1:
-        return expr.path[0]
-    return None
+def _atom_selectivity(atom: Atom, stats: Any) -> float:
+    """Selectivity of one atom: the attribute's statistics where they
+    exist, else the textbook default for its operator."""
+    column, op, value = atom
+    if op == "in":
+        return min(1.0, len(value) * DEFAULT_EQ_SELECTIVITY)
+    attr_stats = None
+    if stats is not None and column is not None:
+        attr_stats = stats.attr(column)
+    if op in ("==", "!="):
+        if attr_stats is None:
+            sel = DEFAULT_EQ_SELECTIVITY
+        else:
+            sel = attr_stats.selectivity_eq(value)
+        return sel if op == "==" else 1.0 - sel
+    if attr_stats is None:
+        return DEFAULT_RANGE_SELECTIVITY
+    if op == "between":
+        return attr_stats.selectivity_range(*value)
+    if op in ("<", "<="):
+        return attr_stats.selectivity_range(None, value)
+    return attr_stats.selectivity_range(value, None)
 
 
 def estimate_cardinality(fn: FDMFunction) -> float:

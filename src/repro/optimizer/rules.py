@@ -29,8 +29,6 @@ Rules:
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.fdm.functions import FDMFunction
 from repro.fql.filter import FilteredFunction
 from repro.fql.group import AggregatedRelationFunction, GroupedDatabaseFunction
@@ -50,19 +48,14 @@ from repro.optimizer.physical import (
 from repro.predicates.ast import (
     And,
     AttrRef,
-    Between,
     BinOp,
-    Comparison,
     Expr,
     FuncCall,
     KeyRef,
-    Literal,
-    Membership,
-    Not,
-    Or,
     Predicate,
     TruePredicate,
     UnaryOp,
+    atom_of,
 )
 from repro.storage.relation import StoredRelationFunction
 
@@ -145,73 +138,7 @@ def attr_to_keyref(pred: Predicate, label: str) -> Predicate:
     name, e.g. ``cid``) down to the relation function, where that value is
     the function *input*, not a tuple attribute.
     """
-    if isinstance(pred, Comparison):
-        return Comparison(
-            pred.op,
-            _attr_to_keyref_expr(pred.left, label),
-            _attr_to_keyref_expr(pred.right, label),
-        )
-    if isinstance(pred, Between):
-        return Between(
-            _attr_to_keyref_expr(pred.item, label),
-            _attr_to_keyref_expr(pred.lo, label),
-            _attr_to_keyref_expr(pred.hi, label),
-        )
-    if isinstance(pred, Membership):
-        return Membership(
-            _attr_to_keyref_expr(pred.item, label),
-            _attr_to_keyref_expr(pred.collection, label),
-            negated=pred.negated,
-        )
-    if isinstance(pred, And):
-        return And(*(attr_to_keyref(p, label) for p in pred.parts))
-    if isinstance(pred, Or):
-        return Or(*(attr_to_keyref(p, label) for p in pred.parts))
-    if isinstance(pred, Not):
-        return Not(attr_to_keyref(pred.operand, label))
-    return pred
-
-
-def _key_eq_literal(pred: Predicate) -> Any:
-    """The literal c when pred is ``__key__ == c``, else None."""
-    if not isinstance(pred, Comparison) or pred.op != "==":
-        return None
-    if isinstance(pred.left, KeyRef) and isinstance(pred.right, Literal):
-        return pred.right.value
-    if isinstance(pred.right, KeyRef) and isinstance(pred.left, Literal):
-        return pred.left.value
-    return None
-
-
-def _attr_access(pred: Predicate) -> tuple[str, str, Any] | None:
-    """(attr, op, literal) for a simple single-attribute comparison."""
-    if isinstance(pred, Comparison):
-        if (
-            isinstance(pred.left, AttrRef)
-            and len(pred.left.path) == 1
-            and isinstance(pred.right, Literal)
-        ):
-            return (pred.left.path[0], pred.op, pred.right.value)
-        if (
-            isinstance(pred.right, AttrRef)
-            and len(pred.right.path) == 1
-            and isinstance(pred.left, Literal)
-        ):
-            flipped = {">": "<", "<": ">", ">=": "<=", "<=": ">="}
-            return (
-                pred.right.path[0],
-                flipped.get(pred.op, pred.op),
-                pred.left.value,
-            )
-    if (
-        isinstance(pred, Between)
-        and isinstance(pred.item, AttrRef)
-        and len(pred.item.path) == 1
-        and isinstance(pred.lo, Literal)
-        and isinstance(pred.hi, Literal)
-    ):
-        return (pred.item.path[0], "between", (pred.lo.value, pred.hi.value))
-    return None
+    return pred.map_exprs(lambda expr: _attr_to_keyref_expr(expr, label))
 
 
 # -- the rules -------------------------------------------------------------------
@@ -436,11 +363,11 @@ class FilterToKeyLookup(Rule):
             return None
         parts = conjuncts(pred)
         for i, c in enumerate(parts):
-            value = _key_eq_literal(c)
-            if value is not None:
+            atom = atom_of(c)
+            if atom is not None and atom.column is None and atom.op == "==":
                 residual = combine(parts[:i] + parts[i + 1 :])
                 return KeyLookupFunction(
-                    node.source, value, residual=residual
+                    node.source, atom.value, residual=residual
                 )
         return None
 
@@ -459,10 +386,10 @@ class FilterToIndexLookup(Rule):
             return None
         parts = conjuncts(pred)
         for i, c in enumerate(parts):
-            access = _attr_access(c)
-            if access is None:
+            atom = atom_of(c)
+            if atom is None or atom.column is None:
                 continue
-            attr, op, value = access
+            attr, op, value = atom
             residual = combine(parts[:i] + parts[i + 1 :])
             if op == "==" and stored.has_index(attr):
                 return IndexLookupFunction(

@@ -12,10 +12,10 @@ through:
   statically eliminates partitions a transparent filter cannot touch,
   and each segment's own :class:`~repro.storage.stats.TableStatistics`
   let cardinality estimation sum only the survivors.
-* **executor** — the lowerer attaches the surviving partitions to each
-  scan over a partitioned table, and the scan skips the pruned segments
-  (one physical path; DESIGN.md §10 records why there is no thread
-  fan-out).
+* **executor** — the scan tests each segment of the table it reads
+  against the filters above it, partition scheme first, and skips the
+  partitions they cannot reach (one physical path; DESIGN.md §10
+  records why there is no thread fan-out).
 * **IVM** — commit-time deltas carry partition tags, so maintained views
   skip upkeep entirely when every change landed in a partition their
   filters prune away.
@@ -25,7 +25,7 @@ only reaches in lazily) and *beside* ``repro.exec``; anything heavier
 (fql, optimizer) is imported inside functions.
 """
 
-from repro.partition.prune import prune_report, surviving_partitions
+from repro.partition.prune import surviving_partitions
 from repro.partition.scheme import (
     HashScheme,
     PartitionScheme,
@@ -44,7 +44,6 @@ __all__ = [
     "RangeScheme",
     "as_scheme",
     "hash_partition",
-    "prune_report",
     "range_partition",
     "stable_hash",
     "surviving_partitions",

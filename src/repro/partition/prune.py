@@ -1,170 +1,78 @@
 """Static partition pruning from transparent predicate ASTs.
 
 This reuses the same predicate transparency that powers pushdown
-(DESIGN.md §5): a filter whose AST anchors the partitioning attribute to
-literals statically eliminates the partitions no satisfying row can live
-in. The analysis is *conservative* — it returns the partitions a
-satisfying row **may** occupy; anything it cannot decide keeps every
-partition. Soundness leans on two facts:
-
-* rows missing the partitioning attribute land in partition 0 and can
-  never satisfy an attribute-anchored comparison (undefined attributes
-  fail predicates), so dropping partition 0 when the anchor excludes it
-  is safe;
-* ``And`` intersects, ``Or`` unions, and opaque/unrelated conjuncts
-  contribute "all partitions" — exactly the lattice of a may-analysis.
+(DESIGN.md §5): a filter whose atoms anchor the partitioning attribute
+to literals statically eliminates the partitions no satisfying row can
+live in. The analysis is the predicate may-walk
+(:func:`~repro.predicates.ast.may_hold`) with a per-partition atom
+test, so it is *conservative* — it keeps every partition a satisfying
+row **may** occupy, and anything it cannot decide keeps them all.
+Soundness leans on one fact: rows missing the partitioning attribute
+(or holding a value the scheme cannot place) land in partition 0 and
+can never satisfy an attribute-anchored atom (undefined attributes
+fail predicates), so dropping partition 0 when the anchor excludes it
+is safe.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.partition.scheme import PartitionScheme
-from repro.predicates.ast import (
-    And,
-    AttrRef,
-    Between,
-    Comparison,
-    FalsePredicate,
-    KeyRef,
-    Literal,
-    Membership,
-    Or,
-    Predicate,
-    TruePredicate,
-)
+from repro.predicates.ast import Atom, Predicate, may_hold
 
-__all__ = ["surviving_partitions", "prune_report"]
+__all__ = ["partition_test", "surviving_partitions"]
 
 
-def _anchors_scheme(expr: Any, scheme: PartitionScheme) -> bool:
-    """Does this expression reference exactly the partitioning target?"""
-    if scheme.attr is None:
-        return isinstance(expr, KeyRef)
-    return isinstance(expr, AttrRef) and expr.path == (scheme.attr,)
-
-
-def _literal(expr: Any) -> Any:
-    return expr.value if isinstance(expr, Literal) else _NO_LITERAL
-
-
-_NO_LITERAL = object()
-_ALL = None  # "every partition may match"
-
-
-def _eq(scheme: PartitionScheme, value: Any) -> frozenset[int] | None:
+def _reach(scheme: PartitionScheme, atom: Atom) -> frozenset[int] | None:
+    """The partitions a row satisfying *atom* may live in (``None``:
+    any of them)."""
+    column, op, value = atom
+    if column != scheme.attr:
+        return None
     try:
-        return scheme.partitions_for_eq(value)
-    except Exception:
-        return _ALL
-
-
-def _rng(
-    scheme: PartitionScheme,
-    lo: Any = None,
-    hi: Any = None,
-    lo_open: bool = False,
-    hi_open: bool = False,
-) -> frozenset[int] | None:
-    try:
-        return scheme.partitions_for_range(
-            lo, hi, lo_open=lo_open, hi_open=hi_open
-        )
-    except Exception:
-        return _ALL
-
-
-def _of(pred: Predicate, scheme: PartitionScheme) -> frozenset[int] | None:
-    if isinstance(pred, TruePredicate):
-        return _ALL
-    if isinstance(pred, FalsePredicate):
-        return frozenset()
-    if isinstance(pred, And):
-        out: frozenset[int] | None = _ALL
-        for part in pred.parts:
-            got = _of(part, scheme)
-            if got is _ALL:
-                continue
-            out = got if out is _ALL else (out & got)
-        return out
-    if isinstance(pred, Or):
-        union: frozenset[int] = frozenset()
-        for part in pred.parts:
-            got = _of(part, scheme)
-            if got is _ALL:
-                return _ALL
-            union |= got
-        return union
-    if isinstance(pred, Comparison):
-        left, right, op = pred.left, pred.right, pred.op
-        # normalize to (anchor <op> literal)
-        if _anchors_scheme(right, scheme) and isinstance(left, Literal):
-            left, right = right, left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if not _anchors_scheme(left, scheme):
-            return _ALL
-        value = _literal(right)
-        if value is _NO_LITERAL:
-            return _ALL
         if op == "==":
-            return _eq(scheme, value)
-        if op == "<":
-            return _rng(scheme, hi=value, hi_open=True)
-        if op == "<=":
-            return _rng(scheme, hi=value)
-        if op == ">":
-            return _rng(scheme, lo=value, lo_open=True)
-        if op == ">=":
-            return _rng(scheme, lo=value)
-        return _ALL  # != keeps everything (even the anchor's partition)
-    if isinstance(pred, Membership):
-        if pred.negated or not _anchors_scheme(pred.item, scheme):
-            return _ALL
-        values = _literal(pred.collection)
-        if values is _NO_LITERAL:
-            return _ALL
-        try:
-            candidates = list(values)
-        except TypeError:
-            return _ALL
-        union: frozenset[int] = frozenset()
-        for value in candidates:
-            got = _eq(scheme, value)
-            if got is _ALL:
-                return _ALL
-            union |= got
-        return union
-    if isinstance(pred, Between):
-        if not _anchors_scheme(pred.item, scheme):
-            return _ALL
-        lo, hi = _literal(pred.lo), _literal(pred.hi)
-        if lo is _NO_LITERAL or hi is _NO_LITERAL:
-            return _ALL
-        return _rng(scheme, lo=lo, hi=hi)
-    # Not, opaque, func-call comparisons: undecidable
-    return _ALL
+            return scheme.partitions_for_eq(value)
+        if op == "in":
+            union: frozenset[int] = frozenset()
+            for element in value:
+                got = scheme.partitions_for_eq(element)
+                if got is None:
+                    return None
+                union |= got
+            return union
+        if op == "between":
+            return scheme.partitions_for_range(*value)
+        if op in ("<", "<="):
+            return scheme.partitions_for_range(hi=value, hi_open=op == "<")
+        if op in (">", ">="):
+            return scheme.partitions_for_range(lo=value, lo_open=op == ">")
+    except Exception:
+        return None
+    return None  # != reaches every partition (even the anchor's)
+
+
+def partition_test(scheme: PartitionScheme, pid: int) -> Callable[[Atom], bool]:
+    """The atom test of partition *pid*: may a row placed there by
+    *scheme* satisfy the atom?"""
+
+    def test(atom: Atom) -> bool:
+        reach = _reach(scheme, atom)
+        return reach is None or pid in reach
+
+    return test
 
 
 def surviving_partitions(
     scheme: PartitionScheme, predicate: Predicate | None
 ) -> frozenset[int]:
     """The partitions a row satisfying *predicate* may live in."""
-    everything = frozenset(range(scheme.n_partitions))
+    pids = range(scheme.n_partitions)
     if predicate is None or not getattr(predicate, "is_transparent", False):
-        return everything
-    try:
-        got = _of(predicate, scheme)
-    except Exception:
-        return everything
-    return everything if got is _ALL else (got & everything)
-
-
-def prune_report(
-    scheme: PartitionScheme, predicate: Predicate | None
-) -> tuple[tuple[int, ...], int]:
-    """``(surviving pids ascending, pruned count)`` for explain output."""
-    surviving = sorted(surviving_partitions(scheme, predicate))
-    return tuple(surviving), scheme.n_partitions - len(surviving)
+        return frozenset(pids)
+    return frozenset(
+        pid for pid in pids if may_hold(predicate, partition_test(scheme, pid))
+    )
 
 
 def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]]:

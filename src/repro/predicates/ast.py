@@ -18,7 +18,7 @@ happens on the finished tree — there is no textual substitution anywhere.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from repro.errors import (
     PredicateError,
@@ -51,6 +51,9 @@ __all__ = [
     "FalsePredicate",
     "OpaquePredicate",
     "as_predicate",
+    "Atom",
+    "atom_of",
+    "may_hold",
 ]
 
 #: Marker raised internally when an attribute is undefined in non-strict
@@ -366,20 +369,22 @@ BatchPredicate = Callable[[list], list]
 ColumnarPredicate = Callable[[Any], Any]
 
 
-def _columnar_operand(expr: "Expr") -> tuple[str, Any] | None:
-    """Classify an expression as a column reference, or ``None``.
+def _atom_mask(
+    atom: "Atom | None", negated: bool = False
+) -> "ColumnarPredicate | None":
+    """The columnar form of one atom (``None`` when there is no atom)."""
+    if atom is None:
+        return None
 
-    Only the shapes with a direct per-column form qualify: a single-step
-    attribute reference (one column) or the mapping key. Nested paths,
-    arithmetic, and function calls stay on the row-at-a-time path.
-    """
-    if isinstance(expr, AttrRef) and len(expr.path) == 1:
-        return ("attr", expr.path[0])
-    if isinstance(expr, KeyRef):
-        return ("key", None)
-    return None
+    def run(batch: Any) -> Any:
+        from repro.exec import kernels
+
+        return kernels.atom_mask(batch, atom, negated)
+
+    return run
 
 
+#: The one comparison-flip table: ``c <op> x`` reads as ``x <flipped> c``.
 _FLIP_OP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -444,6 +449,12 @@ class Predicate:
             return False
 
     def bind(self, params: Mapping[str, Any]) -> "Predicate":
+        """A copy with ``$param`` nodes replaced by literal values."""
+        return self.map_exprs(lambda expr: expr.bind(params))
+
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Predicate":
+        """A copy with every operand expression *e* replaced by
+        ``fn(e)`` (predicates without operands return themselves)."""
         return self
 
     def compile_batch(self) -> BatchPredicate:
@@ -472,13 +483,12 @@ class Predicate:
         """Compile into ``run(ColumnBatch) -> mask``, or ``None``.
 
         Only predicate shapes whose semantics survive whole-column
-        evaluation compile: column-vs-literal comparisons, membership,
-        between, and and/or over such parts. ``Not`` deliberately does
-        not — mask negation would turn undefined-is-False into
-        undefined-is-True. Callers fall back to :meth:`compile_batch`
-        on a ``None``.
+        evaluation compile: atoms (:func:`atom_of`) and and/or over
+        them. ``Not`` deliberately does not — mask negation would turn
+        undefined-is-False into undefined-is-True. Callers fall back to
+        :meth:`compile_batch` on a ``None``.
         """
-        return None
+        return _atom_mask(atom_of(self))
 
     def attrs(self) -> set[str]:
         return set()
@@ -554,10 +564,8 @@ class Comparison(Predicate):
                 raise
             return False
 
-    def bind(self, params: Mapping[str, Any]) -> "Comparison":
-        return Comparison(
-            self.op, self.left.bind(params), self.right.bind(params)
-        )
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Comparison":
+        return Comparison(self.op, fn(self.left), fn(self.right))
 
     def compile_batch(self) -> BatchPredicate:
         op = _COMPARATORS[self.op]
@@ -574,23 +582,6 @@ class Comparison(Predicate):
                 except TypeError:
                     out.append(False)
             return out
-
-        return run
-
-    def compile_columnar(self) -> "ColumnarPredicate | None":
-        left, right, op = self.left, self.right, self.op
-        if isinstance(left, Literal):  # flip to column-vs-literal form
-            left, right, op = right, left, _FLIP_OP[op]
-        column = _columnar_operand(left)
-        if column is None or not isinstance(right, Literal):
-            return None
-        kind, payload = column
-        const = right.value
-
-        def run(batch: Any) -> Any:
-            from repro.exec import kernels
-
-            return kernels.compare_mask(batch, kind, payload, op, const)
 
         return run
 
@@ -629,10 +620,8 @@ class Membership(Predicate):
             return False
         return (not result) if self.negated else result
 
-    def bind(self, params: Mapping[str, Any]) -> "Membership":
-        return Membership(
-            self.item.bind(params), self.collection.bind(params), self.negated
-        )
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Membership":
+        return Membership(fn(self.item), fn(self.collection), self.negated)
 
     def compile_batch(self) -> BatchPredicate:
         item = _batch_getter(self.item)
@@ -656,21 +645,11 @@ class Membership(Predicate):
         return run
 
     def compile_columnar(self) -> "ColumnarPredicate | None":
-        column = _columnar_operand(self.item)
-        if column is None or not isinstance(self.collection, Literal):
-            return None
-        kind, payload = column
-        collection = self.collection.value
-        negated = self.negated
-
-        def run(batch: Any) -> Any:
-            from repro.exec import kernels
-
-            return kernels.membership_mask(
-                batch, kind, payload, collection, negated
-            )
-
-        return run
+        # ``not in`` is no atom, but it keeps a mask of its own: negating
+        # the ``in`` mask would also select rows where the item is undefined
+        return _atom_mask(
+            atom_of(Membership(self.item, self.collection)), self.negated
+        )
 
     def attrs(self) -> set[str]:
         return self.item.attrs() | self.collection.attrs()
@@ -706,10 +685,8 @@ class Between(Predicate):
                 raise
             return False
 
-    def bind(self, params: Mapping[str, Any]) -> "Between":
-        return Between(
-            self.item.bind(params), self.lo.bind(params), self.hi.bind(params)
-        )
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Between":
+        return Between(fn(self.item), fn(self.lo), fn(self.hi))
 
     def compile_batch(self) -> BatchPredicate:
         item = _batch_getter(self.item)
@@ -732,24 +709,6 @@ class Between(Predicate):
                 except TypeError:
                     out.append(False)
             return out
-
-        return run
-
-    def compile_columnar(self) -> "ColumnarPredicate | None":
-        column = _columnar_operand(self.item)
-        if (
-            column is None
-            or not isinstance(self.lo, Literal)
-            or not isinstance(self.hi, Literal)
-        ):
-            return None
-        kind, payload = column
-        lo, hi = self.lo.value, self.hi.value
-
-        def run(batch: Any) -> Any:
-            from repro.exec import kernels
-
-            return kernels.between_mask(batch, kind, payload, lo, hi)
 
         return run
 
@@ -792,8 +751,8 @@ class _Junction(Predicate):
     def is_transparent(self) -> bool:  # type: ignore[override]
         return all(p.is_transparent for p in self.parts)
 
-    def bind(self, params: Mapping[str, Any]) -> "Predicate":
-        return type(self)(*(p.bind(params) for p in self.parts))
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Predicate":
+        return type(self)(*(p.map_exprs(fn) for p in self.parts))
 
     def attrs(self) -> set[str]:
         out: set[str] = set()
@@ -928,8 +887,8 @@ class Not(Predicate):
             # about the tuple; it does not select it.
             return False
 
-    def bind(self, params: Mapping[str, Any]) -> "Not":
-        return Not(self.operand.bind(params))
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Not":
+        return Not(self.operand.map_exprs(fn))
 
     def attrs(self) -> set[str]:
         return self.operand.attrs()
@@ -999,6 +958,85 @@ class OpaquePredicate(Predicate):
 
     def to_source(self) -> str:
         return f"<python {self.description}>"
+
+
+# ---------------------------------------------------------------------------
+# Reading a predicate: atoms and the may-walk
+# ---------------------------------------------------------------------------
+
+
+class Atom(NamedTuple):
+    """A column–literal test in normal form: ``column <op> value``.
+
+    *column* names a single-step attribute, or is ``None`` for the
+    mapping key (the convention partition schemes use). *op* is one of
+    ``== != < <= > >= in between``; ``in`` carries the collection and
+    ``between`` a ``(lo, hi)`` pair.
+    """
+
+    column: str | None
+    op: str
+    value: Any
+
+
+#: Collections whose ``in`` is element membership (on a string it is
+#: substring matching, which no per-value analysis can read).
+_COLLECTIONS = (list, tuple, set, frozenset)
+
+
+def atom_of(pred: Predicate) -> Atom | None:
+    """*pred* as one :class:`Atom`, or ``None`` when it is not one.
+
+    The one reading of a column–literal predicate that zone skipping,
+    partition pruning, cardinality estimates, index rules and the
+    columnar kernels share: a literal on the left is flipped to the
+    right, ``in`` counts only over a list/tuple/set/frozenset, and
+    negated ``in``, nested paths, arithmetic and non-literal operands
+    are not atoms.
+    """
+    if isinstance(pred, Comparison):
+        item, op, literals = pred.left, pred.op, (pred.right,)
+        if isinstance(item, Literal):
+            item, op, literals = pred.right, _FLIP_OP[op], (pred.left,)
+    elif isinstance(pred, Membership) and not pred.negated:
+        item, op, literals = pred.item, "in", (pred.collection,)
+    elif isinstance(pred, Between):
+        item, op, literals = pred.item, "between", (pred.lo, pred.hi)
+    else:
+        return None
+    if isinstance(item, KeyRef):
+        column = None
+    elif isinstance(item, AttrRef) and len(item.path) == 1:
+        column = item.path[0]
+    else:
+        return None
+    if not all(isinstance(lit, Literal) for lit in literals):
+        return None
+    values = tuple(lit.value for lit in literals)
+    if op == "between":
+        return Atom(column, op, values)
+    if op == "in" and not isinstance(values[0], _COLLECTIONS):
+        return None
+    return Atom(column, op, values[0])
+
+
+def may_hold(pred: Predicate, test: Callable[[Atom], bool]) -> bool:
+    """May some row satisfy *pred*, given *test* — may some row satisfy
+    one atom?
+
+    The one may-walk: ``and`` needs every part, ``or`` any part,
+    ``false`` never holds, and anything that is not an atom (``not``,
+    opaque callables, arithmetic) may hold. ``False`` therefore proves
+    that no row satisfies *pred* wherever *test* is sound.
+    """
+    if isinstance(pred, And):
+        return all(may_hold(part, test) for part in pred.parts)
+    if isinstance(pred, Or):
+        return any(may_hold(part, test) for part in pred.parts)
+    if isinstance(pred, FalsePredicate):
+        return False
+    atom = atom_of(pred)
+    return atom is None or test(atom)
 
 
 def as_predicate(obj: Any) -> Predicate:

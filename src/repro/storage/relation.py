@@ -141,10 +141,7 @@ class StoredRelationFunction(RelationFunction):
         return chunked(entries(), batch_size)
 
     def iter_columnar_batches(
-        self,
-        batch_size: int = 1024,
-        zone_predicate: Any = None,
-        pruning: Any = None,
+        self, batch_size: int = 1024, zone_predicate: Any = None
     ) -> Iterator[Any]:
         """Columnar snapshot enumeration with segment skipping.
 
@@ -153,14 +150,13 @@ class StoredRelationFunction(RelationFunction):
         scanning the version chains into a new one when the cached
         image does not serve the snapshot; a snapshot older than the
         segment's newest write, or a segment holding a nested function,
-        walks the chains uncached. Two tests skip a segment: *pruning*
-        — ``(scheme, surviving partition ids)`` computed by the lowerer
-        — drops the partitions the scheme proves the filters cannot
-        reach, and each remaining segment's own statistics drop it when
-        *zone_predicate* cannot hold within their bounds. Inside an open
-        transaction the buffered writes make chain-direct scanning (and
-        both skips) unsound, so the scan falls back to the row-batch
-        path.
+        walks the chains uncached. Each segment is tested once against
+        *zone_predicate* and the table as it is now: a partition the
+        scheme proves the filters cannot reach is skipped first, then a
+        segment whose own statistics rule them out (counted as a zone
+        skip). Inside an open transaction the buffered writes make
+        chain-direct scanning (and both skips) unsound, so the scan
+        falls back to the row-batch path.
         """
         txn = self._manager.current()
         if txn is not None:
@@ -173,22 +169,22 @@ class StoredRelationFunction(RelationFunction):
             entry_batches,
             image_batches,
         )
+        from repro.partition.prune import partition_test
+        from repro.predicates.ast import may_hold
         from repro.storage.stats import zone_may_match
 
         ts = self._manager.now()
         table = self._engine.table(self._table_name)
         engine_counters = counters_for(self._engine)
-        segments = table.segments if table.is_partitioned else [table]
-        # a plan lowered before a re-partition carries the old scheme's
-        # partition ids: they say nothing about the new segments
-        live = None
-        if pruning is not None and getattr(table, "scheme", None) is pruning[0]:
-            live = pruning[1]
+        partitioned = table.is_partitioned
+        segments = table.segments if partitioned else [table]
         name = self._name
         for pid, segment in enumerate(segments):
-            if live is not None and pid not in live:
-                continue
             if zone_predicate is not None:
+                if partitioned and not may_hold(
+                    zone_predicate, partition_test(table.scheme, pid)
+                ):
+                    continue
                 if not zone_may_match(segment.stats, zone_predicate):
                     counters.zone_segments_skipped += 1
                     engine_counters.zone_segments_skipped += 1

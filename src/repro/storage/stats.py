@@ -253,91 +253,36 @@ def _zone_compare(az: AttrStatistics, op: str, const: Any) -> bool:
 
 
 def zone_may_match(stats: TableStatistics | None, pred: Any) -> bool:
-    """May-analysis of a predicate against one segment's bounds.
+    """May any version in one segment satisfy *pred*, by its bounds?
 
-    Mirrors the partition-pruning lattice
-    (:func:`repro.partition.prune.surviving_partitions`): ``True`` means
-    "the segment might hold a matching row — scan it"; ``False`` is only
-    returned when *no* version in the segment can satisfy the predicate.
-    Anything the analysis cannot see through is inconclusive.
+    :func:`~repro.predicates.ast.may_hold` over the segment's zone
+    test: ``False`` is only returned when *no* version in the segment
+    can satisfy the predicate; anything the walk cannot read is
+    inconclusive, and so is a segment with no per-attribute facts.
     """
-    from repro.predicates.ast import (
-        And,
-        Between,
-        Comparison,
-        FalsePredicate,
-        Literal,
-        Membership,
-        Or,
-        TruePredicate,
-        _columnar_operand,
-        _FLIP_OP,
-    )
+    from repro.predicates.ast import may_hold
 
     if stats is None or stats.opaque:
         return True
-    if isinstance(pred, TruePredicate):
-        return True
-    if isinstance(pred, FalsePredicate):
+    return may_hold(pred, lambda atom: _zone_may_hold(stats, atom))
+
+
+def _zone_may_hold(stats: TableStatistics, atom: Any) -> bool:
+    """May any observed value of the atom's attribute satisfy it?"""
+    column, op, value = atom
+    if column is None:
+        return True  # bounds cover attribute values, not keys
+    az = stats.attrs.get(column)
+    if az is None:
+        # The attribute was never defined in any version of this
+        # segment, so a direct comparison cannot hold for any row.
         return False
-    if isinstance(pred, And):
-        return all(zone_may_match(stats, p) for p in pred.parts)
-    if isinstance(pred, Or):
-        return (
-            any(zone_may_match(stats, p) for p in pred.parts)
-            if pred.parts
-            else False
-        )
-    if isinstance(pred, Comparison):
-        left, right, op = pred.left, pred.right, pred.op
-        if isinstance(left, Literal):
-            left, right, op = right, left, _FLIP_OP[op]
-        column = _columnar_operand(left)
-        if column is None or not isinstance(right, Literal):
-            return True
-        kind, payload = column
-        if kind == "key":
-            return True  # bounds cover attribute values, not keys
-        az = stats.attrs.get(payload)
-        if az is None:
-            # The attribute was never defined in any version of this
-            # segment, so a direct comparison cannot hold for any row.
-            return False
-        return _zone_compare(az, op, right.value)
-    if isinstance(pred, Membership):
-        if pred.negated or not isinstance(pred.collection, Literal):
-            return True
-        column = _columnar_operand(pred.item)
-        if column is None:
-            return True
-        kind, payload = column
-        if kind == "key":
-            return True
-        az = stats.attrs.get(payload)
-        if az is None:
-            return False
-        try:
-            values = list(pred.collection.value)
-        except TypeError:
-            return True
-        return any(_zone_compare(az, "==", v) for v in values)
-    if isinstance(pred, Between):
-        if not isinstance(pred.lo, Literal) or not isinstance(pred.hi, Literal):
-            return True
-        column = _columnar_operand(pred.item)
-        if column is None:
-            return True
-        kind, payload = column
-        if kind == "key":
-            return True
-        az = stats.attrs.get(payload)
-        if az is None:
-            return False
-        return _zone_compare(az, ">=", pred.lo.value) and _zone_compare(
-            az, "<=", pred.hi.value
-        )
-    # Not, opaque lambdas, arithmetic shapes: inconclusive.
-    return True
+    if op == "in":
+        return any(_zone_compare(az, "==", v) for v in value)
+    if op == "between":
+        lo, hi = value
+        return _zone_compare(az, ">=", lo) and _zone_compare(az, "<=", hi)
+    return _zone_compare(az, op, value)
 
 
 def _is_number(value: Any) -> bool:

@@ -191,6 +191,27 @@ class TestCardinality:
         actual = len(expr)
         assert 0.3 * actual < est < 3 * actual
 
+    def test_literal_on_the_left_reads_as_its_flipped_form(self):
+        """``90 < age`` is ``age > 90``: the selectivity must not invert."""
+        from repro.optimizer.cardinality import estimate_selectivity
+        from repro.predicates import parse_predicate
+
+        db = repro.connect(name="flipDB", default=False)
+        db["people"] = {i: {"age": i % 100} for i in range(10_000)}
+        for left, flipped in (
+            ("90 < age", "age > 90"),
+            ("90 <= age", "age >= 90"),
+            ("90 > age", "age < 90"),
+            ("90 >= age", "age <= 90"),
+        ):
+            got = estimate_selectivity(parse_predicate(left), db.people)
+            want = estimate_selectivity(parse_predicate(flipped), db.people)
+            assert got == pytest.approx(want), left
+        assert estimate_selectivity(
+            parse_predicate("90 < age"), db.people
+        ) == pytest.approx(10 / 110)
+        db.close()
+
     def test_join_estimate(self, retail):
         j = fql.join(retail)
         est = estimate_cardinality(j)

@@ -309,6 +309,27 @@ def test_predicates_scan_exactly_the_surviving_partitions(big, attr, source):
         assert keys == list(expr.keys())
 
 
+def test_substring_in_prunes_no_partition():
+    """``s in 'abc'`` is substring matching: hashing the string's
+    characters as if they were the elements would prune partitions
+    holding ``'ab'`` and ``'bc'``."""
+    db = fql.connect("prune-substring", default=False)
+    values = ["ab", "x", "b", "bc", "zz", "a", "c", "abc"]
+    db.create_table(
+        "t", rows={i: {"s": v} for i, v in enumerate(values)},
+        partition_by=hash_partition("s", 4),
+    )
+    expr = fql.filter(db.t, "s in $c", {"c": "abc"})
+    assert sorted(expr.keys()) == [0, 2, 3, 5, 6, 7]
+    with using_exec_mode("naive"):
+        assert sorted(expr.keys()) == [0, 2, 3, 5, 6, 7]
+    pred = parse_predicate("s in $c").bind({"c": "abc"})
+    assert surviving_partitions(db.engine.table("t").scheme, pred) == {
+        0, 1, 2, 3
+    }
+    db.close()
+
+
 def test_opaque_predicate_scans_every_segment(big):
     flat, by_state, _by_age = big
     expr = fql.filter(lambda c: c.state == "NY", by_state.customers)

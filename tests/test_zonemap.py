@@ -14,7 +14,7 @@ import pytest
 
 import repro as fql
 from repro._util import TOMBSTONE
-from repro.exec import explain
+from repro.exec import explain, using_exec_mode
 from repro.exec.batch import counters, reset_counters
 from repro.partition import range_partition
 from repro.predicates import parse_predicate
@@ -281,6 +281,21 @@ class TestExecutorSkipping:
         # segment 0 holds the NaN: must have been scanned, not skipped
         assert counters.zone_segments_scanned >= 1
         db.close()
+
+
+def test_substring_in_never_skips_as_element_in():
+    """``s in 'abc'`` is substring matching: the characters of the
+    string bound nothing about which rows match, so no segment is
+    skipped on them."""
+    db = fql.connect("zm-substring", default=False)
+    db["t"] = {1: {"s": "ab"}, 2: {"s": "ab"}}
+    expr = fql.filter(db.t, "s in $c", {"c": "abc"})
+    assert sorted(expr.keys()) == [1, 2]
+    with using_exec_mode("naive"):
+        assert sorted(expr.keys()) == [1, 2]
+    pred = parse_predicate("s in $c").bind({"c": "abc"})
+    assert zone_may_match(_segments(db, "t")[0], pred)
+    db.close()
 
 
 def test_explain_reports_zone_verdicts():

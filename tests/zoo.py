@@ -91,6 +91,10 @@ ZOO = {
     "filter_in": lambda db: fql.filter(
         db.customers, "state in ['TX', 'WA']"
     ),
+    # `in` over a string is substring matching, not element membership
+    "filter_in_str": lambda db: fql.filter(
+        db.customers, "state in $c", {"c": "NY/CA"}
+    ),
     "filter_conj": lambda db: fql.filter(
         db.customers, "age > 25 and state == 'NY'"
     ),

@@ -48,6 +48,7 @@ DOCSTRING_FILES = [
     "src/repro/replication/__init__.py",
     "src/repro/replication/hub.py",
     "src/repro/replication/replica.py",
+    "src/repro/partition/prune.py",
     "src/repro/storage/image.py",
     "src/repro/storage/stats.py",
     "src/repro/storage/versioned.py",
