@@ -4,11 +4,14 @@ Shape claims: after single-row DML on the retail workload, a maintained
 grouped-aggregate view equals a from-scratch recompute, and the delta
 path (consume one commit's changelog record, patch one group) beats the
 diff-based ``refresh(incremental=True)`` (re-aggregate everything, then
-compare per group) by well over an order of magnitude. The committed
-``BENCH_ivm_maintenance.json`` carries the timings.
+compare per group) by well over an order of magnitude. That claim is a
+ratio taken within one run (``speedup_vs_diff``, asserted ≥10×), which
+does not depend on the machine; the timings next to it in the committed
+``BENCH_ivm_maintenance.json`` are for the trajectory only.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -41,9 +44,27 @@ def age_cycle():
     return itertools.cycle(range(18, 91))
 
 
+def _best_of(step, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        step()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 @pytest.mark.benchmark(group="ivm-maintenance")
 def test_incremental_single_row_update(benchmark, ivm_db, age_cycle):
-    """Maintained view: one commit in, one group patched."""
+    """Maintained view: one commit in, one group patched — in one run,
+    ≥10× faster than the diff refresh it replaces, commit included."""
+    with using_ivm_mode("off"):
+        diff_view = fql.materialized_view(_aggregate_expr(ivm_db), name="ref")
+
+        def diff_step():
+            ivm_db.customers[1]["age"] = next(age_cycle)
+            diff_view.refresh(incremental=True)
+
+        diff = _best_of(diff_step)
     with using_ivm_mode("on"):
         view = maintained_view(_aggregate_expr(ivm_db), name="inc")
         len(view)  # settle the snapshot and group state
@@ -52,12 +73,18 @@ def test_incremental_single_row_update(benchmark, ivm_db, age_cycle):
             ivm_db.customers[1]["age"] = next(age_cycle)
             view.sync()
 
+        incremental = _best_of(step)
         benchmark(step)
         stats = view.maintenance_stats
         assert stats["fallback_recomputes"] == 0
         assert stats["diff_refreshes"] == 0
         assert stats["group_refolds"] == 0  # count/sum decompose
         assert extensionally_equal(view, _aggregate_expr(ivm_db))
+    benchmark.extra_info["speedup_vs_diff"] = diff / incremental
+    assert incremental * 10 <= diff, (
+        f"an incremental sync ({incremental:.6f}s) is not 10x faster than "
+        f"a diff refresh ({diff:.6f}s)"
+    )
 
 
 @pytest.mark.benchmark(group="ivm-maintenance")

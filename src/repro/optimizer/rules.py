@@ -29,6 +29,8 @@ Rules:
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.fdm.functions import FDMFunction
 from repro.fql.filter import FilteredFunction
 from repro.fql.group import AggregatedRelationFunction, GroupedDatabaseFunction
@@ -352,6 +354,14 @@ class PushFilterIntoJoin(Rule):
         return rebuilt
 
 
+def _probe_is_the_key(value: Any) -> bool:
+    # a bool or float equals an int key of another type, and a lookup
+    # answers with its probe: only the scan returns the stored key
+    if isinstance(value, tuple):
+        return all(_probe_is_the_key(part) for part in value)
+    return not isinstance(value, (bool, float))
+
+
 class FilterToKeyLookup(Rule):
     name = "filter_to_key_lookup"
 
@@ -364,7 +374,12 @@ class FilterToKeyLookup(Rule):
         parts = conjuncts(pred)
         for i, c in enumerate(parts):
             atom = atom_of(c)
-            if atom is not None and atom.column is None and atom.op == "==":
+            if (
+                atom is not None
+                and atom.column is None
+                and atom.op == "=="
+                and _probe_is_the_key(atom.value)
+            ):
                 residual = combine(parts[:i] + parts[i + 1 :])
                 return KeyLookupFunction(
                     node.source, atom.value, residual=residual

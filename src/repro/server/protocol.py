@@ -31,8 +31,9 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from contextlib import contextmanager
 from itertools import chain
-from typing import Any
+from typing import Any, Iterator
 
 from repro._util import (
     MISSING,
@@ -53,6 +54,7 @@ __all__ = [
     "encode_value",
     "decode_value",
     "encode_delta",
+    "relation_entries",
     "error_payload",
     "raise_remote",
     "RemoteRows",
@@ -213,29 +215,37 @@ def encode_value(
     return {"@": "repr", "type": type(value).__name__, "repr": repr(value)}
 
 
-def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
-    """A relation's envelope, from one drain of its executor pipeline
-    (``items()`` for a nested relation or one the executor cannot plan)."""
+@contextmanager
+def relation_entries(fn: Any, nested: bool = False) -> Iterator[Iterator]:
+    """*fn*'s ``(key, value)`` entries from one drain of its executor
+    pipeline (``items()`` for a *nested* relation or one the executor
+    cannot plan); the query reports once, when the block exits. Rows
+    off a column image are its committed row dicts."""
     from repro.exec.batch import ColumnBatch
     from repro.exec.run import route_batches
 
-    batches = route_batches(fn) if depth == 0 else None
-    entries = chain.from_iterable(
-        zip(batch.keys, batch.rows) if type(batch) is ColumnBatch else batch
-        for batch in ((fn.items(),) if batches is None else batches)
-    )
+    batches = None if nested else route_batches(fn)
+    try:
+        yield chain.from_iterable(
+            zip(batch.keys, batch.rows) if type(batch) is ColumnBatch else batch
+            for batch in ((fn.items(),) if batches is None else batches)
+        )
+    finally:
+        if batches is not None:
+            batches.close()
+
+
+def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
+    """A relation's envelope, from :func:`relation_entries`."""
     envelope = {"@": "relation", "kind": fn.kind, "name": fn.name}
     rows = envelope["rows"] = []
-    try:
+    with relation_entries(fn, nested=depth > 0) as entries:
         for key, value in entries:
             if max_rows is not None and len(rows) >= max_rows:
                 envelope["truncated"] = True
                 break
             value = encode_value(value, max_rows, depth + 1)
             rows.append([encode_key(key), value])
-    finally:
-        if batches is not None:
-            batches.close()  # the query reports once, now
     return envelope
 
 

@@ -31,7 +31,6 @@ from repro.errors import (
     OperatorError,
     ProtocolError,
     SchemaError,
-    SQLExecutionError,
     TransactionStateError,
 )
 from repro.fdm.databases import DatabaseFunction
@@ -116,6 +115,14 @@ class DatabaseView(DatabaseFunction):
 
     def __len__(self) -> int:
         return len(self._db)
+
+
+def _max_rows(request: dict[str, Any]) -> int | None:
+    """The request's ``max_rows`` page cap, checked before any work."""
+    value = request.get("max_rows")
+    if value is not None and (type(value) is not int or value < 0):
+        raise ProtocolError("'max_rows' must be a non-negative integer")
+    return value
 
 
 def fql_namespace(db: Any) -> dict[str, Any]:
@@ -214,9 +221,6 @@ class Session:
         #: bare EXPLAIN reuse the session's previous query (and its
         #: cached plan) instead of shipping the text twice.
         self._last_fql: tuple[str, Any] | None = None
-        #: table name → (version token, Relation): the SQL verb's
-        #: snapshot mirror, re-materialized only when the snapshot moves.
-        self._sql_mirror: dict[str, Any] = {}
         #: Per-session resource-budget overrides, set by HELLO
         #: (``max_rows_scanned``, ``max_result_rows``, ``deadline_ms``);
         #: they beat the ``REPRO_*`` env defaults, and a per-frame
@@ -391,10 +395,11 @@ class Session:
         expr = request.get("expr")
         if not isinstance(expr, str):
             raise ProtocolError("FQL verb requires an 'expr' string")
+        max_rows = _max_rows(request)
         self._read_barrier(request)
         with self._budgeted(request, "fql", expr) as meter:
             result = self._eval_fql(expr, request.get("params"))
-            payload = protocol.encode_value(result, request.get("max_rows"))
+            payload = protocol.encode_value(result, max_rows)
             if (
                 meter is not None
                 and isinstance(payload, dict)
@@ -428,123 +433,34 @@ class Session:
             raise OperatorError("EXPLAIN requires an FDM expression")
         return {"expr": text, "explain": explain(expression)}
 
-    # -- SQL (read-only mirror) --------------------------------------------------
+    # -- SQL -------------------------------------------------------------------
 
     def _verb_sql(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Run a SELECT against a relational mirror of the snapshot.
+        """SQL: run a SELECT as a function graph on the FQL pipeline.
 
-        The referenced stored tables are materialized as relations
-        *through the session's own transaction* (buffered writes
-        included), so SQL answers exactly what FQL would — one model,
-        two query surfaces. Writes use the DML verb: the mirror is a
-        copy, and silently dropping SQL DML on the floor would be worse
-        than refusing it.
+        :mod:`repro.server.sql` translates it through the session's
+        database view, so it reads through the session's own
+        transaction (buffered writes included) and shares the plan
+        cache, images, offload, budgets and profiling with FQL — one
+        model, two query surfaces. Writes and anything without an exact
+        translation are a typed ``SQLExecutionError``. Answers
+        ``{"columns": [...], "rows": [[...], ...]}`` with NULL as null.
         """
-        from repro.relational.sql.ast import SelectStmt, SetOpStmt
-        from repro.relational.sql.engine import SQLDatabase
-        from repro.relational.sql.parser import parse_sql
+        from repro.server.sql import Translation
 
         sql_text = request.get("sql")
         if not isinstance(sql_text, str):
             raise ProtocolError("SQL verb requires a 'sql' string")
+        params = request.get("params") or []
+        if not isinstance(params, list):
+            raise ProtocolError("SQL params must be a positional list")
         self._read_barrier(request)
-        statement = parse_sql(sql_text)
-        if not isinstance(statement, (SelectStmt, SetOpStmt)):
-            raise SQLExecutionError(
-                "the SQL verb is read-only (SELECT / set operations); "
-                "route writes through the DML verb"
-            )
+        query = Translation(self._namespace["db"], sql_text, params)
         with self._budgeted(request, "sql", sql_text) as meter:
-            mirror = SQLDatabase(f"{self.db._name}-mirror")
-            for table_name in self._statement_tables(statement):
-                if table_name in self.db._stored:
-                    mirror.load(self._mirror_relation(table_name))
-            params = request.get("params") or []
-            if not isinstance(params, list):
-                raise ProtocolError("SQL params must be a positional list")
-            relation = mirror._executor.execute(statement, tuple(params))
-            from repro.relational.nulls import is_null
-
+            reply = query.reply()
             if meter is not None:
-                meter.add_result_rows(len(relation.rows))
-            return {
-                "columns": list(relation.columns),
-                "rows": [
-                    [
-                        None if is_null(v) else protocol.encode_value(v)
-                        for v in row
-                    ]
-                    for row in relation.rows
-                ],
-            }
-
-    @staticmethod
-    def _statement_tables(statement: Any) -> list[str]:
-        """Table names the parsed statement actually references —
-        FROM and JOIN clauses, through set operations (the SQL subset
-        has no subqueries)."""
-        from repro.relational.sql.ast import SetOpStmt
-
-        names: list[str] = []
-
-        def walk(stmt: Any) -> None:
-            if isinstance(stmt, SetOpStmt):
-                walk(stmt.left)
-                walk(stmt.right)
-                return
-            if stmt.table is not None:
-                names.append(stmt.table.name)
-            for join in stmt.joins:
-                names.append(join.table.name)
-
-        walk(statement)
-        return list(dict.fromkeys(names))
-
-    def _mirror_relation(self, table_name: str):
-        """The relational mirror of one table, cached per session.
-
-        Version token: the commit clock moves on every commit (the
-        plan cache keys on the same counter, and unlike the WAL length
-        it is monotonic across a replica snapshot resync), and an open
-        transaction adds its identity plus buffered-write count — so
-        point SELECTs stop paying a full re-materialization unless the
-        visible snapshot actually changed.
-        """
-        from repro.relational.relation import Relation
-
-        txn = self.txn
-        token = (
-            self.db.manager.now(),
-            (txn.txn_id, txn.write_seq) if txn is not None else None,
-        )
-        cached = self._sql_mirror.get(table_name)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        relation = Relation.from_dicts(
-            table_name, self._table_dicts(table_name)
-        )
-        self._sql_mirror[table_name] = (token, relation)
-        return relation
-
-    def _table_dicts(self, table_name: str) -> list[dict[str, Any]]:
-        """Stored rows as attribute dicts, key included as a column."""
-        relation = self.db._stored[table_name]
-        key_name = relation.key_name
-        dicts = []
-        for key in relation.keys():
-            data = relation._raw_read(key)
-            if not isinstance(data, dict):
-                continue  # nested functions have no relational shape
-            row = dict(data)
-            if isinstance(key_name, tuple):
-                for part, component in zip(
-                    key_name, key if isinstance(key, tuple) else (key,)
-                ):
-                    row.setdefault(part, component)
-            else:
-                row.setdefault(key_name or "_key", key)
-            dicts.append(row)
-        return dicts
+                meter.add_result_rows(len(reply["rows"]))
+            return reply
 
     # -- DML ---------------------------------------------------------------------
 
@@ -743,6 +659,7 @@ class Session:
         expr = request.get("expr")
         if not isinstance(expr, str):
             raise ProtocolError("SUBSCRIBE requires an 'expr' string")
+        max_rows = _max_rows(request)
         expression = self._eval_fql(expr, request.get("params"))
         if not isinstance(expression, FDMFunction):
             raise OperatorError("SUBSCRIBE requires an FDM expression")
@@ -754,7 +671,7 @@ class Session:
         with view._sync_lock:
             # the view is already registered: another session's commit
             # could patch the snapshot dict mid-enumeration otherwise
-            snapshot = protocol.encode_value(view, request.get("max_rows"))
+            snapshot = protocol.encode_value(view, max_rows)
         return {
             "sid": sid,
             "name": subscription.name,

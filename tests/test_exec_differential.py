@@ -191,6 +191,17 @@ def test_filter_key_lookup(customers):
     assert_equivalent(lambda: fql.filter(customers, key__eq=3))
 
 
+@pytest.mark.parametrize("probe", [True, 1.0])
+def test_a_key_probe_of_another_type_answers_with_the_stored_key(
+        customers, probe):
+    """``True`` and ``1.0`` select key 1: the answer is the key 1 as
+    stored, in both modes, never the probe."""
+    for mode in ("naive", "batch"):
+        with using_exec_mode(mode):
+            keys = list(fql.filter(customers, key__eq=probe).keys())
+        assert keys == [1] and type(keys[0]) is int, mode
+
+
 def test_filter_database_level(db):
     assert_equivalent(
         lambda: fql.filter(lambda kv: kv[0] in ("order", "products"), db)

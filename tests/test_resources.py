@@ -226,9 +226,8 @@ class TestBudgetKillsWire:
             assert events and events[-1].data["meter"]["rows_scanned"] > 100
 
     def test_sql_kill_and_recovery(self, db, server):
-        # the SQL mirror scan bypasses the batched executor, so the
-        # result-rows budget (counted post-hoc by the verb) is the one
-        # that bites on this path
+        # the verb counts its reply's rows against the result-rows
+        # budget once the reply is built, as the FQL verb does
         with client_for(server) as c:
             c.set_budgets(max_result_rows=10)
             with pytest.raises(ResourceExhaustedError):
@@ -236,6 +235,23 @@ class TestBudgetKillsWire:
             c.set_budgets()  # clear
             result = c.sql("SELECT name FROM people WHERE age > 78")
             assert len(result["rows"]) > 0
+
+    def test_sql_scan_budget_kill_and_recovery(self, db, server):
+        # a SELECT runs on the same scan as an FQL filter, so the scan
+        # budget kills it mid-scan and the session stays usable
+        with client_for(server) as c:
+            c.set_budgets(max_rows_scanned=100)
+            with pytest.raises(ResourceExhaustedError) as err:
+                c.sql("SELECT name FROM people WHERE age > 10")
+            assert "exceeds budget" in str(err.value)
+            assert c.fql("len(db('people'))") == 500
+            events = db.lifecycle_events(kind="query_killed")
+            assert events and events[-1].data["meter"]["rows_scanned"] > 100
+            c.set_budgets()
+            result = c.sql("SELECT name FROM people WHERE age > 10")
+            assert len(result["rows"]) == len(
+                c.fql("filter('age > 10', input=db('people'))")
+            )
 
     def test_dml_deadline_kill_and_recovery(self, db, server):
         with client_for(server) as c:

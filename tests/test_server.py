@@ -202,6 +202,26 @@ class TestBasicVerbs:
             with pytest.raises(repro.errors.RemoteError):
                 c.fql("open('/etc/passwd')")  # not in the namespace
 
+    @pytest.mark.parametrize("bad", ["5", -1, 2.5, True])
+    def test_max_rows_must_be_a_non_negative_int(self, db, bad):
+        """A bad page cap is refused before any work: no query runs and
+        no subscription registers."""
+        from repro.server.session import Session
+
+        session = Session(db, 1)
+        queries = db.stats()["resources"]["queries"]
+        for verb in ("fql", "subscribe"):
+            reply = session.handle(
+                {"verb": verb, "expr": "db('customers')", "max_rows": bad}
+            )
+            assert reply["error"]["type"] == "ProtocolError", reply
+        assert db.stats()["resources"]["queries"] == queries
+        assert session.subscriptions == {}
+        page = session.handle(
+            {"verb": "fql", "expr": "db('customers')", "max_rows": 2}
+        )["result"]
+        assert len(page["rows"]) == 2 and page["truncated"]
+
     def test_fql_cannot_reach_lifecycle_surface(self, db, server):
         """Expressions see a read-only database view: the lifecycle /
         admin API of FunctionalDatabase must not be remotely callable."""
@@ -248,8 +268,8 @@ class TestRemoteTransactions:
             assert db.customers(1)("age") == 48
 
     def test_sql_sees_overwritten_buffered_writes(self, server):
-        """The SQL mirror cache must notice a transaction overwriting
-        an already-buffered key (write_seq, not len(writes))."""
+        """SQL reads through the session's transaction, so it sees the
+        transaction overwrite an already-buffered key."""
         with client_for(server) as c:
             c.begin()
             c.set_attr("customers", 2, "age", 30)

@@ -44,6 +44,7 @@ DOCSTRING_FILES = [
     "src/repro/obs/resources.py",
     "src/repro/server/protocol.py",
     "src/repro/server/session.py",
+    "src/repro/server/sql.py",
     "src/repro/server/server.py",
     "src/repro/replication/__init__.py",
     "src/repro/replication/hub.py",
