@@ -15,7 +15,7 @@ child nodes, and only leaf :class:`ScanNode`\\ s touch base functions.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Iterator
 
 from repro._util import MISSING
@@ -657,9 +657,66 @@ class FusedGroupAggregateNode(GroupAggregateNode):
     op = "fused_group_aggregate"
 
 
+def _image_sides(plan: Any, order: list) -> tuple:
+    """``(probe side, build side)`` of a join that runs on column images,
+    or ``(None, why not)``: two atoms, one equi-edge between them, each
+    side the atom's key or one attribute, and no tuple key label."""
+    if len(order) != 2:
+        return None, f"{len(order)} atoms"
+    if len(plan.edges) != 1:
+        return None, f"{len(plan.edges)} edges"
+    sides = sorted(plan.edges[0], key=lambda side: side.atom != order[0])
+    if [side.atom for side in sides] != order:
+        return None, "edge within one atom"
+    if any(s.accessor != "key" and s.accessor[0] != "attr" for s in sides):
+        return None, "key component"
+    if any(isinstance(_key_label(plan, name), tuple) for name in order):
+        return None, "tuple key label"
+    return tuple(sides), None
+
+
+def _key_label(plan: Any, name: str) -> Any:
+    return getattr(plan.atoms[name], "key_name", None)
+
+
+def _as_image(batch: Any) -> ColumnBatch | None:
+    """*batch* as a column batch: entries that are all ``RowTuple`` (an
+    offloaded atom's rows) get a throwaway image, and other entries
+    (buffered writes, nested functions) ``None``."""
+    from repro.fdm.tuples import RowTuple
+
+    if isinstance(batch, ColumnBatch):
+        return batch
+    if all(type(value) is RowTuple for _key, value in batch):
+        return ColumnBatch.of(
+            [key for key, _v in batch], [value._data for _k, value in batch]
+        )
+    return None
+
+
+def _probe_entries(batch: list, side: Any) -> tuple[list, list, list]:
+    """``(keys, rows, join values)`` of an entry batch, each read the way
+    the bindings path reads it; entries with no join value are dropped."""
+    keys, rows, values = [], [], []
+    for key, value in batch:
+        try:
+            values.append(side.eval(key, value))
+        except UndefinedInputError:
+            continue
+        keys.append(key)
+        enumerable = isinstance(value, FDMFunction) and value.is_enumerable
+        rows.append(dict(value.items()) if enumerable else {})
+    return keys, rows, values
+
+
 class HashJoinNode(PhysicalNode):
-    """⋈: the n-ary join with enumerable key-joined atoms prefetched
-    into hash maps (``JoinPlan.bindings(prefetch=True)``)."""
+    """⋈ (fig 6). A two-atom equi-join joins its atoms' column images:
+    the build atom drains into one dict, and the probe atom streams past
+    it batch by batch, its join column read once per batch. Any other
+    shape, an atom with no plan, or a build batch that is not rows takes
+    ``JoinPlan.bindings(prefetch=True)``, with enumerable key-joined atoms
+    prefetched into hash maps. Both paths give the same rows in the same
+    order (DESIGN.md §13)."""
 
     op = "hash_join"
 
@@ -667,35 +724,137 @@ class HashJoinNode(PhysicalNode):
         self.fn = join_fn  # the logical JoinedRelationFunction
 
     def batches(self) -> Iterator[list]:
-        from repro.fdm.tuples import TupleFunction
-        from repro.fql.join import _merge_binding_into_row
-
-        fn = self.fn
-        plan, order = fn.plan, fn.atom_order
-        labels = {
-            name: getattr(plan.atoms[name], "key_name", None) for name in order
-        }
-        label = fn.fn_name
-
-        def entries() -> Iterator[tuple]:
-            for binding in plan.bindings(prefetch=True):
-                key = tuple(binding[name][0] for name in order)
-                row = _merge_binding_into_row(binding, plan.atoms, order, labels)
-                yield key, TupleFunction(row, name=f"{label}{key!r}")
-
-        yield from rebatch(entries())
+        return self._join(with_rows=True)
 
     def key_batches(self) -> Iterator[list]:
         # key tuples only: skip denormalizing rows (naive keys() does too)
-        fn = self.fn
-        plan, order = fn.plan, fn.atom_order
-        yield from rebatch(
-            tuple(binding[name][0] for name in order)
-            for binding in plan.bindings(prefetch=True)
-        )
+        return self._join(with_rows=False)
+
+    def _join(self, with_rows: bool) -> Iterator[Any]:
+        drained = self._drain()
+        if drained is not None:
+            yield from self._probe(*drained, with_rows)
+            return
+        from repro.fql.join import _merge_binding_into_row
+
+        plan, order = self.fn.plan, self.fn.atom_order
+        labels = {name: _key_label(plan, name) for name in order}
+        for bindings in rebatch(plan.bindings(prefetch=True)):
+            keys = [tuple(b[name][0] for name in order) for b in bindings]
+            yield ColumnBatch.of(keys, [
+                _merge_binding_into_row(b, plan.atoms, order, labels)
+                for b in bindings
+            ], self.fn.fn_name) if with_rows else keys
+
+    def _drain(self) -> tuple | None:
+        """``(sides, probe stream, build dict)``, or ``None`` to take the
+        bindings path. The dict maps the build atom's key to its row, or
+        each value of its join attribute to the ``(key, row)`` pairs
+        holding it, in stream order (``MISSING`` never joins)."""
+        from repro.exec.run import route_batches
+        from repro.fql.join import _note_build_rows
+
+        sides, _why = _image_sides(self.fn.plan, self.fn.atom_order)
+        atoms = self.fn.plan.atoms
+        if sides is None or not all(atoms[s.atom].is_enumerable for s in sides):
+            return None
+        probe_side, build_side = sides
+        probe = route_batches(atoms[probe_side.atom])
+        build = route_batches(atoms[build_side.atom])
+        if probe is None or build is None:
+            return None
+        table: dict = {}
+        built = 0
+        for batch in build:
+            batch = _as_image(batch)
+            if batch is None:
+                build.close()
+                probe.close()
+                return None
+            if build_side.is_key:
+                table.update(zip(batch.keys, batch.rows))
+                continue
+            for key, row, value in zip(
+                batch.keys, batch.rows, batch.col(build_side.accessor[1])
+            ):
+                if value is not MISSING:
+                    table.setdefault(value, []).append((key, row))
+                    built += 1
+        _note_build_rows(len(table) if build_side.is_key else built)
+        return sides, probe, table
+
+    def _probe(self, sides: tuple, probe: Iterator, table: dict,
+               with_rows: bool) -> Iterator[Any]:
+        """One output batch per probe batch, in probe order and then
+        build insertion order; rows are built for matches only."""
+        from repro._util import normalize_key
+        from repro.fql.join import key_columns, merged_names
+
+        probe_side, build_side = sides
+        plan = self.fn.plan
+        by_key = build_side.is_key
+        p_name, b_name = probe_side.atom, build_side.atom
+        p_label = key_columns(p_name, _key_label(plan, p_name), None)[0]
+        b_label = key_columns(b_name, _key_label(plan, b_name), None)[0]
+        names: dict = {}  # (probe attrs, build attrs) → how to name a row
+        get = table.get
+        for batch in probe:
+            columnar = _as_image(batch)
+            if columnar is None:
+                keys, rows, col = _probe_entries(batch, probe_side)
+            else:
+                keys, rows = columnar.keys, columnar.rows
+                col = keys if probe_side.is_key else columnar.col(
+                    probe_side.accessor[1]
+                )
+            # MISSING is in no table, so an undefined value never joins; a
+            # key is looked up the way normalize_key spells it, which only
+            # changes lists and tuples
+            needles = col
+            if by_key and any(map(isinstance, col, repeat((list, tuple)))):
+                needles = [normalize_key(value) for value in col]
+            out_keys: list = []
+            out_rows: list = []
+            for key, row, value, hit in zip(keys, rows, col, map(get, needles)):
+                if hit is None:
+                    continue
+                for b_key, b_row in ((value, hit),) if by_key else hit:
+                    out_keys.append((key, b_key))
+                    if not with_rows:
+                        continue
+                    shape = (tuple(row), tuple(b_row))
+                    named = names.get(shape)
+                    if named is None:
+                        # just the key columns when no attribute is renamed:
+                        # the rows' own dicts then spread in as they are
+                        columns = merged_names((
+                            (p_name, p_label + shape[0]),
+                            (b_name, b_label + shape[1]),
+                        ))
+                        n = len(shape[0]) + 1
+                        plain = shape == (columns[1:n], columns[n + 1:])
+                        named = names[shape] = (
+                            (columns[0], columns[n]) if plain else (columns,)
+                        )
+                    out_rows.append(
+                        {named[0]: key, **row, named[1]: b_key, **b_row}
+                        if len(named) == 2 else dict(zip(named[0], (
+                            key, *row.values(), b_key, *b_row.values()
+                        )))
+                    )
+            if out_keys:
+                yield ColumnBatch.of(
+                    out_keys, out_rows, self.fn.fn_name
+                ) if with_rows else out_keys
 
     def describe(self) -> str:
-        return f"hash_join [{' ⋈ '.join(self.fn.atom_order)}]"
+        atoms = " ⋈ ".join(self.fn.atom_order)
+        sides, why = _image_sides(self.fn.plan, self.fn.atom_order)
+        if sides is None:
+            return f"hash_join [{atoms}; bindings: {why}]"
+        build = sides[1]
+        on = "key" if build.is_key else build.accessor[1]
+        return f"hash_join [{atoms}; image, build {build.atom} on {on}]"
 
 
 class _SetOpNode(PhysicalNode):

@@ -22,6 +22,7 @@ interface.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro._util import MISSING, normalize_key
@@ -42,6 +43,9 @@ __all__ = [
     "relation_from_rows",
     "alternative_view",
 ]
+
+#: Serializes :meth:`MaterialRelationFunction.add`'s read-then-write.
+_ADD_LOCK = threading.Lock()
 
 
 class RelationFunction(FDMFunction):
@@ -207,26 +211,6 @@ class MaterialRelationFunction(RelationFunction):
 
         return entry_batches(entries(), batch_size, self._name)
 
-    def snapshot_items(self) -> Iterator[tuple[Any, Any]] | None:
-        """``(key, tuple)`` pairs as cheap snapshot views.
-
-        The columnar join build side uses this instead of :meth:`items`
-        to skip per-row :class:`BoundTuple` construction; rows come out
-        as immutable :class:`~repro.fdm.tuples.RowTuple` views over the
-        shared dicts.
-        """
-        from repro.fdm.tuples import RowTuple
-
-        name = self._name
-        for key in list(self._rows):
-            try:
-                stored = self._rows[key]
-            except KeyError:
-                raise UndefinedInputError(self._name, key) from None
-            yield key, (
-                RowTuple(stored, name) if isinstance(stored, dict) else stored
-            )
-
     # -- write-through protocol used by BoundTuple ------------------------------
 
     def _read_data(self, key: Any) -> Mapping[str, Any]:
@@ -297,9 +281,12 @@ class MaterialRelationFunction(RelationFunction):
         self._record_change(key, old, MISSING)
 
     def add(self, value: Any) -> Any:
-        """Insert relying on an auto id (Fig. 10); returns the new key."""
-        key = self.next_auto_key()
-        self[key] = value
+        """Insert relying on an auto id (Fig. 10); returns the new key.
+        Reading the next key and writing it is one step, so concurrent
+        adds take distinct keys."""
+        with _ADD_LOCK:
+            key = self.next_auto_key()
+            self[key] = value
         return key
 
     def next_auto_key(self) -> int:

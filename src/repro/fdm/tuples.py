@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 
+def check_attributes(names: Iterable[Any]) -> None:
+    """Raise :class:`SchemaError` unless every name is a string."""
+    for attr in names:
+        if not isinstance(attr, str):
+            raise SchemaError(
+                f"tuple function attributes must be strings, got {attr!r}"
+            )
+
+
 class TupleFunction(FDMFunction):
     """An immutable, enumerated tuple function backed by a mapping."""
 
@@ -42,12 +51,7 @@ class TupleFunction(FDMFunction):
                  name: str | None = None, **attrs: Any):
         data: dict[str, Any] = dict(mapping or {})
         data.update(attrs)
-        for attr in data:
-            if not isinstance(attr, str):
-                raise SchemaError(
-                    f"tuple function attributes must be strings, got "
-                    f"{attr!r}"
-                )
+        check_attributes(data)
         super().__init__(name=name or "t", domain=DiscreteDomain(data),
                          codomain=None)
         self._data = data

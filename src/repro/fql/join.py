@@ -27,6 +27,7 @@ need to know *which tuples participate in the join result*.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Iterator, Sequence
 
 from repro.errors import OperatorError, UndefinedInputError
@@ -34,7 +35,7 @@ from repro.fdm.domains import Domain, PredicateDomain
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.fdm.relations import RelationFunction
 from repro.fdm.relationships import RelationshipFunction
-from repro.fdm.tuples import TupleFunction
+from repro.fdm.tuples import TupleFunction, check_attributes
 
 __all__ = ["join", "JoinPlan", "JoinSide", "JoinedRelationFunction"]
 
@@ -389,20 +390,46 @@ def _note_build_rows(rows: int) -> None:
 def _enum_items(fn: Any, prefetch: bool) -> Iterator[tuple[Any, Any]]:
     """Enumerate an atom for hash-build/prefetch scans.
 
-    In prefetching (batched) mode, stored and material relations expose
-    ``snapshot_items()`` — a direct walk of the committed rows that
-    skips the per-key bound-tuple construction of ``items()``. Falls
-    back to plain ``items()`` whenever the fast path is unavailable
-    (open transaction, other function kinds).
+    In prefetching (batched) mode a base atom is enumerated through the
+    executor too, so a stored or material relation is read off its
+    column image rather than key by key.
     """
-    if prefetch:
-        # class-level lookup: FDM __getattr__ is relation access
-        snapshot = getattr(type(fn), "snapshot_items", None)
-        if snapshot is not None:
-            items = snapshot(fn)
-            if items is not None:
-                return items
-    return fn.items()
+    from repro.exec.run import route_items
+
+    routed = route_items(fn) if prefetch else None
+    return fn.items() if routed is None else routed
+
+
+@lru_cache(maxsize=1024)
+def merged_names(shape: tuple[tuple[str, tuple], ...]) -> tuple:
+    """The column names of a merged join row: the naming rule, stated
+    once and memoised per shape.
+
+    *shape* lists, per atom in plan order, ``(atom name, names)`` — the
+    atom's key label(s), then its attribute names. A name an earlier
+    column already took gets a ``<relation>_`` prefix, so a collision is
+    disambiguated, never silently overwritten. Every column must be able
+    to name a tuple function attribute.
+    """
+    out: list[Any] = []
+    taken: set = set()
+    for name, names in shape:
+        for attr in names:
+            column = f"{name}_{attr}" if attr in taken else attr
+            taken.add(column)
+            out.append(column)
+    check_attributes(out)
+    return tuple(out)
+
+
+def key_columns(name: str, label: Any, key: Any) -> tuple[tuple, tuple]:
+    """``(labels, components)`` an atom's key contributes to a merged row:
+    a tuple label splits the key, no label names it ``<relation>_key``."""
+    if isinstance(label, tuple):
+        components = key if isinstance(key, tuple) else (key,)
+        n = min(len(label), len(components))
+        return label[:n], components[:n]
+    return (label if isinstance(label, str) else f"{name}_key",), (key,)
 
 
 def _merge_binding_into_row(
@@ -411,41 +438,24 @@ def _merge_binding_into_row(
     order: list[str],
     labels: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Denormalize one binding into a flat attribute dict.
-
-    Keys become attributes named by each relation's ``key_name`` (falling
-    back to ``<relation>_key``); colliding attribute names are disambiguated
-    with a ``<relation>_`` prefix, never silently overwritten. A caller
-    merging many bindings passes the ``key_name`` of each atom once, as
-    *labels*.
+    """Denormalize one binding into a flat attribute dict, named by
+    :func:`merged_names`. Keys become attributes named by each relation's
+    ``key_name``. A caller merging many bindings passes the ``key_name``
+    of each atom once, as *labels*.
     """
-    row: dict[str, Any] = {}
-
-    def put(name: str, attr: str, value: Any) -> None:
-        if attr not in row:
-            row[attr] = value
-        else:
-            row[f"{name}_{attr}"] = value
-
+    shape: list[tuple[str, tuple]] = []
+    values: list[Any] = []
     for name in order:
         key, value = binding[name]
-        key_label = (
-            getattr(atoms[name], "key_name", None)
-            if labels is None
-            else labels[name]
-        )
-        if isinstance(key_label, tuple):
-            components = key if isinstance(key, tuple) else (key,)
-            for label, component in zip(key_label, components):
-                put(name, label, component)
-        elif isinstance(key_label, str):
-            put(name, key_label, key)
-        else:
-            put(name, f"{name}_key", key)
+        label = labels[name] if labels else getattr(atoms[name], "key_name", None)
+        names, components = key_columns(name, label, key)
+        values += components
         if isinstance(value, FDMFunction) and value.is_enumerable:
-            for attr, attr_value in value.items():
-                put(name, attr, attr_value)
-    return row
+            attrs = dict(value.items())
+            names += tuple(attrs)
+            values += attrs.values()
+        shape.append((name, names))
+    return dict(zip(merged_names(tuple(shape)), values))
 
 
 class JoinedRelationFunction(DerivedFunction):

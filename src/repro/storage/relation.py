@@ -20,6 +20,7 @@ from repro.errors import (
     ConstraintViolationError,
     DuplicateKeyError,
     SchemaError,
+    TransactionConflictError,
     UndefinedInputError,
 )
 from repro.fdm.domains import Domain, PredicateDomain
@@ -202,28 +203,6 @@ class StoredRelationFunction(RelationFunction):
             else:
                 yield from image_batches(image, batch_size, name)
 
-    def snapshot_items(self) -> Iterator[tuple[Any, Any]] | None:
-        """``(key, tuple)`` pairs as cheap snapshot views, or ``None``.
-
-        The columnar join build side uses this instead of :meth:`items`
-        to skip the per-row transaction/version stack and
-        :class:`BoundTuple` construction. Returns ``None`` inside an
-        open transaction (buffered writes need the full read path).
-        """
-        txn = self._manager.current()
-        if txn is not None:
-            return None
-        return self._snapshot_items(self._manager.now())
-
-    def _snapshot_items(self, ts: int) -> Iterator[tuple[Any, Any]]:
-        from repro.fdm.tuples import RowTuple
-
-        name = self._name
-        for key, data in self._engine.table(self._table_name).scan_at(ts):
-            yield key, (
-                RowTuple(data, name) if isinstance(data, dict) else data
-            )
-
     # -- BoundTuple write-through protocol ----------------------------------------------
 
     def _read_data(self, key: Any) -> Mapping[str, Any]:
@@ -288,6 +267,16 @@ class StoredRelationFunction(RelationFunction):
                 statement.delete(self._table_name, key)
 
     def add(self, value: Any) -> Any:
+        """Insert under the next integer key; returns it. The key is
+        read in the statement that writes it, so a concurrent add that
+        takes it first makes this one conflict, never overwrite; an
+        implicit statement then retries on the fresh state."""
+        while self._manager.current() is None:
+            try:
+                with self._manager.autocommit():
+                    return self.add(value)
+            except TransactionConflictError:
+                continue
         key = self.next_auto_key()
         self[key] = value
         return key

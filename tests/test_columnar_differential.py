@@ -12,7 +12,7 @@ float64-exact range.
 
 import pytest
 
-from zoo import ZOO, hostile_rows
+from zoo import ZOO, hostile_rows, region_rows
 from zoo import ordered as _ordered
 
 import repro as fql
@@ -30,6 +30,7 @@ from repro.partition import hash_partition
 def flat_db():
     db = fql.connect("columnar-flat", default=False)
     db["customers"] = hostile_rows()
+    db["regions"] = region_rows()
     yield db
     db.close()
 
@@ -37,9 +38,8 @@ def flat_db():
 @pytest.fixture(scope="module")
 def part_db():
     db = fql.connect("columnar-part", default=False)
-    db.create_table(
-        "customers", rows=hostile_rows(), partition_by=hash_partition("state", 4)
-    )
+    for name, rows in (("customers", hostile_rows()), ("regions", region_rows())):
+        db.create_table(name, rows=rows, partition_by=hash_partition("state", 4))
     yield db
     db.close()
 

@@ -503,6 +503,37 @@ def test_outer_partitions(db):
     assert_equivalent(build_outer)
 
 
+def test_explain_names_the_join_path(db, customers):
+    """A two-atom equi-join runs on column images, and explain says which
+    atom builds on what; a three-way join keeps the bindings path."""
+    from repro.exec import explain
+
+    orders = relation(
+        {100: {"cid": 1, "qty": 2}, 101: {"cid": 3, "qty": 1}},
+        name="orders", key_name="oid",
+    )
+    two = fql.join(
+        database({"orders": orders, "customers": customers}),
+        on=[["orders.cid", "customers.cid"]],
+    )
+    on_attr = fql.join(
+        database({"customers": customers, "orders": orders}),
+        on=[["orders.qty", "customers.age"]],
+    )
+    expected = [
+        (two, "hash_join [orders ⋈ customers; image, build customers on key]"),
+        (on_attr, "hash_join [customers ⋈ orders; image, build orders on qty]"),
+        (
+            fql.join(db),
+            "hash_join [order ⋈ customers ⋈ products; bindings: 3 atoms]",
+        ),
+    ]
+    for expr, line in expected:
+        physical = explain(expr).split("== physical pipeline ==")[1]
+        assert line in physical.splitlines(), physical
+        assert_equivalent(lambda: expr)
+
+
 def test_join_with_non_enumerable_key_atom(customers):
     """A hand-built plan may key-join a computed (non-enumerable) atom:
     the batched path must fall back to point probes, like naive."""
@@ -610,6 +641,7 @@ def zoo_db():
 
     db = connect("exec-zoo", default=False)
     db["customers"] = zoo.hostile_rows()
+    db["regions"] = zoo.region_rows()
     yield db
     db.close()
 

@@ -49,6 +49,7 @@ def _reset_modes():
 def flat_db():
     db = fql.connect("offload-flat", default=False)
     db["customers"] = zoo.hostile_rows()
+    db["regions"] = zoo.region_rows()
     yield db
     db.close()
 
@@ -56,11 +57,12 @@ def flat_db():
 @pytest.fixture(scope="module")
 def part_db():
     db = fql.connect("offload-part", default=False)
-    db.create_table(
-        "customers",
-        rows=zoo.hostile_rows(),
-        partition_by=hash_partition("state", 4),
-    )
+    for name, rows in (
+        ("customers", zoo.hostile_rows()), ("regions", zoo.region_rows())
+    ):
+        db.create_table(
+            name, rows=rows, partition_by=hash_partition("state", 4)
+        )
     yield db
     db.close()
 

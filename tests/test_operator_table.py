@@ -25,7 +25,7 @@ from repro.ivm.operators import FALLBACK, derive_delta, map_rule
 from repro.obs.workload import fingerprint_of
 from repro.operators import OPERATORS, Operator, operator_of
 from repro.optimizer import estimate_cardinality, optimize
-from zoo import ZOO, canonical, hostile_rows
+from zoo import ZOO, canonical, hostile_rows, region_rows
 
 #: Operators that deliberately have no lowering: their subtree runs
 #: per-key inside an otherwise batched pipeline.
@@ -65,6 +65,7 @@ def test_every_operator_has_an_entry_or_is_listed_as_naive():
 def db():
     db = repro.connect("operator-table", default=False)
     db["customers"] = hostile_rows()
+    db["regions"] = region_rows()
     db.create_index("customers", "age", kind="sorted")
     yield db
     db.close()

@@ -618,3 +618,84 @@ def test_a_skipped_segment_holds_no_match(rows, writes, layout, pred):
     with using_exec_mode("naive"):
         assert batched == ordered(expr), pred.to_source()
     db.close()
+
+
+# -- join ≡ naive over hostile join columns ------------------------------------
+
+#: Join values that test the build dict's equality: NaN (one shared
+#: object, and one of its own per draw), None, bools beside ints, 1.0
+#: beside 1, 2⁶⁰, strings beside ints, and lists and 1-tuples, which a
+#: key lookup spells the way ``normalize_key`` does. A missing ``j`` is
+#: an undefined join value.
+join_values = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([2**60, 1.0, 2.5, _NAN, "1", "a", None]),
+    st.builds(float, st.just("nan")),
+    st.booleans(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.tuples(st.integers(0, 3)),
+)
+
+join_tables = st.dictionaries(
+    st.sampled_from([0, 1, 2, 3, 2**60]),
+    st.dictionaries(st.sampled_from(["j", "x"]), join_values, max_size=2),
+    max_size=6,
+)
+
+
+def _join_outcome(expr, mode):
+    """Keys and rows, spelled with ``repr`` (types and NaN compare), or
+    the error type the enumeration raised."""
+    from repro.exec import using_exec_mode
+
+    with using_exec_mode(mode):
+        try:
+            return (
+                repr(list(expr.keys())),
+                repr([(k, dict(v.items())) for k, v in expr.items()]),
+            )
+        except TypeError as exc:  # an unhashable join value
+            return type(exc).__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    join_tables,
+    join_tables,
+    st.sampled_from(
+        [("l.j", "r.j"), ("l.j", "r.__key__"), ("l.__key__", "r.j")]
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, hash_partition(None, 2), hash_partition("j", 2)]),
+    st.booleans(),
+    st.booleans(),
+)
+@example(  # lists and 1-tuples probe a key as normalize_key spells them
+    left={0: {"j": [1]}, 1: {"j": (2,)}, 2: {"j": True}, 3: {"j": 1.0}},
+    right={1: {"j": 1}, 2: {"x": "b"}}, edge=("l.j", "r.__key__"),
+    flip=False, swap=False, layout=None, open_txn=False, renamed=False,
+)
+def test_a_two_atom_join_equals_naive(
+    left, right, edge, flip, swap, layout, open_txn, renamed
+):
+    """A two-atom equi-join enumerates exactly what the naive join does,
+    in its order and with its key and value types, in either edge
+    orientation, with either atom probing, over flat and partitioned
+    tables, on committed data and inside an open transaction, and with
+    an atom whose batches are entries (a rename) rather than rows."""
+    db = repro.connect("prop-join", default=False)
+    db.create_table("l", rows=left, partition_by=layout)
+    db.create_table("r", rows=right, partition_by=layout)
+    atoms = {"l": fql.rename(db.l, x="y") if renamed else db.l, "r": db.r}
+    sub = database({name: atoms[name] for name in sorted(atoms, reverse=swap)})
+    expr = fql.join(sub, on=[list(edge[::-1] if flip else edge)])
+    txn = db.begin() if open_txn else None
+    try:
+        if txn is not None:
+            db.r[1] = {"j": 1, "x": "buffered"}
+        assert _join_outcome(expr, "batch") == _join_outcome(expr, "naive")
+    finally:
+        if txn is not None:
+            txn.rollback()
+        db.close()

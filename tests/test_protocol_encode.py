@@ -98,12 +98,16 @@ def hostile_rows():
 
 def _open(name, partitioned):
     db = fql.connect(name, default=False)
-    db.create_table(
-        "customers",
-        rows=hostile_rows(),
-        key_name="cid",
-        partition_by=hash_partition("state", 4) if partitioned else None,
-    )
+    for table, rows, key_name in (
+        ("customers", hostile_rows(), "cid"),
+        ("regions", zoo.region_rows(), "rid"),
+    ):
+        db.create_table(
+            table,
+            rows=rows,
+            key_name=key_name,
+            partition_by=hash_partition("state", 4) if partitioned else None,
+        )
     return db
 
 

@@ -119,6 +119,20 @@ class TestMeterCore:
             assert store.stats()["resources"]["queries"] == 2
             assert _DEFAULT.queries == 0
             assert store.stats()["plan_cache"]["hits"] == 1
+            # a two-atom join on the column images counts its build too
+            before = accounting.totals["join_build_rows"]
+            two = fql.join(
+                repro.fdm.database(
+                    {"products": store.products, "customers": store.customers}
+                ),
+                on=[["products.price", "customers.__key__"]],
+            )
+            assert "image, build customers on key" in repro.exec.explain(two)
+            dict(two.items())
+            assert (
+                accounting.totals["join_build_rows"] - before
+                == len(store.customers)
+            )
         finally:
             store.close()
 

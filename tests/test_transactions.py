@@ -214,6 +214,58 @@ class TestSnapshotIsolation:
         bank.vacuum()
         assert bank.engine.version_count() < versions_before
 
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_concurrent_adds_take_distinct_keys(self, monkeypatch, stored):
+        """N threads add at once, each having read the next free key
+        before any of them writes: N distinct keys come back and N rows
+        are stored, with no conflict error and no overwritten row."""
+        import threading
+
+        from repro.fdm.relations import MaterialRelationFunction
+        from repro.storage.relation import StoredRelationFunction
+
+        n = 6
+        cls = StoredRelationFunction if stored else MaterialRelationFunction
+        original = cls.next_auto_key
+        barrier = threading.Barrier(n)
+        first = threading.local()
+
+        def racing(self):
+            key = original(self)
+            if not getattr(first, "done", False):
+                first.done = True
+                try:  # hold each first read until every thread has one
+                    barrier.wait(timeout=0.5)
+                except threading.BrokenBarrierError:
+                    pass  # reads and writes are serialized: nobody comes
+            return key
+
+        monkeypatch.setattr(cls, "next_auto_key", racing)
+        if stored:
+            db = repro.connect(name="adders", default=False)
+            db["log"] = {1: {"n": 0}}
+            table = db.log
+        else:
+            table = MaterialRelationFunction({1: {"n": 0}}, name="log")
+        keys, errors = [], []
+
+        def add(i):
+            try:
+                keys.append(table.add({"n": i}))
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=add, args=(i,)) for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(keys) == list(range(2, n + 2))
+        assert sorted(table(k)("n") for k in keys) == list(range(n))
+        assert len(table) == n + 1
+
 
 class TestStoredRelationships:
     def test_shared_domain_enforcement(self, db):

@@ -18,9 +18,11 @@ Two parts:
   mixed numeric/string columns, and integers beyond the float64-exact
   range (and, for SQL backends, near the int64 cliff).
 * :data:`ZOO` — named query builders (each ``lambda db: ...`` over
-  ``db.customers``) covering filters in every costume, projection,
-  ordering, limits, grouping, decomposable aggregates, and set
-  operations.
+  ``db.customers``, and for joins ``db.regions`` from
+  :func:`region_rows`) covering filters in every costume, projection,
+  ordering, limits, grouping, decomposable aggregates, set operations
+  and two-atom joins. Every suite that reads the zoo creates both
+  tables.
 
 Plus the canonicalization helpers the suites share: NaN compares
 unequal to itself, so snapshots map it to the string ``"NaN"`` before
@@ -173,7 +175,37 @@ ZOO = {
     "minus": lambda db: fql.minus(
         db.customers, fql.filter(db.customers, "age < 40")
     ),
+    # two-atom equi-joins: the first atom probes, the second builds.
+    # regions ⋈ customers builds on a column with repeated values
+    "join_attr": lambda db: joined(
+        "regions.state", "customers.state",
+        regions=db.regions, customers=db.customers,
+    ),
+    # key-joined, hostile probe columns: True joins 1, 5.0 joins 5, NaN
+    # joins nothing, and strings sit beside ints
+    "join_key_flag": lambda db: joined(
+        "customers.flag", "regions.__key__",
+        customers=db.customers, regions=db.regions,
+    ),
+    "join_key_score": lambda db: joined(
+        "customers.score", "regions.__key__",
+        customers=db.customers, regions=db.regions,
+    ),
+    "join_key_mixed": lambda db: joined(
+        "customers.mixed", "regions.__key__",
+        customers=db.customers, regions=db.regions,
+    ),
+    "join_filtered": lambda db: joined(
+        "customers.state", "regions.state",
+        customers=fql.filter(db.customers, "age > 30"),
+        regions=fql.filter(db.regions, region="west"),
+    ),
 }
+
+
+def joined(left, right, **atoms):
+    """``fql.join`` of *atoms* (in probe, build order) on one equi-edge."""
+    return fql.join(fql.fdm.database(atoms), on=[[left, right]])
 
 
 def canon_value(value, sort_lists=False):
