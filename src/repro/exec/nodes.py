@@ -659,8 +659,9 @@ class FusedGroupAggregateNode(GroupAggregateNode):
 
 def _image_sides(plan: Any, order: list) -> tuple:
     """``(probe side, build side)`` of a join that runs on column images,
-    or ``(None, why not)``: two atoms, one equi-edge between them, each
-    side the atom's key or one attribute, and no tuple key label."""
+    or ``(None, why not)``: two enumerable atoms and no transaction open
+    over them, one equi-edge between them, each side the atom's key or
+    one attribute, and no tuple key label."""
     if len(order) != 2:
         return None, f"{len(order)} atoms"
     if len(plan.edges) != 1:
@@ -672,6 +673,11 @@ def _image_sides(plan: Any, order: list) -> tuple:
         return None, "key component"
     if any(isinstance(_key_label(plan, name), tuple) for name in order):
         return None, "tuple key label"
+    atoms = [plan.atoms[name] for name in order]
+    if not all(atom.is_enumerable for atom in atoms):
+        return None, "non-enumerable atom"
+    if any(map(_in_transaction, atoms)):
+        return None, "open transaction"
     return tuple(sides), None
 
 
@@ -679,19 +685,14 @@ def _key_label(plan: Any, name: str) -> Any:
     return getattr(plan.atoms[name], "key_name", None)
 
 
-def _as_image(batch: Any) -> ColumnBatch | None:
-    """*batch* as a column batch: entries that are all ``RowTuple`` (an
-    offloaded atom's rows) get a throwaway image, and other entries
-    (buffered writes, nested functions) ``None``."""
-    from repro.fdm.tuples import RowTuple
+def _in_transaction(fn: Any) -> bool:
+    """True when a stored table under *fn* has a transaction open on
+    this thread: its scans then yield entries, not column images."""
+    from repro.storage.relation import StoredRelationFunction
 
-    if isinstance(batch, ColumnBatch):
-        return batch
-    if all(type(value) is RowTuple for _key, value in batch):
-        return ColumnBatch.of(
-            [key for key, _v in batch], [value._data for _k, value in batch]
-        )
-    return None
+    if isinstance(fn, StoredRelationFunction):
+        return fn._manager.current() is not None
+    return any(map(_in_transaction, getattr(fn, "children", ())))
 
 
 def _probe_entries(batch: list, side: Any) -> tuple[list, list, list]:
@@ -713,10 +714,11 @@ class HashJoinNode(PhysicalNode):
     """⋈ (fig 6). A two-atom equi-join joins its atoms' column images:
     the build atom drains into one dict, and the probe atom streams past
     it batch by batch, its join column read once per batch. Any other
-    shape, an atom with no plan, or a build batch that is not rows takes
-    ``JoinPlan.bindings(prefetch=True)``, with enumerable key-joined atoms
-    prefetched into hash maps. Both paths give the same rows in the same
-    order (DESIGN.md §13)."""
+    shape (``_image_sides``, which explain reads too), an atom with no
+    plan, or a build batch that is not a column image (an offloaded
+    atom, nested functions) takes ``JoinPlan.bindings(prefetch=True)``,
+    with enumerable key-joined atoms prefetched into hash maps. Both
+    paths give the same rows in the same order (DESIGN.md §13)."""
 
     op = "hash_join"
 
@@ -755,10 +757,10 @@ class HashJoinNode(PhysicalNode):
         from repro.fql.join import _note_build_rows
 
         sides, _why = _image_sides(self.fn.plan, self.fn.atom_order)
-        atoms = self.fn.plan.atoms
-        if sides is None or not all(atoms[s.atom].is_enumerable for s in sides):
+        if sides is None:
             return None
         probe_side, build_side = sides
+        atoms = self.fn.plan.atoms
         probe = route_batches(atoms[probe_side.atom])
         build = route_batches(atoms[build_side.atom])
         if probe is None or build is None:
@@ -766,8 +768,7 @@ class HashJoinNode(PhysicalNode):
         table: dict = {}
         built = 0
         for batch in build:
-            batch = _as_image(batch)
-            if batch is None:
+            if not isinstance(batch, ColumnBatch):
                 build.close()
                 probe.close()
                 return None
@@ -796,15 +797,14 @@ class HashJoinNode(PhysicalNode):
         p_name, b_name = probe_side.atom, build_side.atom
         p_label = key_columns(p_name, _key_label(plan, p_name), None)[0]
         b_label = key_columns(b_name, _key_label(plan, b_name), None)[0]
-        names: dict = {}  # (probe attrs, build attrs) → how to name a row
+        names: dict = {}  # (probe attrs, build attrs) → column names
         get = table.get
         for batch in probe:
-            columnar = _as_image(batch)
-            if columnar is None:
+            if not isinstance(batch, ColumnBatch):
                 keys, rows, col = _probe_entries(batch, probe_side)
             else:
-                keys, rows = columnar.keys, columnar.rows
-                col = keys if probe_side.is_key else columnar.col(
+                keys, rows = batch.keys, batch.rows
+                col = keys if probe_side.is_key else batch.col(
                     probe_side.accessor[1]
                 )
             # MISSING is in no table, so an undefined value never joins; a
@@ -823,25 +823,15 @@ class HashJoinNode(PhysicalNode):
                     if not with_rows:
                         continue
                     shape = (tuple(row), tuple(b_row))
-                    named = names.get(shape)
-                    if named is None:
-                        # just the key columns when no attribute is renamed:
-                        # the rows' own dicts then spread in as they are
-                        columns = merged_names((
+                    columns = names.get(shape)
+                    if columns is None:
+                        columns = names[shape] = merged_names((
                             (p_name, p_label + shape[0]),
                             (b_name, b_label + shape[1]),
                         ))
-                        n = len(shape[0]) + 1
-                        plain = shape == (columns[1:n], columns[n + 1:])
-                        named = names[shape] = (
-                            (columns[0], columns[n]) if plain else (columns,)
-                        )
-                    out_rows.append(
-                        {named[0]: key, **row, named[1]: b_key, **b_row}
-                        if len(named) == 2 else dict(zip(named[0], (
-                            key, *row.values(), b_key, *b_row.values()
-                        )))
-                    )
+                    out_rows.append(dict(zip(columns, (
+                        key, *row.values(), b_key, *b_row.values()
+                    ))))
             if out_keys:
                 yield ColumnBatch.of(
                     out_keys, out_rows, self.fn.fn_name

@@ -7,6 +7,8 @@ same keys, same order, extensionally equal values. This is the contract
 that lets `DerivedFunction.items()/keys()` route transparently.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro import connect, fql
@@ -503,9 +505,10 @@ def test_outer_partitions(db):
     assert_equivalent(build_outer)
 
 
-def test_explain_names_the_join_path(db, customers):
+def test_explain_names_the_join_path(db, customers, stored_db):
     """A two-atom equi-join runs on column images, and explain says which
-    atom builds on what; a three-way join keeps the bindings path."""
+    atom builds on what; a three-way join, or a join inside any open
+    transaction (even one that only reads), keeps the bindings path."""
     from repro.exec import explain
 
     orders = relation(
@@ -532,6 +535,20 @@ def test_explain_names_the_join_path(db, customers):
         physical = explain(expr).split("== physical pipeline ==")[1]
         assert line in physical.splitlines(), physical
         assert_equivalent(lambda: expr)
+
+    stored = fql.join(
+        database({"orders": orders, "customers": stored_db.customers}),
+        on=[["orders.cid", "customers.__key__"]],
+    )
+    assert len(stored) == 2
+    for in_txn, line in (
+        (False, "hash_join [orders ⋈ customers; image, build customers on key]"),
+        (True, "hash_join [orders ⋈ customers; bindings: open transaction]"),
+    ):
+        with stored_db.transaction() if in_txn else nullcontext():
+            physical = explain(stored).split("== physical pipeline ==")[1]
+            assert line in physical.splitlines(), physical
+            assert_equivalent(lambda: stored)
 
 
 def test_join_with_non_enumerable_key_atom(customers):
