@@ -156,8 +156,13 @@ class ColumnProfile:
         Requires pure numerics in enumeration order (the mirror has no
         indexes, so the engine scans in ``ord`` order and float
         accumulation order matches the Python fold) with ints small
-        enough that 64-bit engine arithmetic stays exact.
+        enough that 64-bit engine arithmetic stays exact. Since 3.43
+        SQLite sums floats with Kahan–Babuška–Neumaier compensation,
+        which is not Python's left fold (ten ``0.1`` sum to ``1.0``, not
+        ``0.9999999999999999``), so float columns decline there.
         """
+        if self.has_float and sqlite3.sqlite_version_info >= (3, 43, 0):
+            return False
         return self.numeric_only and not self.has_big_int
 
     @property

@@ -16,17 +16,26 @@ Two stages, both total functions that either succeed or raise
 
 The semantic contract is *bit-identical results in the naive
 enumeration order* — the same bar the batched executor's differential
-suites pin. Divergence risks and their treatments:
+suites pin. A guard is emitted only where the column profile can reach
+its branch: a clean column (never absent, never None/NaN, one type
+family) compiles to bare comparisons. Profiles only widen between
+rebuilds and every :class:`CompiledQuery` carries the profile
+signature it was compiled against, so a write that widens one
+recompiles the next read with the guard back. Divergence risks and
+their treatments:
 
 * **undefined vs present** — FDM distinguishes a tuple without
   ``bonus`` from one with ``bonus = None``; SQL has only NULL. Every
   predicate compiles to a three-valued expression ``E ∈ {1, 0, NULL}``
   with NULL ⇔ *undefined* (presence column = 0), so ``NOT`` can map
-  undefined to false exactly like the AST's ``_Undefined`` handling.
+  undefined to false exactly like the AST's ``_Undefined`` handling;
+  ``COALESCE`` wraps only expressions that can be undefined.
 * **cross-type comparisons** — Python raises ``TypeError`` (→ false);
   SQLite orders storage classes (``1 < 'a'`` is true). Ordered
-  comparisons carry ``typeof()`` guards; equality needs none (distinct
-  storage classes are unequal in both worlds).
+  comparisons over mixed columns carry ``typeof()`` guards; equality
+  needs none (distinct storage classes are unequal in both worlds),
+  and a column holding none of the literal's family folds to a
+  constant.
 * **NaN** — binds as NULL, so NaN-bearing columns decline the
   operations where NULL-collapse with None would show.
 * **order/grouping fidelity** — ORDER BY compiles a rank term
@@ -223,11 +232,7 @@ def generate_sql(shape: QueryShape, mirror: Any) -> CompiledQuery:
     """Emit the SQL (SQLite dialect) + decode plan for *shape* over
     *mirror*, or decline."""
     params: list = []
-    where: list[str] = []
-    for predicate in shape.filters:
-        expr = _predicate(predicate, mirror, params)
-        where.append(f"COALESCE({expr}, 0)")
-
+    where = [_defined(*_predicate(p, mirror, params)) for p in shape.filters]
     if shape.fused is not None:
         return _aggregate_query(shape, mirror, where, params)
     return _row_query(shape, mirror, where, params)
@@ -266,9 +271,10 @@ def _aggregate_query(
             raise Unsupported("hostile_column", f"group column {attr!r}")
         if not profile.allows_group:
             raise Unsupported("nan_group_key", f"group column {attr!r}")
-        # rows not defining the attribute fall out of every group,
-        # and present-None groups separately from absent (p = 0)
-        where.append(f"p{idx} = 1")
+        if profile.has_missing:
+            # rows not defining the attribute fall out of every group,
+            # and present-None groups separately from absent (p = 0)
+            where.append(f"p{idx} = 1")
         group_cols.append(f"c{idx}")
 
     select = ["MIN(ord)", "COUNT(*)"]
@@ -325,10 +331,8 @@ def _aggregate_parts(
     if type(agg) is Count:
         # count-present: the presence column sums to exactly the number
         # of contributing tuples, whatever the values are
-        return (
-            [f"COALESCE(SUM(p{idx}), 0)"],
-            lambda cols: int(cols[0]),
-        )
+        count = f"COALESCE(SUM(p{idx}), 0)" if profile.has_missing else "COUNT(*)"
+        return [count], lambda cols: int(cols[0])
     if type(agg) in (Sum, Avg):
         if not profile.allows_sum:
             raise Unsupported("unsummable_column", f"{name} over {attr!r}")
@@ -362,10 +366,9 @@ def _order_terms(order: tuple[Any, bool], mirror: Any) -> list[str]:
     for attr in attrs:
         idx = mirror.column(attr)
         if idx is None:
-            # key extraction fails on every row: all rank 1, original
-            # order preserved by the ord tiebreak
-            rank_parts, cols = ["1"], []
-            break
+            # key extraction fails on every row: all keys equal, so
+            # the stable sort keeps the original order
+            return ["ord ASC"]
         profile = mirror.profiles[attr]
         if not profile.storable:
             raise Unsupported("hostile_column", f"order column {attr!r}")
@@ -374,20 +377,19 @@ def _order_terms(order: tuple[Any, bool], mirror: Any) -> list[str]:
                 "unorderable_column",
                 f"order column {attr!r} mixes type families",
             )
-        rank_parts.append(f"p{idx} = 0")
+        if profile.has_missing:
+            rank_parts.append(f"p{idx} = 0")
         cols.append(f"c{idx}")
-    if not rank_parts:
-        rank = "0"  # order_by([]) — every key equal, stable no-op
-    elif rank_parts == ["1"]:
-        rank = "1"
-    else:
-        rank = f"CASE WHEN {' OR '.join(rank_parts)} THEN 1 ELSE 0 END"
     direction = "DESC" if reverse else "ASC"
-    terms = [f"{rank} {direction}"]
-    # value columns participate only at rank 0 (a row whose *other*
-    # order attribute is undefined must not be sub-sorted by this one)
+    # rank 1 ⇔ some order attribute is undefined (``_SortKey`` puts
+    # those rows last); value columns participate only at rank 0 (a row
+    # whose *other* order attribute is undefined must not be sub-sorted
+    # by this one)
+    rank = " OR ".join(rank_parts)
+    terms = [f"({rank}) {direction}"] if rank else []
     terms.extend(
-        f"CASE WHEN {rank} = 0 THEN {col} ELSE NULL END {direction}"
+        f"CASE WHEN {rank} THEN NULL ELSE {col} END {direction}"
+        if rank else f"{col} {direction}"
         for col in cols
     )
     terms.append("ord ASC")  # Python sorts are stable in both directions
@@ -395,36 +397,49 @@ def _order_terms(order: tuple[Any, bool], mirror: Any) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Predicicate compilation: E ∈ {1, 0, NULL}, NULL ⇔ undefined
+# Predicate compilation: E ∈ {1, 0, NULL}, NULL ⇔ undefined
 # ---------------------------------------------------------------------------
 
 
-def _predicate(predicate: Predicate, mirror: Any, params: list) -> str:
+def _defined(sql: str, nullable: bool) -> str:
+    """*sql* with undefined read as false (``COALESCE`` only if reachable)."""
+    return f"COALESCE({sql}, 0)" if nullable else sql
+
+
+def _case(
+    profile: Any, idx: Any, branches: list[tuple[str | None, str]], otherwise: str
+) -> tuple[str, bool]:
+    """``(sql, nullable)`` of a CASE over a column's *reachable* branches:
+    undefined → NULL first when some row lacks the attribute, then each
+    ``(condition, verdict)`` whose condition is not ``None``."""
+    whens = f"WHEN p{idx} = 0 THEN NULL " if profile.has_missing else ""
+    for cond, then in branches:
+        if cond:
+            whens += f"WHEN {cond} THEN {then} "
+    if not whens:
+        return otherwise, False
+    return f"CASE {whens}ELSE {otherwise} END", profile.has_missing
+
+
+def _predicate(
+    predicate: Predicate, mirror: Any, params: list
+) -> tuple[str, bool]:
+    """``(sql, nullable)``: *sql* is 1/0, or NULL only when *nullable*."""
     if isinstance(predicate, TruePredicate):
-        return "1"
+        return "1", False
     if isinstance(predicate, FalsePredicate):
-        return "0"
-    if isinstance(predicate, And):
+        return "0", False
+    if isinstance(predicate, (And, Or)):
+        conjunction = isinstance(predicate, And)
         if not predicate.parts:
-            return "1"
-        # And maps an undefined part to false (never undefined itself)
-        parts = [
-            f"COALESCE({_predicate(p, mirror, params)}, 0)"
-            for p in predicate.parts
-        ]
-        return "(" + " AND ".join(parts) + ")"
-    if isinstance(predicate, Or):
-        if not predicate.parts:
-            return "0"
-        parts = [
-            f"COALESCE({_predicate(p, mirror, params)}, 0)"
-            for p in predicate.parts
-        ]
-        return "(" + " OR ".join(parts) + ")"
+            return ("1" if conjunction else "0"), False
+        # And/Or map an undefined part to false (never undefined itself)
+        parts = [_defined(*_predicate(p, mirror, params)) for p in predicate.parts]
+        return "(" + (" AND " if conjunction else " OR ").join(parts) + ")", False
     if isinstance(predicate, Not):
-        inner = _predicate(predicate.operand, mirror, params)
+        inner, nullable = _predicate(predicate.operand, mirror, params)
         # NOT(undefined) is false, not true — same as the AST's catch
-        return f"COALESCE(1 - ({inner}), 0)"
+        return _defined(f"(1 - ({inner}))", nullable), False
     if isinstance(predicate, Comparison):
         return _comparison(predicate, mirror, params)
     if isinstance(predicate, Membership):
@@ -466,20 +481,40 @@ def _literal_family(value: Any) -> str:
     raise Unsupported("non_scalar_literal", repr(value))
 
 
-def _typeof_guard(column: str, family: str) -> str:
+def _family_guard(
+    c: str, profile: Any, family: str, ordered: bool
+) -> str | None | bool:
+    """The condition picking the present rows a *family* literal cannot
+    compare with in SQL as Python does (None, NaN, other families);
+    ``None`` when the profile proves no row reaches it, and ``False``
+    when no row holds a value of *family* (every row reaches it)."""
     if family == "numeric":
-        return f"typeof(c{column}) IN ('integer', 'real')"
-    return f"typeof(c{column}) = 'text'"
+        if profile.numeric_only:
+            return None
+        if not (profile.has_int or profile.has_float or profile.has_bool):
+            return False
+    elif profile.text_only:
+        return None
+    elif not profile.has_text:
+        return False
+    if not ordered:
+        # distinct storage classes are unequal in both worlds: only the
+        # NULL of a None / NaN needs its own verdict
+        return f"{c} IS NULL" if profile.has_none or profile.has_nan else None
+    # SQLite orders across storage classes where Python raises TypeError
+    if family == "numeric":
+        return f"typeof({c}) NOT IN ('integer', 'real')"
+    return f"typeof({c}) != 'text'"
 
 
-def _comparison(cmp: Comparison, mirror: Any, params: list) -> str:
+def _comparison(cmp: Comparison, mirror: Any, params: list) -> tuple[str, bool]:
     left, right, op = cmp.left, cmp.right, cmp.op
     if isinstance(left, Literal) and isinstance(right, Literal):
         try:
             verdict = _COMPARATORS[op](left.value, right.value)
         except TypeError:
             verdict = False
-        return "1" if verdict else "0"
+        return ("1" if verdict else "0"), False
     if isinstance(left, Literal):
         left, right, op = right, left, _FLIP_OP[op]
     if not isinstance(right, Literal):
@@ -491,55 +526,36 @@ def _comparison(cmp: Comparison, mirror: Any, params: list) -> str:
         raise Unsupported("complex_operand", cmp.to_source())
     idx, profile = column
     if profile is None:
-        return "NULL"  # attribute on no row: undefined everywhere
-    c, p = f"c{idx}", f"p{idx}"
+        return "NULL", True  # attribute on no row: undefined everywhere
+    c = f"c{idx}"
     value = right.value
+    # Python's verdict for a None / NaN / other-family operand: a
+    # TypeError or an inequality, i.e. false — but true for `!=`
+    off = "1" if op == "!=" else "0"
 
     if value is None:
         if profile.has_nan:
             # NaN is stored as NULL too; `IS NULL` could not tell the
             # two apart even though Python's == / != can
             raise Unsupported("nan_vs_none", "None compare over NaN column")
-        if op == "==":
-            body = f"({c} IS NULL)"
-        elif op == "!=":
-            body = f"({c} IS NOT NULL)"
-        else:
-            body = "0"  # any ordered compare with None: TypeError → false
-        return f"CASE WHEN {p} = 0 THEN NULL ELSE {body} END"
+        if op in ("==", "!=") and profile.has_none:
+            test = "IS NOT NULL" if op == "!=" else "IS NULL"
+            return _case(profile, idx, [], f"({c} {test})")
+        return _case(profile, idx, [], off)
 
     if isinstance(value, float) and math.isnan(value):
         # NaN never compares equal/ordered; != holds for every value
-        body = "1" if op == "!=" else "0"
-        return f"CASE WHEN {p} = 0 THEN NULL ELSE {body} END"
+        return _case(profile, idx, [], off)
 
-    family = _literal_family(value)
+    ordered = op not in ("==", "!=")
+    guard = _family_guard(c, profile, _literal_family(value), ordered)
+    if guard is False:
+        return _case(profile, idx, [], off)
     params.append(value)
-    sql_op = _SQL_OP[op]
-    if op == "==":
-        # present-None / NaN rows are NULL: Python says False, and
-        # distinct storage classes are unequal in both worlds, so no
-        # typeof guard is needed
-        return (
-            f"CASE WHEN {p} = 0 THEN NULL "
-            f"WHEN {c} IS NULL THEN 0 ELSE ({c} = ?) END"
-        )
-    if op == "!=":
-        # None != x and NaN != x are both True in Python
-        return (
-            f"CASE WHEN {p} = 0 THEN NULL "
-            f"WHEN {c} IS NULL THEN 1 ELSE ({c} {sql_op} ?) END"
-        )
-    # ordered: SQLite orders across storage classes where Python raises
-    # TypeError (→ false), so gate on the literal's type family
-    guard = _typeof_guard(idx, family)
-    return (
-        f"CASE WHEN {p} = 0 THEN NULL "
-        f"WHEN {guard} THEN ({c} {sql_op} ?) ELSE 0 END"
-    )
+    return _case(profile, idx, [(guard, off)], f"({c} {_SQL_OP[op]} ?)")
 
 
-def _membership(mb: Membership, mirror: Any, params: list) -> str:
+def _membership(mb: Membership, mirror: Any, params: list) -> tuple[str, bool]:
     if not isinstance(mb.collection, Literal):
         raise Unsupported("non_literal_collection", mb.to_source())
     collection = mb.collection.value
@@ -551,8 +567,8 @@ def _membership(mb: Membership, mirror: Any, params: list) -> str:
         raise Unsupported("complex_operand", mb.to_source())
     idx, profile = column
     if profile is None:
-        return "NULL"
-    c, p = f"c{idx}", f"p{idx}"
+        return "NULL", True
+    c = f"c{idx}"
 
     elements = list(collection)
     has_none = any(e is None for e in elements)
@@ -571,30 +587,19 @@ def _membership(mb: Membership, mirror: Any, params: list) -> str:
 
     # present-None rows: None is in the collection iff a None element
     # exists (equality, no TypeError possible for list containment)
-    null_hit = has_none
-    if mb.negated:
-        null_verdict = "0" if null_hit else "1"
+    null_verdict = "1" if has_none != mb.negated else "0"
+    null = f"{c} IS NULL" if profile.has_none or profile.has_nan else None
+    if bindable:
+        params.extend(bindable)
+        in_op = "NOT IN" if mb.negated else "IN"
+        body = f"({c} {in_op} ({', '.join('?' * len(bindable))}))"
     else:
-        null_verdict = "1" if null_hit else "0"
-    if not bindable:
-        # only None elements (or empty): membership reduces to the
-        # NULL-branch verdict for None rows and a constant otherwise
-        const = "0" if not mb.negated else "1"
-        return (
-            f"CASE WHEN {p} = 0 THEN NULL "
-            f"WHEN {c} IS NULL THEN {null_verdict} ELSE {const} END"
-        )
-    placeholders = ", ".join("?" * len(bindable))
-    params.extend(bindable)
-    in_op = "NOT IN" if mb.negated else "IN"
-    return (
-        f"CASE WHEN {p} = 0 THEN NULL "
-        f"WHEN {c} IS NULL THEN {null_verdict} "
-        f"ELSE ({c} {in_op} ({placeholders})) END"
-    )
+        # only None elements (or empty): a constant for every value
+        body = "1" if mb.negated else "0"
+    return _case(profile, idx, [(null, null_verdict)], body)
 
 
-def _between(bt: Between, mirror: Any, params: list) -> str:
+def _between(bt: Between, mirror: Any, params: list) -> tuple[str, bool]:
     if not (isinstance(bt.lo, Literal) and isinstance(bt.hi, Literal)):
         raise Unsupported("non_literal_bounds", bt.to_source())
     column = _column_operand(bt.item, mirror)
@@ -602,8 +607,8 @@ def _between(bt: Between, mirror: Any, params: list) -> str:
         raise Unsupported("complex_operand", bt.to_source())
     idx, profile = column
     if profile is None:
-        return "NULL"
-    c, p = f"c{idx}", f"p{idx}"
+        return "NULL", True
+    c = f"c{idx}"
     lo, hi = bt.lo.value, bt.hi.value
 
     def bound_family(value: Any) -> str | None:
@@ -613,14 +618,16 @@ def _between(bt: Between, mirror: Any, params: list) -> str:
             return None  # nan <= x is False: the range selects nothing
         return _literal_family(value)
 
-    lo_family, hi_family = bound_family(lo), bound_family(hi)
-    if lo_family is None or hi_family is None or lo_family != hi_family:
-        # mixed/None/NaN bounds: `lo <= v <= hi` is False for every
-        # value (TypeError or NaN comparison), defined rows included
-        return f"CASE WHEN {p} = 0 THEN NULL ELSE 0 END"
-    guard = _typeof_guard(idx, lo_family)
-    params.extend([lo, hi])
-    return (
-        f"CASE WHEN {p} = 0 THEN NULL "
-        f"WHEN {guard} THEN ({c} >= ? AND {c} <= ?) ELSE 0 END"
+    family = bound_family(lo)
+    guard = (
+        family is not None
+        and family == bound_family(hi)
+        and _family_guard(c, profile, family, ordered=True)
     )
+    if guard is False:
+        # mixed/None/NaN bounds, or a column with no value of the
+        # bounds' family: `lo <= v <= hi` is False for every value
+        # (TypeError or NaN comparison), defined rows included
+        return _case(profile, idx, [], "0")
+    params.extend([lo, hi])
+    return _case(profile, idx, [(guard, "0")], f"({c} >= ? AND {c} <= ?)")

@@ -94,6 +94,41 @@ def test_force_mode_actually_offloads(flat_db):
     assert after == before + 1
 
 
+def _tenths_sum(db):
+    build = lambda d: fql.group_and_aggregate(  # noqa: E731
+        by=[], total=fql.Sum("m"), mean=fql.Avg("m"), input=d.t
+    )
+    return _run(build, db, "batch", "force"), _run(build, db, "naive", "off")
+
+
+@pytest.fixture
+def tenths_db():
+    db = fql.connect("offload-tenths", default=False)
+    db["t"] = {i: {"m": 0.1} for i in range(10)}
+    yield db
+    db.close()
+
+
+def test_float_sum_is_the_python_fold(tenths_db):
+    """Ten 0.1s fold to 0.9999999999999999 in Python; a compensated SQL
+    SUM (SQLite ≥ 3.43) says 1.0, so the offload must decline there."""
+    offloaded, naive = _tenths_sum(tenths_db)
+    assert offloaded == naive
+
+
+def test_float_sum_declines_on_compensating_sqlite(tenths_db, monkeypatch):
+    import sqlite3
+
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 43, 0))
+    before = offload_stats(tenths_db._engine)["fallback_reasons"]
+    offloaded, naive = _tenths_sum(tenths_db)
+    after = offload_stats(tenths_db._engine)["fallback_reasons"]
+    assert offloaded == naive
+    assert after.get("unsummable_column", 0) == before.get(
+        "unsummable_column", 0
+    ) + 1
+
+
 def test_off_mode_never_offloads(flat_db):
     before = offload_stats(flat_db._engine)["queries_offloaded"]
     with using_exec_mode("batch"), using_offload_mode("off"):
@@ -161,11 +196,41 @@ def _random_value(rng):
     return -rng.randrange(0, 100)
 
 
+#: Clean value draws: one type family, never None/NaN.
+_CLEAN = {
+    "int": lambda rng: rng.randrange(-20, 120),
+    "float": lambda rng: float(rng.randrange(-20, 120)),
+    "str": lambda rng: f"s{rng.randrange(20)}",
+}
+
+#: Column families, one drawn per attribute per table, so every
+#: profile verdict the SQL compiler consults (guarded, lean, folded to
+#: a constant) shows up across the corpus. Half the columns stay
+#: hostile: only a column mixing absences with None and several type
+#: families reaches every guard branch at once.
+FAMILIES = ["hostile"] * 5 + ["int", "float", "str", "absences", "nones"]
+
+
+def _random_column(rng):
+    """A cell drawer for one attribute: ``(present, value)`` per row."""
+    family = rng.choice(FAMILIES)
+    if family == "hostile":
+        return lambda: (rng.random() < 0.75, _random_value(rng))
+    clean = _CLEAN[family if family in _CLEAN else rng.choice(sorted(_CLEAN))]
+    if family == "absences":
+        return lambda: (rng.random() < 0.75, clean(rng))
+    if family == "nones":
+        return lambda: (True, None if rng.random() < 0.25 else clean(rng))
+    return lambda: (True, clean(rng))
+
+
 def _random_rows(rng):
-    """A random hostile table; every row has ``state`` (group anchor)
-    and ``m`` (numeric fold fodder — int/float/bool, sometimes absent,
-    never None/NaN/str, see :func:`_random_aggs`)."""
+    """A random table; every row has ``state`` (group anchor) and ``m``
+    (numeric fold fodder — int/float/bool, sometimes absent, never
+    None/NaN/str, see :func:`_random_aggs`); ``a``..``d`` each draw a
+    family from :data:`FAMILIES`."""
     n = rng.randrange(20, 90)
+    columns = {attr: _random_column(rng) for attr in ("a", "b", "c", "d")}
     rows = {}
     for key in range(1, n + 1):
         row = {"state": rng.choice(STATES)}
@@ -178,9 +243,10 @@ def _random_rows(rng):
                 if pick == 1
                 else rng.random() < 0.5
             )
-        for attr in ("a", "b", "c", "d"):
-            if rng.random() < 0.75:
-                row[attr] = _random_value(rng)
+        for attr, draw in columns.items():
+            present, value = draw()
+            if present:
+                row[attr] = value
         rows[key] = row
     return rows
 

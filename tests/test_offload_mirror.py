@@ -13,12 +13,20 @@ writing one row per changed key or by one rebuild, as the funnel
 demands. A seeded history checks the delta-maintained SQL table
 against a fresh rebuild after every step.
 
+The compiled SQL follows the profiles the sync accumulates: over a
+clean table it carries no guard, and a write that widens a profile
+(an absent attribute, None, NaN, another type family, a bool, an
+int/float mix, an int past 2**53) brings the guard, or the decline,
+back on the next read.
+
 Two gates are pinned alongside: a query inside an open transaction
 must take the batched path (its buffered writes are invisible to the
 mirror), and a budget-armed query must take the batched path (the SQL
 engine cannot run the per-batch meter checks that keep queries
 killable).
 """
+
+import re
 
 import pytest
 
@@ -28,7 +36,7 @@ import repro as fql
 import repro.replication as repl
 from repro.compile import offload_stats, set_offload_mode, using_offload_mode
 from repro.compile.mirror import EngineMirror, mirror_for
-from repro.exec import set_exec_mode, using_exec_mode
+from repro.exec import explain, set_exec_mode, using_exec_mode
 from repro.partition import hash_partition
 
 
@@ -271,8 +279,6 @@ class TestExplainSideEffects:
         """``explain()`` must not pay (or count) a whole-table copy:
         before any offloaded run it reports the mirror as unsynced,
         and after one it compiles against the existing snapshot."""
-        from repro.exec import explain
-
         engine = db._engine
         before = offload_stats(engine)
         with using_exec_mode("batch"), using_offload_mode("force"):
@@ -302,6 +308,81 @@ class TestExplainSideEffects:
             text = explain(fql.filter(db.t, "age >= 30"))
         assert "mirror: stale (rebuild pending)" in text
         assert offload_stats(engine)["mirror_syncs"] == mid["mirror_syncs"]
+
+
+#: Shapes over the clean table's int column ``age``: every filter
+#: operator, a group-aggregate counting ``age``, and an order_by.
+LEAN_SHAPES = {
+    "lt": lambda d: fql.filter(d.t, "age < 30"),
+    "eq": lambda d: fql.filter(d.t, "age == 25"),
+    "ne": lambda d: fql.filter(d.t, "age != 25"),
+    "in": lambda d: fql.filter(d.t, "age in [21, 25, 33]"),
+    "between": lambda d: fql.filter(d.t, "age between 24 and 31"),
+    # an undefined operand makes the `or` false, so `not` keeps the row
+    "not": lambda d: fql.filter(d.t, "not (age < 25 or age >= 35)"),
+    "agg": lambda d: fql.group_and_aggregate(
+        by=["state"],
+        n=fql.Count("age"),
+        total=fql.Sum("age"),
+        hi=fql.Max("age"),
+        input=d.t,
+    ),
+    "order": lambda d: fql.order_by(d.t, "age", reverse=True),
+}
+
+#: One committed row per profile facet, and what ``explain`` shows
+#: once the next read has compiled against the widened profile.
+WIDENINGS = {
+    "absent": ({"name": "x", "state": "NY"}, r"\bp\d+\b"),
+    "none": ({"name": "x", "age": None, "state": "NY"}, r"IS NULL"),
+    "nan": ({"name": "x", "age": float("nan"), "state": "NY"}, r"IS NULL"),
+    "str": ({"name": "x", "age": "old", "state": "NY"}, r"typeof"),
+    # Max would return 1 where Python keeps True / mixes 30 and 30.0
+    "bool": ({"name": "x", "age": True, "state": "NY"}, r"unorderable_column"),
+    "float": ({"name": "x", "age": 30.0, "state": "NY"}, r"unorderable_column"),
+    "big_int": (
+        {"name": "x", "age": 2**53 + 1, "state": "NY"}, r"unsummable_column"
+    ),
+}
+
+_GUARD = re.compile(r"CASE|typeof|COALESCE|\bp\d+\b")
+
+
+def _lean_answers(db, exec_mode, offload):
+    answers = {}
+    with using_exec_mode(exec_mode), using_offload_mode(offload):
+        for name, build in LEAN_SHAPES.items():
+            try:
+                answers[name] = zoo.ordered(build(db))
+            except TypeError as exc:  # Sum over a str, in every mode
+                answers[name] = type(exc).__name__
+    return answers
+
+
+def _explained(db):
+    with using_exec_mode("batch"), using_offload_mode("force"):
+        return "\n".join(explain(build(db)) for build in LEAN_SHAPES.values())
+
+
+class TestLeanSql:
+    @pytest.mark.parametrize("facet", sorted(WIDENINGS))
+    def test_widening_write_brings_the_guard_back(self, db, facet):
+        assert _lean_answers(db, "batch", "force") == _lean_answers(
+            db, "naive", "off"
+        )
+        text = _explained(db)
+        assert text.count("verdict: offload") == len(LEAN_SHAPES)
+        sql = [line for line in text.splitlines() if "sql:" in line]
+        assert len(sql) == len(LEAN_SHAPES)
+        assert not [line for line in sql if _GUARD.search(line)]
+        row, guard = WIDENINGS[facet]
+        db.t[99] = row
+        assert _lean_answers(db, "batch", "force") == _lean_answers(
+            db, "naive", "off"
+        ), facet
+        text = _explained(db)
+        assert "mirror: fresh" in text  # the read synced and recompiled
+        assert re.search(guard, text), facet
 
 
 class TestExecutionGates:
