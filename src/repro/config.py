@@ -137,8 +137,6 @@ OFFLOAD_MIN_ROWS = Switch("REPRO_OFFLOAD_MIN_ROWS", _number(int, 100000))
 IVM = _mode("REPRO_IVM", "on", off=("0", "diff", "naive"))
 #: Columnar kernel backend: ``numpy`` (when importable) or ``python``.
 KERNEL = _mode("REPRO_KERNEL", "numpy", python=("pure", "off", "0"))
-#: Per-query resource meters: ``on`` or ``off``.
-METER = _mode("REPRO_METER", "on", off=("0", "none", "disabled"))
 #: Default budgets for every metered query (unset or <= 0: unlimited).
 MAX_ROWS_SCANNED = Switch("REPRO_MAX_ROWS_SCANNED", _budget)
 MAX_RESULT_ROWS = Switch("REPRO_MAX_RESULT_ROWS", _budget)

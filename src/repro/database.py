@@ -477,7 +477,6 @@ class FunctionalDatabase(DatabaseFunction):
         without reaching into subsystem internals.
         """
         from repro.compile import offload_stats
-        from repro.exec.batch import counters_for
         from repro.exec.kernels import kernel_backend
         from repro.obs.resources import resources_for
 
@@ -497,17 +496,11 @@ class FunctionalDatabase(DatabaseFunction):
                 if engine.plan_cache is not None
                 else None
             ),
-            # per-database executor counters (the kernel switch stays
-            # process-wide, but zone-map effectiveness and batch
-            # totals are attributed to this engine — two databases in
-            # one process no longer pollute each other's numbers)
-            "executor": {
-                "kernel_backend": kernel_backend(),
-                **counters_for(engine).snapshot(),
-            },
-            # per-query cost attribution: cumulative totals, the meters
-            # of queries running right now, and per-session /
-            # per-fingerprint rollups (docs/observability.md)
+            "executor": {"kernel_backend": kernel_backend()},
+            # per-query cost attribution — scans, zone skips and image
+            # builds included: cumulative totals, the meters of queries
+            # running right now, and per-session / per-fingerprint
+            # rollups (docs/observability.md)
             "resources": resources_for(engine).snapshot(),
             # SQL-offload backend: queries offloaded, mirror syncs,
             # rows mirrored, and fallbacks by reason (DESIGN.md §14)
@@ -550,7 +543,7 @@ class FunctionalDatabase(DatabaseFunction):
         """This database's :class:`~repro.obs.metrics.MetricsRegistry`.
 
         Lazily created and wired with engine gauges (plan-cache hit
-        rate, WAL bytes, replication lag, executor counters) on first
+        rate, WAL bytes, replication lag, resource totals) on first
         use; ``.prometheus()`` renders the text exposition the METRICS
         verb serves.
         """

@@ -21,21 +21,16 @@ of filters carries one selection vector forward.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Iterator
 
-from repro._util import attached
 from repro.exec import kernels
 
 __all__ = [
     "COLUMNAR_BATCH_SIZE",
     "ColumnBatch",
     "batch_bytes",
-    "counters",
-    "counters_for",
     "entry_batches",
     "image_batches",
-    "reset_counters",
 ]
 
 #: Columnar batches are larger than row batches (exec.nodes.BATCH_SIZE):
@@ -80,10 +75,12 @@ class ColumnBatch:
 
     @property
     def keys(self) -> list:
+        """The selected rows' keys."""
         return self.gather(self.image.keys)
 
     @property
     def rows(self) -> list:
+        """The selected rows' committed data dicts."""
         return self.gather(self.image.rows)
 
     def approx_bytes(self) -> int:
@@ -185,82 +182,3 @@ def batch_bytes(batch: Any) -> int:
         return batch.approx_bytes()
     return len(batch) * 128
 
-
-#: Every live counters instance (the global plus per-engine ones), so
-#: :func:`reset_counters` keeps meaning "zero everything" for tests.
-_instances: "weakref.WeakSet[ExecutorCounters]" = weakref.WeakSet()
-
-
-class ExecutorCounters:
-    """Executor telemetry, surfaced via ``db.stats()`` and metrics.
-
-    Plain unlocked increments: counts are informational (explain/stats),
-    and a rare lost update under threads is acceptable.
-
-    Two scopes exist. The module-level :data:`counters` instance keeps
-    the historical process-wide view (tests and benchmarks diff it
-    around a workload). :func:`counters_for` additionally attaches one
-    instance *per storage engine*, so two databases in one process stop
-    sharing — and clobbering — each other's counts; increment sites
-    bump both.
-
-    Attribution semantics (pinned by tests/test_resources.py): scan
-    leaves attribute to the engine their function graph resolves to,
-    partitioned tables included; only ad-hoc material functions land
-    in the shared unattributed sink.
-    """
-
-    FIELDS = (
-        "columnar_batches",
-        "columnar_rows",
-        "row_batches",
-        "row_rows",
-        "zone_segments_skipped",
-        "zone_segments_scanned",
-        "images_built",
-    )
-
-    __slots__ = FIELDS + ("__weakref__",)
-
-    def __init__(self) -> None:
-        self.reset()
-        _instances.add(self)
-
-    def reset(self) -> None:
-        self.columnar_batches = 0
-        self.columnar_rows = 0
-        self.row_batches = 0
-        self.row_rows = 0
-        self.zone_segments_skipped = 0
-        self.zone_segments_scanned = 0
-        #: segment images scanned from the version chains (a scan that
-        #: found its segment's image current builds none)
-        self.images_built = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {field: getattr(self, field) for field in self.FIELDS}
-
-
-counters = ExecutorCounters()
-
-#: Sink for scans whose function resolves to no engine (ad-hoc material
-#: functions). A distinct instance — never the global — because
-#: increment sites bump both their scoped instance *and* the global,
-#: and aliasing the two would double-count.
-_unattributed = ExecutorCounters()
-
-
-def counters_for(engine: Any) -> ExecutorCounters:
-    """The lazily-attached per-engine counters instance.
-
-    ``None`` maps to a shared "unattributed" instance so call sites can
-    bump the result unconditionally alongside the global."""
-    return attached(
-        engine, "executor_counters", ExecutorCounters, _unattributed
-    )
-
-
-def reset_counters() -> None:
-    """Zero the global *and* every per-engine counters instance."""
-    for instance in list(_instances):
-        instance.reset()

@@ -140,14 +140,16 @@ def analyze(fn: FDMFunction) -> str:
     (:func:`repro.obs.instrument.fresh_instrumented`, the same copy a
     traced or slow-logged enumeration drains; never the cached plan)
     and renders the operator tree annotated with ``batches / rows /
-    wall`` per node plus the zone-map skip totals the run accumulated.
+    wall`` per node plus the zone-map skip totals of this run, read off
+    the meter it runs under.
     """
-    from repro.exec.batch import counters
+    from repro.exec.cache import engine_of
     from repro.obs.instrument import (
         fresh_instrumented,
         render_stats,
         tree_stats,
     )
+    from repro.obs.resources import metered
 
     pipeline, stats = fresh_instrumented(fn)
 
@@ -160,16 +162,15 @@ def analyze(fn: FDMFunction) -> str:
         lines.append(f"  rows={n} wall={fmt_ns(wall)}")
         return "\n".join(lines)
 
-    before = counters.snapshot()
-    start = time.perf_counter_ns()
-    for _batch in pipeline.root.batches():
-        pass
-    total_wall = time.perf_counter_ns() - start
-    after = counters.snapshot()
+    with metered(engine_of(fn)) as meter:
+        start = time.perf_counter_ns()
+        for _batch in pipeline.root.batches():
+            pass
+        total_wall = time.perf_counter_ns() - start
 
     lines.extend(render_stats(tree_stats(pipeline.root, stats)))
-    skipped = after["zone_segments_skipped"] - before["zone_segments_skipped"]
-    scanned = after["zone_segments_scanned"] - before["zone_segments_scanned"]
+    skipped = meter.zone_segments_skipped
+    scanned = meter.zone_segments_scanned
     if skipped or scanned:
         lines.append(
             f"  zone maps: {skipped} segment(s) skipped, {scanned} scanned"

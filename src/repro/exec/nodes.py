@@ -21,13 +21,7 @@ from typing import Any, Iterator
 from repro._util import MISSING
 from repro.errors import UndefinedInputError
 from repro.exec import kernels
-from repro.exec.batch import (
-    COLUMNAR_BATCH_SIZE,
-    ColumnBatch,
-    batch_bytes,
-    counters,
-    counters_for,
-)
+from repro.exec.batch import COLUMNAR_BATCH_SIZE, ColumnBatch, batch_bytes
 from repro.fdm.functions import FDMFunction
 from repro.obs.resources import active_meter
 
@@ -119,14 +113,6 @@ class ScanNode(PhysicalNode):
         # getattr(fn, ...) on a database function raises instead of
         # returning the default
         columnar = getattr(type(self.fn), "iter_columnar_batches", None)
-        # object.__getattribute__ skips that same __getattr__ hook, so a
-        # function without a stored _engine yields AttributeError rather
-        # than a spurious relation lookup
-        try:
-            engine = object.__getattribute__(self.fn, "_engine")
-        except AttributeError:
-            engine = None
-        scoped = counters_for(engine)
         if columnar is None:
             stream = self.fn.iter_batches(BATCH_SIZE)
         else:
@@ -134,16 +120,6 @@ class ScanNode(PhysicalNode):
                 self.fn, COLUMNAR_BATCH_SIZE, zone_predicate=self.zone_predicate
             )
         for batch in stream:
-            if isinstance(batch, ColumnBatch):
-                counters.columnar_batches += 1
-                counters.columnar_rows += len(batch)
-                scoped.columnar_batches += 1
-                scoped.columnar_rows += len(batch)
-            else:
-                counters.row_batches += 1
-                counters.row_rows += len(batch)
-                scoped.row_batches += 1
-                scoped.row_rows += len(batch)
             # read per batch, not per generator: the pulls of one
             # enumeration always run under the same meter, but the
             # batch boundary is also the budget checkpoint

@@ -77,11 +77,11 @@ class QueryContext:
         if outer is not None and outer.pipeline is not None:
             return None  # the nesting rule
         engine = pipeline.engine
-        self = cls(None if outer is None else outer.meter, pipeline)
-        if self.meter is None:
-            self.meter = start_meter(engine)
-            self.owns_meter = self.meter is not None
-            self.budgeted = self.owns_meter and self.meter._armed
+        if outer is None:
+            self = cls(start_meter(engine), pipeline)
+            self.owns_meter, self.budgeted = True, self.meter._armed
+        else:  # a server verb's enumeration feeds the verb's meter
+            self = cls(outer.meter, pipeline)
         self.traced = trace.active()
         if any_active() and engine is not None:
             log = slowlog_for(engine)
@@ -93,7 +93,7 @@ class QueryContext:
             engine, always=self.traced or self.slowlog is not None
         )
         meter = self.meter
-        stamp = meter is not None and meter.fingerprint is None
+        stamp = meter.fingerprint is None
         if stamp or self.profile is not None:
             try:  # class labels must never break the query they label
                 self.info = info_of(pipeline)
@@ -118,7 +118,6 @@ class QueryContext:
         statistics are wanted (the cached plan's nodes are shared across
         threads and are never shimmed), else the cached plan itself. An
         offloaded plan has nothing to shim and is timed whole."""
-        from repro.exec.batch import counters_for
         from repro.exec.lower import PhysicalPipeline
         from repro.obs.resources import resources_for
 
@@ -135,8 +134,12 @@ class QueryContext:
                     fresh = None
                 if fresh is not None:
                     self.plan, self.stats = fresh, stats
-            if self.slowlog is not None:
-                self.zones = counters_for(pipeline.engine).snapshot()
+            if self.slowlog is not None:  # this run's share of the meter
+                meter = self.meter
+                self.zones = (
+                    meter.zone_segments_skipped,
+                    meter.zone_segments_scanned,
+                )
             # NOT entered as a context manager: the execute span must
             # not sit on the consumer's span stack between pulls
             self.span = trace.span("execute", root=self.plan.root.describe())
@@ -147,7 +150,6 @@ class QueryContext:
     def report(self, rows: int, wall_ns: int) -> None:
         """The stream closed (drained, abandoned or killed): tell every
         sink that was watching, once."""
-        from repro.exec.batch import counters_for
         from repro.obs.resources import resources_for
 
         engine, root = self.pipeline.engine, self.plan.root
@@ -173,17 +175,15 @@ class QueryContext:
             slowlog, wall_ms = self.slowlog, wall_ns / 1e6
             threshold = None if slowlog is None else slowlog.threshold_ms
             if threshold is not None and wall_ms >= threshold:
-                after = counters_for(engine).snapshot()
+                meter, (skipped, scanned) = self.meter, self.zones
                 slowlog.record(
                     SlowQueryEntry(
                         query=root.describe(),
                         wall_ms=wall_ms,
                         rows=rows,
                         tree=tree_stats(root, self.stats),
-                        zone_skipped=after["zone_segments_skipped"]
-                        - self.zones["zone_segments_skipped"],
-                        zone_scanned=after["zone_segments_scanned"]
-                        - self.zones["zone_segments_scanned"],
+                        zone_skipped=meter.zone_segments_skipped - skipped,
+                        zone_scanned=meter.zone_segments_scanned - scanned,
                         trace_id=trace_id,
                     )
                 )

@@ -10,8 +10,7 @@ single surface with two renderings:
   format for the METRICS verb, scrapeable by standard collectors.
 
 Counters and histograms use plain unlocked updates: metrics are
-informational and a rare lost increment under threads is acceptable —
-the same tradeoff :class:`repro.exec.batch.ExecutorCounters` makes.
+informational and a rare lost increment under threads is acceptable.
 Gauges may wrap a callback so values like replication lag or plan-cache
 hit rate are computed at scrape time rather than pushed.
 """
@@ -314,7 +313,7 @@ def metrics_for(engine: Any) -> MetricsRegistry:
 
     First call creates the registry and wires the standard engine-level
     callback gauges (plan-cache hit rate, WAL bytes, replication lag,
-    executor counters), mirroring ``cache_for``/``registry_for``.
+    resource totals), mirroring ``cache_for``/``registry_for``.
     """
     return attached(engine, "metrics", lambda: _engine_registry(engine))
 
@@ -384,17 +383,6 @@ def _engine_registry(engine: Any) -> MetricsRegistry:
         ]
         return float(max(lags)) if lags else 0.0
 
-    def executor_counter(field: str) -> Callable[[], float | None]:
-        def read() -> float | None:
-            eng = ref()
-            if eng is None:
-                return None
-            from repro.exec.batch import counters_for
-
-            return float(getattr(counters_for(eng), field))
-
-        return read
-
     registry.gauge(
         "plan_cache_hit_rate",
         "Fraction of plan-cache lookups served from cache",
@@ -417,18 +405,6 @@ def _engine_registry(engine: Any) -> MetricsRegistry:
         "self-report",
         fn=replication_lag_seconds,
     )
-    for field, help in (
-        ("columnar_batches", "Columnar batches produced by scans"),
-        ("columnar_rows", "Rows delivered in columnar batches"),
-        ("row_batches", "Row-mode batches produced by scans"),
-        ("row_rows", "Rows delivered in row-mode batches"),
-        ("zone_segments_skipped", "Segments skipped by zone-map pruning"),
-        ("zone_segments_scanned", "Segments scanned despite zone maps"),
-    ):
-        registry.gauge(
-            f"executor_{field}", help, fn=executor_counter(field)
-        )
-
     def resource_total(field: str) -> Callable[[], float | None]:
         def read() -> float | None:
             eng = ref()
@@ -445,21 +421,15 @@ def _engine_registry(engine: Any) -> MetricsRegistry:
 
         return read
 
+    from repro.obs.resources import ResourceMeter
+
     for field, help in (
         ("queries", "Metered queries finished on this engine"),
         ("killed", "Queries killed by a resource budget or deadline"),
         ("active_queries", "Metered queries running right now"),
-        ("rows_scanned", "Rows pulled out of scan nodes, all queries"),
-        ("bytes_scanned", "Estimated bytes materialized by scans"),
-        ("peak_batch_bytes", "Largest single-batch estimate observed"),
-        ("kernel_batches", "Predicate batches dispatched to numpy"),
-        ("python_batches", "Predicate batches on the python fallback"),
-        ("join_build_rows", "Rows materialized into join build sides"),
-        ("result_rows", "Rows returned to consumers"),
-        ("wal_bytes_metered", "WAL bytes attributed to metered DML"),
+        *ResourceMeter.FIELDS.items(),
     ):
-        source = "wal_bytes" if field == "wal_bytes_metered" else field
-        registry.gauge(
-            f"resource_{field}", help, fn=resource_total(source)
-        )
+        # the engine's own wal_bytes gauge already holds the bare name
+        name = "wal_bytes_metered" if field == "wal_bytes" else field
+        registry.gauge(f"resource_{name}", help, fn=resource_total(field))
     return registry

@@ -4,9 +4,11 @@ Latency observability (traces, the workload profile, slow-query capture)
 says *how long* queries take; this module says *what they cost*. A
 :class:`ResourceMeter` rides each query in its thread's
 :class:`~repro.obs.context.QueryContext`, fed by cheap batch-boundary
-hooks in the executor: rows/batches/bytes per scan,
-kernel-vs-python dispatch counts, peak live-batch estimate, join
-build-side sizes, result rows, and WAL bytes on the DML path.
+hooks in the executor: rows/batches/bytes per scan, zone-map segment
+skips, image builds, kernel-vs-python dispatch counts, peak live-batch
+estimate, join build-side sizes, result rows, and WAL bytes on the DML
+path. It is the executor's only counter: every engine-wide scan figure
+is the rollup of its queries' meters.
 
 Finished meters aggregate three ways in the per-engine
 :class:`ResourceAccounting` (``resources_for(engine)``): per *active*
@@ -23,9 +25,8 @@ checked cooperatively at batch boundaries — no thread is ever killed —
 and an exceeded budget raises the retryable
 :class:`~repro.errors.ResourceExhaustedError`, emits a ``query_killed``
 lifecycle event carrying the meter snapshot, and leaves session and
-transaction state fully usable. Metering defaults on (``REPRO_METER=off``
-is the escape hatch); with no budget set the enforcement path is a
-single attribute test per batch.
+transaction state fully usable. Metering is always on; with no budget
+set the enforcement path is a single attribute test per batch.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro._util import attached
-from repro.config import (
-    MAX_RESULT_ROWS,
-    MAX_ROWS_SCANNED,
-    METER,
-    QUERY_DEADLINE_MS,
-)
+from repro.config import MAX_RESULT_ROWS, MAX_ROWS_SCANNED, QUERY_DEADLINE_MS
 from repro.errors import ResourceExhaustedError
 from repro.obs.context import QueryContext, _local
 
@@ -51,22 +47,11 @@ __all__ = [
     "ResourceAccounting",
     "active_meter",
     "set_active_meter",
-    "meter_mode",
-    "set_meter_mode",
-    "using_meter_mode",
     "resources_for",
     "reset_resources",
     "start_meter",
     "metered",
 ]
-
-#: ``"on"`` (default) or ``"off"`` (``REPRO_METER=off``); ``set_`` forces
-#: a mode for this process, ``using_`` temporarily (tests and the
-#: overhead benchmark).
-meter_mode = METER.get
-set_meter_mode = METER.set
-using_meter_mode = METER.using
-
 
 def active_meter() -> "ResourceMeter | None":
     """The meter attached to the current thread's running query, if any
@@ -86,28 +71,32 @@ def set_active_meter(meter: "ResourceMeter | None") -> "ResourceMeter | None":
 class ResourceMeter:
     """One query's cost ledger, plus its budgets.
 
-    Executor hooks do plain unlocked increments (the
-    :class:`~repro.exec.batch.ExecutorCounters` precedent: counts are
-    informational, a rare lost update under threads is acceptable — and
-    a meter is only ever *written* by the one thread running its
-    query). ``_armed`` is precomputed
-    at construction: with no budget set, the per-batch enforcement cost
-    is a single attribute test.
+    Executor hooks do plain unlocked increments: a meter is only ever
+    *written* by the one thread running its query. ``_armed`` is
+    precomputed at construction: with no budget set, the per-batch
+    enforcement cost is a single attribute test.
     """
 
-    FIELDS = (
-        "rows_scanned",
-        "batches_scanned",
-        "bytes_scanned",
-        "peak_batch_bytes",
-        "kernel_batches",
-        "python_batches",
-        "join_build_rows",
-        "result_rows",
-        "wal_bytes",
-    )
+    #: Every ledger field, with the help text of its ``repro_resource_*``
+    #: gauge. The totals, the session and fingerprint rows, TOP and the
+    #: gauges all iterate this table.
+    FIELDS = {
+        "rows_scanned": "Rows pulled out of scan nodes",
+        "batches_scanned": "Batches pulled out of scan nodes",
+        "bytes_scanned": "Estimated bytes materialized by scans",
+        "peak_batch_bytes": "Largest single-batch estimate observed",
+        "kernel_batches": "Predicate batches dispatched to numpy",
+        "python_batches": "Predicate batches on the python fallback",
+        "join_build_rows": "Rows materialized into join build sides",
+        "result_rows": "Rows returned to consumers",
+        "wal_bytes": "WAL bytes attributed to metered DML",
+        "zone_segments_skipped": "Segments skipped by zone-map pruning",
+        "zone_segments_scanned": "Segments scanned despite zone maps",
+        "images_built": "Segment column images built by scans",
+    }
 
-    __slots__ = FIELDS + (
+    __slots__ = (
+        *FIELDS,
         "engine",
         "session_id",
         "fingerprint",
@@ -241,6 +230,15 @@ class ResourceMeter:
         return snap
 
 
+def _add(row: dict, meter: ResourceMeter) -> None:
+    """Fold *meter* into a rollup row: sums, and the peak as a max."""
+    for field in ResourceMeter.FIELDS:
+        if field == "peak_batch_bytes":
+            row[field] = max(row[field], meter.peak_batch_bytes)
+        else:
+            row[field] += getattr(meter, field)
+
+
 #: Every live accounting, so :func:`reset_resources` zeroes them all.
 _instances: "weakref.WeakSet[ResourceAccounting]" = weakref.WeakSet()
 
@@ -280,13 +278,7 @@ class ResourceAccounting:
             self.queries += 1
             if meter.killed is not None:
                 self.killed += 1
-            totals = self.totals
-            for field in ResourceMeter.FIELDS:
-                if field == "peak_batch_bytes":
-                    if meter.peak_batch_bytes > totals[field]:
-                        totals[field] = meter.peak_batch_bytes
-                else:
-                    totals[field] += getattr(meter, field)
+            _add(self.totals, meter)
             if meter.session_id is not None:
                 self._fold(
                     self._sessions, str(meter.session_id), meter,
@@ -320,12 +312,7 @@ class ResourceAccounting:
             row["queries"] = 0
             row["killed"] = 0
             table[key] = row
-        for field in ResourceMeter.FIELDS:
-            if field == "peak_batch_bytes":
-                if meter.peak_batch_bytes > row[field]:
-                    row[field] = meter.peak_batch_bytes
-            else:
-                row[field] += getattr(meter, field)
+        _add(row, meter)
         row["queries"] += 1
         if meter.killed is not None:
             row["killed"] += 1
@@ -398,14 +385,12 @@ def start_meter(
     query: str | None = None,
     overrides: dict | None = None,
     deadline_ms: float | None = None,
-) -> ResourceMeter | None:
-    """A meter with budgets resolved, or ``None`` under ``REPRO_METER=off``.
+) -> ResourceMeter:
+    """A meter with budgets resolved.
 
     Budget precedence, most specific wins: the per-frame *deadline_ms*,
     then the session's HELLO *overrides*, then the ``REPRO_*`` env vars.
     """
-    if meter_mode() != "on":
-        return None
     overrides = overrides or {}
     max_rows = overrides.get("max_rows_scanned")
     if max_rows is None:
@@ -437,15 +422,14 @@ def metered(
     query: str | None = None,
     overrides: dict | None = None,
     deadline_ms: float | None = None,
-) -> Iterator[ResourceMeter | None]:
+) -> Iterator[ResourceMeter]:
     """Run a block under a fresh active meter (the server-verb wrapper).
 
     Registers the meter in the engine's live view, installs it as the
     thread's active meter for the duration, and folds it into the
     rollups on the way out — including when the block raises, which is
     exactly what happens on a budget kill. An already-expired deadline
-    kills before any work runs. Yields ``None`` (and does nothing) under
-    ``REPRO_METER=off``.
+    kills before any work runs.
     """
     meter = start_meter(
         engine,
@@ -455,9 +439,6 @@ def metered(
         overrides=overrides,
         deadline_ms=deadline_ms,
     )
-    if meter is None:
-        yield None
-        return
     accounting = resources_for(engine)
     accounting.begin(meter)
     outer, _local.context = _local.context, QueryContext(meter)

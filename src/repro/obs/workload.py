@@ -240,13 +240,13 @@ class WorkloadProfile:
     ) -> QueryClass:
         cls = self._classes.get(fingerprint)
         if cls is None:
+            # evict before inserting: the newcomer has no calls yet and
+            # would always be the coldest
+            if len(self._classes) >= self.capacity:
+                coldest = min(self._classes.values(), key=lambda c: c.calls)
+                del self._classes[coldest.fingerprint]
             cls = QueryClass(fingerprint, shape, plan_hash, plan_text)
             self._classes[fingerprint] = cls
-            if len(self._classes) > self.capacity:
-                coldest = min(
-                    (c for c in self._classes.values()), key=lambda c: c.calls
-                )
-                self._classes.pop(coldest.fingerprint, None)
         return cls
 
     def observe_plan(

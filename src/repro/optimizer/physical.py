@@ -342,7 +342,7 @@ def offload_worthwhile(relation: Any) -> tuple[bool, str]:
 
     The default crossover is deliberately conservative: offloaded
     queries run inside the SQL engine, outside the batched executor's
-    row-level instrumentation (executor counters, zone-map telemetry,
+    row-level instrumentation (resource meters, zone-map telemetry,
     per-row budget checks), so auto mode only claims scans big enough
     that the trade is clearly worth it. ``REPRO_OFFLOAD_MIN_ROWS``
     tunes the crossover (default 100000 rows); ``REPRO_OFFLOAD=force``

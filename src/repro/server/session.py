@@ -400,11 +400,7 @@ class Session:
         with self._budgeted(request, "fql", expr) as meter:
             result = self._eval_fql(expr, request.get("params"))
             payload = protocol.encode_value(result, max_rows)
-            if (
-                meter is not None
-                and isinstance(payload, dict)
-                and payload.get("@") == "relation"
-            ):
+            if isinstance(payload, dict) and payload.get("@") == "relation":
                 # result rows are counted at the wire-encode boundary:
                 # the enumeration underneath attributed its scans to
                 # this meter already, and the encoded row list is the
@@ -458,8 +454,7 @@ class Session:
         query = Translation(self._namespace["db"], sql_text, params)
         with self._budgeted(request, "sql", sql_text) as meter:
             reply = query.reply()
-            if meter is not None:
-                meter.add_result_rows(len(reply["rows"]))
+            meter.add_result_rows(len(reply["rows"]))
             return reply
 
     # -- DML ---------------------------------------------------------------------
@@ -574,7 +569,7 @@ class Session:
     def _verb_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
         """METRICS: Prometheus text exposition format, one scrapeable
         page — the database engine's registry (plan cache, WAL,
-        replication lag, executor counters) plus, when socket-served,
+        replication lag, resource totals) plus, when socket-served,
         the server's admission registry (request latency histogram,
         slot occupancy, queue depth, shed count). The metric reference
         table lives in docs/observability.md."""

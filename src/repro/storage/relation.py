@@ -164,40 +164,36 @@ class StoredRelationFunction(RelationFunction):
             yield from self.iter_batches(batch_size)
             return
 
-        from repro.exec.batch import (
-            counters,
-            counters_for,
-            entry_batches,
-            image_batches,
-        )
+        from repro.exec.batch import entry_batches, image_batches
+        from repro.obs.resources import active_meter
         from repro.partition.prune import partition_test
         from repro.predicates.ast import may_hold
         from repro.storage.stats import zone_may_match
 
         ts = self._manager.now()
         table = self._engine.table(self._table_name)
-        engine_counters = counters_for(self._engine)
         partitioned = table.is_partitioned
         segments = table.segments if partitioned else [table]
         name = self._name
         for pid, segment in enumerate(segments):
+            # per segment: an enumeration's meter is installed per pull
+            meter = active_meter()
             if zone_predicate is not None:
                 if partitioned and not may_hold(
                     zone_predicate, partition_test(table.scheme, pid)
                 ):
                     continue
                 if not zone_may_match(segment.stats, zone_predicate):
-                    counters.zone_segments_skipped += 1
-                    engine_counters.zone_segments_skipped += 1
+                    if meter is not None:
+                        meter.zone_segments_skipped += 1
                     continue
-                counters.zone_segments_scanned += 1
-                engine_counters.zone_segments_scanned += 1
+                if meter is not None:
+                    meter.zone_segments_scanned += 1
             image = segment.image_at(ts)
             if image is None:
                 image = segment.build_image(ts)
-                if image is not None:
-                    counters.images_built += 1
-                    engine_counters.images_built += 1
+                if image is not None and meter is not None:
+                    meter.images_built += 1
             if image is None:
                 yield from entry_batches(segment.scan_at(ts), batch_size, name)
             else:

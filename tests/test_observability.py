@@ -1,14 +1,17 @@
 """End-to-end observability (docs/observability.md): structured
 tracing across client, server, executor, and replicas; the unified
 metrics registry with Prometheus text exposition (METRICS verb);
-slow-query capture; and per-database executor counters. Also pins the
+slow-query capture; and per-database resource totals, whose zone counts
+in the slow log and ``analyze()`` are each query's own. Also pins the
 stats schemas the dashboards rely on, and that armed tracing stays
 behavior-neutral for untraced in-process work."""
 
 from __future__ import annotations
 
 import json
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,7 +19,8 @@ import repro as fql
 import repro.client
 import repro.replication as repl
 import repro.server
-from repro.exec.batch import counters_for, reset_counters
+from repro.exec import analyze
+from repro.exec.kernels import kernel_backend
 from repro.obs import trace as T
 from repro.obs.metrics import (
     Counter,
@@ -263,8 +267,8 @@ class TestMetrics:
             "plan_cache_hit_rate",
             "wal_bytes",
             "replication_lag_commits",
-            "executor_columnar_rows",
-            "executor_zone_segments_skipped",
+            "resource_rows_scanned",
+            "resource_zone_segments_skipped",
         ):
             assert name in snap, name
         # the hit-rate gauge tracks the real plan cache
@@ -275,52 +279,107 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# per-database executor counters
+# per-database resource totals, one ledger per query
 # ---------------------------------------------------------------------------
+
+
+def _totals(db):
+    return db.stats()["resources"]["totals"]
+
+
+@contextmanager
+def _zone_skipping(db):
+    """Loop a fully zone-skipped filter over an 8-way hash-partitioned
+    table of *db* on another thread for the duration of the block."""
+    db.create_table("wide", {i: {"a": i} for i in range(800)}, partition_by=8)
+    skipped = fql.filter("a < 0", input=db.wide)
+    assert dict(skipped.items()) == {}
+    assert _totals(db)["zone_segments_skipped"] == 8
+    stop, runs = threading.Event(), []
+
+    def loop():
+        while not stop.is_set():
+            dict(skipped.items())
+            runs.append(1)
+
+    thread = threading.Thread(target=loop)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and runs
 
 
 class TestPerDatabaseCounters:
     def test_two_databases_do_not_share_counters(self):
-        reset_counters()
         a = fql.connect(name="obsA", default=False)
         b = fql.connect(name="obsB", default=False)
         a["t"] = {i: {"v": i} for i in range(300)}
         b["t"] = {i: {"v": i} for i in range(40)}
         dict(fql.filter("v >= 0", input=a.t).items())
         dict(fql.filter("v >= 0", input=b.t).items())
-        ca = counters_for(a.engine).snapshot()
-        cb = counters_for(b.engine).snapshot()
-        rows_a = ca["columnar_rows"] + ca["row_rows"]
-        rows_b = cb["columnar_rows"] + cb["row_rows"]
-        assert rows_a == 300
-        assert rows_b == 40
+        assert _totals(a)["rows_scanned"] == 300
+        assert _totals(b)["rows_scanned"] == 40
         a.close()
         b.close()
 
     def test_stats_executor_section_is_per_database(self):
-        reset_counters()
         a = fql.connect(name="obsC", default=False)
         b = fql.connect(name="obsD", default=False)
         a["t"] = {i: {"v": i} for i in range(100)}
         b["t"] = {i: {"v": i} for i in range(100)}
         dict(fql.filter("v >= 0", input=a.t).items())
-        ex_a = a.stats()["executor"]
-        ex_b = b.stats()["executor"]
-        assert set(ex_a) == {
-            "kernel_backend",
-            "columnar_batches",
-            "columnar_rows",
-            "row_batches",
-            "row_rows",
-            "zone_segments_skipped",
-            "zone_segments_scanned",
-            "images_built",
-        }
-        assert ex_a["columnar_rows"] + ex_a["row_rows"] == 100
-        assert (ex_a["images_built"], ex_b["images_built"]) == (1, 0)
-        assert ex_b["columnar_rows"] + ex_b["row_rows"] == 0
+        # the scan facts live in the resource totals, per database
+        assert a.stats()["executor"] == {"kernel_backend": kernel_backend()}
+        ta, tb = _totals(a), _totals(b)
+        for field, counts in (
+            ("rows_scanned", (100, 0)),
+            ("images_built", (1, 0)),
+            ("zone_segments_scanned", (1, 0)),
+        ):
+            assert (ta[field], tb[field]) == counts, field
         a.close()
         b.close()
+
+    def test_slow_log_zone_counts_are_the_querys_own(self):
+        """A slow-logged query reports its own zone skips, not those of
+        a concurrent query on another thread of the same database."""
+        db = fql.connect(name="obsSlowZones", default=False)
+        db["t"] = {i: {"b": i % 10} for i in range(2000)}
+        flat = fql.filter("b == 3", input=db.t)
+        seen = {}
+        db.set_slow_query_threshold(0.0)
+        try:
+            with _zone_skipping(db):
+                for _ in range(30):
+                    assert len(dict(flat.items())) == 200
+                    for entry in db.slow_queries():
+                        if "b == 3" in entry.query:
+                            seen[id(entry)] = entry
+        finally:
+            db.set_slow_query_threshold(None)
+            db.close()
+        assert len(seen) == 30
+        zones = {(e.zone_skipped, e.zone_scanned) for e in seen.values()}
+        assert zones == {(0, 1)}
+
+    def test_analyze_zone_counts_are_the_runs_own(self):
+        """``analyze()`` reports its own run's zone skips while another
+        database zone-skips on another thread."""
+        busy = fql.connect(name="obsBusyZones", default=False)
+        db = fql.connect(name="obsAnalyzeZones", default=False)
+        db["t"] = {i: {"b": i % 10} for i in range(2000)}
+        flat = fql.filter("b == 3", input=db.t)
+        try:
+            with _zone_skipping(busy):
+                reports = [analyze(flat) for _ in range(30)]
+        finally:
+            busy.close()
+            db.close()
+        for text in reports:
+            assert "zone maps: 0 segment(s) skipped, 1 scanned" in text
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +615,7 @@ class TestStatsSchemas:
             "repro_plan_cache_hit_rate",
             "repro_wal_bytes",
             "repro_replication_lag_commits",
-            "repro_executor_columnar_rows",
+            "repro_resource_images_built",
             "repro_server_request_latency_seconds_bucket",
             "repro_server_active_sessions",
             "repro_server_requests_total",

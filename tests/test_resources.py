@@ -4,9 +4,9 @@ the executor (partitioned scans included), the three budget
 knobs (env, session HELLO, per-request frame) killing over-budget
 queries with a typed retryable error while the session stays usable,
 the TOP verb / `client.top()`, and `db.stats()["resources"]`. Also
-pins the executor-counter attribution semantics under partitioning
-and the bounded-ring guarantees of the event and slow-query logs
-under concurrent writers."""
+pins the scan-attribution semantics of the meter (the executor's only
+counter) under partitioning and the bounded-ring guarantees of the
+event and slow-query logs under concurrent writers."""
 
 from __future__ import annotations
 
@@ -19,19 +19,14 @@ import repro.client
 import repro.server
 from repro import fql
 from repro.errors import ResourceExhaustedError
-from repro.exec.batch import (
-    _unattributed,
-    counters,
-    counters_for,
-    reset_counters,
-)
 from repro.obs.events import EventLog, events_for
 from repro.obs.resources import (
+    _DEFAULT,
     ResourceMeter,
     active_meter,
+    metered,
     reset_resources,
     resources_for,
-    using_meter_mode,
 )
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 
@@ -44,10 +39,8 @@ from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 @pytest.fixture(autouse=True)
 def _clean_rollups():
     reset_resources()
-    reset_counters()
     yield
     reset_resources()
-    reset_counters()
 
 
 @pytest.fixture
@@ -104,7 +97,6 @@ class TestMeterCore:
         assert totals["kernel_batches"] + totals["python_batches"] >= 1
 
     def test_join_build_rows(self):
-        from repro.obs.resources import _DEFAULT
         from repro.workloads import generate_retail
 
         data = generate_retail(30, 10, 50, seed=3)
@@ -157,13 +149,6 @@ class TestMeterCore:
         row = next(iter(snap["fingerprints"].values()))
         assert row["queries"] == 2
         assert row["rows_scanned"] == 1000
-
-    def test_meter_mode_off_is_inert(self, db):
-        with using_meter_mode("off"):
-            dict(fql.filter("age > 40", input=db.people).items())
-        snap = db.stats()["resources"]
-        assert snap["queries"] == 0
-        assert snap["totals"]["rows_scanned"] == 0
 
     def test_top_consumer(self, db):
         dict(fql.filter("age > 40", input=db.people).items())
@@ -432,46 +417,37 @@ class TestTopVerb:
 
 
 # ---------------------------------------------------------------------------
-# executor-counter semantics under partitioning (pinned)
+# scan attribution under partitioning (pinned)
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorCounterSemantics:
-    """Attribution semantics documented on ExecutorCounters: scans
-    attribute to the engine their function graph resolves to,
-    partitioned tables included, and meters agree. A change to either
-    behaviour must update the docs and these pins together."""
+    """Attribution semantics of the executor's one counter, the meter:
+    scans attribute to the engine their function graph resolves to,
+    partitioned tables included; nothing lands in the shared default
+    rollup. A change to this behaviour must update the docs and these
+    pins together."""
 
     def test_unpartitioned_scans_attribute_to_engine(self, db):
         dict(fql.filter("age > 40", input=db.people).items())
-        engine_counters = counters_for(db.engine).snapshot()
-        scanned = (
-            engine_counters["columnar_rows"] + engine_counters["row_rows"]
-        )
-        assert scanned == 500
-        assert (
-            _unattributed.columnar_rows + _unattributed.row_rows == 0
-        )
+        assert resources_for(db.engine).totals["rows_scanned"] == 500
+        assert _DEFAULT.totals["rows_scanned"] == 0
 
     def test_partitioned_scans_attribute_to_engine(self, part_db):
         dict(fql.filter("v > 100", input=part_db.big).items())
-        engine_counters = counters_for(part_db.engine).snapshot()
-        global_counters = counters.snapshot()
-        assert (
-            engine_counters["columnar_rows"] + engine_counters["row_rows"]
-            == global_counters["columnar_rows"] + global_counters["row_rows"]
-            == 5000
-        )
-        assert (
-            _unattributed.columnar_rows + _unattributed.row_rows == 0
-        )
+        totals = resources_for(part_db.engine).totals
+        assert totals["rows_scanned"] == 5000
+        # every one of the four segments is a zone scan and an image
+        assert totals["zone_segments_scanned"] == totals["images_built"] == 4
+        assert _DEFAULT.totals["rows_scanned"] == 0
 
     def test_meters_attribute_partitioned_scans_to_engine(self, part_db):
-        dict(fql.filter("v > 100", input=part_db.big).items())
-        # the meter sees what the global counter sees — per engine
-        assert (
-            resources_for(part_db.engine).totals["rows_scanned"] == 5000
-        )
+        with metered(part_db.engine) as meter:
+            dict(fql.filter("v > 100", input=part_db.big).items())
+        # the query's own meter holds what the engine totals hold
+        assert meter.rows_scanned == 5000
+        totals = resources_for(part_db.engine).totals
+        assert totals["rows_scanned"] == 5000
 
 
 # ---------------------------------------------------------------------------

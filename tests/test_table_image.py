@@ -10,8 +10,8 @@ The contract has three parts, each pinned here:
   order-exactly, on every shape and every hostile value.
 * **Validity by stamp.** An image serves a snapshot at or past the
   segment's newest write and nothing else; a write makes the next
-  scan rebuild it, once. ``db.stats()["executor"]["images_built"]``
-  counts the rebuilds.
+  scan rebuild it, once. ``db.stats()["resources"]["totals"]``
+  counts the rebuilds as ``images_built``.
 * **Same fallbacks as before.** Open transactions, rows holding nested
   functions and older snapshots walk the version chains, uncached.
 """
@@ -30,6 +30,7 @@ from repro.exec.kernels import HAVE_NUMPY, fold_groups, sort_runs
 from repro.exec.nodes import _column_fold_specs
 from repro.fdm.databases import database
 from repro.fql.group import GroupBy
+from repro.obs.resources import metered
 from repro.partition import hash_partition, range_partition
 from repro.storage.versioned import VersionedTable
 
@@ -37,7 +38,7 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernels")
 
 
 def _built(db):
-    return db.stats()["executor"]["images_built"]
+    return db.stats()["resources"]["totals"]["images_built"]
 
 
 def _naive(expr_of, db):
@@ -52,7 +53,8 @@ def _same_as_naive(expr_of, db):
 
 
 def _batches(relation):
-    return list(relation.iter_columnar_batches())
+    with metered(relation._engine):
+        return list(relation.iter_columnar_batches())
 
 
 def _specs(by, aggs):
@@ -440,19 +442,17 @@ class TestFallbacks:
 
 
 def test_pruned_and_zone_skipped_segments_build_no_image():
-    from repro.exec.batch import counters, reset_counters
-
     db = fql.connect("image-zones", default=False)
     db.create_table(
         "events",
         rows={i: {"seq": i, "ts": 100 + i} for i in range(400)},
         partition_by=range_partition("seq", [100, 200, 300]),
     )
-    reset_counters()
     got = _same_as_naive(lambda d: fql.filter(d.events, "ts >= 450"), db)
     assert [k for k, _v in got] == list(range(350, 400))
-    assert counters.zone_segments_skipped == 3
-    assert counters.zone_segments_scanned == 1
+    totals = db.stats()["resources"]["totals"]
+    assert totals["zone_segments_skipped"] == 3
+    assert totals["zone_segments_scanned"] == 1
     assert _built(db) == 1
     pruned = lambda d: fql.filter(d.events, "seq < 50")  # noqa: E731
     assert len(_same_as_naive(pruned, db)) == 50

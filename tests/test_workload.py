@@ -158,6 +158,19 @@ class TestProfileAggregation:
         _run(fql.filter("v > 10", input=db.item))
         json.dumps(db.workload_profile())  # must not raise
 
+    def test_full_profile_admits_a_new_class(self):
+        """A full profile evicts its coldest class *before* inserting,
+        so a newcomer (0 calls) is not the one dropped."""
+        profile = WorkloadProfile(capacity=3)
+        for fp in ("a", "b", "c"):
+            for _ in range(5):
+                profile.record(fp, fp, "h", "plan", 1000, 1)
+        for _ in range(10):
+            profile.record("new", "new", "h", "plan", 1000, 1)
+        snap = profile.snapshot()
+        assert len(snap) == 3
+        assert snap["new"]["calls"] == 10
+
 
 # ---------------------------------------------------------------------------
 # plan-change detection

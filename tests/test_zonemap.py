@@ -4,8 +4,8 @@ A segment's statistics double as its zone map. Covers their
 bound-tracking lattice (:class:`AttrStatistics` /
 :class:`TableStatistics`), the conservative may-analysis
 (:func:`zone_may_match`), maintenance on commit, accumulate-only
-soundness after DML, narrowing by vacuum, and the executor counters
-that certify segments were actually skipped.
+soundness after DML, narrowing by vacuum, and the resource-meter
+counts that certify segments were actually skipped.
 """
 
 import math
@@ -15,7 +15,6 @@ import pytest
 import repro as fql
 from repro._util import TOMBSTONE
 from repro.exec import explain, using_exec_mode
-from repro.exec.batch import counters, reset_counters
 from repro.partition import range_partition
 from repro.predicates import parse_predicate
 from repro.storage.stats import AttrStatistics, TableStatistics, zone_may_match
@@ -33,6 +32,12 @@ def _segments(db, name="events"):
     table = db.engine.table(name)
     segments = table.segments if table.is_partitioned else [table]
     return [segment.stats for segment in segments]
+
+
+def _zones(db):
+    """Zone-map segments (skipped, scanned) by every query so far."""
+    totals = db.stats()["resources"]["totals"]
+    return totals["zone_segments_skipped"], totals["zone_segments_scanned"]
 
 
 def _may(zone, source):
@@ -244,21 +249,18 @@ class TestExecutorSkipping:
     def test_counters_prove_segments_skipped(self):
         db = _events_db("zm-count")
         expr = fql.filter(db.events, "ts >= 450")
-        reset_counters()
         got = dict(expr.items())
         assert set(got) == set(range(350, 400))
-        assert counters.zone_segments_skipped == 3
-        assert counters.zone_segments_scanned == 1
+        assert _zones(db) == (3, 1)
         db.close()
 
     def test_open_transaction_falls_back_to_row_scan(self):
         db = _events_db("zm-txn")
         with db.transaction():
             db.events[1000] = {"seq": 399, "ts": 451}
-            reset_counters()
             got = dict(fql.filter(db.events, "ts >= 450").items())
             assert set(got) == set(range(350, 400)) | {1000}
-            assert counters.zone_segments_skipped == 0  # no skipping
+            assert _zones(db) == (0, 0)  # no skipping
         db.close()
 
     def test_skipping_respects_nan_rows(self):
@@ -275,11 +277,10 @@ class TestExecutorSkipping:
             },
             partition_by=range_partition("seq", [50]),
         )
-        reset_counters()
         got = dict(fql.filter(db.m, "v > 100").items())
         assert got == {}
         # segment 0 holds the NaN: must have been scanned, not skipped
-        assert counters.zone_segments_scanned >= 1
+        assert _zones(db)[1] >= 1
         db.close()
 
 
@@ -315,15 +316,12 @@ def test_vacuum_then_rebuild_narrows_zones():
     db.events[0]["ts"] = -7  # out of segment 0's [100, 199] ...
     db.events[0]["ts"] = 150  # ... and back: -7 lives on in a dead version
     expr = fql.filter(db.events, "ts < 0")
-    reset_counters()
     assert dict(expr.items()) == {}
-    assert counters.zone_segments_scanned == 1  # the bound still says -7
+    assert _zones(db) == (3, 1)  # the bound still says -7
     assert db.vacuum() > 0
     assert _segments(db)[0].attrs["ts"].num_min == 101
-    reset_counters()
     assert dict(expr.items()) == {}
-    assert counters.zone_segments_skipped == 4
-    assert counters.zone_segments_scanned == 0
+    assert _zones(db) == (3 + 4, 1)  # now all four segments skip
     db.close()
 
 

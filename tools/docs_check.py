@@ -34,6 +34,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DOCSTRING_FILES = [
     "src/repro/client.py",
     "src/repro/obs/__init__.py",
+    "src/repro/obs/context.py",
     "src/repro/obs/trace.py",
     "src/repro/obs/metrics.py",
     "src/repro/obs/instrument.py",
@@ -49,6 +50,7 @@ DOCSTRING_FILES = [
     "src/repro/replication/__init__.py",
     "src/repro/replication/hub.py",
     "src/repro/replication/replica.py",
+    "src/repro/exec/batch.py",
     "src/repro/partition/prune.py",
     "src/repro/storage/image.py",
     "src/repro/storage/stats.py",

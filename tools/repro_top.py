@@ -188,7 +188,7 @@ def render_resources(
         for meter in snap.get("active") or []:
             active.append((row["addr"], meter))
     if not merged and not active:
-        return ["  (no metered queries yet — is REPRO_METER off?)"]
+        return ["  (no metered queries yet)"]
     ranked = sorted(
         merged.items(), key=lambda kv: kv[1].get(field, 0), reverse=True
     )[:top]
