@@ -8,11 +8,12 @@ test:
 	$(PY) -m pytest -x -q
 
 # quick perf check: the executor-sensitive figures plus view
-# maintenance, the observability tax, and offloaded scans; writes
+# maintenance, the observability tax, offloaded scans, and the wire
+# reply's size; writes
 # benchmarks/BENCH_<module>.json files for the perf trajectory
 bench-smoke:
 	$(PY) -m pytest benchmarks -o python_files='bench_*.py' -q \
-		-k "fig04a or fig04bc or fig06 or ivm_maintenance or obs_overhead or offload_scan" \
+		-k "fig04a or fig04bc or fig06 or ivm_maintenance or obs_overhead or offload_scan or wire_reply" \
 		--benchmark-min-rounds=3
 
 # the full benchmark matrix (slow)

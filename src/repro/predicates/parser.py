@@ -26,6 +26,7 @@ that SQL happily mis-executes.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Mapping
 
 from repro.errors import PredicateError, PredicateSyntaxError
@@ -302,10 +303,20 @@ def parse_predicate(
     >>> p(tuple_function(age=47, name='Alice'))
     True
     """
-    pred = _Parser(text).parse()
+    pred = _parse_predicate(text)
     if params is not None:
         pred = pred.bind(params)
     return pred
+
+
+#: Distinct predicate texts whose unbound trees the process keeps (LRU);
+#: a tree is never mutated after construction, so callers share it.
+PREDICATE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PREDICATE_CACHE_SIZE)
+def _parse_predicate(text: str) -> Predicate:
+    return _Parser(text).parse()
 
 
 def parse_expression(text: str, params: Mapping[str, Any] | None = None) -> Expr:

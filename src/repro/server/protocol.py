@@ -19,8 +19,10 @@ servers must treat it as optional and never fail on its absence.
 Values cross the boundary through small typed envelopes (``{"@":
 "tuple"}``, ``{"@": "relation"}``, ``{"@": "missing"}``) so that FDM
 results — tuple functions, relations, grouped databases, deltas with
-MISSING endpoints — survive JSON without ambiguity. Errors travel typed
-by exception class name; :func:`raise_remote` rebuilds the matching
+MISSING endpoints — survive JSON without ambiguity; a relation names
+each row shape once, and a row of scalars travels as its key, its
+shape's number and its values. Errors travel typed by exception class
+name; :func:`raise_remote` rebuilds the matching
 :class:`~repro.errors.ReproError` subclass on the client so a remote
 write-write conflict raises the same ``TransactionConflictError`` a
 local one does.
@@ -170,7 +172,9 @@ class RemoteRows(dict):
 #: What JSON carries as itself. Exact types: a subclass (an ``IntEnum``,
 #: say) takes the general path, which decides what it becomes.
 _SCALARS = frozenset({type(None), bool, int, float, str})
-_NAMES = frozenset({str})
+_STRS = frozenset({str})
+#: Attribute names a JSON list carries exactly: a shape's names.
+_NAMES = frozenset({int, str})
 
 
 def encode_value(
@@ -178,11 +182,14 @@ def encode_value(
 ) -> Any:
     """Encode one result value (scalar, row, or FDM function) for JSON.
 
-    Enumerable FDM functions become ``{"@": "relation", "rows": [[key,
-    value], ...]}``, recursively, so grouped databases and nested
-    relations survive; *max_rows* caps every level of the enumeration
-    and marks the envelope ``"truncated"`` when it bites — a page limit
-    must degrade to a smaller answer, never to a silent lie.
+    Enumerable FDM functions become ``{"@": "relation", "shapes":
+    [[name, ...], ...], "rows": [...]}``, recursively, so grouped
+    databases and nested relations survive; *max_rows* caps every level
+    of the enumeration and marks the envelope ``"truncated"`` when it
+    bites — a page limit must degrade to a smaller answer, never to a
+    silent lie. A row outside a relation is ``{"@": "tuple", "attrs":
+    {str(name): value}}``; names that collide under ``str`` raise
+    :class:`ProtocolError` rather than merge.
     """
     if _depth > _MAX_DEPTH:
         raise ProtocolError("result nesting exceeds the protocol depth cap")
@@ -192,7 +199,7 @@ def encode_value(
         if (
             _depth < _MAX_DEPTH
             and _SCALARS.issuperset(map(type, value.values()))
-            and _NAMES.issuperset(map(type, value))
+            and _STRS.issuperset(map(type, value))
         ):
             attrs = dict(value)  # a committed row, nearly always
         else:
@@ -200,6 +207,10 @@ def encode_value(
                 str(attr): encode_value(v, max_rows, _depth + 1)
                 for attr, v in value.items()
             }
+            if len(attrs) < len(value):
+                raise ProtocolError(
+                    f"attribute names {list(value)!r} collide as strings"
+                )
         return {"@": "tuple", "attrs": attrs}
     if value is MISSING or value is TOMBSTONE:
         return {"@": "missing"}
@@ -236,16 +247,43 @@ def relation_entries(fn: Any, nested: bool = False) -> Iterator[Iterator]:
 
 
 def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
-    """A relation's envelope, from :func:`relation_entries`."""
+    """A relation's envelope, from :func:`relation_entries`. A row of
+    scalars under ``int``/``str`` names is one list, ``[key, shape,
+    v1, ..., vn]``, whose names are ``shapes[shape]`` (numbered in
+    first-seen order); any other value, the empty row included, is
+    ``[key, envelope]``."""
     envelope = {"@": "relation", "kind": fn.kind, "name": fn.name}
+    shapes = envelope["shapes"] = []
     rows = envelope["rows"] = []
+    numbers: dict[tuple, int] = {}
+    flat = depth + 1 < _MAX_DEPTH
     with relation_entries(fn, nested=depth > 0) as entries:
         for key, value in entries:
             if max_rows is not None and len(rows) >= max_rows:
                 envelope["truncated"] = True
                 break
-            value = encode_value(value, max_rows, depth + 1)
-            rows.append([encode_key(key), value])
+            key = key if type(key) in _SCALARS else encode_key(key)
+            if (
+                isinstance(value, FDMFunction)
+                and value.kind == "tuple"
+                and value.is_enumerable
+            ):
+                value = dict(value.items())
+            if (
+                flat
+                and isinstance(value, dict)
+                and value
+                and _SCALARS.issuperset(map(type, value.values()))
+                and _NAMES.issuperset(map(type, value))
+            ):
+                names = tuple(value)
+                shape = numbers.get(names)
+                if shape is None:
+                    shape = numbers[names] = len(shapes)
+                    shapes.append(list(names))
+                rows.append([key, shape, *value.values()])
+            else:
+                rows.append([key, encode_value(value, max_rows, depth + 1)])
     return envelope
 
 
@@ -261,16 +299,15 @@ def decode_value(value: Any) -> Any:
             return attrs
         return {attr: decode_value(v) for attr, v in attrs.items()}
     if tag == "relation":
+        shapes = value["shapes"]
         rows = RemoteRows()
-        for key, v in value["rows"]:
-            if (  # the tuple case above, inlined: most replies are rows
-                type(v) is dict
-                and v.get("@") == "tuple"
-                and _SCALARS.issuperset(map(type, v["attrs"].values()))
-            ):
-                rows[decode_key(key)] = v["attrs"]
+        for row in value["rows"]:
+            it = iter(row)
+            key = decode_key(next(it))
+            if len(row) > 2:  # a shaped row
+                rows[key] = dict(zip(shapes[next(it)], it))
             else:
-                rows[decode_key(key)] = decode_value(v)
+                rows[key] = decode_value(next(it))
         rows.kind = value.get("kind", "relation")
         rows.name = value.get("name", "")
         rows.truncated = bool(value.get("truncated", False))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import functools
 import itertools
 from typing import Any, Callable
 
@@ -47,16 +48,27 @@ _SAFE_BUILTINS = (
 )
 
 
+#: Distinct FQL texts whose compiled code the process keeps (LRU).
+FQL_CACHE_SIZE = 512
+
+
 def compile_fql(text: str):
-    """Parse, harden, and compile one FQL expression.
+    """Parse, harden, and compile one FQL expression, once per
+    distinct text (parameters stay parameters: they bind at ``eval``).
 
     Rejects statements (the wire carries expressions; DML has its own
     verb), every underscore-prefixed name or attribute (no reaching
     into interpreter internals), and syntax errors — all as
     :class:`OperatorError` so the client sees an FQL-typed failure.
+    Rejected text is never cached, so it raises on every call.
     """
     if not isinstance(text, str):
         raise ProtocolError("FQL statement must be a string")
+    return _compile_fql(text)
+
+
+@functools.lru_cache(maxsize=FQL_CACHE_SIZE)
+def _compile_fql(text: str):
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:

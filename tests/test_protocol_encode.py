@@ -9,8 +9,10 @@ byte, as JSON: every graph of the operator zoo over its hostile rows
 (plus nested functions), under the naive, batched and force-offloaded
 modes, on flat and hash-partitioned tables, and inside an open
 transaction whose buffered writes the dump must show. Then: a page
-limit truncates and reports one query; decoding round-trips; and a
-cached aggregate is never rescanned per group.
+limit truncates and reports one query; decoding round-trips, exactly
+to the type, through one reply that mixes every row form and through
+stored relations of hostile values; names that collide under ``str``
+are never merged; and a cached aggregate is never rescanned per group.
 """
 
 import json
@@ -18,6 +20,7 @@ import math
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zoo
 
@@ -45,8 +48,24 @@ from repro.server.session import Session
 MODES = [("naive", "off"), ("batch", "off"), ("batch", "force")]
 
 
+#: What JSON carries as itself (exact types).
+SCALARS = (type(None), bool, int, float, str)
+
+
+def _is_tuple(value):
+    return (
+        isinstance(value, FDMFunction)
+        and value.kind == "tuple"
+        and value.is_enumerable
+    )
+
+
 def oracle(value, max_rows=None, depth=0):
-    """The envelope by definition: per-key application, recursively."""
+    """The envelope by definition: per-key application, recursively. In
+    a relation, a row (a tuple function flattened to its dict) of JSON
+    scalars under ``int``/``str`` names is ``[key, shape, *values]``,
+    shapes numbered in first-seen order; any other value, the empty row
+    included, is ``[key, envelope]``."""
     if depth > 16:
         raise ProtocolError("result nesting exceeds the protocol depth cap")
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -55,24 +74,38 @@ def oracle(value, max_rows=None, depth=0):
         return {"@": "missing"}
     if is_null(value):
         return None
-    if isinstance(value, dict) or (
-        isinstance(value, FDMFunction)
-        and value.kind == "tuple"
-        and value.is_enumerable
-    ):
+    if isinstance(value, dict) or _is_tuple(value):
         attrs = {
             str(a): oracle(v, max_rows, depth + 1) for a, v in value.items()
         }
+        if len(attrs) < len(value):
+            raise ProtocolError("attribute names collide as strings")
         return {"@": "tuple", "attrs": attrs}
     if isinstance(value, FDMFunction) and value.is_enumerable:
         envelope = {"@": "relation", "kind": value.kind, "name": value.name}
+        shapes = envelope["shapes"] = []
         rows = envelope["rows"] = []
         for key in value.keys():
             if max_rows is not None and len(rows) >= max_rows:
                 envelope["truncated"] = True
                 break
-            value_at = oracle(value(key), max_rows, depth + 1)
-            rows.append([encode_key(key), value_at])
+            value_at = value(key)
+            if _is_tuple(value_at):
+                value_at = dict(value_at.items())
+            names = list(value_at) if isinstance(value_at, dict) else []
+            if (
+                depth + 1 < 16
+                and names
+                and all(type(a) in (int, str) for a in names)
+                and all(type(v) in SCALARS for v in value_at.values())
+            ):
+                if names not in shapes:
+                    shapes.append(names)
+                shape = shapes.index(names)
+                rows.append([encode_key(key), shape, *value_at.values()])
+            else:
+                value_at = oracle(value_at, max_rows, depth + 1)
+                rows.append([encode_key(key), value_at])
         return envelope
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [oracle(v, max_rows, depth + 1) for v in value]
@@ -166,9 +199,8 @@ def test_a_served_base_function_takes_no_plan_cache_entry(db):
     with using_exec_mode("batch"):
         for i in range(3):
             snapshot = MaterialRelationFunction({i: {"a": i}})
-            assert encode_value(snapshot)["rows"] == [
-                [i, {"@": "tuple", "attrs": {"a": i}}]
-            ]
+            reply = encode_value(snapshot)
+            assert (reply["shapes"], reply["rows"]) == ([["a"]], [[i, 0, i]])
             assert len(encode_value(db.customers)["rows"]) == 96
     assert [len(cache) for cache in caches] == sizes
 
@@ -213,12 +245,12 @@ def test_an_open_transaction_serves_its_buffered_writes(db):
                 expected = wire(oracle(build(db)))
             for mode, got in _encoded(build, db).items():
                 assert got == expected, f"{name} under {mode}"
-        rows = dict(encode_value(db.customers)["rows"])
+        rows = decode_value(encode_value(db.customers))
         txn.rollback()
-    assert rows[1000]["attrs"]["name"] == "new"
-    assert rows[2]["attrs"]["name"] == "changed"
+    assert rows[1000]["name"] == "new"
+    assert rows[2]["name"] == "changed"
     assert 3 not in rows
-    assert 1000 not in dict(encode_value(db.customers)["rows"])
+    assert 1000 not in decode_value(encode_value(db.customers))
 
 
 @pytest.mark.parametrize("max_rows", [0, 1, 5, 95, 96, 200])
@@ -343,3 +375,94 @@ def test_a_served_aggregate_is_one_profiled_call_of_eight_rows(regions):
     calls = cls["calls"] - before.get(fp, {}).get("calls", 0)
     rows = cls["rows"] - before.get(fp, {}).get("rows", 0)
     assert (calls, rows) == (1, 8)
+
+
+def exact(value):
+    """*value* with every scalar and name tagged by its type, so ``True``
+    differs from ``1`` and ``1`` from ``"1"``; NaN compares equal."""
+    if isinstance(value, FDMFunction) and value.is_enumerable:
+        value = dict(value.items())
+    if isinstance(value, dict):
+        return {exact(k): exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(exact(v) for v in value)
+    if isinstance(value, float) and math.isnan(value):
+        return ("float", "NaN")
+    return (type(value).__name__, value)
+
+
+def _through_the_wire(value, **kwargs):
+    return decode_value(json.loads(wire(encode_value(value, **kwargs))))
+
+
+def test_names_that_collide_under_str_are_never_merged():
+    """A shaped row carries ``1`` and ``"1"`` as two names; the tuple
+    envelope, which keys by ``str``, refuses the pair instead of
+    keeping one of them."""
+    db = fql.connect("encode-collide", default=False)
+    db.create_table("t", rows={7: {1: "a", "1": "b"}}, key_name="k")
+    assert exact(_through_the_wire(db.t)) == exact({7: {1: "a", "1": "b"}})
+    with pytest.raises(ProtocolError, match="collide"):
+        _through_the_wire(db.t(7))
+    db.close()
+
+
+MIXED = {
+    1: {"name": "a", "age": 30},
+    2: {"name": "b"},  # "age" absent
+    3: {},  # the empty row
+    4: {"age": 31, "name": "c"},  # same names, another order
+    5: {"name": "d", "age": 32},
+    (6, "x"): {1: True, "1": 1, "@": "at"},
+    7: {"big": 2**70, "nan": float("nan"), "none": None, "flag": True},
+    8: {"big": -(2**70), "nan": 0.5, "none": "None", "flag": 1},
+    9: {"members": MaterialRelationFunction({1: {"x": 1}, 2: {}})},
+    10: {"name": "e", "age": 33},
+}
+
+
+@pytest.mark.parametrize("exec_name", ["naive", "batch"])
+def test_one_reply_mixes_every_row_form(exec_name):
+    db = fql.connect("encode-mixed", default=False)
+    db.create_table("t", rows=MIXED, key_name="k")
+    with using_exec_mode(exec_name):
+        envelope = encode_value(db.t)
+        assert wire(envelope) == wire(oracle(db.t))
+        assert len(envelope["shapes"]) == 5
+        assert sorted(len(row) > 2 for row in envelope["rows"]) == (
+            [False] * 2 + [True] * 8  # the empty row and the nested one
+        )
+        assert exact(_through_the_wire(db.t)) == exact(MIXED)
+        for max_rows in (0, 4, 9):
+            page = _through_the_wire(db.t, max_rows=max_rows)
+            assert page.truncated
+            assert exact(page) == exact(dict(list(MIXED.items())[:max_rows]))
+    db.close()
+
+
+_ZOO_VALUES = sorted(
+    {repr(v): v for row in zoo.hostile_rows().values() for v in row.values()}
+    .values(),
+    key=repr,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.one_of(st.integers(-3, 40), st.tuples(st.integers(0, 2),
+                                                 st.sampled_from("ab"))),
+        st.dictionaries(
+            st.sampled_from(["name", "age", "@", "1", 1, 0]),
+            st.sampled_from(_ZOO_VALUES),
+            max_size=4,
+        ),
+        max_size=12,
+    )
+)
+def test_a_stored_relation_survives_the_wire(rows):
+    db = fql.connect("encode-property", default=False)
+    db.create_table("t", rows=rows, key_name="k")
+    expected = {k: dict(v.items()) for k, v in db.t.items()}
+    assert exact(_through_the_wire(db.t)) == exact(expected)
+    db.close()

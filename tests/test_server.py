@@ -110,6 +110,42 @@ class TestProtocol:
         assert decoded == ("datetime.date(2026, 7, 29)", 3)
         hash(decoded)  # must be usable as a mapping key client-side
 
+    def test_fql_text_compiles_once_and_params_stay_params(self, db):
+        from repro.server.session import Session, _compile_fql, compile_fql
+
+        text = "filter(db('customers'), 'age > $a', params)"
+        assert compile_fql(text) is compile_fql(text)
+        session = Session(db, 1)
+        names = [
+            sorted(row["name"] for row in protocol.decode_value(
+                session.handle({"verb": "fql", "expr": text,
+                                "params": {"a": a}})["result"]).values())
+            for a in (30, 50)
+        ]
+        assert names == [["Alice", "Carol"], ["Carol"]]
+        size = _compile_fql.cache_info().currsize
+        for bad, error in (("db.__class__", OperatorError),
+                           ("db(", OperatorError),
+                           (["db"], ProtocolError), (7, ProtocolError)):
+            for _ in range(2):  # never cached: it raises every time
+                with pytest.raises(error):
+                    compile_fql(bad)
+        assert _compile_fql.cache_info().currsize == size
+
+    def test_predicate_text_parses_once_and_binds_per_call(self):
+        from repro.errors import PredicateSyntaxError
+        from repro.predicates import parse_predicate
+
+        unbound = parse_predicate("age > $min")
+        assert parse_predicate("age > $min") is unbound
+        young = parse_predicate("age > $min", {"min": 30})
+        old = parse_predicate("age > $min", {"min": 50})
+        assert young is not unbound and young.to_source() != old.to_source()
+        assert unbound.to_source() == "age > $min"
+        for _ in range(2):
+            with pytest.raises(PredicateSyntaxError):
+                parse_predicate("age >")
+
     def test_remote_error_maps_to_local_class(self):
         with pytest.raises(TransactionConflictError):
             protocol.raise_remote(

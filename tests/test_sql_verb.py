@@ -356,6 +356,6 @@ def test_the_select_is_the_fql_filter_and_shares_its_plan(buckets):
         after = cache.stats()
     assert after["hits"] == before["hits"] + 1
     assert after["size"] == before["size"]
-    keys = [key for key, _row in fql["result"]["rows"]]
+    keys = [row[0] for row in fql["result"]["rows"]]
     assert [row[0] for row in sql["result"]["rows"]] == keys
     assert len(keys) == 20
