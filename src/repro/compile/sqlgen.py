@@ -73,6 +73,7 @@ from repro.predicates.ast import (
     Or,
     Predicate,
     TruePredicate,
+    _COMPARATORS,
     _FLIP_OP,
 )
 from repro.storage.relation import StoredRelationFunction
@@ -81,15 +82,6 @@ __all__ = ["Unsupported", "QueryShape", "CompiledQuery", "parse_graph",
            "generate_sql"]
 
 _INT64_LIMIT = 2**63
-
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 _SQL_OP = {"==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 

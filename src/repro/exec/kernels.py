@@ -41,6 +41,7 @@ from typing import Any
 
 from repro._util import MISSING
 from repro.config import KERNEL
+from repro.predicates.ast import _COMPARATORS
 
 try:  # optional accelerator: everything below works without it
     import numpy as _np
@@ -171,17 +172,6 @@ def _numeric_const(value: Any) -> bool:
 # Mask kernels
 # ---------------------------------------------------------------------------
 
-import operator as _operator
-
-_PY_OPS = {
-    "==": _operator.eq,
-    "!=": _operator.ne,
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
-}
-
 
 def _note_dispatch(vectorized: bool) -> None:
     """Tell the active resource meter which backend evaluated a batch.
@@ -219,10 +209,10 @@ def _compare_mask(
         if nc is not None:
             values, defined = nc
             _note_dispatch(True)
-            return _PY_OPS[op](values, const) & defined
+            return _COMPARATORS[op](values, const) & defined
     _note_dispatch(False)
     values = _operand_col(batch, column)
-    py_op = _PY_OPS[op]
+    py_op = _COMPARATORS[op]
     out = [False] * len(values)
     for i, v in enumerate(values):
         if v is MISSING:

@@ -76,10 +76,13 @@ class PhysicalNode:
         Override where keys are derivable without computing values (map
         preserves keys; scans read them directly): the naive ``keys()``
         path never evaluates transforms, and the batched path must not
-        either.
+        either. A column batch gives its keys without building rows.
         """
         for batch in self.batches():
-            yield [key for key, _value in batch]
+            if isinstance(batch, ColumnBatch):
+                yield batch.keys
+            else:
+                yield [key for key, _value in batch]
 
     def describe(self) -> str:
         """One-line label for pipeline explain output."""
@@ -181,50 +184,28 @@ class NaiveNode(PhysicalNode):
 
 
 class FilterNode(PhysicalNode):
-    """σ over a batch stream with a batch-compiled predicate."""
+    """σ over a batch stream: the predicate's column mask where it has
+    one and the batch is a column batch, else its row loop."""
 
     op = "filter"
 
     def __init__(self, child: PhysicalNode, predicate: Any):
         self.children = (child,)
         self.predicate = predicate
-        self._compiled = predicate.compile_batch()
         #: ``None`` when the predicate shape has no per-column form
-        #: (opaque lambdas, Not, nested paths) — those batches fall back
-        #: to the row-compiled loop over materialized pairs.
+        #: (opaque lambdas, Not, nested paths) — those batches take
+        #: ``predicate.select`` over materialized pairs.
         self._columnar = predicate.compile_columnar()
 
     def batches(self) -> Iterator[list]:
-        compiled = self._compiled
+        select = self.predicate.select
         columnar = self._columnar
         for batch in self.children[0].batches():
-            if isinstance(batch, ColumnBatch):
-                if columnar is not None:
-                    out = batch.take(columnar(batch))
-                    if len(out):
-                        yield out
-                    continue
-                batch = batch.pairs()
-            mask = compiled(batch)
-            out = [pair for pair, ok in zip(batch, mask) if ok]
-            if out:
-                yield out
-
-    def key_batches(self) -> Iterator[list]:
-        compiled = self._compiled
-        columnar = self._columnar
-        for batch in self.children[0].batches():
-            if isinstance(batch, ColumnBatch):
-                if columnar is not None:
-                    mask = columnar(batch)
-                    out = [k for k, ok in zip(batch.keys, mask) if ok]
-                    if out:
-                        yield out
-                    continue
-                batch = batch.pairs()
-            mask = compiled(batch)
-            out = [pair[0] for pair, ok in zip(batch, mask) if ok]
-            if out:
+            if columnar is not None and isinstance(batch, ColumnBatch):
+                out = batch.take(columnar(batch))
+            else:
+                out = select(batch)
+            if len(out):
                 yield out
 
     def describe(self) -> str:
@@ -956,23 +937,21 @@ class KeyLookupNode(PhysicalNode):
 
 
 class IndexLookupNode(PhysicalNode):
-    """Secondary-index access with a batch-compiled residual predicate."""
+    """Secondary-index access; the residual predicate runs its row loop."""
 
     op = "index_lookup"
 
     def __init__(self, lookup_fn: Any):
         self.fn = lookup_fn  # the IndexLookupFunction physical function
-        self._residual = lookup_fn._residual.compile_batch()
 
     def batches(self) -> Iterator[list]:
         fn = self.fn
         source = fn.source
-        residual = self._residual
+        select = fn._residual.select
         for batch in rebatch(
             (key, source._apply(key)) for key in fn._candidates()
         ):
-            mask = residual(batch)
-            out = [pair for pair, ok in zip(batch, mask) if ok]
+            out = select(batch)
             if out:
                 yield out
 

@@ -18,6 +18,7 @@ happens on the finished tree — there is no textual substitution anywhere.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from repro.errors import (
@@ -27,10 +28,10 @@ from repro.errors import (
 )
 from repro.fdm.entry import Entry
 from repro.fdm.functions import FDMFunction
+from repro.fdm.tuples import TupleFunction
 
 __all__ = [
     "EvalContext",
-    "BatchPredicate",
     "ColumnarPredicate",
     "Expr",
     "AttrRef",
@@ -82,7 +83,13 @@ class EvalContext:
         for attr in path:
             if isinstance(value, FDMFunction):
                 try:
-                    value = value(attr)
+                    # a tuple function's value(attr) without the call:
+                    # its _apply reads _data, and normalize_key leaves a
+                    # str name as it is
+                    if isinstance(value, TupleFunction):
+                        value = value._data[attr]
+                    else:
+                        value = value(attr)
                 except Exception:
                     if self.strict:
                         raise UnknownAttributeError(".".join(path)) from None
@@ -356,11 +363,6 @@ class FuncCall(Expr):
 # ---------------------------------------------------------------------------
 
 
-#: A compiled batch predicate: ``run(pairs) -> list[bool]`` over a list of
-#: ``(key, value)`` entries. Produced by :meth:`Predicate.compile_batch` and
-#: consumed by the physical execution layer (DESIGN.md §6).
-BatchPredicate = Callable[[list], list]
-
 #: A compiled columnar predicate: ``run(ColumnBatch) -> mask`` where the
 #: mask is a list[bool] or numpy bool array over the batch's rows.
 #: Produced by :meth:`Predicate.compile_columnar` (``None`` when the
@@ -388,51 +390,6 @@ def _atom_mask(
 _FLIP_OP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _batch_getter(expr: "Expr") -> Callable[[Any, Any], Any]:
-    """Compile an expression into ``get(key, value) -> Any``.
-
-    The getter raises :class:`_Undefined` exactly where per-entry
-    evaluation would, so batch filtering keeps the naive semantics while
-    skipping the per-tuple :class:`EvalContext` construction and AST
-    dispatch for the common shapes (attribute vs literal vs key).
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda key, subject: value
-    if isinstance(expr, KeyRef):
-        return lambda key, subject: key
-    if isinstance(expr, AttrRef) and len(expr.path) == 1:
-        attr = expr.path[0]
-
-        def get(key: Any, subject: Any) -> Any:
-            data = getattr(subject, "_data", None)
-            if type(data) is dict:  # TupleFunction fast path
-                try:
-                    return data[attr]
-                except KeyError:
-                    raise _Undefined() from None
-            if isinstance(subject, FDMFunction):
-                try:
-                    return subject(attr)
-                except Exception:
-                    raise _Undefined() from None
-            if isinstance(subject, Mapping):
-                if attr not in subject:
-                    raise _Undefined()
-                return subject[attr]
-            out = getattr(subject, attr, _MISSING_ATTR)
-            if out is _MISSING_ATTR:
-                raise _Undefined()
-            return out
-
-        return get
-
-    def get(key: Any, subject: Any) -> Any:
-        return expr.eval(EvalContext(subject, key=key))
-
-    return get
-
-
 class Predicate:
     """Base class for boolean-valued nodes; callable on entries/tuples."""
 
@@ -457,27 +414,25 @@ class Predicate:
         ``fn(e)`` (predicates without operands return themselves)."""
         return self
 
-    def compile_batch(self) -> BatchPredicate:
-        """Compile into ``run(pairs) -> list[bool]`` over (key, value) pairs.
+    def select(self, pairs: Any) -> list:
+        """The ``(key, value)`` entries of *pairs* where the predicate
+        holds, in order — the batched executor's one row loop.
 
-        The default evaluates the predicate per entry (still saving the
-        per-tuple ``Entry`` allocation of the naive path); structured nodes
-        override with loop bodies specialized once per query instead of
-        re-dispatched per tuple.
+        Each entry is judged exactly as the naive filter's
+        ``self(Entry(key, value))`` judges it (an undefined attribute
+        does not select, any other error raises), with one
+        :class:`EvalContext` per batch instead of per entry.
         """
-
-        def run(pairs: list) -> list:
-            out = []
-            for key, value in pairs:
-                try:
-                    out.append(
-                        bool(self.eval(EvalContext(value, key=key)))
-                    )
-                except _Undefined:
-                    out.append(False)
-            return out
-
-        return run
+        ctx = EvalContext(None)
+        out = []
+        for pair in pairs:
+            ctx.key, ctx.subject = pair
+            try:
+                if self.eval(ctx):
+                    out.append(pair)
+            except _Undefined:
+                pass
+        return out
 
     def compile_columnar(self) -> "ColumnarPredicate | None":
         """Compile into ``run(ColumnBatch) -> mask``, or ``None``.
@@ -486,7 +441,7 @@ class Predicate:
         evaluation compile: atoms (:func:`atom_of`) and and/or over
         them. ``Not`` deliberately does not — mask negation would turn
         undefined-is-False into undefined-is-True. Callers fall back to
-        :meth:`compile_batch` on a ``None``.
+        :meth:`select`, the row loop over :meth:`eval`, on a ``None``.
         """
         return _atom_mask(atom_of(self))
 
@@ -523,13 +478,15 @@ class Predicate:
         return f"<Pred {self.to_source()}>"
 
 
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+#: The one comparator table: the row evaluator, the python mask kernels
+#: and the SQL compiler's constant folding all read it.
+_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -566,24 +523,6 @@ class Comparison(Predicate):
 
     def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Comparison":
         return Comparison(self.op, fn(self.left), fn(self.right))
-
-    def compile_batch(self) -> BatchPredicate:
-        op = _COMPARATORS[self.op]
-        left = _batch_getter(self.left)
-        right = _batch_getter(self.right)
-
-        def run(pairs: list) -> list:
-            out = []
-            for key, value in pairs:
-                try:
-                    out.append(bool(op(left(key, value), right(key, value))))
-                except _Undefined:
-                    out.append(False)
-                except TypeError:
-                    out.append(False)
-            return out
-
-        return run
 
     def attrs(self) -> set[str]:
         return self.left.attrs() | self.right.attrs()
@@ -622,27 +561,6 @@ class Membership(Predicate):
 
     def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Membership":
         return Membership(fn(self.item), fn(self.collection), self.negated)
-
-    def compile_batch(self) -> BatchPredicate:
-        item = _batch_getter(self.item)
-        collection = _batch_getter(self.collection)
-        negated = self.negated
-
-        def run(pairs: list) -> list:
-            out = []
-            for key, value in pairs:
-                try:
-                    hit = item(key, value) in collection(key, value)
-                except _Undefined:
-                    out.append(False)
-                    continue
-                except TypeError:
-                    out.append(False)
-                    continue
-                out.append((not hit) if negated else hit)
-            return out
-
-        return run
 
     def compile_columnar(self) -> "ColumnarPredicate | None":
         # ``not in`` is no atom, but it keeps a mask of its own: negating
@@ -687,30 +605,6 @@ class Between(Predicate):
 
     def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Between":
         return Between(fn(self.item), fn(self.lo), fn(self.hi))
-
-    def compile_batch(self) -> BatchPredicate:
-        item = _batch_getter(self.item)
-        lo = _batch_getter(self.lo)
-        hi = _batch_getter(self.hi)
-
-        def run(pairs: list) -> list:
-            out = []
-            for key, value in pairs:
-                try:
-                    out.append(
-                        bool(
-                            lo(key, value)
-                            <= item(key, value)
-                            <= hi(key, value)
-                        )
-                    )
-                except _Undefined:
-                    out.append(False)
-                except TypeError:
-                    out.append(False)
-            return out
-
-        return run
 
     def attrs(self) -> set[str]:
         return self.item.attrs() | self.lo.attrs() | self.hi.attrs()
@@ -786,25 +680,6 @@ class And(_Junction):
                 return False
         return True
 
-    def compile_batch(self) -> BatchPredicate:
-        compiled = [p.compile_batch() for p in self.parts]
-
-        def run(pairs: list) -> list:
-            result = [False] * len(pairs)
-            live = list(range(len(pairs)))
-            current = list(pairs)
-            for part in compiled:
-                if not live:
-                    return result
-                mask = part(current)
-                current = [p for p, ok in zip(current, mask) if ok]
-                live = [i for i, ok in zip(live, mask) if ok]
-            for i in live:
-                result[i] = True
-            return result
-
-        return run
-
     def compile_columnar(self) -> "ColumnarPredicate | None":
         compiled = [p.compile_columnar() for p in self.parts]
         if not compiled or any(c is None for c in compiled):
@@ -832,29 +707,6 @@ class Or(_Junction):
             except _Undefined:
                 continue
         return False
-
-    def compile_batch(self) -> BatchPredicate:
-        compiled = [p.compile_batch() for p in self.parts]
-
-        def run(pairs: list) -> list:
-            result = [False] * len(pairs)
-            live = list(range(len(pairs)))
-            current = list(pairs)
-            for part in compiled:
-                if not live:
-                    return result
-                mask = part(current)
-                next_pairs, next_live = [], []
-                for p, i, ok in zip(current, live, mask):
-                    if ok:
-                        result[i] = True
-                    else:
-                        next_pairs.append(p)
-                        next_live.append(i)
-                current, live = next_pairs, next_live
-            return result
-
-        return run
 
     def compile_columnar(self) -> "ColumnarPredicate | None":
         compiled = [p.compile_columnar() for p in self.parts]
@@ -907,9 +759,6 @@ class TruePredicate(Predicate):
     def eval(self, ctx: EvalContext) -> bool:
         return True
 
-    def compile_batch(self) -> BatchPredicate:
-        return lambda pairs: [True] * len(pairs)
-
     def compile_columnar(self) -> "ColumnarPredicate | None":
         return lambda batch: [True] * len(batch)
 
@@ -920,9 +769,6 @@ class TruePredicate(Predicate):
 class FalsePredicate(Predicate):
     def eval(self, ctx: EvalContext) -> bool:
         return False
-
-    def compile_batch(self) -> BatchPredicate:
-        return lambda pairs: [False] * len(pairs)
 
     def compile_columnar(self) -> "ColumnarPredicate | None":
         return lambda batch: [False] * len(batch)
@@ -947,14 +793,6 @@ class OpaquePredicate(Predicate):
 
     def eval(self, ctx: EvalContext) -> bool:
         return bool(self.fn(Entry(ctx.key, ctx.subject)))
-
-    def compile_batch(self) -> BatchPredicate:
-        fn = self.fn
-
-        def run(pairs: list) -> list:
-            return [bool(fn(Entry(key, value))) for key, value in pairs]
-
-        return run
 
     def to_source(self) -> str:
         return f"<python {self.description}>"

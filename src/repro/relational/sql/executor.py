@@ -265,7 +265,11 @@ class SQLExecutor:
 
         rows = scope.rows
         if stmt.where is not None:
-            rows = self._where_rows(rows, stmt.where, params, scope)
+            rows = [
+                env
+                for env in rows
+                if sql_truthy(self._eval(stmt.where, env, params, scope))
+            ]
 
         has_aggs = any(
             self._contains_aggregate(item.expr) for item in stmt.items
@@ -449,87 +453,6 @@ class SQLExecutor:
             return tuple(parts)
 
         return sorted(produced, key=sort_key)
-
-    # -- batched WHERE (the executor-layer seam) -----------------------------------
-
-    def _where_rows(
-        self, rows: list[dict], where: Any, params: tuple, scope: _Scope
-    ) -> list[dict]:
-        """Filter the working set, compiling the predicate once.
-
-        In batch mode (``REPRO_EXEC`` unset or ``batch``) simple
-        comparison/AND/OR shapes compile into a closure with column
-        references resolved up front, so the AST is not re-dispatched per
-        row; anything else — and naive mode — takes the interpreting
-        path. NOT is deliberately not compiled: truthiness does not
-        compose through three-valued negation.
-        """
-        from repro.exec import exec_mode
-
-        if exec_mode() == "batch":
-            compiled = self._compile_row_pred(where, params, scope)
-            if compiled is not None:
-                return [env for env in rows if compiled(env)]
-        return [
-            env
-            for env in rows
-            if sql_truthy(self._eval(where, env, params, scope))
-        ]
-
-    def _compile_row_pred(
-        self, expr: Any, params: tuple, scope: _Scope
-    ) -> Any:
-        """``env -> bool`` for simple WHERE shapes, else ``None``."""
-        if isinstance(expr, Logic):
-            parts = [
-                self._compile_row_pred(p, params, scope) for p in expr.parts
-            ]
-            if any(p is None for p in parts):
-                return None
-            if expr.op == "and":
-                return lambda env: all(p(env) for p in parts)
-            return lambda env: any(p(env) for p in parts)
-        if isinstance(expr, Cmp):
-            left = self._compile_operand(expr.left, params, scope)
-            right = self._compile_operand(expr.right, params, scope)
-            if left is None or right is None:
-                return None
-            op = expr.op
-            return lambda env: sql_truthy(
-                sql_compare(op, left(env), right(env))
-            )
-        return None
-
-    def _compile_operand(
-        self, expr: Any, params: tuple, scope: _Scope
-    ) -> Any:
-        if isinstance(expr, Lit):
-            value = expr.value
-            return lambda env: value
-        if isinstance(expr, Param):
-            index = expr.index
-
-            def get_param(env: dict) -> Any:
-                # raise at evaluation time, like the interpreting path —
-                # an empty row set must not surface a parameter error
-                try:
-                    value = params[index]
-                except IndexError:
-                    raise SQLExecutionError(
-                        f"missing parameter #{index + 1}"
-                    ) from None
-                return NULL if value is None else value
-
-            return get_param
-        if isinstance(expr, Col):
-            try:
-                key = scope.resolve(expr)  # resolved once, not per row
-            except SQLExecutionError:
-                # unresolvable column: take the interpreting path, which
-                # only raises per row (and not at all on empty row sets)
-                return None
-            return lambda env: env.get(key, NULL)
-        return None
 
     # -- expression evaluation -----------------------------------------------------
 

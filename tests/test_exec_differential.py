@@ -24,7 +24,9 @@ from repro.exec import (
     pipeline_for,
     set_exec_mode,
     using_exec_mode,
+    using_kernel_backend,
 )
+from repro.exec.kernels import HAVE_NUMPY
 from repro.fql import Avg, Count, Max, Min, Sum
 from repro.optimizer import optimize
 from repro.predicates.operators import gt
@@ -468,6 +470,65 @@ def test_stored_optimized_index_lookup(stored_db):
     assert naive == batch
 
 
+def _outcome(build, mode):
+    """``("rows", keys, items)``, or ``("raises", type)`` when
+    enumerating the built function raises."""
+    with using_exec_mode(mode):
+        try:
+            fn = build()
+            keys = list(fn.keys())
+            items = [(k, dict(v.items())) for k, v in fn.items()]
+        except Exception as exc:
+            return ("raises", type(exc))
+    return ("rows", keys, items)
+
+
+@pytest.mark.parametrize("source", [
+    "(name + 1) > 3",
+    "(name + 1) in [1]",
+    "(name + 1) between 1 and 2",
+    "(name + 1) > 3 or age > 40",
+])
+@pytest.mark.parametrize("input_shape", ["column_image", "entry_list"])
+def test_an_operand_error_is_an_error_in_both_modes(
+    stored_db, source, input_shape
+):
+    # the operands raise TypeError before any comparison runs: the
+    # batched row loop must raise it too, never turn it into "no row"
+    def build():
+        rows = stored_db.customers
+        if input_shape == "entry_list":
+            rows = fql.extend(rows, decade="age - age % 10")
+        return fql.filter(rows, source)
+
+    naive = _outcome(build, "naive")
+    assert naive == ("raises", TypeError)
+    assert _outcome(build, "batch") == naive
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="image sort needs numpy")
+def test_keys_of_ordered_column_batches_build_no_rows(monkeypatch):
+    # the order node sorts the image's columns (numpy kernels only) and
+    # yields column batches; their keys need no row tuples
+    from repro.fdm.tuples import RowTuple
+
+    db = connect("keys-without-rows", default=False)
+    db["people"] = {i: {"age": (i * 7919) % 2000} for i in range(2000)}
+    built = []
+    init = RowTuple.__init__
+
+    def counting_init(self, data, name):
+        built.append(1)
+        init(self, data, name)
+
+    monkeypatch.setattr(RowTuple, "__init__", counting_init)
+    with using_exec_mode("batch"), using_kernel_backend("numpy"):
+        keys = list(fql.order_by(db.people, "age").keys())
+    assert keys == sorted(range(2000), key=lambda i: (i * 7919) % 2000)
+    assert built == []
+    db.close()
+
+
 # -- fused physical operator ---------------------------------------------------
 
 
@@ -578,8 +639,8 @@ def test_join_with_non_enumerable_key_atom(customers):
 
 
 def test_sql_where_parity_on_empty_tables():
-    """Compiled WHERE must not surface errors the interpreting path
-    defers: unknown columns and missing params on empty row sets."""
+    """WHERE must not surface per-row errors on empty row sets:
+    unknown columns and missing params, in either executor mode."""
     from repro.relational import SQLDatabase
 
     results = {}
