@@ -426,8 +426,8 @@ class RemoteDatabase:
         self, fingerprint: str | None = None
     ) -> dict[str, Any]:
         """The server's workload profile (WORKLOAD verb): one row per
-        query-class fingerprint with calls, rows, p50/p95 latency, and
-        the current plan hash, plus recent plan-change events. Pass a
+        query-class fingerprint with calls, rows, p50/p95 latency, the
+        current plan hash and the class's cost row. Pass a
         *fingerprint* to also get its last-good vs current plan diff."""
         payload: dict[str, Any] = {"verb": "workload"}
         if fingerprint is not None:

@@ -102,24 +102,6 @@ def _number(
 
 _TRACE_WORDS = ("off", "on", "false", "no", "none", "true", "yes")
 
-#: Sampling interval of the workload profiler when REPRO_PROFILE is unset.
-DEFAULT_PROFILE_INTERVAL = 16
-
-
-def _profile_interval(raw: str) -> int:
-    word = raw.lower()
-    if word in ("", "default"):
-        return DEFAULT_PROFILE_INTERVAL
-    if word in ("off", "none", "false"):
-        return 0
-    if word in ("on", "all", "true"):
-        return 1
-    try:
-        return max(0, int(word))
-    except ValueError:
-        return DEFAULT_PROFILE_INTERVAL
-
-
 _budget = _number(float, accept=lambda value: value > 0)
 
 #: Physical execution: ``batch`` (default) or the per-key ``naive`` oracle.
@@ -131,8 +113,6 @@ OFFLOAD = _mode(
     force=("on", "always"),
     off=("0", "never", "disabled"),
 )
-#: Rows above which ``auto`` offload considers a scan worthwhile.
-OFFLOAD_MIN_ROWS = Switch("REPRO_OFFLOAD_MIN_ROWS", _number(int, 100000))
 #: Incremental view maintenance: ``on`` or the diff-based ``off``.
 IVM = _mode("REPRO_IVM", "on", off=("0", "diff", "naive"))
 #: Columnar kernel backend: ``numpy`` (when importable) or ``python``.
@@ -147,8 +127,6 @@ TRACE = Switch(
     lambda raw: raw.lower() or "off",
     lambda word: word in _TRACE_WORDS or _number(float)(word) is not None,
 )
-#: Workload profiler sampling: ``off``, ``on``, or every Nth enumeration.
-PROFILE = Switch("REPRO_PROFILE", _profile_interval)
 #: Slow-query capture threshold for new engines, in milliseconds.
 SLOW_MS = Switch(
     "REPRO_SLOW_MS", _number(float, accept=lambda value: value >= 0)

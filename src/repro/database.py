@@ -575,21 +575,21 @@ class FunctionalDatabase(DatabaseFunction):
 
     def workload_profile(self) -> dict[str, dict[str, Any]]:
         """The workload profile: one dict per query-class fingerprint
-        (calls, rows, p50/p95 latency, executor mode, current plan
-        hash, plan-change and regression counters), keyed by
-        fingerprint. Sampling is governed by ``REPRO_PROFILE``; the
+        (calls, rows, p50/p95 latency, current plan hash, plan-change
+        and regression counters, and the class's cost row), keyed by
+        fingerprint. Every finished query folds into its class; the
         WORKLOAD verb serves the same rows remotely."""
-        from repro.obs.workload import workload_for
+        from repro.obs.resources import resources_for
 
-        return workload_for(self._engine).snapshot()
+        return resources_for(self._engine).classes()
 
     def plan_diff(self, fingerprint: str) -> dict[str, Any] | None:
         """Last-good vs current physical plan for one query class, or
         ``None`` for an unknown fingerprint — the evidence trail behind
         a ``plan_change`` event (docs/operations.md has the recipe)."""
-        from repro.obs.workload import workload_for
+        from repro.obs.resources import resources_for
 
-        return workload_for(self._engine).plan_diff(fingerprint)
+        return resources_for(self._engine).plan_diff(fingerprint)
 
     def health(self) -> dict[str, Any]:
         """The cluster-health snapshot the HEALTH verb serves: role,

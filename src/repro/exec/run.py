@@ -13,8 +13,8 @@ Planning is guarded against re-entrancy: optimizer rules may sample a
 subexpression's data while the same fingerprint is being planned, in
 which case the inner enumeration simply runs naive.
 
-An enumeration somebody is watching (the resource meter, the workload
-profiler, slow-query capture, a trace) passes through exactly one
+An enumeration somebody is watching (its own resource meter,
+slow-query capture, a trace) passes through exactly one
 generator, :func:`_enumerate`, under one
 :class:`~repro.obs.context.QueryContext`; one nobody watches gets the
 pipeline's own stream.
@@ -152,10 +152,10 @@ def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
             _planning.inflight.discard(key)
         cache.put(key, pipeline if pipeline is not None else _NAIVE)
         if pipeline is not None:
-            # plan-cache miss is the workload profiler's registration
+            # plan-cache miss is the query class's plan registration
             # point: a fingerprint re-lowering to a different plan is
             # detected here, deterministically, off the enumeration
-            # hot path (note_planned no-ops under REPRO_PROFILE=off)
+            # hot path
             from repro.obs.workload import note_planned
 
             note_planned(pipeline)

@@ -16,10 +16,11 @@ own:
 * :mod:`repro.obs.slowlog` — a bounded ring of slow-query captures
   (``REPRO_SLOW_MS``, ``db.set_slow_query_threshold``) carrying the
   per-node ``analyze()`` stats of the offending run;
-* :mod:`repro.obs.workload` — the workload profiler: every executed
+* :mod:`repro.obs.workload` — the workload profile: every executed
   query normalized to a stable fingerprint (literals parameterized,
-  graph shape canonical) with per-class latency histograms and a
-  plan-regression detector (``REPRO_PROFILE``, the WORKLOAD verb);
+  graph shape canonical), one class record per fingerprint with its
+  plan, latency histogram and cost, and a plan-regression detector
+  (the WORKLOAD verb);
 * :mod:`repro.obs.events` — the structured lifecycle event log
   (failover, fencing, snapshot sync, shedding, slow queries, plan
   changes) as a bounded ring plus optional JSON-lines file sink
@@ -27,8 +28,10 @@ own:
 * :mod:`repro.obs.health` — the one-dict cluster health snapshot the
   HEALTH verb serves on leaders and replicas alike.
 
-:mod:`repro.obs.resources` holds the per-query cost meters and budgets,
-and :mod:`repro.obs.instrument` the per-node shims and the fresh
+:mod:`repro.obs.resources` holds the per-query cost meters, their
+budgets and the per-engine accounting they fold into (which owns the
+query-class table), and :mod:`repro.obs.instrument` the per-node
+shims and the fresh
 instrumented plan copy ``analyze()`` and an observed enumeration drain.
 
 See ``docs/observability.md`` for the operator-facing guide.
@@ -66,16 +69,7 @@ from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog, slowlog_for
 from repro.obs.instrument import instrument_pipeline
 from repro.obs.context import QueryContext
 from repro.obs.events import Event, EventLog, emit, events_for
-from repro.obs.workload import (
-    QueryClass,
-    WorkloadProfile,
-    fingerprint_of,
-    plan_hash_of,
-    profile_interval,
-    set_profile_mode,
-    using_profile_mode,
-    workload_for,
-)
+from repro.obs.workload import QueryClass, fingerprint_of, plan_hash_of
 from repro.obs.health import health_snapshot
 
 __all__ = [
@@ -113,12 +107,7 @@ __all__ = [
     "emit",
     "events_for",
     "QueryClass",
-    "WorkloadProfile",
     "fingerprint_of",
     "plan_hash_of",
-    "profile_interval",
-    "set_profile_mode",
-    "using_profile_mode",
-    "workload_for",
     "health_snapshot",
 ]

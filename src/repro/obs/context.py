@@ -12,7 +12,8 @@ pipeline, takes the run's one measurement and
 **The nesting rule.** An enumeration routed while another one's context
 is installed on this thread (a join's build side, a set-operation
 probe) is inner work of that query: the executor hooks feed the outer
-meter, and it gets no timer, sample, slow-log entry or span of its own.
+meter, and it gets no timer, class call, slow-log entry or span of its
+own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.obs import trace
 from repro.obs.events import emit
 from repro.obs.instrument import fresh_instrumented, tree_stats, walk
 from repro.obs.slowlog import SlowQueryEntry, any_active, slowlog_for
-from repro.obs.workload import info_of, sampled_profile
+from repro.obs.workload import info_of
 
 __all__ = ["QueryContext"]
 
@@ -50,8 +51,6 @@ class QueryContext:
         "pipeline",
         "owns_meter",
         "budgeted",
-        "info",
-        "profile",
         "slowlog",
         "traced",
         "plan",
@@ -65,7 +64,7 @@ class QueryContext:
         #: The cached plan being enumerated; ``None`` for a server verb.
         self.pipeline = pipeline
         self.owns_meter = self.budgeted = self.traced = False
-        self.info = self.profile = self.slowlog = None
+        self.slowlog = None
 
     @classmethod
     def watching(cls, pipeline: Any) -> "QueryContext | None":
@@ -87,28 +86,17 @@ class QueryContext:
             log = slowlog_for(engine)
             if log.should_capture():
                 self.slowlog = log
-        # a traced or slow-logged run is shimmed and timed anyway: it
-        # is profiled without waiting for the sampling gate
-        self.profile = sampled_profile(
-            engine, always=self.traced or self.slowlog is not None
-        )
         meter = self.meter
-        stamp = meter.fingerprint is None
-        if stamp or self.profile is not None:
+        if meter.fingerprint is None:
             try:  # class labels must never break the query they label
-                self.info = info_of(pipeline)
+                info = info_of(pipeline)
             except Exception:
-                self.profile, stamp = None, False
-            if stamp:  # cost and latency join on one key
-                meter.fingerprint = self.info[0]
+                pass
+            else:  # the meter folds into its fingerprint's class
+                meter.fingerprint = info[0]
                 if meter.query is None:
-                    meter.query = self.info[1]
-        if (
-            self.owns_meter
-            or self.traced
-            or self.slowlog is not None
-            or self.profile is not None
-        ):
+                    meter.query = info[1]
+        if self.owns_meter or self.traced or self.slowlog is not None:
             return self
         return None
 
@@ -195,8 +183,6 @@ class QueryContext:
                     rows=rows,
                     trace_id=trace_id,
                 )
-            if self.profile is not None:
-                self.profile.record(*self.info, wall_ns, rows)
         finally:
             if self.owns_meter:
                 if not self.budgeted:  # a budgeted meter counted live

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from bisect import bisect_left
 from typing import Any, Callable, Iterator
 
 from repro._util import attached
@@ -177,11 +178,8 @@ class Histogram:
         """Record one measurement, in seconds."""
         self.sum += seconds
         self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if seconds <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bucket whose bound is >= seconds; past them all, +Inf
+        self.counts[bisect_left(self.bounds, seconds)] += 1
 
     def percentile(self, q: float) -> float:
         """Estimated value at quantile *q* in ``[0, 1]`` (0.0 if empty)."""

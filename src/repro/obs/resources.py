@@ -12,11 +12,13 @@ is the rollup of its queries' meters.
 
 Finished meters aggregate three ways in the per-engine
 :class:`ResourceAccounting` (``resources_for(engine)``): per *active*
-query (live, inspectable mid-flight), per session, and per workload
-fingerprint (the same token :mod:`repro.obs.workload` profiles latency
-under, so cost and latency join on one key). The rollup is served by
-``db.stats()["resources"]``, the Prometheus page, the ``TOP`` server
-verb, and ``tools/repro_top.py``.
+query (live, inspectable mid-flight), per session, and per query
+class — the fingerprint's :class:`~repro.obs.workload.QueryClass`,
+which also holds the class's plan and latency, so the workload
+profile and the cost rollup are one record. The rollup is served by
+``db.stats()["resources"]``, ``db.workload_profile()``, the
+Prometheus page, the ``TOP`` and ``WORKLOAD`` server verbs, and
+``tools/repro_top.py``.
 
 On top of the meters sit *budgets*: ``REPRO_MAX_ROWS_SCANNED``,
 ``REPRO_MAX_RESULT_ROWS`` and ``REPRO_QUERY_DEADLINE_MS`` (overridable
@@ -41,6 +43,8 @@ from repro._util import attached
 from repro.config import MAX_RESULT_ROWS, MAX_ROWS_SCANNED, QUERY_DEADLINE_MS
 from repro.errors import ResourceExhaustedError
 from repro.obs.context import QueryContext, _local
+from repro.obs.events import emit
+from repro.obs.workload import QueryClass
 
 __all__ = [
     "ResourceMeter",
@@ -202,8 +206,6 @@ class ResourceMeter:
         Never swallows: always raises
         :class:`~repro.errors.ResourceExhaustedError`.
         """
-        from repro.obs.events import emit
-
         self.killed = reason
         snap = self.snapshot()
         emit(self.engine, "query_killed", reason=reason, meter=snap)
@@ -230,13 +232,30 @@ class ResourceMeter:
         return snap
 
 
+#: The ledger fields a rollup sums (the peak is kept as a max).
+_SUMMED = tuple(f for f in ResourceMeter.FIELDS if f != "peak_batch_bytes")
+
+
 def _add(row: dict, meter: ResourceMeter) -> None:
     """Fold *meter* into a rollup row: sums, and the peak as a max."""
-    for field in ResourceMeter.FIELDS:
-        if field == "peak_batch_bytes":
-            row[field] = max(row[field], meter.peak_batch_bytes)
-        else:
-            row[field] += getattr(meter, field)
+    for field in _SUMMED:
+        row[field] += getattr(meter, field)
+    if meter.peak_batch_bytes > row["peak_batch_bytes"]:
+        row["peak_batch_bytes"] = meter.peak_batch_bytes
+
+
+def _count(row: dict, meter: ResourceMeter) -> None:
+    """Fold *meter* into a session or class row, which also counts
+    queries and kills."""
+    _add(row, meter)
+    row["queries"] += 1
+    if meter.killed is not None:
+        row["killed"] += 1
+
+
+def _row() -> dict:
+    """An empty session or class row."""
+    return dict.fromkeys((*ResourceMeter.FIELDS, "queries", "killed"), 0)
 
 
 #: Every live accounting, so :func:`reset_resources` zeroes them all.
@@ -246,24 +265,32 @@ _instances: "weakref.WeakSet[ResourceAccounting]" = weakref.WeakSet()
 class ResourceAccounting:
     """Per-engine rollup of finished meters plus the live-query registry.
 
-    Three aggregations, all bounded: cumulative totals, per-session
-    rows (newest 64 sessions kept), and per-workload-fingerprint rows
-    (top 256 by rows scanned kept — eviction drops the *cheapest*
-    fingerprint, so the top-consumer view survives churn). ``_active``
-    holds in-flight meters so ``TOP`` can inspect queries mid-flight.
+    Three aggregations under one lock, all bounded: cumulative totals,
+    per-session rows (newest 64 sessions kept), and the engine's query
+    classes, one :class:`~repro.obs.workload.QueryClass` per
+    fingerprint holding its plan facts, latency and cost. A new class
+    beyond :attr:`MAX_FINGERPRINTS` first evicts the one with the
+    fewest calls (ties: fewest rows scanned), so an adversarial stream
+    of unique shapes cannot grow the table and the top consumers
+    survive churn. ``_active`` holds in-flight meters so ``TOP`` can
+    inspect queries mid-flight.
     """
 
     MAX_SESSIONS = 64
-    MAX_FINGERPRINTS = 256
+    MAX_FINGERPRINTS = 512
+    #: Recent-window p95 beyond ``factor * baseline`` flags a latency
+    #: regression for the class.
+    regression_factor = 3.0
 
-    def __init__(self) -> None:
+    def __init__(self, engine: Any = None) -> None:
         self._lock = threading.Lock()
+        self.engine = engine  # where the class events go
         self.queries = 0
         self.killed = 0
         self.totals = {field: 0 for field in ResourceMeter.FIELDS}
         self._active: dict[int, ResourceMeter] = {}
         self._sessions: dict[str, dict] = {}
-        self._fingerprints: dict[str, dict] = {}
+        self._classes: dict[str, QueryClass] = {}
         _instances.add(self)
 
     def begin(self, meter: ResourceMeter) -> None:
@@ -272,7 +299,15 @@ class ResourceAccounting:
             self._active[id(meter)] = meter
 
     def finish(self, meter: ResourceMeter) -> None:
-        """Deregister a finished meter and fold it into the rollups."""
+        """Deregister a finished meter and fold it into the rollups.
+
+        A fingerprinted meter folds its cost, its result rows and its
+        elapsed time since it started into the fingerprint's class: for
+        an embedded query that time is the routed enumeration, for a
+        served one the whole verb.
+        """
+        seconds = (time.perf_counter_ns() - meter.started_ns) / 1e9
+        regressed = None
         with self._lock:
             self._active.pop(id(meter), None)
             self.queries += 1
@@ -280,45 +315,74 @@ class ResourceAccounting:
                 self.killed += 1
             _add(self.totals, meter)
             if meter.session_id is not None:
-                self._fold(
-                    self._sessions, str(meter.session_id), meter,
-                    self.MAX_SESSIONS, evict_oldest=True,
-                )
+                key = str(meter.session_id)
+                row = self._sessions.get(key)
+                if row is None:
+                    if len(self._sessions) >= self.MAX_SESSIONS:
+                        self._sessions.pop(next(iter(self._sessions)))
+                    row = self._sessions[key] = _row()
+                _count(row, meter)
             if meter.fingerprint is not None:
-                self._fold(
-                    self._fingerprints, meter.fingerprint, meter,
-                    self.MAX_FINGERPRINTS, evict_oldest=False,
-                )
+                cls = self._class_for(meter.fingerprint)
+                _count(cls.cost, meter)
+                regressed = cls.observe(seconds, self.regression_factor)
+        if regressed is not None:
+            emit(
+                self.engine,
+                "latency_regression",
+                fingerprint=cls.fingerprint,
+                shape=cls.shape,
+                baseline_p95_ms=regressed[0] * 1e3,
+                recent_p95_ms=regressed[1] * 1e3,
+            )
 
-    def _fold(
-        self,
-        table: dict[str, dict],
-        key: str,
-        meter: ResourceMeter,
-        bound: int,
-        evict_oldest: bool,
+    def _class_for(self, fingerprint: str) -> QueryClass:
+        cls = self._classes.get(fingerprint)
+        if cls is None:
+            # evict before inserting: the newcomer has no calls yet and
+            # would always be the coldest
+            if len(self._classes) >= self.MAX_FINGERPRINTS:
+                coldest = min(
+                    self._classes.values(),
+                    key=lambda c: (c.cost["queries"], c.cost["rows_scanned"]),
+                )
+                del self._classes[coldest.fingerprint]
+            cls = self._classes[fingerprint] = QueryClass(fingerprint, _row())
+        return cls
+
+    def observe_plan(
+        self, fingerprint: str, shape: str, plan_hash: str, plan_text: str
     ) -> None:
-        row = table.get(key)
-        if row is None:
-            if len(table) >= bound:
-                if evict_oldest:
-                    table.pop(next(iter(table)))
-                else:
-                    cheapest = min(
-                        table, key=lambda k: table[k]["rows_scanned"]
-                    )
-                    table.pop(cheapest)
-            row = {field: 0 for field in ResourceMeter.FIELDS}
-            row["queries"] = 0
-            row["killed"] = 0
-            table[key] = row
-        _add(row, meter)
-        row["queries"] += 1
-        if meter.killed is not None:
-            row["killed"] += 1
+        """Register the plan a fingerprint lowered to, emitting one
+        ``plan_change`` event when the hash on record moved."""
+        with self._lock:
+            cls = self._class_for(fingerprint)
+            if not cls.observe_plan(shape, plan_hash, plan_text):
+                return
+            last_good, shape = cls.last_good_hash, cls.shape
+        emit(
+            self.engine,
+            "plan_change",
+            fingerprint=fingerprint,
+            shape=shape,
+            last_good_hash=last_good,
+            plan_hash=plan_hash,
+        )
+
+    def classes(self) -> dict[str, dict]:
+        """Every query class as plain data, keyed by fingerprint."""
+        with self._lock:
+            return {fp: c.to_dict() for fp, c in self._classes.items()}
+
+    def plan_diff(self, fingerprint: str) -> dict[str, Any] | None:
+        """Last-good vs current plan for one class, or ``None``."""
+        with self._lock:
+            cls = self._classes.get(fingerprint)
+            return None if cls is None else cls.plan_diff()
 
     def snapshot(self, active_limit: int = 32) -> dict:
-        """The full rollup: totals, live queries, sessions, fingerprints."""
+        """The full rollup: totals, live queries, sessions, classes."""
+        fingerprints = self.classes()
         with self._lock:
             active = [
                 m.snapshot()
@@ -330,18 +394,16 @@ class ResourceAccounting:
                 "totals": dict(self.totals),
                 "active": active,
                 "sessions": {k: dict(v) for k, v in self._sessions.items()},
-                "fingerprints": {
-                    k: dict(v) for k, v in self._fingerprints.items()
-                },
+                "fingerprints": fingerprints,
             }
 
     def top_consumer(self) -> str | None:
         """The fingerprint with the most rows scanned (live + finished)."""
         with self._lock:
             best, best_rows = None, -1
-            for fp, row in self._fingerprints.items():
-                if row["rows_scanned"] > best_rows:
-                    best, best_rows = fp, row["rows_scanned"]
+            for fp, cls in self._classes.items():
+                if cls.cost["rows_scanned"] > best_rows:
+                    best, best_rows = fp, cls.cost["rows_scanned"]
             for meter in self._active.values():
                 if (
                     meter.fingerprint is not None
@@ -357,7 +419,7 @@ class ResourceAccounting:
             self.killed = 0
             self.totals = {field: 0 for field in ResourceMeter.FIELDS}
             self._sessions.clear()
-            self._fingerprints.clear()
+            self._classes.clear()
 
 
 #: Rollup for queries whose graph resolves to no storage engine.
@@ -367,7 +429,10 @@ _DEFAULT = ResourceAccounting()
 def resources_for(engine: Any) -> ResourceAccounting:
     """The lazily-attached per-engine accounting (``None`` → shared default)."""
     return attached(
-        engine, "resource_accounting", ResourceAccounting, _DEFAULT
+        engine,
+        "resource_accounting",
+        lambda: ResourceAccounting(engine),
+        _DEFAULT,
     )
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping
 
 from repro._util import normalize_key
-from repro.config import OFFLOAD_MIN_ROWS
 from repro.errors import OperatorError, UndefinedInputError
 from repro.fdm.domains import Domain, PredicateDomain
 from repro.fdm.entry import Entry
@@ -37,6 +36,7 @@ __all__ = [
     "IndexLookupFunction",
     "KeyLookupFunction",
     "FusedGroupAggregateFunction",
+    "OFFLOAD_MIN_ROWS",
     "offload_worthwhile",
 ]
 
@@ -331,6 +331,11 @@ class FusedGroupAggregateFunction(DerivedFunction):
     to_rows = RelationFunction.to_rows
 
 
+#: Estimated scan rows below which ``auto`` offload keeps a query on the
+#: batched executor.
+OFFLOAD_MIN_ROWS = 100_000
+
+
 def offload_worthwhile(relation: Any) -> tuple[bool, str]:
     """The cost model's auto-mode verdict for one SQL-offloadable scan.
 
@@ -344,11 +349,10 @@ def offload_worthwhile(relation: Any) -> tuple[bool, str]:
     queries run inside the SQL engine, outside the batched executor's
     row-level instrumentation (resource meters, zone-map telemetry,
     per-row budget checks), so auto mode only claims scans big enough
-    that the trade is clearly worth it. ``REPRO_OFFLOAD_MIN_ROWS``
-    tunes the crossover (default 100000 rows); ``REPRO_OFFLOAD=force``
-    bypasses the verdict entirely.
+    that the trade is clearly worth it: :data:`OFFLOAD_MIN_ROWS`.
+    ``REPRO_OFFLOAD=force`` bypasses the verdict entirely.
     """
     rows = getattr(relation.statistics(), "row_count", 0)
-    if rows < OFFLOAD_MIN_ROWS.get():
+    if rows < OFFLOAD_MIN_ROWS:
         return False, "small_table"
     return True, "ok"

@@ -609,22 +609,24 @@ class Session:
 
     def _verb_workload(self, request: dict[str, Any]) -> dict[str, Any]:
         """WORKLOAD: the workload profile — one row per query-class
-        fingerprint (calls, rows, p50/p95 latency, executor mode,
-        current plan hash, plan-change and regression counters). With a
+        fingerprint (calls, rows, p50/p95 latency, current plan hash,
+        plan-change and regression counters, and the class's cost row),
+        the same records TOP serves as ``fingerprints``. With a
         ``fingerprint`` field in the request, the response also carries
         ``diff``: that class's last-good vs current physical plan, the
         evidence trail for diagnosing a plan regression (recipe in
         docs/operations.md)."""
-        from repro.obs.workload import workload_for
+        from repro.obs.resources import resources_for
 
-        profile = workload_for(self.db.engine)
+        accounting = resources_for(self.db.engine)
+        classes = accounting.classes()
         response: dict[str, Any] = {
-            "classes": profile.snapshot(),
-            "tracked": len(profile),
+            "classes": classes,
+            "tracked": len(classes),
         }
         fingerprint = request.get("fingerprint")
         if fingerprint is not None:
-            response["diff"] = profile.plan_diff(str(fingerprint))
+            response["diff"] = accounting.plan_diff(str(fingerprint))
         return response
 
     # -- TOP ---------------------------------------------------------------------
@@ -632,10 +634,10 @@ class Session:
     def _verb_top(self, request: dict[str, Any]) -> dict[str, Any]:
         """TOP: the resource-accounting rollup — cumulative totals,
         queries/killed counts, the meters of queries live right now
-        (inspectable mid-flight), and per-session / per-fingerprint
-        consumption rows. Fingerprints are the workload profiler's
-        tokens, so TOP joins against WORKLOAD's latency rows one to
-        one; ``tools/repro_top.py`` renders both."""
+        (inspectable mid-flight), per-session consumption rows, and
+        ``fingerprints``: the query classes, the same records WORKLOAD
+        serves (cost, latency and plan in one row), which is all
+        ``tools/repro_top.py`` polls for its class table."""
         from repro.obs.resources import resources_for
 
         accounting = resources_for(self.db.engine)

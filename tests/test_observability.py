@@ -471,7 +471,7 @@ class TestSlowQueryCapture:
         """The build and probe sides of a join are inner work of the
         join: one entry, one workload class, both naming the join."""
         from repro.fdm.databases import database
-        from repro.obs.workload import using_profile_mode
+        from repro.obs.resources import reset_resources
 
         db.create_table(
             "tag", {g: {"label": f"g{g}"} for g in range(5)}, key_name="gid"
@@ -485,12 +485,11 @@ class TestSlowQueryCapture:
             ),
             on=[["item.grp", "tag.gid"]],
         )
-        with using_profile_mode("off"):
-            expected = len(dict(joined.items()))  # plans all three
+        expected = len(dict(joined.items()))  # plans all three
         assert expected > 0
+        reset_resources()  # forget the planning run's classes
         db.set_slow_query_threshold(0.0)
-        with using_profile_mode("on"):
-            assert len(dict(joined.items())) == expected
+        assert len(dict(joined.items())) == expected
         (entry,) = db.slow_queries()
         assert "join" in entry.query and entry.rows == expected
         (cls,) = db.workload_profile().values()
@@ -507,17 +506,15 @@ class TestOneQueryOneContext:
     def all_armed(self, db, monkeypatch):
         """Every observer watching every enumeration at once."""
         from repro.obs.resources import reset_resources
-        from repro.obs.workload import using_profile_mode
 
-        with using_profile_mode("off"):
-            flt = fql.filter("v > 100", input=db.item)
-            self.unobserved = dict(flt.items())
+        flt = fql.filter("v > 100", input=db.item)
+        self.unobserved = dict(flt.items())
         monkeypatch.setenv("REPRO_MAX_ROWS_SCANNED", "1000000000")
         monkeypatch.setenv("REPRO_MAX_RESULT_ROWS", "1000000000")
         monkeypatch.setenv("REPRO_QUERY_DEADLINE_MS", "600000")
         reset_resources()
         db.set_slow_query_threshold(0.0)
-        with using_profile_mode("on"), T.start_trace("armed"):
+        with T.start_trace("armed"):
             yield db
 
     def test_all_observers_agree(self, all_armed):

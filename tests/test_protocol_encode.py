@@ -38,7 +38,7 @@ from repro.fdm import FDMFunction
 from repro.fdm.relations import MaterialRelationFunction
 from repro.fdm.tuples import TupleFunction
 from repro.fql.group import GroupedDatabaseFunction
-from repro.obs.workload import using_profile_mode
+from repro.obs.resources import reset_resources
 from repro.partition import hash_partition
 from repro.relational.nulls import is_null
 from repro.server.protocol import decode_value, encode_key, encode_value
@@ -271,11 +271,10 @@ def test_a_truncated_reply_is_one_query(offload):
     db = _open(f"encode-once-{offload}", partitioned=False)
     flt = fql.filter(db.customers, "age > 20")
     with using_exec_mode("batch"), using_offload_mode(offload):
-        with using_profile_mode("off"):
-            encode_value(flt)  # plan it unobserved
+        encode_value(flt)  # plan it
+        reset_resources()  # forget the planning run's class
         db.set_slow_query_threshold(0.0)
-        with using_profile_mode("on"):
-            envelope = encode_value(flt, max_rows=3)
+        envelope = encode_value(flt, max_rows=3)
     assert envelope["truncated"] and len(envelope["rows"]) == 3
     (entry,) = db.slow_queries()
     (cls,) = db.workload_profile().values()
@@ -362,11 +361,9 @@ def test_a_served_aggregate_is_one_profiled_call_of_eight_rows(regions):
                 "input=db('customers'))",
     }
     with using_exec_mode("batch"), using_offload_mode("off"):
-        with using_profile_mode("off"):
-            assert session.handle(dict(request))["ok"]
+        assert session.handle(dict(request))["ok"]
         before = regions.workload_profile()
-        with using_profile_mode("on"):
-            response = session.handle(dict(request))
+        response = session.handle(dict(request))
     assert len(response["result"]["rows"]) == 8
     after = regions.workload_profile()
     ((fp, cls),) = [

@@ -370,9 +370,9 @@ class TestTopVerb:
         row = repro_top.poll_member("127.0.0.1", server.port, top=5)
         assert "resources" in row
         frame = repro_top.render_frame([row], top=5, sort="bytes")
-        assert "RESOURCES (by bytes)" in frame
-        for sort in repro_top.RESOURCE_SORT_KEYS:
-            lines = repro_top.render_resources([row], 5, sort)
+        assert "WORKLOAD (by bytes)" in frame
+        for sort in repro_top.SORT_KEYS:
+            lines = repro_top.render_classes([row], 5, sort)
             assert lines
 
     def test_shed_refusal_names_top_consumer(self, db):

@@ -23,7 +23,7 @@ from zoo import BIG, hostile_rows
 import repro
 from repro.exec import cache_for, using_exec_mode, using_kernel_backend
 from repro.exec.kernels import HAVE_NUMPY
-from repro.obs.workload import fingerprint_of, using_profile_mode, workload_for
+from repro.obs.workload import fingerprint_of
 from repro.partition import hash_partition
 from repro.relational import SQLDatabase
 from repro.relational.nulls import is_null
@@ -334,12 +334,11 @@ FILTER = "filter(db('customers'), 'bucket == $p0', params)"
 
 def test_a_served_select_is_one_workload_class(buckets):
     db, session = buckets
-    profile = workload_for(db.engine)
-    with using_exec_mode("batch"), using_profile_mode("on"):
-        before = len(profile)
+    with using_exec_mode("batch"):
+        before = len(db.workload_profile())
         request = {"verb": "sql", "sql": SELECT, "params": [7]}
         assert session.handle(request)["ok"]
-        assert len(profile) == before + 1
+        assert len(db.workload_profile()) == before + 1
 
 
 def test_the_select_is_the_fql_filter_and_shares_its_plan(buckets):

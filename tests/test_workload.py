@@ -26,15 +26,8 @@ from repro.obs.metrics import (
     escape_label_value,
     metrics_for,
 )
-from repro.obs.workload import (
-    WorkloadProfile,
-    fingerprint_of,
-    normalize_source,
-    plan_hash_of,
-    profile_interval,
-    using_profile_mode,
-    workload_for,
-)
+from repro.obs.resources import ResourceAccounting, ResourceMeter
+from repro.obs.workload import fingerprint_of, normalize_source, plan_hash_of
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -54,15 +47,18 @@ def db():
     db.close()
 
 
-@pytest.fixture
-def profiled(db):
-    """The same database with every enumeration profiled."""
-    with using_profile_mode("on"):
-        yield db
-
-
 def _run(expr):
     return dict(expr.items())
+
+
+def _finish(accounting, fingerprint, wall_ns, rows):
+    """Fold one finished query of *fingerprint* into *accounting*: it
+    returned *rows* rows and its meter started *wall_ns* ago."""
+    meter = ResourceMeter()
+    meter.fingerprint = fingerprint
+    meter.result_rows = rows
+    meter.started_ns = time.perf_counter_ns() - wall_ns
+    accounting.finish(meter)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +120,7 @@ class TestFingerprint:
 
 
 class TestProfileAggregation:
-    def test_profiled_queries_aggregate_by_class(self, profiled):
-        db = profiled
+    def test_profiled_queries_aggregate_by_class(self, db):
         _run(fql.filter("v > 10", input=db.item))
         _run(fql.filter("v > 400", input=db.item))
         _run(fql.filter("grp == 1", input=db.item))
@@ -139,35 +134,44 @@ class TestProfileAggregation:
         assert row["plan_hash"]
         assert len(profile) == 2
 
-    def test_profile_off_records_nothing(self, db):
-        with using_profile_mode("off"):
-            assert profile_interval() == 0
-            _run(fql.filter("v > 10", input=db.item))
-        assert db.workload_profile() == {}
+    def test_workload_and_top_count_every_query(self, db):
+        """WORKLOAD and TOP render one record per class: every finished
+        query folds in, embedded and served alike, so the class's calls
+        and rows are TOP's queries and result rows."""
+        from repro.server.session import Session
 
-    def test_sampling_interval_parses(self):
-        with using_profile_mode("4"):
-            assert profile_interval() == 4
-        with using_profile_mode("on"):
-            assert profile_interval() == 1
-        with using_profile_mode(None):
-            assert profile_interval() > 0  # default sampling stays armed
+        flt = fql.filter("v > 10", input=db.item)
+        session = Session(db, 1)
+        request = {"verb": "fql", "expr": "filter(db('item'), 'v > 10')"}
+        for _ in range(160):
+            expected = _run(flt)
+        for _ in range(160):
+            assert session.handle(dict(request))["ok"]
+        fp = fingerprint_of(flt)
+        workload = session.handle({"verb": "workload"})["result"]
+        top = session.handle({"verb": "top"})["result"]
+        row, cost = workload["classes"][fp], top["fingerprints"][fp]
+        assert (row["calls"], row["rows"]) == (320, 320 * len(expected))
+        assert (cost["queries"], cost["result_rows"]) == (
+            row["calls"],
+            row["rows"],
+        )
 
-    def test_snapshot_rows_are_plain_data(self, profiled):
-        db = profiled
+    def test_snapshot_rows_are_plain_data(self, db):
         _run(fql.filter("v > 10", input=db.item))
         json.dumps(db.workload_profile())  # must not raise
 
     def test_full_profile_admits_a_new_class(self):
         """A full profile evicts its coldest class *before* inserting,
         so a newcomer (0 calls) is not the one dropped."""
-        profile = WorkloadProfile(capacity=3)
+        profile = ResourceAccounting()
+        profile.MAX_FINGERPRINTS = 3
         for fp in ("a", "b", "c"):
             for _ in range(5):
-                profile.record(fp, fp, "h", "plan", 1000, 1)
+                _finish(profile, fp, 1000, 1)
         for _ in range(10):
-            profile.record("new", "new", "h", "plan", 1000, 1)
-        snap = profile.snapshot()
+            _finish(profile, "new", 1000, 1)
+        snap = profile.classes()
         assert len(snap) == 3
         assert snap["new"]["calls"] == 10
 
@@ -178,8 +182,7 @@ class TestProfileAggregation:
 
 
 class TestPlanChange:
-    def test_partitioning_fires_exactly_one_change(self, profiled):
-        db = profiled
+    def test_partitioning_fires_exactly_one_change(self, db):
         flt = fql.filter("v > 10", input=db.item)
         fp = fingerprint_of(flt)
         before = _run(flt)
@@ -206,8 +209,7 @@ class TestPlanChange:
         assert event["last_good_hash"] == old_hash
         assert event["plan_hash"] == row["plan_hash"]
 
-    def test_plan_diff_carries_both_plans(self, profiled):
-        db = profiled
+    def test_plan_diff_carries_both_plans(self, db):
         flt = fql.filter("v > 10", input=db.item)
         fp = fingerprint_of(flt)
         _run(flt)
@@ -227,8 +229,7 @@ class TestPlanChange:
     def test_unknown_fingerprint_diff_is_none(self, db):
         assert db.plan_diff("ffffffffffff") is None
 
-    def test_literal_change_is_not_a_plan_change(self, profiled):
-        db = profiled
+    def test_literal_change_is_not_a_plan_change(self, db):
         _run(fql.filter("v > 10", input=db.item))
         _run(fql.filter("v > 500", input=db.item))
         fp = fingerprint_of(fql.filter("v > 0", input=db.item))
@@ -241,11 +242,10 @@ class TestPlanChange:
         b = plan_hash_of(lower(fql.filter("v > 999", input=db.item)))
         assert a == b
 
-    def test_repartition_fanout_is_a_plan_change(self, profiled):
+    def test_repartition_fanout_is_a_plan_change(self, db):
         """4-way to 2-way: the scan line's partition annotation renders
         identically after literal normalization, but fan-out is
         structure, not a literal — it must fire."""
-        db = profiled
         flt = fql.filter("v > 10", input=db.item)
         fp = fingerprint_of(flt)
         db.partition_table("item", 4)
@@ -261,13 +261,13 @@ class TestPlanChange:
 
 class TestLatencyRegression:
     def test_p95_degradation_fires_once(self):
-        profile = WorkloadProfile()
+        profile = ResourceAccounting()
         fast, slow = int(1e6), int(100e6)  # 1ms baseline, 100ms after
         for _ in range(40):
-            profile.record("fp1", "shape", "h1", "plan", fast, 10)
+            _finish(profile, "fp1", fast, 10)
         for _ in range(40):
-            profile.record("fp1", "shape", "h1", "plan", slow, 10)
-        row = profile.snapshot()["fp1"]
+            _finish(profile, "fp1", slow, 10)
+        row = profile.classes()["fp1"]
         assert row["regressions"] == 1
 
 
@@ -414,20 +414,19 @@ class TestHealth:
                 client.close()
 
     def test_workload_verb_over_the_wire(self, db):
-        with using_profile_mode("on"):
-            flt = fql.filter("v > 10", input=db.item)
-            _run(flt)
-            fp = fingerprint_of(flt)
-            with repro.server.serve(db, port=0) as srv:
-                client = repro.client.RemoteDatabase("127.0.0.1", srv.port)
-                try:
-                    got = client.workload()
-                    assert fp in got["classes"]
-                    assert got["classes"][fp]["calls"] >= 1
-                    diff = client.workload(fingerprint=fp)["diff"]
-                    assert diff["current"]["hash"]
-                finally:
-                    client.close()
+        flt = fql.filter("v > 10", input=db.item)
+        _run(flt)
+        fp = fingerprint_of(flt)
+        with repro.server.serve(db, port=0) as srv:
+            client = repro.client.RemoteDatabase("127.0.0.1", srv.port)
+            try:
+                got = client.workload()
+                assert fp in got["classes"]
+                assert got["classes"][fp]["calls"] >= 1
+                diff = client.workload(fingerprint=fp)["diff"]
+                assert diff["current"]["hash"]
+            finally:
+                client.close()
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +436,7 @@ class TestHealth:
 
 class TestReproTop:
     def test_once_renders_against_live_cluster(self, db):
-        with using_profile_mode("on"):
-            _run(fql.filter("v > 10", input=db.item))
+        _run(fql.filter("v > 10", input=db.item))
         with repro.server.serve(db, port=0) as srv:
             replica = repl.start_replica(port=srv.port, poll_interval=0.05)
             try:
@@ -489,16 +487,14 @@ class TestInertness:
     def test_armed_profiler_does_not_change_results(self, db):
         flt = fql.filter("v > 100", input=db.item)
         plain = _run(flt)
-        with using_profile_mode("on"):
-            assert _run(flt) == plain
+        assert _run(flt) == plain
 
     def test_profiler_composes_with_tracing(self, db):
         from repro.obs import trace as T
 
         flt = fql.filter("v > 100", input=db.item)
-        with using_profile_mode("on"):
-            with T.start_trace("q"):
-                rows = _run(flt)
+        with T.start_trace("q"):
+            rows = _run(flt)
         assert len(rows) == 166
         fp = fingerprint_of(flt)
         assert db.workload_profile()[fp]["calls"] >= 1

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """``repro_top`` — a live terminal view of a repro cluster.
 
-Polls the METRICS, HEALTH, and WORKLOAD verbs across one leader and
-any number of followers and renders a compact dashboard: per-member
-role/epoch/lag, the admission pipeline, the hottest query classes by
-total latency, and the newest lifecycle events. Stdlib only — it runs
-wherever the client library runs.
+Polls the HEALTH and TOP verbs across one leader and any number of
+followers and renders a compact dashboard: per-member
+role/epoch/lag, the admission pipeline, one table of query classes
+(calls, latency and cost from the same per-class record) plus the
+queries live right now, and the newest lifecycle events. Stdlib
+only — it runs wherever the client library runs.
 
 Usage::
 
@@ -46,7 +47,7 @@ def _fmt_age(seconds: float) -> str:
 
 
 def poll_member(host: str, port: int, top: int) -> dict[str, Any]:
-    """One member's HEALTH + WORKLOAD answers (plus error capture).
+    """One member's HEALTH + TOP answers (plus error capture).
 
     A member that refuses the connection still produces a row — an
     operator watching a failover needs to see the dead node, not a
@@ -62,17 +63,9 @@ def poll_member(host: str, port: int, top: int) -> dict[str, Any]:
         return row
     try:
         row["health"] = client.health()
-        row["workload"] = client.workload()
+        row["resources"] = client.top(limit=top)
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    else:
-        # TOP is newer than HEALTH/WORKLOAD: a member that lacks the
-        # verb (older build) stays UP with an empty resources section
-        # instead of being marked DOWN.
-        try:
-            row["resources"] = client.top(limit=top)
-        except Exception:
-            row["resources"] = None
     finally:
         try:
             client.close()
@@ -113,44 +106,14 @@ def render_member(row: dict[str, Any]) -> list[str]:
     return lines
 
 
-def render_workload(rows: list[dict[str, Any]], top: int) -> list[str]:
-    """The hottest query classes across every polled member, merged by
-    fingerprint and ranked by total latency."""
-    merged: dict[str, dict[str, Any]] = {}
-    for row in rows:
-        for fp, cls in (row.get("workload") or {}).get("classes", {}).items():
-            got = merged.get(fp)
-            if got is None or cls["total_ms"] > got["total_ms"]:
-                merged[fp] = cls
-    if not merged:
-        return ["  (no profiled queries yet — is REPRO_PROFILE off?)"]
-    ranked = sorted(
-        merged.values(), key=lambda c: c["total_ms"], reverse=True
-    )[:top]
-    lines = [
-        "  fingerprint   calls    rows      p50       p95   chg  shape"
-    ]
-    for cls in ranked:
-        changes = cls["plan_changes"]
-        marker = f"{changes}!" if changes else "-"
-        shape = cls["shape"].replace("\n", " ")
-        if len(shape) > 48:
-            shape = shape[:45] + "..."
-        lines.append(
-            f"  {cls['fingerprint']}  {cls['calls']:>5}  {cls['rows']:>6}"
-            f"  {_fmt_ms(cls['p50_ms'])} {_fmt_ms(cls['p95_ms'])}"
-            f"  {marker:>3}  {shape}"
-        )
-    return lines
-
-
-#: Column keys accepted by ``--sort`` and their fingerprint-row fields.
-RESOURCE_SORT_KEYS = {
+#: Column keys accepted by ``--sort`` and their class-row fields.
+SORT_KEYS = {
+    "latency": "total_ms",
+    "calls": "calls",
     "rows": "rows_scanned",
     "bytes": "bytes_scanned",
     "result": "result_rows",
     "wal": "wal_bytes",
-    "queries": "queries",
     "killed": "killed",
 }
 
@@ -164,17 +127,16 @@ def _fmt_count(n: float) -> str:
     return f"{int(n)}"
 
 
-def render_resources(
+def render_classes(
     rows: list[dict[str, Any]], top: int, sort: str = "rows"
 ) -> list[str]:
-    """Per-fingerprint resource consumption merged across members.
-
-    Sortable via ``--sort`` (rows scanned by default); live queries
-    are appended so a runaway shows up before it finishes.
-    """
-    field = RESOURCE_SORT_KEYS[sort]
+    """The query classes of every polled member, merged by
+    fingerprint and ranked by the ``--sort`` column (rows scanned by
+    default); live queries are appended so a runaway shows up before
+    it finishes."""
+    field = SORT_KEYS[sort]
     merged: dict[str, dict[str, Any]] = {}
-    active: list[dict[str, Any]] = []
+    active: list[tuple[str, dict[str, Any]]] = []
     killed_total = 0
     for row in rows:
         snap = row.get("resources")
@@ -183,37 +145,40 @@ def render_resources(
         killed_total += snap.get("killed", 0)
         for fp, cls in (snap.get("fingerprints") or {}).items():
             got = merged.get(fp)
-            if got is None or cls.get(field, 0) > got.get(field, 0):
+            if got is None or cls[field] > got[field]:
                 merged[fp] = cls
         for meter in snap.get("active") or []:
             active.append((row["addr"], meter))
     if not merged and not active:
-        return ["  (no metered queries yet)"]
+        return ["  (no queries yet)"]
     ranked = sorted(
-        merged.items(), key=lambda kv: kv[1].get(field, 0), reverse=True
+        merged.values(), key=lambda cls: cls[field], reverse=True
     )[:top]
     lines = [
-        "  fingerprint   queries    rows   bytes  result     wal"
-        "  kern/py  killed"
+        "  fingerprint   calls      p50       p95     rows   bytes"
+        "  kern/py  killed  chg  shape"
     ]
-    for fp, cls in ranked:
+    for cls in ranked:
+        changes = cls["plan_changes"]
+        marker = f"{changes}!" if changes else "-"
+        shape = cls["shape"].replace("\n", " ")
+        if len(shape) > 40:
+            shape = shape[:37] + "..."
         kern = f"{_fmt_count(cls['kernel_batches'])}/" \
                f"{_fmt_count(cls['python_batches'])}"
         lines.append(
-            f"  {fp}  {cls['queries']:>7}  {_fmt_count(cls['rows_scanned']):>6}"
+            f"  {cls['fingerprint']}  {cls['calls']:>5}"
+            f"  {_fmt_ms(cls['p50_ms'])} {_fmt_ms(cls['p95_ms'])}"
+            f"  {_fmt_count(cls['rows_scanned']):>6}"
             f"  {_fmt_count(cls['bytes_scanned']):>6}"
-            f"  {_fmt_count(cls['result_rows']):>6}"
-            f"  {_fmt_count(cls['wal_bytes']):>6}"
-            f"  {kern:>7}  {cls['killed']:>6}"
+            f"  {kern:>7}  {cls['killed']:>6}  {marker:>3}  {shape}"
         )
     for addr, meter in active[:top]:
         fp = meter.get("fingerprint") or "(in flight)"
         lines.append(
-            f"  {fp:<12}  LIVE     {_fmt_count(meter['rows_scanned']):>6}"
-            f"  {_fmt_count(meter['bytes_scanned']):>6}"
-            f"  {_fmt_count(meter['result_rows']):>6}"
-            f"  {_fmt_count(meter['wal_bytes']):>6}"
-            f"  {meter.get('elapsed_ms', 0):.0f}ms on {addr}"
+            f"  {fp:<12}   LIVE  {meter.get('elapsed_ms', 0):>8.0f}ms"
+            f"            {_fmt_count(meter['rows_scanned']):>6}"
+            f"  {_fmt_count(meter['bytes_scanned']):>6}  on {addr}"
         )
     if killed_total:
         lines.append(f"  ({killed_total} query(ies) killed over budget)")
@@ -258,11 +223,8 @@ def render_frame(
     for row in rows:
         lines.extend(render_member(row))
     lines.append("")
-    lines.append("WORKLOAD (by total latency)")
-    lines.extend(render_workload(rows, top))
-    lines.append("")
-    lines.append(f"RESOURCES (by {sort})")
-    lines.extend(render_resources(rows, top, sort))
+    lines.append(f"WORKLOAD (by {sort})")
+    lines.extend(render_classes(rows, top, sort))
     lines.append("")
     lines.append("EVENTS")
     lines.extend(render_events(rows))
@@ -291,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
         help="query classes to show (default 10)",
     )
     parser.add_argument(
-        "--sort", choices=sorted(RESOURCE_SORT_KEYS), default="rows",
-        help="resources column to rank fingerprints by (default rows)",
+        "--sort", choices=sorted(SORT_KEYS), default="rows",
+        help="column to rank query classes by (default rows)",
     )
     parser.add_argument(
         "--once", action="store_true",
