@@ -1,14 +1,16 @@
-"""Experiment W (DESIGN.md §11): the shaped relation reply.
+"""Experiment W (DESIGN.md §11): the column-block relation reply.
 
 The reply measured is the ``served_reads`` dump: the 1 000-row
 ``customers`` table of the repo benchmark's generator (five attributes
 a row), encoded by :func:`repro.server.protocol.encode_value`. A
-relation reply names each row shape once, so a row of scalars goes out
-as ``[key, shape, v1, ..., vn]``; the tuple form it replaced sent
-``[key, {"@": "tuple", "attrs": {...}}]``, every name in every row.
-That form is rebuilt here by :func:`tuple_form` to measure against.
+relation reply names each row shape once and sends each run of rows of
+one shape as a block, ``[shape, [key, ...], [v1, ...], ..., [vn,
+...]]``, cut from the table image's columns; the tuple form before
+shapes sent ``[key, {"@": "tuple", "attrs": {...}}]``, every name in
+every row. That form is rebuilt here by :func:`tuple_form` to measure
+against.
 
-Asserted, as a count that no machine's speed can move: the shaped
+Asserted, as a count that no machine's speed can move: the block
 reply's JSON is at most half the tuple form's bytes per row, and it
 decodes to the table. ``BENCH_wire_reply.json`` also records the
 encode, ``json.dumps``, ``json.loads`` and decode cost in µs per row
@@ -69,20 +71,21 @@ def customers():
 
 
 @pytest.mark.benchmark(group="wire-reply")
-def test_a_shaped_dump_is_half_the_tuple_form(benchmark, customers):
+def test_a_block_dump_is_half_the_tuple_form(benchmark, customers):
     dump, rows = customers
     with using_exec_mode("batch"):
         envelope = encode_value(dump)
         text = _dumps(envelope)
         received = json.loads(text)
         assert decode_value(received) == rows
-        shaped = len(text.encode("utf-8")) / N_ROWS
+        blocked = len(text.encode("utf-8")) / N_ROWS
         tupled = len(_dumps(tuple_form(dump)).encode("utf-8")) / N_ROWS
         benchmark.extra_info.update(
             {
                 "rows": N_ROWS,
                 "shapes": len(envelope["shapes"]),
-                "bytes_per_row": shaped,
+                "blocks": len(envelope["blocks"]),
+                "bytes_per_row": blocked,
                 "tuple_form_bytes_per_row": tupled,
                 "encode_us_per_row": _us_per_row(encode_value, dump),
                 "dumps_us_per_row": _us_per_row(_dumps, envelope),
@@ -91,7 +94,7 @@ def test_a_shaped_dump_is_half_the_tuple_form(benchmark, customers):
             }
         )
         benchmark(encode_value, dump)
-    assert shaped * 2 <= tupled, (
-        f"a shaped row takes {shaped:.1f} bytes, more than half the tuple "
+    assert blocked * 2 <= tupled, (
+        f"a row in a block takes {blocked:.1f} bytes, more than half the tuple "
         f"form's {tupled:.1f}"
     )

@@ -2,10 +2,11 @@
 
 A :class:`Switch` reads its environment variable on every call (a test
 or an operator may flip it mid-process) unless a process-wide override
-is set. The module that owns a behaviour binds the switch's ``get`` /
-``set`` / ``using`` to its public names (``exec_mode`` /
-``set_exec_mode`` / ``using_exec_mode`` and so on); nothing else in
-``repro`` reads ``os.environ``. docs/operations.md describes what each
+is set, and parses the text only when it differs from the last call's.
+The module that owns a behaviour binds the switch's ``get`` / ``set`` /
+``using`` to its public names (``exec_mode`` / ``set_exec_mode`` /
+``using_exec_mode`` and so on); nothing else in ``repro`` reads
+``os.environ``. docs/operations.md describes what each
 switch does.
 """
 
@@ -37,13 +38,20 @@ class Switch:
         self._parse = parse
         self._valid = valid
         self._override: str | None = None
+        #: The last ``(raw text, parsed value)`` :meth:`get` saw.
+        self._last: tuple[str | None, Any] = (None, None)
 
     def get(self) -> Any:
         """The current value: the override if set, else the environment."""
         raw = self._override
         if raw is None:
             raw = os.environ.get(self.env, "")
-        return self._parse(raw.strip())
+        last = self._last
+        if raw == last[0]:
+            return last[1]
+        value = self._parse(raw.strip())
+        self._last = (raw, value)
+        return value
 
     def set(self, value: str | None) -> None:
         """Force a value for this process (``None`` restores env control)."""

@@ -19,10 +19,11 @@ servers must treat it as optional and never fail on its absence.
 Values cross the boundary through small typed envelopes (``{"@":
 "tuple"}``, ``{"@": "relation"}``, ``{"@": "missing"}``) so that FDM
 results — tuple functions, relations, grouped databases, deltas with
-MISSING endpoints — survive JSON without ambiguity; a relation names
-each row shape once, and a row of scalars travels as its key, its
-shape's number and its values. Errors travel typed by exception class
-name; :func:`raise_remote` rebuilds the matching
+MISSING endpoints — survive JSON without ambiguity. A relation names
+each row shape once and travels as column blocks: a run of rows of one
+shape is its keys plus one value list per name, cut straight from the
+segment image's columns when the executor serves them. Errors travel
+typed by exception class name; :func:`raise_remote` rebuilds the matching
 :class:`~repro.errors.ReproError` subclass on the client so a remote
 write-write conflict raises the same ``TransactionConflictError`` a
 local one does.
@@ -31,10 +32,11 @@ local one does.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from contextlib import contextmanager
-from itertools import chain
+from itertools import repeat
 from typing import Any, Iterator
 
 from repro._util import (
@@ -56,7 +58,7 @@ __all__ = [
     "encode_value",
     "decode_value",
     "encode_delta",
-    "relation_entries",
+    "relation_batches",
     "error_payload",
     "raise_remote",
     "RemoteRows",
@@ -182,9 +184,10 @@ def encode_value(
 ) -> Any:
     """Encode one result value (scalar, row, or FDM function) for JSON.
 
-    Enumerable FDM functions become ``{"@": "relation", "shapes":
-    [[name, ...], ...], "rows": [...]}``, recursively, so grouped
-    databases and nested relations survive; *max_rows* caps every level
+    Enumerable FDM functions become ``{"@": "relation", "kind", "name",
+    "shapes": [[name, ...], ...], "blocks": [...]}`` (column blocks, see
+    :func:`_encode_relation`), recursively, so grouped databases and
+    nested relations survive; *max_rows* caps every level
     of the enumeration and marks the envelope ``"truncated"`` when it
     bites — a page limit must degrade to a smaller answer, never to a
     silent lie. A row outside a relation is ``{"@": "tuple", "attrs":
@@ -227,63 +230,136 @@ def encode_value(
 
 
 @contextmanager
-def relation_entries(fn: Any, nested: bool = False) -> Iterator[Iterator]:
-    """*fn*'s ``(key, value)`` entries from one drain of its executor
-    pipeline (``items()`` for a *nested* relation or one the executor
-    cannot plan); the query reports once, when the block exits. Rows
-    off a column image are its committed row dicts."""
-    from repro.exec.batch import ColumnBatch
+def relation_batches(fn: Any, nested: bool = False) -> Iterator[Iterator]:
+    """*fn*'s batches from one drain of its executor pipeline (one
+    stream of ``(key, value)`` entries, ``items()``, for a *nested*
+    relation or one the executor cannot plan); the query reports once,
+    when the block exits. A batch is a column batch or a list of
+    entries (see :func:`repro.exec.run.route_batches`)."""
     from repro.exec.run import route_batches
 
     batches = None if nested else route_batches(fn)
     try:
-        yield chain.from_iterable(
-            zip(batch.keys, batch.rows) if type(batch) is ColumnBatch else batch
-            for batch in ((fn.items(),) if batches is None else batches)
-        )
+        yield (fn.items(),) if batches is None else batches
     finally:
         if batches is not None:
             batches.close()
 
 
+def _shaped(value: Any) -> bool:
+    """A non-empty row of JSON scalars under ``int``/``str`` names."""
+    return (
+        isinstance(value, dict)
+        and bool(value)
+        and _SCALARS.issuperset(map(type, value.values()))
+        and _NAMES.issuperset(map(type, value))
+    )
+
+
+def _wire_rows(image: Any) -> tuple:
+    """How a column image's rows go out, derived once per image:
+    ``(shapes, codes, keys, one)`` — the names of each row shape in
+    first-seen order, each row's number in *shapes* (−1: not
+    :func:`_shaped`), the keys as the wire carries them, and the number
+    every row shares (``None`` if they differ)."""
+    numbers: dict[tuple, int] = {}
+    codes = [
+        numbers.setdefault(tuple(row), len(numbers)) if _shaped(row) else -1
+        for row in image.rows
+    ]
+    keys = image.keys
+    if not _SCALARS.issuperset(map(type, keys)):
+        keys = [encode_key(key) for key in keys]
+    one = codes[0] if codes and codes.count(codes[0]) == len(codes) else None
+    return list(numbers), codes, keys, one
+
+
+def _column_run(batch: Any) -> tuple | None:
+    """``(names, keys, columns)`` of a column batch whose selected rows
+    all share one shape, gathered from the image's columns; else
+    ``None``."""
+    from repro.exec.kernels import _derived  # once per image, as kernels do
+
+    image = batch.image
+    shapes, codes, keys, one = _derived(image, ("wire",), _wire_rows)
+    if one is None:
+        picked = set(batch.gather(codes))
+        one = picked.pop() if len(picked) == 1 else -1
+    if one < 0:
+        return None
+    gather = batch.gather
+    names = shapes[one]
+    return names, gather(keys), [gather(image.column(a)) for a in names]
+
+
 def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
-    """A relation's envelope, from :func:`relation_entries`. A row of
-    scalars under ``int``/``str`` names is one list, ``[key, shape,
-    v1, ..., vn]``, whose names are ``shapes[shape]`` (numbered in
-    first-seen order); any other value, the empty row included, is
-    ``[key, envelope]``."""
+    """A relation's envelope, from :func:`relation_batches`: its rows as
+    blocks, each a maximal run of consecutive rows of one shape. A run
+    of :func:`_shaped` rows is ``[shape, [key, ...], [v1, ...], ...,
+    [vn, ...]]``, one value list per name of ``shapes[shape]`` (numbered
+    in first-seen order); a run of any other values, the empty row
+    included, is ``[-1, [key, ...], [envelope, ...]]``. A column batch
+    whose rows share a shape and fit on the page is cut from its
+    image's columns; every other entry goes through one per-row loop,
+    which also cuts the page. Blocks continue across batches, so the
+    envelope depends on the answer alone."""
+    from repro.exec.batch import ColumnBatch
+
     envelope = {"@": "relation", "kind": fn.kind, "name": fn.name}
     shapes = envelope["shapes"] = []
-    rows = envelope["rows"] = []
+    blocks = envelope["blocks"] = []
     numbers: dict[tuple, int] = {}
     flat = depth + 1 < _MAX_DEPTH
-    with relation_entries(fn, nested=depth > 0) as entries:
-        for key, value in entries:
-            if max_rows is not None and len(rows) >= max_rows:
-                envelope["truncated"] = True
+    left = math.inf if max_rows is None else max_rows  # room on the page
+
+    def block_for(names: tuple | None) -> list:
+        # the open block if it has this shape, else a new one
+        shape = -1
+        if names is not None:
+            shape = numbers.get(names)
+            if shape is None:
+                shape = numbers[names] = len(shapes)
+                shapes.append(list(names))
+        if not blocks or blocks[-1][0] != shape:
+            width = 1 if names is None else len(names)
+            blocks.append([shape, [], *([] for _ in range(width))])
+        return blocks[-1]
+
+    with relation_batches(fn, nested=depth > 0) as batches:
+        for batch in batches:
+            columnar = type(batch) is ColumnBatch
+            run = _column_run(batch) if columnar and len(batch) <= left else None
+            if run is not None:
+                names, keys, cols = run
+                left -= len(keys)
+                block = block_for(names)
+                block[1] += keys
+                for have, col in zip(block[2:], cols):
+                    have += col
+                continue
+            if columnar:  # mixed shapes, or the page ends in this batch
+                batch = zip(batch.keys, batch.rows)
+            for key, value in batch:
+                if not left:
+                    envelope["truncated"] = True
+                    break
+                left -= 1
+                if (
+                    isinstance(value, FDMFunction)
+                    and value.kind == "tuple"
+                    and value.is_enumerable
+                ):
+                    value = dict(value.items())
+                shaped = flat and _shaped(value)
+                block = block_for(tuple(value) if shaped else None)
+                block[1].append(key if type(key) in _SCALARS else encode_key(key))
+                if shaped:
+                    for col, v in zip(block[2:], value.values()):
+                        col.append(v)
+                else:
+                    block[2].append(encode_value(value, max_rows, depth + 1))
+            if "truncated" in envelope:
                 break
-            key = key if type(key) in _SCALARS else encode_key(key)
-            if (
-                isinstance(value, FDMFunction)
-                and value.kind == "tuple"
-                and value.is_enumerable
-            ):
-                value = dict(value.items())
-            if (
-                flat
-                and isinstance(value, dict)
-                and value
-                and _SCALARS.issuperset(map(type, value.values()))
-                and _NAMES.issuperset(map(type, value))
-            ):
-                names = tuple(value)
-                shape = numbers.get(names)
-                if shape is None:
-                    shape = numbers[names] = len(shapes)
-                    shapes.append(list(names))
-                rows.append([key, shape, *value.values()])
-            else:
-                rows.append([key, encode_value(value, max_rows, depth + 1)])
     return envelope
 
 
@@ -301,13 +377,14 @@ def decode_value(value: Any) -> Any:
     if tag == "relation":
         shapes = value["shapes"]
         rows = RemoteRows()
-        for row in value["rows"]:
-            it = iter(row)
-            key = decode_key(next(it))
-            if len(row) > 2:  # a shaped row
-                rows[key] = dict(zip(shapes[next(it)], it))
+        for shape, keys, *cols in value["blocks"]:
+            if not _SCALARS.issuperset(map(type, keys)):
+                keys = map(decode_key, keys)
+            if shape < 0:
+                rows.update(zip(keys, map(decode_value, cols[0])))
             else:
-                rows[key] = decode_value(next(it))
+                names = repeat(shapes[shape])
+                rows.update(zip(keys, map(dict, map(zip, names, zip(*cols)))))
         rows.kind = value.get("kind", "relation")
         rows.name = value.get("name", "")
         rows.truncated = bool(value.get("truncated", False))

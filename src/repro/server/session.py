@@ -402,7 +402,7 @@ class Session:
 
     def _verb_fql(self, request: dict[str, Any]) -> Any:
         """FQL: evaluate an expression and return its encoded value
-        (relations enumerate into row envelopes, ``max_rows`` caps
+        (relations enumerate into column blocks, ``max_rows`` caps
         them). Honors the replica read barrier."""
         expr = request.get("expr")
         if not isinstance(expr, str):
@@ -417,7 +417,9 @@ class Session:
                 # the enumeration underneath attributed its scans to
                 # this meter already, and the encoded row list is the
                 # answer actually leaving the server
-                meter.add_result_rows(len(payload.get("rows") or ()))
+                meter.add_result_rows(
+                    sum(len(block[1]) for block in payload["blocks"])
+                )
             return payload
 
     def _verb_explain(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -13,10 +13,12 @@ typed :class:`~repro.errors.SQLExecutionError` naming it.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
 
 from repro import fql
 from repro.errors import SQLExecutionError
+from repro.exec.batch import ColumnBatch
 from repro.predicates.ast import (
     And, AttrRef, Comparison, FalsePredicate, KeyRef, Literal, Membership,
     Not, Or, Predicate, TruePredicate,
@@ -25,8 +27,13 @@ from repro.relational.nulls import is_null
 from repro.relational.sql import ast as q
 from repro.relational.sql.parser import parse_sql
 from repro.server import protocol
+from repro.server.session import FQL_CACHE_SIZE
 
 __all__ = ["Translation"]
+
+#: Each distinct SELECT text parsed once (LRU; a parse error is raised
+#: on every call, never cached): a translation only reads the tree.
+_parse = functools.lru_cache(maxsize=FQL_CACHE_SIZE)(parse_sql)
 
 _FOLDS = {"count": fql.Count, "sum": fql.Sum, "avg": fql.Avg,
           "min": fql.Min, "max": fql.Max}
@@ -42,7 +49,7 @@ class Translation:
     what its reply reads off the answer rows."""
 
     def __init__(self, view: Any, text: str, params: list):
-        stmt = parse_sql(text)
+        stmt = _parse(text)
         if isinstance(stmt, q.SetOpStmt):
             raise _decline(stmt.op.upper())
         if not isinstance(stmt, q.SelectStmt):
@@ -214,13 +221,16 @@ class Translation:
         """Drain the graph once into ``{"columns": [...], "rows": [...]}``."""
         rows = []
         try:
-            with protocol.relation_entries(self.graph) as entries:
-                for key, value in entries:
-                    if type(value) is not dict:
-                        if getattr(value, "kind", None) != "tuple":
-                            continue  # a nested function: no row shape
-                        value = dict(value.items())
-                    rows.append((key, value))
+            with protocol.relation_batches(self.graph) as batches:
+                for batch in batches:
+                    if type(batch) is ColumnBatch:  # committed row dicts
+                        batch = zip(batch.keys, batch.rows)
+                    for key, value in batch:
+                        if type(value) is not dict:
+                            if getattr(value, "kind", None) != "tuple":
+                                continue  # a nested function: no row shape
+                            value = dict(value.items())
+                        rows.append((key, value))
         except TypeError as exc:  # a fold met None or mixed types
             raise _decline(f"an aggregate over NULL or mixed types ({exc})")
         if self.by and (
@@ -248,9 +258,11 @@ class Translation:
             f"{label}_{n + 1}" if (n := labels[:i].count(label)) else label
             for i, label in enumerate(labels)
         ]
-        encode = protocol.encode_value
+        encode, scalars = protocol.encode_value, protocol._SCALARS
+        reads = [read for _label, read in items]
         return {"columns": columns, "rows": [
-            [encode(read(key, row)) for _label, read in items]
+            [v if type(v) in scalars else encode(v)
+             for v in [read(key, row) for read in reads]]
             for key, row in rows
         ]}
 

@@ -617,8 +617,8 @@ class TestViewsEnumerateTheirSnapshot:
                 rows = {k: dict(v.items()) for k, v in view.items()}
                 assert rows["TX"] == {"state": "TX", "n": 1, "total": age}
                 assert rows == {k: dict(view(k).items()) for k in view.keys()}
-                served = encode_value(view)["rows"]
-                assert [row[0] for row in served] == list(rows)
+                served = encode_value(view)["blocks"]
+                assert [k for block in served for k in block[1]] == list(rows)
                 assert pipeline_for(view) is None  # a view is not planned
                 assert cache.stats() == before
         assert constructions == []

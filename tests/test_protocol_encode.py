@@ -8,10 +8,14 @@ envelope by hand (:func:`oracle`) and holds the encoder to it byte for
 byte, as JSON: every graph of the operator zoo over its hostile rows
 (plus nested functions), under the naive, batched and force-offloaded
 modes, on flat and hash-partitioned tables, and inside an open
-transaction whose buffered writes the dump must show. Then: a page
-limit truncates and reports one query; decoding round-trips, exactly
-to the type, through one reply that mixes every row form and through
-stored relations of hostile values; names that collide under ``str``
+transaction whose buffered writes the dump must show. A relation's
+rows travel as column blocks, so a table of several column batches,
+with a shape change and a nested row partway through, must give the
+oracle's bytes on every path too; a page limit cuts inside a block, and
+an image derives its row shapes once. Then: a page limit truncates and
+reports one query; decoding round-trips, exactly to the type, through
+one reply that mixes every row form and through stored relations of
+hostile values; names that collide under ``str``
 are never merged; and a cached aggregate is never rescanned per group.
 """
 
@@ -61,11 +65,12 @@ def _is_tuple(value):
 
 
 def oracle(value, max_rows=None, depth=0):
-    """The envelope by definition: per-key application, recursively. In
-    a relation, a row (a tuple function flattened to its dict) of JSON
-    scalars under ``int``/``str`` names is ``[key, shape, *values]``,
-    shapes numbered in first-seen order; any other value, the empty row
-    included, is ``[key, envelope]``."""
+    """The envelope by definition: per-key application, recursively. A
+    relation's rows (a tuple function flattened to its dict) go out in
+    blocks, each a maximal run of consecutive rows of one shape: rows of
+    JSON scalars under ``int``/``str`` names as ``[shape, keys,
+    *columns]``, shapes numbered in first-seen order; any other value,
+    the empty row included, as ``[-1, keys, envelopes]``."""
     if depth > 16:
         raise ProtocolError("result nesting exceeds the protocol depth cap")
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -84,11 +89,13 @@ def oracle(value, max_rows=None, depth=0):
     if isinstance(value, FDMFunction) and value.is_enumerable:
         envelope = {"@": "relation", "kind": value.kind, "name": value.name}
         shapes = envelope["shapes"] = []
-        rows = envelope["rows"] = []
+        blocks = envelope["blocks"] = []
+        count = 0
         for key in value.keys():
-            if max_rows is not None and len(rows) >= max_rows:
+            if max_rows is not None and count >= max_rows:
                 envelope["truncated"] = True
                 break
+            count += 1
             value_at = value(key)
             if _is_tuple(value_at):
                 value_at = dict(value_at.items())
@@ -101,16 +108,24 @@ def oracle(value, max_rows=None, depth=0):
             ):
                 if names not in shapes:
                     shapes.append(names)
-                shape = shapes.index(names)
-                rows.append([encode_key(key), shape, *value_at.values()])
+                shape, cells = shapes.index(names), list(value_at.values())
             else:
-                value_at = oracle(value_at, max_rows, depth + 1)
-                rows.append([encode_key(key), value_at])
+                shape, cells = -1, [oracle(value_at, max_rows, depth + 1)]
+            if not blocks or blocks[-1][0] != shape:
+                blocks.append([shape, [], *([] for _ in cells)])
+            blocks[-1][1].append(encode_key(key))
+            for column, cell in zip(blocks[-1][2:], cells):
+                column.append(cell)
         return envelope
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [oracle(v, max_rows, depth + 1) for v in value]
         return {"@": "list", "items": items}
     return {"@": "repr", "type": type(value).__name__, "repr": repr(value)}
+
+
+def keys_of(envelope):
+    """A relation envelope's keys, in reply order, across its blocks."""
+    return [key for block in envelope["blocks"] for key in block[1]]
 
 
 def wire(envelope):
@@ -200,8 +215,9 @@ def test_a_served_base_function_takes_no_plan_cache_entry(db):
         for i in range(3):
             snapshot = MaterialRelationFunction({i: {"a": i}})
             reply = encode_value(snapshot)
-            assert (reply["shapes"], reply["rows"]) == ([["a"]], [[i, 0, i]])
-            assert len(encode_value(db.customers)["rows"]) == 96
+            assert reply["shapes"] == [["a"]]
+            assert reply["blocks"] == [[0, [i], [i]]]
+            assert len(keys_of(encode_value(db.customers))) == 96
     assert [len(cache) for cache in caches] == sizes
 
 
@@ -262,7 +278,7 @@ def test_max_rows_truncates_like_the_oracle(max_rows, db):
         for mode, got in _encoded(build, db, max_rows=max_rows).items():
             assert got == expected, f"{name} max_rows={max_rows} {mode}"
     dump = encode_value(db.customers, max_rows=max_rows)
-    assert len(dump["rows"]) == min(max_rows, 96)
+    assert len(keys_of(dump)) == min(max_rows, 96)
     assert dump.get("truncated", False) == (max_rows < 96)
 
 
@@ -275,7 +291,7 @@ def test_a_truncated_reply_is_one_query(offload):
         reset_resources()  # forget the planning run's class
         db.set_slow_query_threshold(0.0)
         envelope = encode_value(flt, max_rows=3)
-    assert envelope["truncated"] and len(envelope["rows"]) == 3
+    assert envelope["truncated"] and len(keys_of(envelope)) == 3
     (entry,) = db.slow_queries()
     (cls,) = db.workload_profile().values()
     assert cls["calls"] == 1 and cls["rows"] == entry.rows >= 3
@@ -350,7 +366,7 @@ def test_encoding_a_cached_aggregate_never_rescans(regions, monkeypatch):
         with using_exec_mode("naive"):
             assert wire(oracle(agg)) == expected
         assert len(calls) >= 8  # the per-key reading rescans per group
-    assert len(json.loads(expected)["rows"]) == 8
+    assert len(keys_of(json.loads(expected))) == 8
 
 
 def test_a_served_aggregate_is_one_profiled_call_of_eight_rows(regions):
@@ -364,7 +380,7 @@ def test_a_served_aggregate_is_one_profiled_call_of_eight_rows(regions):
         assert session.handle(dict(request))["ok"]
         before = regions.workload_profile()
         response = session.handle(dict(request))
-    assert len(response["result"]["rows"]) == 8
+    assert len(keys_of(response["result"])) == 8
     after = regions.workload_profile()
     ((fp, cls),) = [
         (fp, cls) for fp, cls in after.items() if cls != before.get(fp)
@@ -426,9 +442,9 @@ def test_one_reply_mixes_every_row_form(exec_name):
         envelope = encode_value(db.t)
         assert wire(envelope) == wire(oracle(db.t))
         assert len(envelope["shapes"]) == 5
-        assert sorted(len(row) > 2 for row in envelope["rows"]) == (
-            [False] * 2 + [True] * 8  # the empty row and the nested one
-        )
+        assert sorted(
+            block[0] >= 0 for block in envelope["blocks"] for _ in block[1]
+        ) == [False] * 2 + [True] * 8  # the empty row and the nested one
         assert exact(_through_the_wire(db.t)) == exact(MIXED)
         for max_rows in (0, 4, 9):
             page = _through_the_wire(db.t, max_rows=max_rows)
@@ -463,3 +479,88 @@ def test_a_stored_relation_survives_the_wire(rows):
     expected = {k: dict(v.items()) for k, v in db.t.items()}
     assert exact(_through_the_wire(db.t)) == exact(expected)
     db.close()
+
+
+# ---------------------------------------------------------------------------
+# Column blocks: cut from the image, the same bytes on every path
+# ---------------------------------------------------------------------------
+
+
+def _long_rows(n=2600):
+    """Rows of one shape, with a run in another name order and a row
+    holding a nested function partway through the second column batch."""
+    rows = {i: {"a": i, "b": f"s{i}", "c": i % 7 == 0} for i in range(n)}
+    for i in range(1500, 1510):
+        rows[i] = {"b": f"s{i}", "a": i, "c": None}
+    rows[1700]["nested"] = MaterialRelationFunction({1: {"x": 1}})
+    return rows
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+def test_a_long_table_is_the_same_bytes_on_every_path(partitioned):
+    """Over several column batches, a shape change and a nested row
+    partway through, every mode gives the oracle's bytes (a partitioned
+    table enumerates in its own order, so it has its own oracle), and
+    the reply decodes to the relation, in order."""
+    db = fql.connect(f"encode-long-{partitioned}", default=False)
+    db.create_table(
+        "t", rows=_long_rows(), key_name="k",
+        partition_by=hash_partition(None, 4) if partitioned else None,
+    )
+    graphs = {
+        "dump": lambda d: d.t,
+        "filter": lambda d: fql.filter(d.t, "a > 300"),
+    }
+    for name, build in graphs.items():
+        with using_exec_mode("naive"):
+            expected = wire(oracle(build(db)))
+        for mode, got in _encoded(build, db).items():
+            assert got == expected, f"{name} under {mode}"
+        with using_exec_mode("batch"), using_offload_mode("off"):
+            assert len(list(route_batches(build(db)))) >= 2
+            decoded = decode_value(json.loads(expected))
+            assert canon(decoded) == canon(build(db))
+            assert list(decoded) == list(build(db).keys())
+    envelope = json.loads(expected)
+    assert len(envelope["shapes"]) == 2
+    assert [block[1] for block in envelope["blocks"] if block[0] < 0] == [[1700]]
+    db.close()
+
+
+def test_max_rows_cuts_inside_a_block(regions):
+    """A page limit that falls mid-block (and mid-batch: 1 500 of 3 000
+    rows of one shape) keeps exactly that many keys, marks the reply
+    truncated, and meters that many result rows."""
+    for i in range(400, 3000):
+        regions.customers[i] = {"region": f"r{i % 8}", "age": 20 + i % 50}
+    session = Session(regions, 1)
+    request = {"verb": "fql", "expr": "db('customers')", "max_rows": 1500}
+    with using_exec_mode("batch"), using_offload_mode("off"):
+        before = regions.workload_profile()
+        page = session.handle(dict(request))["result"]
+    assert page["truncated"] and len(page["blocks"]) == 1
+    assert page["blocks"][0][1] == list(range(1500))
+    assert [len(column) for column in page["blocks"][0][2:]] == [1500] * 2
+    ((fp, cls),) = [
+        (fp, cls) for fp, cls in regions.workload_profile().items()
+        if cls != before.get(fp)
+    ]
+    assert cls["rows"] - before.get(fp, {}).get("rows", 0) == 1500
+
+
+def test_an_image_derives_its_row_shapes_once(regions, monkeypatch):
+    from repro.server import protocol
+
+    derived = []
+    derive = protocol._wire_rows
+    monkeypatch.setattr(
+        protocol, "_wire_rows", lambda image: derived.append(1) or derive(image)
+    )
+    with using_exec_mode("batch"), using_offload_mode("off"):
+        first = wire(encode_value(regions.customers))
+        assert wire(encode_value(regions.customers)) == first
+        assert derived == [1]
+        regions.customers[7] = {"region": "r0", "age": 99}
+        changed = wire(encode_value(regions.customers))
+        assert wire(encode_value(regions.customers)) == changed != first
+        assert derived == [1, 1]

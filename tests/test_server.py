@@ -256,7 +256,8 @@ class TestBasicVerbs:
         page = session.handle(
             {"verb": "fql", "expr": "db('customers')", "max_rows": 2}
         )["result"]
-        assert len(page["rows"]) == 2 and page["truncated"]
+        keys = [key for block in page["blocks"] for key in block[1]]
+        assert len(keys) == 2 and page["truncated"]
 
     def test_fql_cannot_reach_lifecycle_surface(self, db, server):
         """Expressions see a read-only database view: the lifecycle /

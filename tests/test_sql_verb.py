@@ -341,6 +341,30 @@ def test_a_served_select_is_one_workload_class(buckets):
         assert len(db.workload_profile()) == before + 1
 
 
+def test_each_distinct_select_text_is_parsed_once(buckets):
+    """The parsed statement is shared by every request of its text (a
+    translation only reads it); a text that fails to parse is never
+    cached, so it fails again."""
+    from repro.server.sql import _parse
+
+    db, session = buckets
+    _parse.cache_clear()
+    replies = [
+        session.handle({"verb": "sql", "sql": SELECT, "params": params})
+        for params in ([7], [8], [7])
+    ]
+    assert [len(reply["result"]["rows"]) for reply in replies] == [20] * 3
+    assert replies[0]["result"] == replies[2]["result"]
+    assert replies[0]["result"] != replies[1]["result"]
+    assert _parse.cache_info()[:2] == (2, 1)  # hits, misses
+    for _ in range(2):
+        reply = session.handle(
+            {"verb": "sql", "sql": "SELEC id FROM customers", "params": []})
+        assert reply["error"]["type"] == "SQLSyntaxError", reply
+    info = _parse.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+
+
 def test_the_select_is_the_fql_filter_and_shares_its_plan(buckets):
     db, session = buckets
     query = Translation(fql_namespace(db)["db"], SELECT, [7])
@@ -355,6 +379,6 @@ def test_the_select_is_the_fql_filter_and_shares_its_plan(buckets):
         after = cache.stats()
     assert after["hits"] == before["hits"] + 1
     assert after["size"] == before["size"]
-    keys = [row[0] for row in fql["result"]["rows"]]
+    keys = [key for block in fql["result"]["blocks"] for key in block[1]]
     assert [row[0] for row in sql["result"]["rows"]] == keys
     assert len(keys) == 20

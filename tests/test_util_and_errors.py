@@ -123,3 +123,52 @@ class TestErrorHierarchy:
         exc = errors.TransactionConflictError(9, key=1, table="t")
         assert exc.txn_id == 9 and exc.key == 1 and exc.table == "t"
         assert "write-write" in str(exc)
+
+
+class TestSwitch:
+    """A switch parses its text once per change and still reads the
+    environment on every call."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.config import Switch
+
+        parsed = []
+        monkeypatch.delenv("REPRO_TEST_SWITCH", raising=False)
+        switch = Switch(
+            "REPRO_TEST_SWITCH",
+            lambda raw: parsed.append(raw) or raw.upper() or "unset",
+            lambda word: word != "bad",
+        )
+        return switch, parsed
+
+    def test_flipping_the_environment_between_calls_takes_effect(
+        self, counted, monkeypatch
+    ):
+        switch, parsed = counted
+        assert [switch.get(), switch.get()] == ["unset", "unset"]
+        monkeypatch.setenv("REPRO_TEST_SWITCH", " on ")
+        assert [switch.get(), switch.get()] == ["ON", "ON"]
+        monkeypatch.setenv("REPRO_TEST_SWITCH", "off")
+        assert switch.get() == "OFF"
+        monkeypatch.delenv("REPRO_TEST_SWITCH")
+        assert switch.get() == "unset"
+        assert parsed == ["", "on", "off", ""]
+
+    def test_set_and_using_override_the_environment(
+        self, counted, monkeypatch
+    ):
+        switch, parsed = counted
+        monkeypatch.setenv("REPRO_TEST_SWITCH", "env")
+        assert switch.get() == "ENV"
+        with switch.using("forced"):
+            assert [switch.get(), switch.get()] == ["FORCED", "FORCED"]
+            with pytest.raises(ValueError):
+                switch.set("bad")
+            assert switch.get() == "FORCED"
+        assert switch.get() == "ENV"
+        switch.set("set")
+        assert switch.get() == "SET"
+        switch.set(None)
+        assert switch.get() == "ENV"
+        assert parsed == ["env", "forced", "env", "set", "env"]
