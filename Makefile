@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench lint docs-check
+.PHONY: test bench-smoke bench bench-pairs lint docs-check
 
 # tier-1: the full correctness suite
 test:
@@ -19,6 +19,13 @@ bench-smoke:
 # the full benchmark matrix (slow)
 bench:
 	$(PY) -m pytest benchmarks -o python_files='bench_*.py' -q
+
+# the repo benchmark (bench_e2e) as alternating base/change pairs:
+# medians, the base's IQR, wins and bounds per workload and metric;
+# e.g. make bench-pairs PAIRS_ARGS="--base HEAD~1 --pairs 10"
+PAIRS_ARGS ?= --pairs 3
+bench-pairs:
+	$(PY) tools/bench_pairs.py $(PAIRS_ARGS)
 
 # documentation health: public-API docstrings (protocol surface
 # included) and cross-reference link/anchor integrity over

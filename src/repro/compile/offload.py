@@ -88,26 +88,12 @@ class OffloadPipeline:
 
     # -- pipeline surface --------------------------------------------------------
 
-    def iter_entries(self) -> Iterator[tuple]:
-        """(key, value) stream; batched-executor fallback when stale."""
-        result = self._execute(keys=False)
+    def iter_batches(self, keys: bool = False) -> Iterator[list]:
+        """The decoded result, or only its keys, as one list; the
+        batched pipeline's stream when the mirror is stale."""
+        result = self._execute(keys=keys)
         if result is None:
-            return self._batched().iter_entries()
-        return iter(result)
-
-    def iter_keys(self) -> Iterator[Any]:
-        """Key stream (row values are never materialized)."""
-        result = self._execute(keys=True)
-        if result is None:
-            return self._batched().iter_keys()
-        return iter(result)
-
-    def iter_batches(self) -> Iterator[list]:
-        """The decoded result as one entry list (``iter_entries``'
-        stream, unflattened)."""
-        result = self._execute(keys=False)
-        if result is None:
-            return self._batched().iter_batches()
+            return self._batched().iter_batches(keys)
         # a generator, so the stream closes like the batched one's
         return (batch for batch in (result,) if batch)
 

@@ -33,17 +33,17 @@ __all__ = [
     "image_batches",
 ]
 
-#: Columnar batches are larger than row batches (exec.nodes.BATCH_SIZE):
-#: per-batch overhead (kernel dispatch, selection bookkeeping)
-#: amortizes over more rows, and columns of this size still fit
-#: comfortably in cache.
-COLUMNAR_BATCH_SIZE = 1024
+#: Rows per columnar scan batch, chosen by measurement (DESIGN.md §13
+#: "Batch size"): per-batch overhead (kernel dispatch, selection
+#: bookkeeping, a join probe's ``isin``) amortizes over more rows up to
+#: here, while a whole segment in one batch made group folds slower.
+COLUMNAR_BATCH_SIZE = 8192
 
 
 class ColumnBatch:
     """Selected rows of one image, column-accessible, materialized late."""
 
-    __slots__ = ("image", "sel", "name", "_cols", "_pairs")
+    __slots__ = ("image", "sel", "name", "_cols", "_pairs", "_at")
 
     def __init__(self, image: Any, sel: Any, name: str = "batch"):
         self.image = image
@@ -52,6 +52,7 @@ class ColumnBatch:
         self.name = name
         self._cols: dict = {}
         self._pairs: list | None = None
+        self._at: list | None = None  # an array selection as a list
 
     @classmethod
     def of(cls, keys: list, rows: list, name: str = "batch") -> "ColumnBatch":
@@ -69,8 +70,8 @@ class ColumnBatch:
         sel = self.sel
         if type(sel) is slice:
             return values[sel]
-        if type(sel) is not list:
-            sel = sel.tolist()
+        if type(sel) is not list:  # an int array: its list form, once
+            sel = self._at = self._at or sel.tolist()
         return [values[i] for i in sel]
 
     @property

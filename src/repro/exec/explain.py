@@ -91,7 +91,7 @@ def _offload_summary(fn: FDMFunction, optimized: Any) -> list[str]:
 
 
 def _batching_summary(pipeline: Any) -> list[str]:
-    """Kernel backend and static zone verdicts."""
+    """Kernel backend, static zone verdicts and join probes."""
     from repro.exec.kernels import HAVE_NUMPY, kernel_backend
 
     out = [
@@ -101,10 +101,38 @@ def _batching_summary(pipeline: Any) -> list[str]:
     if pipeline is None:
         return out
     for node, _depth in _walk(pipeline.root):
-        zone_line = _zone_verdict(node)
-        if zone_line is not None:
-            out.append(zone_line)
+        out.extend(filter(None, (_zone_verdict(node), _join_probe(node))))
     return out
+
+
+def _join_probe(node: Any) -> str | None:
+    """Which probe an image join runs: the one its last run took
+    (:func:`analyze`), else a dry run over its atoms' batches, metered
+    as inner work of the caller's query (a served EXPLAIN's budgets)."""
+    from repro.errors import ResourceExhaustedError
+    from repro.exec.nodes import HashJoinNode
+    from repro.obs.context import QueryContext, _local
+    from repro.obs.resources import active_meter
+
+    if not isinstance(node, HashJoinNode):
+        return None
+    ran = node.probed
+    if ran is None:
+        outer = _local.context
+        _local.context = QueryContext(active_meter(), pipeline=node)
+        try:
+            ran = node.dry_probe()
+        except ResourceExhaustedError:
+            raise
+        except Exception as exc:  # explain must never fail
+            return f"  join probe: unavailable ({exc})"
+        finally:
+            _local.context = outer
+    if not ran:
+        return None  # the bindings path
+    took, n = ran
+    probe = f"int kernel on {took} of {n} batches" if took else "dict"
+    return f"  join probe {' ⋈ '.join(node.fn.atom_order)}: {probe}"
 
 
 def _zone_verdict(node: Any) -> str | None:

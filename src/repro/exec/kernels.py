@@ -58,6 +58,8 @@ __all__ = [
     "or_masks",
     "mask_to_list",
     "select",
+    "int_keys",
+    "int_members",
     "fold_groups",
     "sort_runs",
 ]
@@ -143,6 +145,38 @@ def numeric_col(batch: Any, column: str | None):
     if unsafe is not None and unsafe[sel].any():
         return None
     return values[sel], defined[sel]
+
+
+def _int_column(batch: Any, column: str | None) -> tuple | None:
+    """``(int64 values, present)`` of a batch's *column* (``None``: key),
+    or ``None`` unless the numpy backend is on and it is :func:`_typed` int."""
+    if kernel_backend() != "numpy":
+        return None
+    family, values, present, _info = _derived(
+        batch.image, ("typed", column), _typed
+    )
+    sel = batch.sel
+    return (values[sel], present[sel]) if family == "int" else None
+
+
+def int_keys(batches: list, column: str | None) -> Any:
+    """The defined values of *column* over *batches* as one int64
+    array, or ``None`` unless every image holds exact ints there."""
+    parts = [_int_column(batch, column) for batch in batches]
+    if kernel_backend() != "numpy" or None in parts:
+        return None
+    return _np.concatenate([v[p] for v, p in parts] or [_np.zeros(0, _np.int64)])
+
+
+def int_members(batch: Any, column: str | None, keys: Any) -> Any:
+    """The rows of *batch* whose *column* is in *keys* (an :func:`int_keys`
+    array, or ``None``) as a mask, or ``None`` unless the column is int:
+    ``True`` and ``1.0`` equal ``1``, so they take the dict probe."""
+    got = None if keys is None else _int_column(batch, column)
+    if got is None:
+        return None
+    values, present = got
+    return _np.isin(values, keys) & present
 
 
 def select(sel: Any, mask: Any) -> Any:
@@ -324,15 +358,15 @@ def _kinds(column: list) -> set:
     return kinds
 
 
-def _typed(image: Any, attr: str) -> tuple:
-    """``(family, values, present, info)`` for one attribute.
+def _typed(image: Any, attr: str | None) -> tuple:
+    """``(family, values, present, info)`` of an attribute (``None``: key).
 
     *family* is ``"int"`` (every present value an ``int``, not a bool,
     all within int64; *info* is the largest magnitude), ``"float"``
     (every present value a ``float``; *info* is ``(has NaN, has -0.0)``),
     ``""`` (no value present) or ``None`` (anything else: no *values*).
     """
-    column = image.column(attr)
+    column = image.keys if attr is None else image.column(attr)
     present = _np.array([v is not MISSING for v in column], dtype=bool)
     kinds = _kinds(column)
     if not kinds:

@@ -49,14 +49,10 @@ class PhysicalPipeline:
         for batch in self.root.batches():
             yield from batch
 
-    def iter_keys(self):
-        """Flattened key stream (values computed only where required)."""
-        for batch in self.root.key_batches():
-            yield from batch
-
-    def iter_batches(self):
-        """The root's batches, unflattened (the wire encoder's drain)."""
-        return self.root.batches()
+    def iter_batches(self, keys: bool = False):
+        """The root's batches, or its key batches (values computed only
+        where required): what the router drains."""
+        return self.root.key_batches() if keys else self.root.batches()
 
     def explain(self) -> str:
         """Indented rendering of the physical operator tree."""

@@ -638,6 +638,11 @@ def _image_sides(plan: Any, order: list) -> tuple:
     return tuple(sides), None
 
 
+def _column(side: Any) -> str | None:
+    """A join side's attribute, or ``None`` for the atom's key."""
+    return None if side.is_key else side.accessor[1]
+
+
 def _key_label(plan: Any, name: str) -> Any:
     return getattr(plan.atoms[name], "key_name", None)
 
@@ -667,17 +672,33 @@ def _probe_entries(batch: list, side: Any) -> tuple[list, list, list]:
     return keys, rows, values
 
 
+def _row_shapes(image: Any) -> list:
+    """Each row's attribute names as a tuple, one tuple per shape."""
+    seen: dict = {}
+    return [seen.setdefault(shape, shape) for shape in map(tuple, image.rows)]
+
+
+def _shapes(batch: ColumnBatch) -> list:
+    """The selected rows' shapes, derived once per image."""
+    return batch.gather(kernels._derived(batch.image, ("shapes",), _row_shapes))
+
+
 class HashJoinNode(PhysicalNode):
     """⋈ (fig 6). A two-atom equi-join joins its atoms' column images:
     the build atom drains into one dict, and the probe atom streams past
-    it batch by batch, its join column read once per batch. Any other
-    shape (``_image_sides``, which explain reads too), an atom with no
-    plan, or a build batch that is not a column image (an offloaded
-    atom, nested functions) takes ``JoinPlan.bindings(prefetch=True)``,
+    it batch by batch, its join column read once per batch (where both
+    join columns hold exact ints in every image, the int kernel picks
+    the matching rows first). Any other shape (``_image_sides``, which
+    explain reads too), an atom with no plan, or a build batch that is
+    not a column image (an offloaded atom, nested functions) takes
+    ``JoinPlan.bindings(prefetch=True)``,
     with enumerable key-joined atoms prefetched into hash maps. Both
     paths give the same rows in the same order (DESIGN.md §13)."""
 
     op = "hash_join"
+    #: ``(int kernel batches, probe batches)`` of the last finished
+    #: run, ``()`` after the bindings path, ``None`` before any run
+    probed: tuple | None = None
 
     def __init__(self, join_fn: Any):
         self.fn = join_fn  # the logical JoinedRelationFunction
@@ -696,6 +717,7 @@ class HashJoinNode(PhysicalNode):
             return
         from repro.fql.join import _merge_binding_into_row
 
+        self.probed = ()
         plan, order = self.fn.plan, self.fn.atom_order
         labels = {name: _key_label(plan, name) for name in order}
         for bindings in rebatch(plan.bindings(prefetch=True)):
@@ -705,43 +727,69 @@ class HashJoinNode(PhysicalNode):
                 for b in bindings
             ], self.fn.fn_name) if with_rows else keys
 
-    def _drain(self) -> tuple | None:
-        """``(sides, probe stream, build dict)``, or ``None`` to take the
-        bindings path. The dict maps the build atom's key to its row, or
-        each value of its join attribute to the ``(key, row)`` pairs
-        holding it, in stream order (``MISSING`` never joins)."""
+    def _streams(self) -> tuple | None:
+        """``(sides, probe stream, build stream)``, or ``None`` to take
+        the bindings path."""
         from repro.exec.run import route_batches
-        from repro.fql.join import _note_build_rows
 
         sides, _why = _image_sides(self.fn.plan, self.fn.atom_order)
         if sides is None:
             return None
-        probe_side, build_side = sides
-        atoms = self.fn.plan.atoms
-        probe = route_batches(atoms[probe_side.atom])
-        build = route_batches(atoms[build_side.atom])
-        if probe is None or build is None:
+        streams = [route_batches(self.fn.plan.atoms[s.atom]) for s in sides]
+        return None if None in streams else (sides, *streams)
+
+    def dry_probe(self) -> tuple:
+        """``(int kernel batches, probe batches)`` of a run now, or ``()``
+        on the bindings path: pulls both atoms' batches and types their
+        join columns, but reads no row and builds no dict."""
+        streams = self._streams()
+        if streams is None:
+            return ()
+        (probe_side, build_side), probe, build = streams
+        built = list(build)
+        if not all(isinstance(batch, ColumnBatch) for batch in built):
+            return ()
+        ints = kernels.int_keys(built, _column(build_side))
+        column = _column(probe_side)
+        kernel = [isinstance(batch, ColumnBatch) and ints is not None
+                  and kernels._int_column(batch, column) is not None
+                  for batch in probe]
+        return sum(kernel), len(kernel)
+
+    def _drain(self) -> tuple | None:
+        """``(sides, probe stream, build dict, kernels.int_keys of the
+        build)``, or ``None`` to take the bindings path. The dict maps
+        the build atom's key to its ``(row, shape)``, or each value of
+        its join attribute to the ``(key, row, shape)`` triples holding
+        it, in stream order (``MISSING`` never joins)."""
+        from repro.fql.join import _note_build_rows
+
+        streams = self._streams()
+        if streams is None:
             return None
+        sides, probe, build = streams
+        column = _column(sides[1])
         table: dict = {}
-        built = 0
+        built, rows = [], 0
         for batch in build:
             if not isinstance(batch, ColumnBatch):
                 build.close()
                 probe.close()
                 return None
-            if build_side.is_key:
-                table.update(zip(batch.keys, batch.rows))
+            built.append(batch)
+            if column is None:
+                table.update(zip(batch.keys, zip(batch.rows, _shapes(batch))))
                 continue
-            for key, row, value in zip(
-                batch.keys, batch.rows, batch.col(build_side.accessor[1])
+            for key, row, shape, value in zip(
+                batch.keys, batch.rows, _shapes(batch), batch.col(column)
             ):
                 if value is not MISSING:
-                    table.setdefault(value, []).append((key, row))
-                    built += 1
-        _note_build_rows(len(table) if build_side.is_key else built)
-        return sides, probe, table
+                    table.setdefault(value, []).append((key, row, shape))
+                    rows += 1
+        _note_build_rows(len(table) if column is None else rows)
+        return sides, probe, table, kernels.int_keys(built, column)
 
-    def _probe(self, sides: tuple, probe: Iterator, table: dict,
+    def _probe(self, sides: tuple, probe: Iterator, table: dict, ints: Any,
                with_rows: bool) -> Iterator[Any]:
         """One output batch per probe batch, in probe order and then
         build insertion order; rows are built for matches only."""
@@ -751,19 +799,25 @@ class HashJoinNode(PhysicalNode):
         probe_side, build_side = sides
         plan = self.fn.plan
         by_key = build_side.is_key
+        column = _column(probe_side)
         p_name, b_name = probe_side.atom, build_side.atom
         p_label = key_columns(p_name, _key_label(plan, p_name), None)[0]
         b_label = key_columns(b_name, _key_label(plan, b_name), None)[0]
-        names: dict = {}  # (probe attrs, build attrs) → column names
+        names: dict = {}  # (probe shape, build shape) → column names
         get = table.get
-        for batch in probe:
+        took = n = 0
+        for n, batch in enumerate(probe, 1):
             if not isinstance(batch, ColumnBatch):
                 keys, rows, col = _probe_entries(batch, probe_side)
+                shapes = [tuple(row) for row in rows]
             else:
+                hits = kernels.int_members(batch, column, ints)
+                if hits is not None:  # only the matched rows enter Python
+                    batch = batch.take(hits)
+                    took += 1
                 keys, rows = batch.keys, batch.rows
-                col = keys if probe_side.is_key else batch.col(
-                    probe_side.accessor[1]
-                )
+                col = keys if column is None else batch.col(column)
+                shapes = _shapes(batch) if with_rows else keys
             # MISSING is in no table, so an undefined value never joins; a
             # key is looked up the way normalize_key spells it, which only
             # changes lists and tuples
@@ -772,19 +826,19 @@ class HashJoinNode(PhysicalNode):
                 needles = [normalize_key(value) for value in col]
             out_keys: list = []
             out_rows: list = []
-            for key, row, value, hit in zip(keys, rows, col, map(get, needles)):
+            for key, row, shape, value, hit in zip(
+                keys, rows, shapes, col, map(get, needles)
+            ):
                 if hit is None:
                     continue
-                for b_key, b_row in ((value, hit),) if by_key else hit:
+                for b_key, b_row, b_shape in ((value, *hit),) if by_key else hit:
                     out_keys.append((key, b_key))
                     if not with_rows:
                         continue
-                    shape = (tuple(row), tuple(b_row))
-                    columns = names.get(shape)
+                    columns = names.get((shape, b_shape))
                     if columns is None:
-                        columns = names[shape] = merged_names((
-                            (p_name, p_label + shape[0]),
-                            (b_name, b_label + shape[1]),
+                        columns = names[shape, b_shape] = merged_names((
+                            (p_name, p_label + shape), (b_name, b_label + b_shape)
                         ))
                     out_rows.append(dict(zip(columns, (
                         key, *row.values(), b_key, *b_row.values()
@@ -793,6 +847,7 @@ class HashJoinNode(PhysicalNode):
                 yield ColumnBatch.of(
                     out_keys, out_rows, self.fn.fn_name
                 ) if with_rows else out_keys
+        self.probed = (took, n)
 
     def describe(self) -> str:
         atoms = " ⋈ ".join(self.fn.atom_order)

@@ -23,6 +23,8 @@ pipeline's own stream.
 from __future__ import annotations
 
 import threading
+from itertools import chain
+from operator import length_hint
 from time import perf_counter_ns
 from typing import Any, Iterator
 
@@ -164,12 +166,12 @@ def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
 
 def route_items(fn: FDMFunction) -> Iterator[tuple] | None:
     """Batched (key, value) stream for *fn*, or ``None`` to run naive."""
-    return _route(fn, "iter_entries")
+    return _route(fn, keys=False, flat=True)
 
 
 def route_keys(fn: FDMFunction) -> Iterator[Any] | None:
     """Batched key stream for *fn*, or ``None`` to run naive."""
-    return _route(fn, "iter_keys")
+    return _route(fn, keys=True, flat=True)
 
 
 def route_batches(fn: FDMFunction) -> Iterator[Any] | None:
@@ -181,10 +183,10 @@ def route_batches(fn: FDMFunction) -> Iterator[Any] | None:
     scan, so its batches are the segment's column image. Close the
     stream when stopping early: the query reports when it closes.
     """
-    return _route(fn, "iter_batches")
+    return _route(fn, keys=False, flat=False)
 
 
-def _route(fn: FDMFunction, stream: str) -> Iterator[Any] | None:
+def _route(fn: FDMFunction, keys: bool, flat: bool) -> Iterator[Any] | None:
     if exec_mode() != "batch":
         return None
     pipeline = pipeline_for(fn)
@@ -194,42 +196,58 @@ def _route(fn: FDMFunction, stream: str) -> Iterator[Any] | None:
     if query is None:
         # inner work of an enclosing query, or nobody is watching: the
         # raw stream, at zero added per-row cost
-        return getattr(pipeline, stream)()
-    return _enumerate(query, stream)
+        batches = pipeline.iter_batches(keys)
+        return chain.from_iterable(batches) if flat else batches
+    return _enumerate(query, keys, flat)
 
 
-def _enumerate(query: QueryContext, stream: str) -> Iterator[Any]:
+def _enumerate(query: QueryContext, keys: bool, flat: bool) -> Iterator[Any]:
     """The one generator between a pipeline and an observed consumer.
 
-    Installs *query* around each pull (generator frames run on the
-    consumer's thread between yields, and the consumer may carry a
-    context of its own that ours must not shadow), counts rows (a
-    batch counts its length) and reads the clock once, and reports
-    that one measurement when the stream closes, however it closes.
+    Pulls the plan's batches with *query* installed (generator frames
+    run on the consumer's thread between yields, and the consumer may
+    carry a context of its own that ours must not shadow); when *flat*,
+    hands their rows over outside it. Counts the rows the consumer got,
+    reads the clock once, and reports when the stream closes, however
+    it closes. A budgeted meter counts each batch as it is handed over,
+    and ``max_result_rows`` cuts the batch it ends in.
     """
     plan = query.begin()
-    inner = getattr(plan, stream)()
-    batched = stream == "iter_batches"
+    inner = plan.iter_batches(keys)
     live = query.meter if query.budgeted else None
     rows = 0
+    rest: Iterator[Any] = iter(())  # the rows of this batch not handed over
     start = perf_counter_ns()
     try:
         while True:
             outer = _local.context
             _local.context = query
             try:
-                item = next(inner)
+                batch = next(inner)
             except StopIteration:
                 break
             finally:
                 _local.context = outer
-            n = len(item) if batched else 1
+            n = whole = len(batch)
+            if live is not None:
+                room = live.max_result_rows
+                if room is not None and live.result_rows + n > room:
+                    n = max(int(room - live.result_rows), 0)
+                    batch = batch[:n]
+                live.add_result_rows(n)  # budgets are checked batch by batch
             rows += n
-            if live is not None:  # budgets are enforced pull by pull
-                live.add_result_rows(n)
-            yield item
+            if flat:
+                rest = iter(batch)
+                yield from rest
+            else:
+                yield batch
+            if n < whole:  # cut: the next row is over budget
+                live.add_result_rows(1)
     finally:
-        query.report(rows, perf_counter_ns() - start)
+        unhanded = length_hint(rest)
+        if live is not None:
+            live.result_rows -= unhanded
+        query.report(rows - unhanded, perf_counter_ns() - start)
 
 
 def join_bindings(plan: Any) -> Iterator[dict]:

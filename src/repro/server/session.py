@@ -425,7 +425,8 @@ class Session:
     def _verb_explain(self, request: dict[str, Any]) -> dict[str, Any]:
         """EXPLAIN: render the physical plan of ``expr`` — or, with no
         expression, of the session's previous FQL statement (whose
-        cached plan is thereby reused)."""
+        cached plan is thereby reused). Runs on the session's budgets:
+        a join's probe line pulls its atoms' batches."""
         from repro.exec import explain
 
         expr = request.get("expr")
@@ -441,7 +442,8 @@ class Session:
             )
         if not isinstance(expression, FDMFunction):
             raise OperatorError("EXPLAIN requires an FDM expression")
-        return {"expr": text, "explain": explain(expression)}
+        with self._budgeted(request, "explain", text):
+            return {"expr": text, "explain": explain(expression)}
 
     # -- SQL -------------------------------------------------------------------
 

@@ -10,6 +10,8 @@ vectorization treacherous: missing attributes, None, NaN, booleans
 float64-exact range.
 """
 
+import re
+
 import pytest
 
 from zoo import ZOO, hostile_rows, region_rows
@@ -109,4 +111,68 @@ def test_columnar_after_dml(flat_db):
     assert 1000 in after and 1000 not in before
     del db.customers[1000]
     assert 1000 not in dict(_ordered(expr))
+    db.close()
+
+
+#: Probe-side join columns against int build keys: the values each
+#: column cycles through (``None``: the attribute is absent), and the
+#: probe the numpy backend runs. ``True`` and ``1.0`` join ``1``, and
+#: 2**63 is past int64, so those columns keep the dict probe.
+HOSTILE_PROBES = {
+    "negative": ([-3, -1, 0, 2, 5, -3, 7], "int kernel"),
+    "bool": ([1, True, 2, False, 0], "dict"),
+    "float": ([1, 1.0, 2, -2.0], "dict"),
+    "absent": ([1, None, 2, -2, None], "int kernel"),
+    "beyond_int64": ([1, 2**63, 3, -(2**63) - 1], "dict"),
+    "str": (["1", "a", "-2", "x"], "dict"),
+}
+
+
+@pytest.mark.parametrize("layout", ["flat", "part"])
+@pytest.mark.parametrize("case", sorted(HOSTILE_PROBES))
+def test_join_probe_on_hostile_columns(case, layout):
+    """A two-atom join probing an int-keyed build with a hostile column
+    equals naive row for row, in order (``repr``, so ``True`` against
+    ``1`` counts), under both kernels; explain names the probe that ran."""
+    from repro.exec import explain
+    from repro.fdm import database
+
+    values, probe = HOSTILE_PROBES[case]
+    rows = {}
+    for i in range(60):
+        value = values[i % len(values)]
+        rows[i] = {"n": i} if value is None else {"n": i, "c": value}
+    db = fql.connect(f"columnar-join-{case}-{layout}", default=False)
+    scheme = hash_partition("n", 4) if layout == "part" else None
+    db.create_table("orders", rows=rows, partition_by=scheme)
+    db.create_table(
+        "customers", rows={k: {"tier": k % 3} for k in range(-3, 8)}
+    )
+    joins = {
+        "key": fql.join(
+            database({"orders": db.orders, "customers": db.customers}),
+            on=[["orders.c", "customers.__key__"]],
+        ),
+        "attr": fql.join(
+            database({"orders": db.orders, "customers": db.customers}),
+            on=[["orders.c", "customers.tier"]],
+        ),
+    }
+    for on, expr in joins.items():
+        expected = repr(_baseline(lambda _db: expr, db))
+        for kernel in KERNELS:
+            with using_kernel_backend(kernel):
+                assert repr(_ordered(expr)) == expected, (case, on, kernel)
+                lines = explain(expr).split("== batching ==")[1].splitlines()
+            named = [line for line in lines if "join probe" in line]
+            assert len(named) == 1
+            ran = named[0].split("join probe orders ⋈ customers: ")[1]
+            if kernel == "python":
+                assert ran == "dict"
+            elif layout == "flat":  # one segment, one batch
+                int_kernel = "int kernel on 1 of 1 batches"
+                assert ran == (int_kernel if probe == "int kernel" else "dict")
+            elif probe == "int kernel":  # every segment holds exact ints
+                assert re.fullmatch(r"int kernel on (\d+) of \1 batches", ran)
+            # else a hostile value declines only the segments holding it
     db.close()

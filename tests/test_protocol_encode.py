@@ -33,6 +33,7 @@ from repro._util import MISSING, TOMBSTONE
 from repro.compile import set_offload_mode, using_offload_mode
 from repro.errors import ProtocolError
 from repro.exec import (
+    COLUMNAR_BATCH_SIZE,
     ColumnBatch,
     route_batches,
     set_exec_mode,
@@ -486,13 +487,19 @@ def test_a_stored_relation_survives_the_wire(rows):
 # ---------------------------------------------------------------------------
 
 
-def _long_rows(n=2600):
+#: The first row of a long table's second column batch, and the row
+#: holding a nested function partway through that batch.
+SECOND_BATCH = COLUMNAR_BATCH_SIZE
+NESTED_ROW = SECOND_BATCH + 676
+
+
+def _long_rows(n=max(2600, SECOND_BATCH + 1576)):
     """Rows of one shape, with a run in another name order and a row
     holding a nested function partway through the second column batch."""
     rows = {i: {"a": i, "b": f"s{i}", "c": i % 7 == 0} for i in range(n)}
-    for i in range(1500, 1510):
+    for i in range(SECOND_BATCH + 476, SECOND_BATCH + 486):
         rows[i] = {"b": f"s{i}", "a": i, "c": None}
-    rows[1700]["nested"] = MaterialRelationFunction({1: {"x": 1}})
+    rows[NESTED_ROW]["nested"] = MaterialRelationFunction({1: {"x": 1}})
     return rows
 
 
@@ -523,7 +530,9 @@ def test_a_long_table_is_the_same_bytes_on_every_path(partitioned):
             assert list(decoded) == list(build(db).keys())
     envelope = json.loads(expected)
     assert len(envelope["shapes"]) == 2
-    assert [block[1] for block in envelope["blocks"] if block[0] < 0] == [[1700]]
+    assert [block[1] for block in envelope["blocks"] if block[0] < 0] == [
+        [NESTED_ROW]
+    ]
     db.close()
 
 

@@ -180,6 +180,31 @@ class TestBudgetKillsEmbedded:
         assert snap["totals"]["result_rows"] == 11 and snap["active"] == []
         assert active_meter() is None
 
+    @pytest.mark.parametrize("cut", ["in_first_batch", "across_batches"])
+    def test_result_rows_budget_cuts_exactly(self, monkeypatch, cut):
+        """An embedded ``items()`` over a result of several scan batches
+        hands over exactly the budgeted rows, metered as they arrive;
+        the next pull is the one killed."""
+        from repro.exec import COLUMNAR_BATCH_SIZE
+
+        budget = 7 if cut == "in_first_batch" else COLUMNAR_BATCH_SIZE + 7
+        db = repro.connect(name="resCutDB", default=False)
+        db["t"] = {i: {"v": i} for i in range(2 * COLUMNAR_BATCH_SIZE + 50)}
+        monkeypatch.setenv("REPRO_MAX_RESULT_ROWS", str(budget))
+        try:
+            stream = fql.filter("v >= 0", input=db.t).items()
+            got = [key for key, _row in (next(stream) for _ in range(budget))]
+            assert got == list(range(budget))
+            (live,) = db.stats()["resources"]["active"]
+            assert live["result_rows"] == budget
+            with pytest.raises(ResourceExhaustedError):
+                next(stream)
+            snap = db.stats()["resources"]
+            assert (snap["queries"], snap["killed"]) == (1, 1)
+            assert snap["active"] == [] and active_meter() is None
+        finally:
+            db.close()
+
     def test_deadline_budget(self, db, monkeypatch):
         monkeypatch.setenv("REPRO_QUERY_DEADLINE_MS", "0.000001")
         with pytest.raises(ResourceExhaustedError):
@@ -290,6 +315,26 @@ class TestBudgetKillsWire:
             # the transaction opened before the kill still commits
             c.commit()
             assert c.fql("db('people')(950)")["name"] == "t"
+
+    def test_explain_of_a_join_runs_on_the_session_budgets(self, db, server):
+        # explain's join probe line pulls both atoms' batches: the verb
+        # is metered like a query, so the scan budget and a deadline
+        # kill it and what it scanned reaches the report
+        db["groups"] = {g: {"label": f"g{g}"} for g in range(5)}
+        expr = "join(db, on=[['people.grp', 'groups.__key__']])"
+        with client_for(server) as c:
+            assert "join probe people ⋈ groups" in c.explain(expr)
+            totals = db.stats()["resources"]["totals"]
+            assert totals["rows_scanned"] == 505
+            c.set_budgets(max_rows_scanned=100)
+            with pytest.raises(ResourceExhaustedError) as err:
+                c.explain(expr)
+            assert "exceeds budget" in str(err.value)
+            c.set_budgets()
+            with pytest.raises(ResourceExhaustedError):
+                c._call({"verb": "explain", "expr": expr, "params": {},
+                         "deadline_ms": 0.000001})
+            assert "join probe people ⋈ groups" in c.explain(expr)
 
     def test_hello_rejects_bad_budget(self, db, server):
         from repro.errors import ProtocolError
