@@ -1,11 +1,17 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-pairs lint docs-check
+.PHONY: test examples bench-smoke bench bench-pairs lint docs-check
 
 # tier-1: the full correctness suite
 test:
 	$(PY) -m pytest -x -q
+
+# every example script, run once; fails on the first non-zero exit
+examples:
+	@for f in examples/*.py; do \
+		echo "$$f"; $(PY) "$$f" > /dev/null || exit 1; \
+	done
 
 # quick perf check: the executor-sensitive figures plus view
 # maintenance, the observability tax, offloaded scans, and the wire

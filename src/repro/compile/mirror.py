@@ -346,9 +346,8 @@ class EngineMirror:
                 out.append(record)
         if out and (
             not mirror.mirrorable
-            # a partition-attribute change moves a key to another
-            # segment, i.e. to another enumeration position
-            or table.is_partitioned
+            # a write may move a key, or put a new one mid-enumeration
+            or not table.scheme.appends_in_order
         ):
             return None
         return out
@@ -419,21 +418,25 @@ class EngineMirror:
     def _rebuild(
         self, conn: Any, mirror: TableMirror, table: Any, ts: int
     ) -> int:
-        if table.is_partitioned:
-            keys = [key for key, _data in table.scan_at(ts)]
-        else:
-            # every chain, dead ones included, in chain (= scan_at)
-            # order: a key keeps its ord while its chain exists, so a
-            # reinserted key lands back where naive enumeration puts it
-            keys = list(table._chains)
-        live = [
-            (key, data)
-            for key in keys
-            if (data := table.read(key, ts)) is not TOMBSTONE
-        ]
+        # every chain, dead ones included, segment by segment in chain
+        # (= scan_at) order: a key keeps its ord while its chain exists,
+        # so a reinserted key lands back where naive enumeration puts
+        # it; a key moved between segments takes its live chain's ord
+        keys: list = []
+        ords: dict = {}
+        live = []
+        for segment in table.segments:
+            for key in list(segment._chains):
+                data = segment.read(key, ts)
+                if data is not TOMBSTONE:
+                    live.append((key, data))
+                elif key in ords:
+                    continue
+                ords[key] = len(keys)
+                keys.append(key)
         # fresh containers: a concurrent decoder keeps the list it captured
         mirror.keys = keys
-        mirror.ords = {key: ord_ for ord_, key in enumerate(keys)}
+        mirror.ords = ords
         mirror.columns = {}
         mirror.profiles = {}
         mirror.mirrorable = True

@@ -273,15 +273,15 @@ class FunctionalDatabase(DatabaseFunction):
         return self._stored[name]
 
     def partition_layout(self, name: str) -> dict[str, Any]:
-        """Scheme + per-partition row counts of a partitioned table."""
-        from repro.partition.table import PartitionedTable
-
+        """Scheme + per-partition row counts of a partitioned table;
+        the row count of a flat one (its scheme's spec is ``None``)."""
         table = self._engine.table(name)
-        if not isinstance(table, PartitionedTable):
+        spec = table.scheme.spec()
+        if spec is None:
             return {"partitioned": False, "rows": table.count_at(2**62)}
         return {
             "partitioned": True,
-            "scheme": table.scheme.spec(),
+            "scheme": spec,
             "rows": table.partition_counts(self._manager.now()),
         }
 

@@ -138,21 +138,23 @@ def _join_probe(node: Any) -> str | None:
 def _zone_verdict(node: Any) -> str | None:
     """Static zone-map verdict for a scan carrying a zone predicate.
 
-    The verdict is computed against each segment's *current*
-    statistics — the same bounds execution will consult.
+    Like the scan, it tests only the segments the predicate reaches,
+    each against its *current* statistics — the same bounds execution
+    will consult — so its counts are the meter's for a run now.
     """
     from repro.exec.nodes import ScanNode
+    from repro.partition.prune import surviving_partitions
     from repro.storage.stats import zone_may_match
 
     if not isinstance(node, ScanNode) or node.zone_predicate is None:
         return None
-    fn = node.fn
-    pred = node.zone_predicate
-    engine = getattr(fn, "_engine", None)
-    table = None if engine is None else engine.tables.get(fn.table_name)
+    table = node.table()
     if table is None:
         return None
-    segments = table.segments if table.is_partitioned else [table]
+    fn = node.fn
+    pred = node.zone_predicate
+    reach = surviving_partitions(table.scheme, pred)
+    segments = [s for pid, s in enumerate(table.segments) if pid in reach]
     skipped = sum(1 for s in segments if not zone_may_match(s.stats, pred))
     return (
         f"  zone maps {fn.fn_name!r}: scan {len(segments) - skipped}/"
@@ -209,7 +211,7 @@ def analyze(fn: FDMFunction) -> str:
 
 
 def _partition_summary(fn: FDMFunction) -> list[str]:
-    """Per partitioned base table: scheme and pruning verdict.
+    """Per base table of several segments: scheme and pruning verdict.
 
     Scan lines of the physical pipeline carry the same verdict; this
     section also covers leaves that never lower to a scan node (join
@@ -221,9 +223,9 @@ def _partition_summary(fn: FDMFunction) -> list[str]:
     out = []
     for leaf, surviving in prunes.values():
         table = leaf._engine.tables.get(leaf.table_name)
-        if table is None:
+        total = 0 if table is None else len(table.segments)
+        if total < 2:  # one segment has no fan-out to report
             continue
-        total = table.n_partitions
         out.append(
             f"  {leaf.fn_name!r}: {table.scheme.describe()}, "
             f"scan {len(surviving)}/{total} partitions "

@@ -134,14 +134,13 @@ class ScanNode(PhysicalNode):
     def key_batches(self) -> Iterator[list]:
         return rebatch(self.fn.keys())
 
-    def partitioned_table(self) -> Any:
-        """The partitioned table this scan reads now, else ``None``."""
+    def table(self) -> Any:
+        """The stored table this scan reads now, else ``None``."""
         from repro.storage.relation import StoredRelationFunction
 
         if not isinstance(self.fn, StoredRelationFunction):
             return None
-        table = self.fn._engine.tables.get(self.fn.table_name)
-        return table if table is not None and table.is_partitioned else None
+        return self.fn._engine.tables.get(self.fn.table_name)
 
     def describe(self) -> str:
         from repro.partition.prune import surviving_partitions
@@ -149,10 +148,10 @@ class ScanNode(PhysicalNode):
         label = f"scan {self.fn.fn_name!r} [{self.fn.kind}]"
         if self.zone_predicate is not None:
             label += f" [zones: {self.zone_predicate.to_source()}]"
-        table = self.partitioned_table()
-        if table is not None:
+        table = self.table()
+        total = 0 if table is None else len(table.segments)
+        if total > 1:  # one segment has no fan-out to report
             scheme = table.scheme
-            total = scheme.n_partitions
             kept = len(surviving_partitions(scheme, self.zone_predicate))
             label += (
                 f" [{scheme.describe()}: scan {kept}/{total} "

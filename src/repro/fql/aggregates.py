@@ -83,7 +83,8 @@ class Aggregate:
         raise NotImplementedError
 
     def step(self, acc: Any, t: Any) -> Any:
-        raise NotImplementedError
+        """Fold one tuple: its extracted value through :meth:`step_value`."""
+        return self.step_value(acc, self.extract(t))
 
     def step_value(self, acc: Any, value: Any) -> Any:
         """Fold one already-extracted value (``_MISSING`` when the tuple
@@ -91,8 +92,7 @@ class Aggregate:
 
         The columnar executor extracts whole attribute columns up front
         and folds values directly, skipping the per-tuple
-        :meth:`extract` dispatch; each override must mirror its
-        :meth:`step` exactly so the two paths stay bit-identical.
+        :meth:`extract` dispatch.
         """
         raise NotImplementedError
 
@@ -155,9 +155,6 @@ class CountDistinct(Aggregate):
     def seed(self) -> set:
         return set()
 
-    def step(self, acc: set, t: Any) -> set:
-        return self.step_value(acc, self.extract(t))
-
     def step_value(self, acc: set, value: Any) -> set:
         if value is not _MISSING:
             try:
@@ -177,10 +174,6 @@ class Sum(Aggregate):
     def seed(self) -> Any:
         return 0
 
-    def step(self, acc: Any, t: Any) -> Any:
-        value = self.extract(t)
-        return acc if value is _MISSING else acc + value
-
     def step_value(self, acc: Any, value: Any) -> Any:
         return acc if value is _MISSING else acc + value
 
@@ -195,9 +188,6 @@ class Avg(Aggregate):
 
     def seed(self) -> tuple[Any, int]:
         return (0, 0)
-
-    def step(self, acc: tuple[Any, int], t: Any) -> tuple[Any, int]:
-        return self.step_value(acc, self.extract(t))
 
     def step_value(self, acc: tuple[Any, int], value: Any) -> tuple[Any, int]:
         if value is _MISSING:
@@ -223,9 +213,6 @@ class Min(Aggregate):
     def seed(self) -> Any:
         return _MISSING
 
-    def step(self, acc: Any, t: Any) -> Any:
-        return self.step_value(acc, self.extract(t))
-
     def step_value(self, acc: Any, value: Any) -> Any:
         if value is _MISSING:
             return acc
@@ -242,9 +229,6 @@ class Max(Aggregate):
 
     def seed(self) -> Any:
         return _MISSING
-
-    def step(self, acc: Any, t: Any) -> Any:
-        return self.step_value(acc, self.extract(t))
 
     def step_value(self, acc: Any, value: Any) -> Any:
         if value is _MISSING:
@@ -264,9 +248,6 @@ class Collect(Aggregate):
 
     def seed(self) -> list:
         return []
-
-    def step(self, acc: list, t: Any) -> list:
-        return self.step_value(acc, self.extract(t))
 
     def step_value(self, acc: list, value: Any) -> list:
         if value is not _MISSING:
@@ -302,9 +283,6 @@ class StdDev(Aggregate):
     def seed(self) -> tuple[int, float, float]:
         return (0, 0.0, 0.0)
 
-    def step(self, acc: tuple[int, float, float], t: Any) -> tuple:
-        return self.step_value(acc, self.extract(t))
-
     def step_value(self, acc: tuple[int, float, float], value: Any) -> tuple:
         if value is _MISSING:
             return acc
@@ -327,9 +305,6 @@ class Median(Aggregate):
 
     def seed(self) -> list:
         return []
-
-    def step(self, acc: list, t: Any) -> list:
-        return self.step_value(acc, self.extract(t))
 
     def step_value(self, acc: list, value: Any) -> list:
         if value is not _MISSING:

@@ -54,8 +54,8 @@ class Delta:
         #: key → (old, new); MISSING marks an absent side.
         self.changes: dict[Any, tuple[Any, Any]] = {}
         #: Partitions this delta's changes touch (DESIGN.md §10), or
-        #: ``None`` when the source is unpartitioned / untracked. The
-        #: storage engine tags commit deltas over partitioned tables;
+        #: ``None`` when the source is untracked. The storage engine
+        #: tags every commit delta with the segments it touched;
         #: consumers treat ``None`` as "possibly anywhere".
         self.partition_tags: set[int] | None = None
 

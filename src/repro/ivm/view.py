@@ -377,14 +377,14 @@ def _notify_delta_listeners(view: MaterializedView, delta: Any) -> None:
 def _delta_reaches_view(state: IVMState, leaf_id: int, delta: Delta) -> bool:
     """Can this base delta affect anything the expression reads?
 
-    False only when the leaf is partitioned, the delta carries partition
-    tags, and every tag falls in a partition that *all* occurrences of
-    the leaf statically prune away — the one case where skipping is
-    provably sound.
+    False only when the leaf is a stored table, the delta carries
+    segment tags, and every tag falls in a segment that *all*
+    occurrences of the leaf statically prune away — the one case where
+    skipping is provably sound.
     """
     entry = state.partition_prunes.get(leaf_id)
     if entry is None:
-        return True  # unpartitioned leaf (or analysis declined)
+        return True  # not a stored leaf (or analysis declined)
     tags = delta.partition_tags
     if tags is None:
         return True  # untagged change: could be anywhere

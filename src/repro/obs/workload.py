@@ -86,8 +86,9 @@ def fingerprint_of(fn: Any) -> str:
 def _fan_out(node: Any) -> int | None:
     from repro.exec.nodes import ScanNode
 
-    table = node.partitioned_table() if isinstance(node, ScanNode) else None
-    return table.n_partitions if table is not None else None
+    table = node.table() if isinstance(node, ScanNode) else None
+    n = 0 if table is None else len(table.segments)
+    return n if n > 1 else None
 
 
 def plan_hash_of(pipeline: Any) -> str:

@@ -181,10 +181,11 @@ def _pruned_filter_estimate(
 ) -> float | None:
     """Partition-wise filter estimate (DESIGN.md §10).
 
-    When the filter's statistics carrier is a partitioned stored
-    relation, estimate per *surviving* partition against that segment's
-    own statistics and sum: ``Σ rows_p × sel_p(pred)``. Matching rows
-    concentrate in the surviving partitions, so applying the whole-table
+    When the filter's statistics carrier is a stored relation whose
+    segments the filter cannot all reach, estimate per *surviving*
+    partition against that segment's own statistics and sum:
+    ``Σ rows_p × sel_p(pred)``. Matching rows concentrate in the
+    surviving partitions, so applying the whole-table
     selectivity to the surviving row count would double-count the
     partition-anchored conjunct (≈n_partitions× too low for equality
     predicates); segment-local distributions instead tighten estimates
@@ -197,10 +198,10 @@ def _pruned_filter_estimate(
     if not isinstance(base, StoredRelationFunction):
         return None
     table = base._engine.tables.get(base.table_name)
-    if table is None or not table.is_partitioned:
+    if table is None:
         return None
     surviving = surviving_partitions(table.scheme, pred)
-    if len(surviving) >= table.n_partitions:
+    if len(surviving) >= len(table.segments):
         return None  # nothing pruned: the plain path is identical
     segments = [table.segments[pid].stats for pid in surviving]
     return float(

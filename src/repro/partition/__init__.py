@@ -3,26 +3,26 @@
 DESIGN.md §10. The subsystem has four faces, one per layer it threads
 through:
 
-* **storage** — :class:`PartitionedTable` fans a table's MVCC version
-  chains into per-partition segments behind the unchanged
-  ``VersionedTable`` contract (WAL, recovery, snapshots, vacuum all keep
-  working); :class:`~repro.partition.scheme.HashScheme` /
-  :class:`~repro.partition.scheme.RangeScheme` decide placement.
+* **storage** — every :class:`~repro.storage.table.Table` keeps its
+  MVCC version chains in the segments its scheme names: one for a flat
+  table (:data:`~repro.partition.scheme.FLAT`), one per partition for
+  :class:`~repro.partition.scheme.HashScheme` /
+  :class:`~repro.partition.scheme.RangeScheme` (WAL, recovery,
+  snapshots, vacuum all work the same either way).
 * **optimizer** — :func:`~repro.partition.prune.surviving_partitions`
-  statically eliminates partitions a transparent filter cannot touch,
-  and each segment's own :class:`~repro.storage.stats.TableStatistics`
-  let cardinality estimation sum only the survivors.
-* **executor** — the scan tests each segment of the table it reads
-  against the filters above it, partition scheme first, and skips the
-  partitions they cannot reach (one physical path; DESIGN.md §10
-  records why there is no thread fan-out).
-* **IVM** — commit-time deltas carry partition tags, so maintained views
-  skip upkeep entirely when every change landed in a partition their
-  filters prune away.
+  answers which segments a filter can reach, and each segment's own
+  :class:`~repro.storage.stats.TableStatistics` let cardinality
+  estimation sum only those.
+* **executor** — the scan reads only the segments the filters above it
+  reach, then skips those whose statistics rule them out (one physical
+  path; DESIGN.md §10 records why there is no thread fan-out).
+* **IVM** — commit-time deltas carry the segments they touched, so
+  maintained views skip upkeep entirely when every change landed in a
+  segment their filters cannot reach.
 
-Import discipline: this package sits *below* ``repro.storage`` (which
-only reaches in lazily) and *beside* ``repro.exec``; anything heavier
-(fql, optimizer) is imported inside functions.
+Import discipline: this package sits *below* ``repro.storage``, which
+imports its schemes; anything heavier (fql, optimizer) is imported
+inside functions.
 """
 
 from repro.partition.prune import surviving_partitions
@@ -35,12 +35,10 @@ from repro.partition.scheme import (
     range_partition,
     stable_hash,
 )
-from repro.partition.table import PartitionedTable
 
 __all__ = [
     "HashScheme",
     "PartitionScheme",
-    "PartitionedTable",
     "RangeScheme",
     "as_scheme",
     "hash_partition",

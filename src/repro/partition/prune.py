@@ -1,27 +1,30 @@
-"""Static partition pruning from transparent predicate ASTs.
+"""Segment reach: which segments of a table a filter can touch.
 
-This reuses the same predicate transparency that powers pushdown
-(DESIGN.md §5): a filter whose atoms anchor the partitioning attribute
-to literals statically eliminates the partitions no satisfying row can
-live in. The analysis is the predicate may-walk
-(:func:`~repro.predicates.ast.may_hold`) with a per-partition atom
-test, so it is *conservative* — it keeps every partition a satisfying
-row **may** occupy, and anything it cannot decide keeps them all.
-Soundness leans on one fact: rows missing the partitioning attribute
-(or holding a value the scheme cannot place) land in partition 0 and
-can never satisfy an attribute-anchored atom (undefined attributes
-fail predicates), so dropping partition 0 when the anchor excludes it
-is safe.
+:func:`surviving_partitions` is the one answer the columnar scan,
+``ScanNode.describe``, explain, the partition-wise cardinality estimate
+and IVM's static prune sets all read. A one-segment table answers
+``{0}`` without walking the predicate; otherwise the answer is the
+predicate may-walk (:func:`~repro.predicates.ast.may_hold`, the
+transparency that powers pushdown, DESIGN.md §5) with a per-partition
+atom test, so it is *conservative* — it keeps every partition a
+satisfying row **may** occupy, and anything it cannot decide keeps them
+all. Soundness leans on one fact: rows missing the partitioning
+attribute (or holding a value the scheme cannot place) land in
+partition 0 and can never satisfy an attribute-anchored atom (undefined
+attributes fail predicates), so dropping partition 0 when the anchor
+excludes it is safe.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.partition.scheme import PartitionScheme
 from repro.predicates.ast import Atom, Predicate, may_hold
 
-__all__ = ["partition_test", "surviving_partitions"]
+__all__ = ["surviving_partitions"]
+
+_FIRST = frozenset((0,))
 
 
 def _reach(scheme: PartitionScheme, atom: Atom) -> frozenset[int] | None:
@@ -52,32 +55,30 @@ def _reach(scheme: PartitionScheme, atom: Atom) -> frozenset[int] | None:
     return None  # != reaches every partition (even the anchor's)
 
 
-def partition_test(scheme: PartitionScheme, pid: int) -> Callable[[Atom], bool]:
-    """The atom test of partition *pid*: may a row placed there by
-    *scheme* satisfy the atom?"""
-
-    def test(atom: Atom) -> bool:
-        reach = _reach(scheme, atom)
-        return reach is None or pid in reach
-
-    return test
-
-
 def surviving_partitions(
     scheme: PartitionScheme, predicate: Predicate | None
 ) -> frozenset[int]:
-    """The partitions a row satisfying *predicate* may live in."""
-    pids = range(scheme.n_partitions)
+    """The segments a row satisfying *predicate* may live in: per
+    segment, the predicate's may-walk with the atom test "may a row
+    *scheme* places here satisfy the atom?"."""
+    n = scheme.n_partitions
+    if n == 1:
+        return _FIRST
     if predicate is None or not getattr(predicate, "is_transparent", False):
-        return frozenset(pids)
+        return frozenset(range(n))
     return frozenset(
-        pid for pid in pids if may_hold(predicate, partition_test(scheme, pid))
+        pid
+        for pid in range(n)
+        if may_hold(
+            predicate,
+            lambda atom: (got := _reach(scheme, atom)) is None or pid in got,
+        )
     )
 
 
 def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]]:
-    """Per partitioned stored leaf of an expression graph, the union of
-    partitions any occurrence's filters leave alive.
+    """Per stored leaf of an expression graph, the union of segments
+    any occurrence's filters reach (:func:`surviving_partitions`).
 
     Keyed by ``id(leaf)`` — the same key the IVM state uses for base
     deltas — mapping to ``(leaf, surviving)`` so consumers (explain, the
@@ -90,7 +91,6 @@ def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]
     from repro.fdm.databases import DatabaseFunction
     from repro.fdm.functions import DerivedFunction, FDMFunction
     from repro.fql.filter import FilteredFunction, RestrictedFunction
-    from repro.partition.table import PartitionedTable
     from repro.predicates.ast import And
     from repro.storage.relation import StoredRelationFunction
 
@@ -98,7 +98,7 @@ def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]
 
     def note(leaf: Any, preds: list) -> None:
         table = leaf._engine.tables.get(leaf.table_name)
-        if not isinstance(table, PartitionedTable):
+        if table is None:
             return
         predicate = None
         if preds:

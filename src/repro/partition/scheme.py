@@ -2,7 +2,8 @@
 
 A :class:`PartitionScheme` assigns every row of a table to exactly one
 partition id in ``range(n_partitions)``, from either the row's key
-(``attr=None``) or one of its attributes. Two families exist:
+(``attr=None``) or one of its attributes. A flat table's scheme is
+:data:`FLAT`, one segment holding every row; two families partition:
 
 * :class:`HashScheme` — a *stable* hash of the partitioning value modulo
   the partition count. Stability matters: Python's builtin ``hash`` is
@@ -31,6 +32,7 @@ from repro._util import TOMBSTONE
 from repro.errors import StorageError
 
 __all__ = [
+    "FLAT",
     "PartitionScheme",
     "HashScheme",
     "RangeScheme",
@@ -144,9 +146,16 @@ class PartitionScheme:
         ``None`` when the scheme cannot decide (hash schemes)."""
         return None
 
+    @property
+    def appends_in_order(self) -> bool:
+        """Whether no write moves a key's place in the scan and a new
+        key scans last — the offload mirror's condition for patching a
+        table row by row. Only one segment promises it."""
+        return self.n_partitions == 1
+
     # -- identity ---------------------------------------------------------------
 
-    def spec(self) -> dict[str, Any]:
+    def spec(self) -> dict[str, Any] | None:
         """JSON-able description (recovery metadata, compatibility)."""
         raise NotImplementedError
 
@@ -160,6 +169,22 @@ class PartitionScheme:
 
     def __repr__(self) -> str:
         return f"<PartitionScheme {self.describe()}>"
+
+
+class FlatScheme(PartitionScheme):
+    """One segment holding every row: the layout of a flat table."""
+
+    kind = "flat"
+
+    def partition_for_value(self, value: Any) -> int:
+        return 0
+
+    def spec(self) -> None:
+        return None  # a schema record's "partition" for a flat table
+
+
+#: The scheme of every flat table.
+FLAT = FlatScheme(None, 1)
 
 
 class HashScheme(PartitionScheme):
@@ -250,11 +275,14 @@ def range_partition(attr: str | None, boundaries: Any) -> RangeScheme:
 def as_scheme(obj: Any) -> PartitionScheme:
     """Coerce a scheme, a spec dict, or a short tuple into a scheme.
 
-    Accepted: a :class:`PartitionScheme`; ``{"kind": "hash", ...}`` /
+    Accepted: a :class:`PartitionScheme`; ``None`` (:data:`FLAT`, the
+    spec a flat table writes); ``{"kind": "hash", ...}`` /
     ``{"kind": "range", ...}`` spec dicts; ``("hash", attr, n)`` and
     ``("range", attr, boundaries)`` tuples; a bare int *n* (hash on the
     key into *n* partitions).
     """
+    if obj is None:
+        return FLAT
     if isinstance(obj, PartitionScheme):
         return obj
     if isinstance(obj, int):

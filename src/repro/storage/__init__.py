@@ -11,6 +11,7 @@ from repro.storage.relation import (
     StoredRelationshipFunction,
 )
 from repro.storage.stats import AttrStatistics, TableStatistics
+from repro.storage.table import Table
 from repro.storage.versioned import Version, VersionedTable
 from repro.storage.wal import WALRecord, WriteAheadLog
 
@@ -20,6 +21,6 @@ __all__ = [
     "load_checkpoint", "save_checkpoint",
     "StoredRelationFunction", "StoredRelationshipFunction",
     "AttrStatistics", "TableStatistics",
-    "Version", "VersionedTable",
+    "Table", "Version", "VersionedTable",
     "WALRecord", "WriteAheadLog",
 ]

@@ -4,8 +4,9 @@ One engine backs one database function. The engine owns no transaction
 logic — the :mod:`repro.txn` manager validates and orders commits, then
 hands the engine a batch of writes to apply atomically (WAL first, then
 version chains, which keep their own statistics, then index
-maintenance). Each table object carries its indexes and statistics, so
-replacing a table replaces everything derived from it in one step.
+maintenance). Each :class:`~repro.storage.table.Table` carries its
+indexes and its segments' statistics, so replacing a table replaces
+everything derived from it in one step.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from repro._util import TOMBSTONE
 from repro.errors import StorageError, UnknownRelationError, WALError
 from repro.ivm.changelog import ChangeLog
 from repro.ivm.delta import Delta
+from repro.partition.scheme import as_scheme
 from repro.storage.index import HashIndex, SortedIndex
-from repro.storage.versioned import VersionedTable
+from repro.storage.table import Table
 from repro.storage.wal import WALRecord, WriteAheadLog
 
 __all__ = ["StorageEngine"]
@@ -30,7 +32,7 @@ class StorageEngine:
     """Owns the tables and the WAL for one database."""
     def __init__(self, name: str = "engine", wal_path: str | None = None):
         self.name = name
-        self.tables: dict[str, VersionedTable] = {}
+        self.tables: dict[str, Table] = {}
         self.wal = WriteAheadLog(wal_path)
         #: Per-database executor plan cache; created lazily by
         #: :func:`repro.exec.cache_for` so storage stays import-light.
@@ -58,7 +60,11 @@ class StorageEngine:
         if self.changelog is None:
             clock = max(
                 [self.wal.last_commit_ts()]
-                + [t.written_ts for t in self.tables.values()]
+                + [
+                    segment.written_ts
+                    for table in self.tables.values()
+                    for segment in table.segments
+                ]
             )
             self.changelog = ChangeLog(start_ts=clock)
         return self.changelog
@@ -70,34 +76,27 @@ class StorageEngine:
         name: str,
         key_name: str | tuple[str, ...] | None = None,
         partition_by: Any = None,
-    ) -> VersionedTable:
+    ) -> Table:
+        """A new empty table; *partition_by* is anything
+        :func:`~repro.partition.scheme.as_scheme` reads (``None``: flat)."""
         if name in self.tables:
             raise StorageError(f"table {name!r} already exists")
-        if partition_by is not None:
-            # lazy: repro.partition subclasses this module's tables
-            from repro.partition import PartitionedTable, as_scheme
-
-            table: VersionedTable = PartitionedTable(
-                name, key_name=key_name, scheme=as_scheme(partition_by)
-            )
-        else:
-            table = VersionedTable(name, key_name=key_name)
-        self.tables[name] = table
+        table = self.tables[name] = Table(
+            name, key_name=key_name, scheme=as_scheme(partition_by)
+        )
         return table
 
-    def partition_table(self, name: str, partition_by: Any) -> VersionedTable:
+    def partition_table(self, name: str, partition_by: Any) -> Table:
         """Re-partition an existing table in place, history included.
 
-        The version chains replay into per-partition segments (historic
-        attribute changes get their move tombstones as if the table had
-        always been partitioned), each segment's statistics covering
+        The version chains replay into the new scheme's segments
+        (historic attribute changes get their move tombstones as if the
+        table had always had it), each segment's statistics covering
         every version it receives. The new table object replaces the old
         one in one step: the offload mirror, which keys on the object,
         rebuilds for the new enumeration order.
         """
-        from repro.partition import PartitionedTable, as_scheme
-
-        self.tables[name] = table = PartitionedTable.from_table(
+        self.tables[name] = table = Table.from_table(
             self.table(name), as_scheme(partition_by)
         )
         self._invalidate_partition_consumers(name)
@@ -133,7 +132,7 @@ class StorageEngine:
             raise UnknownRelationError(name, self.name)
         del self.tables[name]
 
-    def table(self, name: str) -> VersionedTable:
+    def table(self, name: str) -> Table:
         try:
             return self.tables[name]
         except KeyError:
@@ -162,8 +161,8 @@ class StorageEngine:
 
         Recovery, replica apply and image install all learn DDL here. A
         missing table is created; an existing one has its key name
-        aligned, is re-partitioned in place when the scheme differs
-        (history kept), and gains or loses indexes to match.
+        aligned, is re-partitioned in place when its scheme's spec
+        differs (history kept), and gains or loses indexes to match.
         """
         if schema is None:
             if name in self.tables:
@@ -178,9 +177,7 @@ class StorageEngine:
             self.create_table(name, key_name=key_name, partition_by=spec)
         else:
             table.key_name = key_name
-            if spec is not None and (
-                not table.is_partitioned or table.scheme.spec() != spec
-            ):
+            if table.scheme.spec() != spec:
                 self.partition_table(name, spec)
         wanted = {i["attr"]: i["kind"] for i in schema.get("indexes", ())}
         indexes = self.tables[name].indexes
@@ -234,19 +231,16 @@ class StorageEngine:
         for table_name, key, data in writes:
             table = self.table(table_name)
             old = table.read(key, _LATEST)
-            old_pid = table.placement_of(key) if table.is_partitioned else None
-            table.apply(key, data, commit_ts)
+            touched = table.apply(key, data, commit_ts)
             table.indexes.update(key, old, data)
             if changelog is not None:
                 changelog.observe_row(data)
                 delta = deltas.setdefault(table_name, Delta())
                 delta.record(key, old, data)
-                if table.is_partitioned:
-                    # tag the commit's delta with the partitions it
-                    # touched, so maintained views whose filters prune
-                    # those partitions can skip upkeep (DESIGN.md §10)
-                    pids = (old_pid, table.placement_of(key))
-                    delta.tag_partitions(p for p in pids if p is not None)
+                # tag the commit's delta with the segments it touched,
+                # so maintained views whose filters cannot reach those
+                # segments skip upkeep (DESIGN.md §10)
+                delta.tag_partitions(touched)
         if changelog is not None:
             changelog.append(commit_ts, deltas)
 

@@ -157,7 +157,7 @@ def table_schema(engine: Any, name: str) -> dict[str, Any] | None:
     indexes = table.indexes
     return {
         "key_name": list(key_name) if isinstance(key_name, tuple) else key_name,
-        "partition": table.scheme.spec() if table.is_partitioned else None,
+        "partition": table.scheme.spec(),
         "indexes": [
             {"attr": attr, "kind": indexes.get(attr).kind}
             for attr in indexes.attrs()

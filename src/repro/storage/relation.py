@@ -146,18 +146,17 @@ class StoredRelationFunction(RelationFunction):
     ) -> Iterator[Any]:
         """Columnar snapshot enumeration with segment skipping.
 
-        Serves each segment's column image (segment by segment for
-        partitioned tables, preserving the table's enumeration order),
-        scanning the version chains into a new one when the cached
-        image does not serve the snapshot; a snapshot older than the
-        segment's newest write, or a segment holding a nested function,
-        walks the chains uncached. Each segment is tested once against
-        *zone_predicate* and the table as it is now: a partition the
-        scheme proves the filters cannot reach is skipped first, then a
-        segment whose own statistics rule them out (counted as a zone
-        skip). Inside an open transaction the buffered writes make
-        chain-direct scanning (and both skips) unsound, so the scan
-        falls back to the row-batch path.
+        Serves each segment's column image segment by segment (the
+        table's enumeration order), scanning the version chains into a
+        new one when the cached image does not serve the snapshot; a
+        snapshot older than the segment's newest write, or a segment
+        holding a nested function, walks the chains uncached. Only the
+        segments *zone_predicate* reaches are read
+        (:func:`~repro.partition.prune.surviving_partitions`); each of
+        those whose own statistics rule the predicate out is skipped
+        and counted as a zone skip. Inside an open transaction the
+        buffered writes make chain-direct scanning (and both skips)
+        unsound, so the scan falls back to the row-batch path.
         """
         txn = self._manager.current()
         if txn is not None:
@@ -166,23 +165,19 @@ class StoredRelationFunction(RelationFunction):
 
         from repro.exec.batch import entry_batches, image_batches
         from repro.obs.resources import active_meter
-        from repro.partition.prune import partition_test
-        from repro.predicates.ast import may_hold
+        from repro.partition.prune import surviving_partitions
         from repro.storage.stats import zone_may_match
 
         ts = self._manager.now()
         table = self._engine.table(self._table_name)
-        partitioned = table.is_partitioned
-        segments = table.segments if partitioned else [table]
+        reach = surviving_partitions(table.scheme, zone_predicate)
         name = self._name
-        for pid, segment in enumerate(segments):
+        for pid, segment in enumerate(table.segments):
+            if pid not in reach:
+                continue
             # per segment: an enumeration's meter is installed per pull
             meter = active_meter()
             if zone_predicate is not None:
-                if partitioned and not may_hold(
-                    zone_predicate, partition_test(table.scheme, pid)
-                ):
-                    continue
                 if not zone_may_match(segment.stats, zone_predicate):
                     if meter is not None:
                         meter.zone_segments_skipped += 1

@@ -1,9 +1,8 @@
 """What a segment knows about its rows: statistics that double as zone
 maps (DESIGN.md §13).
 
-Every :class:`~repro.storage.versioned.VersionedTable` (a flat table,
-or one segment of a partitioned one) owns one :class:`TableStatistics`
-and keeps it in step from its own write path. One pass per written row
+Every segment (:class:`~repro.storage.versioned.VersionedTable`) owns
+one :class:`TableStatistics` and keeps it in step from its own write path. One pass per written row
 maintains two kinds of fact per attribute:
 
 * **latest-state counts** — rows defining it and a count per distinct
@@ -178,8 +177,8 @@ class TableStatistics:
 
 
 class SummedStatistics:
-    """A partitioned table's statistics: each figure is the sum of its
-    segments', computed when read. The segments keep theirs at commit;
+    """The statistics of a table of several segments: each figure is
+    the sum of its segments', computed when read. The segments keep theirs at commit;
     nothing here is maintained."""
 
     def __init__(self, parts: list[TableStatistics]):

@@ -12,12 +12,13 @@ tombstone. This gives:
 * time travel (`as_of`) and cheap garbage collection below the oldest
   active snapshot.
 
-A table also carries everything derived from its rows: one
-:class:`ColumnImage` (its live rows at the newest write, laid out for
-column reads), its :class:`~repro.storage.stats.TableStatistics` (which
-double as zone maps) and its secondary :class:`~repro.storage.index.
-IndexSet` (DESIGN.md §13). Replacing the table object replaces all of
-them at once.
+A :class:`VersionedTable` is one *segment* of a table
+(:class:`repro.storage.table.Table`, DESIGN.md §10): a flat table has
+one, a partitioned table one per partition. A segment carries what is
+derived from its own rows: one :class:`ColumnImage` (its live rows at
+the newest write, laid out for column reads) and its
+:class:`~repro.storage.stats.TableStatistics`, which double as zone
+maps (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Any, Iterator
 
 from repro._util import MISSING, TOMBSTONE
 from repro.errors import StorageError
-from repro.storage.index import IndexSet
 from repro.storage.stats import TableStatistics
 
 __all__ = ["ColumnImage", "Version", "VersionedTable", "TOMBSTONE"]
@@ -83,33 +83,19 @@ class Version:
 
 
 class VersionedTable:
-    """A multi-versioned key → attribute-dict store."""
+    """One segment: a multi-versioned key → attribute-dict store."""
 
-    #: Overridden by :class:`repro.partition.table.PartitionedTable`;
-    #: a class flag keeps the hot commit path free of isinstance probes
-    #: against a lazily-imported subclass.
-    is_partitioned = False
-
-    def __init__(self, name: str, key_name: str | tuple[str, ...] | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.key_name = key_name
         self._chains: dict[Any, list[Version]] = {}
         #: The newest commit stamp applied (0 if none). Set before the
         #: commit's stamp is published, so a reader whose snapshot is at
-        #: or past it sees every version this table holds.
+        #: or past it sees every version this segment holds.
         self.written_ts = 0
         self._image: ColumnImage | None = None
-        #: Secondary indexes over the latest committed rows; the engine
-        #: updates them at commit.
-        self.indexes = IndexSet()
-        #: How many vacuums dropped versions here: a change to the
-        #: chains no commit record describes (the offload mirror's
-        #: rebuild trigger, with the table's identity).
-        self.vacuums = 0
-        if not self.is_partitioned:  # a partitioned table sums its segments'
-            #: Latest-state counts and accumulate-only bounds, kept in
-            #: step by :meth:`apply` and rebuilt by :meth:`vacuum`.
-            self.stats = TableStatistics()
+        #: Latest-state counts and accumulate-only bounds, kept in step
+        #: by :meth:`apply` and rebuilt by :meth:`vacuum`.
+        self.stats = TableStatistics()
 
     # -- reads ------------------------------------------------------------------
 
@@ -245,7 +231,6 @@ class VersionedTable:
             else:
                 self._chains[key] = chain
         if dropped:
-            self.vacuums += 1
             stats = TableStatistics()
             for chain in self._chains.values():
                 previous = TOMBSTONE

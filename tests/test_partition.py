@@ -1,7 +1,7 @@
 """Unit tests for the partition subsystem (DESIGN.md §10).
 
 Covers the four layers separately: scheme placement (stable across
-processes), the PartitionedTable invariants (one live segment per key
+processes), the partitioned table invariants (one live segment per key
 per snapshot, moves, time travel, vacuum, WAL recovery byte-for-byte),
 static pruning, per-partition statistics feeding cardinality, explain
 rendering, and the IVM partition-skip path.
@@ -15,7 +15,6 @@ from repro.exec import default_plan_cache, explain
 from repro.ivm import maintained_view, using_ivm_mode
 from repro.optimizer.cardinality import estimate_cardinality
 from repro.partition import (
-    PartitionedTable,
     hash_partition,
     range_partition,
     stable_hash,
@@ -173,7 +172,7 @@ class TestPruning:
 
 
 # ---------------------------------------------------------------------------
-# PartitionedTable
+# Partitioned tables
 # ---------------------------------------------------------------------------
 
 
@@ -194,12 +193,12 @@ class TestPartitionedTable:
         ]
         engine.apply_commit(1, writes)
         table = engine.table("t")
-        assert isinstance(table, PartitionedTable)
+        assert len(table.segments) == 4
         whole = list(table.scan_at(_LATEST))
         parts = [
             entry
-            for pid in range(table.n_partitions)
-            for entry in table.scan_partition(pid, _LATEST)
+            for segment in table.segments
+            for entry in segment.scan_at(_LATEST)
         ]
         assert whole == parts
         assert sorted(k for k, _ in whole) == sorted(k for (_, k, _) in writes)
@@ -211,20 +210,21 @@ class TestPartitionedTable:
         ny_pid = table.scheme.partition_for_value("NY")
         tx_pid = table.scheme.partition_for_value("TX")
         assert ny_pid != tx_pid  # true for this scheme's hash
-        assert table.placement_of(1) == ny_pid
+        assert table._placement[1] == ny_pid
         engine.apply_commit(2, [("t", 1, {"state": "TX", "v": 1})])
-        assert table.placement_of(1) == tx_pid
+        assert table._placement[1] == tx_pid
         # snapshot at ts=1 sees the NY version, in the NY segment only
         assert table.read(1, 1) == {"state": "NY", "v": 0}
-        assert dict(table.scan_partition(ny_pid, 1))[1]["state"] == "NY"
-        assert dict(table.scan_partition(ny_pid, _LATEST)) == {}
-        assert dict(table.scan_partition(tx_pid, _LATEST))[1]["state"] == "TX"
+        ny, tx = table.segments[ny_pid], table.segments[tx_pid]
+        assert dict(ny.scan_at(1))[1]["state"] == "NY"
+        assert dict(ny.scan_at(_LATEST)) == {}
+        assert dict(tx.scan_at(_LATEST))[1]["state"] == "TX"
         # exactly one live segment per snapshot
         for ts in (1, 2):
             live = [
                 pid
-                for pid in range(table.n_partitions)
-                if 1 in dict(table.scan_partition(pid, ts))
+                for pid, segment in enumerate(table.segments)
+                if 1 in dict(segment.scan_at(ts))
             ]
             assert len(live) == 1
 
@@ -264,7 +264,7 @@ class TestPartitionedTable:
         snapshot_before = dict(engine.table("t").scan_at(1))
         engine.partition_table("t", range_partition("age", [35]))
         table = engine.table("t")
-        assert isinstance(table, PartitionedTable)
+        assert len(table.segments) == 2
         assert dict(table.scan_at(1)) == snapshot_before  # time travel kept
         assert dict(table.scan_at(_LATEST))[1] == {"age": 99}
         assert table.stats.row_count == 6
@@ -308,7 +308,7 @@ class TestRecovery:
         engine.apply_commit(3, [("t", 1, TOMBSTONE)])  # delete
         recovered = StorageEngine.recover(WriteAheadLog.load(path))
         original, replayed = engine.table("t"), recovered.table("t")
-        assert isinstance(replayed, PartitionedTable)
+        assert replayed.scheme.spec() == scheme.spec()
         assert replayed.layout() == original.layout()
         assert replayed._placement == original._placement
         # per-partition statistics replay identically too
@@ -328,7 +328,7 @@ class TestRecovery:
         db.checkpoint(path)
         restored = fql.FunctionalDatabase.restore(path, name="ckpt2")
         table = restored.engine.table("t")
-        assert isinstance(table, PartitionedTable)
+        assert len(table.segments) == 2
         assert table.scheme.spec() == {"kind": "hash", "attr": "state", "n": 2}
         assert dict(restored.t.items())[1]("state") == "NY"
 

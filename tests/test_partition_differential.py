@@ -179,7 +179,7 @@ def test_ragged_rows_in_partition_zero(scheme_name):
             or (scheme.attr == "age" and isinstance(row["age"], str))
         }
         assert homeless
-        assert homeless <= set(table.keys_partition(0, 2**62))
+        assert homeless <= set(table.segments[0].keys_at(2**62))
     for name in RAGGED:
         build = zoo.ZOO[name]
         assert _ordered(build(part)) == _naive(build(part)), (

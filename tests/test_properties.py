@@ -479,7 +479,7 @@ def test_segment_statistics_equal_a_replay_of_their_chains(seed):
         else:
             engine = install_image(engine_image(engine, ts))
         table = engine.table("t")
-        segments = table.segments if table.is_partitioned else [table]
+        segments = table.segments
         for segment in segments:
             assert _facts(segment.stats) == _facts(_replayed(segment))
         live = sum(1 for _ in table.keys_at(latest))

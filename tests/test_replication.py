@@ -818,11 +818,10 @@ class TestOneWrittenForm:
         assert _written_down(rebuilt) == expected
         for name in expected:
             original, copy = leader.engine.table(name), rebuilt.table(name)
-            assert copy.is_partitioned == original.is_partitioned
-            if original.is_partitioned:
-                assert copy.partition_counts(2**62) == (
-                    original.partition_counts(2**62)
-                )
+            assert copy.scheme.spec() == original.scheme.spec()
+            assert copy.partition_counts(2**62) == (
+                original.partition_counts(2**62)
+            )
         leader.close()
 
     def test_frames_carry_records_and_nothing_else(self, tmp_path):

@@ -387,7 +387,7 @@ class TestFallbacks:
         got = dict(ordered(fql.filter(db.t, "v >= 3")))
         assert got[3] == {"v": 3, "g": 3}
         assert _built(db) == built
-        assert db.engine.tables["t"].image_at(old) is None
+        assert db.engine.tables["t"].segments[0].image_at(old) is None
         db.close()
 
     def test_partition_table_and_drop_recreate_get_new_images(self):
@@ -410,7 +410,8 @@ class TestFallbacks:
         _same_as_naive(build, db)
         built = _built(db)
         assert db.vacuum() > 0
-        assert db.engine.tables["t"].image_at(db.manager.now()) is None
+        segment = db.engine.tables["t"].segments[0]
+        assert segment.image_at(db.manager.now()) is None
         _same_as_naive(build, db)
         assert _built(db) == built + 1
         db.close()

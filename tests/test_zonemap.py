@@ -9,13 +9,15 @@ counts that certify segments were actually skipped.
 """
 
 import math
+import re
 
 import pytest
 
 import repro as fql
 from repro._util import TOMBSTONE
 from repro.exec import explain, using_exec_mode
-from repro.partition import range_partition
+from repro.obs.resources import metered
+from repro.partition import hash_partition, range_partition
 from repro.predicates import parse_predicate
 from repro.storage.stats import AttrStatistics, TableStatistics, zone_may_match
 
@@ -30,8 +32,7 @@ def _zone(*rows):
 def _segments(db, name="events"):
     """Each segment's statistics, in partition order."""
     table = db.engine.table(name)
-    segments = table.segments if table.is_partitioned else [table]
-    return [segment.stats for segment in segments]
+    return [segment.stats for segment in table.segments]
 
 
 def _zones(db):
@@ -305,6 +306,43 @@ def test_explain_reports_zone_verdicts():
     assert "== batching ==" in text
     assert "zone maps" in text
     assert "3 skipped" in text
+    db.close()
+
+
+_ZONE_LINE = re.compile(
+    r"zone maps 't': scan (\d+)/(\d+) segments \((\d+) skipped\)"
+)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [None, hash_partition("p", 4), range_partition("v", [100, 200, 300])],
+    ids=["flat", "hash", "range"],
+)
+@pytest.mark.parametrize(
+    "source", ["p == 1", "v >= 350", "p == 1 and v < 150", "v > 1000"]
+)
+def test_explain_zone_counts_are_the_scans(scheme, source):
+    """Explain tests zone maps on the segments the scan reaches, not on
+    every segment: its counts are the meter's for a run now."""
+    db = fql.connect("zm-explain-meter", default=False)
+    db.create_table(
+        "t", rows={i: {"p": i % 4, "v": i} for i in range(400)},
+        partition_by=scheme,
+    )
+    expr = fql.filter(db.t, source)
+    with using_exec_mode("batch"):
+        scanned, reached, skipped = map(
+            int, _ZONE_LINE.search(explain(expr)).groups()
+        )
+        with metered(db.engine) as meter:
+            got = dict(expr.items())
+    assert scanned + skipped == reached
+    assert (scanned, skipped) == (
+        meter.zone_segments_scanned, meter.zone_segments_skipped
+    )
+    with using_exec_mode("naive"):
+        assert got == dict(expr.items())
     db.close()
 
 
