@@ -5,7 +5,7 @@ engine (stdlib ``sqlite3``), kept current from the commit log:
 
 * **log-fed** — each table's snapshot is stamped with the commit it
   reflects; a sync reads the engine's retained WAL records since that
-  stamp and applies the ones writing this table, row by row. What the
+  stamp and applies the rows they wrote to this table. What the
   log cannot say is read off the table object itself: a snapshot
   remembers the object it was built from and that object's vacuum
   count, so a re-shard, a drop and re-create or a replica snapshot
@@ -38,6 +38,8 @@ import math
 import sqlite3
 import threading
 import weakref
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 from repro._util import TOMBSTONE, attached
@@ -65,6 +67,13 @@ _LATEST = 2**62
 
 #: The embedded engine behind every mirror (``stats()["offload"]["backend"]``).
 BACKEND = "sqlite"
+
+
+#: Fills a column slot whose row lacks the attribute.
+_ABSENT = type("_Absent", (), {})()
+
+#: What :meth:`ColumnProfile.observe_column` profiles a column at a time.
+_SCALARS = {type(None), bool, int, float, str}
 
 
 class ColumnProfile:
@@ -216,6 +225,40 @@ class ColumnProfile:
         self.has_other = True
         return None, 1
 
+    def observe_column(self, values: list) -> tuple[Any, Any]:
+        """Profile a column (``_ABSENT`` where a row lacks the attribute)
+        to the flags folding :meth:`observe` over it sets, read off its
+        type set, int extremes and float NaNs; returns its data and
+        presence columns. Other types, ints SQL cannot bind and NaNs
+        are observed value by value."""
+        kinds = set(map(type, values))
+        absent = type(_ABSENT) in kinds
+        kinds.discard(type(_ABSENT))
+        self.has_missing |= absent
+        ints = [v for v in values if v.__class__ is int] if int in kinds else []
+        low, high = (min(ints), max(ints)) if ints else (0, 0)
+        floats = [v for v in values if v.__class__ is float] if float in kinds else []
+        if (
+            kinds <= _SCALARS
+            and -_INT64_LIMIT < low
+            and high < _INT64_LIMIT
+            and not any(map(math.isnan, floats))
+        ):
+            self.has_none |= type(None) in kinds
+            self.has_bool |= bool in kinds
+            self.has_int |= bool(ints)
+            self.has_big_int |= low < -_EXACT_INT_LIMIT or high > _EXACT_INT_LIMIT
+            self.has_float |= bool(floats)
+            self.has_text |= str in kinds
+            if not absent:
+                return values, repeat(1)
+            return (
+                [None if v is _ABSENT else v for v in values],
+                [int(v is not _ABSENT) for v in values],
+            )
+        pairs = [(None, 0) if v is _ABSENT else self.observe(v) for v in values]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
 
 class TableMirror:
     """One table's synced snapshot inside the embedded engine."""
@@ -246,10 +289,6 @@ class TableMirror:
                 for attr in self.columns
             )
         )
-
-    def profile(self, attr: str) -> ColumnProfile | None:
-        """The profile for *attr*, or ``None`` if never present."""
-        return self.profiles.get(attr)
 
     def column(self, attr: str) -> int | None:
         """The data-column index for *attr*, or ``None`` if absent."""
@@ -361,8 +400,8 @@ class EngineMirror:
         """The mirror for *table_name* brought forward to *ts*.
 
         *ts* is the commit stamp the caller's (transaction-free) read
-        would use. The commits logged since the mirror's stamp are
-        applied row by row; a rebuild captures ``scan_at(ts)`` whole
+        would use. The rows logged since the mirror's stamp are
+        applied; a rebuild captures ``scan_at(ts)`` whole
         when :meth:`pending` says the log cannot. A newer stamp whose
         commits never touched this table is adopted as is. Callers
         must hold :attr:`lock`.
@@ -382,14 +421,14 @@ class EngineMirror:
             mirror.synced_ts = ts
             return mirror
         if records:
-            keys = dict.fromkeys(  # first-written first, like the chains
+            keys = list(dict.fromkeys(  # first-written first, like the chains
                 key
                 for record in records
                 for name, key, _data in record.writes
                 if name == table_name
-            )
-            changes = [(key, table.read(key, ts)) for key in keys]
-            self._transact(mirror, self._apply, changes)
+            ))
+            rows = [table.read(key, ts) for key in keys]
+            self._transact(mirror, self._apply, keys, rows)
         mirror.synced_ts = max(mirror.synced_ts, ts)
         return mirror
 
@@ -424,12 +463,14 @@ class EngineMirror:
         # it; a key moved between segments takes its live chain's ord
         keys: list = []
         ords: dict = {}
-        live = []
+        live: list = []
+        rows: list = []
         for segment in table.segments:
             for key in list(segment._chains):
                 data = segment.read(key, ts)
                 if data is not TOMBSTONE:
-                    live.append((key, data))
+                    live.append(key)
+                    rows.append(data)
                 elif key in ords:
                     continue
                 ords[key] = len(keys)
@@ -442,25 +483,39 @@ class EngineMirror:
         mirror.mirrorable = True
         conn.execute(f'DROP TABLE IF EXISTS "{mirror.sql_name}"')
         conn.execute(f'CREATE TABLE "{mirror.sql_name}" (ord INTEGER PRIMARY KEY)')
-        return self._apply(conn, mirror, live)
+        return self._apply(conn, mirror, live, rows)
 
-    def _apply(self, conn: Any, mirror: TableMirror, changes: list) -> int:
-        """Write *changes* (``(key, value)``; a tombstone deletes)."""
-        if not all(
-            data is TOMBSTONE or isinstance(data, dict) for _key, data in changes
-        ):
+    def _apply(
+        self, conn: Any, mirror: TableMirror, keys: list, rows: list
+    ) -> int:
+        """Write ``rows[i]`` under ``keys[i]`` (a tombstone deletes),
+        a column at a time: each attribute is profiled once and the
+        rows stream into SQL as a lazy ``zip`` of their columns."""
+        kinds = set(map(type, rows))
+        if not all(k is type(TOMBSTONE) or issubclass(k, dict) for k in kinds):
             # a nested function: offload declines until a write to the
             # table lets a rebuild look again (see :meth:`pending`)
             mirror.mirrorable = False
             return 0
         name = mirror.sql_name
-        new_attrs = dict.fromkeys(
+        known = mirror.ords
+        for key in keys:
+            if key not in known:  # a new chain enumerates after every other
+                known[key] = len(mirror.keys)
+                mirror.keys.append(key)
+        ords = list(map(known.__getitem__, keys))
+        if type(TOMBSTONE) in kinds:
+            conn.executemany(
+                f'DELETE FROM "{name}" WHERE ord = ?',
+                [(o,) for o, data in zip(ords, rows) if data is TOMBSTONE],
+            )
+            ords = [o for o, data in zip(ords, rows) if data is not TOMBSTONE]
+            rows = [data for data in rows if data is not TOMBSTONE]
+        new_attrs = [
             attr
-            for _key, data in changes
-            if data is not TOMBSTONE
-            for attr in data
+            for attr in dict.fromkeys(chain.from_iterable(rows))
             if attr not in mirror.columns
-        )
+        ]
         if new_attrs:  # rows already in the table lack them
             (had_rows,) = conn.execute(
                 f'SELECT EXISTS (SELECT 1 FROM "{name}")'
@@ -471,34 +526,20 @@ class EngineMirror:
             mirror.profiles[attr].has_missing = bool(had_rows)
             conn.execute(f'ALTER TABLE "{name}" ADD COLUMN c{idx}')
             conn.execute(f'ALTER TABLE "{name}" ADD COLUMN p{idx} DEFAULT 0')
-        upserts: list[list] = []
-        deletes: list[tuple] = []
-        for key, data in changes:
-            ord_ = mirror.ords.get(key)
-            if ord_ is None:  # a new chain enumerates after every other
-                ord_ = mirror.ords[key] = len(mirror.keys)
-                mirror.keys.append(key)
-            if data is TOMBSTONE:
-                deletes.append((ord_,))
-                continue
-            row: list[Any] = [ord_]
+        if rows:
+            columns: list = []
             for attr in mirror.columns:
-                profile = mirror.profiles[attr]
-                if attr in data:
-                    row.extend(profile.observe(data[attr]))
-                else:
-                    profile.has_missing = True
-                    row.extend((None, 0))
-            upserts.append(row)
-        if deletes:
-            conn.executemany(f'DELETE FROM "{name}" WHERE ord = ?', deletes)
-        if upserts:
-            placeholders = ", ".join("?" * (1 + 2 * len(mirror.columns)))
+                try:
+                    values = list(map(itemgetter(attr), rows))
+                except KeyError:
+                    values = [row.get(attr, _ABSENT) for row in rows]
+                columns.extend(mirror.profiles[attr].observe_column(values))
+            placeholders = ", ".join("?" * (1 + len(columns)))
             conn.executemany(
                 f'INSERT OR REPLACE INTO "{name}" VALUES ({placeholders})',
-                upserts,
+                zip(ords, *columns),
             )
-        return len(changes)
+        return len(keys)
 
     def close(self) -> None:
         """Release the embedded connection (idempotent)."""

@@ -671,6 +671,8 @@ def _open_engine(name: str, wal_path: str | None) -> StorageEngine:
 
 
 def _coerce_stored(row: Any) -> Any:
+    if row.__class__ is dict:  # the common row: skip the Mapping ABC check
+        return row.copy()
     if isinstance(row, FDMFunction):
         return row
     if isinstance(row, Mapping):

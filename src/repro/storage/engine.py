@@ -20,6 +20,7 @@ from repro.ivm.delta import Delta
 from repro.partition.scheme import as_scheme
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Table
+from repro.storage.versioned import fold_batch
 from repro.storage.wal import WALRecord, WriteAheadLog
 
 __all__ = ["StorageEngine"]
@@ -228,10 +229,12 @@ class StorageEngine:
                 # no schema record named it (a log from before schemas
                 # rode it, or an engine-level caller): create it bare
                 self.create_table(table_name)
+        batch: dict = {}
         for table_name, key, data in writes:
-            table = self.table(table_name)
-            old = table.read(key, _LATEST)
-            touched = table.apply(key, data, commit_ts)
+            table = self.tables[table_name]
+            wanted = changelog is not None or table.indexes  # who reads old
+            old = table.read(key, _LATEST) if wanted else None
+            touched = table.apply(key, data, commit_ts, batch)
             table.indexes.update(key, old, data)
             if changelog is not None:
                 changelog.observe_row(data)
@@ -241,6 +244,7 @@ class StorageEngine:
                 # so maintained views whose filters cannot reach those
                 # segments skip upkeep (DESIGN.md §10)
                 delta.tag_partitions(touched)
+        fold_batch(batch)
         if changelog is not None:
             changelog.append(commit_ts, deltas)
 

@@ -27,7 +27,7 @@ malformed record raises :class:`~repro.errors.WALError` from
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
 from repro._util import TOMBSTONE, decode_tuple_key, encode_tuple_key
 from repro.errors import PersistenceError, WALError
@@ -37,6 +37,7 @@ __all__ = [
     "decode_record",
     "decode_records",
     "dumps",
+    "encode_pieces",
     "encode_record",
     "encode_records",
     "engine_image",
@@ -80,8 +81,12 @@ class WALRecord:
         return f"<WAL @{self.commit_ts}: {len(self.writes)} writes>"
 
 
-def dumps(payload: dict[str, Any]) -> str:
-    """*payload* (a record or an image) as JSON text, or
+#: Writes per piece of an encoded record (:func:`encode_pieces`).
+PIECE_WRITES = 1024
+
+
+def dumps(payload: Any) -> str:
+    """*payload* (a record, an image or a part of one) as JSON text, or
     :class:`PersistenceError` if a row holds a value JSON cannot."""
     try:
         return json.dumps(payload)
@@ -100,23 +105,44 @@ def _row(table: str, key: Any, data: Any) -> dict[str, Any]:
     return data
 
 
+def _write(table: str, key: Any, data: Any) -> dict[str, Any]:
+    return {
+        "table": table,
+        "key": encode_tuple_key(key),
+        "data": None if data is TOMBSTONE else _row(table, key, data),
+        "deleted": data is TOMBSTONE,
+    }
+
+
 def encode_record(record: WALRecord) -> dict[str, Any]:
     """One record as the dict every carrier writes."""
     payload: dict[str, Any] = {
         "ts": record.commit_ts,
-        "writes": [
-            {
-                "table": table,
-                "key": encode_tuple_key(key),
-                "data": None if data is TOMBSTONE else _row(table, key, data),
-                "deleted": data is TOMBSTONE,
-            }
-            for table, key, data in record.writes
-        ],
+        "writes": [_write(t, k, d) for t, k, d in record.writes],
     }
     if record.schemas:
         payload["schemas"] = record.schemas
     return payload
+
+
+def encode_pieces(record: WALRecord) -> Iterator[str]:
+    """``dumps(encode_record(record))`` in pieces of at most
+    :data:`PIECE_WRITES` writes: their concatenation is that text,
+    byte for byte, and encoding one piece holds only its own writes'
+    dicts."""
+    writes = record.writes
+    if len(writes) <= PIECE_WRITES:  # one piece: the line itself
+        yield dumps(encode_record(record))
+        return
+    text = dumps(encode_record(WALRecord(record.commit_ts, [], record.schemas)))
+    cut = text.index('"writes": [') + len('"writes": [')
+    head, tail = text[:cut], text[cut:]  # the tail opens with "]"
+    for start in range(0, len(writes), PIECE_WRITES):
+        chunk = writes[start : start + PIECE_WRITES]
+        piece = dumps([_write(t, k, d) for t, k, d in chunk])
+        end = start + PIECE_WRITES >= len(writes)
+        yield head + piece[1:-1] + (tail if end else "")
+        head = ", "
 
 
 def decode_record(payload: dict[str, Any]) -> WALRecord:

@@ -59,10 +59,6 @@ class StoredRelationFunction(RelationFunction):
     def key_name(self) -> str | tuple[str, ...] | None:
         return self._engine.table(self._table_name).key_name
 
-    def _snapshot_ts(self) -> int:
-        txn = self._manager.current()
-        return txn.start_ts if txn is not None else self._manager.now()
-
     def _raw_read(self, key: Any) -> Any:
         """Row dict, nested function, or TOMBSTONE — txn buffer first."""
         txn = self._manager.current()

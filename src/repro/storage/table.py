@@ -28,7 +28,7 @@ from repro._util import TOMBSTONE
 from repro.partition.scheme import FLAT, PartitionScheme
 from repro.storage.index import IndexSet
 from repro.storage.stats import SummedStatistics, TableStatistics
-from repro.storage.versioned import VersionedTable
+from repro.storage.versioned import VersionedTable, fold_batch
 
 __all__ = ["Table"]
 
@@ -76,9 +76,11 @@ class Table:
         """
         out = cls(table.name, key_name=table.key_name, scheme=scheme)
         out.indexes = table.indexes
+        batch: dict = {}
         for key, versions in table.logical_chains():
             for ts, data in versions:
-                out.apply(key, data, ts)
+                out.apply(key, data, ts, batch)
+        fold_batch(batch)
         return out
 
     def logical_chains(self) -> Iterator[tuple[Any, list[tuple[int, Any]]]]:
@@ -139,12 +141,14 @@ class Table:
 
     # -- writes -----------------------------------------------------------------
 
-    def apply(self, key: Any, data: Any, ts: int) -> tuple[int, ...]:
+    def apply(self, key: Any, data: Any, ts: int, batch: dict) -> tuple[int, ...]:
         """Append a committed version where the scheme places it;
-        returns the segments the write touched (a move touches two)."""
+        returns the segments the write touched (a move touches two).
+        *batch* collects the commit's rows for the statistics
+        (:meth:`VersionedTable.apply`)."""
         segments = self.segments
         if len(segments) == 1:  # nowhere to move: nothing to place
-            segments[0].apply(key, data, ts)
+            segments[0].apply(key, data, ts, batch)
             return _FIRST
         old_pid = self._placement.get(key)
         if data is TOMBSTONE:
@@ -152,12 +156,12 @@ class Table:
             pid = old_pid if old_pid is not None else 0
         else:
             pid = self.scheme.partition_for(key, data)
-        segments[pid].apply(key, data, ts)
+        segments[pid].apply(key, data, ts, batch)
         self._placement[key] = pid
         if old_pid is None or old_pid == pid:
             return (pid,)
         # the row moved: close out the old segment at the same stamp
-        segments[old_pid].apply(key, TOMBSTONE, ts)
+        segments[old_pid].apply(key, TOMBSTONE, ts, batch)
         return (old_pid, pid)
 
     # -- maintenance ------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro._util import MISSING, TOMBSTONE
 from repro.errors import StorageError
 from repro.storage.stats import TableStatistics
 
-__all__ = ["ColumnImage", "Version", "VersionedTable", "TOMBSTONE"]
+__all__ = ["ColumnImage", "Version", "VersionedTable", "TOMBSTONE", "fold_batch"]
 
 
 class ColumnImage:
@@ -130,14 +130,7 @@ class VersionedTable:
 
     def keys_at(self, ts: int) -> Iterator[Any]:
         """Keys with a live (non-tombstone) version at snapshot *ts*."""
-        for key, chain in list(self._chains.items()):
-            newest = chain[-1] if chain else None
-            if newest is not None and newest.ts <= ts:
-                data = newest.data  # fast path (see read())
-            else:
-                data = self.read(key, ts)
-            if data is not TOMBSTONE:
-                yield key
+        return (key for key, _data in self.scan_at(ts))
 
     def scan_at(self, ts: int) -> Iterator[tuple[Any, Any]]:
         """``(key, value)`` of every live version at snapshot *ts*, in
@@ -187,8 +180,10 @@ class VersionedTable:
 
     # -- writes (called by the transaction manager only) ---------------------------
 
-    def apply(self, key: Any, data: Any, ts: int) -> None:
-        """Append a committed version. Stamps must be monotone per chain."""
+    def apply(self, key: Any, data: Any, ts: int, batch: dict) -> None:
+        """Append a committed version. Stamps must be monotone per chain.
+        The statistics take it with the rest of the commit's *batch*
+        (:func:`fold_batch`)."""
         chain = self._chains.setdefault(key, [])
         if chain and chain[-1].ts > ts:
             raise StorageError(
@@ -198,7 +193,9 @@ class VersionedTable:
         if ts > self.written_ts:  # re-partitioning replays out of order
             self.written_ts = ts
         self._image = None
-        self.stats.on_write(chain[-1].data if chain else TOMBSTONE, data)
+        olds, news = batch.get(self) or batch.setdefault(self, ([], []))
+        olds.append(chain[-1].data if chain else TOMBSTONE)
+        news.append(data)
         if chain and chain[-1].ts == ts:
             chain[-1] = Version(ts, data)  # same-txn overwrite
         else:
@@ -249,3 +246,10 @@ class VersionedTable:
             f"<VersionedTable {self.name!r}: {len(self._chains)} chains, "
             f"{self.version_count()} versions>"
         )
+
+
+def fold_batch(batch: dict) -> None:
+    """Fold each segment's share of one commit, collected by
+    :meth:`VersionedTable.apply`, into its statistics."""
+    for segment, (olds, news) in batch.items():
+        segment.stats.fold(olds, news)

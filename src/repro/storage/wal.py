@@ -8,8 +8,9 @@ reproducing exactly the committed state (aborted transactions never
 reach the log).
 
 The log lives in memory and optionally mirrors to a JSON-lines file, one
-:func:`~repro.storage.image.encode_record` dict per line. A memory-only
-log keeps the records as they are and never encodes them.
+:func:`~repro.storage.image.encode_record` dict per line, written in the
+pieces :func:`~repro.storage.image.encode_pieces` cuts it into. A
+memory-only log keeps the records as they are and never encodes them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator
 
 from repro.errors import WALError
 from repro.obs.resources import active_meter
-from repro.storage.image import WALRecord
+from repro.storage.image import WALRecord, encode_pieces
 
 __all__ = ["WALRecord", "WriteAheadLog"]
 
@@ -40,8 +41,10 @@ class WriteAheadLog:
         self._floor = 0
         #: Bytes of a torn final line that :meth:`load` dropped.
         self.torn_bytes = 0
+        #: Length of the file once its last append is written.
+        self._end = 0
         if path is not None:
-            self._file = open(path, "a", encoding="utf-8")
+            self._open("ab")
 
     @property
     def path(self) -> str | None:
@@ -72,18 +75,20 @@ class WriteAheadLog:
     def append(self, record: WALRecord) -> None:
         """Make *record* durable, then retain it.
 
-        Encoding comes first: a record that cannot be written down
-        raises :class:`~repro.errors.PersistenceError` before the file
-        or the retained list changes, so a refused commit leaves no
-        phantom behind to replay or ship.
+        Every piece is encoded before the file is touched: a record
+        that cannot be written down raises
+        :class:`~repro.errors.PersistenceError` before the file or the
+        retained list changes, so a refused commit leaves no phantom
+        behind to replay or ship. A write or ``fsync`` that fails cuts
+        the file back to its length before the append and raises
+        :class:`WALError`; if the cut fails too, the log closes.
         """
         self.check_open()
-        line: str | None = None
+        pieces: list | None = None
         if self._file is not None:
-            line = record.to_json() + "\n"
-            self._file.write(line)
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            pieces = [piece.encode() for piece in encode_pieces(record)]
+            pieces[-1] += b"\n"
+            self._write(pieces)
         self._records.append(record)
         # meter the DML path's durability cost. Accounting only — this
         # runs mid-commit, after the conflict checks, so it must never
@@ -91,12 +96,33 @@ class WriteAheadLog:
         # TransactionManager.commit).
         meter = active_meter()
         if meter is not None:
-            if line is None:
+            if pieces is None:
                 try:
-                    line = record.to_json() + "\n"
+                    pieces = [*encode_pieces(record), "\n"]
                 except Exception:
-                    line = ""
-            meter.wal_bytes += len(line)
+                    pieces = []
+            meter.wal_bytes += sum(map(len, pieces))
+
+    def _open(self, mode: str) -> None:
+        self._file = open(self._path, mode, buffering=0)
+        self._end = os.fstat(self._file.fileno()).st_size
+
+    def _write(self, pieces: list[bytes]) -> None:
+        fd = self._file.fileno()
+        try:
+            for piece in pieces:
+                while piece:
+                    piece = piece[os.write(fd, piece) :]
+            os.fsync(fd)
+            self._end += sum(map(len, pieces))
+        except OSError as exc:
+            try:
+                os.ftruncate(fd, self._end)
+            except OSError:  # the file may end in this record: refuse more
+                self._closed = True
+            raise WALError(
+                f"write-ahead log {self._path!r}: append failed ({exc})"
+            ) from exc
 
     def records(self) -> Iterator[WALRecord]:
         """Every retained record in commit order (full replay)."""
@@ -135,9 +161,8 @@ class WriteAheadLog:
         )
 
     def flush(self) -> None:
-        """Force buffered bytes to durable storage."""
+        """Force written bytes to durable storage."""
         if self._file is not None:
-            self._file.flush()
             os.fsync(self._file.fileno())
 
     def close(self) -> None:
@@ -156,7 +181,7 @@ class WriteAheadLog:
     def reopen(self) -> None:
         """(Re)open the append handle of a file-backed log."""
         if self._path is not None and self._file is None:
-            self._file = open(self._path, "a", encoding="utf-8")
+            self._open("ab")
             self._closed = False
 
     def __del__(self) -> None:
@@ -216,4 +241,4 @@ class WriteAheadLog:
         self._records.clear()
         if self._file is not None and self._path is not None:
             self._file.close()
-            self._file = open(self._path, "w", encoding="utf-8")
+            self._open("wb")

@@ -352,13 +352,13 @@ class TransactionManager:
         txn = self.begin(activate=True)
         try:
             yield txn
+            if txn.state == ACTIVE:
+                self.commit(txn)
         except BaseException:
+            # the statement or its commit failed: never leave it current
             if txn.state == ACTIVE:
                 self.abort(txn)
             raise
-        else:
-            if txn.state == ACTIVE:
-                self.commit(txn)
 
     # -- maintenance ---------------------------------------------------------------------------
 

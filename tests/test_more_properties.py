@@ -12,6 +12,7 @@ from repro.fdm import extensionally_equal
 from repro.optimizer import optimize
 from repro.relational import NULL, SQLDatabase
 from repro.storage import StorageEngine, VersionedTable, WriteAheadLog
+from repro.storage.versioned import fold_batch
 from repro.storage.wal import WALRecord
 
 
@@ -24,17 +25,18 @@ from repro.storage.wal import WALRecord
 ))
 def test_versioned_reads_see_latest_at_or_before(history):
     """Oracle: replay the history into a dict-per-timestamp model."""
-    table = VersionedTable("t")
+    table, batch = VersionedTable("t"), {}
     oracle: dict[int, dict] = {}
     state: dict = {}
     for ts, (key, value) in enumerate(history, start=1):
         data = TOMBSTONE if value is None else {"v": value}
-        table.apply(key, data, ts)
+        table.apply(key, data, ts, batch)
         if value is None:
             state.pop(key, None)
         else:
             state[key] = {"v": value}
         oracle[ts] = dict(state)
+    fold_batch(batch)
     for ts, snapshot in oracle.items():
         assert dict(table.scan_at(ts)) == snapshot
         assert set(table.keys_at(ts)) == set(snapshot)
@@ -45,11 +47,12 @@ def test_versioned_reads_see_latest_at_or_before(history):
     max_size=25,
 ), st.integers(1, 25))
 def test_vacuum_preserves_visible_state(history, watermark):
-    table = VersionedTable("t")
+    table, batch = VersionedTable("t"), {}
     for ts, (key, value) in enumerate(history, start=1):
         table.apply(
-            key, TOMBSTONE if value is None else {"v": value}, ts
+            key, TOMBSTONE if value is None else {"v": value}, ts, batch
         )
+    fold_batch(batch)
     top = len(history)
     visible_before = {
         ts: dict(table.scan_at(ts)) for ts in range(watermark, top + 1)

@@ -24,18 +24,23 @@ must take the batched path (its buffered writes are invisible to the
 mirror), and a budget-armed query must take the batched path (the SQL
 engine cannot run the per-batch meter checks that keep queries
 killable).
+
+A sync profiles each attribute a column at a time; property tests hold
+those profiles, and the SQL cells written beside them, to a fold of
+``ColumnProfile.observe`` over the same values one at a time.
 """
 
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zoo
 
 import repro as fql
 import repro.replication as repl
 from repro.compile import offload_stats, set_offload_mode, using_offload_mode
-from repro.compile.mirror import EngineMirror, mirror_for
+from repro.compile.mirror import _ABSENT, ColumnProfile, EngineMirror, mirror_for
 from repro.exec import explain, set_exec_mode, using_exec_mode
 from repro.partition import hash_partition
 
@@ -645,3 +650,101 @@ class TestLoggedHistory:
         # a vacuum with nothing to drop leaves the mirror alone
         assert db.vacuum() == 0
         assert mirror_for(db._engine).is_fresh("customers")
+
+
+# -- column profiles ------------------------------------------------------------------
+
+#: None, NaN, bools, ints past 2**53 and 2**63 (either sign), floats,
+#: text and nested values: everything a profile flag is about.
+hostile_values = st.one_of(
+    st.none(),
+    st.just(float("nan")),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(
+        [2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, 2**63, -(2**63), -(2**63) + 1]
+    ),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.integers(0, 3), max_size=1),
+)
+
+hostile_rows = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), hostile_values, max_size=3),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _sql_cell(value):
+    """What SQLite hands back for a bound *value*."""
+    return int(value) if isinstance(value, bool) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(hostile_values, st.just(_ABSENT)), max_size=25))
+def test_a_column_profile_is_the_fold_of_its_values(values):
+    """Flags and SQL cells equal those of ``observe`` one value at a
+    time: a column whose only ints are 2**63 or more sets ``has_other``
+    and never ``has_int``."""
+    column, by_value = ColumnProfile(), ColumnProfile()
+    data, presence = column.observe_column(list(values))
+    expected = [
+        (None, 0) if v is _ABSENT else by_value.observe(v) for v in values
+    ]
+    by_value.has_missing = any(v is _ABSENT for v in values)
+    assert column.signature() == by_value.signature()
+    cells = list(zip(data, presence))
+    assert [(type(d), p) for d, p in cells] == [
+        (type(d), p) for d, p in expected
+    ]
+    assert all(d is e or d == e for (d, _), (e, _) in zip(cells, expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=hostile_rows, later=hostile_rows)
+def test_a_synced_mirror_holds_the_per_value_fold(rows, later):
+    """A rebuild's profiles and SQL cells are the per-value fold over
+    the rows in enumeration order; after a multi-row commit, the delta
+    sync holds what a fresh rebuild does."""
+    db = fql.connect("profiles", default=False)
+    try:
+        db.create_table("t", dict(enumerate(rows)))
+        engine = db._engine
+        mirror = mirror_for(engine)
+        with mirror.lock:
+            table = mirror.ensure_synced("t", db._manager.now())
+            attrs = list(dict.fromkeys(a for row in rows for a in row))
+            profiles = {attr: ColumnProfile() for attr in attrs}
+            expected = []
+            for key in table.keys:
+                row = rows[key]
+                cells = {}
+                for attr in attrs:
+                    if attr in row:
+                        cells[attr] = profiles[attr].observe(row[attr])
+                    else:
+                        profiles[attr].has_missing = True
+                        cells[attr] = (None, 0)
+                expected.append(cells)
+            assert {a: p.signature() for a, p in table.profiles.items()} == {
+                a: p.signature() for a, p in profiles.items()
+            }
+            got = mirror.connection().execute(
+                f'SELECT * FROM "{table.sql_name}" ORDER BY ord'
+            ).fetchall()
+            assert [row[0] for row in got] == list(range(len(rows)))
+            for sql_row, cells in zip(got, expected):
+                for attr, (value, present) in cells.items():
+                    idx = table.columns[attr]
+                    cell = sql_row[1 + 2 * idx]
+                    assert sql_row[2 + 2 * idx] == present
+                    assert type(cell) is type(_sql_cell(value))
+                    assert cell == _sql_cell(value)
+        with db.transaction():
+            for i, row in enumerate(later):
+                db.t[i * 2] = row
+        _assert_matches_rebuild(db, "t")
+    finally:
+        db.close()

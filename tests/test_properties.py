@@ -10,6 +10,7 @@ hostile values.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -40,8 +41,10 @@ from repro.predicates import (
     Or,
     parse_predicate,
 )
-from repro.storage import StorageEngine, VersionedTable
+from repro.storage import StorageEngine, TableStatistics, VersionedTable
+from repro.storage import stats as segment_stats
 from repro.storage.image import engine_image, install_image, table_schema
+from repro.storage.versioned import fold_batch
 
 # -- strategies ---------------------------------------------------------------
 
@@ -418,10 +421,11 @@ def _facts(stats):
 def _replayed(segment):
     """The statistics of a fresh segment fed *segment*'s surviving
     chains."""
-    fresh = VersionedTable("replay")
+    fresh, batch = VersionedTable("replay"), {}
     for key, chain in segment._chains.items():
         for version in chain:
-            fresh.apply(key, version.data, version.ts)
+            fresh.apply(key, version.data, version.ts, batch)
+    fold_batch(batch)
     return fresh.stats
 
 
@@ -490,6 +494,152 @@ def test_segment_statistics_equal_a_replay_of_their_chains(seed):
             {key: model[key] for key in table.keys_at(latest)}
         )
         assert sorted(table.keys_at(latest)) == sorted(model)
+
+
+# -- the column fold ----------------------------------------------------------------
+
+
+def _strict(stats):
+    """:func:`_facts` with each kept object told apart by type and repr:
+    a count kept under ``True`` is not one kept under ``1`` or ``1.0``,
+    nor a bound of ``-0.0`` one of ``0.0``."""
+
+    def obj(value):
+        return type(value).__name__, repr(value)
+
+    return (
+        stats.row_count,
+        stats.opaque,
+        {
+            name: (
+                a.defined,
+                sorted((obj(token), n) for token, n in a.values.items()),
+                [obj(b) for b in (a.num_min, a.num_max, a.str_min, a.str_max)],
+                a.other,
+            )
+            for name, a in sorted(stats.attrs.items())
+        },
+    )
+
+
+def _fold_value(rng):
+    """A value whose count or bound a column fold could get wrong: ties
+    between ``True``, ``1`` and ``1.0``, signed zeros, a fresh NaN, ints
+    past 2**53 and 2**63, unhashables and a string equal to one's repr."""
+    return rng.choice([
+        0, 1, True, False, 1.0, 0.0, -0.0, None, "a", "b", "", "[1]", 2.5,
+        2**53 + 1, 2**63, -(2**70), [1], (1, [2]), float("nan"),
+    ])
+
+
+def _fold_row(rng):
+    pick = rng.random()
+    if pick < 0.15:
+        return TOMBSTONE
+    if pick < 0.2:
+        return ["a nested value"]  # not a dict: the segment turns opaque
+    attrs = rng.sample(["p", "v", "w"], rng.randint(0, 3))
+    return {attr: _fold_value(rng) for attr in attrs}
+
+
+def _per_row(stats, olds, news):
+    for old, new in zip(olds, news):
+        stats.on_write(old, new)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_column_fold_equals_a_run_of_one_row_writes(seed):
+    """``fold`` over a commit leaves exactly what ``on_write`` row by
+    row leaves, a key written twice in one fold (a chain replay)
+    included; every fold of two rows or more goes by column here."""
+    rng = random.Random(seed)
+    folded, by_row, current = TableStatistics(), TableStatistics(), {}
+    for _commit in range(rng.randint(1, 6)):
+        olds, news = [], []
+        for _ in range(rng.randint(1, 10)):
+            key, row = rng.randrange(6), _fold_row(rng)
+            olds.append(current.get(key, TOMBSTONE))
+            news.append(row)
+            current[key] = row
+        with mock.patch.object(segment_stats, "COLUMN_ROWS", 2):
+            folded.fold(olds, news)
+        _per_row(by_row, olds, news)
+        assert _strict(folded) == _strict(by_row)
+
+
+def test_a_bulk_insert_folds_by_column():
+    rng = random.Random(5)
+    rows = [{"v": _fold_value(rng), "w": rng.randrange(9)} for _ in range(500)]
+    by_row = TableStatistics()
+    _per_row(by_row, [TOMBSTONE] * len(rows), rows)
+    folded = TableStatistics()
+    with mock.patch.object(TableStatistics, "on_write", side_effect=AssertionError):
+        folded.fold([TOMBSTONE] * len(rows), rows)
+    assert _strict(folded) == _strict(by_row)
+
+
+def test_a_replay_with_history_takes_the_row_path_before_any_column():
+    """Re-partitioning replays chains with history into empty
+    statistics, where counts cross zero: the fold goes row by row
+    without first building the columns it would throw away."""
+    olds, news = [], []
+    for key in range(300):
+        chain = [{"v": key % 7, "w": ts} for ts in (1, 2, 3)]
+        olds += [TOMBSTONE, *chain[:-1]]
+        news += chain
+    folded, by_row = TableStatistics(), TableStatistics()
+    with mock.patch.object(segment_stats, "_columns", side_effect=AssertionError):
+        folded.fold(olds, news)
+    _per_row(by_row, olds, news)
+    assert _strict(folded) == _strict(by_row)
+
+
+def _statistics_history(seed):
+    """Each segment's strict facts after each step of a seeded history
+    of multi-row commits, vacuums, re-partitions and recoveries."""
+    rng = random.Random(seed)
+    engine = StorageEngine()
+    engine.create_table("t")
+    ts = 1
+    engine.apply_commit(ts, [], schemas={"t": table_schema(engine, "t")})
+    steps = []
+    for _step in range(30):
+        ts += 1
+        action = rng.random()
+        if action < 0.6:
+            writes = {rng.randrange(10): _fold_row(rng) for _ in range(rng.randint(1, 8))}
+            for row in writes.values():
+                if isinstance(row, dict):
+                    row["p"] = rng.randrange(4)
+            engine.apply_commit(ts, [("t", k, row) for k, row in writes.items()])
+        elif action < 0.75:
+            engine.vacuum(rng.randint(0, ts))
+        elif action < 0.9:
+            scheme = rng.choice([hash_partition("p", 3), range_partition("p", [2]), None])
+            schema = table_schema(engine, "t")
+            schema["partition"] = None if scheme is None else scheme.spec()
+            engine.apply_commit(ts, [], schemas={"t": schema})
+        else:
+            wal = engine.wal
+            engine = StorageEngine.recover(wal)
+            engine.wal = wal
+        steps.append([_strict(s.stats) for s in engine.table("t").segments])
+    return steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_commit_vacuum_reshard_and_recovery_fold_as_row_by_row(seed):
+    """The statistics every path leaves — commit, vacuum's rebuild,
+    re-partition and WAL recovery — equal those of the same history
+    folded one row at a time (every fold of two rows or more goes by
+    column on the first run)."""
+    with mock.patch.object(segment_stats, "COLUMN_ROWS", 2):
+        by_column = _statistics_history(seed)
+    with mock.patch.object(TableStatistics, "fold", _per_row):
+        by_row = _statistics_history(seed)
+    assert by_column == by_row
 
 
 # -- segment skipping ------------------------------------------------------------------

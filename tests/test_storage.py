@@ -1,7 +1,12 @@
 """Storage substrate: version chains, WAL, indexes, statistics,
 checkpoints."""
 
+import errno
+import os
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro as fql
 from repro._util import TOMBSTONE
@@ -23,14 +28,22 @@ from repro.storage import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.storage.image import table_schema
+from repro.storage.image import dumps, encode_pieces, encode_record, table_schema
+from repro.storage.versioned import fold_batch
+
+
+def _commit(table, key, data, ts):
+    """One write committed alone: applied, then folded into the statistics."""
+    batch = {}
+    table.apply(key, data, ts, batch)
+    fold_batch(batch)
 
 
 class TestVersionedTable:
     def test_read_your_snapshot(self):
         t = VersionedTable("t")
-        t.apply(1, {"x": 1}, ts=10)
-        t.apply(1, {"x": 2}, ts=20)
+        _commit(t, 1, {"x": 1}, ts=10)
+        _commit(t, 1, {"x": 2}, ts=20)
         assert t.read(1, 10) == {"x": 1}
         assert t.read(1, 15) == {"x": 1}
         assert t.read(1, 20) == {"x": 2}
@@ -38,8 +51,8 @@ class TestVersionedTable:
 
     def test_tombstones(self):
         t = VersionedTable("t")
-        t.apply(1, {"x": 1}, ts=10)
-        t.apply(1, TOMBSTONE, ts=20)
+        _commit(t, 1, {"x": 1}, ts=10)
+        _commit(t, 1, TOMBSTONE, ts=20)
         assert t.exists(1, 15)
         assert not t.exists(1, 25)
         assert list(t.keys_at(25)) == []
@@ -48,26 +61,26 @@ class TestVersionedTable:
     def test_latest_ts_drives_conflicts(self):
         t = VersionedTable("t")
         assert t.latest_ts(1) == 0
-        t.apply(1, {"x": 1}, ts=10)
+        _commit(t, 1, {"x": 1}, ts=10)
         assert t.latest_ts(1) == 10
 
     def test_monotonicity_enforced(self):
         t = VersionedTable("t")
-        t.apply(1, {"x": 1}, ts=10)
+        _commit(t, 1, {"x": 1}, ts=10)
         with pytest.raises(StorageError):
-            t.apply(1, {"x": 2}, ts=5)
+            _commit(t, 1, {"x": 2}, ts=5)
 
     def test_same_ts_overwrites(self):
         t = VersionedTable("t")
-        t.apply(1, {"x": 1}, ts=10)
-        t.apply(1, {"x": 2}, ts=10)
+        _commit(t, 1, {"x": 1}, ts=10)
+        _commit(t, 1, {"x": 2}, ts=10)
         assert t.read(1, 10) == {"x": 2}
         assert t.version_count() == 1
 
     def test_vacuum(self):
         t = VersionedTable("t")
         for ts in (10, 20, 30):
-            t.apply(1, {"x": ts}, ts=ts)
+            _commit(t, 1, {"x": ts}, ts=ts)
         dropped = t.vacuum(25)
         assert dropped == 1  # version @10 is invisible to snapshots >= 25
         assert t.read(1, 25) == {"x": 20}
@@ -75,8 +88,8 @@ class TestVersionedTable:
 
     def test_vacuum_collapses_deleted_chains(self):
         t = VersionedTable("t")
-        t.apply(1, {"x": 1}, ts=10)
-        t.apply(1, TOMBSTONE, ts=20)
+        _commit(t, 1, {"x": 1}, ts=10)
+        _commit(t, 1, TOMBSTONE, ts=20)
         t.vacuum(30)
         assert t.version_count() == 0
 
@@ -120,6 +133,49 @@ class TestWAL:
         memory = WriteAheadLog()
         memory.append(WALRecord(1, [("t", 1, {"x": {1, 2}})]))
         assert len(memory) == 1
+
+    def test_a_record_failing_on_its_last_row_leaves_nothing(self, tmp_path):
+        path = tmp_path / "test.wal"
+        log = WriteAheadLog(str(path))
+        log.append(WALRecord(1, [("t", 1, {"x": 1})]))
+        before = path.read_bytes()
+        writes = [("t", k, {"x": k}) for k in range(4_999)]
+        writes.append(("t", 4_999, {"x": {1, 2}}))  # a set: not JSON
+        with pytest.raises(PersistenceError):
+            log.append(WALRecord(2, writes))
+        assert path.read_bytes() == before
+        assert [r.commit_ts for r in log.records()] == [1]
+        log.close()
+
+    def test_a_failed_fsync_cuts_the_record_back_off(self, tmp_path, monkeypatch):
+        path = tmp_path / "test.wal"
+        log = WriteAheadLog(str(path))
+        log.append(WALRecord(1, [("t", 1, {"x": 1})]))
+        log.close()
+        log.reopen()  # the length to cut back to is read when the file opens
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "fsync", _fail)
+        with pytest.raises(WALError):
+            log.append(WALRecord(2, [("t", 2, {"x": 2})]))
+        monkeypatch.undo()
+        assert path.read_bytes() == before and len(log) == 1
+        log.append(WALRecord(3, [("t", 3, {"x": 3})]))
+        log.close()
+        assert [r.commit_ts for r in WriteAheadLog.load(str(path)).records()] == [
+            1, 3
+        ]
+
+    def test_a_log_it_cannot_cut_back_refuses_appends(self, tmp_path, monkeypatch):
+        log = WriteAheadLog(str(tmp_path / "test.wal"))
+        monkeypatch.setattr(os, "fsync", _fail)
+        monkeypatch.setattr(os, "ftruncate", _fail)
+        with pytest.raises(WALError):
+            log.append(WALRecord(1, [("t", 1, {"x": 1})]))
+        monkeypatch.undo()
+        with pytest.raises(WALError, match="closed"):
+            log.append(WALRecord(2, [("t", 2, {"x": 2})]))
+        assert len(log) == 0
+        log.close()
 
     def test_load_drops_a_torn_tail_and_cuts_the_file_back(self, tmp_path):
         path = tmp_path / "test.wal"
@@ -312,3 +368,59 @@ class TestCheckpoint:
             engine.drop_table("nope")
         with pytest.raises(UnknownRelationError):
             engine.table("nope")
+
+
+def _fail(*_args):
+    raise OSError(errno.EIO, "injected I/O error")
+
+
+_json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),  # NaN and the infinities included: json writes them
+    st.text(max_size=4),  # non-ASCII included: json escapes it
+)
+
+_records = st.builds(
+    WALRecord,
+    st.integers(1, 2**40),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["t", "tëst"]),
+            st.one_of(
+                st.integers(),
+                st.text(max_size=3),
+                st.tuples(st.integers(), st.text(max_size=2)),
+            ),
+            st.one_of(
+                st.just(TOMBSTONE),
+                st.dictionaries(st.text(max_size=3), _json_values, max_size=3),
+            ),
+        ),
+        max_size=7,
+    ),
+    st.one_of(
+        st.none(),
+        st.just({}),
+        st.dictionaries(
+            st.sampled_from(["t", "tëst"]),
+            st.one_of(st.none(), st.just({"key_name": ["a", "b"]})),
+            max_size=2,
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records)
+def test_a_record_in_pieces_is_its_line_byte_for_byte(record):
+    """Tuple keys, tombstones, non-ASCII text, schemas and empty writes:
+    the pieces concatenate to the one-dict encoding, at any piece size."""
+    line = dumps(encode_record(record))
+    for size in (1, 2, 1024):
+        with mock.patch("repro.storage.image.PIECE_WRITES", size):
+            pieces = list(encode_pieces(record))
+        assert "".join(pieces) == line
+        assert len(pieces) == max(1, -(-len(record.writes) // size))
+    assert record.to_json() == line

@@ -32,7 +32,7 @@ from repro.fdm.databases import database
 from repro.fql.group import GroupBy
 from repro.obs.resources import metered
 from repro.partition import hash_partition, range_partition
-from repro.storage.versioned import VersionedTable
+from repro.storage.versioned import VersionedTable, fold_batch
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernels")
 
@@ -340,15 +340,16 @@ class TestValidity:
         db.close()
 
     def test_image_serves_only_snapshots_at_or_past_the_newest_write(self):
-        table = VersionedTable("t")
-        table.apply(1, {"v": 1}, 1)
-        table.apply(2, {"v": 2}, 3)
+        table, batch = VersionedTable("t"), {}
+        table.apply(1, {"v": 1}, 1, batch)
+        table.apply(2, {"v": 2}, 3, batch)
+        fold_batch(batch)
         assert table.build_image(2) is None  # older than the newest write
         image = table.build_image(3)
         assert image.keys == [1, 2] and image.stamp == 3
         assert table.image_at(9) is image
         assert table.image_at(2) is None
-        table.apply(1, {"v": 10}, 4)
+        table.apply(1, {"v": 10}, 4, batch)
         assert table.image_at(9) is None
         assert image.rows == [{"v": 1}, {"v": 2}]  # immutable
 

@@ -2,6 +2,9 @@
 database, plus snapshot-isolation semantics: read-your-writes, snapshot
 stability, first-committer-wins, and the statement-mode footnote."""
 
+import errno
+import os
+
 import pytest
 
 import repro
@@ -11,6 +14,7 @@ from repro.errors import (
     TransactionConflictError,
     TransactionStateError,
     UndefinedInputError,
+    WALError,
 )
 
 
@@ -331,3 +335,33 @@ class TestStoredDatabaseViews:
         assert set(stored.lookup_range("age", lo=30)) == {1}
         db.customers[3] = {"name": "Carol", "age": 62}
         assert set(stored.lookup_range("age", lo=30)) == {1, 3}
+
+
+def test_a_failed_wal_write_aborts_its_statement_and_the_next_one_commits(
+    tmp_path, monkeypatch
+):
+    """An ``fsync`` that fails once: the write raises a typed error and
+    leaves no transaction current, the next write commits on its own,
+    and a reopen shows the second and not the first."""
+    path = str(tmp_path / "db.wal")
+    db = repro.connect("wal-fail", wal_path=path, default=False)
+    db.create_table("t", {1: {"v": 1}})
+    fsync, failed = os.fsync, []
+
+    def fsync_failing_once(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError(errno.EIO, "injected I/O error")
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_once)
+    clock = db._manager.now()
+    with pytest.raises(WALError):
+        db("t")[2] = {"v": 2}
+    assert db._manager.current() is None
+    db("t")[3] = {"v": 3}
+    assert db._manager.now() == clock + 1
+    db.close()
+    reopened = repro.connect("wal-fail", wal_path=path, default=False)
+    assert sorted(reopened("t").keys()) == [1, 3]
+    reopened.close()
