@@ -8,25 +8,31 @@ must stay within 5% of the untraced path, and sampled tracing at rate
 ``trace_off`` row in ``BENCH_obs_overhead.json`` against that module's
 committed baseline to see the absolute trajectory.
 
-Three legs:
+Four legs:
 
 * ``trace_off`` — the default serving configuration; the guarded number.
 * ``sampled`` — rate 0.01 through :func:`maybe_trace`, the head-based
   sampling entry the server uses; ~1 in 100 runs pays the capture cost.
 * ``fully_traced`` — every run rooted with :func:`start_trace`
-  (fresh re-plan + per-node instrumentation); measured for context,
-  deliberately not held to an overhead budget.
+  (per-node wall times and spans from the cached plan's run); measured
+  for context, deliberately not held to an overhead budget.
+* ``slowlog_armed`` — small top-k and filter queries over a 20 000-row
+  stored table with the slow log armed at a threshold that never
+  fires, against the log disarmed: every armed run times its nodes,
+  and that must stay within the same 5%.
 
 The <5% claim is asserted in-run with paired, interleaved medians so a
 machine-speed difference against an old committed JSON cannot fake a
 pass or a failure.
 """
 
+import random
 import statistics
 import time
 
 import pytest
 
+import repro
 from repro import fql
 from repro.exec.run import pipeline_for
 from repro.obs.trace import (
@@ -151,7 +157,7 @@ def test_trace_sampled(benchmark, fdm_retail, exec_batch):
 
 @pytest.mark.benchmark(group="obs_overhead")
 def test_fully_traced(benchmark, fdm_retail, exec_batch):
-    """Worst case: every run rooted, so each query re-plans fresh and
+    """Worst case: every run rooted, so each query times its nodes and
     records per-node spans. Context only — no budget asserted."""
     expr = _unrolled(fdm_retail)
 
@@ -165,3 +171,65 @@ def test_fully_traced(benchmark, fdm_retail, exec_batch):
     assert sum(result.values()) == len(fdm_retail.customers)
     assert latest_trace_id() is not None  # capture really happened
     clear_traces()
+
+
+def _orders(name):
+    """A 20 000-row stored table shaped like ``embedded_batch``'s
+    ``orders``: what the small read classes filter and rank."""
+    rng = random.Random(7)
+    db = repro.connect(name=name, default=False)
+    db["orders"] = {
+        i: {
+            "amount": rng.randrange(100_000),
+            "day": rng.randrange(365),
+            "score": rng.random(),
+        }
+        for i in range(20_000)
+    }
+    return db
+
+
+@pytest.mark.benchmark(group="obs_overhead")
+@pytest.mark.parametrize("shape", ["topk", "filter"])
+def test_slowlog_armed(benchmark, exec_batch, shape):
+    """The slow log armed with a threshold that never fires, against it
+    disarmed, paired in-process: an armed run drains the cached plan
+    and times its nodes, so it must stay within the 5% budget. The
+    ratio is recorded in the JSON as evidence."""
+    db = _orders(f"bench-slowlog-{shape}")
+    orders = db.orders
+    if shape == "topk":
+        expr = fql.limit(
+            fql.order_by(fql.filter("day < 24", input=orders), "score",
+                         reverse=True),
+            50,
+        )
+    else:
+        expr = fql.filter("amount > 99000", input=orders)
+
+    def run():
+        return sum(1 for _ in expr.items())
+
+    def disarmed():
+        db.set_slow_query_threshold(None)
+        return run()
+
+    def armed():
+        db.set_slow_query_threshold(60_000.0)  # ms: no run comes near it
+        return run()
+
+    try:
+        expected = disarmed()  # plan once: both sides hit the plan cache
+        assert benchmark(armed) == expected
+        off_med, on_med = _paired_medians(disarmed, armed, rounds=200)
+        assert db.slow_queries() == []
+    finally:
+        db.set_slow_query_threshold(None)
+        db.close()
+    ratio = on_med / off_med if off_med else 1.0
+    benchmark.extra_info["slowlog_armed_over_disarmed_ratio"] = round(ratio, 4)
+    # <5% budget, with the absolute floor the other legs use
+    assert ratio < 1.05 or (on_med - off_med) < 0.0005, (
+        f"an armed slow log costs {ratio:.3f}x the disarmed one on "
+        f"{shape} ({off_med * 1e3:.3f}ms -> {on_med * 1e3:.3f}ms)"
+    )

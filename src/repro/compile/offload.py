@@ -35,6 +35,7 @@ from repro.compile.sqlgen import (
     generate_sql,
     parse_graph,
 )
+from repro.exec.nodes import PhysicalNode
 from repro.fdm.tuples import RowTuple
 from repro.optimizer.physical import offload_worthwhile
 
@@ -42,10 +43,11 @@ __all__ = ["OffloadPipeline", "try_offload", "offload_worthwhile",
            "explain_offload"]
 
 
-class _OffloadRoot:
-    """Minimal physical-node duck type for explain/workload walkers."""
+class _OffloadRoot(PhysicalNode):
+    """The one node of an offloaded plan: its label, and the funnel its
+    result passes (``OffloadPipeline.iter_batches``)."""
 
-    children: tuple = ()
+    op = "offload"
 
     def __init__(self, text: str):
         self._text = text
@@ -85,17 +87,25 @@ class OffloadPipeline:
         self.root = _OffloadRoot(
             f"offload[{mirror.backend}]({shape.table_name})"
         )
+        self.nodes = (self.root,)
 
     # -- pipeline surface --------------------------------------------------------
 
     def iter_batches(self, keys: bool = False) -> Iterator[list]:
         """The decoded result, or only its keys, as one list; the
-        batched pipeline's stream when the mirror is stale."""
-        result = self._execute(keys=keys)
+        batched pipeline's stream when the mirror is stale. The SQL
+        runs at the first pull, inside the root's funnel; the budget
+        gate reads the meter of whoever opens the stream."""
+        from repro.obs.resources import active_meter
+
+        meter = active_meter()
+        return self.root.funnel(lambda: self._stream(keys, meter))
+
+    def _stream(self, keys: bool, meter: Any) -> Iterator[list]:
+        result = self._execute(keys, meter)
         if result is None:
             return self._batched().iter_batches(keys)
-        # a generator, so the stream closes like the batched one's
-        return (batch for batch in (result,) if batch)
+        return iter((result,) if result else ())
 
     def explain(self) -> str:
         """Indented rendering: the offload root plus its compiled SQL."""
@@ -123,14 +133,11 @@ class OffloadPipeline:
             )
         return self._fallback
 
-    def _execute(self, keys: bool) -> list | None:
+    def _execute(self, keys: bool, meter: Any) -> list | None:
         """Run the compiled SQL and decode, or ``None`` to fall back."""
         shape = self._shape
         manager = shape.relation._manager
         mirror = self._mirror
-        from repro.obs.resources import active_meter
-
-        meter = active_meter()
         if meter is not None and meter._armed:
             # a budgeted query must stay killable: the batched executor
             # checks the meter per batch, a SQL engine cannot — so

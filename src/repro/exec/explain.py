@@ -166,39 +166,36 @@ def _zone_verdict(node: Any) -> str | None:
 def analyze(fn: FDMFunction) -> str:
     """Run *fn* once and report per-node batch/row/time counters.
 
-    Drains a fresh instrumented copy of the plan
-    (:func:`repro.obs.instrument.fresh_instrumented`, the same copy a
-    traced or slow-logged enumeration drains; never the cached plan)
-    and renders the operator tree annotated with ``batches / rows /
-    wall`` per node plus the zone-map skip totals of this run, read off
-    the meter it runs under.
+    Routes *fn* the way ``items()`` does, so the run takes the cached
+    plan, offloaded or batched, under a verb frame that asks for its
+    node rows (:attr:`repro.obs.context.QueryContext.tree`). Renders
+    the operator tree annotated with ``batches / rows / wall`` per node
+    (``wall`` is inclusive: a node's time includes its children's) plus
+    the zone-map skip totals of this run, read off the meter it runs
+    under.
     """
     from repro.exec.cache import engine_of
-    from repro.obs.instrument import (
-        fresh_instrumented,
-        render_stats,
-        tree_stats,
-    )
+    from repro.exec.run import pipeline_for, route_items
+    from repro.obs.context import _local
+    from repro.obs.instrument import render_stats
     from repro.obs.resources import metered
 
-    pipeline, stats = fresh_instrumented(fn)
-
-    lines: list[str] = ["== analyze =="]
-    if pipeline is None:
-        start = time.perf_counter_ns()
-        n = sum(1 for _ in fn.items())
-        wall = time.perf_counter_ns() - start
-        lines.append("  (naive per-key interpretation)")
-        lines.append(f"  rows={n} wall={fmt_ns(wall)}")
-        return "\n".join(lines)
-
     with metered(engine_of(fn)) as meter:
+        frame = _local.context
+        tree = frame.tree = []
         start = time.perf_counter_ns()
-        for _batch in pipeline.root.batches():
-            pass
+        routed = route_items(fn)
+        if routed is None:  # it runs per key: inner queries are not its nodes
+            frame.tree, routed = None, fn.items()
+        n = sum(1 for _ in routed)
         total_wall = time.perf_counter_ns() - start
 
-    lines.extend(render_stats(tree_stats(pipeline.root, stats)))
+    lines: list[str] = ["== analyze =="]
+    if not tree:
+        lines.append("  (naive per-key interpretation)")
+        lines.append(f"  rows={n} wall={fmt_ns(total_wall)}")
+        return "\n".join(lines)
+    lines.extend(render_stats(tree))
     skipped = meter.zone_segments_skipped
     scanned = meter.zone_segments_scanned
     if skipped or scanned:
@@ -206,7 +203,7 @@ def analyze(fn: FDMFunction) -> str:
             f"  zone maps: {skipped} segment(s) skipped, {scanned} scanned"
         )
     lines.append(f"  total wall={fmt_ns(total_wall)}")
-    lines.extend(_batching_summary(pipeline))
+    lines.extend(_batching_summary(pipeline_for(fn)))
     return "\n".join(lines)
 
 

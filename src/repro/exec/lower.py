@@ -21,6 +21,7 @@ from repro.exec.nodes import (
     RestrictNode,
     ScanNode,
 )
+from repro.obs.instrument import walk
 
 __all__ = ["lower", "PhysicalPipeline"]
 
@@ -43,6 +44,8 @@ class PhysicalPipeline:
         self.engine = engine
         #: Memo of :func:`repro.obs.workload.info_of`.
         self.workload_info: tuple | None = None
+        #: Every node, in ``walk`` order: ``nodes[n.ordinal] is n``.
+        self.nodes = tuple(node for node, _depth in walk(root))
 
     def iter_entries(self):
         """Flattened (key, value) stream, in naive-equivalent order."""
@@ -56,15 +59,9 @@ class PhysicalPipeline:
 
     def explain(self) -> str:
         """Indented rendering of the physical operator tree."""
-        lines: list[str] = []
-
-        def visit(node: PhysicalNode, indent: int) -> None:
-            lines.append("  " * indent + node.describe())
-            for child in node.children:
-                visit(child, indent + 1)
-
-        visit(self.root, 0)
-        return "\n".join(lines)
+        return "\n".join(
+            "  " * depth + node.describe() for node, depth in walk(self.root)
+        )
 
     def __repr__(self) -> str:
         return f"<PhysicalPipeline root={self.root.describe()!r}>"
@@ -87,9 +84,12 @@ def lower(
         return None
     _attach_scan_predicates(root)
     # NB: not `logical or fn` — truthiness of an FDM function is len()
-    return PhysicalPipeline(
+    pipeline = PhysicalPipeline(
         root, fn if logical is None else logical, fired_rules, engine
     )
+    for ordinal, node in enumerate(pipeline.nodes):
+        node.ordinal = ordinal
+    return pipeline
 
 
 def _attach_scan_predicates(

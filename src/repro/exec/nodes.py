@@ -16,13 +16,15 @@ child nodes, and only leaf :class:`ScanNode`\\ s touch base functions.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Any, Iterator
+from time import perf_counter_ns
+from typing import Any, Callable, Iterator
 
 from repro._util import MISSING
 from repro.errors import UndefinedInputError
 from repro.exec import kernels
 from repro.exec.batch import COLUMNAR_BATCH_SIZE, ColumnBatch, batch_bytes
 from repro.fdm.functions import FDMFunction
+from repro.obs.context import _local
 from repro.obs.resources import active_meter
 
 __all__ = [
@@ -62,15 +64,62 @@ def rebatch(entries: Iterator, size: int = BATCH_SIZE) -> Iterator[list]:
 
 
 class PhysicalNode:
-    """One operator of a lowered pipeline."""
+    """One operator of a lowered pipeline.
+
+    Subclasses produce their streams in :meth:`_batches` and
+    :meth:`_key_batches`; callers pull :meth:`batches` and
+    :meth:`key_batches`, which pass both through :meth:`funnel`.
+    """
 
     op = "physical"
     children: tuple["PhysicalNode", ...] = ()
+    #: This node's place in its plan's depth-first walk (``lower()``
+    #: numbers them): where a run's context keeps its counts.
+    ordinal = 0
 
     def batches(self) -> Iterator[list]:
-        raise NotImplementedError
+        """This node's output batches."""
+        return self.funnel(self._batches)
 
     def key_batches(self) -> Iterator[list]:
+        """This node's output keys, batch by batch."""
+        return self.funnel(self._key_batches)
+
+    def funnel(self, produce: Callable[[], Iterator]) -> Iterator:
+        """The one way a node's batches leave it: ``produce()``, opened
+        at the first pull. Under a run of this node's own plan, each
+        batch adds to the node's row in the run's context (batches,
+        rows and, when the run is watched, the time spent inside the
+        stream, children included); any other pull gets the stream as
+        it is."""
+        context = _local.context
+        row = None if context is None else context.row(self)
+        if row is None:  # unobserved, or inner work of another plan
+            yield from produce()
+            return
+        if not context.timed:
+            for batch in produce():
+                row[0] += 1
+                row[1] += len(batch)
+                yield batch
+            return
+        start = perf_counter_ns()
+        row[3] = row[3] or start
+        stream = produce()
+        while True:
+            batch = next(stream, None)  # a batch is never None
+            row[2] += perf_counter_ns() - start
+            if batch is None:
+                return
+            row[0] += 1
+            row[1] += len(batch)
+            yield batch
+            start = perf_counter_ns()
+
+    def _batches(self) -> Iterator[list]:
+        raise NotImplementedError
+
+    def _key_batches(self) -> Iterator[list]:
         """Batches of keys only.
 
         Override where keys are derivable without computing values (map
@@ -78,7 +127,7 @@ class PhysicalNode:
         path never evaluates transforms, and the batched path must not
         either. A column batch gives its keys without building rows.
         """
-        for batch in self.batches():
+        for batch in self._batches():
             if isinstance(batch, ColumnBatch):
                 yield batch.keys
             else:
@@ -110,7 +159,7 @@ class ScanNode(PhysicalNode):
         #: zone map.
         self.zone_predicate = zone_predicate
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         # class-level lookup: FDM functions route instance attribute
         # access through __getattr__ (relation lookup), so a plain
         # getattr(fn, ...) on a database function raises instead of
@@ -122,17 +171,10 @@ class ScanNode(PhysicalNode):
             stream = columnar(
                 self.fn, COLUMNAR_BATCH_SIZE, zone_predicate=self.zone_predicate
             )
-        for batch in stream:
-            # read per batch, not per generator: the pulls of one
-            # enumeration always run under the same meter, but the
-            # batch boundary is also the budget checkpoint
-            meter = active_meter()
-            if meter is not None:
-                meter.on_scan_batch(len(batch), batch_bytes(batch))
-            yield batch
+        return _metered(stream)
 
-    def key_batches(self) -> Iterator[list]:
-        return rebatch(self.fn.keys())
+    def _key_batches(self) -> Iterator[list]:
+        return _metered(rebatch(self.fn.keys()))
 
     def table(self) -> Any:
         """The stored table this scan reads now, else ``None``."""
@@ -160,6 +202,18 @@ class ScanNode(PhysicalNode):
         return label
 
 
+def _metered(stream: Iterator[list]) -> Iterator[list]:
+    """A scan's batches, rows or keys, each fed to the meter's hook."""
+    for batch in stream:
+        # read per batch, not per generator: the pulls of one
+        # enumeration always run under the same meter, but the
+        # batch boundary is also the budget checkpoint
+        meter = active_meter()
+        if meter is not None:
+            meter.on_scan_batch(len(batch), batch_bytes(batch))
+        yield batch
+
+
 class NaiveNode(PhysicalNode):
     """Fallback leaf: an operator the lowerer does not specialize.
 
@@ -172,10 +226,10 @@ class NaiveNode(PhysicalNode):
     def __init__(self, fn: FDMFunction):
         self.fn = fn
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         return rebatch(self.fn.naive_items())
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         return rebatch(self.fn.naive_keys())
 
     def describe(self) -> str:
@@ -196,7 +250,7 @@ class FilterNode(PhysicalNode):
         #: ``predicate.select`` over materialized pairs.
         self._columnar = predicate.compile_columnar()
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         select = self.predicate.select
         columnar = self._columnar
         for batch in self.children[0].batches():
@@ -220,7 +274,7 @@ class RestrictNode(PhysicalNode):
         self.children = (child,)
         self.keys = keys
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         keys = self.keys
         for batch in self.children[0].batches():
             if isinstance(batch, ColumnBatch):
@@ -232,7 +286,7 @@ class RestrictNode(PhysicalNode):
             if out:
                 yield out
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         keys = self.keys
         for batch in self.children[0].key_batches():
             out = [key for key in batch if key in keys]
@@ -263,7 +317,7 @@ class MapNode(PhysicalNode):
         #: materializing tuples.
         self.attrs = list(attrs) if attrs is not None else None
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         transform = self.transform
         attrs = self.attrs
         for batch in self.children[0].batches():
@@ -286,7 +340,7 @@ class MapNode(PhysicalNode):
                 raise  # unreachable: project() always raises here
         return ColumnBatch.of(batch.keys, out, batch.name)
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         # map preserves the key set: never evaluate the transform for keys
         return self.children[0].key_batches()
 
@@ -313,7 +367,7 @@ class OrderNode(PhysicalNode):
         #: the one attribute the sort key reads, when it is one
         self.attr = attr
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         held = list(self.children[0].batches())
         if self.attr is not None and all(
             isinstance(b, ColumnBatch) for b in held
@@ -342,10 +396,10 @@ class LimitNode(PhysicalNode):
         self.children = (child,)
         self.n = n
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         yield from self._truncate(self.children[0].batches())
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         yield from self._truncate(self.children[0].key_batches())
 
     def _truncate(self, stream: Iterator[list]) -> Iterator[list]:
@@ -384,14 +438,14 @@ class GroupNode(PhysicalNode):
                 groups.setdefault(group_key, []).append((key, t))
         return groups
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         groups = self._scan_groups()
         yield from rebatch(
             (gk, self.fn._group_relation(gk, members))
             for gk, members in groups.items()
         )
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         # group keys only: skip materializing member relations
         return rebatch(iter(self._scan_groups()))
 
@@ -510,7 +564,7 @@ class GroupAggregateNode(PhysicalNode):
         self.aggs = dict(aggs)
         self.name = name
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         by, aggs = self.by, self.aggs
         accs = fold_group_batches(self.children[0].batches(), by, aggs)
         from repro.fdm.tuples import TupleFunction
@@ -526,7 +580,7 @@ class GroupAggregateNode(PhysicalNode):
 
         yield from rebatch(tuples())
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         # group keys only: fold no aggregates (naive keys() never does)
         by = self.by
         attrs = by.attrs
@@ -573,7 +627,7 @@ class AggregateOverGroupsNode(PhysicalNode):
         self.aggs = dict(aggs)
         self.name = name
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         from repro.errors import OperatorError
         from repro.fdm.tuples import TupleFunction
 
@@ -599,7 +653,7 @@ class AggregateOverGroupsNode(PhysicalNode):
                 )
             yield out
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         # aggregate preserves the group-key set: skip the folds
         return self.children[0].key_batches()
 
@@ -702,10 +756,10 @@ class HashJoinNode(PhysicalNode):
     def __init__(self, join_fn: Any):
         self.fn = join_fn  # the logical JoinedRelationFunction
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         return self._join(with_rows=True)
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         # key tuples only: skip denormalizing rows (naive keys() does too)
         return self._join(with_rows=False)
 
@@ -889,7 +943,7 @@ class _SetOpNode(PhysicalNode):
 class UnionNode(_SetOpNode):
     op = "union"
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         # union is the one set op that enumerates the right side in
         # full (its keys appear in the output), matching naive keys()
         right_order = self._right_key_order()
@@ -914,7 +968,7 @@ class UnionNode(_SetOpNode):
         )
         yield from rebatch(tail)
 
-    def key_batches(self) -> Iterator[list]:
+    def _key_batches(self) -> Iterator[list]:
         # naive union keys() never compares values (and so never hits a
         # merge conflict): left keys, then unseen right keys
         seen = set()
@@ -933,7 +987,7 @@ class UnionNode(_SetOpNode):
 class IntersectNode(_SetOpNode):
     op = "intersect"
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         fn = self.fn
         for batch in self.children[0].key_batches():
             out = []
@@ -954,7 +1008,7 @@ class IntersectNode(_SetOpNode):
 class MinusNode(_SetOpNode):
     op = "minus"
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         fn = self.fn
         for batch in self.children[0].batches():
             out = []
@@ -981,7 +1035,7 @@ class KeyLookupNode(PhysicalNode):
     def __init__(self, lookup_fn: Any):
         self.fn = lookup_fn  # the KeyLookupFunction physical function
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         fn = self.fn
         if fn._hit():
             yield [(fn._key_value, fn.source._apply(fn._key_value))]
@@ -998,7 +1052,7 @@ class IndexLookupNode(PhysicalNode):
     def __init__(self, lookup_fn: Any):
         self.fn = lookup_fn  # the IndexLookupFunction physical function
 
-    def batches(self) -> Iterator[list]:
+    def _batches(self) -> Iterator[list]:
         fn = self.fn
         source = fn.source
         select = fn._residual.select

@@ -30,9 +30,8 @@ own:
 
 :mod:`repro.obs.resources` holds the per-query cost meters, their
 budgets and the per-engine accounting they fold into (which owns the
-query-class table), and :mod:`repro.obs.instrument` the per-node
-shims and the fresh
-instrumented plan copy ``analyze()`` and an observed enumeration drain.
+query-class table), and :mod:`repro.obs.instrument` the walk and the
+per-node rows ``analyze()``, the slow log and trace spans render.
 
 See ``docs/observability.md`` for the operator-facing guide.
 """
@@ -66,7 +65,6 @@ from repro.obs.metrics import (
     metrics_for,
 )
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog, slowlog_for
-from repro.obs.instrument import instrument_pipeline
 from repro.obs.context import QueryContext
 from repro.obs.events import Event, EventLog, emit, events_for
 from repro.obs.workload import QueryClass, fingerprint_of, plan_hash_of
@@ -100,7 +98,6 @@ __all__ = [
     "SlowQueryEntry",
     "SlowQueryLog",
     "slowlog_for",
-    "instrument_pipeline",
     "QueryContext",
     "Event",
     "EventLog",

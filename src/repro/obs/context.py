@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.obs import trace
 from repro.obs.events import emit
-from repro.obs.instrument import fresh_instrumented, tree_stats, walk
+from repro.obs.instrument import tree_stats
 from repro.obs.slowlog import SlowQueryEntry, any_active, slowlog_for
 from repro.obs.workload import info_of
 
@@ -43,8 +43,8 @@ _local = _Active()
 
 class QueryContext:
     """What one query carries while it runs: the meter the executor
-    hooks feed, and (for a routed enumeration) the plan and whoever is
-    watching it."""
+    hooks feed, and (for a routed enumeration) the plan, its node rows
+    and whoever is watching it."""
 
     __slots__ = (
         "meter",
@@ -53,8 +53,10 @@ class QueryContext:
         "budgeted",
         "slowlog",
         "traced",
-        "plan",
-        "stats",
+        "timed",
+        "tree",
+        "nodes",
+        "rows",
         "span",
         "zones",
     )
@@ -63,8 +65,15 @@ class QueryContext:
         self.meter = meter
         #: The cached plan being enumerated; ``None`` for a server verb.
         self.pipeline = pipeline
-        self.owns_meter = self.budgeted = self.traced = False
+        self.owns_meter = self.budgeted = self.traced = self.timed = False
         self.slowlog = None
+        #: A list that receives the node rows of the run routed under
+        #: this context (``analyze()`` installs one on its verb frame).
+        self.tree: list | None = None
+        #: The plan's nodes once the run begins, and their rows:
+        #: ``[batches, rows, wall_ns, first_ns]`` by ordinal.
+        self.nodes: tuple = ()
+        self.rows: list = []
 
     @classmethod
     def watching(cls, pipeline: Any) -> "QueryContext | None":
@@ -81,6 +90,7 @@ class QueryContext:
             self.owns_meter, self.budgeted = True, self.meter._armed
         else:  # a server verb's enumeration feeds the verb's meter
             self = cls(outer.meter, pipeline)
+            self.tree = outer.tree
         self.traced = trace.active()
         if any_active() and engine is not None:
             log = slowlog_for(engine)
@@ -96,32 +106,31 @@ class QueryContext:
                 meter.fingerprint = info[0]
                 if meter.query is None:
                     meter.query = info[1]
-        if self.owns_meter or self.traced or self.slowlog is not None:
+        self.timed = (
+            self.traced or self.slowlog is not None or self.tree is not None
+        )
+        if self.owns_meter or self.timed:
             return self
         return None
 
+    def row(self, node: Any) -> list | None:
+        """*node*'s counters in this run, or ``None`` when *node* is not
+        a node of this context's plan (inner work of another plan)."""
+        nodes, ordinal = self.nodes, node.ordinal
+        if ordinal < len(nodes) and nodes[ordinal] is node:
+            return self.rows[ordinal]
+        return None
+
     def begin(self) -> Any:
-        """First pull: register with the sinks that keep a live view and
-        return the plan to drain: a fresh instrumented copy when per-node
-        statistics are wanted (the cached plan's nodes are shared across
-        threads and are never shimmed), else the cached plan itself. An
-        offloaded plan has nothing to shim and is timed whole."""
-        from repro.exec.lower import PhysicalPipeline
+        """First pull: register with the sinks that keep a live view,
+        open this run's node rows and return the cached plan to drain."""
         from repro.obs.resources import resources_for
 
         pipeline = self.pipeline
-        self.plan, self.stats = pipeline, {}
+        self.nodes = pipeline.nodes
+        self.rows = [[0, 0, 0, 0] for _node in self.nodes]
         self.span = self.zones = None
         if self.traced or self.slowlog is not None:
-            if isinstance(pipeline, PhysicalPipeline):
-                try:
-                    fresh, stats = fresh_instrumented(
-                        pipeline.logical, pipeline.engine
-                    )
-                except Exception:
-                    fresh = None
-                if fresh is not None:
-                    self.plan, self.stats = fresh, stats
             if self.slowlog is not None:  # this run's share of the meter
                 meter = self.meter
                 self.zones = (
@@ -130,17 +139,17 @@ class QueryContext:
                 )
             # NOT entered as a context manager: the execute span must
             # not sit on the consumer's span stack between pulls
-            self.span = trace.span("execute", root=self.plan.root.describe())
+            self.span = trace.span("execute", root=pipeline.root.describe())
         if self.owns_meter:
             resources_for(pipeline.engine).begin(self.meter)
-        return self.plan
+        return pipeline
 
     def report(self, rows: int, wall_ns: int) -> None:
         """The stream closed (drained, abandoned or killed): tell every
         sink that was watching, once."""
         from repro.obs.resources import resources_for
 
-        engine, root = self.pipeline.engine, self.plan.root
+        engine, root = self.pipeline.engine, self.pipeline.root
         try:
             trace_id = None
             if self.span is not None:
@@ -148,18 +157,21 @@ class QueryContext:
                 self.span.finish()
                 trace_id = self.span.trace_id
             if trace_id is not None:
-                for node, _depth in walk(root):
-                    st = self.stats.get(id(node))
-                    if st is not None and st["first_ns"]:
+                for node, (batches, out, wall, first) in zip(
+                    self.nodes, self.rows
+                ):
+                    if first:
                         trace.add_span(
                             node.describe(),
-                            st["first_ns"],
-                            st["wall_ns"],
+                            first,
+                            wall,
                             trace_id=trace_id,
                             parent_id=self.span.span_id,
-                            batches=st["batches"],
-                            rows=st["rows"],
+                            batches=batches,
+                            rows=out,
                         )
+            if self.tree is not None:
+                self.tree.extend(tree_stats(root, self.rows))
             slowlog, wall_ms = self.slowlog, wall_ns / 1e6
             threshold = None if slowlog is None else slowlog.threshold_ms
             if threshold is not None and wall_ms >= threshold:
@@ -169,7 +181,7 @@ class QueryContext:
                         query=root.describe(),
                         wall_ms=wall_ms,
                         rows=rows,
-                        tree=tree_stats(root, self.stats),
+                        tree=tree_stats(root, self.rows),
                         zone_skipped=meter.zone_segments_skipped - skipped,
                         zone_scanned=meter.zone_segments_scanned - scanned,
                         trace_id=trace_id,

@@ -9,8 +9,9 @@ the ring via ``db.slow_queries()`` without having to reproduce the
 query.
 
 The threshold defaults to the ``REPRO_SLOW_MS`` env var (unset → off).
-Capture implies per-query instrumentation (the query's context drains
-a fresh instrumented copy of the plan), so enable it with a threshold that fires rarely.
+Capture times each node of every run of the cached plan (the counts
+ride the query's context; a node's wall includes its children's), so
+an armed log costs a little on every query, fired or not.
 A process-global flag tracks whether *any* engine has capture enabled,
 keeping the per-enumeration check near-free when nobody does.
 """

@@ -57,7 +57,7 @@ class ReplicaPeer:
 
     __slots__ = (
         "session_id", "send", "sent_ts", "acked_ts", "attached_at",
-        "last_ack_at", "lag_seconds", "batches", "records", "lock",
+        "last_ack_at", "lag_seconds", "lock",
     )
 
     def __init__(self, session_id: int, send: Callable, sent_ts: int):
@@ -73,8 +73,6 @@ class ReplicaPeer:
         #: computed follower-side from the commit wall-clock shipped
         #: on each WAL_BATCH, so it measures real apply age, not RTT.
         self.lag_seconds = 0.0
-        self.batches = 0
-        self.records = 0
         #: Serializes shipping to this one peer. Per-peer, not
         #: hub-wide: a follower stalled inside its bounded push wait
         #: must not block shipping to healthy peers or park other
@@ -294,8 +292,6 @@ class ReplicationHub:
                 if not sent:
                     break
                 peer.sent_ts = batch[-1].commit_ts
-                peer.batches += 1
-                peer.records += len(batch)
                 self.batches_sent += 1
                 self.records_sent += len(batch)
 

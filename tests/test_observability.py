@@ -461,10 +461,16 @@ class TestSlowQueryCapture:
             with T.start_trace("offloaded"):
                 assert dict(flt.items()) == expected
             assert offloaded() == 3
+            # analyze() runs the plan items() runs: the offloaded one
+            db.set_slow_query_threshold(None)
+            text = analyze(flt)
+            assert offloaded() == 4
         entries = db.slow_queries()
         assert [e.query for e in entries] == ["offload[sqlite](item)"] * 2
         assert entries[-1].rows == len(expected) == 100
         assert entries[-1].trace_id == T.latest_trace_id()
+        root = "offload[sqlite](item)  [batches=1 rows_in=0 rows_out=100 "
+        assert root in text
 
 
     def test_a_join_is_one_query_not_its_atoms(self, db):
@@ -494,6 +500,83 @@ class TestSlowQueryCapture:
         assert "join" in entry.query and entry.rows == expected
         (cls,) = db.workload_profile().values()
         assert (cls["calls"], cls["rows"]) == (1, expected)
+        # both atoms the same cached filter plan: its runs are inner
+        # work, and the join's node rows are the join's own
+        hot = fql.filter("v > 100", input=db.item)
+        self_join = fql.join(
+            database({"a": hot, "b": hot}), on=[["a.grp", "b.grp"]]
+        )
+        matched = len(dict(self_join.items()))
+        (root,) = [
+            line for line in analyze(self_join).splitlines()
+            if "hash_join" in line
+        ]
+        assert f"rows_out={matched} " in root and matched > expected
+
+    def test_node_wall_is_inclusive(self, db):
+        """A node's ``wall`` includes its children's: a parent's is at
+        least each child's, and the rendering says so."""
+        top = fql.limit(
+            fql.order_by(fql.filter("v > 10", input=db.item), "v"), 5
+        )
+        db.set_slow_query_threshold(0.0)
+        for _ in range(5):
+            dict(top.items())
+        for entry in db.slow_queries():
+            tree = entry.tree
+            assert [row["depth"] for row in tree] == [0, 1, 2, 3]
+            walls = [row["wall_ns"] for row in tree]
+            assert walls == sorted(walls, reverse=True) and walls[-1] > 0
+            assert "wall is inclusive" in entry.render()
+
+    def test_concurrent_runs_of_one_cached_plan_count_apart(self):
+        """Two threads drain the same cached plan at once; each slow-log
+        entry's node rows are its own run's, not a mix of both."""
+        from repro.exec import COLUMNAR_BATCH_SIZE
+
+        db = fql.connect(name="obsTwoRuns", default=False)
+        size = 3 * COLUMNAR_BATCH_SIZE
+        db["t"] = {i: {"v": i} for i in range(size)}
+        flt = fql.filter("v >= 0", input=db.t)
+        assert len(dict(flt.items())) == size  # plan once, cache it
+        db.set_slow_query_threshold(0.0)
+        barrier = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def run(drain):
+            try:
+                stream = flt.items()
+                next(stream)  # both runs open before either goes on
+                barrier.wait()
+                if drain:
+                    sum(1 for _ in stream)
+                stream.close()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        try:
+            for _ in range(3):
+                threads = [
+                    threading.Thread(target=run, args=(drain,))
+                    for drain in (True, False)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            entries = db.slow_queries()
+        finally:
+            db.set_slow_query_threshold(None)
+            db.close()
+        assert errors == []
+        assert sorted(e.rows for e in entries) == [1] * 3 + [size] * 3
+        for entry in entries:
+            scanned = COLUMNAR_BATCH_SIZE if entry.rows == 1 else size
+            flt_row, scan_row = entry.tree
+            assert (flt_row["rows_in"], flt_row["rows_out"]) == (scanned,) * 2
+            assert scan_row["batches"] == scanned // COLUMNAR_BATCH_SIZE
+            assert scan_row["rows_out"] == scanned
 
 
 # ---------------------------------------------------------------------------

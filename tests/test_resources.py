@@ -220,6 +220,41 @@ class TestBudgetKillsEmbedded:
         assert "exceeds budget" in data["reason"]
         assert data["meter"]["rows_scanned"] > 100
 
+    @pytest.mark.parametrize("shape", ["map", "restrict", "limit", "union"])
+    def test_key_only_scans_are_metered_and_budgeted(self, monkeypatch, shape):
+        """A scan that yields only keys (``keys()`` through a map, a
+        restriction or a limit, and a union's right side, which its
+        ``items()`` reads key by key) is a scan: the meter counts its
+        rows, and ``max_rows_scanned`` kills it like a row scan."""
+        db = repro.connect(name="resKeysDB", default=False)
+        db["t"] = {i: {"v": i} for i in range(5000)}
+        db["small"] = {i: {"v": i} for i in range(5000, 5010)}
+        pulls = {
+            "map": lambda: fql.project(db.t, "v").keys(),
+            "restrict": lambda: fql.restrict_to_keys(
+                db.t, range(0, 5000, 2)
+            ).keys(),
+            "limit": lambda: fql.limit(db.t, 3000).keys(),
+            "union": lambda: fql.union(
+                fql.project(db.small, "v"), fql.project(db.t, "v")
+            ).items(),
+        }
+        rows, scanned = {
+            "map": (5000, 5000),
+            "restrict": (2500, 5000),
+            "limit": (3000, 3000),
+            "union": (5010, 5010),
+        }[shape]
+        try:
+            assert sum(1 for _ in pulls[shape]()) == rows
+            totals = db.stats()["resources"]["totals"]
+            assert totals["rows_scanned"] >= scanned
+            monkeypatch.setenv("REPRO_MAX_ROWS_SCANNED", "1000")
+            with pytest.raises(ResourceExhaustedError):
+                sum(1 for _ in pulls[shape]())
+        finally:
+            db.close()
+
     def test_generous_budgets_never_fire(self, db, monkeypatch):
         # the armed-but-generous CI leg in miniature
         monkeypatch.setenv("REPRO_MAX_ROWS_SCANNED", "1000000000")
