@@ -8,7 +8,7 @@ must stay within 5% of the untraced path, and sampled tracing at rate
 ``trace_off`` row in ``BENCH_obs_overhead.json`` against that module's
 committed baseline to see the absolute trajectory.
 
-Four legs:
+Five legs:
 
 * ``trace_off`` — the default serving configuration; the guarded number.
 * ``sampled`` — rate 0.01 through :func:`maybe_trace`, the head-based
@@ -20,6 +20,9 @@ Four legs:
   stored table with the slow log armed at a threshold that never
   fires, against the log disarmed: every armed run times its nodes,
   and that must stay within the same 5%.
+* ``routed_fixed_cost`` — what a small read pays beyond its rows: a
+  routed drain of a cached 20-row filter over 1 000 rows against a raw
+  drain of the same plan (``FIXED_COST_BOUND``).
 
 The <5% claim is asserted in-run with paired, interleaved medians so a
 machine-speed difference against an old committed JSON cannot fake a
@@ -34,7 +37,7 @@ import pytest
 
 import repro
 from repro import fql
-from repro.exec.run import pipeline_for
+from repro.exec.run import pipeline_for, route_batches
 from repro.obs.trace import (
     clear_traces,
     latest_trace_id,
@@ -232,4 +235,54 @@ def test_slowlog_armed(benchmark, exec_batch, shape):
     assert ratio < 1.05 or (on_med - off_med) < 0.0005, (
         f"an armed slow log costs {ratio:.3f}x the disarmed one on "
         f"{shape} ({off_med * 1e3:.3f}ms -> {on_med * 1e3:.3f}ms)"
+    )
+
+
+#: What a small read's routed run may cost over a raw drain of its cached
+#: plan, and the absolute floor under which the difference is jitter.
+#: The aim is 2.0 (ROADMAP item 2); on a 2-core VM the leg reads
+#: 2.45-2.6, and read 2.75-3.0 while routing still imported modules
+#: and went through ``os.environ.get`` on every query.
+FIXED_COST_BOUND = 2.75
+FIXED_COST_FLOOR_S = 5e-6
+
+
+@pytest.mark.benchmark(group="obs_overhead")
+def test_routed_fixed_cost(benchmark, exec_batch):
+    """A small read pays for its rows, not for the stack: a routed drain
+    of a cached plan (``route_batches``: the plan-cache lookup, a meter,
+    its live registration and its class fold) against a raw drain of
+    the same plan's batches, paired in-process. The query is a served
+    ``filter20``'s shape: a 1 000-row stored table whose filter keeps 20
+    rows, so the drain itself is small and the fixed cost shows. The
+    ratio is recorded in the JSON as evidence."""
+    rng = random.Random(7)
+    db = repro.connect(name="bench-fixed-cost", default=False)
+    db["customers"] = {
+        i: {"age": rng.randrange(18, 90), "bucket": i % 50, "tier": i % 3}
+        for i in range(1000)
+    }
+    expr = fql.filter(db.customers, "bucket == $b", {"b": 7})
+
+    def routed():
+        return sum(len(batch) for batch in route_batches(expr))
+
+    def raw():
+        return sum(len(batch) for batch in plan.iter_batches())
+
+    try:
+        plan = pipeline_for(expr)  # plans once: both sides run the cached plan
+        assert routed() == raw() == 20
+        assert benchmark(routed) == 20
+        raw_med, routed_med = _paired_medians(raw, routed, rounds=2000)
+    finally:
+        db.close()
+    ratio = routed_med / raw_med if raw_med else 1.0
+    benchmark.extra_info["routed_over_raw_ratio"] = round(ratio, 4)
+    assert (
+        ratio <= FIXED_COST_BOUND
+        or routed_med - raw_med < FIXED_COST_FLOOR_S
+    ), (
+        f"a routed small read costs {ratio:.2f}x a raw drain of its plan "
+        f"({raw_med * 1e6:.1f}us -> {routed_med * 1e6:.1f}us)"
     )

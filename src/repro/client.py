@@ -54,6 +54,7 @@ from typing import Any, Iterator
 
 from repro._util import MISSING
 from repro.errors import ConnectionClosedError, ReplicaLagError
+from repro.obs.trace import current_context, maybe_trace
 from repro.server import protocol
 
 __all__ = ["RemoteDatabase", "RemoteSubscription", "connect"]
@@ -264,8 +265,6 @@ class RemoteDatabase:
         session span — and everything below it, down to a replica's
         WAL apply — joins the same tree as this client-side span.
         """
-        from repro.obs.trace import current_context, maybe_trace
-
         with maybe_trace(f"client.{payload.get('verb', 'call')}"):
             ctx = current_context()
             if ctx is not None:

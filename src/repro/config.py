@@ -3,6 +3,8 @@
 A :class:`Switch` reads its environment variable on every call (a test
 or an operator may flip it mid-process) unless a process-wide override
 is set, and parses the text only when it differs from the last call's.
+The read is one lookup in the dict ``os.environ`` writes through to,
+cheap enough for every query to make it.
 The module that owns a behaviour binds the switch's ``get`` / ``set`` /
 ``using`` to its public names (``exec_mode`` / ``set_exec_mode`` /
 ``using_exec_mode`` and so on); nothing else in ``repro`` reads
@@ -17,6 +19,13 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 __all__ = ["Switch"]
+
+#: The dict behind ``os.environ`` (which writes through to it) and its
+#: value codec. A switch reads it directly: ``os.environ.get`` on an
+#: unset name raises and catches a KeyError inside the Mapping protocol,
+#: ~15x the cost of the lookup, and unset is the common case.
+_ENVIRON = os.environ._data
+_decode = os.environ.decodevalue
 
 
 class Switch:
@@ -35,6 +44,7 @@ class Switch:
         valid: Callable[[str], bool] | None = None,
     ):
         self.env = env
+        self._key = os.environ.encodekey(env)
         self._parse = parse
         self._valid = valid
         self._override: str | None = None
@@ -45,11 +55,13 @@ class Switch:
         """The current value: the override if set, else the environment."""
         raw = self._override
         if raw is None:
-            raw = os.environ.get(self.env, "")
+            raw = _ENVIRON.get(self._key, "")
         last = self._last
         if raw == last[0]:
             return last[1]
-        value = self._parse(raw.strip())
+        value = self._parse(
+            (raw if isinstance(raw, str) else _decode(raw)).strip()
+        )
         self._last = (raw, value)
         return value
 

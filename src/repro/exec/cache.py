@@ -20,8 +20,11 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
+import repro.operators as operators
 from repro._util import attached
-from repro.fdm.functions import FDMFunction
+from repro.fdm.databases import DatabaseFunction
+from repro.fdm.functions import DerivedFunction, FDMFunction
+from repro.storage.relation import StoredRelationFunction
 
 __all__ = [
     "PlanCache",
@@ -100,10 +103,6 @@ def engine_of(fn: FDMFunction) -> Any:
     ``None`` for purely in-memory graphs. The routing key for every
     per-database attachment: the plan cache here, and the workload
     profile and event log in :mod:`repro.obs`."""
-    from repro.fdm.databases import DatabaseFunction
-    from repro.fdm.functions import DerivedFunction
-    from repro.storage.relation import StoredRelationFunction
-
     if isinstance(fn, StoredRelationFunction):
         return fn._engine
     if isinstance(fn, DatabaseFunction) and not isinstance(
@@ -142,7 +141,4 @@ def fingerprint(fn: FDMFunction) -> Any:
     :func:`~repro.obs.workload.fingerprint_of` reads the same token
     without them.
     """
-    # local import: the operator table imports the layers that call it
-    from repro.operators import plan_token
-
-    return plan_token(fn, literals=True)
+    return operators.plan_token(fn, literals=True)

@@ -41,6 +41,8 @@ from typing import Any
 
 from repro._util import MISSING
 from repro.config import KERNEL
+from repro.fql.aggregates import Avg, Count, Max, Min, Sum
+from repro.obs.resources import active_meter
 from repro.predicates.ast import _COMPARATORS
 
 try:  # optional accelerator: everything below works without it
@@ -182,9 +184,9 @@ def int_members(batch: Any, column: str | None, keys: Any) -> Any:
 def select(sel: Any, mask: Any) -> Any:
     """The positions of selection *sel* that *mask* keeps."""
     if _np is not None and isinstance(mask, _np.ndarray):
-        picked = _np.flatnonzero(mask)
+        (picked,) = mask.nonzero()  # a mask is one-dimensional
         if type(sel) is slice:
-            return picked + sel.start
+            return picked + sel.start if sel.start else picked
         return _np.asarray(sel)[picked]
     if type(sel) is slice:
         sel = range(sel.start, sel.stop)
@@ -213,8 +215,6 @@ def _note_dispatch(vectorized: bool) -> None:
     The kernel/python split is a per-batch *dispatch* decision (never a
     plan property), so this is the only place that can attribute it.
     """
-    from repro.obs.resources import active_meter
-
     meter = active_meter()
     if meter is not None:
         if vectorized:
@@ -422,8 +422,6 @@ def fold_groups(batches: list, attr: str, specs: list) -> dict | None:
     """
     if kernel_backend() != "numpy":
         return None
-    from repro.fql.aggregates import Avg, Count, Max, Min, Sum
-
     if any(type(agg) not in (Count, Sum, Avg, Min, Max) for _n, agg, _a in specs):
         return None
     if not batches:
@@ -479,8 +477,6 @@ def fold_groups(batches: list, attr: str, specs: list) -> dict | None:
 
 def _fold_column(kind: type, slot: Any, groups: int, parts: list) -> list | None:
     """One aggregate's accumulators per group slot, or ``None``."""
-    from repro.fql.aggregates import Avg, Count, Max, Min, Sum
-
     present = _np.concatenate([p for _f, _v, p, _i in parts])
     slot = slot[present]
     counts = _np.bincount(slot, minlength=groups).tolist()

@@ -20,10 +20,12 @@ from time import perf_counter_ns
 from typing import Any, Callable, Iterator
 
 from repro._util import MISSING
-from repro.errors import UndefinedInputError
+from repro.errors import OperatorError, UndefinedInputError
 from repro.exec import kernels
 from repro.exec.batch import COLUMNAR_BATCH_SIZE, ColumnBatch, batch_bytes
 from repro.fdm.functions import FDMFunction
+from repro.fdm.tuples import RowTuple, TupleFunction
+from repro.fql.aggregates import Count
 from repro.obs.context import _local
 from repro.obs.resources import active_meter
 
@@ -87,21 +89,14 @@ class PhysicalNode:
 
     def funnel(self, produce: Callable[[], Iterator]) -> Iterator:
         """The one way a node's batches leave it: ``produce()``, opened
-        at the first pull. Under a run of this node's own plan, each
-        batch adds to the node's row in the run's context (batches,
-        rows and, when the run is watched, the time spent inside the
-        stream, children included); any other pull gets the stream as
-        it is."""
+        at the first pull. Under a watched run of this node's own plan,
+        each batch adds to the node's row in the run's context (batches,
+        rows and the time spent inside the stream, children included);
+        any other pull gets the stream as it is."""
         context = _local.context
         row = None if context is None else context.row(self)
-        if row is None:  # unobserved, or inner work of another plan
+        if row is None:  # unwatched, or inner work of another plan
             yield from produce()
-            return
-        if not context.timed:
-            for batch in produce():
-                row[0] += 1
-                row[1] += len(batch)
-                yield batch
             return
         start = perf_counter_ns()
         row[3] = row[3] or start
@@ -327,8 +322,6 @@ class MapNode(PhysicalNode):
             yield [(key, transform(key, value)) for key, value in batch]
 
     def _project_columnar(self, batch: ColumnBatch, attrs: list) -> ColumnBatch:
-        from repro.fdm.tuples import RowTuple
-
         out = []
         for row in batch.rows:
             try:
@@ -463,8 +456,6 @@ def _column_fold_specs(by: Any, aggs: dict) -> list | None:
     """
     if by.attrs is None:
         return None
-    from repro.fql.aggregates import Count
-
     specs = []
     for agg_name, agg in aggs.items():
         if isinstance(agg.attr, str):
@@ -567,8 +558,6 @@ class GroupAggregateNode(PhysicalNode):
     def _batches(self) -> Iterator[list]:
         by, aggs = self.by, self.aggs
         accs = fold_group_batches(self.children[0].batches(), by, aggs)
-        from repro.fdm.tuples import TupleFunction
-
         def tuples() -> Iterator[tuple]:
             for group_key, acc in accs.items():
                 data = by.key_attrs(group_key)
@@ -628,9 +617,6 @@ class AggregateOverGroupsNode(PhysicalNode):
         self.name = name
 
     def _batches(self) -> Iterator[list]:
-        from repro.errors import OperatorError
-        from repro.fdm.tuples import TupleFunction
-
         for batch in self.children[0].batches():
             out = []
             for group_key, group_rel in batch:

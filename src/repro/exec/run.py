@@ -28,11 +28,14 @@ from operator import length_hint
 from time import perf_counter_ns
 from typing import Any, Iterator
 
+import repro.operators as operators
+from repro.compile import offload_mode
 from repro.config import EXEC
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.exec.cache import cache_of, engine_of, fingerprint
 from repro.exec.lower import PhysicalPipeline, lower
 from repro.obs.context import QueryContext, _local
+from repro.obs.trace import span
 
 __all__ = [
     "exec_mode",
@@ -99,37 +102,31 @@ def pipeline_rules() -> list:
 def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
     """The physical pipeline for *fn* (cached, planned on a miss), or
     ``None`` when it runs per key."""
-    from repro.obs.trace import span
-    from repro.operators import operator_of
-
     if not isinstance(fn, DerivedFunction):
         # a base function's plan is its scan: nothing to optimize or
         # offload, and nothing worth a cache entry that would pin it
         return lower(fn, engine=engine_of(fn))
-    if operator_of(fn).lower is None:
+    if operators.operator_of(fn).lower is None:
         return None  # it runs per key: there is nothing to plan
     try:
         # Offload mode is part of the plan: a compiled-to-SQL pipeline
         # cached under REPRO_OFFLOAD=force must not serve the off mode.
         # (The kernel backend is NOT part of the key — numpy vs python
         # dispatch happens per batch at run time.)
-        from repro.compile import offload_mode
-
         key = (fingerprint(fn), offload_mode())
     except Exception:
         return None
     if key in _planning.inflight:
         return None
-    with span("plan") as sp:
-        # the plan's engine is resolved here, once: it picks the cache,
-        # and the plan carries it for everything that observes a run
-        engine = engine_of(fn)
-        cache = cache_of(engine)
-        cached = cache.get(key)
-        if cached is not None:
-            sp.annotate(plan_cache="hit")
-            return None if cached is _NAIVE else cached
-        sp.annotate(plan_cache="miss")
+    # the plan's engine is resolved here, once: it picks the cache, and
+    # the plan carries it for everything that observes a run
+    engine = engine_of(fn)
+    cache = cache_of(engine)
+    cached = cache.get(key)
+    if cached is not None:
+        span("plan", plan_cache="hit").finish()
+        return None if cached is _NAIVE else cached
+    with span("plan", plan_cache="miss"):
         _planning.inflight.add(key)
         try:
             from repro.optimizer import optimize
@@ -223,11 +220,11 @@ def _enumerate(query: QueryContext, keys: bool, flat: bool) -> Iterator[Any]:
             outer = _local.context
             _local.context = query
             try:
-                batch = next(inner)
-            except StopIteration:
-                break
+                batch = next(inner, None)  # a batch is never None
             finally:
                 _local.context = outer
+            if batch is None:
+                break
             n = whole = len(batch)
             if live is not None:
                 room = live.max_result_rows

@@ -56,6 +56,9 @@ class TupleFunction(FDMFunction):
                          codomain=None)
         self._data = data
 
+    #: Its domain is its data's attribute names.
+    is_enumerable = True
+
     def _apply(self, key: Any) -> Any:
         try:
             return self._data[key]
@@ -275,8 +278,20 @@ class BoundTuple(FDMFunction):
     def attributes(self) -> list[str]:
         return list(self._data())
 
+    #: Its domain is its attribute names, read or not.
+    is_enumerable = True
+
     def keys(self) -> Iterator[str]:
         return iter(list(self._data()))
+
+    def items(self) -> Iterator[tuple[str, Any]]:
+        """Every attribute from one read of the row (the inherited
+        walk read it once per attribute, and could mix two commits)."""
+        return iter(list(self._data().items()))
+
+    def values(self) -> Iterator[Any]:
+        """Every value from one read of the row."""
+        return iter(list(self._data().values()))
 
     # -- write-through ---------------------------------------------------------
 

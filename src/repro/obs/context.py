@@ -70,7 +70,7 @@ class QueryContext:
         #: A list that receives the node rows of the run routed under
         #: this context (``analyze()`` installs one on its verb frame).
         self.tree: list | None = None
-        #: The plan's nodes once the run begins, and their rows:
+        #: The plan's nodes once a watched run begins, and their rows:
         #: ``[batches, rows, wall_ns, first_ns]`` by ordinal.
         self.nodes: tuple = ()
         self.rows: list = []
@@ -79,24 +79,21 @@ class QueryContext:
     def watching(cls, pipeline: Any) -> "QueryContext | None":
         """The context for one routed enumeration of *pipeline*, or
         ``None`` when it is inner work or nobody is watching."""
-        from repro.obs.resources import start_meter
-
         outer = _local.context
         if outer is not None and outer.pipeline is not None:
             return None  # the nesting rule
         engine = pipeline.engine
-        if outer is None:
-            self = cls(start_meter(engine), pipeline)
-            self.owns_meter, self.budgeted = True, self.meter._armed
-        else:  # a server verb's enumeration feeds the verb's meter
-            self = cls(outer.meter, pipeline)
-            self.tree = outer.tree
-        self.traced = trace.active()
+        meter = None if outer is None else outer.meter
+        tree = None if outer is None else outer.tree
+        traced = trace.active()
+        slowlog = None
         if any_active() and engine is not None:
             log = slowlog_for(engine)
             if log.should_capture():
-                self.slowlog = log
-        meter = self.meter
+                slowlog = log
+        timed = traced or slowlog is not None or tree is not None
+        if meter is None:
+            meter = resources.start_meter(engine)
         if meter.fingerprint is None:
             try:  # class labels must never break the query they label
                 info = info_of(pipeline)
@@ -106,12 +103,18 @@ class QueryContext:
                 meter.fingerprint = info[0]
                 if meter.query is None:
                     meter.query = info[1]
-        self.timed = (
-            self.traced or self.slowlog is not None or self.tree is not None
+        if outer is not None and not timed:
+            # a server verb's enumeration nobody watches feeds the
+            # verb's meter through the raw stream
+            return None
+        self = cls(meter, pipeline)
+        # a verb's enumeration feeds the verb's meter; its own owns one
+        self.owns_meter = outer is None
+        self.budgeted = self.owns_meter and meter._armed
+        self.tree, self.traced, self.slowlog, self.timed = (
+            tree, traced, slowlog, timed
         )
-        if self.owns_meter or self.timed:
-            return self
-        return None
+        return self
 
     def row(self, node: Any) -> list | None:
         """*node*'s counters in this run, or ``None`` when *node* is not
@@ -123,12 +126,12 @@ class QueryContext:
 
     def begin(self) -> Any:
         """First pull: register with the sinks that keep a live view,
-        open this run's node rows and return the cached plan to drain."""
-        from repro.obs.resources import resources_for
-
+        open a watched run's node rows and return the cached plan to
+        drain."""
         pipeline = self.pipeline
-        self.nodes = pipeline.nodes
-        self.rows = [[0, 0, 0, 0] for _node in self.nodes]
+        if self.timed:  # only a watched run's node rows are ever read
+            self.nodes = pipeline.nodes
+            self.rows = [[0, 0, 0, 0] for _node in self.nodes]
         self.span = self.zones = None
         if self.traced or self.slowlog is not None:
             if self.slowlog is not None:  # this run's share of the meter
@@ -141,14 +144,12 @@ class QueryContext:
             # not sit on the consumer's span stack between pulls
             self.span = trace.span("execute", root=pipeline.root.describe())
         if self.owns_meter:
-            resources_for(pipeline.engine).begin(self.meter)
+            resources.resources_for(pipeline.engine).begin(self.meter)
         return pipeline
 
     def report(self, rows: int, wall_ns: int) -> None:
         """The stream closed (drained, abandoned or killed): tell every
         sink that was watching, once."""
-        from repro.obs.resources import resources_for
-
         engine, root = self.pipeline.engine, self.pipeline.root
         try:
             trace_id = None
@@ -198,5 +199,9 @@ class QueryContext:
         finally:
             if self.owns_meter:
                 if not self.budgeted:  # a budgeted meter counted live
-                    self.meter.add_result_rows(rows)
-                resources_for(engine).finish(self.meter)
+                    self.meter.result_rows += rows
+                resources.resources_for(engine).finish(self.meter)
+
+
+# at the bottom: the meters' module imports this one's QueryContext
+import repro.obs.resources as resources  # noqa: E402

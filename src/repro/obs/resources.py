@@ -36,8 +36,8 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from contextlib import contextmanager
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import Any
 
 from repro._util import attached
 from repro.config import MAX_RESULT_ROWS, MAX_ROWS_SCANNED, QUERY_DEADLINE_MS
@@ -76,9 +76,10 @@ class ResourceMeter:
     """One query's cost ledger, plus its budgets.
 
     Executor hooks do plain unlocked increments: a meter is only ever
-    *written* by the one thread running its query. ``_armed`` is
-    precomputed at construction: with no budget set, the per-batch
-    enforcement cost is a single attribute test.
+    *written* by the one thread running its query. Every ledger field
+    starts as a class-level zero, so a new meter sets none of them.
+    ``_armed`` is precomputed at construction: with no budget set, the
+    per-batch enforcement cost is a single attribute test.
     """
 
     #: Every ledger field, with the help text of its ``repro_resource_*``
@@ -99,21 +100,6 @@ class ResourceMeter:
         "images_built": "Segment column images built by scans",
     }
 
-    __slots__ = (
-        *FIELDS,
-        "engine",
-        "session_id",
-        "fingerprint",
-        "verb",
-        "query",
-        "started_ns",
-        "deadline_ns",
-        "max_rows_scanned",
-        "max_result_rows",
-        "killed",
-        "_armed",
-    )
-
     def __init__(
         self,
         engine: Any = None,
@@ -125,8 +111,6 @@ class ResourceMeter:
         max_result_rows: int | None = None,
         deadline_ms: float | None = None,
     ) -> None:
-        for field in self.FIELDS:
-            setattr(self, field, 0)
         self.engine = engine
         self.session_id = session_id
         self.verb = verb
@@ -232,25 +216,23 @@ class ResourceMeter:
         return snap
 
 
-#: The ledger fields a rollup sums (the peak is kept as a max).
+for _field in ResourceMeter.FIELDS:  # the ledger's class-level zeros
+    setattr(ResourceMeter, _field, 0)
+
+#: The ledger fields a rollup sums (the peak is kept as a max), and
+#: one call that reads them all off a meter.
 _SUMMED = tuple(f for f in ResourceMeter.FIELDS if f != "peak_batch_bytes")
+_summed_of = attrgetter(*_SUMMED)
 
 
-def _add(row: dict, meter: ResourceMeter) -> None:
-    """Fold *meter* into a rollup row: sums, and the peak as a max."""
-    for field in _SUMMED:
-        row[field] += getattr(meter, field)
-    if meter.peak_batch_bytes > row["peak_batch_bytes"]:
-        row["peak_batch_bytes"] = meter.peak_batch_bytes
-
-
-def _count(row: dict, meter: ResourceMeter) -> None:
-    """Fold *meter* into a session or class row, which also counts
-    queries and kills."""
-    _add(row, meter)
-    row["queries"] += 1
-    if meter.killed is not None:
-        row["killed"] += 1
+def _fold(row: dict, moved: list, peak: int) -> None:
+    """Fold one finished meter into a rollup row: its *moved*
+    ``(field, value)`` sums (the fields it counted), and its *peak* as
+    a max."""
+    for field, value in moved:
+        row[field] += value
+    if peak > row["peak_batch_bytes"]:
+        row["peak_batch_bytes"] = peak
 
 
 def _row() -> dict:
@@ -307,13 +289,20 @@ class ResourceAccounting:
         served one the whole verb.
         """
         seconds = (time.perf_counter_ns() - meter.started_ns) / 1e9
+        # the fields this meter counted, read once for every row it
+        # folds into
+        moved = [pair for pair in zip(_SUMMED, _summed_of(meter)) if pair[1]]
+        peak = meter.peak_batch_bytes
         regressed = None
         with self._lock:
             self._active.pop(id(meter), None)
+            _fold(self.totals, moved, peak)
+            # a session or class row also counts queries and kills
             self.queries += 1
+            moved.append(("queries", 1))
             if meter.killed is not None:
                 self.killed += 1
-            _add(self.totals, meter)
+                moved.append(("killed", 1))
             if meter.session_id is not None:
                 key = str(meter.session_id)
                 row = self._sessions.get(key)
@@ -321,10 +310,10 @@ class ResourceAccounting:
                     if len(self._sessions) >= self.MAX_SESSIONS:
                         self._sessions.pop(next(iter(self._sessions)))
                     row = self._sessions[key] = _row()
-                _count(row, meter)
+                _fold(row, moved, peak)
             if meter.fingerprint is not None:
                 cls = self._class_for(meter.fingerprint)
-                _count(cls.cost, meter)
+                _fold(cls.cost, moved, peak)
                 regressed = cls.observe(seconds, self.regression_factor)
         if regressed is not None:
             emit(
@@ -478,17 +467,9 @@ def start_meter(
     )
 
 
-@contextmanager
-def metered(
-    engine: Any,
-    *,
-    session_id: Any = None,
-    verb: str | None = None,
-    query: str | None = None,
-    overrides: dict | None = None,
-    deadline_ms: float | None = None,
-) -> Iterator[ResourceMeter]:
-    """Run a block under a fresh active meter (the server-verb wrapper).
+class metered:
+    """Run a block under a fresh active meter (the server-verb wrapper):
+    ``with metered(engine, ...) as meter``.
 
     Registers the meter in the engine's live view, installs it as the
     thread's active meter for the duration, and folds it into the
@@ -496,21 +477,24 @@ def metered(
     exactly what happens on a budget kill. An already-expired deadline
     kills before any work runs.
     """
-    meter = start_meter(
-        engine,
-        session_id=session_id,
-        verb=verb,
-        query=query,
-        overrides=overrides,
-        deadline_ms=deadline_ms,
-    )
-    accounting = resources_for(engine)
-    accounting.begin(meter)
-    outer, _local.context = _local.context, QueryContext(meter)
-    try:
+
+    def __init__(self, engine: Any, **labels_and_budgets: Any) -> None:
+        # the keywords of :func:`start_meter`
+        self.meter = start_meter(engine, **labels_and_budgets)
+        self._accounting = resources_for(engine)
+
+    def __enter__(self) -> ResourceMeter:
+        meter = self.meter
+        self._accounting.begin(meter)
+        self._outer, _local.context = _local.context, QueryContext(meter)
         if meter._armed:
-            meter.check()
-        yield meter
-    finally:
-        _local.context = outer
-        accounting.finish(meter)
+            try:
+                meter.check()
+            except BaseException:
+                self.__exit__()
+                raise
+        return meter
+
+    def __exit__(self, *exc: Any) -> None:
+        _local.context = self._outer
+        self._accounting.finish(self.meter)

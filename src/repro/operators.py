@@ -216,7 +216,7 @@ def plan_token(fn: FDMFunction, literals: bool) -> Any:
         return (
             type(fn).__name__,
             entry.token(fn, literals),
-            tuple(plan_token(child, literals) for child in inputs),
+            tuple([plan_token(child, literals) for child in inputs]),
         )
     if isinstance(fn, StoredRelationFunction):
         if not literals:
@@ -229,7 +229,7 @@ def plan_token(fn: FDMFunction, literals: bool) -> Any:
         return (
             "stored",
             id(fn._engine),
-            fn.table_name,
+            fn._table_name,
             manager.now(),
             (txn.start_ts, txn.write_seq) if txn is not None else None,
         )

@@ -377,11 +377,10 @@ def _atom_mask(
     """The columnar form of one atom (``None`` when there is no atom)."""
     if atom is None:
         return None
+    from repro.exec.kernels import atom_mask  # the kernels import this module
 
     def run(batch: Any) -> Any:
-        from repro.exec import kernels
-
-        return kernels.atom_mask(batch, atom, negated)
+        return atom_mask(batch, atom, negated)
 
     return run
 

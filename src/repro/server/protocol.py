@@ -35,9 +35,8 @@ import json
 import math
 import socket
 import struct
-from contextlib import contextmanager
 from itertools import repeat
-from typing import Any, Iterator
+from typing import Any
 
 from repro._util import (
     MISSING,
@@ -46,6 +45,9 @@ from repro._util import (
     encode_tuple_key,
 )
 from repro.errors import ConnectionClosedError, ProtocolError, RemoteError
+from repro.exec.batch import ColumnBatch
+from repro.exec.kernels import _derived
+from repro.exec.run import route_batches
 from repro.fdm.functions import FDMFunction
 from repro.relational.nulls import is_null
 
@@ -229,21 +231,25 @@ def encode_value(
     return {"@": "repr", "type": type(value).__name__, "repr": repr(value)}
 
 
-@contextmanager
-def relation_batches(fn: Any, nested: bool = False) -> Iterator[Iterator]:
+class relation_batches:
     """*fn*'s batches from one drain of its executor pipeline (one
     stream of ``(key, value)`` entries, ``items()``, for a *nested*
-    relation or one the executor cannot plan); the query reports once,
-    when the block exits. A batch is a column batch or a list of
-    entries (see :func:`repro.exec.run.route_batches`)."""
-    from repro.exec.run import route_batches
+    relation or one the executor cannot plan), as ``with
+    relation_batches(fn) as batches``; the query reports once, when the
+    block exits. A batch is a column batch or a list of entries (see
+    :func:`repro.exec.run.route_batches`)."""
 
-    batches = None if nested else route_batches(fn)
-    try:
-        yield (fn.items(),) if batches is None else batches
-    finally:
-        if batches is not None:
-            batches.close()
+    def __init__(self, fn: Any, nested: bool = False) -> None:
+        self._fn = fn
+        self._batches = None if nested else route_batches(fn)
+
+    def __enter__(self) -> Any:
+        batches = self._batches
+        return (self._fn.items(),) if batches is None else batches
+
+    def __exit__(self, *exc: Any) -> None:
+        if self._batches is not None:
+            self._batches.close()
 
 
 def _shaped(value: Any) -> bool:
@@ -278,8 +284,6 @@ def _column_run(batch: Any) -> tuple | None:
     """``(names, keys, columns)`` of a column batch whose selected rows
     all share one shape, gathered from the image's columns; else
     ``None``."""
-    from repro.exec.kernels import _derived  # once per image, as kernels do
-
     image = batch.image
     shapes, codes, keys, one = _derived(image, ("wire",), _wire_rows)
     if one is None:
@@ -303,8 +307,6 @@ def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
     image's columns; every other entry goes through one per-row loop,
     which also cuts the page. Blocks continue across batches, so the
     envelope depends on the answer alone."""
-    from repro.exec.batch import ColumnBatch
-
     envelope = {"@": "relation", "kind": fn.kind, "name": fn.name}
     shapes = envelope["shapes"] = []
     blocks = envelope["blocks"] = []
@@ -339,6 +341,8 @@ def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
                 continue
             if columnar:  # mixed shapes, or the page ends in this batch
                 batch = zip(batch.keys, batch.rows)
+            run: list = []  # ``(key, *values)`` of consecutive one-shape rows
+            names = None
             for key, value in batch:
                 if not left:
                     envelope["truncated"] = True
@@ -350,17 +354,43 @@ def _encode_relation(fn: Any, max_rows: int | None, depth: int) -> dict:
                     and value.is_enumerable
                 ):
                     value = dict(value.items())
-                shaped = flat and _shaped(value)
-                block = block_for(tuple(value) if shaped else None)
-                block[1].append(key if type(key) in _SCALARS else encode_key(key))
-                if shaped:
-                    for col, v in zip(block[2:], value.values()):
-                        col.append(v)
-                else:
-                    block[2].append(encode_value(value, max_rows, depth + 1))
+                if type(key) not in _SCALARS:
+                    key = encode_key(key)
+                shape = None
+                if (
+                    flat
+                    and isinstance(value, dict)
+                    and value
+                    and _SCALARS.issuperset(map(type, value.values()))
+                ):
+                    shape = tuple(value)
+                    if shape != names and not _NAMES.issuperset(map(type, shape)):
+                        shape = None  # names JSON cannot carry exactly
+                if shape is not None:  # a :func:`_shaped` row
+                    if run and shape != names:
+                        _extend(block_for(names), run)
+                        run = []
+                    names = shape
+                    run.append((key, *value.values()))
+                    continue
+                if run:
+                    _extend(block_for(names), run)
+                    run = []
+                block = block_for(None)
+                block[1].append(key)
+                block[2].append(encode_value(value, max_rows, depth + 1))
+            if run:
+                _extend(block_for(names), run)
             if "truncated" in envelope:
                 break
     return envelope
+
+
+def _extend(block: list, run: list) -> None:
+    """Append a run of ``(key, v1, ..., vn)`` rows to *block*'s key and
+    value lists, column by column."""
+    for have, column in zip(block[1:], zip(*run)):
+        have += column
 
 
 def decode_value(value: Any) -> Any:

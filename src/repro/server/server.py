@@ -12,9 +12,11 @@ pressure.
 Each session thread serves its connection's requests strictly in order;
 the session's open transaction is detached between requests, so the
 snapshot (and first-committer-wins validation) spans round trips
-regardless of which thread runs them. Subscription pushes originate on
-*other* sessions' committing threads and interleave with responses
-through a per-connection write lock.
+regardless of which thread runs them. The session thread writes its own
+replies; subscription pushes originate on *other* sessions' committing
+threads and reach the socket through a push thread that runs while the
+connection has something to push. Both write under one per-connection
+lock.
 """
 
 from __future__ import annotations
@@ -40,83 +42,119 @@ _STOP = object()
 #: enqueue closes the subscription.
 _PUSH_TIMEOUT = 5.0
 
-#: Outbound frames buffered per connection before pushes start timing
-#: out (responses always enqueue, blocking the session's own thread).
+#: Push frames buffered per connection before pushes start timing out.
 _OUTBOUND_QUEUE = 128
 
 
 class _ConnectionWriter:
-    """Single-writer outbound path for one connection.
+    """The outbound path of one connection: replies and pushes.
 
-    Responses come from the session thread; pushes come from *other*
-    sessions' committing threads. Funneling every frame through one
-    queue-draining thread means no frame is ever interleaved or torn
-    (only this thread touches the socket for writes), the socket's
-    blocking state is never mutated cross-thread, and a subscriber
-    that stops reading costs a committer at most the bounded enqueue
-    timeout — the writer thread is the only one that ever blocks on
-    the stalled socket.
+    The session thread writes its own replies (:meth:`send_response`).
+    Pushes come from *other* sessions' committing threads, so they are
+    enqueued with a bounded wait and written by a push thread, started
+    by a push when none runs (a subscription's delta or a follower's
+    WAL batch) and stopped by :meth:`idle` when the last subscription
+    goes: a connection with nothing to push runs on its session thread
+    alone. Both writers take one lock per frame, so no frame is ever
+    interleaved or torn, and a subscriber that stops reading costs a
+    committer at most ``_PUSH_TIMEOUT`` — only a push thread, or the
+    session thread on its own client's behalf, ever blocks on the
+    stalled socket.
     """
 
     _STOP = object()
 
     def __init__(self, conn: socket.socket):
         self._conn = conn
+        self._write = threading.Lock()  # one frame at a time
         self._queue: queue.Queue = queue.Queue(maxsize=_OUTBOUND_QUEUE)
+        self._start = threading.Lock()
+        self._thread: threading.Thread | None = None
+        self._retired: threading.Thread | None = None  # flushing to its stop
         self.dead = False
-        self._thread = threading.Thread(
-            target=self._drain, daemon=True, name="repro-conn-writer"
-        )
-        self._thread.start()
 
-    def _drain(self) -> None:
+    def _send(self, payload: dict[str, Any]) -> None:
+        try:
+            with self._write:
+                protocol.send_frame(self._conn, payload)
+        except Exception:
+            # the stream is unusable (peer gone, or a partial frame):
+            # kill the whole connection so the reader exits too —
+            # serving on a torn stream would feed the client garbage
+            # lengths
+            self.dead = True
+            try:
+                self._conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            raise OSError("connection writer is dead") from None
+
+    def _drain(self, retired: threading.Thread | None) -> None:
+        if retired is not None:
+            retired.join()  # it writes the pushes queued before its stop
         while True:
             payload = self._queue.get()
             if payload is self._STOP:
-                break
+                return
             try:
-                protocol.send_frame(self._conn, payload)
-            except Exception:
-                # the stream is unusable (peer gone, or a partial
-                # frame): kill the whole connection so the reader
-                # exits too — serving on a torn stream would feed the
-                # client garbage lengths
-                self.dead = True
-                try:
-                    self._conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                break
-        self.dead = True
+                self._send(payload)
+            except OSError:
+                return
 
     def send_response(self, payload: dict[str, Any]) -> None:
-        """Enqueue a response; blocks the session's own thread only."""
+        """Write a reply; blocks the session's own thread only."""
         if self.dead:
             raise OSError("connection writer is dead")
-        self._queue.put(payload)
+        self._send(payload)
 
     def send_push(self, payload: dict[str, Any]) -> None:
         """Enqueue a push with a bounded wait (commit-path safety)."""
         if self.dead:
             raise OSError("connection writer is dead")
         self._queue.put(payload, timeout=_PUSH_TIMEOUT)
+        # checked after the put, under the lock idle() stops under: the
+        # push is ahead of a stop, or a new thread takes it after one
+        with self._start:
+            if self._thread is None and not self.dead:
+                self._thread = threading.Thread(
+                    target=self._drain, args=(self._retired,), daemon=True,
+                    name="repro-conn-writer",
+                )
+                self._thread.start()
+
+    def idle(self) -> None:
+        """Nothing is left to push: the push thread stops once it has
+        written what is queued (a later push starts another)."""
+        with self._start:
+            if self._thread is None:
+                return
+            try:
+                self._queue.put_nowait(self._STOP)
+            except queue.Full:
+                return  # a stalled subscriber: close() unsticks it
+            self._retired, self._thread = self._thread, None
 
     def close(self) -> None:
-        """Stop the drain thread, flushing what it can."""
-        # graceful first (flush queued responses), then force: a writer
+        """Refuse further pushes; stop the push thread, flushing what
+        it can."""
+        with self._start:
+            self.dead = True
+            thread = self._thread
+        if thread is None:
+            return
+        # graceful first (flush queued pushes), then force: a writer
         # wedged on a stalled peer is unstuck by the socket shutdown
         try:
             self._queue.put_nowait(self._STOP)
         except queue.Full:
             pass
-        self._thread.join(timeout=2)
-        if self._thread.is_alive():
-            self.dead = True
+        thread.join(timeout=2)
+        if thread.is_alive():
             try:
                 self._conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            self._thread.join(timeout=2)
+            thread.join(timeout=2)
 
 
 class ReproServer:
@@ -357,7 +395,7 @@ class ReproServer:
     def _serve_connection(self, conn: socket.socket, session_id: int) -> None:
         session = Session(self.db, session_id, server=self)
         writer = _ConnectionWriter(conn)
-        session.send_push = writer.send_push
+        session.send_push, session.pushes_idle = writer.send_push, writer.idle
         with self._lock:
             self._sessions[session_id] = (session, conn)
         try:

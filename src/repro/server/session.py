@@ -36,7 +36,10 @@ from repro.errors import (
 )
 from repro.fdm.databases import DatabaseFunction
 from repro.fdm.functions import FDMFunction
+from repro.obs.resources import metered
+from repro.obs.trace import resume
 from repro.server import protocol
+from repro.storage.relation import StoredRelationFunction
 
 __all__ = ["Session", "Subscription", "compile_fql", "fql_namespace"]
 
@@ -240,10 +243,12 @@ class Session:
         self.budgets: dict[str, float] = {}
         self.requests = 0
         self.closing = False
-        #: Transport hook installed by the server: enqueue one push
-        #: frame (the connection's writer thread serializes all frame
-        #: writes; the enqueue itself is bounded).
+        #: Transport hooks installed by the server: enqueue one push
+        #: frame (the connection's push thread writes it under the lock
+        #: its replies take; the enqueue itself is bounded), and tell
+        #: the connection its last subscription is gone.
         self.send_push: Callable[[dict[str, Any]], None] = lambda p: None
+        self.pushes_idle: Callable[[], None] = lambda: None
 
     # -- request dispatch --------------------------------------------------------
 
@@ -255,8 +260,6 @@ class Session:
         so planning, per-node execution, commit hooks, and WAL shipping
         below it all join the client's trace.
         """
-        from repro.obs.trace import resume
-
         self.requests += 1
         verb = str(request.get("verb", "")).lower()
         handler = getattr(self, f"_verb_{verb}", None)
@@ -350,8 +353,6 @@ class Session:
         budget kill leaves the session and any open transaction intact
         for the next request.
         """
-        from repro.obs.resources import metered
-
         deadline = request.get("deadline_ms")
         if deadline is not None and (
             not isinstance(deadline, (int, float)) or deadline <= 0
@@ -480,8 +481,6 @@ class Session:
         / set / delete. Runs inside the session transaction when one is
         open (buffered until COMMIT), else as an implicit statement
         transaction — identical to in-process semantics."""
-        from repro.storage.relation import StoredRelationFunction
-
         op = request.get("op")
         table = request.get("table")
         if not isinstance(table, str):
@@ -702,6 +701,8 @@ class Session:
         if subscription is None:
             raise ProtocolError(f"no subscription with sid {sid!r}")
         subscription.close()
+        if not self.subscriptions:
+            self.pushes_idle()
         return {"sid": sid, "unsubscribed": True}
 
     def _push(self, payload: dict[str, Any]) -> None:

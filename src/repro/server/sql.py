@@ -14,7 +14,7 @@ typed :class:`~repro.errors.SQLExecutionError` naming it.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable
+from typing import Any
 
 from repro import fql
 from repro.errors import SQLExecutionError
@@ -177,15 +177,17 @@ class Translation:
             raise _decline("ORDER BY a column outside GROUP BY")
         return e.name
 
-    def _output(self, item: q.SelectItem) -> tuple[str, Callable] | None:
-        # (label, read(key, row)) of one select item; None for *
+    def _output(self, item: q.SelectItem) -> tuple[str, Any] | None:
+        # (label, read) of one select item, None for *: read is the
+        # attribute to read off an answer row (None: its key), or a
+        # read(key, row) of the hidden aggregates
         e, grouped = item.expr, self.by is not None
         if isinstance(e, q.Star) and not grouped and (
             e.qualifier in (None, self.binding)
         ):
             return None
         if isinstance(e, q.Col) and (not grouped or e.name in self.by):
-            return item.alias or e.name, _reader(self._column(e))
+            return item.alias or e.name, self._column(e)
         if not (grouped and isinstance(e, q.FuncE) and e.name in _FOLDS):
             raise _decline("this select item (arithmetic, a function, or "
                            "a column outside GROUP BY)")
@@ -251,31 +253,30 @@ class Translation:
                 continue
             names = dict.fromkeys(
                 a for _key, row in rows for a in row if a != self.key)
-            items.append((self.key, _reader(None)))
-            items += [(name, _reader(name)) for name in names]
+            items.append((self.key, None))
+            items += [(name, name) for name in names]
         labels = [label for label, _read in items]
         columns = [  # a repeated label is suffixed: name, name_2, …
             f"{label}_{n + 1}" if (n := labels[:i].count(label)) else label
             for i, label in enumerate(labels)
         ]
         encode, scalars = protocol.encode_value, protocol._SCALARS
-        reads = [read for _label, read in items]
-        return {"columns": columns, "rows": [
-            [v if type(v) in scalars else encode(v)
-             for v in [read(key, row) for read in reads]]
-            for key, row in rows
-        ]}
+        cut = []  # the reply column by column; NULL where undefined
+        for _label, read in items:
+            if read is None:
+                column = [key for key, _row in rows]
+            elif callable(read):
+                column = [read(key, row) for key, row in rows]
+            else:
+                column = [row.get(read) for _key, row in rows]
+            if not scalars.issuperset(map(type, column)):
+                column = [v if type(v) in scalars else encode(v)
+                          for v in column]
+            cut.append(column)
+        return {"columns": columns, "rows": [list(row) for row in zip(*cut)]}
 
 
 def _defined(*operands: Any) -> list:
     # guards dropping rows where a column operand is None (SQL NULL)
     return [Comparison("!=", x, _NONE) for x in operands
             if not isinstance(x, Literal)]
-
-
-def _reader(attr: str | None) -> Callable:
-    # read one column off an answer row: the key for None, else the
-    # attribute, NULL where it is undefined
-    if attr is None:
-        return lambda key, row: key
-    return lambda key, row: row.get(attr)

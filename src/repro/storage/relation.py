@@ -28,7 +28,10 @@ from repro.fdm.functions import FDMFunction
 from repro.fdm.relations import RelationFunction
 from repro.fdm.relationships import Participant
 from repro.fdm.tuples import BoundTuple, TupleFunction
+from repro.obs.resources import active_meter
+from repro.partition.prune import surviving_partitions
 from repro.storage.engine import StorageEngine
+from repro.storage.stats import zone_may_match
 from repro.txn.manager import TransactionManager, _NO_WRITE
 
 __all__ = ["StoredRelationFunction", "StoredRelationshipFunction"]
@@ -159,10 +162,8 @@ class StoredRelationFunction(RelationFunction):
             yield from self.iter_batches(batch_size)
             return
 
+        # local: the executor's package imports this module
         from repro.exec.batch import entry_batches, image_batches
-        from repro.obs.resources import active_meter
-        from repro.partition.prune import surviving_partitions
-        from repro.storage.stats import zone_may_match
 
         ts = self._manager.now()
         table = self._engine.table(self._table_name)

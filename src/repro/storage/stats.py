@@ -26,6 +26,7 @@ from operator import itemgetter
 from typing import Any
 
 from repro._util import TOMBSTONE
+from repro.predicates.ast import may_hold
 
 __all__ = [
     "AttrStatistics", "TableStatistics", "SummedStatistics", "zone_may_match",
@@ -342,8 +343,6 @@ def zone_may_match(stats: TableStatistics | None, pred: Any) -> bool:
     can satisfy the predicate; anything the walk cannot read is
     inconclusive, and so is a segment with no per-attribute facts.
     """
-    from repro.predicates.ast import may_hold
-
     if stats is None or stats.opaque:
         return True
     return may_hold(pred, lambda atom: _zone_may_hold(stats, atom))

@@ -43,6 +43,8 @@ from repro.errors import (
     TransactionStateError,
     WALError,
 )
+from repro.obs.resources import active_meter
+from repro.obs.trace import span
 from repro.storage.engine import StorageEngine
 from repro.storage.image import WALRecord, table_schema
 
@@ -235,8 +237,6 @@ class TransactionManager:
                 # whose deadline expired aborts cleanly *here* — once
                 # apply_commit starts writing version chains the commit
                 # must run to completion, so this is the last safe gate
-                from repro.obs.resources import active_meter
-
                 meter = active_meter()
                 if meter is not None and meter._armed:
                     reason = meter.exceeded()
@@ -296,8 +296,6 @@ class TransactionManager:
         """Post-commit hooks: outside the lock (eager view upkeep must
         not serialize other committers) and after _finish (views must
         read the post-commit state, not the gone transaction buffer)."""
-        from repro.obs.trace import span
-
         with span("commit.hooks", commit_ts=commit_ts):
             registry = getattr(self.engine, "view_registry", None)
             if registry is not None:

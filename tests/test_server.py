@@ -259,6 +259,38 @@ class TestBasicVerbs:
         keys = [key for block in page["blocks"] for key in block[1]]
         assert len(keys) == 2 and page["truncated"]
 
+    def test_a_point_reply_reads_its_row_once(self, db, monkeypatch):
+        """A one-row reply costs one chain read to find the row and one
+        to encode all of it, at the statement's snapshot; inside an
+        open transaction that one read sees the session's own buffered
+        write."""
+        from repro.server.session import Session
+        from repro.storage.relation import StoredRelationFunction
+
+        reads = []
+        raw_read = StoredRelationFunction._raw_read
+
+        def counted(self, key):
+            reads.append(key)
+            return raw_read(self, key)
+
+        monkeypatch.setattr(StoredRelationFunction, "_raw_read", counted)
+        session = Session(db, 1)
+        point = {"verb": "fql", "expr": "db('customers')(params['k'])",
+                 "params": {"k": 1}}
+        reply = session.handle(dict(point))["result"]
+        assert reply == {"@": "tuple", "attrs": {
+            "name": "Alice", "age": 47, "state": "NY"}}
+        assert reads == [1, 1]
+        session.handle({"verb": "begin"})
+        session.handle({"verb": "dml", "op": "set", "table": "customers",
+                        "key": 1, "attr": "age", "value": 48})
+        reads.clear()
+        reply = session.handle(dict(point))["result"]
+        assert reply["attrs"]["age"] == 48 and reads == [1, 1]
+        session.handle({"verb": "rollback"})
+        assert db.customers[1]["age"] == 47
+
     def test_fql_cannot_reach_lifecycle_surface(self, db, server):
         """Expressions see a read-only database view: the lifecycle /
         admin API of FunctionalDatabase must not be remotely callable."""
@@ -748,6 +780,122 @@ class TestSubscribe:
                 watcher.poll(timeout=0.2)
             assert seniors.snapshot[30]["age"] == 81
             assert by_state.snapshot["NY"]["n"] == 3
+
+    def test_a_stalled_subscriber_costs_a_committer_one_timeout(
+        self, db, monkeypatch
+    ):
+        """A subscriber that stops reading costs a committing thread at
+        most ``_PUSH_TIMEOUT``, once: the push that times out closes
+        the subscription, and later commits push nothing and wait for
+        nothing."""
+        from repro.server import server as server_module
+
+        timeout = 0.5
+        monkeypatch.setattr(server_module, "_PUSH_TIMEOUT", timeout)
+        pad = "x" * 65536  # each push is a 64 KiB frame
+        with repro.server.serve(db, port=0) as srv:
+            stalled = socket.socket()
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            try:
+                stalled.connect(("127.0.0.1", srv.port))
+                protocol.send_frame(stalled, {
+                    "verb": "subscribe", "id": 1,
+                    "expr": "filter(db('customers'), 'age >= 0')",
+                })
+                assert protocol.recv_frame(stalled)["ok"]
+                # from here on the subscriber reads nothing
+                waits: list[float] = []
+                for key in range(100, 2100):
+                    start = time.perf_counter()
+                    db.customers[key] = {"name": pad, "age": 1}
+                    waits.append(time.perf_counter() - start)
+                    stalls = [w for w in waits if w >= timeout / 2]
+                    if stalls and len(waits) - waits.index(stalls[0]) > 20:
+                        break
+                assert len(stalls) == 1, stalls
+                assert stalls[0] < timeout + 2.0
+            finally:
+                stalled.close()
+
+    def test_a_connection_runs_a_push_thread_only_while_it_pushes(
+        self, db, server
+    ):
+        """Replies leave on the session's own thread; a connection runs
+        a push thread from its first push until its last subscription
+        goes, and starts another for the next one."""
+
+        def push_threads():
+            return sum(
+                t.name == "repro-conn-writer" for t in threading.enumerate()
+            )
+
+        def settles_at(count):
+            deadline = time.monotonic() + 10
+            while push_threads() != count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return push_threads() == count
+
+        before = push_threads()  # other servers' connections, if any
+        with client_for(server) as watcher, client_for(server) as writer:
+            for _ in range(3):
+                assert watcher.ping() and writer.fql("len(db('customers'))")
+            assert push_threads() == before
+            for key in (40, 41):
+                sub = watcher.subscribe(
+                    "filter(db('customers'), 'age >= 60')", name="seniors"
+                )
+                writer.insert("customers", key, {"name": "Pia", "age": 70})
+                assert sub.wait(timeout=10)
+                assert sub.snapshot[key]["age"] == 70
+                assert push_threads() == before + 1
+                sub.unsubscribe()
+                assert settles_at(before)
+
+    def test_pushes_racing_idle_arrive_once_and_in_order(self):
+        """Committers pushing while the connection goes idle over and
+        over: every push arrives, once, in each committer's order (a
+        push queued behind a stop is written by the next push thread,
+        which waits for the stopped one to flush)."""
+        import sys
+
+        from repro.server.server import _ConnectionWriter
+
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(10)  # a lost push fails the read, never hangs
+        writer = _ConnectionWriter(ours)
+        pushers, per = 4, 2000
+        done = threading.Event()
+
+        def push(sid):
+            for seq in range(per):
+                writer.send_push({"push": "delta", "sid": sid, "seq": seq})
+
+        def idle():
+            while not done.is_set():
+                writer.idle()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=push, args=(sid,))
+                   for sid in range(pushers)]
+        threads.append(threading.Thread(target=idle))
+        try:
+            for thread in threads:
+                thread.start()
+            frames = [protocol.recv_frame(theirs)
+                      for _ in range(pushers * per)]
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10)
+            writer.close()
+            ours.close()
+            theirs.close()
+        assert not any(thread.is_alive() for thread in threads)
+        for sid in range(pushers):
+            seqs = [f["seq"] for f in frames if f["sid"] == sid]
+            assert seqs == list(range(per))
 
     def test_subscribe_inside_transaction_refused(self, server):
         with client_for(server) as c:

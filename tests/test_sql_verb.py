@@ -310,6 +310,22 @@ def test_a_declined_construct_is_a_typed_error_naming_it(text):
     assert DECLINED[text] in reply["error"]["message"], reply
 
 
+def test_star_reads_every_attribute_name_as_a_column():
+    """``*`` expands to each attribute met, whatever its name's type:
+    an int-named attribute is a column like any other, NULL where a
+    row lacks it."""
+    db = repro.connect("sqlverb-star", default=False)
+    db["t"] = {1: {"a": 1, 7: "seven"}, 2: {"a": 2}}
+    try:
+        reply = Session(db, 1).handle(
+            {"verb": "sql", "sql": "SELECT * FROM t", "params": []}
+        )["result"]
+    finally:
+        db.close()
+    assert reply == {"columns": ["_key", "a", 7],
+                     "rows": [[1, 1, "seven"], [2, 2, None]]}
+
+
 # ---------------------------------------------------------------------------
 # SQL is observable as a query
 # ---------------------------------------------------------------------------
