@@ -162,10 +162,13 @@ class OffloadPipeline:
                 mirror.counters.note_fallback("unmirrorable_rows")
                 return None
             compiled = self._compiled
-            if compiled.signature != table_mirror.signature():
+            if compiled.signature != table_mirror.signature() or (
+                compiled.index and not table_mirror.index_for(compiled.index[1])
+            ):
                 # the synced snapshot's hostility profile moved under
                 # the compiled SQL (a delta widened it, or a rebuild
-                # reset it): recompile against it, or decline
+                # reset it), or other shapes took the index slots it
+                # was compiled for: recompile against it, or decline
                 try:
                     compiled = generate_sql(shape, table_mirror)
                     self._compiled = compiled
@@ -173,9 +176,7 @@ class OffloadPipeline:
                     mirror.counters.note_fallback(unsupported.slug)
                     return None
             try:
-                rows = mirror.connection().execute(
-                    compiled.sql, compiled.params
-                ).fetchall()
+                rows = mirror.execute(table_mirror, compiled)
             except Exception:
                 # e.g. 64-bit SUM overflow that the 2**53 profile bound
                 # could not rule out — the batched fold handles it

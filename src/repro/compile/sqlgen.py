@@ -43,11 +43,18 @@ their treatments:
   stability tiebreak; GROUP BY groups on mirror columns but decodes
   each group key from its first member row, so result *objects* (bools
   vs ints, int vs float) are exactly Python's.
+
+Every statement names its access path: a ``GROUP BY`` reads ``INDEXED
+BY`` a covering index keyed (group columns, ``ord``, the rest it reads),
+so groups stream out of it, each in ``ord`` order — the order a float
+``SUM`` must fold in — instead of being sorted; any other statement, and
+a ``GROUP BY`` past the mirror's index cap, reads ``NOT INDEXED``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Any, Callable
 
 from repro._util import MISSING
@@ -84,6 +91,10 @@ __all__ = ["Unsupported", "QueryShape", "CompiledQuery", "parse_graph",
 _INT64_LIMIT = 2**63
 
 _SQL_OP = {"==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+#: A mirror column a statement reads (``c<i>`` value / ``p<i>`` presence);
+#: literals are bound parameters, so the text holds no other match.
+_COLUMN = re.compile(r"\b[cp]\d+\b")
 
 
 class Unsupported(Exception):
@@ -135,6 +146,7 @@ class CompiledQuery:
         kind: str,
         decoders: list[tuple[str, int, Callable[..., Any]]],
         signature: tuple,
+        index: tuple[str, tuple[str, ...]] | None = None,
     ):
         self.sql = sql
         self.params = params
@@ -145,6 +157,9 @@ class CompiledQuery:
         #: The mirror column-profile signature this SQL was compiled
         #: against; a post-resync mismatch forces recompilation.
         self.signature = signature
+        #: ``(name, key columns)`` of the index the SQL reads ``INDEXED
+        #: BY``, which the mirror builds before running it; else ``None``.
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +252,7 @@ def _row_query(
         order_terms = _order_terms(shape.order, mirror)
     else:
         order_terms = ["ord ASC"]
-    sql = f'SELECT ord FROM "{mirror.sql_name}"'
+    sql = f'SELECT ord FROM "{mirror.sql_name}" NOT INDEXED'
     if where:
         sql += " WHERE " + " AND ".join(where)
     sql += " ORDER BY " + ", ".join(order_terms)
@@ -276,7 +291,16 @@ def _aggregate_query(
         select.extend(parts)
         decoders.append((name, len(parts), decoder))
 
-    sql = f'SELECT {", ".join(select)} FROM "{mirror.sql_name}"'
+    index = None
+    if group_cols:
+        # group columns, then ord (rows of a group arrive in enumeration
+        # order), then the rest the statement reads: a covering key
+        read = _COLUMN.findall(" ".join([*where, *select]))
+        key = tuple(dict.fromkeys([*group_cols, "ord", *read]))
+        name = mirror.index_for(key)
+        index = None if name is None else (name, key)
+    path = "NOT INDEXED" if index is None else f'INDEXED BY "{index[0]}"'
+    sql = f'SELECT {", ".join(select)} FROM "{mirror.sql_name}" {path}'
     if where:
         sql += " WHERE " + " AND ".join(where)
     if group_cols:
@@ -288,7 +312,7 @@ def _aggregate_query(
     sql += " ORDER BY MIN(ord)"
     if shape.limit is not None:
         sql += f" LIMIT {int(shape.limit)}"
-    return CompiledQuery(sql, params, "aggregate", decoders, mirror.signature())
+    return CompiledQuery(sql, params, "aggregate", decoders, mirror.signature(), index)
 
 
 def _aggregate_parts(

@@ -23,6 +23,7 @@ pipeline's own stream.
 from __future__ import annotations
 
 import threading
+import weakref
 from itertools import chain
 from operator import length_hint
 from time import perf_counter_ns
@@ -36,6 +37,7 @@ from repro.exec.cache import cache_of, engine_of, fingerprint
 from repro.exec.lower import PhysicalPipeline, lower
 from repro.obs.context import QueryContext, _local
 from repro.obs.trace import span
+from repro.storage.relation import StoredRelationFunction
 
 __all__ = [
     "exec_mode",
@@ -105,7 +107,7 @@ def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
     if not isinstance(fn, DerivedFunction):
         # a base function's plan is its scan: nothing to optimize or
         # offload, and nothing worth a cache entry that would pin it
-        return lower(fn, engine=engine_of(fn))
+        return _scan_plan(fn)
     if operators.operator_of(fn).lower is None:
         return None  # it runs per key: there is nothing to plan
     try:
@@ -159,6 +161,22 @@ def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
 
             note_planned(pipeline)
         return pipeline
+
+
+def _scan_plan(fn: FDMFunction) -> PhysicalPipeline | None:
+    """A base function's scan. A stored relation keeps its last one
+    while it scans the same table object, so the class label
+    ``obs.workload.info_of`` keeps on it is worked out once per table."""
+    engine = engine_of(fn)
+    stored = isinstance(fn, StoredRelationFunction)
+    table = engine.tables.get(fn.table_name) if stored else None
+    kept = getattr(fn, "_scan_plan", None)
+    if table is not None and kept is not None and kept[0]() is table:
+        return kept[1]
+    pipeline = lower(fn, engine=engine)
+    if table is not None:
+        fn._scan_plan = (weakref.ref(table), pipeline)
+    return pipeline
 
 
 def route_items(fn: FDMFunction) -> Iterator[tuple] | None:

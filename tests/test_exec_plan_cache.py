@@ -137,6 +137,31 @@ def test_a_join_plan_lives_and_dies_with_its_database():
     assert engine() is None
 
 
+def test_a_stored_scan_plan_lives_as_long_as_its_table_object():
+    """A base relation's scan plan, and the class label kept on it, is
+    reused read after read and lowered again once the table object is
+    replaced, so the label follows a re-shard."""
+    from repro.exec.run import pipeline_for
+    from repro.obs.workload import info_of
+    from repro.partition import hash_partition
+
+    db = connect("scan-plan", default=False)
+    db["t"] = {i: {"a": i} for i in range(12)}
+    first = pipeline_for(db.t)
+    flat = info_of(first)
+    assert pipeline_for(db.t) is first
+    db.t[99] = {"a": 99}  # a write keeps the table object
+    assert pipeline_for(db.t) is first
+    db.partition_table("t", hash_partition("a", 3))
+    again = pipeline_for(db.t)
+    assert again is not first
+    sharded = info_of(again)
+    assert sharded[0] == flat[0]  # the same query class
+    assert sharded[2] != flat[2]  # with a new plan
+    assert "scan 3/3 partitions" in sharded[3]
+    db.close()
+
+
 def test_lru_eviction():
     cache = PlanCache(maxsize=2)
     cache.put("a", 1)

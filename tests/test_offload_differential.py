@@ -20,6 +20,7 @@ red case reproduces with ``REPRO_FUZZ_SEED=<seed> pytest -k fuzz``.
 
 import os
 import random
+import re
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.compile import (
     set_offload_mode,
     using_offload_mode,
 )
-from repro.exec import set_exec_mode, using_exec_mode
+from repro.exec import explain, set_exec_mode, using_exec_mode
 from repro.partition import hash_partition
 
 
@@ -84,6 +85,27 @@ def test_zoo_three_modes_agree(name, layout, flat_db, part_db):
     assert offloaded == naive, f"{name}/{layout}: offload diverged from naive"
 
 
+#: Where an offloaded statement reads its table from: a named covering
+#: index (a ``GROUP BY``) or the table itself in ``ord`` order.
+_ACCESS_PATH = re.compile(r'FROM "m\d+" (INDEXED BY "[^"]+"|NOT INDEXED) ')
+
+
+@pytest.mark.parametrize("layout", ["flat", "part"])
+@pytest.mark.parametrize("name", sorted(zoo.ZOO))
+def test_every_offloaded_statement_names_its_access_path(
+    name, layout, flat_db, part_db
+):
+    db = flat_db if layout == "flat" else part_db
+    build = zoo.ZOO[name]
+    _run(build, db, "batch", "force")  # syncs the mirror explain reads
+    with using_exec_mode("batch"), using_offload_mode("force"):
+        text = explain(build(db))
+    sql = [line for line in text.splitlines() if line.startswith("  sql: ")]
+    assert all(_ACCESS_PATH.search(line) for line in sql), sql
+    for line in sql:
+        assert ("INDEXED BY" in line) == (" GROUP BY " in line), line
+
+
 def test_force_mode_actually_offloads(flat_db):
     """The matrix above is vacuous if force mode never compiles: pin
     that a plainly compilable shape offloads rather than falling back."""
@@ -124,6 +146,70 @@ def test_float_sum_declines_on_compensating_sqlite(tenths_db, monkeypatch):
     offloaded, naive = _tenths_sum(tenths_db)
     after = offload_stats(tenths_db._engine)["fallback_reasons"]
     assert offloaded == naive
+    assert after.get("unsummable_column", 0) == before.get(
+        "unsummable_column", 0
+    ) + 1
+
+
+#: A float column whose left fold depends on row order: in each group
+#: a 1e16 swamps the small values after it until a -1e16 cancels it.
+_SWAMPING = [1e16, 1.0, -1e16, 1.0, 0.5, 1e16, 3.0, 1.0, -1e16, 0.25]
+
+
+@pytest.fixture
+def swamped_db():
+    db = fql.connect("offload-swamped", default=False)
+    db["t"] = {
+        i: {"g": i % 3, "k": i % 4, "m": _SWAMPING[(i // 3) % len(_SWAMPING)]}
+        for i in range(90)
+    }
+    yield db
+    db.close()
+
+
+def _swamped(db):
+    return fql.group_and_aggregate(
+        by=["g"],
+        total=fql.Sum("m"),
+        mean=fql.Avg("m"),
+        input=fql.filter(db.t, "k != 1"),
+    )
+
+
+def test_grouped_float_sum_folds_in_enumeration_order(swamped_db):
+    """A grouped float Sum/Avg over a filtered scan streams through
+    its covering index keyed (group, ord, ...): each group folds in
+    enumeration order, bit for bit the Python fold. An index keyed on
+    the value or filter column before ``ord`` would fold another
+    order, which these values tell apart."""
+    import sqlite3
+
+    db = swamped_db
+    kept = [row for row in db.t.values() if row["k"] != 1]
+    folds = [[r["m"] for r in kept if r["g"] == g] for g in range(3)]
+    # the data is order-sensitive: a value-ordered fold differs
+    assert any(sum(ms) != sum(sorted(ms)) for ms in folds)
+    before = offload_stats(db._engine)["queries_offloaded"]
+    offloaded = _run(_swamped, db, "batch", "force")
+    naive = _run(_swamped, db, "naive", "off")
+    assert repr(offloaded) == repr(naive)
+    if sqlite3.sqlite_version_info < (3, 43, 0):
+        assert offload_stats(db._engine)["queries_offloaded"] == before + 1
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            assert "INDEXED BY" in explain(_swamped(db))
+
+
+def test_grouped_float_sum_declines_on_compensating_sqlite(
+    swamped_db, monkeypatch
+):
+    import sqlite3
+
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 43, 0))
+    db = swamped_db
+    before = offload_stats(db._engine)["fallback_reasons"]
+    offloaded = _run(_swamped, db, "batch", "force")
+    after = offload_stats(db._engine)["fallback_reasons"]
+    assert repr(offloaded) == repr(_run(_swamped, db, "naive", "off"))
     assert after.get("unsummable_column", 0) == before.get(
         "unsummable_column", 0
     ) + 1

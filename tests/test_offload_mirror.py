@@ -19,6 +19,10 @@ clean table it carries no guard, and a write that widens a profile
 int/float mix, an int past 2**53) brings the guard, or the decline,
 back on the next read.
 
+A grouped statement reads a covering index the mirror builds on first
+use: each rebuild drops and forgets it, the next grouped read builds it
+once, and past ``MAX_INDEXES`` a grouped statement sorts instead.
+
 Two gates are pinned alongside: a query inside an open transaction
 must take the batched path (its buffered writes are invisible to the
 mirror), and a budget-armed query must take the batched path (the SQL
@@ -40,8 +44,15 @@ import zoo
 import repro as fql
 import repro.replication as repl
 from repro.compile import offload_stats, set_offload_mode, using_offload_mode
-from repro.compile.mirror import _ABSENT, ColumnProfile, EngineMirror, mirror_for
+from repro.compile.mirror import (
+    _ABSENT,
+    MAX_INDEXES,
+    ColumnProfile,
+    EngineMirror,
+    mirror_for,
+)
 from repro.exec import explain, set_exec_mode, using_exec_mode
+from repro.exec.run import pipeline_for
 from repro.partition import hash_partition
 
 
@@ -388,6 +399,171 @@ class TestLeanSql:
         text = _explained(db)
         assert "mirror: fresh" in text  # the read synced and recompiled
         assert re.search(guard, text), facet
+
+
+def _grouped(d, by="state", where="age >= 22", **aggs):
+    source = d.t if where is None else fql.filter(d.t, where)
+    aggs = aggs or {"n": fql.Count(), "total": fql.Sum("age")}
+    return fql.group_and_aggregate(by=[by], input=source, **aggs)
+
+
+def _grouped_answer(db, mode, build=_grouped):
+    """*build*'s answer under ``force`` / ``off`` (batched) or ``naive``."""
+    exec_mode = "naive" if mode == "naive" else "batch"
+    offload = "off" if mode == "naive" else mode
+    with using_exec_mode(exec_mode), using_offload_mode(offload):
+        return zoo.ordered(build(db))
+
+
+def _indexes_in_sqlite(db, table="t"):
+    mirror = mirror_for(db._engine)
+    with mirror.lock:
+        return mirror.connection().execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'"
+            " AND tbl_name = ?",
+            (mirror._tables[table].sql_name,),
+        ).fetchall()
+
+
+def _vacuum(db):
+    db.t[3]["age"] = 70
+    assert db.vacuum() > 0
+
+
+def _recreate(db):
+    db["t"] = {
+        i: {"name": f"r{i}", "age": 40 - i, "state": "WA" if i % 3 else "NY"}
+        for i in range(1, 16)
+    }
+
+
+#: Every cause that replaces the SQL table (and so drops its indexes).
+REBUILDS = {
+    "vacuum": _vacuum,
+    "partition_table": lambda db: db.partition_table(
+        "t", hash_partition("state", 3)
+    ),
+    "drop_and_recreate": _recreate,
+    "snapshot_install": None,  # the replica case below
+}
+
+
+class TestIndexLifecycle:
+    @pytest.mark.parametrize("cause", sorted(REBUILDS))
+    def test_a_rebuild_builds_the_index_again_once(self, db, cause):
+        """After a rebuild the grouped read's index is gone; the next
+        read builds it once (not once per read) and stays exact."""
+        reader = db
+        if cause == "snapshot_install":
+            reader = repl.ReplicaDatabase(name="offload-index-replica")
+            reader.apply_snapshot(repl.snapshot_payload(db))
+        try:
+            assert _grouped_answer(reader, "force") == _grouped_answer(
+                reader, "off"
+            )
+            assert len(_indexes_in_sqlite(reader)) == 1
+            before = offload_stats(reader._engine)
+            if cause == "snapshot_install":
+                db.t[4]["age"] = 90
+                del db.t[6]
+                reader.apply_snapshot(repl.snapshot_payload(db))
+            else:
+                REBUILDS[cause](db)
+            for _ in range(2):
+                assert _grouped_answer(reader, "force") == _grouped_answer(
+                    reader, "off"
+                ), cause
+            after = offload_stats(reader._engine)
+            assert after["mirror_rebuilds"] == before["mirror_rebuilds"] + 1
+            assert after["indexes_built"] == before["indexes_built"] + 1
+            assert after["queries_offloaded"] == before["queries_offloaded"] + 2
+            assert after["fallback_reasons"].get("runtime_error", 0) == before[
+                "fallback_reasons"
+            ].get("runtime_error", 0)
+            assert len(_indexes_in_sqlite(reader)) == 1
+        finally:
+            if reader is not db:
+                reader.close()
+
+    def test_a_rebuild_that_renumbers_the_columns_recompiles(self):
+        """A vacuum rebuilds at an unchanged commit clock, so the cached
+        plan runs again; when the first live row now lists ``b`` before
+        ``a`` the rebuild numbers them the other way round, and the SQL
+        (and the index key) compiled against the old numbers must not
+        run."""
+        db = fql.connect("offload-renumber", default=False)
+        try:
+            db["t"] = {1: {"a": 1, "b": 100}, 2: {"b": 200, "a": 2},
+                       3: {"b": 300, "a": 3}}
+            build = lambda d: _grouped(  # noqa: E731
+                d, "a", "a >= 3", total=fql.Sum("b")
+            )
+            assert _grouped_answer(db, "force", build) == _grouped_answer(
+                db, "naive", build
+            )
+            db.t[1]["a"] = 5
+            del db.t[1]
+            assert _grouped_answer(db, "force", build) == _grouped_answer(
+                db, "naive", build
+            )
+            assert db.vacuum() > 0
+            assert _grouped_answer(db, "force", build) == _grouped_answer(
+                db, "naive", build
+            )
+            assert mirror_for(db._engine)._tables["t"].columns == {"b": 0, "a": 1}
+        finally:
+            db.close()
+
+    def test_a_widening_write_recompiles_onto_a_new_index(self, db):
+        """The first row without ``age`` adds presence guards to the
+        grouped statement: it recompiles onto an index whose key covers
+        them, and the answer stays exact."""
+        assert _grouped_answer(db, "force") == _grouped_answer(db, "naive")
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            narrow = explain(_grouped(db))
+        before = offload_stats(db._engine)
+        db.t[99] = {"name": "x", "state": "NY"}
+        assert _grouped_answer(db, "force") == _grouped_answer(db, "naive")
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            wide = explain(_grouped(db))
+        after = offload_stats(db._engine)
+        assert after["indexes_built"] == before["indexes_built"] + 1
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
+        assert after["fallbacks"] == before["fallbacks"]
+        index = re.compile(r'INDEXED BY "([^"]+)"')
+        assert index.search(narrow).group(1) != index.search(wide).group(1)
+        assert re.search(r'INDEXED BY "[^"]*_p\d+', wide)
+
+    def test_past_the_cap_grouped_statements_sort(self, db):
+        """More grouped shapes than ``MAX_INDEXES`` build exactly that
+        many indexes; the rest read ``NOT INDEXED`` — including shapes
+        planned while there was still room — and every answer is exact."""
+        keys = [  # (group attribute, filter): a distinct index key each
+            ("state", None), ("state", "age >= 22"), ("state", "name != 'c3'"),
+            ("age", None), ("age", "name != 'c3'"),
+            ("name", None), ("name", "age >= 22"),
+        ]
+        shapes = [
+            lambda d, by=by, where=where: _grouped(d, by, where, n=fql.Count())
+            for by, where in keys
+        ]
+        assert len(shapes) > MAX_INDEXES
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            for build in shapes:  # every plan compiles while there is room
+                assert "INDEXED BY" in pipeline_for(build(db)).explain()
+        for _ in range(2):
+            for build in shapes:
+                assert _grouped_answer(db, "force", build) == _grouped_answer(
+                    db, "naive", build
+                )
+        stats = offload_stats(db._engine)
+        assert stats["indexes_built"] == MAX_INDEXES
+        assert stats["fallbacks"] == 0
+        assert len(_indexes_in_sqlite(db)) == MAX_INDEXES
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            sql = [pipeline_for(build(db)).explain() for build in shapes]
+        assert sum("INDEXED BY" in text for text in sql) == MAX_INDEXES
+        assert sum("NOT INDEXED" in text for text in sql) == len(shapes) - MAX_INDEXES
 
 
 class TestExecutionGates:
