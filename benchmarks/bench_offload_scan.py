@@ -20,24 +20,34 @@ type family per column, so the SQL carries no guard) against the SQL
 compiled for the same shape over a copy of those profiles that admits
 absent values and None — the presence and ``typeof`` guards a hostile
 table needs. Both statements run through the mirror's execute path,
-which builds the covering index a grouped statement reads ``INDEXED
-BY`` (its first run, outside the timing). The lean filter must be ≥2×
-faster.
+which builds the covering index a statement reads ``INDEXED BY`` (its
+first run, outside the timing). The lean filter must be ≥2× faster:
+its bare ``amount > 990.0`` range-scans a covering index, while a
+guarded atom no index can serve reads the whole table.
+
+``test_access_paths_in_the_query_plan`` counts steps of SQLite's own
+``EXPLAIN QUERY PLAN``: the selective filter is one ``SEARCH … USING
+COVERING INDEX`` and no scan, and the grouped statement is one scan of
+its covering index plus one ``CORRELATED SCALAR SUBQUERY`` whose one
+``SEARCH`` seeks each group's first member on that index.
 
 ``speedup_vs_batched`` is recorded, not asserted. It used to be the
 headline — offloaded ≥2× faster, because SQLite folded rows the Python
 executor touched one by one — but the batched executor now reads the
 table's column image (DESIGN.md §13): with no write between reads both
 queries run on cached typed columns, and the offloaded group-aggregate
-takes ~RATIO_G× *longer* than the batched one (ratio ~RATIO_GB, ~0.08
-when it sorted instead of reading a covering index; the filter
-~RATIO_F). What the SQL backend still has over the executor is the read
-after a write: its mirror applies the one written row, while the
-executor rescans the table into a new image.
+takes ~6.5× *longer* than the batched one (ratio ~0.15, ~0.08 when it
+sorted instead of reading a covering index). The selective filter
+range-scans a covering index and is the one offloaded read that beats
+the batched one (ratio ~1.5; ~0.1 while it scanned the table). What
+the SQL backend still has over the executor otherwise is the read after
+a write: its mirror applies the one written row, while the executor
+rescans the table into a new image.
 """
 
 import copy
 import itertools
+import re
 import time
 
 import pytest
@@ -190,6 +200,44 @@ def test_offload_vs_batched(benchmark, query):
             f"the guard-free filter SQL is only {vs_guarded:.2f}x faster "
             "than the guarded one"
         )
+
+
+def _query_plan(db, expr):
+    """*expr*'s statement compiled against the synced mirror (its index
+    built by one run) and the detail of each step of SQLite's plan."""
+    shape = parse_graph(optimize(expr, rules=pipeline_rules()))
+    mirror = mirror_for(db._engine)
+    with mirror.lock:
+        table_mirror = mirror.ensure_synced("events", db._manager.now())
+        compiled = generate_sql(shape, table_mirror)
+        mirror.execute(table_mirror, compiled)
+        plan = mirror.connection().execute(
+            "EXPLAIN QUERY PLAN " + compiled.sql, compiled.params
+        ).fetchall()
+    return compiled, [step[-1] for step in plan]
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_access_paths_in_the_query_plan(query):
+    db = _wide_db()
+    compiled, plan = _query_plan(db, QUERIES[query](db))
+    assert compiled.index is not None, compiled.sql
+    covering = re.compile(
+        rf"^(SCAN|SEARCH) (TABLE )?(\w+) USING COVERING INDEX "
+        rf"{re.escape(compiled.index[0])}\b(.*)$"
+    )
+    steps = [covering.match(step) for step in plan]
+    searches = [m for m in steps if m and m.group(1) == "SEARCH"]
+    scans = [step for step in plan if step.startswith("SCAN")]
+    if query == "selective_filter":
+        assert len(searches) == 1 and not scans, plan
+        assert re.fullmatch(r" \(c\d+>\?\)", searches[0].group(4)), plan
+    else:
+        subqueries = [s for s in plan if s.startswith("CORRELATED SCALAR SUBQUERY")]
+        folds = [m for m in steps if m and m.group(1) == "SCAN"]
+        assert len(subqueries) == 1 and len(folds) == 1, plan
+        assert len(searches) == 1 and searches[0].group(3) == "x", plan
+        assert re.fullmatch(r" \(c\d+=\?\)", searches[0].group(4)), plan
 
 
 @pytest.mark.benchmark(group="offload-scan")

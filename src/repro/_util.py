@@ -115,11 +115,6 @@ def decode_tuple_key(key: Any, element: Any = None) -> Any:
     return key if element is None else element(key)
 
 
-def is_identifier(text: str) -> bool:
-    """True if *text* can be used with attribute (dot) syntax."""
-    return isinstance(text, str) and text.isidentifier()
-
-
 def first(iterable: Iterable[Any], default: Any = MISSING) -> Any:
     """Return the first element of *iterable*, or *default* if empty."""
     for item in iterable:

@@ -324,7 +324,7 @@ class OffloadCounters:
         self.mirror_rebuilds = 0
         #: rows written to (or deleted from) the SQL tables
         self.rows_mirrored = 0
-        #: covering indexes created for grouped statements
+        #: covering indexes created for grouped and selective row statements
         self.indexes_built = 0
         self.fallbacks = 0
         self.fallback_reasons: dict[str, int] = {}

@@ -47,8 +47,12 @@ their treatments:
 Every statement names its access path: a ``GROUP BY`` reads ``INDEXED
 BY`` a covering index keyed (group columns, ``ord``, the rest it reads),
 so groups stream out of it, each in ``ord`` order — the order a float
-``SUM`` must fold in — instead of being sorted; any other statement, and
-a ``GROUP BY`` past the mirror's index cap, reads ``NOT INDEXED``.
+``SUM`` must fold in — instead of being sorted, and each group's first
+member is one seek on that index. A row statement whose most selective
+bare range/equality atom keeps under :data:`INDEX_SELECTIVITY` of the
+rows range-scans a covering index keyed (that column, ``ord``, the rest
+it reads). Any other statement, and one past the mirror's index cap,
+reads ``NOT INDEXED``.
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ from typing import Any, Callable
 from repro._util import MISSING
 from repro.fql.aggregates import Avg, Count, Max, Min, Sum
 from repro.fql.filter import FilteredFunction
-from repro.fql.group import GroupBy
 from repro.fql.order import LimitedFunction, OrderedFunction
 from repro.fql.project import MappedFunction
+from repro.optimizer.cardinality import estimate_selectivity
 from repro.optimizer.physical import (
     FusedGroupAggregateFunction,
     IndexLookupFunction,
@@ -82,6 +86,7 @@ from repro.predicates.ast import (
     TruePredicate,
     _COMPARATORS,
     _FLIP_OP,
+    atom_of,
 )
 from repro.storage.relation import StoredRelationFunction
 
@@ -95,6 +100,15 @@ _SQL_OP = {"==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 #: A mirror column a statement reads (``c<i>`` value / ``p<i>`` presence);
 #: literals are bound parameters, so the text holds no other match.
 _COLUMN = re.compile(r"\b[cp]\d+\b")
+
+#: A row statement range-scans a covering index on its most selective
+#: bare atom's column when the atom is estimated to keep under this
+#: fraction of the rows (DESIGN.md §14). On 120 000 rows the range scan
+#: plus the sort back into ``ord`` order costs what the full scan does
+#: at ~0.25 matched; the bound sits below that because the uniform
+#: estimate undercounts an inclusive integer range (``qty >= 7`` over
+#: 1..9 estimates 0.25 and keeps 0.33).
+INDEX_SELECTIVITY = 0.2
 
 
 class Unsupported(Exception):
@@ -252,13 +266,46 @@ def _row_query(
         order_terms = _order_terms(shape.order, mirror)
     else:
         order_terms = ["ord ASC"]
-    sql = f'SELECT ord FROM "{mirror.sql_name}" NOT INDEXED'
+    lead = _range_column(shape, mirror)
+    index, path = _covering(mirror, lead, [*where, *order_terms])
+    sql = f'SELECT ord FROM "{mirror.sql_name}" {path}'
     if where:
         sql += " WHERE " + " AND ".join(where)
     sql += " ORDER BY " + ", ".join(order_terms)
     if shape.limit is not None:
         sql += f" LIMIT {int(shape.limit)}"
-    return CompiledQuery(sql, params, "rows", [], mirror.signature())
+    return CompiledQuery(sql, params, "rows", [], mirror.signature(), index)
+
+
+def _range_column(shape: QueryShape, mirror: Any) -> list[str]:
+    """``[c<i>]`` of the filters' most selective bare ``=``/``<``/``<=``/
+    ``>``/``>=`` atom (its SQL carries no guard, so an index can serve
+    it) when that keeps under :data:`INDEX_SELECTIVITY`, else ``[]``."""
+    ranked, pending = [], list(shape.filters)
+    while pending:
+        predicate = pending.pop()
+        if isinstance(predicate, And):
+            pending.extend(predicate.parts)
+        elif isinstance(predicate, Comparison) and (atom := atom_of(predicate)):
+            idx = mirror.column(atom.column)
+            bare = (f"(c{idx} {_SQL_OP[atom.op]} ?)", False)
+            if atom.op != "!=" and _comparison(predicate, mirror, []) == bare:
+                selectivity = estimate_selectivity(predicate, shape.relation)
+                ranked.append((selectivity, f"c{idx}"))
+    best = min(ranked, default=(1.0, ""))
+    return [best[1]] if best[0] < INDEX_SELECTIVITY else []
+
+
+def _covering(mirror: Any, lead: list[str], read: list[str]) -> tuple[Any, str]:
+    """``((name, key), access path)`` of the index keyed (*lead*, ``ord``,
+    every other column the *read* SQL fragments name) — so it covers the
+    statement — or ``(None, "NOT INDEXED")`` when there is no *lead* or
+    the mirror's index cap leaves no room."""
+    key = tuple(dict.fromkeys([*lead, "ord", *_COLUMN.findall(" ".join(read))]))
+    name = mirror.index_for(key) if lead else None
+    if name is None:
+        return None, "NOT INDEXED"
+    return (name, key), f'INDEXED BY "{name}"'
 
 
 def _aggregate_query(
@@ -284,32 +331,40 @@ def _aggregate_query(
             where.append(f"p{idx} = 1")
         group_cols.append(f"c{idx}")
 
-    select = ["MIN(ord)", "COUNT(*)"]
+    select = ["COUNT(*)"]
     decoders: list[tuple[str, int, Callable[..., Any]]] = []
     for name, agg in fused._aggs.items():
         parts, decoder = _aggregate_parts(name, agg, mirror)
         select.extend(parts)
         decoders.append((name, len(parts), decoder))
 
-    index = None
-    if group_cols:
-        # group columns, then ord (rows of a group arrive in enumeration
-        # order), then the rest the statement reads: a covering key
-        read = _COLUMN.findall(" ".join([*where, *select]))
-        key = tuple(dict.fromkeys([*group_cols, "ord", *read]))
-        name = mirror.index_for(key)
-        index = None if name is None else (name, key)
-    path = "NOT INDEXED" if index is None else f'INDEXED BY "{index[0]}"'
-    sql = f'SELECT {", ".join(select)} FROM "{mirror.sql_name}" {path}'
-    if where:
-        sql += " WHERE " + " AND ".join(where)
-    if group_cols:
-        sql += " GROUP BY " + ", ".join(group_cols)
-    else:
+    # group columns, then ord (rows of a group arrive in enumeration
+    # order), then the rest the statement reads: a covering key
+    index, path = _covering(mirror, group_cols, [*where, *select])
+    table = f'"{mirror.sql_name}" {path}'
+    body = (" WHERE " + " AND ".join(where) if where else "") + (
+        " GROUP BY " + ", ".join(group_cols) if group_cols
         # a global aggregate over zero rows yields one SQL row but zero
         # Python groups; the count guard drops it
-        sql += " HAVING COUNT(*) > 0"
-    sql += " ORDER BY MIN(ord)"
+        else " HAVING COUNT(*) > 0"
+    )
+    if index is None:
+        sql = f"SELECT MIN(ord), {', '.join(select)} FROM {table}{body}"
+        sql += " ORDER BY MIN(ord)"
+    else:
+        # the fold streams groups out of the index; each group's first
+        # member is then one seek on it, not a MIN(ord) kept per row
+        keys = [f"{c} AS k{i}" for i, c in enumerate(group_cols)]
+        folds = [f"{e} AS a{i}" for i, e in enumerate(select)]
+        match = [f"x.{c} IS g.k{i}" for i, c in enumerate(group_cols)]
+        sql = (
+            f'SELECT (SELECT MIN(x.ord) FROM "{mirror.sql_name}" AS x {path}'
+            f" WHERE {' AND '.join([*match, *where])}) AS o, "
+            + ", ".join(f"g.a{i}" for i in range(len(select)))
+            + f" FROM (SELECT {', '.join([*keys, *folds])} FROM {table}{body})"
+            " AS g ORDER BY o"
+        )
+        params = [*params, *params]  # the seek's, then the fold's
     if shape.limit is not None:
         sql += f" LIMIT {int(shape.limit)}"
     return CompiledQuery(sql, params, "aggregate", decoders, mirror.signature(), index)

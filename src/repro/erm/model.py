@@ -58,10 +58,6 @@ class Entity:
                 return a
         return None
 
-    def non_key_attrs(self) -> list[Attribute]:
-        keys = set(self.key_attrs())
-        return [a for a in self.attributes if a.name not in keys]
-
     def validate_row(self, row: dict[str, Any]) -> None:
         for a in self.attributes:
             if a.name not in row:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ConstraintViolationError, UndefinedInputError
-from repro.fdm.domains import ANY, Domain, ProductDomain, as_domain
+from repro.fdm.domains import Domain, as_domain
 from repro.fdm.functions import FDMFunction
 from repro.fdm.relations import MaterialRelationFunction, RelationFunction
 
@@ -125,15 +125,6 @@ class RelationshipFunction(MaterialRelationFunction):
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.param for p in self._participants)
-
-    def participant_functions(self) -> list[FDMFunction]:
-        """The participating FDM functions (skipping bare-domain legs)."""
-        return [p.function for p in self._participants if p.function is not None]
-
-    @property
-    def key_space(self) -> ProductDomain:
-        """The full product domain the relationship ranges over."""
-        return ProductDomain(p.domain for p in self._participants)
 
     # -- application -------------------------------------------------------------
 

@@ -244,11 +244,6 @@ class BoundTuple(FDMFunction):
         self._relation = relation
         self._key = key
 
-    @property
-    def relation_key(self) -> Any:
-        """The key this tuple is bound to in its relation."""
-        return self._key
-
     def _data(self) -> Mapping[str, Any]:
         return self._relation._read_data(self._key)
 

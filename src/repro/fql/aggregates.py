@@ -112,11 +112,6 @@ class Aggregate:
             acc = self.step(acc, t)
         return self.result(acc)
 
-    def default_name(self) -> str:
-        if isinstance(self.attr, str):
-            return f"{self.op_label}_{self.attr}"
-        return self.op_label
-
     def __repr__(self) -> str:
         attr = self.attr if isinstance(self.attr, str) else (
             "" if self.attr is None else "<fn>"

@@ -111,10 +111,6 @@ class Delta:
 
     # -- views -------------------------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.changes
-
     def keys(self) -> Iterator[Any]:
         return iter(self.changes)
 

@@ -37,13 +37,6 @@ class ViewRegistry:
                 return
             self._refs.append(weakref.ref(view))
 
-    def unregister(self, view: Any) -> None:
-        with self._lock:
-            self._refs = [
-                ref for ref in self._refs
-                if ref() is not None and ref() is not view
-            ]
-
     def views(self) -> list[Any]:
         """The live registered views (dead references are pruned)."""
         with self._lock:

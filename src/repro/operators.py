@@ -84,6 +84,10 @@ class Operator:
     #: Answers from a snapshot of its input (a materialized view): the
     #: input's plan and data versions are not part of its token.
     reads_snapshot: bool = False
+    #: Its own token names all it reads of its input (a join reads the
+    #: atoms its ``JoinPlan`` took), so the input's token, which would
+    #: key each fresh container apart, is left out.
+    token_covers_input: bool = False
 
 
 _DEFAULT = Operator()
@@ -166,6 +170,7 @@ def _members(functions, literals):
 def _join_token(fn, literals):
     plan = fn.plan
     return (
+        fn.fn_name,  # names the joined rows
         _members(plan.atoms, literals),
         tuple(_text(f"{a!r}={b!r}", literals) for a, b in plan.edges),
         tuple(plan.order_hint) if plan.order_hint else None,
@@ -212,7 +217,7 @@ def plan_token(fn: FDMFunction, literals: bool) -> Any:
     """
     if isinstance(fn, DerivedFunction):
         entry = operator_of(fn)
-        inputs = () if entry.reads_snapshot else fn.children
+        inputs = () if entry.reads_snapshot or entry.token_covers_input else fn.children
         return (
             type(fn).__name__,
             entry.token(fn, literals),
@@ -390,6 +395,7 @@ OPERATORS: dict[type, Operator] = {
         lower=lambda fn, low: nodes.HashJoinNode(fn),
         delta=ivm.join_rule,
         rows=cardinality.join_rows,
+        token_covers_input=True,
     ),
     # set operations keep the default token: union's conflict policy and
     # nested-merge behaviour are per instance

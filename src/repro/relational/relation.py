@@ -8,7 +8,7 @@ duplicate handling by explicit DISTINCT.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import RelationalError
 from repro.relational.nulls import NULL, is_null
@@ -116,31 +116,8 @@ class Relation:
         out.rows = list(self.rows)
         return out
 
-    def map_rows(
-        self, fn: Callable[[dict[str, Any]], Sequence[Any]],
-        columns: Sequence[str],
-    ) -> "Relation":
-        out = Relation(self.name, columns)
-        for row in self.rows:
-            out.append(fn(self.row_dict(row)))
-        return out
-
     def __repr__(self) -> str:
         return (
             f"<Relation {self.name!r}({', '.join(self.columns)}): "
             f"{len(self.rows)} rows>"
         )
-
-    def pretty(self, limit: int = 20) -> str:
-        from repro._util import format_table
-
-        shown = [
-            ["NULL" if is_null(v) else repr(v) for v in row]
-            for row in self.rows[:limit]
-        ]
-        suffix = (
-            f"\n... ({len(self.rows) - limit} more rows)"
-            if len(self.rows) > limit
-            else ""
-        )
-        return format_table(shown, headers=self.columns) + suffix

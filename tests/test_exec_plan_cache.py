@@ -137,6 +137,105 @@ def test_a_join_plan_lives_and_dies_with_its_database():
     assert engine() is None
 
 
+def _join_db(name):
+    db = connect(name, default=False)
+    db["customers"] = {1: {"name": "Alice"}, 2: {"name": "Bob"}}
+    db["orders"] = {
+        10: {"customer": 1, "qty": 3},
+        11: {"customer": 2, "qty": 8},
+        12: {"customer": 1, "qty": 9},
+    }
+    return db
+
+
+def _join_over(db, customers=None):
+    """A join over a fresh ``database({...})``, the way a caller builds
+    one per query."""
+    from repro.fdm.databases import database
+
+    sub = database({
+        "orders": fql.filter(db.orders, "qty > 5"),
+        "customers": db.customers if customers is None else customers,
+    })
+    return fql.join(sub, on=[["orders.customer", "customers.__key__"]])
+
+
+def _joined_rows(joined):
+    return sorted((repr(k), sorted(dict(v.items()).items())) for k, v in joined.items())
+
+
+def test_equal_join_containers_share_one_plan():
+    """A join reads the atoms its plan took, not its container: the
+    fresh ``database({...})`` each join query builds hits the plan the
+    last equal one cached."""
+    db = _join_db("join-shared-plan")
+    cache = cache_for(_join_over(db))
+    with using_exec_mode("batch"):
+        first = _joined_rows(_join_over(db))
+        misses, hits = cache.misses, cache.hits
+        assert _joined_rows(_join_over(db)) == first
+        assert cache.misses == misses
+        assert cache.hits > hits
+    db.close()
+
+
+def test_replacing_a_join_member_replans():
+    db = _join_db("join-member-replaced")
+    with using_exec_mode("batch"):
+        joined = _join_over(db)
+        cache = cache_for(joined)
+        before = _joined_rows(joined)
+        misses = cache.misses
+        other = relation({1: {"name": "Ann"}, 2: {"name": "Ben"}}, name="customers")
+        after = _joined_rows(_join_over(db, customers=other))
+        assert cache.misses == misses + 1
+        with using_exec_mode("naive"):
+            assert after == _joined_rows(_join_over(db, customers=other))
+        assert after != before
+
+
+def test_a_join_plan_is_not_shared_across_container_names():
+    """The container's name names the joined rows."""
+    from repro.fdm.databases import database
+
+    a = relation({1: {"x": 1}}, name="a")
+    b = relation({3: {"x": 1}}, name="b")
+    with using_exec_mode("batch"):
+        for name in ("one", "two"):
+            joined = fql.join(database({"a": a, "b": b}, name=name),
+                              on=[["a.x", "b.x"]])
+            assert [row.name for row in joined.values()] == [f"⋈({name})"]
+
+
+def test_a_plan_over_a_container_is_not_served_to_an_equal_one():
+    """A plan that reads its container as it runs stays keyed by that
+    container: once the first is changed, an equal fresh container
+    must not get its plan."""
+    from repro.fdm.databases import database
+
+    first = relation({1: {"x": 1}}, name="a")
+    b = relation({3: {"x": 3}}, name="b")
+    build = lambda c: fql.restrict_to_keys(c, ["a", "b"])  # noqa: E731
+    container = database({"a": first, "b": b})
+    with using_exec_mode("batch"):
+        list(build(container).items())
+        container["a"] = relation({9: {"x": 9}}, name="a")
+        got = {k: sorted(v.keys()) for k, v in build(database({"a": first, "b": b})).items()}
+    assert got == {"a": [1], "b": [3]}
+
+
+def test_a_write_between_two_joins_reads_fresh():
+    db = _join_db("join-fresh-after-write")
+    with using_exec_mode("batch"):
+        before = _joined_rows(_join_over(db))
+        db.orders[13] = {"customer": 2, "qty": 7}  # autocommit DML
+        after = _joined_rows(_join_over(db))
+    with using_exec_mode("naive"):
+        assert after == _joined_rows(_join_over(db))
+    assert len(after) == len(before) + 1
+    db.close()
+
+
 def test_a_stored_scan_plan_lives_as_long_as_its_table_object():
     """A base relation's scan plan, and the class label kept on it, is
     reused read after read and lowered again once the table object is

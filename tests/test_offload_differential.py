@@ -86,8 +86,13 @@ def test_zoo_three_modes_agree(name, layout, flat_db, part_db):
 
 
 #: Where an offloaded statement reads its table from: a named covering
-#: index (a ``GROUP BY``) or the table itself in ``ord`` order.
-_ACCESS_PATH = re.compile(r'FROM "m\d+" (INDEXED BY "[^"]+"|NOT INDEXED) ')
+#: index or the table itself in ``ord`` order. A grouped statement's
+#: first-member seek reads the table under the alias ``x``.
+_ACCESS_PATH = re.compile(
+    r'FROM "m\d+" (AS x )?(INDEXED BY "[^"]+"|NOT INDEXED) '
+)
+#: The column an index is keyed on first.
+_INDEX_LEAD = re.compile(r'INDEXED BY "m\d+_(c\d+)_')
 
 
 @pytest.mark.parametrize("layout", ["flat", "part"])
@@ -101,9 +106,21 @@ def test_every_offloaded_statement_names_its_access_path(
     with using_exec_mode("batch"), using_offload_mode("force"):
         text = explain(build(db))
     sql = [line for line in text.splitlines() if line.startswith("  sql: ")]
-    assert all(_ACCESS_PATH.search(line) for line in sql), sql
     for line in sql:
-        assert ("INDEXED BY" in line) == (" GROUP BY " in line), line
+        # every read of a mirrored table names its access path
+        assert line.count('FROM "m') == len(_ACCESS_PATH.findall(line)), line
+        lead = _INDEX_LEAD.search(line)
+        if " GROUP BY " in line:
+            # under the index cap a group streams out of its index and
+            # its first member is one seek on it; past the cap it reads
+            # NOT INDEXED and keeps MIN(ord)
+            assert ("MIN(ord)" in line) == (lead is None), line
+            assert lead is None or (
+                f" GROUP BY {lead.group(1)}" in line and " AS x INDEXED BY " in line
+            ), line
+        elif lead is not None:
+            # a row statement range-scans the index of a bare atom's column
+            assert re.search(rf"\({lead.group(1)} (=|<|<=|>|>=) \?\)", line), line
 
 
 def test_force_mode_actually_offloads(flat_db):
@@ -213,6 +230,119 @@ def test_grouped_float_sum_declines_on_compensating_sqlite(
     assert after.get("unsummable_column", 0) == before.get(
         "unsummable_column", 0
     ) + 1
+
+
+# ---------------------------------------------------------------------------
+# access paths: a group's first member is one seek; a selective row
+# statement range-scans, anything else reads NOT INDEXED
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def seek_db():
+    """``g`` is present-None on some rows and absent on others; ``key``
+    mixes bools with the ints they equal, so a group's key object is
+    whichever its first member holds."""
+    db = fql.connect("offload-seek", default=False)
+    rows = {}
+    for i in range(60):
+        row = {"n": i, "flag": i % 3 == 0, "tier": i % 4, "v": i % 7,
+               "key": [True, 1, 0, False, 2][i % 5]}
+        if i % 5 == 1:
+            row["g"] = None
+        elif i % 5 != 2:
+            row["g"] = i % 3
+        rows[i] = row
+    db["t"] = rows
+    yield db
+    db.close()
+
+
+def _seek_shape(by, where=None):
+    def build(d):
+        source = d.t if where is None else fql.filter(d.t, where)
+        return fql.group_and_aggregate(
+            by=by, n=fql.Count(), total=fql.Sum("v"), input=source
+        )
+    return build
+
+
+SEEK_SHAPES = {
+    "none_and_absent_key": _seek_shape(["g"]),
+    "bool_key": _seek_shape(["flag"]),
+    "int_key": _seek_shape(["tier"]),
+    "bool_int_key": _seek_shape(["key"]),
+    "two_keys": _seek_shape(["flag", "tier"]),
+    # rejects every tier's first rows, and tier 1's first half
+    "filter_rejects_first_rows": _seek_shape(
+        ["tier"], "n >= 9 and not (tier == 1 and n < 30)"
+    ),
+    "filter_over_absent_key": _seek_shape(["g"], "v != 0"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SEEK_SHAPES))
+def test_a_groups_first_member_is_one_seek(seek_db, shape):
+    """Each group's first member — its key object and its place in the
+    enumeration — comes from one seek on the index the fold streams,
+    and equals naive's, under filters that reject a group's first rows."""
+    build = SEEK_SHAPES[shape]
+    before = offload_stats(seek_db._engine)["queries_offloaded"]
+    offloaded = _run(build, seek_db, "batch", "force")
+    assert offload_stats(seek_db._engine)["queries_offloaded"] == before + 1
+    assert repr(offloaded) == repr(_run(build, seek_db, "naive", "off"))
+    with using_exec_mode("batch"), using_offload_mode("force"):
+        sql = explain(build(seek_db))
+    assert "MIN(x.ord)" in sql and " AS x INDEXED BY " in sql, sql
+    assert "MIN(ord)" not in sql, sql
+
+
+@pytest.fixture
+def range_db():
+    """``qty`` is clean (1..9); ``h`` is hostile: absent, None, and a
+    string among its ints, so a range over it carries guards."""
+    db = fql.connect("offload-range", default=False)
+    rows = {}
+    for i in range(400):
+        row = {"amount": (i * 37) % 1000, "qty": 1 + i % 9, "age": i % 60}
+        if i % 7:
+            row["h"] = None if i % 11 == 0 else "x" if i % 13 == 0 else i % 100
+        rows[i] = row
+    db["t"] = rows
+    yield db
+    db.close()
+
+
+@pytest.mark.parametrize(
+    "where, indexed",
+    [
+        ("amount > 980 and age > 20", True),  # ~2 %: a range scan
+        ("980 < amount", True),  # a literal on the left flips
+        ("age == 7 and qty >= 7", True),  # the rarer atom leads
+        ("qty >= 7", False),  # a third of the rows: the scan is cheaper
+        ("h > 97", False),  # guarded: no index can serve it
+        ("h > 97 and qty >= 7", False),
+        ("amount != 5", False),  # not a range
+    ],
+)
+def test_a_row_statement_indexes_only_a_selective_bare_atom(
+    range_db, where, indexed
+):
+    """A row statement range-scans a covering index on its most
+    selective bare atom when that keeps under ``INDEX_SELECTIVITY`` of
+    the rows; otherwise it reads NOT INDEXED. Either way it runs in
+    SQL (no "no query solution") and equals naive."""
+    build = lambda d: fql.filter(d.t, where)  # noqa: E731
+    stats = offload_stats(range_db._engine)
+    offloaded = _run(build, range_db, "batch", "force")
+    after = offload_stats(range_db._engine)
+    assert after["queries_offloaded"] == stats["queries_offloaded"] + 1
+    assert after["fallbacks"] == stats["fallbacks"]
+    assert offloaded == _run(build, range_db, "naive", "off")
+    with using_exec_mode("batch"), using_offload_mode("force"):
+        sql = explain(build(range_db))
+    assert ("INDEXED BY" in sql) == indexed, sql
+    assert ("NOT INDEXED" in sql) != indexed, sql
 
 
 def test_off_mode_never_offloads(flat_db):

@@ -19,9 +19,10 @@ clean table it carries no guard, and a write that widens a profile
 int/float mix, an int past 2**53) brings the guard, or the decline,
 back on the next read.
 
-A grouped statement reads a covering index the mirror builds on first
-use: each rebuild drops and forgets it, the next grouped read builds it
-once, and past ``MAX_INDEXES`` a grouped statement sorts instead.
+A grouped statement, and a selective row statement, reads a covering
+index the mirror builds on first use: each rebuild drops and forgets
+it, the next read builds it once, and past ``MAX_INDEXES`` a statement
+reads the table instead.
 
 Two gates are pinned alongside: a query inside an open transaction
 must take the batched path (its buffered writes are invisible to the
@@ -564,6 +565,35 @@ class TestIndexLifecycle:
             sql = [pipeline_for(build(db)).explain() for build in shapes]
         assert sum("INDEXED BY" in text for text in sql) == MAX_INDEXES
         assert sum("NOT INDEXED" in text for text in sql) == len(shapes) - MAX_INDEXES
+
+
+    def test_a_filter_index_counts_against_the_cap(self, db):
+        """A selective filter's range index takes one of the
+        ``MAX_INDEXES`` slots: of four grouped shapes after it, one
+        reads ``NOT INDEXED`` and keeps ``MIN(ord)``, and every answer
+        is exact."""
+        selective = lambda d: fql.filter(  # noqa: E731
+            d.t, "age < 22 and name != 'c3'"
+        )
+        groups = [
+            lambda d, by=by, where=where: _grouped(d, by, where, n=fql.Count())
+            for by, where in [("state", None), ("state", "age >= 22"),
+                              ("age", None), ("name", None)]
+        ]
+        for _ in range(2):
+            for build in [selective, *groups]:
+                assert _grouped_answer(db, "force", build) == _grouped_answer(
+                    db, "naive", build
+                )
+        stats = offload_stats(db._engine)
+        assert stats["indexes_built"] == MAX_INDEXES
+        assert stats["fallbacks"] == 0
+        assert len(_indexes_in_sqlite(db)) == MAX_INDEXES
+        with using_exec_mode("batch"), using_offload_mode("force"):
+            sql = [pipeline_for(build(db)).explain() for build in [selective, *groups]]
+        assert "INDEXED BY" in sql[0] and "NOT INDEXED" not in sql[0]
+        assert sum("NOT INDEXED" in text for text in sql[1:]) == 1
+        assert sum("MIN(ord)" in text for text in sql[1:]) == 1
 
 
 class TestExecutionGates:

@@ -86,6 +86,8 @@ def compare(workload: str, pairs: list[tuple[dict, dict]],
         print(f"  {name:14s} {mid_b:10.4g} {mid_c:10.4g} {ratio:7.3f} "
               f"{iqr(base):9.3g} {wins:3d}/{len(pairs):<2d}  "
               f"{'within' if ok else 'WORSE than'} {spec['bound']}")
+        print(f"  {'':14s} per pair: " + " ".join(
+            f"{c / b:.3f}" if b else "nan" for b, c in zip(base, change)))
     failed = [sum(pair[side]["failed"] for pair in pairs) for side in (0, 1)]
     attempted = [sum(pair[side]["attempted"] for pair in pairs) for side in (0, 1)]
     print(f"  failed ops: base {failed[0]} of {attempted[0]}, "
