@@ -255,14 +255,10 @@ class OffloadPipeline:
             if keys:
                 out.append(group_key)
                 continue
-            accs: dict[str, Any] = {}
-            index = 2
-            for agg_name, ncols, decoder in compiled.decoders:
-                if ncols:
-                    accs[agg_name] = decoder(row[index:index + ncols])
-                else:
-                    accs[agg_name] = decoder()
-                index += ncols
+            accs = {
+                agg_name: decoder([row[i] for i in columns]) if columns else decoder()
+                for agg_name, columns, decoder in compiled.decoders
+            }
             value: Any = fused._tuple_for(group_key, accs)
             for transform in transforms:
                 value = transform(group_key, value)

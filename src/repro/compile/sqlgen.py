@@ -158,7 +158,7 @@ class CompiledQuery:
         sql: str,
         params: list,
         kind: str,
-        decoders: list[tuple[str, int, Callable[..., Any]]],
+        decoders: list[tuple[str, list[int], Callable[..., Any]]],
         signature: tuple,
         index: tuple[str, tuple[str, ...]] | None = None,
     ):
@@ -166,7 +166,7 @@ class CompiledQuery:
         self.params = params
         #: ``"rows"`` (SELECT ord) or ``"aggregate"`` (grouped fold).
         self.kind = kind
-        #: Per-aggregate ``(name, sql column count, cols -> acc)``.
+        #: Per-aggregate ``(name, its result-row columns, cols -> acc)``.
         self.decoders = decoders
         #: The mirror column-profile signature this SQL was compiled
         #: against; a post-resync mismatch forces recompilation.
@@ -332,11 +332,11 @@ def _aggregate_query(
         group_cols.append(f"c{idx}")
 
     select = ["COUNT(*)"]
-    decoders: list[tuple[str, int, Callable[..., Any]]] = []
+    decoders: list[tuple[str, list[int], Callable[..., Any]]] = []
     for name, agg in fused._aggs.items():
         parts, decoder = _aggregate_parts(name, agg, mirror)
-        select.extend(parts)
-        decoders.append((name, len(parts), decoder))
+        select.extend(part for part in parts if part not in select)  # each fold once
+        decoders.append((name, [1 + select.index(part) for part in parts], decoder))
 
     # group columns, then ord (rows of a group arrive in enumeration
     # order), then the rest the statement reads: a covering key

@@ -393,11 +393,11 @@ def _typed(image: Any, attr: str | None) -> tuple:
 
 
 def _codes(image: Any, attr: str) -> tuple | None:
-    """``(codes, values)``: one code per row (-1 where undefined) into
-    the attribute's distinct values, or ``None`` unless every present
-    value is a ``str``, or every one an ``int`` — the key families
-    where equal means identical (``1 == 1.0 == True`` would collapse
-    groups the naive fold keeps apart the same way, but NaN would not)."""
+    """``(codes, values, index, sparse)``: a code per row (-1 where undefined,
+    *sparse* if any is) into the distinct *values* in first-appearance order
+    (*index*: value → code); ``None`` unless all present values are ``str``
+    or all ``int``, the families where equal means identical (``1 == 1.0 ==
+    True``, and NaN is unequal to itself)."""
     column = image.column(attr)
     kinds = _kinds(column)
     if not (kinds <= {str} or kinds <= {int}):
@@ -405,7 +405,35 @@ def _codes(image: Any, attr: str) -> tuple | None:
     index: dict = {}
     codes = [-1 if v is MISSING else index.setdefault(v, len(index))
              for v in column]
-    return _np.array(codes, dtype=_np.intp), list(index)
+    return _np.array(codes, dtype=_np.intp), list(index), index, -1 in codes
+
+
+def _runs(batches: list) -> list:
+    """``(image, name, selection)`` per batch, consecutive slices of one
+    image joined into one: a kernel pays per image, not per batch."""
+    runs: list = []
+    for b in batches:
+        last = runs[-1][2] if runs and runs[-1][0] is b.image else None
+        if type(last) is type(b.sel) is slice and last.stop == b.sel.start:
+            runs[-1] = (b.image, b.name, slice(last.start, b.sel.stop))
+        else:
+            runs.append((b.image, b.name, b.sel))
+    return runs
+
+
+def _first_seen(slot: Any, count: Any) -> list:
+    """The slots with a *count* in order of first appearance in *slot*,
+    read in doubling chunks: only rows of unseen slots are sorted."""
+    seen = _np.zeros(len(count), dtype=bool)
+    order: list = []
+    start, width, need = 0, 16, int(_np.count_nonzero(count))
+    while len(order) < need:
+        head = slot[start:start + width]
+        new, first = _np.unique(head[~seen[head]], return_index=True)
+        seen[new] = True
+        order += new[_np.argsort(first)].tolist()
+        start, width = start + width, 2 * width
+    return order
 
 
 def fold_groups(batches: list, attr: str, specs: list) -> dict | None:
@@ -414,11 +442,11 @@ def fold_groups(batches: list, attr: str, specs: list) -> dict | None:
     ``None`` to decline.
 
     *specs* are ``(name, aggregate, attr or None)``. Count runs on
-    ``bincount``; Sum/Avg on an int column in int64 while no partial
-    sum can reach 2**63, on a float column with ``add.at`` into one
-    accumulator per group (which adds in stream order, like the fold);
+    ``bincount``; Sum/Avg on an int column in int64 with ``add.at``
+    while no partial sum can reach 2**63, on a float column on
+    ``bincount`` weights (which add in stream order, like the fold);
     Min/Max on one numeric family without NaN or -0.0. Groups come out
-    in order of first appearance.
+    in order of first appearance (:func:`_first_seen`).
     """
     if kernel_backend() != "numpy":
         return None
@@ -426,60 +454,62 @@ def fold_groups(batches: list, attr: str, specs: list) -> dict | None:
         return None
     if not batches:
         return {}
-    slot_of: dict = {}
+    base: Any = None  # (values, index): the first image's codes are slots
+    extra: dict = {}  # the slots of values the first image lacks
     luts: dict = {}
     slots, columns = [], {a: [] for _n, _g, a in specs if a is not None}
-    for batch in batches:
-        image, sel = batch.image, batch.sel
+    for image, _name, sel in _runs(batches):
         coded = _derived(image, ("codes", attr), _codes)
         if coded is None:
             return None
-        codes, values = coded
-        lut = luts.get(id(image))
-        if lut is None:
-            lut = luts[id(image)] = _np.full(len(values), -1, _np.intp)
+        codes, values, index, sparse = coded
+        if sparse:  # rows without a group key fall out
+            sel = select(sel, codes[sel] >= 0)
         chosen = codes[sel]
-        keep = chosen >= 0
-        everything = bool(keep.all())
-        if not everything:
-            chosen = chosen[keep]
-        fresh = chosen[lut[chosen] < 0]
-        if len(fresh):
-            new, first = _np.unique(fresh, return_index=True)
-            for code in new[_np.argsort(first)].tolist():
-                lut[code] = slot_of.setdefault(values[code], len(slot_of))
-        slots.append(lut[chosen])
+        base = base or (values, index)
+        if base[1] is not index:  # a later image: slots for the codes it selects
+            lut = luts.setdefault(id(image), _np.full(len(values), -1))
+            seen = _np.bincount(chosen, minlength=len(lut)) > 0
+            new = _np.flatnonzero(seen & (lut < 0)).tolist()
+            lut[new] = [base[1][v] if v in base[1] else extra.setdefault(
+                v, len(base[0]) + len(extra)) for v in map(values.__getitem__, new)]
+            chosen = lut[chosen]
+        slots.append(chosen)
         for agg_attr, parts in columns.items():
-            family, typed, present, info = _derived(
-                image, ("typed", agg_attr), _typed
-            )
-            picked = present[sel] if everything else present[sel][keep]
-            if typed is not None:
-                typed = typed[sel] if everything else typed[sel][keep]
-            parts.append((family, typed, picked, info))
-    groups = len(slot_of)
-    slot = _np.concatenate(slots)
+            family, typed, present, info = _derived(image, ("typed", agg_attr), _typed)
+            parts.append((family, None if typed is None else typed[sel],
+                          None if present.all() else present[sel], info))
+    keys = base[0] + list(extra) if extra else base[0]
+    slot = slots[0] if len(slots) == 1 else _np.concatenate(slots)
+    count = _np.bincount(slot, minlength=len(keys))
+    order = _first_seen(slot, count)
+    for agg_attr, parts in columns.items():  # one slot array per column
+        if all(p is None for _f, _v, p, _i in parts):
+            columns[agg_attr] = (slot, count, parts)
+            continue
+        kept = slot[_np.concatenate([_np.ones(len(s), bool) if m is None else m
+                                     for s, (_f, _v, m, _i) in zip(slots, parts)])]
+        columns[agg_attr] = (kept, _np.bincount(kept, minlength=len(count)), parts)
     results = {}
     for name, agg, agg_attr in specs:
         if agg_attr is None:
-            results[name] = _np.bincount(slot, minlength=groups).tolist()
+            results[name] = count[order].tolist()
             continue
-        folded = _fold_column(type(agg), slot, groups, columns[agg_attr])
+        folded = _fold_column(type(agg), *columns[agg_attr], order)
         if folded is None:
             return None
         results[name] = folded
-    keys = list(slot_of)
     return {
-        key: {name: results[name][g] for name in results}
-        for g, key in enumerate(keys)
+        keys[g]: {name: results[name][i] for name in results}
+        for i, g in enumerate(order)
     }
 
 
-def _fold_column(kind: type, slot: Any, groups: int, parts: list) -> list | None:
-    """One aggregate's accumulators per group slot, or ``None``."""
-    present = _np.concatenate([p for _f, _v, p, _i in parts])
-    slot = slot[present]
-    counts = _np.bincount(slot, minlength=groups).tolist()
+def _fold_column(kind: type, slot: Any, count: Any, parts: list,
+                 order: list) -> list | None:
+    """One aggregate's accumulators per slot in *order*, or ``None``."""
+    groups = len(count)
+    counts = count[order].tolist()
     if kind is Count:
         return counts
     families = {f for f, _v, _p, _i in parts} - {""}
@@ -488,20 +518,24 @@ def _fold_column(kind: type, slot: Any, groups: int, parts: list) -> list | None
     family = families.pop() if families else ""
     if family == "":
         seed = (0, 0) if kind is Avg else 0 if kind is Sum else MISSING
-        return [seed] * groups
-    values = _np.concatenate([v[p] for f, v, p, _i in parts if f])
+        return [seed] * len(order)
+    values = [v if p is None else v[p] for f, v, p, _i in parts if f]
+    values = values[0] if len(values) == 1 else _np.concatenate(values)
     infos = [i for f, _v, _p, i in parts if f]
     if family == "float" and kind in (Min, Max) and any(
         nan or negzero for nan, negzero in infos
     ):
         return None
+    cast = int if family == "int" else float
     if family == "int" and kind in (Sum, Avg) and max(infos) * len(slot) >= 2**63:
         return None
-    cast = int if family == "int" else float
     if kind in (Sum, Avg):
-        totals = _np.zeros(groups, values.dtype)
-        _np.add.at(totals, slot, values)
-        out = [cast(t) if n else 0 for t, n in zip(totals.tolist(), counts)]
+        if family == "int":  # exact in int64
+            totals = _np.zeros(groups, values.dtype)
+            _np.add.at(totals, slot, values)
+        else:  # float64 weights add in stream order, like the fold
+            totals = _np.bincount(slot, weights=values, minlength=groups)
+        out = [cast(t) if n else 0 for t, n in zip(totals[order].tolist(), counts)]
         return out if kind is Sum else [
             (t, n) for t, n in zip(out, counts)
         ]
@@ -512,7 +546,7 @@ def _fold_column(kind: type, slot: Any, groups: int, parts: list) -> list | None
         seed = _np.inf if kind is Min else -_np.inf
     best = _np.full(groups, seed, values.dtype)
     (_np.minimum if kind is Min else _np.maximum).at(best, slot, values)
-    return [cast(b) if n else MISSING for b, n in zip(best.tolist(), counts)]
+    return [cast(b) if n else MISSING for b, n in zip(best[order].tolist(), counts)]
 
 
 def sort_runs(batches: list, attr: str, reverse: bool) -> list | None:

@@ -123,6 +123,18 @@ def test_every_offloaded_statement_names_its_access_path(
             assert re.search(rf"\({lead.group(1)} (=|<|<=|>|>=) \?\)", line), line
 
 
+def test_a_grouped_statement_selects_each_fold_once(flat_db):
+    """``Count()`` and the decoder's group count are one ``COUNT(*)``,
+    ``Sum`` and ``Avg`` of one column one ``SUM``."""
+    build = zoo.ZOO["agg"]
+    _run(build, flat_db, "batch", "force")
+    with using_exec_mode("batch"), using_offload_mode("force"):
+        text = explain(build(flat_db))
+    sql = [line for line in text.splitlines() if line.startswith("  sql: ")]
+    assert len(sql) == 1 and sql[0].count("COUNT(*)") == 1, sql
+    assert len(re.findall(r"SUM\(c\d+\)", sql[0])) == 1, sql
+
+
 def test_force_mode_actually_offloads(flat_db):
     """The matrix above is vacuous if force mode never compiles: pin
     that a plainly compilable shape offloads rather than falling back."""
@@ -599,3 +611,87 @@ def test_fuzz_three_modes_agree(offset):
         )
     finally:
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# a seeded slice that reaches the access paths
+# ---------------------------------------------------------------------------
+
+#: The corpus above runs 20–90-row tables of mostly hostile columns, so
+#: few of its statements can use an index. This slice builds larger
+#: tables of clean columns, and graphs around a bare atom on the int
+#: column ``a``, so that a row statement range-scans a covering index
+#: and a grouped statement seeks each group's first member. Its seed is
+#: pinned, not re-based by ``REPRO_FUZZ_SEED``: the path shares asserted
+#: below are this slice's, and another slice may reach fewer.
+ACCESS_SEED = 20_360_810
+N_ACCESS = 40
+
+
+def _clean_rows(rng):
+    """300–600 rows: ``state``, an int ``m``, an int ``a`` and
+    ``b``..``d`` of one clean family each, defined on every row."""
+    families = {attr: _CLEAN[rng.choice(sorted(_CLEAN))] for attr in "bcd"}
+    return {
+        key: {
+            "state": rng.choice(STATES),
+            "m": rng.randrange(-50, 200),
+            "a": rng.randrange(-20, 120),
+            **{attr: draw(rng) for attr, draw in families.items()},
+        }
+        for key in range(1, rng.randrange(300, 600))
+    }
+
+
+def _access_graph(rng, relation):
+    """A filter on ``a`` (``==``, or a range at either end: mostly
+    selective), maybe a random conjunct; then half the time a grouped
+    aggregate by ``state``, else maybe an order and a limit."""
+    atom = rng.choice([
+        f"a == {rng.randrange(-20, 120)}",
+        f"a < {rng.randrange(-20, 30)}",
+        f"a >= {rng.randrange(80, 120)}",
+    ])
+    node = fql.filter(relation, atom)
+    if rng.random() < 0.5:
+        node = fql.filter(node, _random_predicate(rng))
+    if rng.random() < 0.5:
+        return fql.group_and_aggregate(
+            by=["state"], input=node, **_random_aggs(rng)
+        )
+    if rng.random() < 0.5:
+        node = fql.order_by(node, rng.choice(ATTRS), reverse=rng.random() < 0.5)
+    if rng.random() < 0.5:
+        node = fql.limit(node, rng.randrange(1, 40))
+    return node
+
+
+def test_fuzz_slice_reaches_both_access_paths(monkeypatch):
+    from repro.compile.mirror import EngineMirror
+
+    paths: list = []  # per graph: the (kind, indexed) of each statement
+    execute = EngineMirror.execute
+
+    def counted(self, mirror, compiled):
+        paths[-1].add((compiled.kind, compiled.index is not None))
+        return execute(self, mirror, compiled)
+
+    monkeypatch.setattr(EngineMirror, "execute", counted)
+    for offset in range(N_ACCESS):
+        seed = ACCESS_SEED + offset
+        paths.append(set())
+        db = fql.connect(f"offload-access-{seed}", default=False)
+        try:
+            db["t"] = _clean_rows(random.Random(seed))
+
+            def build(d, seed=seed):
+                return _access_graph(random.Random(seed ^ 0x5EED), d.t)
+
+            naive = _enumerate(build, db, "naive", "off")
+            assert _enumerate(build, db, "batch", "off") == naive, f"seed={seed}"
+            assert _enumerate(build, db, "batch", "force") == naive, f"seed={seed}"
+        finally:
+            db.close()
+    rows = sum(("rows", True) in taken for taken in paths)
+    seeks = sum(("aggregate", True) in taken for taken in paths)
+    assert rows >= N_ACCESS / 4 and seeks >= N_ACCESS / 4, (rows, seeks)

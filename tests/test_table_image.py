@@ -269,6 +269,127 @@ class TestExactness:
         db.close()
 
 
+# -- hostile kernel cases: repr-equal to naive under both backends -------------------
+
+
+def _repr_same_as_naive(expr_of, db):
+    """The answer's ``repr`` under each kernel backend is naive's: ``==``
+    cannot tell ``1`` from ``1.0`` or ``True``, nor ``0.0`` from ``-0.0``."""
+    naive = repr(_naive(expr_of, db))
+    for backend in ("numpy", "python"):
+        with using_kernel_backend(backend):
+            assert repr(ordered(expr_of(db))) == naive, backend
+
+
+@pytest.fixture(params=["flat", "part"])
+def layout(request):
+    return request.param
+
+
+def _hostile_table(rows, layout):
+    """A database whose ``t`` holds *rows*, one segment or three hash
+    partitions on ``p`` (so folds and sorts span images)."""
+    db = fql.connect(f"image-hostile-{layout}", default=False)
+    partition_by = hash_partition("p", 3) if layout == "part" else None
+    db.create_table("t", rows=rows, partition_by=partition_by)
+    return db
+
+
+def _group_by_g(**aggs):
+    return lambda d: fql.group_and_aggregate(by=["g"], input=d.t, **aggs)
+
+
+class TestHostileKernelCases:
+    def test_int_sum_past_2_53_stays_exact(self, layout):
+        # float64 would add 2**53 - 1 + 1 + 1 to 2**53: ints sum in int64
+        rows = {i: {"p": i, "g": "ab"[i % 2], "v": 1} for i in range(40)}
+        rows[0]["v"] = rows[1]["v"] = 2**53 - 1
+        db = _hostile_table(rows, layout)
+        _repr_same_as_naive(_group_by_g(total=fql.Sum("v"), mean=fql.Avg("v")), db)
+        if HAVE_NUMPY:
+            folded = _fold(db, "g", total=fql.Sum("v"))
+            assert folded == {"a": {"total": 2**53 + 18}, "b": {"total": 2**53 + 18}}
+        db.close()
+
+    def test_float_sums_keep_stream_order(self, layout):
+        values = [(1e16, 1.0, -1e16, 0.5, -0.0)[i % 5] * (1 + i % 3) for i in range(600)]
+        rows = {i: {"p": i % 7, "g": i % 4, "v": v} for i, v in enumerate(values)}
+        db = _hostile_table(rows, layout)
+        aggs = dict(total=fql.Sum("v"), mean=fql.Avg("v"), n=fql.Count("v"))
+        _repr_same_as_naive(_group_by_g(**aggs), db)
+        _repr_same_as_naive(lambda d: fql.group_and_aggregate(
+            by=["g"], input=fql.filter(d.t, "p > 1"), **aggs), db)
+        db.close()
+
+    @pytest.mark.parametrize("keys", [
+        [True, 1, 2, False, 0],  # bool and int keys: 1 == True
+        ["x", MISSING, "y", "x", MISSING],  # undefined group keys
+        [7, 3, MISSING, 3, 9],
+    ])
+    def test_group_keys_and_missing_values(self, keys, layout):
+        rows = {}
+        for i in range(300):
+            row = {"p": i, "v": i % 11}
+            if keys[i % len(keys)] is not MISSING:
+                row["g"] = keys[i % len(keys)]
+            if i % 7 == 3:
+                del row["v"]  # undefined values fall out of the value folds
+            rows[i] = row
+        db = _hostile_table(rows, layout)
+        _repr_same_as_naive(_group_by_g(
+            n=fql.Count(), present=fql.Count("v"), total=fql.Sum("v"),
+            lo=fql.Min("v"), hi=fql.Max("v"), mean=fql.Avg("v"),
+        ), db)
+        db.close()
+
+    def test_a_filter_that_drops_a_groups_first_rows(self, layout):
+        # "a" leads the image but, filtered, first shows up after "c"
+        rows = {i: {"p": i % 5, "g": "abc"[i % 3], "v": i} for i in range(900)}
+        db = _hostile_table(rows, layout)
+        for where in ("v > 0", "v > 3", "v >= 450", "v < 2"):
+            expr_of = lambda d: fql.group_and_aggregate(  # noqa: E731
+                by=["g"], n=fql.Count(), hi=fql.Max("v"),
+                input=fql.filter(d.t, where),
+            )
+            _repr_same_as_naive(expr_of, db)
+        got = [k for k, _v in ordered(fql.group_and_aggregate(
+            by=["g"], n=fql.Count(), input=fql.filter(db.t, "v > 0")))]
+        if layout == "flat":  # partitions stream in their own order
+            assert got == ["b", "c", "a"]
+        db.close()
+
+    def test_groups_seen_last_or_only_in_later_images(self, layout):
+        # one key first shows up in the last row; partitioned, each
+        # image holds keys no other image has
+        rows = {i: {"p": i % 3, "g": f"k{i % 3}-{i % 4}", "v": i} for i in range(900)}
+        rows[899]["g"] = "last"
+        db = _hostile_table(rows, layout)
+        for where in ("v >= 0", "v > 700", "p == 2", "v < 40"):
+            _repr_same_as_naive(lambda d: fql.group_and_aggregate(  # noqa: B023
+                by=["g"], n=fql.Count(), total=fql.Sum("v"), hi=fql.Max("v"),
+                input=fql.filter(d.t, where),
+            ), db)
+        db.close()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_limit_over_order_with_ties_straddling_n(self, reverse, layout):
+        # four int keys ten rows each, and float keys where 0.0 and
+        # -0.0 tie: a limit inside a run of ties keeps its earliest rows
+        rows = {
+            i: {"p": i % 4, "v": (i * 7) % 4, "f": (0.0, -0.0, 1.5)[i % 3]}
+            for i in range(40)
+        }
+        db = _hostile_table(rows, layout)
+        for attr in ("v", "f"):
+            for n in (0, 1, 5, 10, 15, 39, 40, 41, 100):
+                _repr_same_as_naive(lambda d: fql.limit(  # noqa: B023
+                    fql.order_by(d.t, attr, reverse=reverse), n), db)
+                _repr_same_as_naive(lambda d: fql.limit(  # noqa: B023
+                    fql.order_by(fql.filter(d.t, "p != 2"), attr, reverse=reverse), n
+                ), db)
+        db.close()
+
+
 def test_python_kernel_backend_declines_every_vectorized_path():
     db = fql.connect("image-python-kernel", default=False)
     db["t"] = {i: {"g": i % 3, "v": i} for i in range(50)}
