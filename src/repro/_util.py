@@ -40,6 +40,10 @@ MISSING = _lookup_sentinel("MISSING")
 #: Marks a deleted row inside MVCC version chains and diffs.
 TOMBSTONE = _lookup_sentinel("TOMBSTONE")
 
+#: A timestamp later than any commit stamp: a read at it sees the newest
+#: version of every row.
+LATEST = 2**62
+
 
 _ATTACH_LOCK = threading.Lock()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from typing import Any, Iterator, Mapping
 
-from repro._util import normalize_key
+from repro._util import LATEST, normalize_key
 from repro.errors import SchemaError, UnknownRelationError
 from repro.fdm.databases import DatabaseFunction
 from repro.fdm.domains import Domain, DiscreteDomain
@@ -224,7 +224,7 @@ class FunctionalDatabase(DatabaseFunction):
             enforce=value._enforce,
         )
         with self._manager.autocommit() as txn:
-            for key, row in value._rows.items():
+            for key, row in value.table().scan_at(LATEST):
                 txn.write(name, key, _coerce_stored(row))
         self._stored[name] = stored
 
@@ -278,7 +278,7 @@ class FunctionalDatabase(DatabaseFunction):
         table = self._engine.table(name)
         spec = table.scheme.spec()
         if spec is None:
-            return {"partitioned": False, "rows": table.count_at(2**62)}
+            return {"partitioned": False, "rows": table.count_at(LATEST)}
         return {
             "partitioned": True,
             "scheme": spec,

@@ -39,9 +39,8 @@ class CardinalityCheckedRelationship(RelationshipFunction):
         super().__init__(*args, **kwargs)
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        from repro._util import normalize_key
-
-        normalized = self._normalize(normalize_key(key))
+        key = self._checked_key(key)
+        normalized = key if self.arity > 1 else (key,)
         for position in self._one_positions:
             rest = tuple(
                 c for i, c in enumerate(normalized) if i != position

@@ -214,12 +214,13 @@ def _partition_summary(fn: FDMFunction) -> list[str]:
     section also covers leaves that never lower to a scan node (join
     atoms), so the partition story is visible in one place.
     """
+    from repro.fdm.relations import table_of
     from repro.partition.prune import expression_partition_prunes
 
     prunes = expression_partition_prunes(fn)
     out = []
     for leaf, surviving in prunes.values():
-        table = leaf._engine.tables.get(leaf.table_name)
+        table = table_of(leaf)
         total = 0 if table is None else len(table.segments)
         if total < 2:  # one segment has no fan-out to report
             continue

@@ -409,16 +409,32 @@ def _codes(image: Any, attr: str) -> tuple | None:
 
 
 def _runs(batches: list) -> list:
-    """``(image, name, selection)`` per batch, consecutive slices of one
-    image joined into one: a kernel pays per image, not per batch."""
+    """``(image, name, selection)`` per run of consecutive batches over
+    one image, their selections joined once (adjacent slices into one
+    slice, anything else into one position array): a kernel pays per
+    image, not per batch."""
     runs: list = []
     for b in batches:
-        last = runs[-1][2] if runs and runs[-1][0] is b.image else None
-        if type(last) is type(b.sel) is slice and last.stop == b.sel.start:
-            runs[-1] = (b.image, b.name, slice(last.start, b.sel.stop))
+        if runs and runs[-1][0] is b.image:
+            runs[-1][2].append(b.sel)
         else:
-            runs.append((b.image, b.name, b.sel))
-    return runs
+            runs.append((b.image, b.name, [b.sel]))
+    return [(image, name, _joined(sels)) for image, name, sels in runs]
+
+
+def _joined(sels: list) -> Any:
+    """One selection holding *sels*' positions in order."""
+    if len(sels) == 1:
+        return sels[0]
+    if all(type(s) is slice for s in sels) and all(
+        a.stop == b.start for a, b in zip(sels, sels[1:])
+    ):
+        return slice(sels[0].start, sels[-1].stop)
+    return _np.concatenate([
+        _np.arange(s.start, s.stop) if type(s) is slice
+        else _np.asarray(s, dtype=_np.intp)
+        for s in sels
+    ])
 
 
 def _first_seen(slot: Any, count: Any) -> list:
@@ -560,8 +576,7 @@ def sort_runs(batches: list, attr: str, reverse: bool) -> list | None:
     keys, positions, owners = [], [], []
     families = set()
     sources: dict = {}  # id(image) -> (index, image, name)
-    for batch in batches:
-        image, sel = batch.image, batch.sel
+    for image, name, sel in _runs(batches):
         family, typed, present, info = _derived(image, ("typed", attr), _typed)
         if family not in ("int", "float") or (family == "float" and info[0]):
             return None
@@ -571,8 +586,8 @@ def sort_runs(batches: list, attr: str, reverse: bool) -> list | None:
         keys.append(typed[sel])
         positions.append(_np.arange(sel.start, sel.stop) if type(sel) is slice
                          else _np.asarray(sel, dtype=_np.intp))
-        owner = sources.setdefault(id(image), (len(sources), image, batch.name))
-        owners.append(_np.full(len(batch), owner[0], _np.intp))
+        owner = sources.setdefault(id(image), (len(sources), image, name))
+        owners.append(_np.full(len(keys[-1]), owner[0], _np.intp))
     if len(families) > 1:
         return None
     key = _np.concatenate(keys)

@@ -124,9 +124,7 @@ def _attach_scan_predicates(
         _attach_scan_predicates(node.children[0], pending)
         return
     if isinstance(node, ScanNode):
-        from repro.storage.relation import StoredRelationFunction
-
-        if pending and isinstance(node.fn, StoredRelationFunction):
+        if pending and node.table() is not None:
             node.zone_predicate = (
                 pending[0] if len(pending) == 1 else And(*pending)
             )

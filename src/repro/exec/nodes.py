@@ -24,6 +24,7 @@ from repro.errors import OperatorError, UndefinedInputError
 from repro.exec import kernels
 from repro.exec.batch import COLUMNAR_BATCH_SIZE, ColumnBatch, batch_bytes
 from repro.fdm.functions import FDMFunction
+from repro.fdm.relations import table_of
 from repro.fdm.tuples import RowTuple, TupleFunction
 from repro.fql.aggregates import Count
 from repro.obs.context import _local
@@ -172,12 +173,8 @@ class ScanNode(PhysicalNode):
         return _metered(rebatch(self.fn.keys()))
 
     def table(self) -> Any:
-        """The stored table this scan reads now, else ``None``."""
-        from repro.storage.relation import StoredRelationFunction
-
-        if not isinstance(self.fn, StoredRelationFunction):
-            return None
-        return self.fn._engine.tables.get(self.fn.table_name)
+        """The table this scan reads now, else ``None``."""
+        return table_of(self.fn)
 
     def describe(self) -> str:
         from repro.partition.prune import surviving_partitions

@@ -33,11 +33,11 @@ import repro.operators as operators
 from repro.compile import offload_mode
 from repro.config import EXEC
 from repro.fdm.functions import DerivedFunction, FDMFunction
+from repro.fdm.relations import table_of
 from repro.exec.cache import cache_of, engine_of, fingerprint
 from repro.exec.lower import PhysicalPipeline, lower
 from repro.obs.context import QueryContext, _local
 from repro.obs.trace import span
-from repro.storage.relation import StoredRelationFunction
 
 __all__ = [
     "exec_mode",
@@ -164,12 +164,11 @@ def pipeline_for(fn: FDMFunction) -> PhysicalPipeline | None:
 
 
 def _scan_plan(fn: FDMFunction) -> PhysicalPipeline | None:
-    """A base function's scan. A stored relation keeps its last one
+    """A base function's scan. A relation carrier keeps its last one
     while it scans the same table object, so the class label
     ``obs.workload.info_of`` keeps on it is worked out once per table."""
     engine = engine_of(fn)
-    stored = isinstance(fn, StoredRelationFunction)
-    table = engine.tables.get(fn.table_name) if stored else None
+    table = table_of(fn)
     kept = getattr(fn, "_scan_plan", None)
     if table is not None and kept is not None and kept[0]() is table:
         return kept[1]

@@ -46,10 +46,6 @@ class DatabaseFunction(FDMFunction):
 
     kind = "database"
 
-    def relation_names(self) -> list[str]:
-        """The names this database maps (its domain)."""
-        return list(self.keys())
-
     def relations(self) -> Iterator[tuple[str, FDMFunction]]:
         """Iterate (name, function) pairs."""
         return self.items()

@@ -263,14 +263,6 @@ class FDMFunction:
 
     # -- misc ---------------------------------------------------------------------
 
-    def with_name(self, name: str) -> "FDMFunction":
-        """Return self, renamed (shallow; shares the underlying data)."""
-        import copy as _copy
-
-        clone = _copy.copy(self)
-        clone._name = name
-        return clone
-
     def describe(self) -> str:
         """One-line human description."""
         size = self.domain.size()

@@ -14,10 +14,16 @@ function*. The section's machinery is all present:
   never stored, via :class:`repro.fdm.functions.FallbackFunction` or
   :class:`ComputedRelationFunction` directly.
 
-:class:`MaterialRelationFunction` is the in-memory, non-transactional
-implementation (literals, intermediate results, tests). Transactional
-stored relations live in :mod:`repro.storage.relation` and share this
-interface.
+A relation's graph is held in one place whether it lives in memory or in
+a database: a :class:`~repro.storage.table.Table` (DESIGN.md §4). Its
+two carriers differ in two primitives only — which stamp a read sees and
+how a write lands. :class:`MaterialRelationFunction`, the free-standing
+relation (literals, intermediate results, copies, group members), owns a
+one-segment table, reads its newest state and applies each write at
+once at the next stamp of its own counter. The stored carrier in
+:mod:`repro.storage.relation` reads a table of the database's engine
+through the caller's snapshot and writes through transactions.
+Everything else is written once, on :class:`RelationFunction`.
 """
 
 from __future__ import annotations
@@ -25,15 +31,16 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro._util import MISSING, normalize_key
+from repro._util import LATEST, TOMBSTONE, chunked, normalize_key
 from repro.errors import (
     DuplicateKeyError,
     SchemaError,
     UndefinedInputError,
+    UnknownRelationError,
 )
 from repro.fdm.domains import ANY, DiscreteDomain, Domain, as_domain
 from repro.fdm.functions import FDMFunction, LambdaFunction
-from repro.fdm.tuples import BoundTuple, TupleFunction, as_tuple_function
+from repro.fdm.tuples import BoundTuple, TupleFunction
 
 __all__ = [
     "RelationFunction",
@@ -42,16 +49,31 @@ __all__ = [
     "relation",
     "relation_from_rows",
     "alternative_view",
+    "table_of",
 ]
 
-#: Serializes :meth:`MaterialRelationFunction.add`'s read-then-write.
+#: Serializes :meth:`RelationFunction.add`'s read-then-write.
 _ADD_LOCK = threading.Lock()
 
 
 class RelationFunction(FDMFunction):
-    """Shared behaviour for every relation-level function."""
+    """Shared behaviour for every relation-level function, and the one
+    read and write surface of the two relation carriers.
+
+    A carrier supplies :meth:`table`, :meth:`_read_ts` (the stamp a read
+    sees) and :meth:`_write_rows` (how a write lands). ``R(key)`` returns
+    a :class:`BoundTuple` write-through view, so all Fig. 10 costumes
+    work on either carrier:
+
+    * ``R[3] = {'name': 'Tom', 'age': 42}`` — insert or replace,
+    * ``R.add({...})`` — insert with an automatic integer key,
+    * ``R[3]['age'] = 50`` — update one attribute,
+    * ``del R[3]`` — delete.
+    """
 
     kind = "relation"
+    #: Which keys the costumes may write (``ANY``: every key).
+    _key_constraint: Domain = ANY
 
     def tuples(self) -> Iterator[FDMFunction]:
         """Iterate the tuple functions in key order (the codomain values)."""
@@ -97,188 +119,145 @@ class RelationFunction(FDMFunction):
             rows.append(row)
         return rows
 
+    # -- the carrier's primitives -------------------------------------------------
 
-class MaterialRelationFunction(RelationFunction):
-    """A mutable in-memory relation function.
+    def table(self) -> Any:
+        """The :class:`~repro.storage.table.Table` holding the graph now."""
+        raise NotImplementedError
 
-    Rows are stored as plain attribute dicts; ``R(key)`` returns a
-    :class:`BoundTuple` write-through view so all Fig. 10 costumes work:
+    def _read_ts(self) -> int:
+        """The stamp a read sees."""
+        raise NotImplementedError
 
-    * ``R[3] = {'name': 'Tom', 'age': 42}`` — insert or replace,
-    * ``R.add({...})`` — insert with an automatic integer key,
-    * ``R[3]['age'] = 50`` — update one attribute,
-    * ``del R[3]`` — delete.
+    def _write_rows(self, writes: Any) -> None:
+        """Land ``(key, data)`` writes as one statement; ``data`` is a
+        row dict, a nested function or a bare value, and TOMBSTONE
+        deletes."""
+        raise NotImplementedError
 
-    Mutations here are immediate and non-transactional; the storage-backed
-    twin in :mod:`repro.storage.relation` adds MVCC snapshots.
-    """
-
-    def __init__(
-        self,
-        mappings: Mapping[Any, Any] | None = None,
-        name: str | None = None,
-        key_domain: Any = None,
-        key_name: str | tuple[str, ...] | None = None,
-    ):
-        super().__init__(name=name or "R", domain=None, codomain=None)
-        self._key_constraint: Domain = as_domain(key_domain)
-        self._key_name = key_name
-        self._rows: dict[Any, Any] = {}
-        #: Mutation counter: part of the executor's plan-cache
-        #: fingerprint, so DML invalidates cached plans (DESIGN.md §6).
-        self._version = 0
-        #: Change-capture log, attached on demand by
-        #: :func:`repro.ivm.changelog.ensure_capture` (DESIGN.md §9).
-        self._changes = None
-        if mappings:
-            for key, value in mappings.items():
-                self[key] = value
-
-    # -- FDM function interface ----------------------------------------------
+    # -- reads ---------------------------------------------------------------------
 
     @property
-    def domain(self) -> Domain:
-        return DiscreteDomain(self._rows.keys())
+    def is_enumerable(self) -> bool:
+        return True
 
-    @property
-    def key_name(self) -> str | tuple[str, ...] | None:
-        """Optional label(s) for the key position (e.g. ``'cid'``)."""
-        return self._key_name
+    def _raw_read(self, key: Any) -> Any:
+        """Row dict, nested function or bare value at *key*, or TOMBSTONE."""
+        return self.table().read(key, self._read_ts())
 
     def _apply(self, key: Any) -> Any:
-        if key not in self._rows:
+        data = self._raw_read(key)
+        if data is TOMBSTONE:
             raise UndefinedInputError(self._name, key)
-        stored = self._rows[key]
-        if isinstance(stored, dict):
+        if isinstance(data, dict):
             return BoundTuple(self, key)
-        return stored  # a nested FDM function stored directly
+        return data  # a nested FDM function stored directly (§2.6)
 
     def defined_at(self, *args: Any) -> bool:
         if not args:
             return False
-        key = args[0] if len(args) == 1 else tuple(args)
-        return normalize_key(key) in self._rows
+        key = normalize_key(args[0] if len(args) == 1 else tuple(args))
+        return self._raw_read(key) is not TOMBSTONE
 
     def keys(self) -> Iterator[Any]:
-        return iter(list(self._rows))
+        return self.table().keys_at(self._read_ts())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.table().count_at(self._read_ts())
+
+    def _entries(self) -> Iterator[tuple[Any, Any]]:
+        """``(key, data)`` of every mapping as a read sees it: the row
+        dict (shared with the table: never mutate it), nested function
+        or bare value."""
+        return self.table().scan_at(self._read_ts())
+
+    def items(self) -> Iterator[tuple[Any, Any]]:
+        """Every mapping from one pass over the table: a row comes back
+        as a :class:`BoundTuple`, anything else as it is stored."""
+        return (
+            (key, BoundTuple(self, key) if isinstance(data, dict) else data)
+            for key, data in self._entries()
+        )
 
     def iter_batches(self, batch_size: int = 256) -> Iterator[list]:
-        """Chunked enumeration directly over the row store."""
-        from repro._util import chunked
-
-        rows = self._rows
-
-        def entries() -> Iterator[tuple[Any, Any]]:
-            for key in list(rows):
-                try:
-                    stored = rows[key]
-                except KeyError:
-                    raise UndefinedInputError(self._name, key) from None
-                yield key, (
-                    BoundTuple(self, key)
-                    if isinstance(stored, dict)
-                    else stored
-                )
-
-        return chunked(entries(), batch_size)
+        """Chunked enumeration feeding the physical executor."""
+        return chunked(self.items(), batch_size)
 
     def iter_columnar_batches(
         self, batch_size: int = 1024, zone_predicate: Any = None
     ) -> Iterator[Any]:
-        """Columnar enumeration over the row store (DESIGN.md §13).
+        """Columnar enumeration: the table's cached column images at the
+        read stamp, with zone skipping (:meth:`Table.column_batches`)."""
+        return self.table().column_batches(
+            self._read_ts(), batch_size, self._name, zone_predicate
+        )
 
-        Row dicts are shared with the store, never copied: writes install
-        fresh dicts (:meth:`__setitem__`/``_write_attr``), so a batch is
-        a consistent snapshot of the rows it captured. Each batch is a
-        throwaway image, so columns derive the one way stored scans
-        derive them. In-memory relations have no segments, so
-        *zone_predicate* is ignored.
-        """
-        from repro.exec.batch import entry_batches
-
-        rows = self._rows
-
-        def entries() -> Iterator[tuple[Any, Any]]:
-            for key in list(rows):
-                try:
-                    stored = rows[key]
-                except KeyError:
-                    raise UndefinedInputError(self._name, key) from None
-                yield key, stored
-
-        return entry_batches(entries(), batch_size, self._name)
-
-    # -- write-through protocol used by BoundTuple ------------------------------
+    # -- BoundTuple write-through protocol ------------------------------------------
 
     def _read_data(self, key: Any) -> Mapping[str, Any]:
-        try:
-            return self._rows[key]
-        except KeyError:
-            raise UndefinedInputError(self._name, key) from None
+        data = self._raw_read(key)
+        if data is TOMBSTONE:
+            raise UndefinedInputError(self._name, key)
+        if not isinstance(data, dict):
+            raise SchemaError(
+                f"{self._name!r}[{key!r}] holds a nested function, not a "
+                "tuple"
+            )
+        return data
+
+    def _write_row(self, key: Any, data: Any) -> None:
+        self._write_rows(((key, data),))
 
     def _write_attr(self, key: Any, attr: str, value: Any) -> None:
-        old = self._read_data(key)
-        self._rows[key] = {**self._rows[key], attr: value}
-        self._version += 1
-        self._record_change(key, old, self._rows[key])
+        data = dict(self._read_data(key))
+        data[attr] = value
+        self._write_row(key, data)
 
     def _delete_attr(self, key: Any, attr: str) -> None:
-        old = self._read_data(key)
-        data = dict(old)
+        data = dict(self._read_data(key))
         if attr not in data:
             raise UndefinedInputError(f"{self._name}[{key!r}]", attr)
         del data[attr]
-        self._rows[key] = data
-        self._version += 1
-        self._record_change(key, old, data)
+        self._write_row(key, data)
 
-    # -- change capture (incremental view maintenance, DESIGN.md §9) --------------
+    # -- Fig. 10 costumes ------------------------------------------------------------
 
-    def _record_change(self, key: Any, old: Any, new: Any) -> None:
-        """Publish one mutation to the capture log, if one is attached."""
-        log = self._changes
-        if log is None:
-            return
-        from repro.ivm.delta import Delta
-
-        log.observe_row(new)
-        delta = Delta()
-        delta.record(key, old, new)
-        log.append(self._version, {None: delta})
-
-    # -- mutation costumes (Fig. 10) ----------------------------------------------
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        key = normalize_key(key)
-        self._key_constraint.validate(key, what=f"key for {self._name!r}")
-        old = self._rows.get(key, MISSING)
+    def _coerce_row(self, value: Any) -> Any:
+        """What a costume stores for *value*: an attribute dict, or a
+        nested function as it is (§2.6). A tuple function's dict is
+        shared, not copied: neither it nor a stored row is ever mutated
+        in place."""
+        if type(value) is dict:
+            return dict(value)
         if isinstance(value, BoundTuple):
             value = value.snapshot()
         if isinstance(value, TupleFunction):
-            self._rows[key] = dict(value.items())
-        elif isinstance(value, Mapping):
-            self._rows[key] = dict(value)
-        elif isinstance(value, FDMFunction):
-            self._rows[key] = value  # nested function (paper §2.6)
-        else:
-            raise SchemaError(
-                f"cannot store {value!r} in relation function "
-                f"{self._name!r}; provide a mapping or an FDM function"
-            )
-        self._version += 1
-        self._record_change(key, old, self._rows[key])
+            return value._data
+        if isinstance(value, Mapping):
+            return dict(value)
+        if isinstance(value, FDMFunction):
+            return value
+        raise SchemaError(
+            f"cannot store {value!r} in relation function {self._name!r}; "
+            "provide a mapping or an FDM function"
+        )
+
+    def _checked(self, key: Any, value: Any) -> tuple[Any, Any]:
+        """A costume's ``(key, data)`` write: the key normalized and
+        validated, the value coerced."""
+        key = normalize_key(key)
+        if self._key_constraint is not ANY:
+            self._key_constraint.validate(key, what=f"key for {self._name!r}")
+        return key, self._coerce_row(value)
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        self._write_row(*self._checked(key, value))
 
     def __delitem__(self, key: Any) -> None:
         key = normalize_key(key)
-        if key not in self._rows:
+        if self._raw_read(key) is TOMBSTONE:
             raise UndefinedInputError(self._name, key)
-        old = self._rows[key]
-        del self._rows[key]
-        self._version += 1
-        self._record_change(key, old, MISSING)
+        self._write_row(key, TOMBSTONE)
 
     def add(self, value: Any) -> Any:
         """Insert relying on an auto id (Fig. 10); returns the new key.
@@ -292,7 +271,7 @@ class MaterialRelationFunction(RelationFunction):
     def next_auto_key(self) -> int:
         int_keys = [
             k
-            for k in self._rows
+            for k in self.keys()
             if isinstance(k, int) and not isinstance(k, bool)
         ]
         return (max(int_keys) + 1) if int_keys else 1
@@ -300,12 +279,101 @@ class MaterialRelationFunction(RelationFunction):
     def insert(self, key: Any, value: Any) -> None:
         """Insert that refuses to overwrite an existing key."""
         key = normalize_key(key)
-        if key in self._rows:
+        if self.defined_at(key):
             raise DuplicateKeyError(self._name, key)
         self[key] = value
 
+
+def table_of(fn: Any) -> Any:
+    """The storage table a relation carrier reads now; ``None`` for any
+    other function, or a stored relation whose table was dropped."""
+    if not isinstance(fn, RelationFunction):
+        return None
+    try:
+        return fn.table()
+    except UnknownRelationError:
+        return None
+
+
+class MaterialRelationFunction(RelationFunction):
+    """A free-standing relation: one flat table of its own.
+
+    Reads see the newest state. A write applies at once, at the next
+    stamp of the relation's mutation counter ``_version`` (part of the
+    executor's plan-cache token, so DML invalidates cached plans,
+    DESIGN.md §6), and replaces the key's one version: no snapshot reads
+    an older one. Writes are non-transactional.
+    """
+
+    #: The mutation counter: the stamp of the newest write.
+    _version = 0
+    #: The change-capture log, attached on demand by
+    #: :func:`repro.ivm.changelog.ensure_capture` (DESIGN.md §9).
+    changelog = None
+    #: Eager maintained views over this relation
+    #: (:func:`repro.ivm.registry.registry_for`).
+    view_registry = None
+
+    def __init__(
+        self,
+        mappings: Mapping[Any, Any] | None = None,
+        name: str | None = None,
+        key_domain: Any = None,
+        key_name: str | tuple[str, ...] | None = None,
+    ):
+        super().__init__(name=name or "R", domain=None, codomain=None)
+        if key_domain is not None:
+            self._key_constraint = as_domain(key_domain)
+        self._key_name = key_name
+        self._table = Table(self._name, key_name=key_name)
+        if mappings:
+            self._write_rows(
+                self._checked(key, value) for key, value in mappings.items()
+            )
+
+    @property
+    def domain(self) -> Domain:
+        return DiscreteDomain(self.keys())
+
+    @property
+    def key_name(self) -> str | tuple[str, ...] | None:
+        """Optional label(s) for the key position (e.g. ``'cid'``)."""
+        return self._key_name
+
+    def table(self) -> Any:
+        return self._table
+
+    def _read_ts(self) -> int:
+        return LATEST
+
+    def _write_rows(self, writes: Any) -> None:
+        log = self.changelog
+        if log is not None:
+            writes = list(writes)  # read twice: applied, then logged
+        ts = self._version + 1
+        olds = self._table.segments[0].put(writes, ts)
+        self._version = ts
+        if log is None:
+            return
+        from repro.ivm.delta import Delta
+
+        delta = Delta()
+        for (key, data), old in zip(writes, olds):
+            log.observe_row(data)
+            delta.record(key, old, data)
+        log.append(ts, {self._table.name: delta})
+        if delta and self.view_registry is not None:
+            self.view_registry.notify_commit(ts)
+
+    def ensure_changelog(self) -> Any:
+        """Start change capture (idempotent); see
+        :func:`repro.ivm.changelog.ensure_capture`."""
+        from repro.ivm.changelog import ensure_capture
+
+        return ensure_capture(self)
+
     def __repr__(self) -> str:
-        return f"<RelationF {self._name!r}: {len(self._rows)} tuples>"
+        return f"<RelationF {self._name!r}: {len(self)} tuples>"
 
 
 class ComputedRelationFunction(LambdaFunction):
@@ -357,12 +425,12 @@ def relation(
     >>> R1(3)('foo')
     25
     """
-    rel = MaterialRelationFunction(
-        mappings, name=name, key_domain=key_domain, key_name=key_name
+    return MaterialRelationFunction(
+        {**(mappings or {}), **rows},
+        name=name,
+        key_domain=key_domain,
+        key_name=key_name,
     )
-    for key, value in rows.items():
-        rel[key] = value
-    return rel
 
 
 def relation_from_rows(
@@ -380,6 +448,7 @@ def relation_from_rows(
     key_attrs = (key,) if isinstance(key, str) else tuple(key)
     key_name = key if isinstance(key, str) else tuple(key)
     rel = MaterialRelationFunction(name=name, key_name=key_name)
+    writes: dict[Any, Any] = {}
     for row in rows:
         missing = [a for a in key_attrs if a not in row]
         if missing:
@@ -387,13 +456,17 @@ def relation_from_rows(
                 f"row {row!r} is missing key attribute(s) {missing}"
             )
         key_value = tuple(row[a] for a in key_attrs)
-        key_value = key_value[0] if len(key_value) == 1 else key_value
-        data = (
+        key_value = normalize_key(
+            key_value[0] if len(key_value) == 1 else key_value
+        )
+        if key_value in writes:
+            raise DuplicateKeyError(rel.fn_name, key_value)
+        writes[key_value] = (
             dict(row)
             if keep_key
             else {k: v for k, v in row.items() if k not in key_attrs}
         )
-        rel.insert(key_value, data)
+    rel._write_rows(writes.items())
     return rel
 
 
@@ -435,3 +508,7 @@ def alternative_view(
     for value, group in groups.items():
         view[value] = group
     return view
+
+
+# last: the storage package imports this module
+from repro.storage.table import Table  # noqa: E402

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
+from repro._util import normalize_key
 from repro.errors import ConstraintViolationError, UndefinedInputError
 from repro.fdm.domains import Domain, as_domain
 from repro.fdm.functions import FDMFunction
-from repro.fdm.relations import MaterialRelationFunction, RelationFunction
+from repro.fdm.relations import MaterialRelationFunction
 
 __all__ = [
     "Participant",
+    "RelationshipSurface",
     "RelationshipFunction",
     "relationship",
     "relationship_predicate",
@@ -65,51 +67,27 @@ class Participant:
         return f"{self.param}:{target}"
 
 
-class RelationshipFunction(MaterialRelationFunction):
-    """A stored k-ary relationship function.
-
-    Keys are k-tuples over the participants' (live) domains; values are the
-    relationship's own attributes (``order`` carries ``date``), any nested
-    FDM function, or — for predicates — simply ``True``.
-
-    With ``predicate=True`` the function is *total* over its product
-    domain: inputs that were never asserted return ``False`` instead of
-    being undefined, matching Definition 3's "indicating whether a
-    relationship exists ... for a given input".
-    """
+class RelationshipSurface:
+    """What both relationship carriers share (§3): the participants, the
+    shared-domain key check every write passes, and navigation by
+    participant. :class:`RelationshipFunction` is the free-standing
+    carrier; :class:`repro.storage.relation.StoredRelationshipFunction`
+    the stored one."""
 
     kind = "relationship"
 
-    def __init__(
-        self,
-        participants: Iterable[Participant | tuple[str, Any]] | Mapping[str, Any],
-        mappings: Mapping[Any, Any] | None = None,
-        name: str | None = None,
-        predicate: bool = False,
-        enforce: bool = True,
-    ):
+    def _take_participants(self, participants: Any, enforce: bool) -> None:
         if isinstance(participants, Mapping):
             participants = list(participants.items())
-        parts = [
+        self._participants = tuple(
             p if isinstance(p, Participant) else Participant(*p)
             for p in participants
-        ]
-        if len(parts) < 1:
+        )
+        if not self._participants:
             raise ConstraintViolationError(
                 "a relationship needs at least one participant"
             )
-        self._participants = tuple(parts)
-        self._predicate = predicate
         self._enforce = enforce
-        super().__init__(
-            name=name or "RF",
-            key_name=tuple(p.param for p in parts),
-        )
-        if mappings:
-            for key, value in mappings.items():
-                self[key] = value
-
-    # -- structure --------------------------------------------------------------
 
     @property
     def participants(self) -> tuple[Participant, ...]:
@@ -119,99 +97,32 @@ class RelationshipFunction(MaterialRelationFunction):
     def arity(self) -> int:
         return len(self._participants)
 
-    @property
-    def is_predicate(self) -> bool:
-        return self._predicate
-
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.param for p in self._participants)
 
-    # -- application -------------------------------------------------------------
-
-    def _normalize(self, key: Any) -> tuple:
+    def _checked_key(self, key: Any) -> Any:
+        """*key* as the relationship stores it, checked: normalized, of
+        its arity, and — when enforced — each component inside its
+        participant's shared domain."""
+        key = normalize_key(key)
         if self.arity == 1:
-            return (key,)
-        if not isinstance(key, tuple):
+            components = (key,)
+        elif not isinstance(key, tuple) or len(key) != self.arity:
             raise ConstraintViolationError(
-                f"relationship {self._name!r} expects {self.arity} inputs, "
-                f"got {key!r}"
+                f"relationship {self.fn_name!r} expects {self.arity} "
+                f"inputs, got {key!r}"
             )
-        if len(key) != self.arity:
-            raise ConstraintViolationError(
-                f"relationship {self._name!r} expects {self.arity} inputs, "
-                f"got {len(key)}"
-            )
-        return key
-
-    def _check_key(self, key: tuple) -> None:
-        for part, component in zip(self._participants, key):
-            if not part.domain.contains(component):
-                raise ConstraintViolationError(
-                    f"{self._name!r}: input {component!r} for "
-                    f"{part.param!r} is outside the shared domain of "
-                    f"{part!r} — the FDM form of a foreign key violation"
-                )
-
-    def _apply(self, key: Any) -> Any:
-        if key in self._rows:
-            return super()._apply(key)
-        if self._predicate:
-            # Total over the product domain: unasserted pairs are False.
-            probe = self._normalize(key) if self.arity > 1 else (key,)
-            if all(
-                p.domain.contains(c)
-                for p, c in zip(self._participants, probe)
-            ):
-                return False
-        raise UndefinedInputError(self._name, key)
-
-    def related(self, *key: Any) -> bool:
-        """True if the relationship holds for the given inputs."""
-        k = key[0] if len(key) == 1 else tuple(key)
-        from repro._util import normalize_key
-
-        k = normalize_key(k)
-        if self._predicate:
-            try:
-                return bool(self._apply(k))
-            except UndefinedInputError:
-                return False
-        return self.defined_at(k)
-
-    # -- mutation with shared-domain enforcement ------------------------------------
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        from repro._util import normalize_key
-
-        normalized = self._normalize(normalize_key(key))
+        else:
+            components = key
         if self._enforce:
-            self._check_key(normalized)
-        stored_key = normalized[0] if self.arity == 1 else normalized
-        if self._predicate and not isinstance(value, Mapping) and not (
-            isinstance(value, FDMFunction)
-        ):
-            value = {"holds": bool(value)} if not isinstance(value, bool) else {
-                "holds": value
-            }
-            # Predicates store a trivial payload; _apply returns it as a
-            # bound tuple, so expose bare bools instead:
-            self._rows[stored_key] = value["holds"]
-            return
-        super().__setitem__(stored_key, value)
-
-    def assert_related(self, *key: Any, **attrs: Any) -> None:
-        """Assert the relationship for *key*, with optional attributes."""
-        k = key[0] if len(key) == 1 else tuple(key)
-        if self._predicate and not attrs:
-            from repro._util import normalize_key
-
-            normalized = self._normalize(normalize_key(k))
-            if self._enforce:
-                self._check_key(normalized)
-            stored_key = normalized[0] if self.arity == 1 else normalized
-            self._rows[stored_key] = True
-            return
-        self[k] = attrs
+            for part, component in zip(self._participants, components):
+                if not part.domain.contains(component):
+                    raise ConstraintViolationError(
+                        f"{self.fn_name!r}: input {component!r} for "
+                        f"{part.param!r} is outside the shared domain of "
+                        f"{part!r} — the FDM form of a foreign key violation"
+                    )
+        return key
 
     def partners_of(self, param: str, value: Any) -> Iterator[tuple]:
         """Keys of asserted mappings whose *param* component equals *value*.
@@ -225,7 +136,7 @@ class RelationshipFunction(MaterialRelationFunction):
             index = names.index(param)
         except ValueError:
             raise ConstraintViolationError(
-                f"{self._name!r} has no participant named {param!r}; "
+                f"{self.fn_name!r} has no participant named {param!r}; "
                 f"participants are {names}"
             ) from None
         for key in self.keys():
@@ -233,12 +144,84 @@ class RelationshipFunction(MaterialRelationFunction):
             if components[index] == value:
                 yield components
 
+
+class RelationshipFunction(RelationshipSurface, MaterialRelationFunction):
+    """A free-standing k-ary relationship function.
+
+    Keys are k-tuples over the participants' (live) domains; values are the
+    relationship's own attributes (``order`` carries ``date``), any nested
+    FDM function, or — for predicates — simply ``True``.
+
+    With ``predicate=True`` the function is *total* over its product
+    domain: inputs that were never asserted return ``False`` instead of
+    being undefined, matching Definition 3's "indicating whether a
+    relationship exists ... for a given input".
+    """
+
+    def __init__(
+        self,
+        participants: Iterable[Participant | tuple[str, Any]] | Mapping[str, Any],
+        mappings: Mapping[Any, Any] | None = None,
+        name: str | None = None,
+        predicate: bool = False,
+        enforce: bool = True,
+    ):
+        self._take_participants(participants, enforce)
+        self._predicate = predicate
+        super().__init__(name=name or "RF", key_name=self.param_names())
+        if mappings:
+            for key, value in mappings.items():
+                self[key] = value
+
+    @property
+    def is_predicate(self) -> bool:
+        return self._predicate
+
+    # -- application -------------------------------------------------------------
+
+    def _apply(self, key: Any) -> Any:
+        try:
+            return super()._apply(key)
+        except UndefinedInputError:
+            if not self._predicate:
+                raise
+        # Total over the product domain: unasserted pairs are False.
+        probe = key if self.arity > 1 else (key,)
+        if isinstance(probe, tuple) and len(probe) == self.arity and all(
+            p.domain.contains(c) for p, c in zip(self._participants, probe)
+        ):
+            return False
+        raise UndefinedInputError(self._name, key)
+
+    def related(self, *key: Any) -> bool:
+        """True if the relationship holds for the given inputs."""
+        k = normalize_key(key[0] if len(key) == 1 else tuple(key))
+        if self._predicate:
+            try:
+                return bool(self._apply(k))
+            except UndefinedInputError:
+                return False
+        return self.defined_at(k)
+
+    # -- mutation with shared-domain enforcement ------------------------------------
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        key = self._checked_key(key)
+        if self._predicate and not isinstance(value, (Mapping, FDMFunction)):
+            # predicates store a bare bool, which _apply returns as is
+            self._write_row(key, bool(value))
+            return
+        super().__setitem__(key, value)
+
+    def assert_related(self, *key: Any, **attrs: Any) -> None:
+        """Assert the relationship for *key*, with optional attributes."""
+        k = key[0] if len(key) == 1 else tuple(key)
+        self[k] = attrs if attrs or not self._predicate else True
+
     def __repr__(self) -> str:
         sig = ", ".join(repr(p) for p in self._participants)
         tag = "predicate " if self._predicate else ""
-        return (
-            f"<{tag}RF {self._name!r}({sig}): {len(self._rows)} asserted>"
-        )
+        return f"<{tag}RF {self._name!r}({sig}): {len(self)} asserted>"
 
 
 def relationship(

@@ -25,7 +25,7 @@ from repro.fdm.databases import (
     MaterialDatabaseFunction,
 )
 from repro.fdm.functions import FDMFunction
-from repro.fdm.relations import MaterialRelationFunction
+from repro.fdm.relations import MaterialRelationFunction, RelationFunction
 from repro.fdm.relationships import Participant, RelationshipFunction
 from repro.fdm.tuples import TupleFunction
 
@@ -65,12 +65,14 @@ def deep_copy(
             enforce=False,
         )
         memo[id(fn)] = clone
-        for key, value in fn._rows.items():
-            clone._rows[key] = (
-                _copy_value(value, memo)
+        clone._write_rows(
+            [
+                (key, _copy_value(value, memo))
                 if isinstance(value, FDMFunction)
-                else (dict(value) if isinstance(value, dict) else value)
-            )
+                else (key, dict(value) if isinstance(value, dict) else value)
+                for key, value in fn._entries()
+            ]
+        )
         return clone
 
     kind = fn.kind
@@ -91,8 +93,9 @@ def deep_copy(
             value_clone = MaterialRelationFunction(name=fn.fn_name)
             value_clone.kind = "database"
             memo[id(fn)] = value_clone
-            for key, value in entries:
-                value_clone._rows[key] = _copy_value(value, memo)
+            value_clone._write_rows(
+                [(key, _copy_value(value, memo)) for key, value in entries]
+            )
             return value_clone
         db_clone = MaterialDatabaseFunction(name=fn.fn_name)
         memo[id(fn)] = db_clone
@@ -112,20 +115,20 @@ def deep_copy(
         name=fn.fn_name, key_name=getattr(fn, "key_name", None)
     )
     memo[id(fn)] = rel_clone
-    for key, value in fn.items():
-        if (
+    writes = []
+    entries = fn._entries() if isinstance(fn, RelationFunction) else fn.items()
+    for key, value in entries:
+        if isinstance(value, dict) or (
             isinstance(value, FDMFunction)
             and value.kind == "tuple"
             and value.is_enumerable
         ):
             # store plain attribute dicts so the copy is fully writable
-            rel_clone._rows[key] = {
-                attr: _copy_value(v, memo) for attr, v in value.items()
-            }
+            value = {attr: _copy_value(v, memo) for attr, v in value.items()}
         elif isinstance(value, FDMFunction):
-            rel_clone._rows[key] = _copy_value(value, memo)
-        else:
-            rel_clone._rows[key] = value
+            value = _copy_value(value, memo)
+        writes.append((key, value))
+    rel_clone._write_rows(writes)
     return rel_clone
 
 

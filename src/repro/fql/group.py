@@ -136,12 +136,10 @@ class GroupedDatabaseFunction(DerivedFunction):
     def _group_relation(
         self, group_key: Any, members: list[tuple[Any, Any]]
     ) -> MaterialRelationFunction:
-        rel = MaterialRelationFunction(
-            name=f"{self.source.name}[{self._by.label()}={group_key!r}]"
+        return MaterialRelationFunction(
+            dict(members),
+            name=f"{self.source.name}[{self._by.label()}={group_key!r}]",
         )
-        for key, t in members:
-            rel[key] = t
-        return rel
 
     @property
     def domain(self) -> Domain:

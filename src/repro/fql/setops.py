@@ -254,37 +254,38 @@ def difference(old: FDMFunction, new: FDMFunction) -> MaterialRelationFunction:
       functions recurse into a sub-difference, scalars become
       ``{'old': ..., 'new': ...}`` pairs.
     """
-    added = MaterialRelationFunction(name="added")
-    removed = MaterialRelationFunction(name="removed")
-    changed = MaterialRelationFunction(name="changed")
-
+    added: list = []
+    removed: list = []
+    changed: list = []
     old_keys = list(old.keys())
     old_key_set = set(old_keys)
     for key in old_keys:
         ov = old._apply(key)
         if not new.defined_at(key):
-            removed._rows[key] = ov if not hasattr(ov, "snapshot") else (
-                ov.snapshot()
-            )
+            removed.append((key, _snapshot(ov)))
             continue
         nv = new._apply(key)
         if values_equal(ov, nv):
             continue
         if _both_recursable(ov, nv):
-            changed._rows[key] = difference(ov, nv)
+            changed.append((key, difference(ov, nv)))
         else:
-            changed._rows[key] = TupleFunction(
-                {"old": ov, "new": nv}, name=f"Δ[{key!r}]"
+            changed.append(
+                (key, TupleFunction({"old": ov, "new": nv}, name=f"Δ[{key!r}]"))
             )
     for key in new.keys():
         if key not in old_key_set:
-            nv = new._apply(key)
-            added._rows[key] = nv if not hasattr(nv, "snapshot") else (
-                nv.snapshot()
-            )
+            added.append((key, _snapshot(new._apply(key))))
 
     diff = MaterialRelationFunction(name=f"difference({old.name})")
-    diff["added"] = added
-    diff["removed"] = removed
-    diff["changed"] = changed
+    for name, writes in (
+        ("added", added), ("removed", removed), ("changed", changed)
+    ):
+        part = MaterialRelationFunction(name=name)
+        part._write_rows(writes)
+        diff[name] = part
     return diff
+
+
+def _snapshot(value: Any) -> Any:
+    return value.snapshot() if hasattr(value, "snapshot") else value

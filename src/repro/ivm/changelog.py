@@ -1,13 +1,12 @@
 """Bounded per-commit changelogs with a watermark protocol.
 
-One :class:`ChangeLog` buffers the recent history of one change source:
-
-* a :class:`~repro.storage.engine.StorageEngine` appends one record per
-  committed transaction (``ts`` is the MVCC commit timestamp, the deltas
-  are keyed by table name);
-* a :class:`~repro.fdm.relations.MaterialRelationFunction` with change
-  capture enabled appends one record per mutation (``ts`` is its own
-  mutation counter, the deltas are keyed by ``None``).
+One :class:`ChangeLog` buffers the recent history of one change source,
+one record per stamp, each ``{table name: Delta}``. A change source is
+whatever owns the tables' write stamps: a
+:class:`~repro.storage.engine.StorageEngine` records each committed
+transaction at its commit stamp, and a free-standing
+:class:`~repro.fdm.relations.MaterialRelationFunction` — the one table it
+owns — records each write at the stamp of its own mutation counter.
 
 Consumers remember the last ``ts`` they applied (their *watermark*) and
 call :meth:`ChangeLog.since` to catch up. The buffer is bounded: when
@@ -19,7 +18,7 @@ recompute and jump its watermark to the present.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from repro.ivm.delta import Delta
 
@@ -41,8 +40,6 @@ class ChangeLog:
         #: this ts is gone.
         self._floor = start_ts
         self._last = start_ts
-        #: Callbacks fired after each append (eager view maintenance).
-        self.subscribers: list[Callable[[int], None]] = []
         #: Set (permanently) when a captured row carries a live nested
         #: FDM function: its in-place mutations produce no records, so
         #: watermarks can no longer certify freshness and consumers
@@ -70,9 +67,6 @@ class ChangeLog:
                 evicted_ts, _ = self._records.popleft()
                 self._floor = max(self._floor, evicted_ts)
         self._last = max(self._last, ts)
-        if deltas:
-            for subscriber in list(self.subscribers):
-                subscriber(ts)
 
     def observe_row(self, data: Any) -> None:
         """Inspect a captured row; live nested functions poison capture."""
@@ -103,17 +97,14 @@ class ChangeLog:
 
 
 def ensure_capture(rel: Any, capacity: int = DEFAULT_CAPACITY) -> ChangeLog:
-    """Enable change capture on a material relation function.
+    """Enable change capture on a free-standing relation function.
 
     Idempotent: the first call attaches a :class:`ChangeLog` whose floor
     is the relation's current mutation counter (changes before capture
-    started are unknowable); later calls return the existing log. The
-    relation's mutation costumes feed the log from then on (see
-    ``MaterialRelationFunction._record_change``).
+    started are unknowable); later calls return the existing log. Every
+    write lands in the log from then on
+    (``MaterialRelationFunction._write_rows``).
     """
-    log = getattr(rel, "_changes", None)
-    if log is None:
-        version = getattr(rel, "_version", 0)
-        log = ChangeLog(capacity=capacity, start_ts=version)
-        rel._changes = log
-    return log
+    if rel.changelog is None:
+        rel.changelog = ChangeLog(capacity=capacity, start_ts=rel._version)
+    return rel.changelog

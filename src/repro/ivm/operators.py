@@ -471,6 +471,18 @@ def _order_sensitive(agg: Any) -> bool:
     return isinstance(agg, (Collect, First))
 
 
+def _row_of(value: Any) -> Any:
+    """What a relation stores for a snapshotted value: an enumerable
+    tuple as its attribute dict, anything else as it is."""
+    if (
+        isinstance(value, FDMFunction)
+        and value.kind == "tuple"
+        and value.is_enumerable
+    ):
+        return dict(value.items())
+    return value
+
+
 def _group_output(fn, state, gk, by, aggs, stats):
     """The view's value at group key *gk* under the current state."""
     members = state.members.get(gk)
@@ -482,15 +494,7 @@ def _group_output(fn, state, gk, by, aggs, stats):
         rel = MaterialRelationFunction(
             name=f"{fn.source.name}[{by.label()}={gk!r}]"
         )
-        for key, member in members.items():
-            if (
-                isinstance(member, FDMFunction)
-                and member.kind == "tuple"
-                and member.is_enumerable
-            ):
-                rel._rows[key] = dict(member.items())
-            else:
-                rel._rows[key] = member
+        rel._write_rows([(key, _row_of(member)) for key, member in members.items()])
         return rel
 
     from repro.fdm.tuples import TupleFunction

@@ -1,11 +1,13 @@
 """Per-database view registries.
 
-Every :class:`~repro.storage.engine.StorageEngine` owns (lazily) one
-:class:`ViewRegistry`. Maintained views whose expressions read that
-engine register themselves; the transaction manager notifies the
-registry after each successful commit so *eager* views apply the fresh
-deltas immediately, while lazy views wait for their next read. Views
-are held weakly — dropping the last reference unregisters it.
+Every change source — a :class:`~repro.storage.engine.StorageEngine`, or
+a free-standing relation — owns (lazily) one :class:`ViewRegistry`.
+Maintained views whose expressions read that source register themselves;
+the transaction manager notifies the registry after each successful
+commit, and a free-standing relation after each write, so *eager* views
+apply the fresh deltas immediately, while lazy views wait for their next
+read. Views are held weakly — dropping the last reference unregisters
+it.
 """
 
 from __future__ import annotations

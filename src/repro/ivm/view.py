@@ -2,8 +2,9 @@
 
 :class:`MaintainedView` extends :class:`~repro.fql.views.MaterializedView`
 with automatic maintenance: it tracks a watermark per change source
-(storage-engine changelogs for stored relations, per-relation capture
-logs for material ones), and on read — or eagerly on commit — consumes
+(a storage engine for stored relations, the relation itself for a
+free-standing one; both log ``{table name: Delta}`` per stamp), and on
+read — or eagerly on each commit or write — consumes
 the pending deltas through :func:`~repro.ivm.operators.derive_delta`,
 patching only the snapshot mappings that actually changed.
 
@@ -18,14 +19,13 @@ delta-join probes).
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Any, Iterator
 
-from repro._util import MISSING
+from repro._util import LATEST, MISSING, TOMBSTONE
 from repro.fdm.functions import FDMFunction
-from repro.ivm.changelog import ensure_capture
+from repro.fdm.relations import table_of
 from repro.ivm.delta import Delta
-from repro.ivm.operators import FALLBACK, derive_delta
+from repro.ivm.operators import FALLBACK, _row_of, derive_delta
 from repro.fql.views import MaterializedView
 
 __all__ = [
@@ -68,10 +68,11 @@ class IVMState:
 
     def __init__(self, expression: FDMFunction):
         self.expression = expression
-        self.engines: dict[int, Any] = {}
-        #: (id(engine), table name) → stored leaf functions on that table
-        self.stored: dict[tuple[int, str], list[FDMFunction]] = {}
-        self.material: dict[int, Any] = {}
+        #: id(source) → change source: a storage engine, or a
+        #: free-standing relation (its own source)
+        self.sources: dict[int, Any] = {}
+        #: (id(source), table name) → relation leaves reading that table
+        self.leaves: dict[tuple[int, str], list[FDMFunction]] = {}
         self.managers: list[Any] = []
         self.inner_views: dict[int, Any] = {}
         self.watermarks: dict[int, int] = {}
@@ -102,37 +103,25 @@ class IVMState:
         if id(fn) in seen:
             return
         seen.add(id(fn))
-        from repro.fdm.relations import MaterialRelationFunction
-        from repro.storage.relation import StoredRelationFunction
-
         if isinstance(fn, MaterializedView):
             # reads stop at the nested view's snapshot
             self.inner_views[id(fn)] = fn
             return
-        if isinstance(fn, StoredRelationFunction):
-            engine = fn._engine
-            engine.ensure_changelog()
-            self.engines[id(engine)] = engine
-            self.stored.setdefault(
-                (id(engine), fn.table_name), []
-            ).append(fn)
-            if fn._manager not in self.managers:
-                self.managers.append(fn._manager)
-            for _key, data in engine.table(fn.table_name).scan_at(2**62):
+        table = table_of(fn)
+        if table is not None:
+            source = getattr(fn, "_engine", fn)  # a stored relation's engine
+            source.ensure_changelog()
+            self.sources[id(source)] = source
+            self.leaves.setdefault((id(source), table.name), []).append(fn)
+            manager = getattr(fn, "_manager", None)
+            if manager is not None and manager not in self.managers:
+                self.managers.append(manager)
+            for _key, data in table.scan_at(LATEST):
                 if isinstance(data, FDMFunction):
                     # a live nested function in a row mutates without a
                     # changelog record; capture cannot cover this graph
                     self.uncapturable = True
                     break
-            return
-        if isinstance(fn, MaterialRelationFunction):
-            ensure_capture(fn)
-            self.material[id(fn)] = fn
-            if any(
-                isinstance(value, FDMFunction)
-                for value in fn._rows.values()
-            ):
-                self.uncapturable = True
             return
         from repro.fdm.databases import DatabaseFunction
         from repro.fdm.functions import DerivedFunction
@@ -169,19 +158,13 @@ class IVMState:
         from then on mutations can bypass capture, watermarks cannot
         certify freshness, and only scan-based maintenance is sound."""
         return any(
-            engine.changelog is not None and engine.changelog.uncapturable
-            for engine in self.engines.values()
-        ) or any(
-            rel._changes.uncapturable for rel in self.material.values()
+            source.changelog.uncapturable for source in self.sources.values()
         )
 
     def dirty(self) -> bool:
         """Did any change source move past our watermark?"""
-        for engine in self.engines.values():
-            if engine.changelog.watermark > self.watermarks[id(engine)]:
-                return True
-        for rel in self.material.values():
-            if rel._changes.watermark > self.watermarks[id(rel)]:
+        for sid, source in self.sources.items():
+            if source.changelog.watermark > self.watermarks[sid]:
                 return True
         for vid, view in self.inner_views.items():
             if view._snapshot_version != self.view_versions[vid]:
@@ -201,34 +184,21 @@ class IVMState:
         base: dict[int, Delta] = {}
         consumed = 0
         reached: dict[int, int] = {}
-
-        def drain(source: Any, log: Any) -> list | None:
+        for sid, source in self.sources.items():
+            log = source.changelog
             # read the watermark *before* the records: a commit landing
             # after since() must stay pending, so with no records the
             # source has provably reached only what it showed before
             mark = log.watermark
-            records = log.since(self.watermarks[id(source)])
-            if records is not None:
-                reached[id(source)] = records[-1][0] if records else mark
-            return records
-
-        for engine in self.engines.values():
-            records = drain(engine, engine.changelog)
+            records = log.since(self.watermarks[sid])
             if records is None:
                 return None
+            reached[sid] = records[-1][0] if records else mark
             consumed += len(records)
             for _ts, tables in records:
                 for table, delta in tables.items():
-                    for leaf in self.stored.get((id(engine), table), ()):
+                    for leaf in self.leaves.get((sid, table), ()):
                         base.setdefault(id(leaf), Delta()).merge(delta)
-        for rel in self.material.values():
-            records = drain(rel, rel._changes)
-            if records is None:
-                return None
-            consumed += len(records)
-            for _ts, sources in records:
-                for delta in sources.values():
-                    base.setdefault(id(rel), Delta()).merge(delta)
         for vid, view in self.inner_views.items():
             if view._snapshot_version != self.view_versions[vid]:
                 return None  # a nested snapshot moved: no delta exists
@@ -239,9 +209,10 @@ class IVMState:
         version, now. A full rebuild takes this *before* it reads
         anything and hands it to :meth:`reset`, so a commit landing
         mid-rebuild stays pending instead of being jumped over."""
-        marks = {id(e): e.changelog.watermark for e in self.engines.values()}
-        for rel in self.material.values():
-            marks[id(rel)] = rel._changes.watermark
+        marks = {
+            sid: source.changelog.watermark
+            for sid, source in self.sources.items()
+        }
         versions = {
             vid: view._snapshot_version
             for vid, view in self.inner_views.items()
@@ -394,7 +365,6 @@ def _delta_reaches_view(state: IVMState, leaf_id: int, delta: Delta) -> bool:
 
 def _apply_delta_to_snapshot(view: MaterializedView, delta: Delta) -> None:
     from repro.fdm.databases import MaterialDatabaseFunction
-    from repro.fdm.relations import MaterialRelationFunction
 
     snap = view._snapshot
     if not delta:
@@ -406,19 +376,13 @@ def _apply_delta_to_snapshot(view: MaterializedView, delta: Delta) -> None:
             else:
                 snap._functions[key] = new
         snap._version += 1
-    elif isinstance(snap, MaterialRelationFunction):
-        for key, (_old, new) in delta.items():
-            if new is MISSING:
-                snap._rows.pop(key, None)
-            elif (
-                isinstance(new, FDMFunction)
-                and new.kind == "tuple"
-                and new.is_enumerable
-            ):
-                snap._rows[key] = dict(new.items())
-            else:
-                snap._rows[key] = new
-        snap._version += 1
+    elif table_of(snap) is not None:
+        snap._write_rows(
+            [
+                (key, TOMBSTONE if new is MISSING else _row_of(new))
+                for key, (_old, new) in delta.items()
+            ]
+        )
     else:  # a snapshot shape deltas cannot patch
         raise TypeError(
             f"cannot patch snapshot of type {type(snap).__name__}"
@@ -473,30 +437,8 @@ class MaintainedView(MaterializedView):
             return
         from repro.ivm.registry import registry_for
 
-        for engine in state.engines.values():
-            registry_for(engine).register(self)
-        if self._eager:
-            ref = weakref.ref(self)
-
-            def subscriber_for(log: Any):
-                def on_mutation(_ts: int) -> None:
-                    live = ref()
-                    if live is None:
-                        # the view is gone: self-remove so dropped
-                        # eager views do not accumulate dead callbacks
-                        try:
-                            log.subscribers.remove(on_mutation)
-                        except ValueError:
-                            pass
-                        return
-                    if live._eager:
-                        live._maintenance_sync()
-
-                return on_mutation
-
-            for rel in state.material.values():
-                log = rel._changes
-                log.subscribers.append(subscriber_for(log))
+        for source in state.sources.values():
+            registry_for(source).register(self)
 
     def _on_base_commit(self, _commit_ts: int) -> None:
         """ViewRegistry hook: eager views sync inside the commit path."""

@@ -1,10 +1,10 @@
 """Cardinality estimation over derived-function graphs.
 
-Stored relations carry live statistics (row counts, distinct values,
-min/max); everything else uses the textbook defaults (equality 1/V(attr),
-range one-third, independence across conjuncts). Estimates feed the join
-orderer and the explain output — they never affect result correctness,
-only physical choices.
+Relations carry their table's live statistics (row counts, distinct
+values, min/max); everything else uses the textbook defaults (equality
+1/V(attr), range one-third, independence across conjuncts). Estimates
+feed the join orderer and the explain output — they never affect result
+correctness, only physical choices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.predicates.ast import (
     TruePredicate,
     atom_of,
 )
-from repro.storage.relation import StoredRelationFunction
+from repro.fdm.relations import table_of
 
 __all__ = ["estimate_cardinality", "estimate_selectivity"]
 
@@ -33,9 +33,8 @@ DEFAULT_GROUP_SHRINK = 10
 
 
 def _stats_of(fn: FDMFunction) -> Any:
-    if isinstance(fn, StoredRelationFunction):
-        return fn.statistics()
-    return None
+    table = table_of(fn)
+    return None if table is None else table.stats
 
 
 def estimate_selectivity(pred: Predicate, source: FDMFunction) -> float:
@@ -98,8 +97,9 @@ def estimate_cardinality(fn: FDMFunction) -> float:
     """Estimated number of mappings of *fn* (never enumerates non-leaves
     when statistics can answer). Each operator's estimate is its ``rows``
     entry in the operator table (:mod:`repro.operators`)."""
-    if isinstance(fn, StoredRelationFunction):
-        return float(fn.statistics().row_count)
+    stats = _stats_of(fn)
+    if stats is not None:
+        return float(stats.row_count)
     if isinstance(fn, DerivedFunction):
         # local import: the operator table imports this module
         from repro.operators import operator_of
@@ -107,8 +107,8 @@ def estimate_cardinality(fn: FDMFunction) -> float:
         rows = operator_of(fn).rows
         if rows is not None:
             return rows(fn)
-    # leaves (and operators that declare no estimate): material
-    # functions know their size; data spaces count as big
+    # other leaves (and operators that declare no estimate) know their
+    # size; data spaces count as big
     if fn.is_enumerable:
         try:
             return float(len(fn))
@@ -181,7 +181,7 @@ def _pruned_filter_estimate(
 ) -> float | None:
     """Partition-wise filter estimate (DESIGN.md §10).
 
-    When the filter's statistics carrier is a stored relation whose
+    When the filter's statistics carrier is a relation whose
     segments the filter cannot all reach, estimate per *surviving*
     partition against that segment's own statistics and sum:
     ``Σ rows_p × sel_p(pred)``. Matching rows concentrate in the
@@ -195,9 +195,7 @@ def _pruned_filter_estimate(
     """
     from repro.partition.prune import surviving_partitions
 
-    if not isinstance(base, StoredRelationFunction):
-        return None
-    table = base._engine.tables.get(base.table_name)
+    table = table_of(base)
     if table is None:
         return None
     surviving = surviving_partitions(table.scheme, pred)
@@ -213,6 +211,6 @@ def _base_of(fn: FDMFunction) -> FDMFunction:
     """Descend key-preserving unary chains to the statistics carrier."""
     while True:
         children = getattr(fn, "children", ())
-        if isinstance(fn, StoredRelationFunction) or len(children) != 1:
+        if table_of(fn) is not None or len(children) != 1:
             return fn
         fn = children[0]

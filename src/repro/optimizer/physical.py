@@ -352,7 +352,7 @@ def offload_worthwhile(relation: Any) -> tuple[bool, str]:
     that the trade is clearly worth it: :data:`OFFLOAD_MIN_ROWS`.
     ``REPRO_OFFLOAD=force`` bypasses the verdict entirely.
     """
-    rows = getattr(relation.statistics(), "row_count", 0)
+    rows = relation.table().stats.row_count
     if rows < OFFLOAD_MIN_ROWS:
         return False, "small_table"
     return True, "ok"

@@ -77,7 +77,7 @@ def surviving_partitions(
 
 
 def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]]:
-    """Per stored leaf of an expression graph, the union of segments
+    """Per relation leaf of an expression graph, the union of segments
     any occurrence's filters reach (:func:`surviving_partitions`).
 
     Keyed by ``id(leaf)`` — the same key the IVM state uses for base
@@ -90,16 +90,13 @@ def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]
     """
     from repro.fdm.databases import DatabaseFunction
     from repro.fdm.functions import DerivedFunction, FDMFunction
+    from repro.fdm.relations import table_of
     from repro.fql.filter import FilteredFunction, RestrictedFunction
     from repro.predicates.ast import And
-    from repro.storage.relation import StoredRelationFunction
 
     out: dict[int, tuple[Any, frozenset[int]]] = {}
 
-    def note(leaf: Any, preds: list) -> None:
-        table = leaf._engine.tables.get(leaf.table_name)
-        if table is None:
-            return
+    def note(leaf: Any, table: Any, preds: list) -> None:
         predicate = None
         if preds:
             predicate = preds[0] if len(preds) == 1 else And(*preds)
@@ -110,8 +107,9 @@ def expression_partition_prunes(fn: Any) -> dict[int, tuple[Any, frozenset[int]]
         out[id(leaf)] = (leaf, surviving)
 
     def walk(node: Any, preds: list) -> None:
-        if isinstance(node, StoredRelationFunction):
-            note(node, preds)
+        table = table_of(node)
+        if table is not None:
+            note(node, table, preds)
             return
         if isinstance(node, FilteredFunction):
             walk(node.source, preds + [node.predicate])

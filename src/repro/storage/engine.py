@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro._util import TOMBSTONE
+from repro._util import LATEST, TOMBSTONE
 from repro.errors import StorageError, UnknownRelationError, WALError
 from repro.ivm.changelog import ChangeLog
 from repro.ivm.delta import Delta
@@ -24,9 +24,6 @@ from repro.storage.versioned import fold_batch
 from repro.storage.wal import WALRecord, WriteAheadLog
 
 __all__ = ["StorageEngine"]
-
-#: A timestamp later than any real commit stamp.
-_LATEST = 2**62
 
 
 class StorageEngine:
@@ -148,7 +145,7 @@ class StorageEngine:
         """Create and backfill a secondary index on latest-committed data."""
         stored = self.table(table)
         index = stored.indexes.create(attr, kind)
-        for key, data in stored.scan_at(_LATEST):
+        for key, data in stored.scan_at(LATEST):
             index.update(key, TOMBSTONE, data)
         return index
 
@@ -233,7 +230,7 @@ class StorageEngine:
         for table_name, key, data in writes:
             table = self.tables[table_name]
             wanted = changelog is not None or table.indexes  # who reads old
-            old = table.read(key, _LATEST) if wanted else None
+            old = table.read(key, LATEST) if wanted else None
             touched = table.apply(key, data, commit_ts, batch)
             table.indexes.update(key, old, data)
             if changelog is not None:

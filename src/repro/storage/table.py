@@ -25,9 +25,11 @@ from itertools import chain
 from typing import Any, Iterator
 
 from repro._util import TOMBSTONE
+from repro.obs.resources import active_meter
+from repro.partition.prune import surviving_partitions
 from repro.partition.scheme import FLAT, PartitionScheme
 from repro.storage.index import IndexSet
-from repro.storage.stats import SummedStatistics, TableStatistics
+from repro.storage.stats import SummedStatistics, TableStatistics, zone_may_match
 from repro.storage.versioned import VersionedTable, fold_batch
 
 __all__ = ["Table"]
@@ -138,6 +140,47 @@ class Table:
 
     def count_at(self, ts: int) -> int:
         return sum(self.partition_counts(ts))
+
+    def column_batches(
+        self, ts: int, batch_size: int, name: str, zone_predicate: Any = None
+    ) -> Iterator[Any]:
+        """The rows visible at snapshot *ts* as column batches, segment
+        by segment (the table's enumeration order; DESIGN.md §13).
+
+        Each segment serves its cached column image, scanning the
+        version chains into a new one when the cached image does not
+        serve *ts*; a snapshot older than the segment's newest write,
+        or a segment holding a non-dict value, walks the chains
+        uncached. Only the segments *zone_predicate* reaches are read
+        (:func:`~repro.partition.prune.surviving_partitions`); each of
+        those whose own statistics rule the predicate out is skipped
+        and counted as a zone skip.
+        """
+        # local: the executor's package imports the storage layer
+        from repro.exec.batch import entry_batches, image_batches
+
+        reach = surviving_partitions(self.scheme, zone_predicate)
+        for pid, segment in enumerate(self.segments):
+            if pid not in reach:
+                continue
+            # per segment: an enumeration's meter is installed per pull
+            meter = active_meter()
+            if zone_predicate is not None:
+                if not zone_may_match(segment.stats, zone_predicate):
+                    if meter is not None:
+                        meter.zone_segments_skipped += 1
+                    continue
+                if meter is not None:
+                    meter.zone_segments_scanned += 1
+            image = segment.image_at(ts)
+            if image is None:
+                image = segment.build_image(ts)
+                if image is not None and meter is not None:
+                    meter.images_built += 1
+            if image is None:
+                yield from entry_batches(segment.scan_at(ts), batch_size, name)
+            else:
+                yield from image_batches(image, batch_size, name)
 
     # -- writes -----------------------------------------------------------------
 

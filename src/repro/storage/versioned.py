@@ -14,7 +14,9 @@ tombstone. This gives:
 
 A :class:`VersionedTable` is one *segment* of a table
 (:class:`repro.storage.table.Table`, DESIGN.md §10): a flat table has
-one, a partitioned table one per partition. A segment carries what is
+one, a partitioned table one per partition, and a free-standing
+relation's one segment keeps a single version per key
+(:meth:`VersionedTable.put`, DESIGN.md §4). A segment carries what is
 derived from its own rows: one :class:`ColumnImage` (its live rows at
 the newest write, laid out for column reads) and its
 :class:`~repro.storage.stats.TableStatistics`, which double as zone
@@ -93,9 +95,44 @@ class VersionedTable:
         #: or past it sees every version this segment holds.
         self.written_ts = 0
         self._image: ColumnImage | None = None
-        #: Latest-state counts and accumulate-only bounds, kept in step
-        #: by :meth:`apply` and rebuilt by :meth:`vacuum`.
-        self.stats = TableStatistics()
+        #: Chains whose newest version is live: the row count at any
+        #: snapshot at or past :attr:`written_ts`.
+        self._live = 0
+        #: Latest-state counts and accumulate-only bounds, folded in by
+        #: each commit (:func:`fold_batch`) and rebuilt by :meth:`vacuum`;
+        #: ``None`` once :meth:`put` left them to be rebuilt when read.
+        self._stats: TableStatistics | None = TableStatistics()
+        #: ``(olds, news)`` of the writes :meth:`put` applied that the
+        #: statistics have not folded yet.
+        self._unfolded: tuple[list, list] = ([], [])
+
+    @property
+    def stats(self) -> TableStatistics:
+        """The segment's statistics, with the writes :meth:`put` left
+        waiting folded in (or rebuilt from the chains)."""
+        olds, news = self._unfolded
+        if self._stats is None:
+            self._stats = self._rebuilt_stats()
+        elif olds:
+            self._stats.fold(olds, news)
+        if olds:
+            self._unfolded = ([], [])
+        return self._stats
+
+    def _rebuilt_stats(self) -> TableStatistics:
+        """Statistics of every version the chains hold, folded in chain
+        order (what the commits that wrote them folded)."""
+        olds: list = []
+        news: list = []
+        for chain in self._chains.values():
+            previous = TOMBSTONE
+            for version in chain:
+                olds.append(previous)
+                news.append(version.data)
+                previous = version.data
+        stats = TableStatistics()
+        stats.fold(olds, news)
+        return stats
 
     # -- reads ------------------------------------------------------------------
 
@@ -130,6 +167,9 @@ class VersionedTable:
 
     def keys_at(self, ts: int) -> Iterator[Any]:
         """Keys with a live (non-tombstone) version at snapshot *ts*."""
+        image = self.image_at(ts)
+        if image is not None:
+            return iter(image.keys)
         return (key for key, _data in self.scan_at(ts))
 
     def scan_at(self, ts: int) -> Iterator[tuple[Any, Any]]:
@@ -145,7 +185,10 @@ class VersionedTable:
                 yield key, data
 
     def count_at(self, ts: int) -> int:
-        """Live keys at snapshot *ts* (walks the chains)."""
+        """Live keys at snapshot *ts* (walks the chains only for a
+        snapshot older than the newest write)."""
+        if ts >= self.written_ts:
+            return self._live
         return sum(1 for _ in self.keys_at(ts))
 
     def image_at(self, ts: int) -> ColumnImage | None:
@@ -194,12 +237,46 @@ class VersionedTable:
             self.written_ts = ts
         self._image = None
         olds, news = batch.get(self) or batch.setdefault(self, ([], []))
-        olds.append(chain[-1].data if chain else TOMBSTONE)
+        old = chain[-1].data if chain else TOMBSTONE
+        olds.append(old)
         news.append(data)
+        self._live += (data is not TOMBSTONE) - (old is not TOMBSTONE)
         if chain and chain[-1].ts == ts:
             chain[-1] = Version(ts, data)  # same-txn overwrite
         else:
             chain.append(Version(ts, data))
+
+    def put(self, writes: Any, ts: int) -> list:
+        """Make each ``(key, data)`` write's *data* the key's one version,
+        stamped *ts* (TOMBSTONE: drop the key), and return the values
+        they replace. This is a free-standing relation's write: no
+        snapshot reads an older version, so none is kept. The
+        statistics take the writes when next read (:attr:`stats`); once
+        more writes wait than the segment has rows, they are rebuilt
+        from the chains instead, so waiting writes never outgrow it."""
+        chains = self._chains
+        olds, news = self._unfolded
+        first = len(olds)
+        live = self._live
+        for key, data in writes:
+            chain = chains.get(key)
+            old = chain[-1].data if chain else TOMBSTONE
+            olds.append(old)
+            news.append(data)
+            if data is TOMBSTONE:
+                if chain is not None:
+                    del chains[key]
+            else:
+                chains[key] = [Version(ts, data)]
+            live += (data is not TOMBSTONE) - (old is not TOMBSTONE)
+        self._live = live
+        self.written_ts = ts
+        self._image = None
+        replaced = olds[first:]
+        if len(olds) > len(chains):
+            self._unfolded = ([], [])
+            self._stats = None
+        return replaced
 
     # -- maintenance -----------------------------------------------------------------
 
@@ -228,13 +305,7 @@ class VersionedTable:
             else:
                 self._chains[key] = chain
         if dropped:
-            stats = TableStatistics()
-            for chain in self._chains.values():
-                previous = TOMBSTONE
-                for version in chain:
-                    stats.on_write(previous, version.data)
-                    previous = version.data
-            self.stats = stats
+            self._stats = self._rebuilt_stats()
         return dropped
 
     def version_count(self) -> int:

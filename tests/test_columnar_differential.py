@@ -1,8 +1,9 @@
 """Differential suite: columnar kernels ≡ the naive interpreter.
 
 The operator zoo runs under both kernel backends (``REPRO_KERNEL``:
-numpy vs pure python) over a flat and a hash-partitioned copy of the
-same data, and each must reproduce the naive per-key interpretation
+numpy vs pure python) over a flat, a hash-partitioned and a
+free-standing (``relation(...)``, no database engine) copy of the same
+data, and each must reproduce the naive per-key interpretation
 *exactly*: same keys, same enumeration order, extensionally equal
 values. The data deliberately includes the value shapes that make
 vectorization treacherous: missing attributes, None, NaN, booleans
@@ -25,6 +26,7 @@ from repro.exec import (
     using_kernel_backend,
 )
 from repro.exec.kernels import HAVE_NUMPY
+from repro.fdm import database, relation
 from repro.partition import hash_partition
 
 
@@ -46,6 +48,14 @@ def part_db():
     db.close()
 
 
+@pytest.fixture(scope="module")
+def free_db():
+    return database({
+        "customers": relation(hostile_rows(), name="customers"),
+        "regions": relation(region_rows(), name="regions"),
+    })
+
+
 def _baseline(build, db):
     with using_exec_mode("naive"):
         return _ordered(build(db))
@@ -54,10 +64,10 @@ def _baseline(build, db):
 KERNELS = ["numpy", "python"] if HAVE_NUMPY else ["python"]
 
 
-@pytest.mark.parametrize("layout", ["flat", "part"])
+@pytest.mark.parametrize("layout", ["flat", "part", "free"])
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_zoo_matrix(name, layout, flat_db, part_db):
-    db = flat_db if layout == "flat" else part_db
+def test_zoo_matrix(name, layout, flat_db, part_db, free_db):
+    db = {"flat": flat_db, "part": part_db, "free": free_db}[layout]
     build = ZOO[name]
     expected = _baseline(build, db)
     for kernel in KERNELS:

@@ -363,7 +363,9 @@ class TestEagerSubscriberLifecycle:
             del view
         gc.collect()
         customers[50] = {"name": "Trig", "age": 1, "state": "NY"}
-        assert len(customers._changes.subscribers) == 0
+        from repro.ivm.registry import registry_for
+
+        assert len(registry_for(customers)) == 0
 
 
 class TestCaptureCompleteness:

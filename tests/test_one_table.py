@@ -138,6 +138,7 @@ def test_a_flat_table_is_the_one_segment_table(seed):
             assert list(flat.scan_at(snapshot)) == list(one.scan_at(snapshot))
             assert list(flat.keys_at(snapshot)) == list(one.keys_at(snapshot))
         assert sorted(flat.keys_at(_LATEST)) == sorted(live)
+        assert flat.count_at(_LATEST) == one.count_at(_LATEST) == len(live)
         assert _facts(flat.stats) == _facts(one.stats)
         answers = [_answers(engine, "batch") for engine in engines]
         assert answers[0] == answers[1]

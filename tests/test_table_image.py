@@ -25,8 +25,8 @@ from zoo import BIG, hostile_rows, ordered, region_rows
 
 import repro as fql
 from repro._util import MISSING
-from repro.exec import using_exec_mode, using_kernel_backend
-from repro.exec.kernels import HAVE_NUMPY, fold_groups, sort_runs
+from repro.exec import route_batches, using_exec_mode, using_kernel_backend
+from repro.exec.kernels import HAVE_NUMPY, _runs, fold_groups, sort_runs
 from repro.exec.nodes import _column_fold_specs
 from repro.fdm.databases import database
 from repro.fql.group import GroupBy
@@ -387,6 +387,32 @@ class TestHostileKernelCases:
                 _repr_same_as_naive(lambda d: fql.limit(  # noqa: B023
                     fql.order_by(fql.filter(d.t, "p != 2"), attr, reverse=reverse), n
                 ), db)
+        db.close()
+
+    def test_a_filter_splitting_one_image_into_many_batches(self):
+        # 17 000 rows scan as three batches of one image; filtered, each
+        # selects by a position array, and the kernels join them once
+        rows = {
+            i: {"p": i % 5, "g": "abc"[i % 3] if i % 7 else "z",
+                "v": (i * 37) % 1000, "f": (i % 13) * 0.25}
+            for i in range(17_000)
+        }
+        db = _hostile_table(rows, "flat")
+        kept = lambda d: fql.filter(d.t, "p == 1")  # noqa: E731
+        if HAVE_NUMPY:
+            with using_kernel_backend("numpy"):
+                stream = route_batches(kept(db))
+                batches = list(stream)
+                stream.close()
+            assert len(batches) >= 3
+            assert all(type(b.sel) is not slice for b in batches)
+            assert len(_runs(batches)) == 1
+        _repr_same_as_naive(lambda d: fql.group_and_aggregate(
+            by=["g"], total=fql.Sum("v"), mean=fql.Avg("f"), input=kept(d),
+        ), db)
+        for attr, reverse in (("v", False), ("f", True)):
+            _repr_same_as_naive(lambda d: fql.order_by(  # noqa: B023
+                kept(d), attr, reverse=reverse), db)
         db.close()
 
 
