@@ -265,7 +265,7 @@ class FDMFunction:
 
     def describe(self) -> str:
         """One-line human description."""
-        size = self.domain.size()
+        size = len(self) if self.is_enumerable else float("inf")
         extent = f"{int(size)} mappings" if size != float("inf") else "data space"
         return f"{self.kind} function {self.name!r} ({extent})"
 

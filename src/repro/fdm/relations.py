@@ -38,7 +38,7 @@ from repro.errors import (
     UndefinedInputError,
     UnknownRelationError,
 )
-from repro.fdm.domains import ANY, DiscreteDomain, Domain, as_domain
+from repro.fdm.domains import ANY, Domain, PredicateDomain, as_domain
 from repro.fdm.functions import FDMFunction, LambdaFunction
 from repro.fdm.tuples import BoundTuple, TupleFunction
 
@@ -140,6 +140,11 @@ class RelationFunction(FDMFunction):
     @property
     def is_enumerable(self) -> bool:
         return True
+
+    @property
+    def domain(self) -> Domain:
+        """The keys a read sees: a live test that reads one key a check."""
+        return PredicateDomain(self.defined_at, f"keys of {self.name!r}")
 
     def _raw_read(self, key: Any) -> Any:
         """Row dict, nested function or bare value at *key*, or TOMBSTONE."""
@@ -330,10 +335,6 @@ class MaterialRelationFunction(RelationFunction):
             self._write_rows(
                 self._checked(key, value) for key, value in mappings.items()
             )
-
-    @property
-    def domain(self) -> Domain:
-        return DiscreteDomain(self.keys())
 
     @property
     def key_name(self) -> str | tuple[str, ...] | None:

@@ -168,6 +168,10 @@ class LimitedFunction(DerivedFunction):
     def naive_keys(self) -> Iterator[Any]:
         return iter(self._limited_keys())
 
+    def naive_items(self) -> Iterator[tuple[Any, Any]]:
+        # the limited keys once per enumeration, not once per key
+        return ((key, self.source._apply(key)) for key in self._limited_keys())
+
     @property
     def domain(self) -> Domain:
         from repro.fdm.domains import DiscreteDomain

@@ -1,12 +1,12 @@
 """The wire protocol: length-prefixed JSON frames (DESIGN.md §11).
 
 One frame is a 4-byte big-endian length followed by that many bytes of
-UTF-8 JSON. Requests are ``{"id": n, "verb": "...", ...}``; responses
-echo the id with ``{"ok": true, "result": ...}`` or ``{"ok": false,
-"error": {"type": ..., "message": ...}}``. Server-initiated frames —
-subscription deltas — carry ``"push"`` instead of an id and may arrive
-between any request and its response; both sides must tolerate the
-interleaving.
+UTF-8 JSON (with a long reply's columns packed after it: :func:`send_frame`).
+Requests are ``{"id": n, "verb": "...", ...}``; responses echo the id
+with ``{"ok": true, "result": ...}`` or ``{"ok": false, "error":
+{"type": ..., "message": ...}}``. Server-initiated frames — subscription
+deltas — carry ``"push"`` instead of an id and may arrive between any
+request and its response; both sides must tolerate the interleaving.
 
 Requests may carry an optional ``"trace"`` field — the client-minted
 trace context (``{"id", "parent", "sampled"}`` from
@@ -35,7 +35,9 @@ import json
 import math
 import socket
 import struct
+from collections import deque
 from itertools import repeat
+from operator import setitem
 from typing import Any
 
 from repro._util import (
@@ -53,6 +55,7 @@ from repro.relational.nulls import is_null
 
 __all__ = [
     "MAX_FRAME",
+    "PACK_MIN_ROWS",
     "send_frame",
     "recv_frame",
     "encode_key",
@@ -73,6 +76,16 @@ _HEADER = struct.Struct(">I")
 #: the receiver allocate gigabytes.
 MAX_FRAME = 64 * 1024 * 1024
 
+#: The fewest rows of a reply's column block that travel packed: the
+#: measured crossover below which JSON is cheaper (DESIGN.md §11).
+PACK_MIN_ROWS = 48
+
+#: A length prefix with this bit set: the body carries a packed tail.
+_TAIL = 1 << 31
+#: A column's one exact type → its packed code: a little-endian
+#: ``struct`` code, or ``s``, the values joined by ``\\x00`` in UTF-8.
+_CODES = {str: "s", int: "q", float: "d"}
+
 #: Envelope-recursion guard: deeper nesting than this is almost
 #: certainly a cyclic structure, not data.
 _MAX_DEPTH = 16
@@ -84,13 +97,46 @@ _MAX_DEPTH = 16
 
 
 def send_frame(sock: socket.socket, payload: dict[str, Any]) -> None:
-    """Serialize *payload* and write one length-prefixed frame."""
+    """Serialize *payload* and write one length-prefixed frame. A block
+    of a ``result`` relation with at least :data:`PACK_MIN_ROWS` rows
+    sends each column :func:`_pack` takes, keys included, as a marker in
+    the JSON head and its bytes in a tail (DESIGN.md §11)."""
+    tail: list = []
+    result = payload.get("result")
+    if type(result) is dict and result.get("@") == "relation":
+        payload = {**payload, "result": {**result, "blocks": [
+            [block[0], *(_pack(column, tail) for column in block[1:])]
+            if block[0] >= 0 and len(block[1]) >= PACK_MIN_ROWS else block
+            for block in result["blocks"]
+        ]}}
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if tail:
+        body = b"".join([_HEADER.pack(len(body)), body, *tail])
     if len(body) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME}-byte limit"
         )
-    sock.sendall(_HEADER.pack(len(body)) + body)
+    sock.sendall(_HEADER.pack(len(body) | (_TAIL if tail else 0)) + body)
+
+
+def _pack(column: list, tail: list) -> Any:
+    """*column*'s ``{"@": code, "n": bytes}`` marker, its bytes appended
+    to *tail*; or *column* itself unless all its values are ``int``
+    within int64, all ``float``, or all ``str`` free of ``\\x00`` with a
+    UTF-8 form (exact types: no bool)."""
+    kinds = set(map(type, column))
+    code = _CODES.get(kinds.pop()) if len(kinds) == 1 else None
+    try:
+        if code in ("q", "d"):
+            data = struct.pack(f"<{len(column)}{code}", *column)
+        elif code and (text := "\x00".join(column)).count("\x00") < len(column):
+            data = text.encode("utf-8")
+        else:
+            return column  # not one type, or a value holds "\x00"
+    except (struct.error, UnicodeEncodeError):
+        return column  # past int64, or a lone surrogate
+    tail.append(data)
+    return {"@": code, "n": len(data)}
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -105,11 +151,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
-    """Read one frame; ``None`` when the peer closed between frames."""
+    """Read one frame; ``None`` when the peer closed between frames. A
+    packed tail is put back into the reply's blocks as value lists."""
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
+    packed, length = length & _TAIL, length & ~_TAIL
     if length > MAX_FRAME:
         raise ProtocolError(
             f"incoming frame claims {length} bytes (limit {MAX_FRAME}); "
@@ -118,6 +166,12 @@ def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise ConnectionClosedError("connection closed mid-frame")
+    tail = None
+    if packed:
+        head = 4 + _HEADER.unpack_from(body)[0] if length >= 4 else length + 1
+        if head > length:
+            raise ProtocolError("packed frame's head runs past its body")
+        body, tail = body[4:head], memoryview(body)[head:]
     try:
         payload = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -126,7 +180,31 @@ def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
         raise ProtocolError(
             f"frame body must be a JSON object, got {type(payload).__name__}"
         )
+    if tail is not None:
+        try:
+            _unpack(payload["result"]["blocks"], tail)
+        except (KeyError, TypeError, ValueError, IndexError, struct.error) as exc:
+            raise ProtocolError(f"unreadable packed tail: {exc!r}") from exc
     return payload
+
+
+def _unpack(blocks: list, tail: memoryview) -> None:
+    """Replace each marker in *blocks* by its values, read from *tail* in
+    order: all of *tail*, and as many values as the block has keys."""
+    at = 0
+    for block in blocks:
+        for i in range(1, len(block)):
+            if type(block[i]) is dict:
+                code, size = block[i]["@"], block[i]["n"]
+                if code not in _CODES.values() or not 0 <= size <= len(tail) - at:
+                    raise ValueError(f"a {code!r} column of {size!r} bytes")
+                data, at = tail[at:at + size], at + size
+                block[i] = str(data, "utf-8").split("\x00") if code == "s" else [
+                    *struct.unpack(f"<{size // 8}{code}", data)]
+                if len(block[i]) != len(block[1]):
+                    raise ValueError(f"{len(block[i])} values, {len(block[1])} keys")
+    if at != len(tail):
+        raise ValueError(f"{len(tail) - at} tail bytes past the last column")
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +487,14 @@ def decode_value(value: Any) -> Any:
         rows = RemoteRows()
         for shape, keys, *cols in value["blocks"]:
             if not _SCALARS.issuperset(map(type, keys)):
-                keys = map(decode_key, keys)
+                keys = list(map(decode_key, keys))
             if shape < 0:
                 rows.update(zip(keys, map(decode_value, cols[0])))
-            else:
-                names = repeat(shapes[shape])
-                rows.update(zip(keys, map(dict, map(zip, names, zip(*cols)))))
+            else:  # column by column, into one template copy a row
+                made = [*map(dict.copy, repeat(dict.fromkeys(shapes[shape]), len(keys)))]
+                for name, col in zip(shapes[shape], cols):
+                    deque(map(setitem, made, repeat(name), col), 0)
+                rows.update(zip(keys, made))
         rows.kind = value.get("kind", "relation")
         rows.name = value.get("name", "")
         rows.truncated = bool(value.get("truncated", False))

@@ -18,7 +18,6 @@ from typing import Any, Iterator
 
 from repro._util import TOMBSTONE
 from repro.errors import TransactionConflictError
-from repro.fdm.domains import Domain, PredicateDomain
 from repro.fdm.relations import RelationFunction
 from repro.fdm.relationships import RelationshipSurface
 from repro.storage.engine import StorageEngine
@@ -119,13 +118,6 @@ class StoredRelationFunction(RelationFunction):
             yield from self.iter_batches(batch_size)
         else:
             yield from super().iter_columnar_batches(batch_size, zone_predicate)
-
-    @property
-    def domain(self) -> Domain:
-        return PredicateDomain(
-            lambda k: self._raw_read(k) is not TOMBSTONE,
-            f"keys of {self._table_name!r}",
-        )
 
     def add(self, value: Any) -> Any:
         """Insert under the next integer key; returns it. The key is

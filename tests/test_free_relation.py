@@ -179,3 +179,46 @@ def test_a_predicate_assert_reaches_a_maintained_view(eager):
     assert sorted(view.keys()) == [(1, 10)]
     likes.assert_related(2, 20)
     assert sorted(view.keys()) == [(1, 10), (2, 20)]
+
+
+def test_a_relationship_checks_a_free_participant_key_by_key(monkeypatch):
+    """A free-standing participant's domain is a live membership test:
+    a checked insert reads one key and enumerates nothing, and a key
+    outside it still violates the shared-domain constraint."""
+    from repro.errors import ConstraintViolationError
+    from repro.fdm import domains
+
+    built = []
+    discrete = domains.DiscreteDomain.__init__
+    monkeypatch.setattr(
+        domains.DiscreteDomain, "__init__",
+        lambda self, *a, **k: built.append(1) or discrete(self, *a, **k),
+    )
+    people = fql.relation({i: {"n": i} for i in range(20_000)})
+    tags = fql.relation({t: {"t": t} for t in range(10)})
+    likes = fql.fdm.relationship("likes", {"p": people, "t": tags})
+    for i in range(200):
+        likes[(i * 97, i % 10)] = {"w": i}
+    assert len(likes) == 200 and built == []
+    with pytest.raises(ConstraintViolationError):
+        likes[(20_000, 1)] = {"w": 0}
+    assert people.domain.contains(19_999) and not people.domain.contains(-1)
+
+
+def test_a_naive_limit_enumerates_its_source_once(monkeypatch):
+    """``limit(order_by(R, a), 50)`` enumerated per key sorts R once,
+    not once per key, and equals the batched answer."""
+    from repro.fql.order import OrderedFunction
+
+    rel = fql.relation({i: {"a": (i * 7919) % 2_000} for i in range(2_000)})
+    sorts = []
+    naive_keys = OrderedFunction.naive_keys
+    monkeypatch.setattr(
+        OrderedFunction, "naive_keys",
+        lambda self: sorts.append(1) or naive_keys(self),
+    )
+    with using_exec_mode("naive"):
+        naive = ordered(fql.limit(fql.order_by(rel, "a"), 50))
+    assert sorts == [1] and len(naive) == 50
+    with using_exec_mode("batch"):
+        assert ordered(fql.limit(fql.order_by(rel, "a"), 50)) == naive
