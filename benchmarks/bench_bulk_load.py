@@ -8,7 +8,7 @@ the table's SQLite mirror. ``BENCH_bulk_load.json`` records seconds per
 phase, none of them asserted:
 
 * ``append_s`` — one ``WriteAheadLog.append`` of the load's record
-  (encode in pieces, write, ``fsync``);
+  (one block: encode in pieces, write, ``fsync``);
 * ``load_s`` — ``create_table`` end to end: that append, the version
   chains and the column fold of the statistics;
 * ``first_read_s`` — the first offloaded read, mirror build included;
@@ -16,8 +16,13 @@ phase, none of them asserted:
 
 Asserted, as counts no machine's speed can move: the tracemalloc
 transient (peak over the memory held before the call) of that append
-is at most 20 MB, and of that mirror build at most 25 MB. Before the
-bulk paths went column-wise they were 55.3 and 40.4 MB.
+is at most 20 MB, and of that mirror build at most 25 MB (before the
+bulk paths went column-wise they were 55.3 and 40.4 MB); the database's
+WAL file after the load is at most 6 MB (16.1 MB when a record held
+one dict per row). Also recorded, not asserted: ``wal_mb``, that file's
+size, and ``retained_mb``, what the log's in-memory record of the load
+holds beyond the rows it shares (tracemalloc; 7.7 MB of write tuples
+when a record kept one per row).
 """
 
 import pathlib
@@ -40,6 +45,7 @@ from bench_e2e import gen  # noqa: E402
 N_ROWS = 120_000
 APPEND_MB = 20
 REBUILD_MB = 25
+WAL_MB = 6
 
 
 def _transient_mb(fn, *args):
@@ -50,6 +56,18 @@ def _transient_mb(fn, *args):
         tracemalloc.reset_peak()
         fn(*args)
         return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _retained_mb(rows):
+    """What a memory-only log keeps of the load's record, in MB."""
+    log = WriteAheadLog()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log.append(WALRecord(1, [("events", key, row) for key, row in rows.items()]))
+        return (tracemalloc.get_traced_memory()[0] - before) / 2**20
     finally:
         tracemalloc.stop()
 
@@ -79,10 +97,12 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
     timed.close()
     traced.close()
     del record, timed, traced  # the retained record
+    retained_mb = _retained_mb(rows)
 
     db = repro.connect("bench-bulk-load", wal_path=str(tmp_path / "db.wal"),
                        default=False)
     load_s = _seconds(db.create_table, "events", rows, "eid")
+    wal_mb = (tmp_path / "db.wal").stat().st_size / 2**20
     per_state = fql.group_and_aggregate(
         by=["state"], n=fql.Count(), input=db.events
     )
@@ -101,6 +121,8 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
             "rebuild_s": rebuild_s,
             "append_transient_mb": append_mb,
             "rebuild_transient_mb": rebuild_mb,
+            "wal_mb": wal_mb,
+            "retained_mb": retained_mb,
         }
     )
     benchmark.pedantic(_rebuild, args=(engine, ts), rounds=1, iterations=1)
@@ -113,3 +135,4 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
     assert rebuild_mb <= REBUILD_MB, (
         f"a mirror build of {N_ROWS} rows held {rebuild_mb:.1f} MB at peak"
     )
+    assert wal_mb <= WAL_MB, f"the load's WAL file is {wal_mb:.1f} MB"

@@ -402,7 +402,7 @@ class EngineMirror:
                 break
             if record.schemas and table_name in record.schemas:
                 return None
-            if any(name == table_name for name, _k, _d in record.writes):
+            if table_name in record.writes:
                 out.append(record)
         if out and (
             not mirror.mirrorable
@@ -442,12 +442,10 @@ class EngineMirror:
             mirror.synced_ts = ts
             return mirror
         if records:
-            keys = list(dict.fromkeys(  # first-written first, like the chains
-                key
-                for record in records
-                for name, key, _data in record.writes
-                if name == table_name
-            ))
+            blocks = [record.writes[table_name] for record in records]
+            keys = list(dict.fromkeys(chain.from_iterable(  # as the chains grew
+                chain(block.keys, block.deleted) for block in blocks
+            )))
             rows = [table.read(key, ts) for key in keys]
             self._transact(mirror, self._apply, keys, rows)
         mirror.synced_ts = max(mirror.synced_ts, ts)

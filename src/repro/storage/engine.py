@@ -191,52 +191,50 @@ class StorageEngine:
     def apply_commit(
         self,
         commit_ts: int,
-        writes: list[tuple[str, Any, Any]],
+        writes: Any,
         schemas: dict[str, Any] | None = None,
     ) -> None:
-        """Durably apply one commit: row *writes*, and the new catalog
-        entry of each table in *schemas*.
+        """Durably apply one commit: row *writes* (anything
+        :class:`~repro.storage.image.WALRecord` takes), and the new
+        catalog entry of each table in *schemas*.
 
         Order matters: WAL first (durability), then schemas, then
         version chains (with their statistics), then index maintenance
         and changelog publication.
         """
-        self.wal.append(WALRecord(commit_ts, list(writes), schemas))
-        self._apply_writes(commit_ts, writes, schemas)
+        record = WALRecord(commit_ts, writes, schemas)
+        self.wal.append(record)
+        self._apply_writes(record)
 
-    def _apply_writes(
-        self,
-        commit_ts: int,
-        writes: list[tuple[str, Any, Any]],
-        schemas: dict[str, Any] | None = None,
-    ) -> None:
-        """Schema changes, then version-chain application plus
-        per-table delta capture.
+    def _apply_writes(self, record: WALRecord) -> None:
+        """Schema changes, then each table's block onto its version
+        chains, plus per-table delta capture.
 
         Only committed writes pass through here, so aborted transactions
         never publish a delta. With no changelog attached (no view ever
         created over this engine) capture is skipped entirely.
         """
-        for name, schema in (schemas or {}).items():
+        commit_ts = record.commit_ts
+        for name, schema in (record.schemas or {}).items():
             self.apply_schema(name, schema)
         changelog = self.changelog
         deltas: dict[str, Delta] = {}
-        for table_name in {t for t, _k, _d in writes}:
-            if table_name not in self.tables:
-                # no schema record named it (a log from before schemas
-                # rode it, or an engine-level caller): create it bare
-                self.create_table(table_name)
         batch: dict = {}
-        for table_name, key, data in writes:
-            table = self.tables[table_name]
-            wanted = changelog is not None or table.indexes  # who reads old
-            old = table.read(key, LATEST) if wanted else None
-            touched = table.apply(key, data, commit_ts, batch)
-            table.indexes.update(key, old, data)
+        for name, (keys, rows, deleted) in record.writes.items():
+            # no schema record named a table missing here (a log from
+            # before schemas rode it, or an engine-level caller): bare
+            table = self.tables.get(name) or self.create_table(name)
+            if deleted:
+                keys, rows = keys + deleted, rows + [TOMBSTONE] * len(deleted)
+            olds, touched = table.apply(keys, rows, commit_ts, batch)
+            if table.indexes:
+                for key, old, data in zip(keys, olds, rows):
+                    table.indexes.update(key, old, data)
             if changelog is not None:
-                changelog.observe_row(data)
-                delta = deltas.setdefault(table_name, Delta())
-                delta.record(key, old, data)
+                delta = deltas[name] = Delta()
+                for key, old, data in zip(keys, olds, rows):
+                    changelog.observe_row(data)
+                    delta.record(key, old, data)
                 # tag the commit's delta with the segments it touched,
                 # so maintained views whose filters cannot reach those
                 # segments skip upkeep (DESIGN.md §10)
@@ -291,9 +289,7 @@ class StorageEngine:
                 "the checkpoint first, then the WAL suffix"
             )
         for record in records:
-            engine._apply_writes(
-                record.commit_ts, record.writes, record.schemas
-            )
+            engine._apply_writes(record)
         return engine
 
     # -- introspection ------------------------------------------------------------------

@@ -85,7 +85,7 @@ class StoredRelationFunction(RelationFunction):
         if txn is None:
             yield from super().keys()
             return
-        buffered = dict(txn.written_keys(self._table_name))
+        buffered = dict(txn.writes.get(self._table_name, ()))
         for key in self.table().keys_at(txn.start_ts):
             if key in buffered:
                 continue  # decided by the buffer below

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Iterator
 
-from repro._util import TOMBSTONE
+from repro._util import LATEST, TOMBSTONE
 from repro.obs.resources import active_meter
 from repro.partition.prune import surviving_partitions
 from repro.partition.scheme import FLAT, PartitionScheme
@@ -81,7 +81,7 @@ class Table:
         batch: dict = {}
         for key, versions in table.logical_chains():
             for ts, data in versions:
-                out.apply(key, data, ts, batch)
+                out.apply((key,), (data,), ts, batch)
         fold_batch(batch)
         return out
 
@@ -184,28 +184,32 @@ class Table:
 
     # -- writes -----------------------------------------------------------------
 
-    def apply(self, key: Any, data: Any, ts: int, batch: dict) -> tuple[int, ...]:
-        """Append a committed version where the scheme places it;
-        returns the segments the write touched (a move touches two).
-        *batch* collects the commit's rows for the statistics
+    def apply(self, keys: Any, datas: Any, ts: int, batch: dict) -> tuple[list, Any]:
+        """Append one committed version per key, ``datas[i]`` under
+        ``keys[i]``, where the scheme places it; returns the values
+        they replace and the segments they touched (a move touches
+        two). *batch* collects the commit's rows for the statistics
         (:meth:`VersionedTable.apply`)."""
         segments = self.segments
         if len(segments) == 1:  # nowhere to move: nothing to place
-            segments[0].apply(key, data, ts, batch)
-            return _FIRST
-        old_pid = self._placement.get(key)
-        if data is TOMBSTONE:
-            # deletes land where the key currently lives
-            pid = old_pid if old_pid is not None else 0
-        else:
-            pid = self.scheme.partition_for(key, data)
-        segments[pid].apply(key, data, ts, batch)
-        self._placement[key] = pid
-        if old_pid is None or old_pid == pid:
-            return (pid,)
-        # the row moved: close out the old segment at the same stamp
-        segments[old_pid].apply(key, TOMBSTONE, ts, batch)
-        return (old_pid, pid)
+            return segments[0].apply(keys, datas, ts, batch), _FIRST
+        olds, touched = [], set()
+        for key, data in zip(keys, datas):
+            olds.append(self.read(key, LATEST))
+            old_pid = self._placement.get(key)
+            if data is TOMBSTONE:
+                # deletes land where the key currently lives
+                pid = old_pid if old_pid is not None else 0
+            else:
+                pid = self.scheme.partition_for(key, data)
+            segments[pid].apply((key,), (data,), ts, batch)
+            self._placement[key] = pid
+            touched.add(pid)
+            if old_pid is not None and old_pid != pid:
+                # the row moved: close out the old segment at the same stamp
+                segments[old_pid].apply((key,), (TOMBSTONE,), ts, batch)
+                touched.add(old_pid)
+        return olds, touched
 
     # -- maintenance ------------------------------------------------------------
 

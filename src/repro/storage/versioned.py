@@ -223,28 +223,39 @@ class VersionedTable:
 
     # -- writes (called by the transaction manager only) ---------------------------
 
-    def apply(self, key: Any, data: Any, ts: int, batch: dict) -> None:
-        """Append a committed version. Stamps must be monotone per chain.
-        The statistics take it with the rest of the commit's *batch*
-        (:func:`fold_batch`)."""
-        chain = self._chains.setdefault(key, [])
-        if chain and chain[-1].ts > ts:
-            raise StorageError(
-                f"non-monotonic commit stamp {ts} after {chain[-1].ts} on "
-                f"{self.name!r}[{key!r}]"
-            )
+    def apply(self, keys: Any, datas: Any, ts: int, batch: dict) -> list:
+        """Append one committed version per key, ``datas[i]`` under
+        ``keys[i]``, and return the values they replace. Stamps must be
+        monotone per chain. The statistics take them with the rest of
+        the commit's *batch* (:func:`fold_batch`)."""
+        chains = self._chains
+        olds, news = batch.get(self) or batch.setdefault(self, ([], []))
+        first = len(olds)
+        live = self._live
+        for key, data in zip(keys, datas):
+            chain = chains.get(key)
+            if chain is None:
+                chains[key] = [Version(ts, data)]
+                old = TOMBSTONE
+            else:
+                old = chain[-1].data
+                if chain[-1].ts < ts:
+                    chain.append(Version(ts, data))
+                elif chain[-1].ts == ts:
+                    chain[-1] = Version(ts, data)  # same-txn overwrite
+                else:
+                    raise StorageError(
+                        f"non-monotonic commit stamp {ts} after {chain[-1].ts}"
+                        f" on {self.name!r}[{key!r}]"
+                    )
+            olds.append(old)
+            live += (data is not TOMBSTONE) - (old is not TOMBSTONE)
+        news += datas
+        self._live = live
         if ts > self.written_ts:  # re-partitioning replays out of order
             self.written_ts = ts
         self._image = None
-        olds, news = batch.get(self) or batch.setdefault(self, ([], []))
-        old = chain[-1].data if chain else TOMBSTONE
-        olds.append(old)
-        news.append(data)
-        self._live += (data is not TOMBSTONE) - (old is not TOMBSTONE)
-        if chain and chain[-1].ts == ts:
-            chain[-1] = Version(ts, data)  # same-txn overwrite
-        else:
-            chain.append(Version(ts, data))
+        return olds[first:]
 
     def put(self, writes: Any, ts: int) -> list:
         """Make each ``(key, data)`` write's *data* the key's one version,

@@ -67,8 +67,9 @@ class Transaction:
             self.txn_id = next(Transaction._ids)
         self.start_ts = start_ts
         self.state = ACTIVE
-        #: (table, key) → row dict or TOMBSTONE, in write order
-        self.writes: dict[tuple[str, Any], Any] = {}
+        #: table → key → row dict or TOMBSTONE, in write order: the
+        #: commit's blocks (:class:`~repro.storage.image.WALRecord`)
+        self.writes: dict[str, dict[Any, Any]] = {}
         #: Monotonic count of write/delete calls. Unlike
         #: ``len(writes)`` it moves when a buffered key is
         #: *overwritten*, so snapshot-mirror caches keyed on it can
@@ -79,22 +80,17 @@ class Transaction:
 
     def get_write(self, table: str, key: Any) -> Any:
         """Buffered value for (table, key): row, TOMBSTONE, or _NO_WRITE."""
-        return self.writes.get((table, key), _NO_WRITE)
+        return self.writes.get(table, _NO_BLOCK).get(key, _NO_WRITE)
 
     def write(self, table: str, key: Any, data: Any) -> None:
         self._check_active("write")
-        self.writes[(table, key)] = data
+        self.writes.setdefault(table, {})[key] = data
         self.write_seq += 1
 
     def delete(self, table: str, key: Any) -> None:
         self._check_active("delete")
-        self.writes[(table, key)] = TOMBSTONE
+        self.writes.setdefault(table, {})[key] = TOMBSTONE
         self.write_seq += 1
-
-    def written_keys(self, table: str) -> Iterator[tuple[Any, Any]]:
-        for (t, key), data in self.writes.items():
-            if t == table:
-                yield key, data
 
     def _check_active(self, what: str) -> None:
         if self.state != ACTIVE:
@@ -150,11 +146,12 @@ class Transaction:
     def __repr__(self) -> str:
         return (
             f"<Txn {self.txn_id} @{self.start_ts} {self.state}: "
-            f"{len(self.writes)} writes>"
+            f"{sum(map(len, self.writes.values()))} writes>"
         )
 
 
 _NO_WRITE = object()
+_NO_BLOCK: dict = {}
 
 
 class TransactionManager:
@@ -222,12 +219,15 @@ class TransactionManager:
                     self._refuse_writes_if_fenced(
                         f"transaction {txn.txn_id}"
                     )
-                for (table_name, key) in txn.writes:
+                for table_name, block in txn.writes.items():
                     table = self.engine.table(table_name)
-                    if table.latest_ts(key) > txn.start_ts:
-                        raise TransactionConflictError(
-                            txn.txn_id, key=key, table=table_name
-                        )
+                    if all(s.written_ts <= txn.start_ts for s in table.segments):
+                        continue  # nothing in it changed since the snapshot
+                    for key in block:
+                        if table.latest_ts(key) > txn.start_ts:
+                            raise TransactionConflictError(
+                                txn.txn_id, key=key, table=table_name
+                            )
             except (FencedLeaderError, TransactionConflictError):
                 self._finish(txn, ABORTED)
                 self.aborts += 1
@@ -252,10 +252,7 @@ class TransactionManager:
                 # still mid-application (a torn read).
                 commit_at = self._clock + 1
                 try:
-                    self.engine.apply_commit(
-                        commit_at,
-                        [(t, k, data) for (t, k), data in txn.writes.items()],
-                    )
+                    self.engine.apply_commit(commit_at, txn.writes)
                 except (PersistenceError, WALError):
                     # the log refused the record before the file, the
                     # retained records or a version chain changed

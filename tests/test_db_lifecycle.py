@@ -215,7 +215,7 @@ class TestSchemaRidesTheLog:
         db.create_index("t", "v")
         assert db.manager.now() == clock + 1
         record = list(db.engine.wal.records())[-1]
-        assert record.writes == [] and list(record.schemas) == ["t"]
+        assert record.writes == {} and list(record.schemas) == ["t"]
 
     def test_fenced_database_refuses_ddl_before_changing_anything(self):
         db = repro.connect(name="fenced", default=False)

@@ -2,6 +2,7 @@
 SQL engine against a Python oracle, and optimizer/index agreement."""
 
 import random
+from itertools import repeat
 
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +31,7 @@ def test_versioned_reads_see_latest_at_or_before(history):
     state: dict = {}
     for ts, (key, value) in enumerate(history, start=1):
         data = TOMBSTONE if value is None else {"v": value}
-        table.apply(key, data, ts, batch)
+        table.apply([key], [data], ts, batch)
         if value is None:
             state.pop(key, None)
         else:
@@ -50,7 +51,7 @@ def test_vacuum_preserves_visible_state(history, watermark):
     table, batch = VersionedTable("t"), {}
     for ts, (key, value) in enumerate(history, start=1):
         table.apply(
-            key, TOMBSTONE if value is None else {"v": value}, ts, batch
+            [key], [TOMBSTONE if value is None else {"v": value}], ts, batch
         )
     fold_batch(batch)
     top = len(history)
@@ -84,6 +85,13 @@ def test_wal_record_json_roundtrip(writes):
     restored = WALRecord.from_json(record.to_json())
     assert restored.commit_ts == record.commit_ts
     assert restored.writes == record.writes
+    assert restored.to_json() == record.to_json()
+    # one block per table: each key's last write, rows before deletes
+    assert {
+        (t, k): d
+        for t, block in restored.writes.items()
+        for k, d in [*zip(block.keys, block.rows), *zip(block.deleted, repeat(None))]
+    } == {(t, k): d for t, k, d in writes}
 
 
 @settings(max_examples=20, deadline=None)

@@ -424,7 +424,7 @@ def _replayed(segment):
     fresh, batch = VersionedTable("replay"), {}
     for key, chain in segment._chains.items():
         for version in chain:
-            fresh.apply(key, version.data, version.ts, batch)
+            fresh.apply([key], [version.data], version.ts, batch)
     fold_batch(batch)
     return fresh.stats
 

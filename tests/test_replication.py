@@ -196,8 +196,7 @@ class TestWireCodec:
         )
         decoded = repl.decode_record(repl.encode_record(record))
         assert decoded.commit_ts == 7
-        assert decoded.writes[0] == ("t", 1, {"name": "a", "n": 2})
-        assert decoded.writes[1] == ("t", (1, "x"), TOMBSTONE)
+        assert decoded.writes == {"t": ([1], [{"name": "a", "n": 2}], [(1, "x")])}
 
     def test_corrupt_record_raises_typed_error(self):
         with pytest.raises(WALError):
@@ -254,15 +253,16 @@ class TestReplicaStream:
     def test_partition_layout_and_wal_parity(self, leader, replica):
         """The follower's physical layout is byte-for-byte the
         leader's: same partition scheme, same per-partition counts,
-        same WAL records in the same order."""
+        same WAL records, block for block and byte for byte, in the
+        same order."""
         assert replica.partition_layout("customers") == (
             leader.partition_layout("customers")
         )
         leader_wal = [
-            (r.commit_ts, r.writes) for r in leader.engine.wal.records()
+            (r.commit_ts, r.writes, r.to_json()) for r in leader.engine.wal.records()
         ]
         replica_wal = [
-            (r.commit_ts, r.writes) for r in replica.engine.wal.records()
+            (r.commit_ts, r.writes, r.to_json()) for r in replica.engine.wal.records()
         ]
         assert replica_wal == leader_wal
 

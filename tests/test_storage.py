@@ -2,7 +2,10 @@
 checkpoints."""
 
 import errno
+import json
+import math
 import os
+import shutil
 from unittest import mock
 
 import pytest
@@ -28,14 +31,20 @@ from repro.storage import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.storage.image import dumps, encode_pieces, encode_record, table_schema
+from repro.storage.image import (
+    PIECE_VALUES,
+    dumps,
+    encode_pieces,
+    encode_record,
+    table_schema,
+)
 from repro.storage.versioned import fold_batch
 
 
 def _commit(table, key, data, ts):
     """One write committed alone: applied, then folded into the statistics."""
     batch = {}
-    table.apply(key, data, ts, batch)
+    table.apply([key], [data], ts, batch)
     fold_batch(batch)
 
 
@@ -101,9 +110,7 @@ class TestWAL:
         )
         restored = WALRecord.from_json(record.to_json())
         assert restored.commit_ts == 7
-        assert restored.writes[0] == ("t", 1, {"x": 1})
-        assert restored.writes[1][1] == (1, 2)
-        assert restored.writes[1][2] is TOMBSTONE
+        assert restored.writes == {"t": ([1], [{"x": 1}], [(1, 2)])}
 
     def test_corrupt_record(self):
         with pytest.raises(WALError):
@@ -236,6 +243,141 @@ class TestWAL:
         assert recovered.table("t").read(2, 99) == {"x": 2}
         assert recovered.table("t").read(1, 99) is TOMBSTONE
         assert recovered.table("t").stats.row_count == 1
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _spelled(record):
+    """A record's blocks with every row as its items in order, values
+    by ``repr`` (NaN equals itself, -0.0 differs from 0.0, 1 from 1.0)."""
+    return {
+        table: (keys, [repr(list(row.items())) for row in rows], deleted)
+        for table, (keys, rows, deleted) in record.writes.items()
+    }
+
+
+class TestBlockCodec:
+    """A record carries one block per table; every carrier reads it back."""
+
+    def _roundtrip(self, record):
+        line = record.to_json()
+        restored = WALRecord.from_json(line)
+        assert restored.commit_ts == record.commit_ts
+        assert restored.schemas == record.schemas
+        assert _spelled(restored) == _spelled(record)
+        assert restored.to_json() == line  # re-encoding is byte-identical
+        return restored
+
+    def test_multi_table_records_and_tombstones(self):
+        record = WALRecord(3, {
+            "a": {1: {"x": 1}, 2: TOMBSTONE, 3: {"x": 3}},
+            "b": {"k": TOMBSTONE},
+        }, {"c": None})
+        restored = self._roundtrip(record)
+        assert restored.writes == {
+            "a": ([1, 3], [{"x": 1}, {"x": 3}], [2]),
+            "b": ([], [], ["k"]),
+        }
+        payload = encode_record(record)
+        assert payload["blocks"]["a"]["deleted"] == [2]
+        assert "deleted" not in encode_record(WALRecord(1, {"a": {1: {}}}))["blocks"]["a"]
+
+    def test_rows_changing_shape_mid_block_keep_their_order(self):
+        rows = [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {}, {}, {"a": 1},
+                {"a": 1, "b": 2}, {"ñ": 0, "": 1}]
+        record = WALRecord(1, [("t", i, row) for i, row in enumerate(rows)])
+        restored = self._roundtrip(record)
+        assert [list(row) for row in restored.writes["t"].rows] == [
+            list(row) for row in rows
+        ]
+        runs = encode_record(record)["blocks"]["t"]["runs"]
+        assert [run[0] for run in runs] == [1, 1, 2, 1, 1, 1]
+
+    def test_names_go_as_json_writes_a_dicts(self):
+        """As an image writes them (``json.dumps`` of the row), so every
+        carrier reads the same names back."""
+        row = {1: "int", None: 0, 2.5: "float", True: "bool", "s": 1}
+        restored = WALRecord.from_json(WALRecord(1, [("t", 1, row)]).to_json())
+        assert restored.writes["t"].rows == [json.loads(json.dumps(row))]
+
+    def test_tuple_and_composite_keys(self):
+        keys = [(1, "x"), ((1, 2), "y"), ("z",), 7, "s"]
+        record = WALRecord(1, {"t": {k: {"v": i} for i, k in enumerate(keys)}})
+        record.writes["t"].deleted.append((9, (8, 7)))
+        restored = self._roundtrip(record)
+        assert restored.writes["t"].keys == keys
+        assert restored.writes["t"].deleted == [(9, (8, 7))]
+
+    def test_json_plain_hostile_values(self):
+        row = {"neg_zero": -0.0, "big": 2**63, "nan": float("nan"),
+               "text": "ñ日本\u2028", "nested": [[1, None], {"a": [True]}],
+               "map": {"deep": {"er": [-0.0]}}}
+        restored = self._roundtrip(WALRecord(1, [("t", 1, row)]))
+        got = restored.writes["t"].rows[0]
+        assert math.copysign(1.0, got["neg_zero"]) == -1.0
+        assert got["big"] == 2**63 and isinstance(got["big"], int)
+        assert math.isnan(got["nan"])
+        assert got["text"] == row["text"]
+        assert got["nested"] == row["nested"] and got["map"] == row["map"]
+
+    @pytest.mark.parametrize("bad", [
+        {"x": {1, 2}},                  # a value JSON refuses
+        {frozenset(): "set attribute"},  # a name JSON refuses
+        {("x", 1): "tuple attribute"},  # so is a tuple
+        "not a tuple",
+    ])
+    def test_a_refused_value_leaves_the_file_as_it_was(self, bad, tmp_path):
+        path = tmp_path / "test.wal"
+        log = WriteAheadLog(str(path))
+        log.append(WALRecord(1, [("t", 1, {"x": 1})]))
+        before = path.read_bytes()
+        writes = [("t", k, {"x": k}) for k in range(2 * PIECE_VALUES)]
+        with pytest.raises(PersistenceError):
+            log.append(WALRecord(2, writes + [("t", -1, bad)]))
+        assert path.read_bytes() == before and len(log) == 1
+        log.close()
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b["keys"].append(99),        # a key with no row
+        lambda b: b["values"].append(1),       # a value past the runs
+        lambda b: b["runs"][0].__setitem__(0, 3),  # a run past the values
+    ])
+    def test_a_block_whose_parts_disagree_is_corrupt(self, damage):
+        payload = encode_record(WALRecord(1, [("t", 1, {"x": 1}), ("t", 2, {"x": 2})]))
+        damage(payload["blocks"]["t"])
+        with pytest.raises(WALError):
+            WALRecord.from_json(dumps(payload))
+
+    def test_a_log_of_row_form_records_still_opens(self, tmp_path):
+        """A log written before blocks (one dict per row) reopens, and
+        new commits append blocks to it."""
+        path = os.fspath(tmp_path / "old.wal")
+        shutil.copy(os.path.join(FIXTURES, "row_form.wal"), path)
+        db = fql.connect("old-log", wal_path=path, default=False)
+        customers = {k: dict(v.items()) for k, v in db.customers.items()}
+        assert customers == {
+            1: {"name": "ann", "age": 30, "state": "NY"},
+            2: {"name": "bo", "age": 41, "state": "TX"},
+            4: {"name": "di", "age": 23, "state": "TX"},
+        }
+        pairs = {k: dict(v.items()) for k, v in db.pairs.items()}
+        assert pairs == {(2, "b"): {"n": 2.5, "note": "ñ日"},
+                         (3, "c"): {"n": -0.0, "big": 2**63}}
+        table = db.engine.table("customers")
+        assert table.key_name == "cid" and table.indexes.attrs() == ["age"]
+        assert table.layout()[0][3] == [
+            (2, {"name": "cy", "age": 52, "state": "NY", "vip": True}),
+            (7, TOMBSTONE),
+        ]
+        db.customers[5] = {"name": "ed", "age": 60, "state": "NY"}
+        layout = {n: db.engine.table(n).layout() for n in ("customers", "pairs")}
+        db.close()
+        with open(path, "rb") as f:
+            assert b'"blocks"' in f.read().splitlines()[-1]
+        again = fql.connect("old-log", wal_path=path, default=False)
+        assert {n: again.engine.table(n).layout() for n in layout} == layout
+        again.close()
 
 
 class TestIndexes:
@@ -415,12 +557,34 @@ _records = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_records)
 def test_a_record_in_pieces_is_its_line_byte_for_byte(record):
-    """Tuple keys, tombstones, non-ASCII text, schemas and empty writes:
-    the pieces concatenate to the one-dict encoding, at any piece size."""
-    line = dumps(encode_record(record))
+    """Tuple keys, tombstones, non-ASCII text, rows changing shape,
+    schemas and empty writes: the pieces concatenate to the one-dict
+    encoding at any piece size; a record is cut exactly when its blocks'
+    lists (keys, runs, values, deletes) hold more than one piece, and
+    then no piece encodes a list longer than one piece or a whole dict."""
+    payload = encode_record(record)
+    line = dumps(payload)
+    held = sum(len(part) for b in payload["blocks"].values() for part in b.values())
     for size in (1, 2, 1024):
-        with mock.patch("repro.storage.image.PIECE_WRITES", size):
+        encoded = []
+
+        def spy(value):
+            encoded.append(value)
+            return dumps(value)
+
+        with mock.patch("repro.storage.image.PIECE_VALUES", size), \
+                mock.patch("repro.storage.image.dumps", spy):
             pieces = list(encode_pieces(record))
         assert "".join(pieces) == line
-        assert len(pieces) == max(1, -(-len(record.writes) // size))
+        assert (len(pieces) > 1) == (held > size)
+        if held > size:
+            assert all(len(v) <= size for v in encoded if isinstance(v, list))
+            assert not any(v for v in encoded if isinstance(v, dict))
     assert record.to_json() == line
+
+
+def test_a_delete_only_record_is_cut_too():
+    record = WALRecord(1, {"t": {(k, "k"): TOMBSTONE for k in range(9)}})
+    with mock.patch("repro.storage.image.PIECE_VALUES", 4):
+        pieces = list(encode_pieces(record))
+    assert "".join(pieces) == record.to_json() and len(pieces) > 3

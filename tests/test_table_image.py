@@ -488,15 +488,15 @@ class TestValidity:
 
     def test_image_serves_only_snapshots_at_or_past_the_newest_write(self):
         table, batch = VersionedTable("t"), {}
-        table.apply(1, {"v": 1}, 1, batch)
-        table.apply(2, {"v": 2}, 3, batch)
+        table.apply([1], [{"v": 1}], 1, batch)
+        table.apply([2], [{"v": 2}], 3, batch)
         fold_batch(batch)
         assert table.build_image(2) is None  # older than the newest write
         image = table.build_image(3)
         assert image.keys == [1, 2] and image.stamp == 3
         assert table.image_at(9) is image
         assert table.image_at(2) is None
-        table.apply(1, {"v": 10}, 4, batch)
+        table.apply([1], [{"v": 10}], 4, batch)
         assert table.image_at(9) is None
         assert image.rows == [{"v": 1}, {"v": 2}]  # immutable
 
