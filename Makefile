@@ -1,11 +1,19 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test examples bench-smoke bench bench-pairs lint docs-check
+.PHONY: test history examples bench-smoke bench bench-pairs lint docs-check
 
 # tier-1: the full correctness suite
 test:
 	$(PY) -m pytest -x -q
+
+# the snapshot-isolation history fuzzer (tests/test_history.py) over a
+# longer budget than tier-1's pinned one
+HISTORY_SEEDS ?= 200
+HISTORY_STEPS ?= 400
+history:
+	HISTORY_SEEDS=$(HISTORY_SEEDS) HISTORY_STEPS=$(HISTORY_STEPS) \
+		$(PY) -m pytest tests/test_history.py -q
 
 # every example script, run once; fails on the first non-zero exit
 examples:
