@@ -37,7 +37,7 @@ def _lookup_sentinel(name: str) -> _Sentinel:
 #: Marks "no value supplied" where ``None`` is a legal value.
 MISSING = _lookup_sentinel("MISSING")
 
-#: Marks a deleted row inside MVCC version chains and diffs.
+#: Marks a deleted row inside MVCC versions and diffs.
 TOMBSTONE = _lookup_sentinel("TOMBSTONE")
 
 #: A timestamp later than any commit stamp: a read at it sees the newest

@@ -7,12 +7,10 @@ engine (stdlib ``sqlite3``), kept current from the commit log:
   reflects; a sync reads the engine's retained WAL records since that
   stamp and applies the rows they wrote to this table. What the
   log cannot say is read off the table object itself: a snapshot
-  remembers the object it was built from and that object's vacuum
-  count, so a re-shard, a drop and re-create or a replica snapshot
-  install (each a new object) and a vacuum that dropped versions all
-  force a whole-table rebuild — as does a suffix record that changes
-  the table's schema, or a log that no longer reaches back to the
-  stamp.
+  remembers the object it was built from, so a re-shard, a drop and
+  re-create or a replica snapshot install (each a new object) force a
+  whole-table rebuild — as does a suffix record that changes the
+  table's schema, or a log that no longer reaches back to the stamp.
 * **presence-aware** — every attribute gets a data column *and* a
   presence column, because FDM distinguishes a tuple that defines
   ``bonus = None`` from one that does not define ``bonus`` at all,
@@ -23,13 +21,15 @@ engine (stdlib ``sqlite3``), kept current from the commit log:
   operations whose SQL semantics would diverge from Python's. Between
   rebuilds profiles only widen.
 
-Rows are stored under an ``ord`` column: a rebuild numbers every
-version chain in chain order (which is ``scan_at`` order) and a key
-first written later takes the next number, so ``ord`` order is the
-relation's naive enumeration order. Offloaded queries return ``ord``
-values and the decoder re-reads the surviving rows from the versioned
-table at the sync snapshot (late materialization), so result
-*objects* are exactly what the interpreted paths produce.
+Rows are stored under an ``ord`` column: a rebuild numbers the live
+rows in ``scan_at`` order, a delete drops its key's number and an
+insert of a key without one takes the next, so ``ord`` order is the
+store's enumeration order (a key sits where it was first inserted
+since it was last absent, DESIGN.md §4) and so the relation's naive
+one. Offloaded queries return ``ord`` values and the decoder re-reads
+the surviving rows from the table at the sync snapshot, which the
+caller holds registered (late materialization), so result *objects*
+are exactly what the interpreted paths produce.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
-from repro._util import TOMBSTONE, attached
+from repro._util import attached
 
 __all__ = [
     "ColumnProfile",
@@ -278,12 +278,12 @@ class TableMirror:
         #: ``ord`` → mapping key. Between rebuilds entries are only ever
         #: appended, so a list captured under the lock stays valid.
         self.keys: list[Any] = []
-        #: mapping key → ``ord`` (the inverse of :attr:`keys`).
+        #: live mapping key → ``ord`` (a deleted key's entry in
+        #: :attr:`keys` stays, unreferenced).
         self.ords: dict[Any, int] = {}
-        #: The table object the last rebuild scanned (a weakref) and its
-        #: vacuum count then; ``None`` forces the next rebuild.
+        #: The table object the last rebuild scanned (a weakref);
+        #: ``None`` forces the next rebuild.
         self.source: weakref.ref | None = None
-        self.source_vacuums = 0
         self.synced_ts: int = 0
         #: False when any row holds a non-tuple value (nested function).
         self.mirrorable = True
@@ -390,7 +390,6 @@ class EngineMirror:
             or table is None
             or mirror.source is None
             or mirror.source() is not table
-            or mirror.source_vacuums != table.vacuums
         ):
             return None
         records = self.engine.wal.records_since(mirror.synced_ts)
@@ -421,14 +420,13 @@ class EngineMirror:
         """The mirror for *table_name* brought forward to *ts*.
 
         *ts* is the commit stamp the caller's (transaction-free) read
-        would use. The rows logged since the mirror's stamp are
-        applied; a rebuild captures ``scan_at(ts)`` whole
-        when :meth:`pending` says the log cannot. A newer stamp whose
-        commits never touched this table is adopted as is. Callers
-        must hold :attr:`lock`.
+        uses, registered by the caller until it has decoded what it
+        read. The rows logged since the mirror's stamp are applied; a
+        rebuild captures ``scan_at(ts)`` whole when :meth:`pending`
+        says the log cannot. A newer stamp whose commits never touched
+        this table is adopted as is. Callers must hold :attr:`lock`.
         """
         table = self.engine.table(table_name)
-        vacuums = table.vacuums  # read before the rebuild scans
         mirror = self._tables.get(table_name)
         if mirror is None:
             mirror = TableMirror(sql_name=f"m{len(self._tables)}")
@@ -438,16 +436,11 @@ class EngineMirror:
             self._transact(mirror, self._rebuild, table, ts)
             self.counters.mirror_rebuilds += 1
             mirror.source = weakref.ref(table)
-            mirror.source_vacuums = vacuums
             mirror.synced_ts = ts
             return mirror
         if records:
             blocks = [record.writes[table_name] for record in records]
-            keys = list(dict.fromkeys(chain.from_iterable(  # as the chains grew
-                chain(block.keys, block.deleted) for block in blocks
-            )))
-            rows = [table.read(key, ts) for key in keys]
-            self._transact(mirror, self._apply, keys, rows)
+            self._transact(mirror, self._patch, table, blocks, ts)
         mirror.synced_ts = max(mirror.synced_ts, ts)
         return mirror
 
@@ -490,61 +483,66 @@ class EngineMirror:
     def _rebuild(
         self, conn: Any, mirror: TableMirror, table: Any, ts: int
     ) -> int:
-        # every chain, dead ones included, segment by segment in chain
-        # (= scan_at) order: a key keeps its ord while its chain exists,
-        # so a reinserted key lands back where naive enumeration puts
-        # it; a key moved between segments takes its live chain's ord
         keys: list = []
-        ords: dict = {}
-        live: list = []
         rows: list = []
-        for segment in table.segments:
-            for key in list(segment._chains):
-                data = segment.read(key, ts)
-                if data is not TOMBSTONE:
-                    live.append(key)
-                    rows.append(data)
-                elif key in ords:
-                    continue
-                ords[key] = len(keys)
-                keys.append(key)
+        for key, data in table.scan_at(ts):
+            keys.append(key)
+            rows.append(data)
         # fresh containers: a concurrent decoder keeps the list it captured
         mirror.keys = keys
-        mirror.ords = ords
+        mirror.ords = dict(zip(keys, range(len(keys))))
         mirror.columns = {}
         mirror.profiles = {}
         mirror.mirrorable = True
         mirror.indexes = set()  # dropped with the table: rebuilt on use
         conn.execute(f'DROP TABLE IF EXISTS "{mirror.sql_name}"')
         conn.execute(f'CREATE TABLE "{mirror.sql_name}" (ord INTEGER PRIMARY KEY)')
-        return self._apply(conn, mirror, live, rows)
+        return self._apply(conn, mirror, list(range(len(keys))), rows)
+
+    def _patch(
+        self, conn: Any, mirror: TableMirror, table: Any, blocks: list, ts: int
+    ) -> int:
+        """Apply logged *blocks* in commit order, as the store did: a
+        delete drops its key's ``ord``, and a key without one takes the
+        next, so a re-inserted key enumerates last. Each key written and
+        live at the end is re-read at *ts*."""
+        ords = mirror.ords
+        gone: list = []
+        for block in blocks:
+            for key in block.deleted:
+                if key in ords:
+                    gone.append(ords.pop(key))
+            for key in block.keys:
+                if key not in ords:
+                    ords[key] = len(mirror.keys)
+                    mirror.keys.append(key)
+        if gone:
+            conn.executemany(
+                f'DELETE FROM "{mirror.sql_name}" WHERE ord = ?',
+                [(o,) for o in gone],
+            )
+        written = [
+            key
+            for key in dict.fromkeys(chain.from_iterable(b.keys for b in blocks))
+            if key in ords
+        ]
+        rows = [table.read(key, ts) for key in written]
+        return len(gone) + self._apply(
+            conn, mirror, list(map(ords.__getitem__, written)), rows
+        )
 
     def _apply(
-        self, conn: Any, mirror: TableMirror, keys: list, rows: list
+        self, conn: Any, mirror: TableMirror, ords: list, rows: list
     ) -> int:
-        """Write ``rows[i]`` under ``keys[i]`` (a tombstone deletes),
-        a column at a time: each attribute is profiled once and the
-        rows stream into SQL as a lazy ``zip`` of their columns."""
-        kinds = set(map(type, rows))
-        if not all(k is type(TOMBSTONE) or issubclass(k, dict) for k in kinds):
+        """Write ``rows[i]`` under ``ords[i]``, a column at a time: each
+        attribute is profiled once and the rows stream into SQL as a
+        lazy ``zip`` of their columns."""
+        if not all(issubclass(kind, dict) for kind in set(map(type, rows))):
             # a nested function: offload declines until a write to the
             # table lets a rebuild look again (see :meth:`pending`)
             mirror.mirrorable = False
             return 0
         name = mirror.sql_name
-        known = mirror.ords
-        for key in keys:
-            if key not in known:  # a new chain enumerates after every other
-                known[key] = len(mirror.keys)
-                mirror.keys.append(key)
-        ords = list(map(known.__getitem__, keys))
-        if type(TOMBSTONE) in kinds:
-            conn.executemany(
-                f'DELETE FROM "{name}" WHERE ord = ?',
-                [(o,) for o, data in zip(ords, rows) if data is TOMBSTONE],
-            )
-            ords = [o for o, data in zip(ords, rows) if data is not TOMBSTONE]
-            rows = [data for data in rows if data is not TOMBSTONE]
         new_attrs = [
             attr
             for attr in dict.fromkeys(chain.from_iterable(rows))
@@ -573,7 +571,7 @@ class EngineMirror:
                 f'INSERT OR REPLACE INTO "{name}" VALUES ({placeholders})',
                 zip(ords, *columns),
             )
-        return len(keys)
+        return len(rows)
 
     def close(self) -> None:
         """Release the embedded connection (idempotent)."""

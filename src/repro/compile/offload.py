@@ -151,50 +151,58 @@ class OffloadPipeline:
             # check makes it a hard guarantee
             mirror.counters.note_fallback("txn")
             return None
-        ts = manager.now()
-        with mirror.lock:
-            try:
-                table_mirror = mirror.ensure_synced(shape.table_name, ts)
-            except Exception:
-                mirror.counters.note_fallback("sync_error")
-                return None
-            if not table_mirror.mirrorable:
-                mirror.counters.note_fallback("unmirrorable_rows")
-                return None
-            compiled = self._compiled
-            if compiled.signature != table_mirror.signature() or (
-                compiled.index and not table_mirror.index_for(compiled.index[1])
-            ):
-                # the synced snapshot's hostility profile moved under
-                # the compiled SQL (a delta widened it, or a rebuild
-                # reset it), or other shapes took the index slots it
-                # was compiled for: recompile against it, or decline
+        ts = None
+        try:
+            with mirror.lock:
+                # registered under the lock, so no sync of this mirror is
+                # newer than the stamp the decode below reads the rows at
+                ts = manager.hold()
                 try:
-                    compiled = generate_sql(shape, table_mirror)
-                    self._compiled = compiled
-                except Unsupported as unsupported:
-                    mirror.counters.note_fallback(unsupported.slug)
+                    table_mirror = mirror.ensure_synced(shape.table_name, ts)
+                except Exception:
+                    mirror.counters.note_fallback("sync_error")
                     return None
-            try:
-                rows = mirror.execute(table_mirror, compiled)
-            except Exception:
-                # e.g. 64-bit SUM overflow that the 2**53 profile bound
-                # could not rule out — the batched fold handles it
-                mirror.counters.note_fallback("runtime_error")
-                return None
-            # snapshot the mirror state the ordinals index into while
-            # still holding the lock: a concurrent offloaded query may
-            # rebuild this TableMirror and replace keys/synced_ts, and
-            # fetched ordinals must decode against the list their SQL
-            # ran over (a delta only appends to it)
-            mirror_keys = table_mirror.keys
-            synced_ts = table_mirror.synced_ts
-        mirror.counters.queries_offloaded += 1
-        if compiled.kind == "aggregate":
-            return self._decode_groups(
-                rows, mirror_keys, synced_ts, compiled, keys
-            )
-        return self._decode_rows(rows, mirror_keys, synced_ts, keys)
+                if not table_mirror.mirrorable:
+                    mirror.counters.note_fallback("unmirrorable_rows")
+                    return None
+                compiled = self._compiled
+                if compiled.signature != table_mirror.signature() or (
+                    compiled.index
+                    and not table_mirror.index_for(compiled.index[1])
+                ):
+                    # the synced snapshot's hostility profile moved under
+                    # the compiled SQL (a delta widened it, or a rebuild
+                    # reset it), or other shapes took the index slots it
+                    # was compiled for: recompile against it, or decline
+                    try:
+                        compiled = generate_sql(shape, table_mirror)
+                        self._compiled = compiled
+                    except Unsupported as unsupported:
+                        mirror.counters.note_fallback(unsupported.slug)
+                        return None
+                try:
+                    rows = mirror.execute(table_mirror, compiled)
+                except Exception:
+                    # e.g. 64-bit SUM overflow that the 2**53 profile bound
+                    # could not rule out — the batched fold handles it
+                    mirror.counters.note_fallback("runtime_error")
+                    return None
+                # snapshot the mirror state the ordinals index into while
+                # still holding the lock: a concurrent offloaded query may
+                # rebuild this TableMirror and replace keys/synced_ts, and
+                # fetched ordinals must decode against the list their SQL
+                # ran over (a delta only appends to it)
+                mirror_keys = table_mirror.keys
+                synced_ts = table_mirror.synced_ts
+            mirror.counters.queries_offloaded += 1
+            if compiled.kind == "aggregate":
+                return self._decode_groups(
+                    rows, mirror_keys, synced_ts, compiled, keys
+                )
+            return self._decode_rows(rows, mirror_keys, synced_ts, keys)
+        finally:
+            if ts is not None:
+                manager.release(ts)
 
     def _decode_rows(
         self,
@@ -213,8 +221,6 @@ class OffloadPipeline:
         for (ordinal,) in rows:
             key = mirror_keys[ordinal]
             data = table.read(key, ts)
-            if data is TOMBSTONE:  # vacuumed mid-decode, as in scans
-                continue
             value: Any = (
                 RowTuple(data, relation._name)
                 if isinstance(data, dict)
@@ -296,11 +302,9 @@ def try_offload(
         if not worthwhile:
             mirror.counters.note_fallback(reason)
             return None
-    with mirror.lock:
+    with mirror.lock, manager.snapshot() as ts:
         try:
-            table_mirror = mirror.ensure_synced(
-                shape.table_name, manager.now()
-            )
+            table_mirror = mirror.ensure_synced(shape.table_name, ts)
         except Exception:
             # a failed rebuild (the mirror stays marked stale) falls
             # back to the batched path, counted — not a planning error

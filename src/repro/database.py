@@ -282,7 +282,7 @@ class FunctionalDatabase(DatabaseFunction):
         return {
             "partitioned": True,
             "scheme": spec,
-            "rows": table.partition_counts(self._manager.now()),
+            "rows": table.partition_counts(LATEST),
         }
 
     # -- maintained views (DESIGN.md §9) ----------------------------------------------------
@@ -387,9 +387,6 @@ class FunctionalDatabase(DatabaseFunction):
         """Context-manager costume: ``with db.transaction(): ...``."""
         return self._manager.begin()
 
-    def vacuum(self) -> int:
-        return self._manager.vacuum()
-
     # -- failover fencing (DESIGN.md §12) ---------------------------------------------------
 
     def fence(self, token: int | None = None) -> None:
@@ -451,7 +448,7 @@ class FunctionalDatabase(DatabaseFunction):
         Idempotent. A closed durable database refuses further commits
         (the WAL would silently lose them otherwise); reopening is just
         ``connect(wal_path=same_path)`` — the constructor replays the
-        existing log back into version chains.
+        existing log back into its tables.
         """
         if self._closed:
             return
@@ -624,7 +621,8 @@ class FunctionalDatabase(DatabaseFunction):
     # -- durability ------------------------------------------------------------------------------
 
     def checkpoint(self, path: str) -> None:
-        save_checkpoint(self._engine, path, self._manager.now())
+        with self._manager.snapshot() as ts:
+            save_checkpoint(self._engine, path, ts)
 
     @classmethod
     def restore(cls, path: str, name: str = "DB") -> "FunctionalDatabase":
@@ -648,7 +646,7 @@ def _open_engine(name: str, wal_path: str | None) -> StorageEngine:
     """A fresh engine — or one recovered from an existing WAL file.
 
     ``connect(wal_path=p)`` against a non-empty log replays it back
-    into version chains (reopen-after-close), then reattaches the
+    into its tables (reopen-after-close), then reattaches the
     append handle so new commits extend the same file. Schema changes
     ride the log, so tables come back with their key names, partition
     layout and indexes, and dropped tables stay dropped.

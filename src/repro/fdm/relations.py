@@ -20,15 +20,18 @@ two carriers differ in two primitives only — which stamp a read sees and
 how a write lands. :class:`MaterialRelationFunction`, the free-standing
 relation (literals, intermediate results, copies, group members), owns a
 one-segment table, reads its newest state and applies each write at
-once at the next stamp of its own counter. The stored carrier in
-:mod:`repro.storage.relation` reads a table of the database's engine
-through the caller's snapshot and writes through transactions.
+once at the next stamp of its own counter; no snapshot is ever
+registered against it, so it keeps one version per key. The stored
+carrier in :mod:`repro.storage.relation` reads a table of the
+database's engine through the caller's registered snapshot and writes
+through transactions.
 Everything else is written once, on :class:`RelationFunction`.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro._util import LATEST, TOMBSTONE, chunked, normalize_key
@@ -55,13 +58,16 @@ __all__ = [
 #: Serializes :meth:`RelationFunction.add`'s read-then-write.
 _ADD_LOCK = threading.Lock()
 
+#: A free-standing relation's read stamp: its newest state.
+_NEWEST = nullcontext(LATEST)
+
 
 class RelationFunction(FDMFunction):
     """Shared behaviour for every relation-level function, and the one
     read and write surface of the two relation carriers.
 
-    A carrier supplies :meth:`table`, :meth:`_read_ts` (the stamp a read
-    sees) and :meth:`_write_rows` (how a write lands). ``R(key)`` returns
+    A carrier supplies :meth:`table`, :meth:`_snapshot` (the stamp a read
+    sees, held while it runs) and :meth:`_write_rows` (how a write lands). ``R(key)`` returns
     a :class:`BoundTuple` write-through view, so all Fig. 10 costumes
     work on either carrier:
 
@@ -125,8 +131,9 @@ class RelationFunction(FDMFunction):
         """The :class:`~repro.storage.table.Table` holding the graph now."""
         raise NotImplementedError
 
-    def _read_ts(self) -> int:
-        """The stamp a read sees."""
+    def _snapshot(self) -> Any:
+        """A context manager whose value is the stamp a read sees, held
+        in the snapshot registry for as long as the read runs."""
         raise NotImplementedError
 
     def _write_rows(self, writes: Any) -> None:
@@ -148,7 +155,8 @@ class RelationFunction(FDMFunction):
 
     def _raw_read(self, key: Any) -> Any:
         """Row dict, nested function or bare value at *key*, or TOMBSTONE."""
-        return self.table().read(key, self._read_ts())
+        with self._snapshot() as ts:
+            return self.table().read(key, ts)
 
     def _apply(self, key: Any) -> Any:
         data = self._raw_read(key)
@@ -165,16 +173,19 @@ class RelationFunction(FDMFunction):
         return self._raw_read(key) is not TOMBSTONE
 
     def keys(self) -> Iterator[Any]:
-        return self.table().keys_at(self._read_ts())
+        with self._snapshot() as ts:
+            yield from self.table().keys_at(ts)
 
     def __len__(self) -> int:
-        return self.table().count_at(self._read_ts())
+        with self._snapshot() as ts:
+            return self.table().count_at(ts)
 
     def _entries(self) -> Iterator[tuple[Any, Any]]:
         """``(key, data)`` of every mapping as a read sees it: the row
         dict (shared with the table: never mutate it), nested function
         or bare value."""
-        return self.table().scan_at(self._read_ts())
+        with self._snapshot() as ts:
+            yield from self.table().scan_at(ts)
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Every mapping from one pass over the table: a row comes back
@@ -193,9 +204,10 @@ class RelationFunction(FDMFunction):
     ) -> Iterator[Any]:
         """Columnar enumeration: the table's cached column images at the
         read stamp, with zone skipping (:meth:`Table.column_batches`)."""
-        return self.table().column_batches(
-            self._read_ts(), batch_size, self._name, zone_predicate
-        )
+        with self._snapshot() as ts:
+            yield from self.table().column_batches(
+                ts, batch_size, self._name, zone_predicate
+            )
 
     # -- BoundTuple write-through protocol ------------------------------------------
 
@@ -306,8 +318,8 @@ class MaterialRelationFunction(RelationFunction):
     Reads see the newest state. A write applies at once, at the next
     stamp of the relation's mutation counter ``_version`` (part of the
     executor's plan-cache token, so DML invalidates cached plans,
-    DESIGN.md §6), and replaces the key's one version: no snapshot reads
-    an older one. Writes are non-transactional.
+    DESIGN.md §6), through the one write path with no snapshot held, so
+    it keeps no older version. Writes are non-transactional.
     """
 
     #: The mutation counter: the stamp of the newest write.
@@ -344,15 +356,19 @@ class MaterialRelationFunction(RelationFunction):
     def table(self) -> Any:
         return self._table
 
-    def _read_ts(self) -> int:
-        return LATEST
+    def _snapshot(self) -> Any:
+        return _NEWEST
 
     def _write_rows(self, writes: Any) -> None:
         log = self.changelog
-        if log is not None:
-            writes = list(writes)  # read twice: applied, then logged
+        writes = list(writes)
         ts = self._version + 1
-        olds = self._table.segments[0].put(writes, ts)
+        batch: dict = {}
+        olds, _touched = self._table.apply(
+            [key for key, _data in writes], [data for _key, data in writes],
+            ts, batch,
+        )
+        fold_batch(batch)
         self._version = ts
         if log is None:
             return
@@ -513,3 +529,4 @@ def alternative_view(
 
 # last: the storage package imports this module
 from repro.storage.table import Table  # noqa: E402
+from repro.storage.versioned import fold_batch  # noqa: E402

@@ -144,7 +144,7 @@ class RowTuple(TupleFunction):
     boundaries; the stock constructor's up-front domain materialization
     would dominate scan cost, so the domain is built lazily — filters
     that reject a row via the ``_data`` fast path never pay for it. The
-    row dict is *shared*, not copied: committed version-chain rows and
+    row dict is *shared*, not copied: committed stored rows and
     material-relation rows are never mutated in place (updates install
     fresh dicts), and tuple functions expose no mutators.
     """

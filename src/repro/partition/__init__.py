@@ -4,11 +4,11 @@ DESIGN.md §10. The subsystem has four faces, one per layer it threads
 through:
 
 * **storage** — every :class:`~repro.storage.table.Table` keeps its
-  MVCC version chains in the segments its scheme names: one for a flat
+  MVCC rows in the segments its scheme names: one for a flat
   table (:data:`~repro.partition.scheme.FLAT`), one per partition for
   :class:`~repro.partition.scheme.HashScheme` /
   :class:`~repro.partition.scheme.RangeScheme` (WAL, recovery,
-  snapshots, vacuum all work the same either way).
+  snapshots, retention all work the same either way).
 * **optimizer** — :func:`~repro.partition.prune.surviving_partitions`
   answers which segments a filter can reach, and each segment's own
   :class:`~repro.storage.stats.TableStatistics` let cardinality

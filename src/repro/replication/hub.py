@@ -42,14 +42,11 @@ BATCH_RECORDS = 256
 def snapshot_payload(db: Any) -> dict[str, Any]:
     """A consistent image of *db*'s latest committed state.
 
-    The scan runs under a pinned read transaction so a concurrent
-    vacuum cannot collect the versions mid-copy.
+    The scan's stamp is held in the manager's snapshot registry, so a
+    commit that lands mid-copy keeps every version the copy reads.
     """
-    txn = db.manager.begin(activate=False)
-    try:
-        return engine_image(db.engine, txn.start_ts)
-    finally:
-        db.manager.abort(txn)
+    with db.manager.snapshot() as ts:
+        return engine_image(db.engine, ts)
 
 
 class ReplicaPeer:

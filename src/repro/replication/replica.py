@@ -3,7 +3,7 @@
 A :class:`ReplicaDatabase` is a :class:`~repro.database.
 FunctionalDatabase` whose only writer is the leader's WAL stream.
 Incoming records replay through ``engine.apply_commit`` — the *same*
-path recovery uses — so the follower's version chains, partition
+path recovery uses — so the follower's rows, partition
 layout, secondary indexes, statistics, and its own WAL come out
 identical to the leader's, and the IVM changelog sees every delta
 (maintained views and SUBSCRIBE stay live on replicas). Reads answer
@@ -183,11 +183,12 @@ class ReplicaDatabase(FunctionalDatabase):
         the epoch moved. Records at or below ``applied_ts`` are
         skipped (re-delivery after a reconnect is harmless), the rest
         replay through ``engine.apply_commit`` — appending to the
-        replica's own WAL, then the record's schema changes, version
-        chains, indexes, statistics, and the IVM changelog — before the
+        replica's own WAL, then the record's schema changes, rows,
+        indexes, statistics, and the IVM changelog — under the commit
+        lock, which is where readers register their stamps, before the
         applied clock is published and eager views sync. Readers
-        sampling the clock concurrently therefore never see a
-        half-applied commit. Finally this
+        therefore never see a half-applied commit, and one that holds an
+        older stamp keeps the versions it reads. Finally this
         replica's own replication hub (if sub-replicas attached to
         it) ships the fresh suffix onward — cascading fan-out.
         """
@@ -211,12 +212,12 @@ class ReplicaDatabase(FunctionalDatabase):
             for record in records:
                 if record.commit_ts <= self.applied_ts():
                     continue  # duplicate delivery after a reconnect
-                self._engine.apply_commit(
-                    record.commit_ts, record.writes, record.schemas
-                )
-                if record.schemas:
-                    self._sync_stored()
                 with self._manager._lock:
+                    self._engine.apply_commit(
+                        record.commit_ts, record.writes, record.schemas
+                    )
+                    if record.schemas:
+                        self._sync_stored()
                     self._manager._clock = record.commit_ts
                 applied += 1
                 self.records_applied += 1

@@ -12,7 +12,7 @@ from repro.storage.relation import (
 )
 from repro.storage.stats import AttrStatistics, TableStatistics
 from repro.storage.table import Table
-from repro.storage.versioned import Version, VersionedTable
+from repro.storage.versioned import VersionedTable
 from repro.storage.wal import WALRecord, WriteAheadLog
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "load_checkpoint", "save_checkpoint",
     "StoredRelationFunction", "StoredRelationshipFunction",
     "AttrStatistics", "TableStatistics",
-    "Table", "Version", "VersionedTable",
+    "Table", "VersionedTable",
     "WALRecord", "WriteAheadLog",
 ]

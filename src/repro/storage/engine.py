@@ -3,8 +3,10 @@
 One engine backs one database function. The engine owns no transaction
 logic — the :mod:`repro.txn` manager validates and orders commits, then
 hands the engine a batch of writes to apply atomically (WAL first, then
-version chains, which keep their own statistics, then index
-maintenance). Each :class:`~repro.storage.table.Table` carries its
+the segments' rows, which keep their own statistics, then index
+maintenance). The engine's :class:`~repro.storage.versioned.Snapshots`
+registry, held by the manager, says which replaced versions a commit
+keeps. Each :class:`~repro.storage.table.Table` carries its
 indexes and its segments' statistics, so replacing a table replaces
 everything derived from it in one step.
 """
@@ -20,7 +22,7 @@ from repro.ivm.delta import Delta
 from repro.partition.scheme import as_scheme
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Table
-from repro.storage.versioned import fold_batch
+from repro.storage.versioned import Snapshots, fold_batch
 from repro.storage.wal import WALRecord, WriteAheadLog
 
 __all__ = ["StorageEngine"]
@@ -32,6 +34,9 @@ class StorageEngine:
         self.name = name
         self.tables: dict[str, Table] = {}
         self.wal = WriteAheadLog(wal_path)
+        #: The stamps registered readers hold (DESIGN.md §4); the
+        #: transaction manager registers them under its commit lock.
+        self.snapshots = Snapshots()
         #: Per-database executor plan cache; created lazily by
         #: :func:`repro.exec.cache_for` so storage stays import-light.
         self.plan_cache = None
@@ -54,7 +59,7 @@ class StorageEngine:
         """Start change capture (idempotent). The floor sits at the
         current commit clock — earlier history was never recorded. A
         recovered engine's own WAL is empty (records were replayed,
-        not re-appended), so the version chains are consulted too."""
+        not re-appended), so the segments' stamps are consulted too."""
         if self.changelog is None:
             clock = max(
                 [self.wal.last_commit_ts()]
@@ -85,18 +90,24 @@ class StorageEngine:
         return table
 
     def partition_table(self, name: str, partition_by: Any) -> Table:
-        """Re-partition an existing table in place, history included.
+        """Re-partition an existing table in place, the versions held
+        snapshots read included.
 
-        The version chains replay into the new scheme's segments
-        (historic attribute changes get their move tombstones as if the
-        table had always had it), each segment's statistics covering
-        every version it receives. The new table object replaces the old
-        one in one step: the offload mirror, which keys on the object,
+        The versions replay into the new scheme's segments (historic
+        attribute changes get their move deletes as if the table had
+        always had it), each segment's statistics covering every
+        version it receives. The new table object replaces the old one
+        in one step: the offload mirror, which keys on the object,
         rebuilds for the new enumeration order.
         """
+        horizon = self.snapshots.newest()
         self.tables[name] = table = Table.from_table(
-            self.table(name), as_scheme(partition_by)
+            self.table(name), as_scheme(partition_by), horizon
         )
+        if horizon >= 0:
+            self.snapshots.kept(
+                max(s.written_ts for s in table.segments), table.segments
+            )
         self._invalidate_partition_consumers(name)
         # cached plans were lowered against the old segment layout
         if self.plan_cache is not None:
@@ -198,17 +209,19 @@ class StorageEngine:
         :class:`~repro.storage.image.WALRecord` takes), and the new
         catalog entry of each table in *schemas*.
 
-        Order matters: WAL first (durability), then schemas, then
-        version chains (with their statistics), then index maintenance
-        and changelog publication.
+        Order matters: WAL first (durability), then schemas, then the
+        segments' rows (with their statistics), then index maintenance
+        and changelog publication. The caller holds the snapshot
+        registry still (the manager's commit lock).
         """
         record = WALRecord(commit_ts, writes, schemas)
         self.wal.append(record)
         self._apply_writes(record)
 
     def _apply_writes(self, record: WALRecord) -> None:
-        """Schema changes, then each table's block onto its version
-        chains, plus per-table delta capture.
+        """Schema changes, then each table's block onto its segments,
+        keeping what the held snapshots read, plus per-table delta
+        capture.
 
         Only committed writes pass through here, so aborted transactions
         never publish a delta. With no changelog attached (no view ever
@@ -220,13 +233,14 @@ class StorageEngine:
         changelog = self.changelog
         deltas: dict[str, Delta] = {}
         batch: dict = {}
+        horizon = self.snapshots.newest()
         for name, (keys, rows, deleted) in record.writes.items():
             # no schema record named a table missing here (a log from
             # before schemas rode it, or an engine-level caller): bare
             table = self.tables.get(name) or self.create_table(name)
             if deleted:
                 keys, rows = keys + deleted, rows + [TOMBSTONE] * len(deleted)
-            olds, touched = table.apply(keys, rows, commit_ts, batch)
+            olds, touched = table.apply(keys, rows, commit_ts, batch, horizon)
             if table.indexes:
                 for key, old, data in zip(keys, olds, rows):
                     table.indexes.update(key, old, data)
@@ -240,6 +254,8 @@ class StorageEngine:
                 # segments skip upkeep (DESIGN.md §10)
                 delta.tag_partitions(touched)
         fold_batch(batch)
+        if horizon >= 0:
+            self.snapshots.kept(commit_ts, list(batch))
         if changelog is not None:
             changelog.append(commit_ts, deltas)
 
@@ -257,15 +273,6 @@ class StorageEngine:
             self.plan_cache.clear()
         if self.offload_mirror is not None:
             self.offload_mirror.close()
-
-    # -- maintenance ------------------------------------------------------------------
-
-    def vacuum(self, watermark: int) -> int:
-        """GC dead versions below *watermark*; returns versions dropped."""
-        return sum(t.vacuum(watermark) for t in self.tables.values())
-
-    def version_count(self) -> int:
-        return sum(t.version_count() for t in self.tables.values())
 
     # -- recovery ---------------------------------------------------------------------
 
@@ -293,6 +300,9 @@ class StorageEngine:
         return engine
 
     # -- introspection ------------------------------------------------------------------
+
+    def version_count(self) -> int:
+        return sum(t.version_count() for t in self.tables.values())
 
     def scan(self, table: str, ts: int) -> Iterator[tuple[Any, Any]]:
         return self.table(table).scan_at(ts)

@@ -3,7 +3,8 @@
 A stored relation function is a *view of one engine table through the
 caller's snapshot*. Its two carrier primitives (:mod:`repro.fdm.relations`)
 are transactional: a read sees the current transaction's start stamp
-(its buffered writes first), or the commit clock outside one, and every
+(its buffered writes first), or the commit clock outside one, held in
+the snapshot registry while the read runs, and every
 Fig. 10 mutation costume routes through the transaction manager — inside
 an explicit transaction if one is active, else in an implicit
 per-statement transaction (the Fig. 10 footnote's two modes). Every other
@@ -14,6 +15,7 @@ Stored relationship functions add §3's shared-domain checks on top.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Iterator
 
 from repro._util import TOMBSTONE
@@ -54,9 +56,11 @@ class StoredRelationFunction(RelationFunction):
     def table(self) -> Any:
         return self._engine.table(self._table_name)
 
-    def _read_ts(self) -> int:
+    def _snapshot(self) -> Any:
         txn = self._manager.current()
-        return self._manager.now() if txn is None else txn.start_ts
+        if txn is None:
+            return self._manager.snapshot()
+        return nullcontext(txn.start_ts)  # registered since begin()
 
     def _write_rows(self, writes: Any) -> None:
         txn = self._manager.current()
@@ -72,9 +76,9 @@ class StoredRelationFunction(RelationFunction):
 
     def _raw_read(self, key: Any) -> Any:
         txn = self._manager.current()
-        table = self._engine.table(self._table_name)
         if txn is None:
-            return table.read(key, self._manager.now())
+            return super()._raw_read(key)
+        table = self._engine.table(self._table_name)
         buffered = txn.get_write(self._table_name, key)
         if buffered is not _NO_WRITE:
             return buffered
@@ -112,7 +116,7 @@ class StoredRelationFunction(RelationFunction):
         self, batch_size: int = 1024, zone_predicate: Any = None
     ) -> Iterator[Any]:
         """Inside an open transaction the buffered writes make a scan of
-        the chains (and both skips) unsound, so the scan falls back to
+        the segments (and both skips) unsound, so the scan falls back to
         the row-batch path."""
         if self._manager.current() is not None:
             yield from self.iter_batches(batch_size)

@@ -14,8 +14,8 @@ path: each commit's rows fold in once, a column at a time
   only ever widen, so they cover every version the segment holds and
   a predicate they rule out is false at every snapshot a reader could
   take. The scan skips such segments (:func:`zone_may_match`); a
-  vacuum that drops versions rebuilds the segment's statistics from
-  the survivors, which is what narrows them.
+  re-partition replays the versions the table holds into new
+  statistics, which is what narrows them.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class TableStatistics:
         calls leaves. That run is what fewer than :data:`COLUMN_ROWS`
         rows take, and a fold where a value's count would reach zero and
         come back: it would come back as the run's object (``True``
-        where ``1`` was). A replay of chains with history into empty
+        where ``1`` was). A replay of versions with history into empty
         statistics (re-partitioning) is always such a fold.
         """
         if len(olds) >= COLUMN_ROWS and (

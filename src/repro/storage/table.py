@@ -1,7 +1,7 @@
 """The engine's table: a relation's rows in segments (DESIGN.md §10).
 
-A :class:`Table` owns a name, a key name, secondary indexes, a vacuum
-count, a :class:`~repro.partition.scheme.PartitionScheme` and one
+A :class:`Table` owns a name, a key name, secondary indexes, a
+:class:`~repro.partition.scheme.PartitionScheme` and one
 :class:`~repro.storage.versioned.VersionedTable` segment per partition
 the scheme names. A flat table is the one-segment case, under
 :data:`~repro.partition.scheme.FLAT` (whose spec is ``None``). The
@@ -11,8 +11,8 @@ invariant segment-by-segment scans rely on:
     one segment**, so per-segment scans are disjoint and their
     concatenation (in partition order) is the whole-table scan.
 
-Rows whose partitioning attribute changes *move*: the write appends the
-new version to the new segment and a tombstone to the old segment at the
+Rows whose partitioning attribute changes *move*: the write lands the
+new version in the new segment and a delete in the old segment at the
 same commit stamp, preserving the invariant for every timestamp. Moves
 are derived deterministically from the applied writes, so WAL replay
 reproduces the exact same segment layout (the recovery tests pin this
@@ -38,7 +38,7 @@ _FIRST = (0,)
 
 
 class Table:
-    """A multi-versioned key → row table whose chains live in segments."""
+    """A multi-versioned key → row table whose rows live in segments."""
 
     def __init__(
         self,
@@ -61,46 +61,38 @@ class Table:
         #: Secondary indexes over the latest committed rows; the engine
         #: updates them at commit.
         self.indexes = IndexSet()
-        #: How many vacuums dropped versions here: a change to the
-        #: chains no commit record describes (the offload mirror's
-        #: rebuild trigger, with the table's identity).
-        self.vacuums = 0
 
     @classmethod
-    def from_table(cls, table: "Table", scheme: PartitionScheme) -> "Table":
-        """Re-partition *table* under *scheme*, version history included.
+    def from_table(
+        cls, table: "Table", scheme: PartitionScheme, horizon: int = -1
+    ) -> "Table":
+        """Re-partition *table* under *scheme*, the versions it holds
+        included.
 
-        Each key's history replays in stamp order through the normal
-        write path, so historical moves get their tombstones exactly as
-        if the table had had *scheme* from the start, and each segment's
-        statistics cover every version it receives. The indexes carry
-        over as they are: a re-shard changes no latest value.
+        Each key's versions replay in stamp order through the normal
+        write path under *horizon* (:meth:`VersionedTable.apply`), so
+        what a held snapshot reads stays readable, historical moves get
+        their deletes exactly as if the table had had *scheme* from the
+        start, and each segment's statistics cover every version it
+        receives. At each stamp the live value wins over the delete a
+        move left in the old segment. The indexes carry over as they
+        are: a re-shard changes no latest value.
         """
         out = cls(table.name, key_name=table.key_name, scheme=scheme)
         out.indexes = table.indexes
+        versions: dict[Any, dict[int, Any]] = {}
+        for segment in table.segments:
+            for key, held in segment.history():
+                by_ts = versions.setdefault(key, {})
+                for ts, data in held:
+                    if by_ts.get(ts, TOMBSTONE) is TOMBSTONE:
+                        by_ts[ts] = data
         batch: dict = {}
-        for key, versions in table.logical_chains():
-            for ts, data in versions:
-                out.apply((key,), (data,), ts, batch)
+        for key, by_ts in versions.items():
+            for ts, data in sorted(by_ts.items()):
+                out.apply((key,), (data,), ts, batch, horizon)
         fold_batch(batch)
         return out
-
-    def logical_chains(self) -> Iterator[tuple[Any, list[tuple[int, Any]]]]:
-        """Per key, the logical version history with move artifacts
-        collapsed: at each stamp the live value wins over the move
-        tombstone the old segment received."""
-        keys: dict[Any, None] = {}
-        for segment in self.segments:
-            for key in segment._chains:
-                keys.setdefault(key, None)
-        for key in keys:
-            by_ts: dict[int, Any] = {}
-            for segment in self.segments:
-                for version in segment._chains.get(key, ()):
-                    current = by_ts.get(version.ts, TOMBSTONE)
-                    if current is TOMBSTONE:
-                        by_ts[version.ts] = version.data
-            yield key, sorted(by_ts.items())
 
     @property
     def stats(self) -> TableStatistics | SummedStatistics:
@@ -147,11 +139,10 @@ class Table:
         """The rows visible at snapshot *ts* as column batches, segment
         by segment (the table's enumeration order; DESIGN.md §13).
 
-        Each segment serves its cached column image, scanning the
-        version chains into a new one when the cached image does not
-        serve *ts*; a snapshot older than the segment's newest write,
-        or a segment holding a non-dict value, walks the chains
-        uncached. Only the segments *zone_predicate* reaches are read
+        Each segment serves its cached column image, copying its rows
+        into a new one when the cached image does not serve *ts*; a
+        snapshot older than the segment's newest write, or a segment
+        holding a non-dict value, is scanned uncached. Only the segments *zone_predicate* reaches are read
         (:func:`~repro.partition.prune.surviving_partitions`); each of
         those whose own statistics rule the predicate out is skipped
         and counted as a zone skip.
@@ -184,15 +175,17 @@ class Table:
 
     # -- writes -----------------------------------------------------------------
 
-    def apply(self, keys: Any, datas: Any, ts: int, batch: dict) -> tuple[list, Any]:
-        """Append one committed version per key, ``datas[i]`` under
+    def apply(
+        self, keys: Any, datas: Any, ts: int, batch: dict, horizon: int = -1
+    ) -> tuple[list, Any]:
+        """Land one committed version per key, ``datas[i]`` under
         ``keys[i]``, where the scheme places it; returns the values
         they replace and the segments they touched (a move touches
-        two). *batch* collects the commit's rows for the statistics
-        (:meth:`VersionedTable.apply`)."""
+        two). *batch* collects the commit's rows for the statistics,
+        and *horizon* says what to keep (:meth:`VersionedTable.apply`)."""
         segments = self.segments
         if len(segments) == 1:  # nowhere to move: nothing to place
-            return segments[0].apply(keys, datas, ts, batch), _FIRST
+            return segments[0].apply(keys, datas, ts, batch, horizon), _FIRST
         olds, touched = [], set()
         for key, data in zip(keys, datas):
             olds.append(self.read(key, LATEST))
@@ -202,23 +195,16 @@ class Table:
                 pid = old_pid if old_pid is not None else 0
             else:
                 pid = self.scheme.partition_for(key, data)
-            segments[pid].apply((key,), (data,), ts, batch)
+            segments[pid].apply((key,), (data,), ts, batch, horizon)
             self._placement[key] = pid
             touched.add(pid)
             if old_pid is not None and old_pid != pid:
                 # the row moved: close out the old segment at the same stamp
-                segments[old_pid].apply((key,), (TOMBSTONE,), ts, batch)
+                segments[old_pid].apply((key,), (TOMBSTONE,), ts, batch, horizon)
                 touched.add(old_pid)
         return olds, touched
 
-    # -- maintenance ------------------------------------------------------------
-
-    def vacuum(self, watermark: int) -> int:
-        """Drop versions invisible to every snapshot ≥ *watermark*."""
-        dropped = sum(s.vacuum(watermark) for s in self.segments)
-        if dropped:
-            self.vacuums += 1
-        return dropped
+    # -- introspection ----------------------------------------------------------
 
     def version_count(self) -> int:
         return sum(s.version_count() for s in self.segments)
@@ -227,13 +213,10 @@ class Table:
         """Full physical layout, pid → key → [(ts, data)...]: equal
         layouts mean WAL replay reproduced every placement and move."""
         return {
-            pid: {
-                key: [(v.ts, v.data) for v in versions]
-                for key, versions in segment._chains.items()
-            }
+            pid: dict(segment.history())
             for pid, segment in enumerate(self.segments)
         }
 
     def __repr__(self) -> str:
-        sizes = "/".join(str(len(s._chains)) for s in self.segments)
-        return f"<Table {self.name!r} {self.scheme.describe()}: chains {sizes}>"
+        sizes = "/".join(str(len(s.rows)) for s in self.segments)
+        return f"<Table {self.name!r} {self.scheme.describe()}: rows {sizes}>"

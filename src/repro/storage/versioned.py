@@ -1,38 +1,44 @@
-"""MVCC versioned tables: the storage behind stored relation functions.
+"""MVCC segments: the storage behind stored relation functions.
 
-Each key maps to a *version chain* — committed versions stamped with the
-logical commit timestamp that created them. Readers resolve a key against a
-snapshot timestamp and see the latest version at or before it; writers
-buffer in their transaction and append at commit. Deletes append a
-tombstone. This gives:
+A segment keeps, per key, its newest committed row (``rows``) and the
+stamp of the commit that wrote it (``stamps``). Readers resolve a key
+against a snapshot stamp; writers buffer in their transaction and land
+at commit. A version that a commit replaces, or a key's absence before
+its first insert, is kept only while a registered snapshot still reads
+it (:class:`Snapshots`, DESIGN.md §4), and is dropped when that snapshot
+ends. This gives:
 
-* snapshot reads that never block and never see torn state (Fig. 11),
+* snapshot reads that never block and never see torn state (Fig. 11);
+  a read below every registered snapshot raises
+  :class:`~repro.errors.StorageError`, never answers from a newer row;
 * first-committer-wins conflict detection (the transaction manager
-  compares a chain's newest stamp against the writer's snapshot),
-* time travel (`as_of`) and cheap garbage collection below the oldest
-  active snapshot.
+  compares a key's stamp against the writer's snapshot);
+* a store whose size follows the live rows plus the writes since the
+  oldest live snapshot, with nothing to collect by hand.
 
 A :class:`VersionedTable` is one *segment* of a table
 (:class:`repro.storage.table.Table`, DESIGN.md §10): a flat table has
 one, a partitioned table one per partition, and a free-standing
-relation's one segment keeps a single version per key
-(:meth:`VersionedTable.put`, DESIGN.md §4). A segment carries what is
-derived from its own rows: one :class:`ColumnImage` (its live rows at
-the newest write, laid out for column reads) and its
-:class:`~repro.storage.stats.TableStatistics`, which double as zone
-maps (DESIGN.md §13).
+relation's one segment is the case no snapshot is ever registered
+against. A segment carries what is derived from its own rows: one
+:class:`ColumnImage` (its live rows at the newest write, laid out for
+column reads) and its :class:`~repro.storage.stats.TableStatistics`,
+which double as zone maps (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from typing import Any, Iterator
 
-from repro._util import MISSING, TOMBSTONE
+from repro._util import LATEST, MISSING, TOMBSTONE
 from repro.errors import StorageError
 from repro.storage.stats import TableStatistics
 
-__all__ = ["ColumnImage", "Version", "VersionedTable", "TOMBSTONE", "fold_batch"]
+__all__ = [
+    "ColumnImage", "Snapshots", "VersionedTable", "TOMBSTONE", "fold_batch",
+]
 
 
 class ColumnImage:
@@ -70,126 +76,142 @@ class ColumnImage:
         return got
 
 
-class Version:
-    """One committed version of one key."""
+class Snapshots:
+    """The stamps registered readers read at (DESIGN.md §4).
 
-    __slots__ = ("ts", "data")
+    Every reader whose stamp can fall behind the newest write holds it
+    here for as long as it reads: a transaction, a transaction-free
+    read at the commit clock, the offload mirror's sync and decode, a
+    follower's snapshot copy. A commit keeps a version it replaces only
+    while a held stamp reads it (:meth:`VersionedTable.apply`); when the
+    oldest holder lets go, what no remaining holder reads is dropped
+    (:meth:`VersionedTable.trim`). Every held stamp is at most the
+    commit clock and a commit takes the clock plus one, so a commit
+    never has to keep a version for a reader that comes later. The
+    transaction manager changes it under its commit lock.
+    """
 
-    def __init__(self, ts: int, data: Any):
-        self.ts = ts
-        self.data = data  # attribute dict, nested FDM function, or TOMBSTONE
+    __slots__ = ("held", "_retiring")
 
-    def __repr__(self) -> str:
-        label = "⊥" if self.data is TOMBSTONE else repr(self.data)
-        return f"@{self.ts}:{label}"
+    def __init__(self) -> None:
+        #: held stamp → how many readers hold it
+        self.held: dict[int, int] = {}
+        #: ``(stamp, segments)``, oldest first: the segments in which the
+        #: commit at *stamp* kept versions
+        self._retiring: deque = deque()
+
+    def newest(self) -> int:
+        """The newest held stamp; -1 when nothing is held."""
+        return max(self.held, default=-1)
+
+    def hold(self, ts: int) -> None:
+        self.held[ts] = self.held.get(ts, 0) + 1
+
+    def release(self, ts: int) -> None:
+        """Let go of one hold on *ts*; drop the versions that no
+        remaining holder reads once *ts* was the oldest."""
+        left = self.held[ts] - 1
+        if left:
+            self.held[ts] = left
+            return
+        del self.held[ts]
+        retiring = self._retiring
+        if retiring:
+            floor = min(self.held, default=LATEST)
+            while retiring and retiring[0][0] <= floor:
+                for segment in retiring.popleft()[1]:
+                    segment.trim(floor)
+
+    def kept(self, ts: int, segments: Any) -> None:
+        """Note that a write at *ts* may have kept versions in
+        *segments*, to be trimmed once every holder is past *ts*."""
+        self._retiring.append((ts, segments))
 
 
 class VersionedTable:
-    """One segment: a multi-versioned key → attribute-dict store."""
+    """One segment: each key's newest row, plus the older versions that
+    registered snapshots still read."""
 
     def __init__(self, name: str):
         self.name = name
-        self._chains: dict[Any, list[Version]] = {}
-        #: The newest commit stamp applied (0 if none). Set before the
-        #: commit's stamp is published, so a reader whose snapshot is at
-        #: or past it sees every version this segment holds.
+        #: key → newest live row, in the enumeration order: a key sits
+        #: where it was first inserted since it was last absent
+        self.rows: dict[Any, Any] = {}
+        #: key → stamp of its newest write (a delete's too, while a
+        #: snapshot that predates it is held): the first-committer-wins
+        #: test, and what tells a reader a row is newer than its stamp
+        self.stamps: dict[Any, int] = {}
+        #: key → ``[(stamp, data), …]``, oldest first: the versions a
+        #: held snapshot still reads; TOMBSTONE marks the key absent
+        self.retired: dict[Any, list[tuple[int, Any]]] = {}
+        #: The newest commit stamp applied (0 if none). Moved before a
+        #: commit changes a row, so a reader whose snapshot is at or
+        #: past it reads :attr:`rows` as they are.
         self.written_ts = 0
         self._image: ColumnImage | None = None
-        #: Chains whose newest version is live: the row count at any
-        #: snapshot at or past :attr:`written_ts`.
-        self._live = 0
         #: Latest-state counts and accumulate-only bounds, folded in by
-        #: each commit (:func:`fold_batch`) and rebuilt by :meth:`vacuum`;
-        #: ``None`` once :meth:`put` left them to be rebuilt when read.
-        self._stats: TableStatistics | None = TableStatistics()
-        #: ``(olds, news)`` of the writes :meth:`put` applied that the
-        #: statistics have not folded yet.
-        self._unfolded: tuple[list, list] = ([], [])
-
-    @property
-    def stats(self) -> TableStatistics:
-        """The segment's statistics, with the writes :meth:`put` left
-        waiting folded in (or rebuilt from the chains)."""
-        olds, news = self._unfolded
-        if self._stats is None:
-            self._stats = self._rebuilt_stats()
-        elif olds:
-            self._stats.fold(olds, news)
-        if olds:
-            self._unfolded = ([], [])
-        return self._stats
-
-    def _rebuilt_stats(self) -> TableStatistics:
-        """Statistics of every version the chains hold, folded in chain
-        order (what the commits that wrote them folded)."""
-        olds: list = []
-        news: list = []
-        for chain in self._chains.values():
-            previous = TOMBSTONE
-            for version in chain:
-                olds.append(previous)
-                news.append(version.data)
-                previous = version.data
-        stats = TableStatistics()
-        stats.fold(olds, news)
-        return stats
+        #: each commit (:func:`fold_batch`).
+        self.stats = TableStatistics()
 
     # -- reads ------------------------------------------------------------------
 
     def read(self, key: Any, ts: int) -> Any:
-        """The committed value visible at snapshot *ts*, or TOMBSTONE."""
-        chain = self._chains.get(key)
-        if not chain:
-            return TOMBSTONE
-        # fast path: the newest version is visible (current snapshots —
-        # the overwhelmingly common case); no stamp list, no bisect
-        newest = chain[-1]
-        if newest.ts <= ts:
-            return newest.data
-        stamps = [v.ts for v in chain]
-        index = bisect_right(stamps, ts) - 1
-        if index < 0:
-            return TOMBSTONE
-        return chain[index].data
+        """The committed value visible at snapshot *ts*, or TOMBSTONE.
 
-    def exists(self, key: Any, ts: int) -> bool:
-        """Whether *key* has a live version at snapshot *ts*."""
-        return self.read(key, ts) is not TOMBSTONE
+        The row is read before its stamp, and :meth:`apply` writes them
+        the other way round, so a row newer than *ts* is always seen as
+        such."""
+        data = self.rows.get(key, TOMBSTONE)
+        if self.stamps.get(key, 0) <= ts:
+            return data
+        for stamp, old in reversed(self.retired.get(key, ())):
+            if stamp <= ts:
+                return old
+        raise StorageError(
+            f"{self.name!r}[{key!r}] changed after stamp {ts}, and no "
+            "registered snapshot kept the version it read"
+        )
 
     def latest_ts(self, key: Any) -> int:
-        """Commit stamp of the newest version (0 if the key never existed).
+        """Commit stamp of the newest write (0 if none is remembered).
 
         The transaction manager's write-write conflict test: a key changed
-        since snapshot ``s`` iff ``latest_ts(key) > s``.
+        since snapshot ``s`` iff ``latest_ts(key) > s``. A delete's stamp
+        is forgotten only once no registered snapshot predates it.
         """
-        chain = self._chains.get(key)
-        return chain[-1].ts if chain else 0
+        return self.stamps.get(key, 0)
 
     def keys_at(self, ts: int) -> Iterator[Any]:
-        """Keys with a live (non-tombstone) version at snapshot *ts*."""
+        """Keys with a live version at snapshot *ts*."""
         image = self.image_at(ts)
         if image is not None:
             return iter(image.keys)
         return (key for key, _data in self.scan_at(ts))
 
     def scan_at(self, ts: int) -> Iterator[tuple[Any, Any]]:
-        """``(key, value)`` of every live version at snapshot *ts*, in
-        chain order."""
-        for key, chain in list(self._chains.items()):
-            newest = chain[-1] if chain else None
-            if newest is not None and newest.ts <= ts:
-                data = newest.data  # fast path (see read())
-            else:
-                data = self.read(key, ts)
+        """``(key, value)`` of every live version at snapshot *ts*: in
+        :attr:`rows` order, then (at a snapshot older than the newest
+        write) the keys deleted since."""
+        items = list(self.rows.items())
+        if ts >= self.written_ts:  # read after the copy (see written_ts)
+            return iter(items)
+        return self._scan_older(ts)
+
+    def _scan_older(self, ts: int) -> Iterator[tuple[Any, Any]]:
+        keys = dict.fromkeys(self.rows)
+        keys.update(dict.fromkeys(self.retired))
+        for key in keys:
+            data = self.read(key, ts)
             if data is not TOMBSTONE:
                 yield key, data
 
     def count_at(self, ts: int) -> int:
-        """Live keys at snapshot *ts* (walks the chains only for a
-        snapshot older than the newest write)."""
+        """Live keys at snapshot *ts* (a scan only for a snapshot older
+        than the newest write)."""
+        count = len(self.rows)
         if ts >= self.written_ts:
-            return self._live
-        return sum(1 for _ in self.keys_at(ts))
+            return count
+        return sum(1 for _ in self._scan_older(ts))
 
     def image_at(self, ts: int) -> ColumnImage | None:
         """The cached image, if it serves a read at snapshot *ts*.
@@ -205,127 +227,102 @@ class VersionedTable:
         return None
 
     def build_image(self, ts: int) -> ColumnImage | None:
-        """Scan the chains at *ts* into a new cached image, or ``None``
-        when *ts* predates the newest write (an older snapshot: walk
-        the chains uncached) or a row is not a dict."""
-        stamp = self.written_ts  # read before scanning (see image_at)
+        """Copy :attr:`rows` into a new cached image, or ``None`` when
+        *ts* predates the newest write (an older snapshot: scan
+        uncached), a commit began mid-copy, or a row is not a dict."""
+        stamp = self.written_ts  # read before copying (see image_at)
         if ts < stamp:
             return None
-        keys: list = []
-        rows: list = []
-        for key, data in self.scan_at(ts):
-            if not isinstance(data, dict):
-                return None
-            keys.append(key)
-            rows.append(data)
-        image = self._image = ColumnImage(keys, rows, stamp)
+        rows = self.rows
+        keys, datas = list(rows), list(rows.values())
+        if self.written_ts != stamp:
+            return None
+        if self.stats.opaque and not all(isinstance(d, dict) for d in datas):
+            return None
+        image = self._image = ColumnImage(keys, datas, stamp)
         return image
 
-    # -- writes (called by the transaction manager only) ---------------------------
+    # -- writes -----------------------------------------------------------------
 
-    def apply(self, keys: Any, datas: Any, ts: int, batch: dict) -> list:
-        """Append one committed version per key, ``datas[i]`` under
-        ``keys[i]``, and return the values they replace. Stamps must be
-        monotone per chain. The statistics take them with the rest of
-        the commit's *batch* (:func:`fold_batch`)."""
-        chains = self._chains
+    def apply(
+        self, keys: Any, datas: Any, ts: int, batch: dict, horizon: int = -1
+    ) -> list:
+        """Make ``datas[i]`` the newest version of ``keys[i]``, stamped
+        *ts* (TOMBSTONE deletes), and return the values they replace.
+
+        *horizon* is the newest held snapshot stamp (-1: none). A
+        replaced version, or a key's absence, is kept in
+        :attr:`retired` when a held snapshot reads it: one at or past
+        its stamp, so when that stamp is at most *horizon*. While any
+        snapshot is held a delete also keeps what it replaces, so that
+        the delete's stamp stays for the conflict test until
+        :meth:`trim` drops both. The statistics take the writes with
+        the rest of the commit's *batch* (:func:`fold_batch`)."""
+        rows, stamps, retired = self.rows, self.stamps, self.retired
         olds, news = batch.get(self) or batch.setdefault(self, ([], []))
         first = len(olds)
-        live = self._live
-        for key, data in zip(keys, datas):
-            chain = chains.get(key)
-            if chain is None:
-                chains[key] = [Version(ts, data)]
-                old = TOMBSTONE
-            else:
-                old = chain[-1].data
-                if chain[-1].ts < ts:
-                    chain.append(Version(ts, data))
-                elif chain[-1].ts == ts:
-                    chain[-1] = Version(ts, data)  # same-txn overwrite
-                else:
-                    raise StorageError(
-                        f"non-monotonic commit stamp {ts} after {chain[-1].ts}"
-                        f" on {self.name!r}[{key!r}]"
-                    )
-            olds.append(old)
-            live += (data is not TOMBSTONE) - (old is not TOMBSTONE)
-        news += datas
-        self._live = live
         if ts > self.written_ts:  # re-partitioning replays out of order
             self.written_ts = ts
         self._image = None
+        for key, data in zip(keys, datas):
+            old = rows.get(key, TOMBSTONE)
+            stamp = stamps.get(key, 0)
+            if stamp > ts:
+                raise StorageError(
+                    f"non-monotonic commit stamp {ts} after {stamp}"
+                    f" on {self.name!r}[{key!r}]"
+                )
+            # retired, then the stamp, then the row (see read())
+            if (
+                0 <= horizon
+                and stamp < ts
+                and (stamp <= horizon or data is TOMBSTONE)
+            ):
+                retired.setdefault(key, []).append((stamp, old))
+            if data is TOMBSTONE:
+                if key in retired:
+                    stamps[key] = ts
+                else:
+                    stamps.pop(key, None)
+                rows.pop(key, None)
+            else:
+                stamps[key] = ts
+                rows[key] = data
+            olds.append(old)
+        news += datas
         return olds[first:]
 
-    def put(self, writes: Any, ts: int) -> list:
-        """Make each ``(key, data)`` write's *data* the key's one version,
-        stamped *ts* (TOMBSTONE: drop the key), and return the values
-        they replace. This is a free-standing relation's write: no
-        snapshot reads an older version, so none is kept. The
-        statistics take the writes when next read (:attr:`stats`); once
-        more writes wait than the segment has rows, they are rebuilt
-        from the chains instead, so waiting writes never outgrow it."""
-        chains = self._chains
-        olds, news = self._unfolded
-        first = len(olds)
-        live = self._live
-        for key, data in writes:
-            chain = chains.get(key)
-            old = chain[-1].data if chain else TOMBSTONE
-            olds.append(old)
-            news.append(data)
-            if data is TOMBSTONE:
-                if chain is not None:
-                    del chains[key]
-            else:
-                chains[key] = [Version(ts, data)]
-            live += (data is not TOMBSTONE) - (old is not TOMBSTONE)
-        self._live = live
-        self.written_ts = ts
-        self._image = None
-        replaced = olds[first:]
-        if len(olds) > len(chains):
-            self._unfolded = ([], [])
-            self._stats = None
-        return replaced
+    def trim(self, floor: int) -> None:
+        """Drop the kept versions that no snapshot at or past *floor*
+        reads: those replaced at or before it."""
+        retired, stamps = self.retired, self.stamps
+        for key, versions in list(retired.items()):
+            replaced = [stamp for stamp, _data in versions[1:]]
+            replaced.append(stamps[key])
+            gone = bisect_right(replaced, floor)
+            if gone == len(versions):
+                del retired[key]
+                if key not in self.rows:
+                    del stamps[key]
+            elif gone:
+                retired[key] = versions[gone:]
 
-    # -- maintenance -----------------------------------------------------------------
-
-    def vacuum(self, watermark: int) -> int:
-        """Drop versions invisible to every snapshot ≥ *watermark*.
-
-        Keeps, per chain, the newest version at or before the watermark
-        plus everything after it; empty chains whose survivor is a
-        tombstone disappear entirely. When anything went, the statistics
-        are rebuilt from the survivors, so their bounds narrow. Returns
-        versions dropped.
-        """
-        # vacuum drops no live row, so the image stays correct; drop it
-        # anyway to free its memory
-        self._image = None
-        dropped = 0
-        for key in list(self._chains):
-            chain = self._chains[key]
-            stamps = [v.ts for v in chain]
-            keep_from = max(0, bisect_right(stamps, watermark) - 1)
-            dropped += keep_from
-            chain = chain[keep_from:]
-            if len(chain) == 1 and chain[0].data is TOMBSTONE:
-                dropped += 1
-                del self._chains[key]
-            else:
-                self._chains[key] = chain
-        if dropped:
-            self._stats = self._rebuilt_stats()
-        return dropped
+    def history(self) -> Iterator[tuple[Any, list[tuple[int, Any]]]]:
+        """Per key, the versions held, oldest first: the kept ones, then
+        the newest (TOMBSTONE for a delete a snapshot still predates)."""
+        rows, stamps, retired = self.rows, self.stamps, self.retired
+        for key in {**dict.fromkeys(rows), **dict.fromkeys(retired)}:
+            yield key, [
+                *retired.get(key, ()), (stamps[key], rows.get(key, TOMBSTONE))
+            ]
 
     def version_count(self) -> int:
-        """Stored versions, tombstones included."""
-        return sum(len(chain) for chain in self._chains.values())
+        """Versions held: the live rows plus the kept ones."""
+        return len(self.rows) + sum(map(len, self.retired.values()))
 
     def __repr__(self) -> str:
         return (
-            f"<VersionedTable {self.name!r}: {len(self._chains)} chains, "
+            f"<VersionedTable {self.name!r}: {len(self.rows)} rows, "
             f"{self.version_count()} versions>"
         )
 

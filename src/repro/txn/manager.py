@@ -25,8 +25,13 @@ Network sessions (DESIGN.md §11) need the converse: one transaction that
 same client connection may be served by different threads.
 ``detach()``/``attach()`` move a transaction off and onto the calling
 thread's stack explicitly; a detached transaction stays active (its
-snapshot still pins the vacuum watermark) but is current nowhere until
-re-attached.
+snapshot stays registered) but is current nowhere until re-attached.
+
+Every reader whose stamp can fall behind the newest write registers it
+in the manager's :attr:`TransactionManager.snapshots` while it reads: a
+transaction from ``begin()`` to its end, a transaction-free read
+through :meth:`TransactionManager.snapshot`. A commit keeps a version
+it replaces only while a registered snapshot reads it (DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -161,6 +166,10 @@ class TransactionManager:
         self.engine = engine
         self._lock = threading.RLock()
         self._clock = engine.wal.last_commit_ts()
+        #: The registry of held snapshot stamps (DESIGN.md §4): every
+        #: active transaction's start stamp, and every transaction-free
+        #: reader's, while it reads. Changed under the commit lock.
+        self.snapshots = engine.snapshots
         self._active: dict[int, Transaction] = {}
         self._local = threading.local()
         self.commits = 0
@@ -177,12 +186,33 @@ class TransactionManager:
         """The newest committed stamp (what autocommit readers see)."""
         return self._clock
 
+    def snapshot(self) -> "Held":
+        """A context manager holding the newest committed stamp in the
+        registry while a transaction-free read runs; its value is the
+        stamp."""
+        return Held(self)
+
+    def hold(self, ts: int | None = None) -> int:
+        """Register a reader at *ts* (default: the newest committed
+        stamp) and return the stamp; :meth:`release` ends it. A stamp
+        older than the clock is safe only while another holder keeps
+        it."""
+        with self._lock:
+            ts = self._clock if ts is None else ts
+            self.snapshots.hold(ts)
+        return ts
+
+    def release(self, ts: int) -> None:
+        with self._lock:
+            self.snapshots.release(ts)
+
     # -- lifecycle ---------------------------------------------------------------------
 
     def begin(self, activate: bool = True) -> Transaction:
         with self._lock:
             txn = Transaction(self, start_ts=self._clock)
             self._active[txn.txn_id] = txn
+            self.snapshots.hold(txn.start_ts)
         if activate:
             self._activate(txn)
         return txn
@@ -235,7 +265,7 @@ class TransactionManager:
             if txn.writes:
                 # pre-apply budget checkpoint: a metered DML statement
                 # whose deadline expired aborts cleanly *here* — once
-                # apply_commit starts writing version chains the commit
+                # apply_commit starts writing rows the commit
                 # must run to completion, so this is the last safe gate
                 meter = active_meter()
                 if meter is not None and meter._armed:
@@ -246,16 +276,17 @@ class TransactionManager:
                         meter.kill(reason)
             if txn.writes:
                 # Apply at clock+1 and publish the new clock only after
-                # the version chains are fully written: concurrent
-                # autocommit readers sample `now()` without taking this
-                # lock, and must never adopt a snapshot whose commit is
-                # still mid-application (a torn read).
+                # the rows are fully written: a reader that registers
+                # the clock must never adopt a snapshot whose commit is
+                # still mid-application (a torn read). The committing
+                # snapshot ends first: nothing is kept for it.
+                self._end(txn)
                 commit_at = self._clock + 1
                 try:
                     self.engine.apply_commit(commit_at, txn.writes)
                 except (PersistenceError, WALError):
                     # the log refused the record before the file, the
-                    # retained records or a version chain changed
+                    # retained records or a row changed
                     self._finish(txn, ABORTED)
                     self.aborts += 1
                     raise
@@ -312,8 +343,13 @@ class TransactionManager:
 
     def _finish(self, txn: Transaction, state: str) -> None:
         txn.state = state
-        self._active.pop(txn.txn_id, None)
+        self._end(txn)
         self._deactivate(txn)
+
+    def _end(self, txn: Transaction) -> None:
+        """Unregister *txn*'s snapshot (once); under the commit lock."""
+        if self._active.pop(txn.txn_id, None) is not None:
+            self.snapshots.release(txn.start_ts)
 
     # -- per-thread currency ---------------------------------------------------------------
 
@@ -355,24 +391,24 @@ class TransactionManager:
                 self.abort(txn)
             raise
 
-    # -- maintenance ---------------------------------------------------------------------------
-
-    def oldest_active_snapshot(self) -> int:
-        with self._lock:
-            if not self._active:
-                return self._clock
-            return min(t.start_ts for t in self._active.values())
-
-    def vacuum(self) -> int:
-        """GC versions no active snapshot can see. Under the commit
-        lock: a vacuum rewrites chains and rebuilds the statistics
-        derived from them, which a commit's apply must not interleave
-        with."""
-        with self._lock:
-            return self.engine.vacuum(self.oldest_active_snapshot())
-
     def __repr__(self) -> str:
         return (
             f"<TM @{self._clock}: {len(self._active)} active, "
             f"{self.commits} commits, {self.aborts} aborts>"
         )
+
+
+class Held:
+    """:meth:`TransactionManager.snapshot`'s context manager."""
+
+    __slots__ = ("manager", "ts")
+
+    def __init__(self, manager: TransactionManager):
+        self.manager = manager
+
+    def __enter__(self) -> int:
+        self.ts = self.manager.hold()
+        return self.ts
+
+    def __exit__(self, *exc: Any) -> None:
+        self.manager.release(self.ts)

@@ -198,9 +198,8 @@ class TestDurability:
         db["t"] = {1: {"v": 0}}
         for i in range(50):
             db.t[1]["v"] = i
-        assert db.engine.version_count() > 25
-        dropped = db.vacuum()
-        assert dropped > 25
+        # no snapshot was held, so no replaced version was kept
+        assert db.engine.version_count() == 1
         assert db.t(1)("v") == 49  # latest state intact
 
 

@@ -31,7 +31,7 @@ def test_versioned_reads_see_latest_at_or_before(history):
     state: dict = {}
     for ts, (key, value) in enumerate(history, start=1):
         data = TOMBSTONE if value is None else {"v": value}
-        table.apply([key], [data], ts, batch)
+        table.apply([key], [data], ts, batch, ts - 1)  # every stamp held
         if value is None:
             state.pop(key, None)
         else:
@@ -48,17 +48,20 @@ def test_versioned_reads_see_latest_at_or_before(history):
     max_size=25,
 ), st.integers(1, 25))
 def test_vacuum_preserves_visible_state(history, watermark):
+    """Trimming to *watermark* (the oldest held snapshot) keeps every
+    state visible at or past it."""
     table, batch = VersionedTable("t"), {}
     for ts, (key, value) in enumerate(history, start=1):
         table.apply(
-            [key], [TOMBSTONE if value is None else {"v": value}], ts, batch
+            [key], [TOMBSTONE if value is None else {"v": value}], ts, batch,
+            ts - 1,
         )
     fold_batch(batch)
     top = len(history)
     visible_before = {
         ts: dict(table.scan_at(ts)) for ts in range(watermark, top + 1)
     }
-    table.vacuum(watermark)
+    table.trim(watermark)
     for ts, snapshot in visible_before.items():
         assert dict(table.scan_at(ts)) == snapshot
 

@@ -1,10 +1,11 @@
 """A flat table is the one-segment table (DESIGN.md §10).
 
 The same seeded history — inserts, updates, deletes, reinserts,
-vacuums, reopens from the WAL and image installs — applied to a flat
-table and to a ``hash_partition("p", 1)`` table leaves both with the
-same scan order, keys, statistics and query answers after every step,
-and the offload mirror patches both row by row.
+snapshots held and ended, reopens from the WAL and image installs —
+applied to a flat table and to a ``hash_partition("p", 1)`` table
+leaves both with the same scan order (at the newest stamp and at every
+held one), keys, statistics and query answers after every step, and
+the offload mirror patches both row by row.
 """
 
 import random
@@ -80,9 +81,17 @@ def _commit(ts, key, data):
     return step
 
 
-def _vacuum(watermark):
+def _hold(ts):
     def step(engine):
-        engine.vacuum(watermark)
+        engine.snapshots.hold(ts)
+        return engine
+
+    return step
+
+
+def _release(ts):
+    def step(engine):
+        engine.snapshots.release(ts)
         return engine
 
     return step
@@ -112,6 +121,7 @@ def test_a_flat_table_is_the_one_segment_table(seed):
     assert [len(e.table("t").segments) for e in engines] == [1, 1]
     live: set = set()
     gone: set = set()
+    held: list = []
     for ts in range(2, 42):
         action = rng.random()
         if action < 0.5 or not live:  # insert, update or reinsert
@@ -126,15 +136,20 @@ def test_a_flat_table_is_the_one_segment_table(seed):
             step = _commit(ts, key, TOMBSTONE)
             live.discard(key)
             gone.add(key)
-        elif action < 0.8:
-            step = _vacuum(rng.randrange(ts))
+        elif action < 0.75:
+            step = _hold(ts - 1)  # a reader at the clock
+            held.append(ts - 1)
+        elif action < 0.8 and held:
+            step = _release(held.pop(rng.randrange(len(held))))
         elif action < 0.9:
-            step = _reopen
+            step = _reopen  # a new engine: nothing is held there
+            held.clear()
         else:
             step = _install(ts - 1)
+            held.clear()
         engines = [step(engine) for engine in engines]
         flat, one = (engine.table("t") for engine in engines)
-        for snapshot in (_LATEST, rng.randrange(1, ts + 1)):
+        for snapshot in (_LATEST, *held):
             assert list(flat.scan_at(snapshot)) == list(one.scan_at(snapshot))
             assert list(flat.keys_at(snapshot)) == list(one.keys_at(snapshot))
         assert sorted(flat.keys_at(_LATEST)) == sorted(live)

@@ -2,7 +2,8 @@
 
 Covers the four layers separately: scheme placement (stable across
 processes), the partitioned table invariants (one live segment per key
-per snapshot, moves, time travel, vacuum, WAL recovery byte-for-byte),
+per snapshot, moves, held snapshots and their reclaim, WAL recovery
+byte-for-byte),
 static pruning, per-partition statistics feeding cardinality, explain
 rendering, and the IVM partition-skip path.
 """
@@ -211,6 +212,7 @@ class TestPartitionedTable:
         tx_pid = table.scheme.partition_for_value("TX")
         assert ny_pid != tx_pid  # true for this scheme's hash
         assert table._placement[1] == ny_pid
+        engine.snapshots.hold(1)  # a reader at 1 keeps what it reads
         engine.apply_commit(2, [("t", 1, {"state": "TX", "v": 1})])
         assert table._placement[1] == tx_pid
         # snapshot at ts=1 sees the NY version, in the NY segment only
@@ -231,6 +233,7 @@ class TestPartitionedTable:
     def test_delete_and_reinsert(self):
         engine = _engine_with_partitioned()
         engine.apply_commit(1, [("t", 1, {"state": "NY"})])
+        engine.snapshots.hold(1)
         engine.apply_commit(2, [("t", 1, TOMBSTONE)])
         table = engine.table("t")
         assert table.read(1, _LATEST) is TOMBSTONE
@@ -246,20 +249,24 @@ class TestPartitionedTable:
         assert engine.table("t").latest_ts(1) == 5
 
     def test_vacuum_drops_moved_out_chains(self):
+        """What a move kept for a held snapshot goes when it ends."""
         engine = _engine_with_partitioned()
         engine.apply_commit(1, [("t", 1, {"state": "NY"})])
+        engine.snapshots.hold(1)
         engine.apply_commit(2, [("t", 1, {"state": "TX"})])
         table = engine.table("t")
         before = table.version_count()
-        dropped = table.vacuum(10)
-        assert dropped > 0
+        assert table.read(1, 1)["state"] == "NY"
+        engine.snapshots.release(1)
         assert table.version_count() < before
+        assert table.version_count() == 1
         assert table.read(1, _LATEST)["state"] == "TX"
 
     def test_repartition_preserves_content_and_history(self):
         engine = StorageEngine(name="rp")
         engine.create_table("t", key_name="k")
         engine.apply_commit(1, [("t", i, {"age": i * 10}) for i in range(1, 7)])
+        engine.snapshots.hold(1)
         engine.apply_commit(2, [("t", 1, {"age": 99})])
         snapshot_before = dict(engine.table("t").scan_at(1))
         engine.partition_table("t", range_partition("age", [35]))

@@ -419,23 +419,58 @@ def _facts(stats):
 
 
 def _replayed(segment):
-    """The statistics of a fresh segment fed *segment*'s surviving
-    chains."""
+    """The statistics of a fresh segment fed the versions *segment*
+    holds."""
     fresh, batch = VersionedTable("replay"), {}
-    for key, chain in segment._chains.items():
-        for version in chain:
-            fresh.apply([key], [version.data], version.ts, batch)
+    for key, versions in segment.history():
+        for ts, data in versions:
+            fresh.apply([key], [data], ts, batch)
     fold_batch(batch)
     return fresh.stats
+
+
+def _counts(stats):
+    """A segment's latest-state facts."""
+    return stats.row_count, {
+        name: (a.defined, a.values) for name, a in stats.attrs.items() if a.defined
+    }
+
+
+def _covers(stats, inner):
+    """Whether *stats*' accumulate-only facts cover *inner*'s."""
+    if inner.opaque and not stats.opaque:
+        return False
+    for name, a in inner.attrs.items():
+        b = stats.attrs.get(name)
+        if b is None or (a.other and not b.other):
+            return False
+        for low, high in ((a.num_min, a.num_max), (a.str_min, a.str_max)):
+            if low is not None:
+                b_low, b_high = (
+                    (b.num_min, b.num_max) if low is a.num_min else (b.str_min, b.str_max)
+                )
+                if b_low is None or b_low > low or b_high < high:
+                    return False
+    return True
+
+
+def _hold_or_release(engine, held, rng, ts):
+    """A reader registers at the clock, or the oldest one ends."""
+    if held and rng.random() < 0.5:
+        engine.snapshots.release(held.pop(0))
+    else:
+        engine.snapshots.hold(ts)
+        held.append(ts)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_segment_statistics_equal_a_replay_of_their_chains(seed):
     """Through inserts, updates, deletes, partition moves, re-shards,
-    vacuums, WAL recovery and image installs, every segment's facts
-    equal those of a fresh segment replaying its surviving chains, and
-    the segments' row counts sum to the live key count."""
+    held snapshots and their ends, WAL recovery and image installs,
+    every segment's latest-state counts equal those of a fresh segment
+    replaying the versions it holds, its bounds cover that replay's,
+    and the segments' row counts sum to the live key count."""
     rng = random.Random(seed)
     latest = 2**62
     engine = StorageEngine()
@@ -443,6 +478,7 @@ def test_segment_statistics_equal_a_replay_of_their_chains(seed):
     ts = 1
     engine.apply_commit(ts, [], schemas={"t": table_schema(engine, "t")})
     model: dict = {}
+    held: list = []
 
     def value():
         return rng.choice([
@@ -475,17 +511,22 @@ def test_segment_statistics_equal_a_replay_of_their_chains(seed):
             schema["partition"] = scheme.spec()
             engine.apply_commit(ts, [], schemas={"t": schema})
         elif action < 0.9:
-            engine.vacuum(rng.randint(0, ts))
+            ts -= 1  # no commit: the clock stays
+            _hold_or_release(engine, held, rng, ts)
         elif action < 0.95:  # a reopen: replay the log, keep appending
             wal = engine.wal
             engine = StorageEngine.recover(wal)
             engine.wal = wal
+            held.clear()
         else:
-            engine = install_image(engine_image(engine, ts))
+            engine = install_image(engine_image(engine, ts - 1))
+            held.clear()
         table = engine.table("t")
         segments = table.segments
         for segment in segments:
-            assert _facts(segment.stats) == _facts(_replayed(segment))
+            replay = _replayed(segment)
+            assert _counts(segment.stats) == _counts(replay)
+            assert _covers(segment.stats, replay)
         live = sum(1 for _ in table.keys_at(latest))
         assert sum(s.stats.row_count for s in segments) == live
         assert table.stats.row_count == live
@@ -597,13 +638,14 @@ def test_a_replay_with_history_takes_the_row_path_before_any_column():
 
 def _statistics_history(seed):
     """Each segment's strict facts after each step of a seeded history
-    of multi-row commits, vacuums, re-partitions and recoveries."""
+    of multi-row commits, held snapshots, re-partitions and recoveries."""
     rng = random.Random(seed)
     engine = StorageEngine()
     engine.create_table("t")
     ts = 1
     engine.apply_commit(ts, [], schemas={"t": table_schema(engine, "t")})
     steps = []
+    held: list = []
     for _step in range(30):
         ts += 1
         action = rng.random()
@@ -614,7 +656,8 @@ def _statistics_history(seed):
                     row["p"] = rng.randrange(4)
             engine.apply_commit(ts, [("t", k, row) for k, row in writes.items()])
         elif action < 0.75:
-            engine.vacuum(rng.randint(0, ts))
+            ts -= 1  # no commit: the clock stays
+            _hold_or_release(engine, held, rng, ts)
         elif action < 0.9:
             scheme = rng.choice([hash_partition("p", 3), range_partition("p", [2]), None])
             schema = table_schema(engine, "t")
@@ -624,6 +667,7 @@ def _statistics_history(seed):
             wal = engine.wal
             engine = StorageEngine.recover(wal)
             engine.wal = wal
+            held.clear()
         steps.append([_strict(s.stats) for s in engine.table("t").segments])
     return steps
 
@@ -631,7 +675,7 @@ def _statistics_history(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_commit_vacuum_reshard_and_recovery_fold_as_row_by_row(seed):
-    """The statistics every path leaves — commit, vacuum's rebuild,
+    """The statistics every path leaves — commit under held snapshots,
     re-partition and WAL recovery — equal those of the same history
     folded one row at a time (every fold of two rows or more goes by
     column on the first run)."""

@@ -1,5 +1,5 @@
-"""Storage substrate: version chains, WAL, indexes, statistics,
-checkpoints."""
+"""Storage substrate: segments and the versions held snapshots keep,
+WAL, indexes, statistics, checkpoints."""
 
 import errno
 import json
@@ -41,31 +41,40 @@ from repro.storage.image import (
 from repro.storage.versioned import fold_batch
 
 
-def _commit(table, key, data, ts):
-    """One write committed alone: applied, then folded into the statistics."""
+def _commit(table, key, data, ts, horizon=-1):
+    """One write committed alone, with *horizon* the newest held
+    snapshot: applied, then folded into the statistics."""
     batch = {}
-    table.apply([key], [data], ts, batch)
+    table.apply([key], [data], ts, batch, horizon)
     fold_batch(batch)
 
 
 class TestVersionedTable:
     def test_read_your_snapshot(self):
         t = VersionedTable("t")
-        _commit(t, 1, {"x": 1}, ts=10)
-        _commit(t, 1, {"x": 2}, ts=20)
+        _commit(t, 1, {"x": 1}, ts=10, horizon=5)  # keeps the absence
+        _commit(t, 1, {"x": 2}, ts=20, horizon=15)
         assert t.read(1, 10) == {"x": 1}
         assert t.read(1, 15) == {"x": 1}
         assert t.read(1, 20) == {"x": 2}
         assert t.read(1, 9) is TOMBSTONE
+        # with no snapshot held nothing is kept: an older read is refused
+        u = VersionedTable("u")
+        _commit(u, 1, {"x": 1}, ts=10)
+        _commit(u, 1, {"x": 2}, ts=20)
+        assert u.read(1, 20) == {"x": 2}
+        with pytest.raises(StorageError):
+            u.read(1, 15)
 
     def test_tombstones(self):
         t = VersionedTable("t")
         _commit(t, 1, {"x": 1}, ts=10)
-        _commit(t, 1, TOMBSTONE, ts=20)
-        assert t.exists(1, 15)
-        assert not t.exists(1, 25)
+        _commit(t, 1, TOMBSTONE, ts=20, horizon=15)
+        assert t.read(1, 15) == {"x": 1}
+        assert t.read(1, 25) is TOMBSTONE
         assert list(t.keys_at(25)) == []
         assert list(t.keys_at(15)) == [1]
+        assert t.latest_ts(1) == 20  # kept for the conflict test
 
     def test_latest_ts_drives_conflicts(self):
         t = VersionedTable("t")
@@ -87,20 +96,30 @@ class TestVersionedTable:
         assert t.version_count() == 1
 
     def test_vacuum(self):
+        """Reclaim needs no call: a replaced version no held snapshot
+        reads is not kept, and a kept one goes with its snapshot."""
         t = VersionedTable("t")
-        for ts in (10, 20, 30):
-            _commit(t, 1, {"x": ts}, ts=ts)
-        dropped = t.vacuum(25)
-        assert dropped == 1  # version @10 is invisible to snapshots >= 25
+        _commit(t, 1, {"x": 10}, ts=10)
+        _commit(t, 1, {"x": 20}, ts=20)  # nothing held: @10 is not kept
+        assert t.version_count() == 1
+        _commit(t, 1, {"x": 30}, ts=30, horizon=25)  # a snapshot at 25
+        assert t.version_count() == 2
         assert t.read(1, 25) == {"x": 20}
         assert t.read(1, 35) == {"x": 30}
+        t.trim(30)  # every holder is at or past 30
+        assert t.version_count() == 1
+        assert t.read(1, 30) == {"x": 30}
 
     def test_vacuum_collapses_deleted_chains(self):
+        """A deleted key kept for a snapshot disappears, stamp and all,
+        once no held snapshot predates the delete."""
         t = VersionedTable("t")
         _commit(t, 1, {"x": 1}, ts=10)
-        _commit(t, 1, TOMBSTONE, ts=20)
-        t.vacuum(30)
+        _commit(t, 1, TOMBSTONE, ts=20, horizon=15)
+        assert t.version_count() == 1
+        t.trim(20)
         assert t.version_count() == 0
+        assert t.latest_ts(1) == 0
 
 
 class TestWAL:
@@ -366,10 +385,12 @@ class TestBlockCodec:
                          (3, "c"): {"n": -0.0, "big": 2**63}}
         table = db.engine.table("customers")
         assert table.key_name == "cid" and table.indexes.attrs() == ["age"]
-        assert table.layout()[0][3] == [
-            (2, {"name": "cy", "age": 52, "state": "NY", "vip": True}),
-            (7, TOMBSTONE),
-        ]
+        # key 3, deleted at 7, is gone: no snapshot was held to keep it
+        assert table.layout() == {
+            0: {1: [(2, {"name": "ann", "age": 30, "state": "NY"})]},
+            1: {2: [(6, {"name": "bo", "age": 41, "state": "TX"})],
+                4: [(8, {"name": "di", "age": 23, "state": "TX"})]},
+        }
         db.customers[5] = {"name": "ed", "age": 60, "state": "NY"}
         layout = {n: db.engine.table(n).layout() for n in ("customers", "pairs")}
         db.close()

@@ -13,10 +13,12 @@ The contract has three parts, each pinned here:
   scan rebuild it, once. ``db.stats()["resources"]["totals"]``
   counts the rebuilds as ``images_built``.
 * **Same fallbacks as before.** Open transactions, rows holding nested
-  functions and older snapshots walk the version chains, uncached.
+  functions and older snapshots scan the rows (and the versions a held
+  snapshot keeps), uncached.
 """
 
 import math
+from contextlib import nullcontext
 from functools import reduce
 
 import pytest
@@ -454,13 +456,16 @@ class TestValidity:
         assert 2000 not in dict(fql.filter(db.t, "v >= 0").items())
         db.close()
 
-    def test_delete_and_reinsert_keeps_chain_order(self):
+    def test_delete_and_reinsert_moves_the_key_last(self):
+        """A key sits where it was first inserted since it was last
+        absent (DESIGN.md §4): a deleted and re-inserted key enumerates
+        last, in every mode."""
         db = _table_db("image-reinsert", n=6)
         ordered(db.t)
         del db.t[2]
         db.t[2] = {"v": 20, "g": 0}
         got = _same_as_naive(lambda d: fql.filter(d.t, "v >= 0"), db)
-        assert [k for k, _v in got] == [0, 1, 2, 3, 4, 5]
+        assert [k for k, _v in got] == [0, 1, 3, 4, 5, 2]
         db.close()
 
     def test_a_commit_to_another_table_reuses_the_image(self):
@@ -527,15 +532,18 @@ class TestFallbacks:
         db.close()
 
     def test_older_snapshot_walks_the_chains_uncached(self, monkeypatch):
+        """A read at a held stamp older than the newest write scans the
+        rows and the kept versions, and builds no image."""
         db = _table_db("image-older", n=10)
-        old = db.manager.now()
+        old = db.manager.hold()
         db.t[3] = {"v": 300, "g": 0}
-        monkeypatch.setattr(db.manager, "now", lambda: old)
+        monkeypatch.setattr(db.manager, "snapshot", lambda: nullcontext(old))
         built = _built(db)
         got = dict(ordered(fql.filter(db.t, "v >= 3")))
         assert got[3] == {"v": 3, "g": 3}
         assert _built(db) == built
         assert db.engine.tables["t"].segments[0].image_at(old) is None
+        db.manager.release(old)
         db.close()
 
     def test_partition_table_and_drop_recreate_get_new_images(self):
@@ -551,17 +559,23 @@ class TestFallbacks:
         db.close()
 
     def test_vacuum_drops_the_image_and_the_next_scan_rebuilds(self):
+        """Writes under a held snapshot drop the image once; the end of
+        that snapshot drops the kept versions, no live row, and the
+        image keeps serving."""
         db = _table_db("image-vacuum", n=50)
+        reader = db.manager.begin(activate=False)
         db.t[1] = {"v": 100, "g": 1}
         del db.t[2]
         build = lambda d: fql.filter(d.t, "v >= 0")  # noqa: E731
         _same_as_naive(build, db)
         built = _built(db)
-        assert db.vacuum() > 0
         segment = db.engine.tables["t"].segments[0]
-        assert segment.image_at(db.manager.now()) is None
+        assert segment.version_count() == 49 + 2
+        db.manager.abort(reader)
+        assert segment.version_count() == 49
+        assert segment.image_at(db.manager.now()) is not None
         _same_as_naive(build, db)
-        assert _built(db) == built + 1
+        assert _built(db) == built
         db.close()
 
     def test_replica_snapshot_install_serves_the_new_tables(self):

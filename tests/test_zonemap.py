@@ -4,7 +4,7 @@ A segment's statistics double as its zone map. Covers their
 bound-tracking lattice (:class:`AttrStatistics` /
 :class:`TableStatistics`), the conservative may-analysis
 (:func:`zone_may_match`), maintenance on commit, accumulate-only
-soundness after DML, narrowing by vacuum, and the resource-meter
+soundness after DML, narrowing by a re-partition, and the resource-meter
 counts that certify segments were actually skipped.
 """
 
@@ -223,12 +223,16 @@ class TestEngineMaintenance:
         db.close()
 
     def test_rebuild_covers_all_versions(self):
-        """A re-shard replays every version into the new segments, so
-        their bounds cover readers at old snapshots too."""
+        """A re-shard replays every version a held snapshot reads into
+        the new segments, so their bounds cover that reader too."""
         db = _events_db("zm-rebuild")
         db.events[0]["ts"] = -7
+        reader = db.manager.begin(activate=False)  # reads ts = -7
         db.events[0]["ts"] = 150
         db.partition_table("events", range_partition("seq", [100, 300]))
+        reader.attach()
+        assert db.events(0)("ts") == -7
+        reader.commit()
         zone = _segments(db)[0]
         assert zone.attrs["ts"].num_min == -7  # an old version observed
         assert zone.attrs["ts"].num_max == 199
@@ -347,16 +351,18 @@ def test_explain_zone_counts_are_the_scans(scheme, source):
 
 
 def test_vacuum_then_rebuild_narrows_zones():
-    """Bounds only widen at commit; a vacuum that drops the version
-    holding an out-of-range value rebuilds the segment's statistics
-    from the survivors, and the segment is skipped again."""
+    """Bounds only widen at commit, though no snapshot holds the version
+    with the out-of-range value; a re-partition rebuilds the segments'
+    statistics from the versions held, and the segment is skipped
+    again."""
     db = _events_db("zm-vacuum")
     db.events[0]["ts"] = -7  # out of segment 0's [100, 199] ...
     db.events[0]["ts"] = 150  # ... and back: -7 lives on in a dead version
     expr = fql.filter(db.events, "ts < 0")
     assert dict(expr.items()) == {}
     assert _zones(db) == (3, 1)  # the bound still says -7
-    assert db.vacuum() > 0
+    assert db.engine.version_count() == 400  # nothing was kept for -7
+    db.partition_table("events", range_partition("seq", [100, 200, 300]))
     assert _segments(db)[0].attrs["ts"].num_min == 101
     assert dict(expr.items()) == {}
     assert _zones(db) == (3 + 4, 1)  # now all four segments skip
