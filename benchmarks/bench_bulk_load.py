@@ -12,9 +12,14 @@ phase, none of them asserted:
 * ``load_s`` — ``create_table`` end to end: that append, the version
   chains and the column fold of the statistics;
 * ``first_read_s`` — the first offloaded read, mirror build included;
-* ``rebuild_s`` — one more mirror build of the whole table, alone.
+* ``rebuild_s`` — one more mirror build of the whole table, alone;
+* ``build_image_ms`` — the median of five copies of the loaded
+  segment's rows into a column image (``VersionedTable.build_image``).
 
-Asserted, as counts no machine's speed can move: the tracemalloc
+Asserted, as counts no machine's speed can move: the load adds fewer
+than 0.5 objects the cyclic collector tracks per row (``gc.get_objects()``
+before and after; ``tracked_per_row``, 2.00 when each row was a version
+object in a one-element chain list); the tracemalloc
 transient (peak over the memory held before the call) of that append
 is at most 20 MB, and of that mirror build at most 25 MB (before the
 bulk paths went column-wise they were 55.3 and 40.4 MB); the database's
@@ -25,7 +30,9 @@ holds beyond the rows it shares (tracemalloc; 7.7 MB of write tuples
 when a record kept one per row).
 """
 
+import gc
 import pathlib
+import statistics
 import sys
 import time
 import tracemalloc
@@ -46,6 +53,7 @@ N_ROWS = 120_000
 APPEND_MB = 20
 REBUILD_MB = 25
 WAL_MB = 6
+TRACKED_PER_ROW = 0.5
 
 
 def _transient_mb(fn, *args):
@@ -101,7 +109,14 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
 
     db = repro.connect("bench-bulk-load", wal_path=str(tmp_path / "db.wal"),
                        default=False)
+    gc.collect()
+    tracked = len(gc.get_objects())
     load_s = _seconds(db.create_table, "events", rows, "eid")
+    tracked_per_row = (len(gc.get_objects()) - tracked) / N_ROWS
+    segment = db._engine.table("events").segments[0]
+    build_image_ms = 1e3 * statistics.median(
+        _seconds(segment.build_image, db._manager.now()) for _ in range(5)
+    )
     wal_mb = (tmp_path / "db.wal").stat().st_size / 2**20
     per_state = fql.group_and_aggregate(
         by=["state"], n=fql.Count(), input=db.events
@@ -123,6 +138,8 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
             "rebuild_transient_mb": rebuild_mb,
             "wal_mb": wal_mb,
             "retained_mb": retained_mb,
+            "tracked_per_row": tracked_per_row,
+            "build_image_ms": build_image_ms,
         }
     )
     benchmark.pedantic(_rebuild, args=(engine, ts), rounds=1, iterations=1)
@@ -136,3 +153,6 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
         f"a mirror build of {N_ROWS} rows held {rebuild_mb:.1f} MB at peak"
     )
     assert wal_mb <= WAL_MB, f"the load's WAL file is {wal_mb:.1f} MB"
+    assert tracked_per_row < TRACKED_PER_ROW, (
+        f"the load added {tracked_per_row:.2f} collector-tracked objects a row"
+    )

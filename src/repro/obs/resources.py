@@ -266,7 +266,8 @@ class ResourceAccounting:
 
     def __init__(self, engine: Any = None) -> None:
         self._lock = threading.Lock()
-        self.engine = engine  # where the class events go
+        # where the class events go; weak, as the engine holds this
+        self._engine = weakref.ref(engine) if engine is not None else lambda: None
         self.queries = 0
         self.killed = 0
         self.totals = {field: 0 for field in ResourceMeter.FIELDS}
@@ -317,7 +318,7 @@ class ResourceAccounting:
                 regressed = cls.observe(seconds, self.regression_factor)
         if regressed is not None:
             emit(
-                self.engine,
+                self._engine(),
                 "latency_regression",
                 fingerprint=cls.fingerprint,
                 shape=cls.shape,
@@ -350,7 +351,7 @@ class ResourceAccounting:
                 return
             last_good, shape = cls.last_good_hash, cls.shape
         emit(
-            self.engine,
+            self._engine(),
             "plan_change",
             fingerprint=fingerprint,
             shape=shape,

@@ -266,13 +266,16 @@ class StorageEngine:
 
         The WAL handle is the only OS resource an engine owns; plans
         cached for this engine are dropped too so a closed database
-        cannot serve stale reads through the executor.
+        cannot serve stale reads through the executor. The mirror goes
+        with its connection: it refers back to the engine, and a closed
+        engine must not wait for the cyclic collector to free its rows.
         """
         self.wal.close()
         if self.plan_cache is not None:
             self.plan_cache.clear()
         if self.offload_mirror is not None:
             self.offload_mirror.close()
+            self.offload_mirror = None
 
     # -- recovery ---------------------------------------------------------------------
 

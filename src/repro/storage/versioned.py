@@ -105,6 +105,7 @@ class Snapshots:
         return max(self.held, default=-1)
 
     def hold(self, ts: int) -> None:
+        """Register one more reader at *ts*."""
         self.held[ts] = self.held.get(ts, 0) + 1
 
     def release(self, ts: int) -> None:

@@ -146,6 +146,25 @@ class TestWriteFunnels:
         # every refresh decoded the post-write rows, never the snapshot
         assert _offloaded_entries(db) == _naive_entries(db)
 
+    def test_a_reinserted_key_enumerates_last_without_a_rebuild(self, db):
+        """A delete drops the key's ``ord``, so a re-insert lands last in
+        SQL order, as it does in the store's (DESIGN.md §4): synced
+        between the two commits and across both in one sync."""
+        _offloaded_keys(db)
+        before = offload_stats(db._engine)
+        del db.t[12]
+        assert 12 not in _offloaded_keys(db)
+        db.t[12] = {"name": "back", "age": 40, "state": "CA"}
+        assert _offloaded_keys(db)[-1] == 12
+        assert _offloaded_entries(db) == _naive_entries(db)
+        del db.t[15]
+        db.t[15] = {"name": "again", "age": 41, "state": "NY"}
+        assert _offloaded_keys(db)[-2:] == [12, 15]
+        assert _offloaded_entries(db) == _naive_entries(db)
+        after = offload_stats(db._engine)
+        assert after["mirror_rebuilds"] == before["mirror_rebuilds"]
+        assert after["mirror_syncs"] == before["mirror_syncs"] + 3
+
     def test_rollback_bumps_without_moving_clock(self, db):
         """The mirror is built from committed rows only, and a rollback
         commits none: the snapshot stays fresh and nothing is copied."""

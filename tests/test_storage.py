@@ -2,6 +2,7 @@
 WAL, indexes, statistics, checkpoints."""
 
 import errno
+import gc
 import json
 import math
 import os
@@ -120,6 +121,50 @@ class TestVersionedTable:
         t.trim(20)
         assert t.version_count() == 0
         assert t.latest_ts(1) == 0
+
+
+class TestRetention:
+    """What the store keeps, as counts: the newest rows are one dict of
+    scalar rows, and a replaced version lives only while a registered
+    snapshot reads it (DESIGN.md §4)."""
+
+    def test_a_load_adds_no_collector_tracked_object_per_row(self):
+        rows = {i: {"v": i, "s": f"s{i % 7}"} for i in range(10_000)}
+        db = fql.connect("tracked", default=False)
+        db.create_table("t")
+        gc.collect()
+        before = len(gc.get_objects())
+        db["t"] = rows
+        added = len(gc.get_objects()) - before
+        assert added / len(rows) <= 0.01, added
+        db.close()
+
+    @staticmethod
+    def _churn(db, updates=3000, keys=50):
+        for i in range(updates):
+            db.t[i % keys] = {"v": i}
+
+    def test_updates_with_no_open_snapshot_keep_only_the_live_rows(self):
+        db = fql.connect("churn", default=False)
+        db["t"] = {k: {"v": -1} for k in range(50)}
+        self._churn(db)
+        assert db.engine.version_count() == 50
+        db.close()
+
+    def test_an_open_snapshot_keeps_one_version_per_key_it_reads(self):
+        db = fql.connect("churn-held", default=False)
+        db["t"] = {k: {"v": -1} for k in range(50)}
+        reader = db.manager.begin(activate=False)
+        self._churn(db)
+        assert db.engine.version_count() == 50 + 50
+        reader.attach()
+        assert {k: t("v") for k, t in db.t.items()} == dict.fromkeys(range(50), -1)
+        reader.rollback()
+        assert db.engine.version_count() == 50
+        assert {k: t("v") for k, t in db.t.items()} == {
+            k: 2950 + k for k in range(50)
+        }
+        db.close()
 
 
 class TestWAL:
