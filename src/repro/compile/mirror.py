@@ -102,15 +102,8 @@ class ColumnProfile:
     )
 
     def __init__(self) -> None:
-        self.has_missing = False
-        self.has_none = False
-        self.has_nan = False
-        self.has_bool = False
-        self.has_int = False
-        self.has_big_int = False
-        self.has_float = False
-        self.has_text = False
-        self.has_other = False
+        for flag in self.__slots__:
+            setattr(self, flag, False)
 
     # -- capability verdicts -----------------------------------------------------
 
@@ -192,17 +185,7 @@ class ColumnProfile:
 
     def signature(self) -> tuple:
         """Hashable capability snapshot, for compiled-plan staleness."""
-        return (
-            self.has_missing,
-            self.has_none,
-            self.has_nan,
-            self.has_bool,
-            self.has_int,
-            self.has_big_int,
-            self.has_float,
-            self.has_text,
-            self.has_other,
-        )
+        return tuple(getattr(self, flag) for flag in self.__slots__)
 
     def observe(self, value: Any) -> tuple[Any, int]:
         """Profile one present value; returns ``(sql_value, presence)``."""
@@ -340,12 +323,7 @@ class OffloadCounters:
         """Plain-dict view for ``db.stats()`` / the STATS verb."""
         return {
             "backend": BACKEND,
-            "queries_offloaded": self.queries_offloaded,
-            "mirror_syncs": self.mirror_syncs,
-            "mirror_rebuilds": self.mirror_rebuilds,
-            "rows_mirrored": self.rows_mirrored,
-            "indexes_built": self.indexes_built,
-            "fallbacks": self.fallbacks,
+            **vars(self),
             "fallback_reasons": dict(self.fallback_reasons),
         }
 

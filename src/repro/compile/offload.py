@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro._util import TOMBSTONE
 from repro.compile import offload_mode
 from repro.compile.mirror import EngineMirror, mirror_for
 from repro.compile.sqlgen import (
@@ -187,19 +186,16 @@ class OffloadPipeline:
                     # could not rule out — the batched fold handles it
                     mirror.counters.note_fallback("runtime_error")
                     return None
-                # snapshot the mirror state the ordinals index into while
+                # snapshot the key list the ordinals index into while
                 # still holding the lock: a concurrent offloaded query may
-                # rebuild this TableMirror and replace keys/synced_ts, and
-                # fetched ordinals must decode against the list their SQL
-                # ran over (a delta only appends to it)
+                # rebuild this TableMirror and replace it, and fetched
+                # ordinals must decode against the list their SQL ran
+                # over (a delta only appends to it)
                 mirror_keys = table_mirror.keys
-                synced_ts = table_mirror.synced_ts
             mirror.counters.queries_offloaded += 1
             if compiled.kind == "aggregate":
-                return self._decode_groups(
-                    rows, mirror_keys, synced_ts, compiled, keys
-                )
-            return self._decode_rows(rows, mirror_keys, synced_ts, keys)
+                return self._decode_groups(rows, mirror_keys, ts, compiled, keys)
+            return self._decode_rows(rows, mirror_keys, ts, keys)
         finally:
             if ts is not None:
                 manager.release(ts)
@@ -255,7 +251,7 @@ class OffloadPipeline:
             # exact Python objects (True stays bool, 1.0 stays float),
             # matching the dict key the naive fold would have kept
             rep_data = table.read(mirror_keys[min_ordinal], ts)
-            if rep_data is TOMBSTONE or not isinstance(rep_data, dict):
+            if not isinstance(rep_data, dict):
                 continue
             group_key = by.key_of(RowTuple(rep_data, relation._name))
             if keys:

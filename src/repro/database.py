@@ -24,7 +24,7 @@ import os
 from typing import Any, Iterator, Mapping
 
 from repro._util import LATEST, normalize_key
-from repro.errors import SchemaError, UnknownRelationError
+from repro.errors import SchemaError, TransactionStateError, UnknownRelationError
 from repro.fdm.databases import DatabaseFunction
 from repro.fdm.domains import Domain, DiscreteDomain
 from repro.fdm.functions import DerivedFunction, FDMFunction
@@ -367,25 +367,20 @@ class FunctionalDatabase(DatabaseFunction):
 
     def commit(self) -> None:
         """Commit the current transaction."""
-        txn = self._manager.current()
-        if txn is None:
-            from repro.errors import TransactionStateError
-
-            raise TransactionStateError("no transaction is active")
-        self._manager.commit(txn)
+        self._manager.commit(self._current())
 
     def rollback(self) -> None:
         """Abort the current transaction."""
+        self._manager.abort(self._current())
+
+    def _current(self) -> Transaction:
         txn = self._manager.current()
         if txn is None:
-            from repro.errors import TransactionStateError
-
             raise TransactionStateError("no transaction is active")
-        self._manager.abort(txn)
+        return txn
 
-    def transaction(self) -> Transaction:
-        """Context-manager costume: ``with db.transaction(): ...``."""
-        return self._manager.begin()
+    #: Context-manager costume: ``with db.transaction(): ...``.
+    transaction = begin
 
     # -- failover fencing (DESIGN.md §12) ---------------------------------------------------
 

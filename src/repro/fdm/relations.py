@@ -58,9 +58,6 @@ __all__ = [
 #: Serializes :meth:`RelationFunction.add`'s read-then-write.
 _ADD_LOCK = threading.Lock()
 
-#: A free-standing relation's read stamp: its newest state.
-_NEWEST = nullcontext(LATEST)
-
 
 class RelationFunction(FDMFunction):
     """Shared behaviour for every relation-level function, and the one
@@ -357,7 +354,7 @@ class MaterialRelationFunction(RelationFunction):
         return self._table
 
     def _snapshot(self) -> Any:
-        return _NEWEST
+        return nullcontext(LATEST)  # the newest state; nothing to hold
 
     def _write_rows(self, writes: Any) -> None:
         log = self.changelog

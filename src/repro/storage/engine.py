@@ -105,9 +105,8 @@ class StorageEngine:
             self.table(name), as_scheme(partition_by), horizon
         )
         if horizon >= 0:
-            self.snapshots.kept(
-                max(s.written_ts for s in table.segments), table.segments
-            )
+            newest = max(s.written_ts for s in table.segments)
+            self.snapshots.retiring.append((newest, table.segments))
         self._invalidate_partition_consumers(name)
         # cached plans were lowered against the old segment layout
         if self.plan_cache is not None:
@@ -255,7 +254,7 @@ class StorageEngine:
                 delta.tag_partitions(touched)
         fold_batch(batch)
         if horizon >= 0:
-            self.snapshots.kept(commit_ts, list(batch))
+            self.snapshots.retiring.append((commit_ts, list(batch)))
         if changelog is not None:
             changelog.append(commit_ts, deltas)
 

@@ -64,13 +64,11 @@ class StoredRelationFunction(RelationFunction):
 
     def _write_rows(self, writes: Any) -> None:
         txn = self._manager.current()
-        if txn is not None:
-            for key, data in writes:
-                txn.write(self._table_name, key, data)
-            return
-        with self._manager.autocommit() as statement:
-            for key, data in writes:
-                statement.write(self._table_name, key, data)
+        if txn is None:  # an implicit statement, current while it runs
+            with self._manager.autocommit():
+                return self._write_rows(writes)
+        for key, data in writes:
+            txn.write(self._table_name, key, data)
 
     # -- the open transaction's buffered writes ------------------------------------
 
@@ -78,11 +76,10 @@ class StoredRelationFunction(RelationFunction):
         txn = self._manager.current()
         if txn is None:
             return super()._raw_read(key)
-        table = self._engine.table(self._table_name)
         buffered = txn.get_write(self._table_name, key)
         if buffered is not _NO_WRITE:
             return buffered
-        return table.read(key, txn.start_ts)
+        return self.table().read(key, txn.start_ts)
 
     def keys(self) -> Iterator[Any]:
         txn = self._manager.current()

@@ -91,14 +91,15 @@ class Snapshots:
     transaction manager changes it under its commit lock.
     """
 
-    __slots__ = ("held", "_retiring")
+    __slots__ = ("held", "retiring")
 
     def __init__(self) -> None:
         #: held stamp → how many readers hold it
         self.held: dict[int, int] = {}
-        #: ``(stamp, segments)``, oldest first: the segments in which the
-        #: commit at *stamp* kept versions
-        self._retiring: deque = deque()
+        #: ``(stamp, segments)``, oldest first: segments in which a write
+        #: at *stamp* may have kept versions, to trim once every holder
+        #: is past *stamp*
+        self.retiring: deque = deque()
 
     def newest(self) -> int:
         """The newest held stamp; -1 when nothing is held."""
@@ -116,17 +117,12 @@ class Snapshots:
             self.held[ts] = left
             return
         del self.held[ts]
-        retiring = self._retiring
+        retiring = self.retiring
         if retiring:
             floor = min(self.held, default=LATEST)
             while retiring and retiring[0][0] <= floor:
                 for segment in retiring.popleft()[1]:
                     segment.trim(floor)
-
-    def kept(self, ts: int, segments: Any) -> None:
-        """Note that a write at *ts* may have kept versions in
-        *segments*, to be trimmed once every holder is past *ts*."""
-        self._retiring.append((ts, segments))
 
 
 class VersionedTable:

@@ -111,15 +111,6 @@ class Transaction:
     def rollback(self) -> None:
         self.manager.abort(self)
 
-    def pause(self) -> None:
-        """Deactivate without finishing (for interleaving)."""
-        self.manager._deactivate(self)
-
-    def resume(self) -> None:
-        """Reactivate a paused transaction on this thread."""
-        self._check_active("resume")
-        self.manager._activate(self)
-
     def detach(self) -> "Transaction":
         """Remove this transaction from whichever thread stack holds it.
 
@@ -137,6 +128,10 @@ class Transaction:
         self._check_active("attach")
         self.manager._activate(self)
         return self
+
+    #: Interleaving on one thread is the same handoff: deactivate
+    #: without finishing, then reactivate.
+    pause, resume = detach, attach
 
     def __enter__(self) -> "Transaction":
         return self
@@ -192,13 +187,11 @@ class TransactionManager:
         stamp."""
         return Held(self)
 
-    def hold(self, ts: int | None = None) -> int:
-        """Register a reader at *ts* (default: the newest committed
-        stamp) and return the stamp; :meth:`release` ends it. A stamp
-        older than the clock is safe only while another holder keeps
-        it."""
+    def hold(self) -> int:
+        """Register a reader at the newest committed stamp and return
+        the stamp; :meth:`release` ends it."""
         with self._lock:
-            ts = self._clock if ts is None else ts
+            ts = self._clock
             self.snapshots.hold(ts)
         return ts
 
@@ -260,7 +253,6 @@ class TransactionManager:
                             )
             except (FencedLeaderError, TransactionConflictError):
                 self._finish(txn, ABORTED)
-                self.aborts += 1
                 raise
             if txn.writes:
                 # pre-apply budget checkpoint: a metered DML statement
@@ -272,9 +264,7 @@ class TransactionManager:
                     reason = meter.exceeded()
                     if reason is not None:
                         self._finish(txn, ABORTED)
-                        self.aborts += 1
-                        meter.kill(reason)
-            if txn.writes:
+                        meter.kill(reason)  # raises
                 # Apply at clock+1 and publish the new clock only after
                 # the rows are fully written: a reader that registers
                 # the clock must never adopt a snapshot whose commit is
@@ -288,7 +278,6 @@ class TransactionManager:
                     # the log refused the record before the file, the
                     # retained records or a row changed
                     self._finish(txn, ABORTED)
-                    self.aborts += 1
                     raise
                 self._clock = commit_at
             self._finish(txn, COMMITTED)
@@ -339,10 +328,11 @@ class TransactionManager:
         txn._check_active("rollback")
         with self._lock:
             self._finish(txn, ABORTED)
-            self.aborts += 1
 
     def _finish(self, txn: Transaction, state: str) -> None:
         txn.state = state
+        if state == ABORTED:
+            self.aborts += 1
         self._end(txn)
         self._deactivate(txn)
 
