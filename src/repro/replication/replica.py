@@ -212,7 +212,7 @@ class ReplicaDatabase(FunctionalDatabase):
             for record in records:
                 if record.commit_ts <= self.applied_ts():
                     continue  # duplicate delivery after a reconnect
-                with self._manager._lock:
+                with self._manager._lock, self._manager._publish():
                     self._engine.apply_commit(
                         record.commit_ts, record.writes, record.schemas
                     )

@@ -73,9 +73,14 @@ class StoredRelationFunction(RelationFunction):
     # -- the open transaction's buffered writes ------------------------------------
 
     def _raw_read(self, key: Any) -> Any:
-        txn = self._manager.current()
-        if txn is None:
-            return super()._raw_read(key)
+        manager = self._manager
+        txn = manager.current()
+        if txn is None:  # the hot point read: hold and release inline
+            ts = manager.hold()
+            try:
+                return self._engine.table(self._table_name).read(key, ts)
+            finally:
+                manager.release(ts)
         buffered = txn.get_write(self._table_name, key)
         if buffered is not _NO_WRITE:
             return buffered

@@ -88,14 +88,17 @@ class Snapshots:
     (:meth:`VersionedTable.trim`). Every held stamp is at most the
     commit clock and a commit takes the clock plus one, so a commit
     never has to keep a version for a reader that comes later. The
-    transaction manager changes it under its commit lock.
+    transaction manager changes it under its commit lock, but for a
+    transaction-free reader's hold and release
+    (:meth:`~repro.txn.manager.TransactionManager.hold`).
     """
 
     __slots__ = ("held", "retiring")
 
     def __init__(self) -> None:
-        #: held stamp → how many readers hold it
-        self.held: dict[int, int] = {}
+        #: the stamp each reader holds, one entry a reader: a list, so
+        #: that a hold or a release is one step under the interpreter lock
+        self.held: list[int] = []
         #: ``(stamp, segments)``, oldest first: segments in which a write
         #: at *stamp* may have kept versions, to trim once every holder
         #: is past *stamp*
@@ -107,16 +110,12 @@ class Snapshots:
 
     def hold(self, ts: int) -> None:
         """Register one more reader at *ts*."""
-        self.held[ts] = self.held.get(ts, 0) + 1
+        self.held.append(ts)
 
     def release(self, ts: int) -> None:
         """Let go of one hold on *ts*; drop the versions that no
-        remaining holder reads once *ts* was the oldest."""
-        left = self.held[ts] - 1
-        if left:
-            self.held[ts] = left
-            return
-        del self.held[ts]
+        remaining holder reads."""
+        self.held.remove(ts)
         retiring = self.retiring
         if retiring:
             floor = min(self.held, default=LATEST)

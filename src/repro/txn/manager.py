@@ -165,6 +165,8 @@ class TransactionManager:
         #: active transaction's start stamp, and every transaction-free
         #: reader's, while it reads. Changed under the commit lock.
         self.snapshots = engine.snapshots
+        #: Odd while a commit applies and publishes its stamp (:meth:`hold`).
+        self._publishing = 0
         self._active: dict[int, Transaction] = {}
         self._local = threading.local()
         self.commits = 0
@@ -189,15 +191,39 @@ class TransactionManager:
 
     def hold(self) -> int:
         """Register a reader at the newest committed stamp and return
-        the stamp; :meth:`release` ends it."""
-        with self._lock:
-            ts = self._clock
-            self.snapshots.hold(ts)
+        the stamp; :meth:`release` ends it.
+
+        Without the commit lock unless a commit was applying meanwhile:
+        a commit reads the held stamps after :meth:`_publish` makes the
+        counter odd, and publishes its stamp before it makes it even
+        again, so a reader that saw it even and unchanged around its
+        registration is either seen by the commit or reads after it.
+        """
+        held, publishing, ts = self.snapshots.held, self._publishing, self._clock
+        held.append(ts)
+        if publishing & 1 or publishing != self._publishing:
+            held.remove(ts)
+            with self._lock:
+                ts = self._clock
+                held.append(ts)
         return ts
 
     def release(self, ts: int) -> None:
-        with self._lock:
-            self.snapshots.release(ts)
+        if self.snapshots.retiring:  # trimming changes segments: locked
+            with self._lock:
+                self.snapshots.release(ts)
+        else:
+            self.snapshots.held.remove(ts)
+
+    @contextmanager
+    def _publish(self) -> Iterator[None]:
+        """Around applying a commit and publishing its stamp, under the
+        commit lock (see :meth:`hold`)."""
+        self._publishing += 1
+        try:
+            yield
+        finally:
+            self._publishing += 1
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -273,13 +299,14 @@ class TransactionManager:
                 self._end(txn)
                 commit_at = self._clock + 1
                 try:
-                    self.engine.apply_commit(commit_at, txn.writes)
+                    with self._publish():
+                        self.engine.apply_commit(commit_at, txn.writes)
+                        self._clock = commit_at
                 except (PersistenceError, WALError):
                     # the log refused the record before the file, the
                     # retained records or a row changed
                     self._finish(txn, ABORTED)
                     raise
-                self._clock = commit_at
             self._finish(txn, COMMITTED)
             self.commits += 1
             commit_ts = self._clock
@@ -301,12 +328,13 @@ class TransactionManager:
         with self._lock:
             self._refuse_writes_if_fenced(f"schema change to {name!r}")
             self.engine.wal.check_open()
-            change()
-            commit_at = self._clock + 1
-            self.engine.wal.append(
-                WALRecord(commit_at, [], {name: table_schema(self.engine, name)})
-            )
-            self._clock = commit_at
+            with self._publish():  # a re-partition reads the held stamps
+                change()
+                commit_at = self._clock + 1
+                self.engine.wal.append(
+                    WALRecord(commit_at, [], {name: table_schema(self.engine, name)})
+                )
+                self._clock = commit_at
         self._after_commit(commit_at)
 
     def _after_commit(self, commit_ts: int) -> None:

@@ -381,6 +381,24 @@ class TestRemoteTransactions:
             b.commit()
             assert db.customers(1)("age") == 61
 
+    def test_served_writes_keep_only_what_an_open_session_reads(self, db, server):
+        """With no vacuum, served upserts and reads leave only the live
+        rows, and a session's open transaction keeps at most one version
+        per key written since its snapshot, dropped when it ends."""
+        with client_for(server) as reader, client_for(server) as writer:
+            for i in range(60):
+                writer.set_attr("customers", 1 + i % 3, "age", i)
+                assert len(reader.fql("db('customers')")) == 3
+            assert db.engine.version_count() == 3
+            reader.begin()
+            reader.fql("db('customers')")
+            for i in range(60):
+                writer.set_attr("customers", 1 + i % 3, "age", 100 + i)
+            assert db.engine.version_count() == 3 + 3
+            assert reader.fql("db('customers')")[1]["age"] == 57
+            reader.rollback()
+            assert db.engine.version_count() == 3
+
     def test_transaction_state_errors(self, server):
         with client_for(server) as c:
             with pytest.raises(TransactionStateError):

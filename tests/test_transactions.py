@@ -4,6 +4,8 @@ stability, first-committer-wins, and the statement-mode footnote."""
 
 import errno
 import os
+import sys
+import threading
 
 import pytest
 
@@ -217,6 +219,47 @@ class TestSnapshotIsolation:
         assert bank.accounts(42)("balance") == 1000
         t1.commit()
         assert bank.engine.version_count() == 2
+
+    def test_transaction_free_scans_race_commits_consistently(self):
+        """Readers registering their stamps without the commit lock race
+        a committer that moves balance between keys: every scan (one
+        held snapshot) sums to the total, and no read is refused."""
+        db = repro.connect(name="race", default=False)
+        db["a"] = {k: {"v": 100} for k in range(8)}
+        failures, done = [], threading.Event()
+
+        def write():
+            for i in range(300):
+                with db.transaction():
+                    src, dst = i % 8, (i * 3 + 1) % 8
+                    db.a[src] = {"v": db.a(src)("v") - 1}
+                    db.a[dst] = {"v": db.a(dst)("v") + 1}
+            done.set()
+
+        def read():
+            while not done.is_set():
+                try:
+                    total = sum(row["v"] for _k, row in db.a._entries())
+                    db.a(3)("v")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+                    return
+                if total != 800:
+                    failures.append(total)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=f) for f in (write, read, read)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert db.engine.version_count() == 8  # nothing is held any more
 
     @pytest.mark.parametrize("stored", [True, False])
     def test_concurrent_adds_take_distinct_keys(self, monkeypatch, stored):
