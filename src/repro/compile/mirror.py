@@ -494,11 +494,10 @@ class EngineMirror:
                 if key not in ords:
                     ords[key] = len(mirror.keys)
                     mirror.keys.append(key)
-        if gone:
-            conn.executemany(
-                f'DELETE FROM "{mirror.sql_name}" WHERE ord = ?',
-                [(o,) for o in gone],
-            )
+        conn.executemany(
+            f'DELETE FROM "{mirror.sql_name}" WHERE ord = ?',
+            [(o,) for o in gone],
+        )
         written = [
             key
             for key in dict.fromkeys(chain.from_iterable(b.keys for b in blocks))

@@ -156,29 +156,11 @@ class OffloadPipeline:
                 # registered under the lock, so no sync of this mirror is
                 # newer than the stamp the decode below reads the rows at
                 ts = manager.hold()
-                try:
-                    table_mirror = mirror.ensure_synced(shape.table_name, ts)
-                except Exception:
-                    mirror.counters.note_fallback("sync_error")
+                synced = _synced(mirror, shape, ts, self._compiled)
+                if synced is None:
                     return None
-                if not table_mirror.mirrorable:
-                    mirror.counters.note_fallback("unmirrorable_rows")
-                    return None
-                compiled = self._compiled
-                if compiled.signature != table_mirror.signature() or (
-                    compiled.index
-                    and not table_mirror.index_for(compiled.index[1])
-                ):
-                    # the synced snapshot's hostility profile moved under
-                    # the compiled SQL (a delta widened it, or a rebuild
-                    # reset it), or other shapes took the index slots it
-                    # was compiled for: recompile against it, or decline
-                    try:
-                        compiled = generate_sql(shape, table_mirror)
-                        self._compiled = compiled
-                    except Unsupported as unsupported:
-                        mirror.counters.note_fallback(unsupported.slug)
-                        return None
+                table_mirror, compiled = synced
+                self._compiled = compiled
                 try:
                     rows = mirror.execute(table_mirror, compiled)
                 except Exception:
@@ -299,25 +281,41 @@ def try_offload(
             mirror.counters.note_fallback(reason)
             return None
     with mirror.lock, manager.snapshot() as ts:
-        try:
-            table_mirror = mirror.ensure_synced(shape.table_name, ts)
-        except Exception:
-            # a failed rebuild (the mirror stays marked stale) falls
-            # back to the batched path, counted — not a planning error
-            # that would degrade the whole query to naive interpretation
-            mirror.counters.note_fallback("sync_error")
-            return None
-        if not table_mirror.mirrorable:
-            mirror.counters.note_fallback("unmirrorable_rows")
-            return None
+        synced = _synced(mirror, shape, ts)
+    if synced is None:
+        return None
+    return OffloadPipeline(
+        fn, optimized, fired_rules, shape, mirror, synced[1]
+    )
+
+
+def _synced(mirror: Any, shape: Any, ts: int, compiled: Any = None) -> Any:
+    """``(table mirror, compiled SQL)`` with the mirror brought to *ts*,
+    or ``None`` with the fallback counted. Callers hold the mirror lock
+    and have *ts* registered. *compiled* is reused unless the synced
+    snapshot's hostility profile moved under it (a delta widened it, or
+    a rebuild reset it) or other shapes took the index slots it was
+    compiled for; then the SQL is compiled again, or declined."""
+    try:
+        table_mirror = mirror.ensure_synced(shape.table_name, ts)
+    except Exception:
+        # a failed rebuild (the mirror stays marked stale) falls
+        # back to the batched path, counted — not a planning error
+        # that would degrade the whole query to naive interpretation
+        mirror.counters.note_fallback("sync_error")
+        return None
+    if not table_mirror.mirrorable:
+        mirror.counters.note_fallback("unmirrorable_rows")
+        return None
+    if compiled is None or compiled.signature != table_mirror.signature() or (
+        compiled.index and not table_mirror.index_for(compiled.index[1])
+    ):
         try:
             compiled = generate_sql(shape, table_mirror)
         except Unsupported as unsupported:
             mirror.counters.note_fallback(unsupported.slug)
             return None
-    return OffloadPipeline(
-        fn, optimized, fired_rules, shape, mirror, compiled
-    )
+    return table_mirror, compiled
 
 
 def explain_offload(fn: Any, optimized: Any) -> list[str]:

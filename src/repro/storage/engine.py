@@ -100,7 +100,7 @@ class StorageEngine:
         in one step: the offload mirror, which keys on the object,
         rebuilds for the new enumeration order.
         """
-        horizon = self.snapshots.newest()
+        horizon = max(self.snapshots.held, default=-1)  # -1: none held
         self.tables[name] = table = Table.from_table(
             self.table(name), as_scheme(partition_by), horizon
         )
@@ -232,7 +232,7 @@ class StorageEngine:
         changelog = self.changelog
         deltas: dict[str, Delta] = {}
         batch: dict = {}
-        horizon = self.snapshots.newest()
+        horizon = max(self.snapshots.held, default=-1)  # the newest held
         for name, (keys, rows, deleted) in record.writes.items():
             # no schema record named a table missing here (a log from
             # before schemas rode it, or an engine-level caller): bare

@@ -77,19 +77,15 @@ class ColumnImage:
 
 
 class Snapshots:
-    """The stamps registered readers read at (DESIGN.md §4).
-
-    Every reader whose stamp can fall behind the newest write holds it
-    here for as long as it reads: a transaction, a transaction-free
-    read at the commit clock, the offload mirror's sync and decode, a
-    follower's snapshot copy. A commit keeps a version it replaces only
-    while a held stamp reads it (:meth:`VersionedTable.apply`); when the
-    oldest holder lets go, what no remaining holder reads is dropped
-    (:meth:`VersionedTable.trim`). Every held stamp is at most the
-    commit clock and a commit takes the clock plus one, so a commit
-    never has to keep a version for a reader that comes later. The
-    transaction manager changes it under its commit lock, but for a
-    transaction-free reader's hold and release
+    """The stamps registered readers read at (DESIGN.md §4): every
+    reader whose stamp can fall behind the newest write holds it here
+    while it reads. A commit keeps a version it replaces only while a
+    held stamp reads it (:meth:`VersionedTable.apply`); when a holder
+    lets go, what no remaining holder reads is dropped
+    (:meth:`VersionedTable.trim`). A held stamp is at most the commit
+    clock and a commit takes the clock plus one, so nothing is kept for
+    a later reader. The transaction manager changes it under its
+    commit lock, but for a transaction-free reader's hold and release
     (:meth:`~repro.txn.manager.TransactionManager.hold`).
     """
 
@@ -103,10 +99,6 @@ class Snapshots:
         #: at *stamp* may have kept versions, to trim once every holder
         #: is past *stamp*
         self.retiring: deque = deque()
-
-    def newest(self) -> int:
-        """The newest held stamp; -1 when nothing is held."""
-        return max(self.held, default=-1)
 
     def hold(self, ts: int) -> None:
         """Register one more reader at *ts*."""
@@ -194,9 +186,7 @@ class VersionedTable:
         return self._scan_older(ts)
 
     def _scan_older(self, ts: int) -> Iterator[tuple[Any, Any]]:
-        keys = dict.fromkeys(self.rows)
-        keys.update(dict.fromkeys(self.retired))
-        for key in keys:
+        for key in {**dict.fromkeys(self.rows), **dict.fromkeys(self.retired)}:
             data = self.read(key, ts)
             if data is not TOMBSTONE:
                 yield key, data
@@ -293,8 +283,7 @@ class VersionedTable:
         reads: those replaced at or before it."""
         retired, stamps = self.retired, self.stamps
         for key, versions in list(retired.items()):
-            replaced = [stamp for stamp, _data in versions[1:]]
-            replaced.append(stamps[key])
+            replaced = [stamp for stamp, _data in versions[1:]] + [stamps[key]]
             gone = bisect_right(replaced, floor)
             if gone == len(versions):
                 del retired[key]

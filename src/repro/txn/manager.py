@@ -163,7 +163,7 @@ class TransactionManager:
         self._clock = engine.wal.last_commit_ts()
         #: The registry of held snapshot stamps (DESIGN.md §4): every
         #: active transaction's start stamp, and every transaction-free
-        #: reader's, while it reads. Changed under the commit lock.
+        #: reader's, while it reads (:meth:`hold`).
         self.snapshots = engine.snapshots
         #: Odd while a commit applies and publishes its stamp (:meth:`hold`).
         self._publishing = 0
@@ -183,21 +183,23 @@ class TransactionManager:
         """The newest committed stamp (what autocommit readers see)."""
         return self._clock
 
-    def snapshot(self) -> "Held":
-        """A context manager holding the newest committed stamp in the
-        registry while a transaction-free read runs; its value is the
-        stamp."""
-        return Held(self)
+    @contextmanager
+    def snapshot(self) -> Iterator[int]:
+        """Hold the newest committed stamp in the registry while a
+        transaction-free read runs; the value is the stamp."""
+        ts = self.hold()
+        try:
+            yield ts
+        finally:
+            self.release(ts)
 
     def hold(self) -> int:
         """Register a reader at the newest committed stamp and return
-        the stamp; :meth:`release` ends it.
-
-        Without the commit lock unless a commit was applying meanwhile:
-        a commit reads the held stamps after :meth:`_publish` makes the
-        counter odd, and publishes its stamp before it makes it even
-        again, so a reader that saw it even and unchanged around its
-        registration is either seen by the commit or reads after it.
+        it; :meth:`release` ends it. Lock-free unless a commit was
+        publishing meanwhile: a commit reads the held stamps after
+        :meth:`_publish` makes the counter odd and publishes its stamp
+        before making it even, so a hold that saw it even and unchanged
+        around its registration is seen by the commit or reads after it.
         """
         held, publishing, ts = self.snapshots.held, self._publishing, self._clock
         held.append(ts)
@@ -296,7 +298,7 @@ class TransactionManager:
                 # the clock must never adopt a snapshot whose commit is
                 # still mid-application (a torn read). The committing
                 # snapshot ends first: nothing is kept for it.
-                self._end(txn)
+                self._finish(txn, COMMITTED)
                 commit_at = self._clock + 1
                 try:
                     with self._publish():
@@ -307,7 +309,8 @@ class TransactionManager:
                     # retained records or a row changed
                     self._finish(txn, ABORTED)
                     raise
-            self._finish(txn, COMMITTED)
+            else:
+                self._finish(txn, COMMITTED)
             self.commits += 1
             commit_ts = self._clock
         if txn.writes:
@@ -361,13 +364,9 @@ class TransactionManager:
         txn.state = state
         if state == ABORTED:
             self.aborts += 1
-        self._end(txn)
-        self._deactivate(txn)
-
-    def _end(self, txn: Transaction) -> None:
-        """Unregister *txn*'s snapshot (once); under the commit lock."""
-        if self._active.pop(txn.txn_id, None) is not None:
+        if self._active.pop(txn.txn_id, None) is not None:  # once
             self.snapshots.release(txn.start_ts)
+        self._deactivate(txn)
 
     # -- per-thread currency ---------------------------------------------------------------
 
@@ -414,19 +413,3 @@ class TransactionManager:
             f"<TM @{self._clock}: {len(self._active)} active, "
             f"{self.commits} commits, {self.aborts} aborts>"
         )
-
-
-class Held:
-    """:meth:`TransactionManager.snapshot`'s context manager."""
-
-    __slots__ = ("manager", "ts")
-
-    def __init__(self, manager: TransactionManager):
-        self.manager = manager
-
-    def __enter__(self) -> int:
-        self.ts = self.manager.hold()
-        return self.ts
-
-    def __exit__(self, *exc: Any) -> None:
-        self.manager.release(self.ts)
