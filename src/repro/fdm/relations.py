@@ -340,6 +340,9 @@ class MaterialRelationFunction(RelationFunction):
             self._key_constraint = as_domain(key_domain)
         self._key_name = key_name
         self._table = Table(self._name, key_name=key_name)
+        # statistics are built when first read: most free-standing
+        # relations (group members, copies) are never planned over
+        self._table.segments[0]._stats = None
         if mappings:
             self._write_rows(
                 self._checked(key, value) for key, value in mappings.items()

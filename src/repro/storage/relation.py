@@ -146,9 +146,8 @@ class StoredRelationFunction(RelationFunction):
         """Keys whose *attr* equals *value*, via a secondary index if one
         exists (with snapshot recheck), else by scan."""
         index = self._engine.table(self._table_name).indexes.get(attr)
-        if index is None:
-            for key in self.keys():
-                data = self._raw_read(key)
+        if index is None:  # one scan, at one snapshot
+            for key, data in self._entries():
                 if isinstance(data, dict) and data.get(attr) == value:
                     yield key
             return
@@ -181,8 +180,7 @@ class StoredRelationFunction(RelationFunction):
                 if _in_range(value, lo, hi, lo_open, hi_open):
                     yield key
             return
-        for key in self.keys():
-            data = self._raw_read(key)
+        for key, data in self._entries():
             if not isinstance(data, dict) or attr not in data:
                 continue
             if _in_range(data[attr], lo, hi, lo_open, hi_open):

@@ -138,8 +138,16 @@ class VersionedTable:
         self.written_ts = 0
         self._image: ColumnImage | None = None
         #: Latest-state counts and accumulate-only bounds, folded in by
-        #: each commit (:func:`fold_batch`).
-        self.stats = TableStatistics()
+        #: each commit (:func:`fold_batch`); ``None`` (a free-standing
+        #: relation's, until read) folds nothing and is built when read.
+        self._stats: TableStatistics | None = TableStatistics()
+
+    @property
+    def stats(self) -> TableStatistics:
+        if self._stats is None:  # nothing but the rows to cover
+            self._stats = TableStatistics()
+            self._stats.fold([TOMBSTONE] * len(self.rows), list(self.rows.values()))
+        return self._stats
 
     # -- reads ------------------------------------------------------------------
 
@@ -223,7 +231,10 @@ class VersionedTable:
         keys, datas = list(rows), list(rows.values())
         if self.written_ts != stamp:
             return None
-        if self.stats.opaque and not all(isinstance(d, dict) for d in datas):
+        stats = self._stats
+        if (stats is None or stats.opaque) and not all(
+            isinstance(d, dict) for d in datas
+        ):
             return None
         image = self._image = ColumnImage(keys, datas, stamp)
         return image
@@ -316,4 +327,5 @@ def fold_batch(batch: dict) -> None:
     """Fold each segment's share of one commit, collected by
     :meth:`VersionedTable.apply`, into its statistics."""
     for segment, (olds, news) in batch.items():
-        segment.stats.fold(olds, news)
+        if segment._stats is not None:
+            segment._stats.fold(olds, news)

@@ -8,7 +8,8 @@ side runs first, so a drift of the machine's speed falls on both
 sides alike. Per workload and end-to-end metric it prints both
 medians, the base's interquartile range, how many pairs the change
 won, and whether the change stays within the metric's bound in
-``BENCHMARK.json``.
+``BENCHMARK.json``; for each time metric the same figures uncalibrated,
+since the gauge can read the two sides' processes at different speeds.
 
 Usage::
 
@@ -58,7 +59,11 @@ def run_once(tree: str, workload: str, seed: int, args: argparse.Namespace) -> d
     if not lines:
         raise RuntimeError(f"{tree}: {workload} printed nothing "
                            f"(exit {done.returncode})")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    # run.py prints each time metric's uncalibrated value beside it
+    result["raw"] = {line.split()[0]: float(line.rsplit(" ", 1)[1].rstrip(")"))
+                     for line in lines[:-1] if "(uncalibrated " in line}
+    return result
 
 
 def iqr(values: list[float]) -> float:
@@ -88,6 +93,13 @@ def compare(workload: str, pairs: list[tuple[dict, dict]],
               f"{'within' if ok else 'WORSE than'} {spec['bound']}")
         print(f"  {'':14s} per pair: " + " ".join(
             f"{c / b:.3f}" if b else "nan" for b, c in zip(base, change)))
+        if all(name in b["raw"] and name in c["raw"] for b, c in pairs):
+            base = [b["raw"][name] for b, _c in pairs]
+            change = [c["raw"][name] for _b, c in pairs]
+            wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+            print(f"  {'':14s} uncalibrated {median(base):.4g} -> "
+                  f"{median(change):.4g} ({median(change) / median(base):.3f}, "
+                  f"base IQR {iqr(base):.3g}, {wins}/{len(pairs)} wins)")
     failed = [sum(pair[side]["failed"] for pair in pairs) for side in (0, 1)]
     attempted = [sum(pair[side]["attempted"] for pair in pairs) for side in (0, 1)]
     print(f"  failed ops: base {failed[0]} of {attempted[0]}, "
