@@ -468,14 +468,15 @@ class EngineMirror:
             rows.append(data)
         # fresh containers: a concurrent decoder keeps the list it captured
         mirror.keys = keys
-        mirror.ords = dict(zip(keys, range(len(keys))))
+        ords = list(range(len(keys)))
+        mirror.ords = dict(zip(keys, ords))
         mirror.columns = {}
         mirror.profiles = {}
         mirror.mirrorable = True
         mirror.indexes = set()  # dropped with the table: rebuilt on use
         conn.execute(f'DROP TABLE IF EXISTS "{mirror.sql_name}"')
         conn.execute(f'CREATE TABLE "{mirror.sql_name}" (ord INTEGER PRIMARY KEY)')
-        return self._apply(conn, mirror, list(range(len(keys))), rows)
+        return self._apply(conn, mirror, ords, rows)
 
     def _patch(
         self, conn: Any, mirror: TableMirror, table: Any, blocks: list, ts: int

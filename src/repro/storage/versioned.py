@@ -188,9 +188,10 @@ class VersionedTable:
         """``(key, value)`` of every live version at snapshot *ts*: in
         :attr:`rows` order, then (at a snapshot older than the newest
         write) the keys deleted since."""
-        items = list(self.rows.items())
-        if ts >= self.written_ts:  # read after the copy (see written_ts)
-            return iter(items)
+        rows = self.rows
+        keys, datas = list(rows), list(rows.values())
+        if ts >= self.written_ts:  # read after the copies (see written_ts)
+            return zip(keys, datas)
         return self._scan_older(ts)
 
     def _scan_older(self, ts: int) -> Iterator[tuple[Any, Any]]:
