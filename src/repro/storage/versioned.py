@@ -144,6 +144,8 @@ class VersionedTable:
 
     @property
     def stats(self) -> TableStatistics:
+        """The segment's statistics; built from its rows when first read
+        if no commit built them (a free-standing relation's)."""
         if self._stats is None:  # nothing but the rows to cover
             self._stats = TableStatistics()
             self._stats.fold([TOMBSTONE] * len(self.rows), list(self.rows.values()))
