@@ -485,13 +485,14 @@ class EngineMirror:
         delete drops its key's ``ord``, and a key without one takes the
         next, so a re-inserted key enumerates last. Each key written and
         live at the end is re-read at *ts*."""
-        ords = mirror.ords
-        gone: list = []
+        ords, gone, written = mirror.ords, [], {}
         for block in blocks:
             for key in block.deleted:
+                written.pop(key, None)
                 if key in ords:
                     gone.append(ords.pop(key))
             for key in block.keys:
+                written[key] = None
                 if key not in ords:
                     ords[key] = len(mirror.keys)
                     mirror.keys.append(key)
@@ -499,15 +500,8 @@ class EngineMirror:
             f'DELETE FROM "{mirror.sql_name}" WHERE ord = ?',
             [(o,) for o in gone],
         )
-        written = [
-            key
-            for key in dict.fromkeys(chain.from_iterable(b.keys for b in blocks))
-            if key in ords
-        ]
         rows = [table.read(key, ts) for key in written]
-        return len(gone) + self._apply(
-            conn, mirror, list(map(ords.__getitem__, written)), rows
-        )
+        return len(gone) + self._apply(conn, mirror, [ords[k] for k in written], rows)
 
     def _apply(
         self, conn: Any, mirror: TableMirror, ords: list, rows: list
