@@ -24,10 +24,14 @@ transient (peak over the memory held before the call) of that append
 is at most 20 MB, and of that mirror build at most 25 MB (before the
 bulk paths went column-wise they were 55.3 and 40.4 MB); the database's
 WAL file after the load is at most 6 MB (16.1 MB when a record held
-one dict per row). Also recorded, not asserted: ``wal_mb``, that file's
-size, and ``retained_mb``, what the log's in-memory record of the load
-holds beyond the rows it shares (tracemalloc; 7.7 MB of write tuples
-when a record kept one per row).
+one dict per row); a checkpoint of the loaded database is at most
+``CHECKPOINT_OVER_WAL`` = 1.1 times that file's bytes (2.2 times when a
+checkpoint was an image of one ``[key, data]`` pair a row). Also
+recorded, not asserted: ``wal_mb``, that file's size; ``checkpoint_mb``,
+the checkpoint's; ``checkpoint_load_s``, the median of five
+``load_checkpoint`` calls on it; and ``retained_mb``, what the log's
+in-memory record of the load holds beyond the rows it shares
+(tracemalloc; 7.7 MB of write tuples when a record kept one per row).
 """
 
 import gc
@@ -44,7 +48,7 @@ from repro import fql
 from repro.compile import offload_stats, using_offload_mode
 from repro.compile.mirror import EngineMirror
 from repro.exec import using_exec_mode
-from repro.storage import WALRecord, WriteAheadLog
+from repro.storage import WALRecord, WriteAheadLog, load_checkpoint
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from bench_e2e import gen  # noqa: E402
@@ -53,6 +57,7 @@ N_ROWS = 120_000
 APPEND_MB = 20
 REBUILD_MB = 25
 WAL_MB = 6
+CHECKPOINT_OVER_WAL = 1.1
 TRACKED_PER_ROW = 0.5
 
 
@@ -127,6 +132,12 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
     offloaded = offload_stats(engine)
     rebuild_s = _seconds(_rebuild, engine, ts)
     rebuild_mb = _transient_mb(_rebuild, engine, ts)
+    checkpoint = tmp_path / "db.ckpt"
+    db.checkpoint(str(checkpoint))
+    checkpoint_mb = checkpoint.stat().st_size / 2**20
+    checkpoint_load_s = statistics.median(
+        _seconds(load_checkpoint, str(checkpoint)) for _ in range(5)
+    )
     benchmark.extra_info.update(
         {
             "rows": N_ROWS,
@@ -137,6 +148,8 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
             "append_transient_mb": append_mb,
             "rebuild_transient_mb": rebuild_mb,
             "wal_mb": wal_mb,
+            "checkpoint_mb": checkpoint_mb,
+            "checkpoint_load_s": checkpoint_load_s,
             "retained_mb": retained_mb,
             "tracked_per_row": tracked_per_row,
             "build_image_ms": build_image_ms,
@@ -153,6 +166,9 @@ def test_a_bulk_load_and_its_first_mirror_build(benchmark, tmp_path):
         f"a mirror build of {N_ROWS} rows held {rebuild_mb:.1f} MB at peak"
     )
     assert wal_mb <= WAL_MB, f"the load's WAL file is {wal_mb:.1f} MB"
+    assert checkpoint_mb <= CHECKPOINT_OVER_WAL * wal_mb, (
+        f"the checkpoint is {checkpoint_mb:.2f} MiB against the WAL's {wal_mb:.2f}"
+    )
     assert tracked_per_row < TRACKED_PER_ROW, (
         f"the load added {tracked_per_row:.2f} collector-tracked objects a row"
     )

@@ -36,6 +36,7 @@ anything else             FALLBACK when it reads a changed base, else empty
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterator
 
 from repro._util import MISSING, _Sentinel, normalize_key
@@ -100,18 +101,27 @@ class _RolledBack(FDMFunction):
         return self._fn.defined_at(key)
 
     def keys(self) -> Iterator[Any]:
-        changes = self._delta.changes
-        for key in self._fn.keys():
-            change = changes.get(key)
-            if change is not None and change[0] is MISSING:
-                continue  # inserted since the watermark
-            yield key
-        for key, (old, new) in changes.items():
-            if old is not MISSING and new is MISSING:
-                yield key  # deleted since the watermark
+        return (key for key, _ in self._overlaid(zip(self._fn.keys(), repeat(None))))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
+
+    def _entries(self) -> Iterator[tuple[Any, Any]]:
+        """``(key, value)`` in :meth:`keys` order, a relation's from one
+        scan at one held stamp (no point read per key)."""
+        return self._overlaid(getattr(self._fn, "_entries", self._fn.items)())
+
+    def _overlaid(self, entries: Any) -> Iterator[tuple[Any, Any]]:
+        changes = self._delta.changes
+        for key, value in entries:
+            change = changes.get(key)
+            if change is None:
+                yield key, value
+            elif change[0] is not MISSING:
+                yield key, change[0]  # updated since the watermark
+        for key, (old, new) in changes.items():
+            if old is not MISSING and new is MISSING:
+                yield key, old  # deleted since the watermark
 
 
 class _KeysSlice(FDMFunction):
@@ -195,10 +205,10 @@ class _GroupState:
             accs.pop(name, None)
 
     @classmethod
-    def build(cls, source: FDMFunction, by: Any, aggs: Any) -> "_GroupState":
-        """Fold *source*'s current extension into a fresh state."""
+    def build(cls, source: _RolledBack, by: Any, aggs: Any) -> "_GroupState":
+        """Fold *source*'s extension into a fresh state."""
         state = cls()
-        for key, value in source.items():
+        for key, value in source._entries():
             member = snapshot_value(value)
             gk = _group_key_of(by, member)
             if gk is _NO_GROUP:

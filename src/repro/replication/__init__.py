@@ -9,9 +9,9 @@ served at the same commit stamp.
 Three moving parts:
 
 * :class:`ReplicationHub` (leader side, lazily attached by the server's
-  ``REPLICA_HELLO`` verb) ships WAL suffixes — plus an engine image
-  (:mod:`repro.storage.image`) for initial sync — as ``WAL_BATCH`` push
-  frames over the ordinary wire protocol;
+  ``REPLICA_HELLO`` verb) ships WAL suffixes — plus a checkpoint's
+  one record (:mod:`repro.storage.image`) for initial sync — as
+  ``WAL_BATCH`` push frames over the ordinary wire protocol;
 * :class:`ReplicaDatabase` + :class:`ReplicationClient` (follower side)
   replay them through ``engine.apply_commit``, preserving partition
   layout, indexes, and the follower's own WAL byte-for-byte, and

@@ -15,9 +15,9 @@ Because the logical clock only moves on commits, there is nothing to
 heartbeat between them — a follower that has applied the last shipped
 stamp *is* current.
 
-Frames carry records and images exactly as :mod:`repro.storage.image`
-writes them to the WAL file and to checkpoints (schema changes
-included), so replication has no codec of its own.
+Frames carry records exactly as :mod:`repro.storage.image` writes them
+to the WAL file (schema changes included), and a snapshot is the one
+record a checkpoint file holds, so replication has no codec of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro._util import attached
 from repro.errors import FencedLeaderError, PersistenceError, ReplicationError
 from repro.obs.events import emit
 from repro.obs.trace import current_context, span
-from repro.storage.image import dumps, encode_records, engine_image
+from repro.storage.image import dumps, encode_record, encode_records, engine_record
 
 __all__ = ["ReplicaPeer", "ReplicationHub", "hub_for", "snapshot_payload"]
 
@@ -40,13 +40,12 @@ BATCH_RECORDS = 256
 
 
 def snapshot_payload(db: Any) -> dict[str, Any]:
-    """A consistent image of *db*'s latest committed state.
-
-    The scan's stamp is held in the manager's snapshot registry, so a
-    commit that lands mid-copy keeps every version the copy reads.
-    """
+    """*db*'s latest committed state as one encoded record, as a
+    checkpoint file holds it. The scan's stamp is held in the manager's
+    snapshot registry, so a commit that lands mid-copy keeps every
+    version the copy reads."""
     with db.manager.snapshot() as ts:
-        return engine_image(db.engine, ts)
+        return encode_record(engine_record(db.engine, ts))
 
 
 class ReplicaPeer:
@@ -185,7 +184,7 @@ class ReplicationHub:
     def _shippable(
         self, session_id: int, what: str, build: Callable[[], Any]
     ) -> Any:
-        """``build()`` (records or an image) checked against the one
+        """``build()`` (encoded records) checked against the one
         value rule before a frame is queued. A memory-only leader never
         encoded its records at commit, so a row JSON cannot hold
         surfaces here: the peer is detached, a ``replication_error``

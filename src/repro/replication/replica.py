@@ -32,7 +32,9 @@ from repro.errors import (
     ReplicaLagError,
     ReplicationError,
 )
-from repro.storage.image import decode_records, install_image
+from repro.obs.events import emit
+from repro.storage.engine import StorageEngine
+from repro.storage.image import decode_record, decode_records
 from repro.txn.manager import Transaction, TransactionManager
 
 __all__ = [
@@ -248,25 +250,26 @@ class ReplicaDatabase(FunctionalDatabase):
 
     def apply_snapshot(self, snapshot: dict[str, Any]) -> None:
         """Rebuild from a full leader copy (initial sync, or the WAL
-        floor passed this replica's watermark).
+        floor passed this replica's watermark): one encoded record.
 
         Existing tables are dropped — a snapshot is authoritative —
-        and every row lands under the snapshot's single commit stamp,
-        mirroring checkpoint restore. The replica's *own* WAL is
-        truncated and re-seeded with one record carrying the whole
-        snapshot: a durable replica restarted later replays the full
+        and the record applies to an empty engine, as a checkpoint
+        loads. The replica's *own* WAL is truncated and re-seeded with
+        that record: a durable replica restarted later replays the full
         state, not just the post-snapshot suffix. Maintained views are
         rebuilt afterwards — the snapshot bypassed the changelog, so
         their old snapshots (and their subscribers' mirrors, via the
         resync push) would otherwise silently miss its rows.
         """
         with self._apply_lock:
-            ts = int(snapshot["ts"])
+            record = decode_record(snapshot)
+            ts = record.commit_ts
             # stage the whole rebuild aside, then swap references:
             # concurrent readers (this replica keeps serving during a
             # resync) see either the complete old state or the
             # complete new one, never dropped tables or partial loads
-            staging = install_image(snapshot, name=self._engine.name)
+            staging = StorageEngine(name=self._engine.name)
+            staging.apply_commit(ts, record.writes, record.schemas)
             # clock first (old tables serve stale-but-complete reads
             # at the new stamp), then one reference swap: each table
             # carries its own statistics and indexes, and the offload
@@ -281,17 +284,14 @@ class ReplicaDatabase(FunctionalDatabase):
             # replaying it before the seed record on restart would
             # resurrect rows the snapshot deleted
             self._engine.wal.truncate()
-            for seed in staging.wal.records():
-                self._engine.wal.append(seed)
+            self._engine.wal.append(record)
             self.leader_ts = max(self.leader_ts, ts)
             self.snapshots_loaded += 1
-        from repro.obs.events import emit
-
         emit(
             self._engine,
             "snapshot_sync",
             ts=ts,
-            tables=len(snapshot.get("tables", {})),
+            tables=len(record.writes),
         )
         registry = getattr(self._engine, "view_registry", None)
         if registry is not None:
@@ -389,8 +389,6 @@ class ReplicaDatabase(FunctionalDatabase):
             if hub is not None:
                 hub.epoch = self.epoch
             epoch = self.epoch
-        from repro.obs.events import emit
-
         emit(
             self._engine,
             "promote",
@@ -522,17 +520,13 @@ class ReplicationClient:
             )
             self.connected = True
             self.last_error = None
-            if hello["mode"] == "snapshot":
+            if hello["mode"] == "snapshot":  # a snapshot carries no records
                 self.db.apply_snapshot(hello["snapshot"])
-                self.db.apply_wal_batch(
-                    [], hello["leader_ts"], hello["epoch"]
-                )
-            else:
-                self.db.apply_wal_batch(
-                    decode_records(hello.get("records", [])),
-                    hello["leader_ts"],
-                    hello["epoch"],
-                )
+            self.db.apply_wal_batch(
+                decode_records(hello.get("records", [])),
+                hello["leader_ts"],
+                hello["epoch"],
+            )
             client._call(
                 {
                     "verb": "replica_ack",

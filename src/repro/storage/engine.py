@@ -167,7 +167,7 @@ class StorageEngine:
         """Make table *name* match *schema*, a
         :func:`~repro.storage.image.table_schema` dict; ``None`` drops it.
 
-        Recovery, replica apply and image install all learn DDL here. A
+        Recovery, replica apply and a checkpoint load all learn DDL here. A
         missing table is created; an existing one has its key name
         aligned, is re-partitioned in place when its scheme's spec
         differs (history kept), and gains or loses indexes to match.

@@ -1,34 +1,33 @@
 """The one written form of committed state (DESIGN.md §4).
 
-Committed state is written down in two shapes, and every carrier uses
-exactly these dicts:
+Committed state is written down as **records**, and every carrier holds
+exactly this dict: ``{"ts", "blocks": {table: block}}`` plus an
+optional ``"schemas": {table: schema | null}`` member for the tables
+whose catalog entry the record sets (``null`` drops the table). A block
+is one table's writes: ``{"keys", "runs": [[n, *attrs], ...], "values",
+"deleted"}`` — the written keys, their rows as runs of *n* rows with
+the attribute names *attrs* (once a run), the runs' values row by row
+in one flat list, and the deleted keys (left out when there are none).
 
-* a **record** — one commit — ``{"ts", "blocks": {table: block}}``
-  plus an optional ``"schemas": {table: schema | null}`` member for the
-  tables whose catalog entry the commit changed (``null`` drops the
-  table). A block is one table's writes:
-  ``{"keys", "runs": [[n, *attrs], ...], "values", "deleted"}`` — the
-  written keys, their rows as runs of *n* rows with the attribute names
-  *attrs* (once a run), the runs' values row by row in one flat list,
-  and the deleted keys (left out when there are none). It is a line of
-  the WAL file and an element of a ``WAL_BATCH`` / ``REPLICA_HELLO``
-  frame. Logs written before blocks hold
-  ``{"ts", "writes": [{"table", "key", "data", "deleted"}]}`` lines;
-  :func:`decode_record` still reads them;
-* an **image** — every table at one stamp —
-  ``{"ts", "tables": {name: {"schema", "rows": [[key, data], ...]}}}``.
-  It is a checkpoint file and a replica snapshot.
+A commit's record is a line of the WAL file and an element of a
+``WAL_BATCH`` / ``REPLICA_HELLO`` frame. Every table at one stamp is
+one record too (:func:`engine_record`): every table's catalog entry and
+one block of its live rows, in scan order. It is a checkpoint file and
+a replica snapshot, and it installs as one ``apply_commit`` on an empty
+engine. Logs written before blocks hold
+``{"ts", "writes": [{"table", "key", "data", "deleted"}]}`` lines;
+:func:`decode_record` still reads them.
 
 One key rule: tuple keys travel through
 :func:`repro._util.encode_tuple_key`, and attribute names go as JSON
-writes a dict's (``1`` as ``"1"``, a tuple refused) in both shapes. One
-value rule: a row is a ``dict`` that ``json.dumps`` accepts without a
-``default=`` hook. :func:`encode_record` and :func:`engine_image`
-refuse a row that is not a dict and :func:`dumps` — the one place
-these dicts become text — refuses a value JSON cannot hold; both raise
-:class:`~repro.errors.PersistenceError` before anything is written. A
-malformed record raises :class:`~repro.errors.WALError` from
-:func:`decode_record` wherever it came from.
+writes a dict's (``1`` as ``"1"``, a tuple refused). One value rule: a
+row is a ``dict`` that ``json.dumps`` accepts without a ``default=``
+hook. :func:`encode_record` refuses a row that is not a dict and
+:func:`dumps` — the one place these dicts become text — refuses a value
+JSON cannot hold; both raise :class:`~repro.errors.PersistenceError`
+before anything is written. A malformed record raises
+:class:`~repro.errors.WALError` from :func:`decode_record` wherever it
+came from.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ __all__ = [
     "encode_pieces",
     "encode_record",
     "encode_records",
-    "engine_image",
-    "install_image",
+    "engine_record",
     "table_schema",
 ]
 
@@ -122,7 +120,7 @@ PIECE_VALUES = 4096
 
 
 def dumps(payload: Any) -> str:
-    """*payload* (a record, an image or a part of one) as JSON text, or
+    """*payload* (a record or a part of one) as JSON text, or
     :class:`PersistenceError` if a row holds a value JSON cannot."""
     try:
         return json.dumps(payload)
@@ -130,15 +128,6 @@ def dumps(payload: Any) -> str:
         raise PersistenceError(
             f"committed state must be plain JSON data: {exc}"
         ) from exc
-
-
-def _row(table: str, key: Any, data: Any) -> dict[str, Any]:
-    if not isinstance(data, dict):
-        raise PersistenceError(
-            f"{table!r}[{key!r}] holds a non-tuple value {data!r}; only "
-            "stored tuples can be written down"
-        )
-    return data
 
 
 def _keys(keys: Any, code: Any) -> list:
@@ -150,9 +139,9 @@ def _keys(keys: Any, code: Any) -> list:
 
 
 def _names(attrs: tuple) -> Any:
-    """A run's attribute names as JSON writes a dict's, which is how an
-    image writes them: ``1`` as ``"1"``; a name JSON refuses (a tuple)
-    raises :class:`PersistenceError`."""
+    """A run's attribute names as JSON writes a dict's: ``1`` as
+    ``"1"``; a name JSON refuses (a tuple) raises
+    :class:`PersistenceError`."""
     for name in attrs:
         if name.__class__ is not str:
             return [next(iter(json.loads(dumps({n: 0})))) for n in attrs]
@@ -168,7 +157,10 @@ def _block(table: str, block: Block) -> dict[str, Any]:
         runs, values, shape = [], [], None
         for key, row in zip(keys, rows):
             if not isinstance(row, dict):
-                _row(table, key, row)
+                raise PersistenceError(
+                    f"{table!r}[{key!r}] holds a non-tuple value {row!r}; "
+                    "only stored tuples can be written down"
+                )
             attrs = tuple(row)
             if attrs == shape:
                 runs[-1][0] += 1
@@ -296,41 +288,14 @@ def table_schema(engine: Any, name: str) -> dict[str, Any] | None:
     }
 
 
-def engine_image(engine: Any, ts: int) -> dict[str, Any]:
-    """Every table of *engine* as of stamp *ts* (no version history)."""
-    return {
-        "ts": ts,
-        "tables": {
-            name: {
-                "schema": table_schema(engine, name),
-                "rows": [
-                    [encode_tuple_key(key), _row(name, key, data)]
-                    for key, data in table.scan_at(ts)
-                ],
-            }
-            for name, table in engine.tables.items()
-        },
-    }
-
-
-def install_image(image: dict[str, Any], name: str = "engine") -> Any:
-    """A fresh engine holding *image*: every row enters under the
-    image's one stamp, through the same ``apply_commit`` recovery and
-    replica apply use, so the engine's own log starts with one record
-    that replays to the whole image."""
-    from repro.storage.engine import StorageEngine
-
-    engine = StorageEngine(name=name)
-    try:
-        tables = image["tables"]
-        engine.apply_commit(
-            image["ts"],
-            {
-                table: {decode_tuple_key(key): data for key, data in spec["rows"]}
-                for table, spec in tables.items()
-            },
-            schemas={table: spec["schema"] for table, spec in tables.items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"malformed image: {exc!r}") from exc
-    return engine
+def engine_record(engine: Any, ts: int) -> WALRecord:
+    """Every table of *engine* as of stamp *ts* as one record: each
+    table's catalog entry, and one block of its live rows in scan order
+    (no version history)."""
+    blocks = {}
+    for name, table in engine.tables.items():
+        scan = list(table.scan_at(ts))
+        blocks[name] = Block([key for key, _ in scan], [data for _, data in scan], [])
+    return WALRecord(
+        ts, blocks, {name: table_schema(engine, name) for name in engine.tables}
+    )

@@ -4,7 +4,8 @@ One thread interleaves detached transactions on one durable database:
 begin, point reads, scans and queries inside a transaction and outside
 one, writes and deletes (in a transaction, or as a one-statement
 autocommit), commit, rollback, re-partitioning, close and reopen from
-the WAL, and writes to a free-standing relation. The steps are the
+the WAL, a checkpoint taken with sessions open and restored beside the
+database, and writes to a free-standing relation. The steps are the
 history of ``tests/test_one_table.py`` (insert, update, delete,
 reinsert, reopen) spread over several open snapshots.
 
@@ -16,6 +17,10 @@ Every read is checked against a model of the committed states:
 * a commit aborts (first-committer-wins) exactly when the model says a
   key it writes was written by a commit after its snapshot, and every
   writing commit, re-partition included, takes the next stamp;
+* a database restored from a checkpoint holds the newest state at the
+  newest stamp, in the scan order of the database it was taken from,
+  and every query answers alike over it in the naive and batched
+  executors;
 * a free-standing relation enumerates in insertion order, a delete
   taking its key out (Python dict order).
 
@@ -259,6 +264,23 @@ def _run(seed, tmp_path):
             sessions.clear()
             db.close()
             db = repro.connect(name, wal_path=path)
+        elif action < 0.89:
+            log.append(f"{i}: checkpoint and restore ({len(sessions)} open)")
+            checkpoint = str(tmp_path / f"{name}.ckpt")
+            db.checkpoint(checkpoint)
+            restored = repro.FunctionalDatabase.restore(checkpoint, f"{name}-r")
+            try:
+                assert restored.manager.now() == model.clock
+                scan = _QUERIES["scan"]
+                assert _pairs(restored.t, scan) == _pairs(db.t, scan)
+                for query in sorted(_QUERIES):
+                    for mode in ("batch", "naive"):
+                        with using_exec_mode(mode):
+                            assert dict(_pairs(restored.t, _QUERIES[query])) == (
+                                _expected(model.newest(), query)
+                            ), (query, mode)
+            finally:
+                restored.close()
         else:
             key = rng.randrange(KEYS)
             if key in free_model and rng.random() < 0.4:

@@ -653,3 +653,40 @@ class TestViewsEnumerateTheirSnapshot:
         assert {k: dict(v.items()) for k, v in view.items()} == snapshot
         view.refresh()
         assert {k: dict(v.items()) for k, v in view.items()}["NY"]["n"] == 3
+
+
+def test_a_group_views_first_sync_reads_the_source_in_one_pass():
+    """The first incremental sync builds the group state from one scan
+    of the source at one held stamp, the delta laid over it: no point
+    read per member (two a member when it walked ``items()``)."""
+    from unittest import mock
+
+    from repro.storage.relation import StoredRelationFunction
+
+    db = repro.connect("first-sync", default=False)
+    db.create_table("orders", {
+        i: {"status": ("paid", "open", "void")[i % 3], "amount": i}
+        for i in range(2_000)
+    }, key_name="oid")
+    reads = mock.patch.object(
+        StoredRelationFunction, "_raw_read", autospec=True,
+        side_effect=StoredRelationFunction._raw_read,
+    )
+    with using_ivm_mode("on"):  # the incremental rule is what is read
+        view = db.create_maintained_view("per_status", fql.group_and_aggregate(
+            by=["status"], n=fql.Count(), total=fql.Sum("amount"),
+            input=db.orders))
+        db.orders[1] = {"status": "paid", "amount": 5}  # from open to paid
+        del db.orders[3]  # a paid row
+        db.orders[2_000] = {"status": "void", "amount": 1}
+        with reads as raw_read:
+            rows = {k: dict(v.items()) for k, v in view.items()}
+    assert raw_read.call_count < 10
+    stats = view.maintenance_stats
+    assert stats["deltas_applied"] >= 1 and stats["fallback_recomputes"] == 0
+    expected = {}
+    for row in db.orders.values():
+        status = row("status")
+        n, total = expected.get(status, (0, 0))
+        expected[status] = (n + 1, total + row("amount"))
+    assert {k: (r["n"], r["total"]) for k, r in rows.items()} == expected

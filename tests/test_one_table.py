@@ -1,7 +1,7 @@
 """A flat table is the one-segment table (DESIGN.md §10).
 
 The same seeded history — inserts, updates, deletes, reinserts,
-snapshots held and ended, reopens from the WAL and image installs —
+snapshots held and ended, reopens from the WAL and checkpoint installs —
 applied to a flat table and to a ``hash_partition("p", 1)`` table
 leaves both with the same scan order (at the newest stamp and at every
 held one), keys, statistics and query answers after every step, and
@@ -20,7 +20,7 @@ from repro.exec import set_exec_mode, using_exec_mode
 from repro.fdm.databases import DatabaseFunction
 from repro.partition import hash_partition
 from repro.storage.engine import StorageEngine
-from repro.storage.image import engine_image, install_image, table_schema
+from repro.storage.image import engine_record, table_schema
 
 _LATEST = 2**62
 
@@ -106,7 +106,15 @@ def _reopen(engine):
 
 
 def _install(ts):
-    return lambda engine: install_image(engine_image(engine, ts))
+    """Apply the engine's record at *ts* to an empty engine, as a
+    checkpoint load and a snapshot install do."""
+    def install(engine):
+        record = engine_record(engine, ts)
+        fresh = StorageEngine()
+        fresh.apply_commit(record.commit_ts, record.writes, record.schemas)
+        return fresh
+
+    return install
 
 
 @pytest.mark.parametrize("seed", range(8))

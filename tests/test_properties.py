@@ -43,7 +43,7 @@ from repro.predicates import (
 )
 from repro.storage import StorageEngine, TableStatistics, VersionedTable
 from repro.storage import stats as segment_stats
-from repro.storage.image import engine_image, install_image, table_schema
+from repro.storage.image import engine_record, table_schema
 from repro.storage.versioned import fold_batch
 
 # -- strategies ---------------------------------------------------------------
@@ -467,7 +467,7 @@ def _hold_or_release(engine, held, rng, ts):
 @given(st.integers(0, 2**32 - 1))
 def test_segment_statistics_equal_a_replay_of_their_chains(seed):
     """Through inserts, updates, deletes, partition moves, re-shards,
-    held snapshots and their ends, WAL recovery and image installs,
+    held snapshots and their ends, WAL recovery and checkpoint installs,
     every segment's latest-state counts equal those of a fresh segment
     replaying the versions it holds, its bounds cover that replay's,
     and the segments' row counts sum to the live key count."""
@@ -519,7 +519,9 @@ def test_segment_statistics_equal_a_replay_of_their_chains(seed):
             engine.wal = wal
             held.clear()
         else:
-            engine = install_image(engine_image(engine, ts - 1))
+            record = engine_record(engine, ts - 1)  # a checkpoint's install
+            engine = StorageEngine()
+            engine.apply_commit(record.commit_ts, record.writes, record.schemas)
             held.clear()
         table = engine.table("t")
         segments = table.segments

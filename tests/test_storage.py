@@ -3,6 +3,7 @@ WAL, indexes, statistics, checkpoints."""
 
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from repro.errors import (
     WALError,
 )
 from repro.optimizer.cardinality import estimate_selectivity
+from repro.partition import hash_partition
 from repro.predicates import parse_predicate
 from repro.storage import (
     HashIndex,
@@ -566,6 +568,98 @@ class TestCheckpoint:
         path.write_text('{"ts": 1, "tables": {"t": {"rows": [[1, {}]]}}}')
         with pytest.raises(PersistenceError):
             load_checkpoint(str(path))  # no schema member
+
+    def test_a_checkpoint_is_one_record_line(self, tmp_path):
+        """The file is one WAL line: every table's catalog entry and one
+        block of its live rows, an empty table and a tuple-keyed one
+        among them; it opens as a one-record log too."""
+        engine = StorageEngine()
+        engine.create_table("r", key_name=("cid", "pid"))
+        engine.create_table("empty", key_name="eid")
+        engine.apply_commit(1, [("r", (1, 2), {"d": "a"}), ("r", (3, 4), {"d": "b"})])
+        engine.apply_commit(2, [("r", (1, 2), TOMBSTONE)])
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(engine, path, clock=2)
+        [record] = WriteAheadLog.load(path).records()
+        assert record.commit_ts == 2
+        assert record.schemas == {n: table_schema(engine, n) for n in ("r", "empty")}
+        assert record.writes == {"r": ([(3, 4)], [{"d": "b"}], []),
+                                 "empty": ([], [], [])}
+        restored, clock = load_checkpoint(path)
+        assert clock == 2 and restored.table_names() == ["r", "empty"]
+        assert list(restored.table("r").scan_at(2)) == [((3, 4), {"d": "b"})]
+        assert restored.table("r").key_name == ("cid", "pid")
+        assert restored.table("empty").count_at(2) == 0
+        assert table_schema(restored, "empty") == table_schema(engine, "empty")
+
+    @pytest.mark.parametrize("failing", ["write", "fsync"])
+    def test_a_failed_write_keeps_the_previous_checkpoint(self, tmp_path, failing):
+        """The new file is written aside and renamed over the old one:
+        a write that fails after its first piece, or an ``fsync`` that
+        fails, leaves the previous checkpoint as it was and nothing
+        else behind."""
+        engine = StorageEngine()
+        engine.create_table("t")
+        engine.apply_commit(1, [("t", i, {"x": i}) for i in range(2 * PIECE_VALUES)])
+        path = tmp_path / "ckpt"
+        save_checkpoint(engine, str(path), clock=1)
+        before = path.read_bytes()
+        engine.apply_commit(2, [("t", 0, {"x": "new"})])
+
+        class Torn(io.FileIO):  # unbuffered: every piece is one write
+            def write(self, piece):
+                if self.tell():
+                    raise OSError(errno.EIO, "injected I/O error")
+                return super().write(piece)
+
+        if failing == "write":
+            patch = mock.patch("repro.storage.persist.open", Torn, create=True)
+        else:
+            patch = mock.patch.object(os, "fsync", _fail)
+        with patch, pytest.raises(PersistenceError):
+            save_checkpoint(engine, str(path), clock=2)
+        assert os.listdir(tmp_path) == ["ckpt"] and path.read_bytes() == before
+        restored, clock = load_checkpoint(str(path))
+        assert clock == 1 and restored.table("t").read(0, 1) == {"x": 0}
+        save_checkpoint(engine, str(path), clock=2)  # and the next one lands
+        assert load_checkpoint(str(path))[0].table("t").read(0, 2) == {"x": "new"}
+
+    def test_an_image_form_checkpoint_still_loads(self, tmp_path):
+        """``fixtures/image_form.ckpt`` was written when a checkpoint was
+        an image (``{"ts", "tables"}``, one ``[key, data]`` pair a row).
+        It loads to the rows, placement and catalog that a checkpoint
+        of the same history writes now."""
+        old, clock = load_checkpoint(os.path.join(FIXTURES, "image_form.ckpt"))
+        db = fql.connect("image-form", default=False)
+        db.create_table("customers", {
+            1: {"name": "ann", "age": 30, "state": "NY"},
+            2: {"name": "bo", "age": 41, "state": "TX"},
+            3: {"name": "cy", "age": 35, "state": "CA"},
+        }, key_name="cid", partition_by=hash_partition("state", 2))
+        db.create_index("customers", "age", kind="sorted")
+        db.create_table("pairs", {(2, "b"): {"n": 2.5, "note": "ñ日"}},
+                        key_name=("i", "k"))
+        db.create_table("empty", {}, key_name="eid")
+        db.pairs[(3, "c")] = {"n": -0.0, "big": 2**63, 1: "int name"}
+        db.customers[2]["state"] = "NY"
+        del db.customers[3]
+        db.customers[4] = {"name": "di", "age": 23, "state": "TX"}
+        db.checkpoint(str(tmp_path / "now.ckpt"))
+        new, now = load_checkpoint(str(tmp_path / "now.ckpt"))
+        assert clock == now == 10
+        assert old.table_names() == new.table_names() == ["customers", "pairs", "empty"]
+        for name in old.table_names():
+            assert table_schema(old, name) == table_schema(new, name)
+            assert repr(old.table(name).layout()) == repr(new.table(name).layout())
+        assert old.table("customers").layout() == {
+            0: {1: [(10, {"name": "ann", "age": 30, "state": "NY"})],
+                2: [(10, {"name": "bo", "age": 41, "state": "NY"})]},
+            1: {4: [(10, {"name": "di", "age": 23, "state": "TX"})]},
+        }
+        assert old.table("pairs").read((3, "c"), 10) == {
+            "n": -0.0, "big": 2**63, "1": "int name"}
+        assert table_schema(old, "customers")["indexes"] == [
+            {"attr": "age", "kind": "sorted"}]
 
     def test_engine_errors(self):
         engine = StorageEngine()

@@ -1,5 +1,6 @@
 """A commit is one block per table, end to end: the history a file log,
-a ``WAL_BATCH`` stream and a follower's own log each rebuild, and the
+a ``WAL_BATCH`` stream, a follower's own log, a checkpoint with the
+log's suffix and a snapshot-bootstrapped follower each rebuild, and the
 counts a one-row commit keeps."""
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ def _event(i):
     return row
 
 
-def _history(db):
+def _history(db, checkpoint=None):
+    """The history every carrier rebuilds; a checkpoint to *checkpoint*
+    is taken midway, after the loads and before the updates."""
     db.create_table("events", {i: _event(i) for i in range(N_EVENTS)}, key_name="eid")
     db.create_table(
         "customers", rows=hostile_rows(), key_name="cid",
@@ -44,6 +47,9 @@ def _history(db):
     )
     db.create_table("pairs", {(i, f"k{i}"): {"n": i} for i in range(5)},
                     key_name=("i", "k"))
+    db.create_table("empty", {}, key_name="eid")
+    if checkpoint is not None:
+        db.checkpoint(checkpoint)
     db.events[3] = {"name": "upserted", "age": 99, "state": "TX"}
     del db.events[4]
     moved = next(k for k, row in db.customers.items() if row("state") == "NY")
@@ -56,10 +62,19 @@ def _history(db):
         del db.pairs[(1, "k1")]
 
 
-def _layouts(engine):
+def _layouts(engine, floor=0):
     """Every table's physical layout, values by ``repr`` (NaN equals
-    itself there; 1 differs from 1.0 and -0.0 from 0.0)."""
-    return {name: repr(engine.table(name).layout()) for name in engine.table_names()}
+    itself there; 1 differs from 1.0 and -0.0 from 0.0). A checkpoint
+    or a snapshot at stamp *floor* writes every row it holds at that
+    one stamp, so stamps below it read as *floor*."""
+    return {
+        name: repr({
+            pid: {key: [(max(ts, floor), data) for ts, data in versions]
+                  for key, versions in segment.items()}
+            for pid, segment in engine.table(name).layout().items()
+        })
+        for name in engine.table_names()
+    }
 
 
 def _feed(leader, replica):
@@ -84,10 +99,16 @@ def _bytes(path):
 def test_reopen_stream_and_follower_restart_rebuild_one_history(tmp_path):
     leader_wal = os.fspath(tmp_path / "leader.wal")
     follower_wal = os.fspath(tmp_path / "follower.wal")
+    checkpoint = os.fspath(tmp_path / "midway.ckpt")
     leader = repro.connect("leader", wal_path=leader_wal, default=False)
-    _history(leader)
+    _history(leader, checkpoint)
     expected = _layouts(leader.engine)
     assert len(leader.engine.table("customers").segments) == 4
+
+    engine, clock = load_checkpoint(checkpoint)  # plus the log's suffix
+    for record in WriteAheadLog.load(leader_wal).records_since(clock):
+        engine.apply_commit(record.commit_ts, record.writes, record.schemas)
+    assert _layouts(engine, clock) == _layouts(leader.engine, clock)
 
     follower = repl.ReplicaDatabase(name="follower", wal_path=follower_wal)
     _feed(leader, follower)
@@ -105,6 +126,19 @@ def test_reopen_stream_and_follower_restart_rebuild_one_history(tmp_path):
     for name in expected:
         kept, rebuilt = (db.engine.table(name).stats for db in (leader, reopened))
         assert rebuilt.row_count == kept.row_count
+    # a follower bootstrapped from a snapshot: the leader's log holds
+    # nothing below its floor, so HELLO answers with the one record
+    now = reopened.manager.now()
+    reopened.engine.wal.set_floor(now)
+    frames = []
+    hello = repl.hub_for(reopened).hello(1, 0, 1, frames.append)
+    hello = json.loads(json.dumps(hello))
+    assert hello["mode"] == "snapshot" and frames == []
+    bootstrapped = repl.ReplicaDatabase(name="bootstrapped")
+    bootstrapped.apply_snapshot(hello["snapshot"])
+    assert bootstrapped.applied_ts() == now
+    assert _layouts(bootstrapped.engine, now) == _layouts(reopened.engine, now)
+    bootstrapped.close()
     reopened.close()
     assert _bytes(leader_wal) == _bytes(follower_wal)
 
