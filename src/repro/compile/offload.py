@@ -35,7 +35,7 @@ from repro.compile.sqlgen import (
     parse_graph,
 )
 from repro.exec.nodes import PhysicalNode
-from repro.fdm.tuples import RowTuple
+from repro.fdm.tuples import TupleFunction
 from repro.optimizer.physical import offload_worthwhile
 
 __all__ = ["OffloadPipeline", "try_offload", "offload_worthwhile",
@@ -200,7 +200,7 @@ class OffloadPipeline:
             key = mirror_keys[ordinal]
             data = table.read(key, ts)
             value: Any = (
-                RowTuple(data, relation._name)
+                TupleFunction.of(data, relation._name)
                 if isinstance(data, dict)
                 else data
             )
@@ -235,7 +235,7 @@ class OffloadPipeline:
             rep_data = table.read(mirror_keys[min_ordinal], ts)
             if not isinstance(rep_data, dict):
                 continue
-            group_key = by.key_of(RowTuple(rep_data, relation._name))
+            group_key = by.key_of(TupleFunction.of(rep_data, relation._name))
             if keys:
                 out.append(group_key)
                 continue

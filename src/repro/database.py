@@ -30,7 +30,6 @@ from repro.fdm.domains import Domain, DiscreteDomain
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.fdm.relations import MaterialRelationFunction
 from repro.fdm.relationships import RelationshipFunction
-from repro.fdm.tuples import TupleFunction
 from repro.storage.engine import StorageEngine
 from repro.storage.persist import load_checkpoint, save_checkpoint
 from repro.storage.wal import WriteAheadLog

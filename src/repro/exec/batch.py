@@ -105,11 +105,11 @@ class ColumnBatch:
     def pairs(self) -> list:
         """Materialize ``(key, tuple)`` rows — the late boundary."""
         if self._pairs is None:
-            from repro.fdm.tuples import RowTuple
+            from repro.fdm.tuples import TupleFunction
 
-            name = self.name
+            of, name = TupleFunction.of, self.name
             self._pairs = [
-                (key, RowTuple(row, name))
+                (key, of(row, name))
                 for key, row in zip(self.keys, self.rows)
             ]
         return self._pairs

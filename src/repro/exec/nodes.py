@@ -25,7 +25,7 @@ from repro.exec import kernels
 from repro.exec.batch import COLUMNAR_BATCH_SIZE, ColumnBatch, batch_bytes
 from repro.fdm.functions import FDMFunction
 from repro.fdm.relations import table_of
-from repro.fdm.tuples import RowTuple, TupleFunction
+from repro.fdm.tuples import TupleFunction
 from repro.fql.aggregates import Count
 from repro.obs.context import _local
 from repro.obs.resources import active_meter
@@ -326,7 +326,7 @@ class MapNode(PhysicalNode):
             except KeyError:
                 # Re-raise through the tuple path for the exact
                 # UndefinedInputError the naive project would produce.
-                RowTuple(row, batch.name).project(attrs)
+                TupleFunction.of(row, batch.name).project(attrs)
                 raise  # unreachable: project() always raises here
         return ColumnBatch.of(batch.keys, out, batch.name)
 
@@ -560,8 +560,8 @@ class GroupAggregateNode(PhysicalNode):
                 data = by.key_attrs(group_key)
                 for agg_name, agg in aggs.items():
                     data[agg_name] = agg.result(acc[agg_name])
-                yield group_key, TupleFunction(
-                    data, name=f"{self.name}[{group_key!r}]"
+                yield group_key, TupleFunction.of(
+                    data, f"{self.name}[{group_key!r}]"
                 )
 
         yield from rebatch(tuples())
@@ -629,8 +629,8 @@ class AggregateOverGroupsNode(PhysicalNode):
                 out.append(
                     (
                         group_key,
-                        TupleFunction(
-                            data, name=f"{self.name}[{group_key!r}]"
+                        TupleFunction.of(
+                            data, f"{self.name}[{group_key!r}]"
                         ),
                     )
                 )

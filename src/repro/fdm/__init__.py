@@ -39,7 +39,6 @@ from repro.fdm.tuples import (
     BoundTuple,
     ComputedTupleFunction,
     TupleFunction,
-    as_tuple_function,
     tuple_function,
 )
 from repro.fdm.relations import (
@@ -77,7 +76,7 @@ __all__ = [
     "values_equal",
     # tuples
     "BoundTuple", "ComputedTupleFunction", "TupleFunction",
-    "as_tuple_function", "tuple_function",
+    "tuple_function",
     # relations
     "ComputedRelationFunction", "MaterialRelationFunction",
     "RelationFunction", "alternative_view", "relation",

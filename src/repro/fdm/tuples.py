@@ -13,6 +13,14 @@ indistinguishable to callers.
 There is deliberately no NULL: a tuple function is *undefined* outside its
 domain, and :class:`repro.errors.UndefinedInputError` is the only way to
 observe that.
+
+A row is carried by one class, :class:`TupleFunction`: a scan, a
+changelog snapshot and an offloaded result all wrap the committed row
+dict with :meth:`TupleFunction.of`, and nothing copies it.
+:class:`BoundTuple` stays beside it for one reason: Fig. 10's
+``customers[3]['age'] = 50`` writes through the value ``customers[3]``
+returned, so that value must be a live (relation, key) handle that reads
+the row afresh, not a wrapper around the row as it was.
 """
 
 from __future__ import annotations
@@ -25,10 +33,8 @@ from repro.fdm.functions import FDMFunction, freeze_function, values_equal
 
 __all__ = [
     "TupleFunction",
-    "RowTuple",
     "ComputedTupleFunction",
     "BoundTuple",
-    "as_tuple_function",
     "tuple_function",
 ]
 
@@ -43,21 +49,50 @@ def check_attributes(names: Iterable[Any]) -> None:
 
 
 class TupleFunction(FDMFunction):
-    """An immutable, enumerated tuple function backed by a mapping."""
+    """An immutable, enumerated tuple function backed by one dict.
+
+    ``TupleFunction(mapping)`` copies what it is given and checks that
+    every attribute name is a string. :meth:`of` wraps a dict as it is,
+    shared and unchecked: a committed row, or a dict its caller has just
+    built from names already known to be strings. Sharing is sound
+    because committed rows are never mutated in place (an update
+    installs a fresh dict) and a tuple function has no mutators
+    (DESIGN.md §4). The domain is built the first time something reads
+    it: most tuples are read through ``_data`` and never need one.
+    """
 
     kind = "tuple"
+    #: Its domain is its data's attribute names.
+    is_enumerable = True
+    _domain = None
+    _codomain = ANY
 
     def __init__(self, mapping: Mapping[str, Any] | None = None,
                  name: str | None = None, **attrs: Any):
         data: dict[str, Any] = dict(mapping or {})
         data.update(attrs)
         check_attributes(data)
-        super().__init__(name=name or "t", domain=DiscreteDomain(data),
-                         codomain=None)
-        self._data = data
+        state = self.__dict__
+        state["_name"] = name or "t"
+        state["_data"] = data
 
-    #: Its domain is its data's attribute names.
-    is_enumerable = True
+    @classmethod
+    def of(cls, data: dict, name: str = "t") -> "TupleFunction":
+        """Wrap *data*, which nobody mutates, without copying or checking it."""
+        # straight into the instance dict: one per row, and
+        # FDMFunction.__setattr__ would route each store through a check
+        self = cls.__new__(cls)
+        state = self.__dict__
+        state["_name"] = name
+        state["_data"] = data
+        return self
+
+    @property
+    def domain(self) -> Domain:
+        domain = self._domain
+        if domain is None:
+            domain = self._domain = DiscreteDomain(self._data)
+        return domain
 
     def _apply(self, key: Any) -> Any:
         try:
@@ -98,17 +133,13 @@ class TupleFunction(FDMFunction):
         """A new tuple function with some attribute values replaced/added."""
         data = dict(self._data)
         data.update(changes)
-        return TupleFunction(data, name=self._name)
-
-    def without(self, *attrs: str) -> "TupleFunction":
-        """A new tuple function with the given attributes dropped."""
-        data = {k: v for k, v in self._data.items() if k not in attrs}
-        return TupleFunction(data, name=self._name)
+        return TupleFunction.of(data, self._name)
 
     def project(self, attrs: Iterable[str]) -> "TupleFunction":
-        """A new tuple function restricted to *attrs* (must be defined)."""
-        return TupleFunction(
-            {a: self._apply(a) for a in attrs}, name=self._name
+        """A new tuple function restricted to *attrs* (must be defined):
+        its names are this tuple's own, so they need no check."""
+        return TupleFunction.of(
+            {a: self._apply(a) for a in attrs}, self._name
         )
 
     # Tuple functions have *value* semantics: two tuple functions with the
@@ -126,7 +157,7 @@ class TupleFunction(FDMFunction):
                 for k, v in self._data.items()
             )
         if isinstance(other, Mapping):
-            return self == TupleFunction(other)
+            return self == TupleFunction.of(dict(other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -135,40 +166,6 @@ class TupleFunction(FDMFunction):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v!r}" for k, v in self._data.items())
         return f"{self._name}{{{inner}}}"
-
-
-class RowTuple(TupleFunction):
-    """A tuple snapshot built straight from a committed row dict.
-
-    The columnar executor wraps rows with these at its materialization
-    boundaries; the stock constructor's up-front domain materialization
-    would dominate scan cost, so the domain is built lazily — filters
-    that reject a row via the ``_data`` fast path never pay for it. The
-    row dict is *shared*, not copied: committed stored rows and
-    material-relation rows are never mutated in place (updates install
-    fresh dicts), and tuple functions expose no mutators.
-    """
-
-    def __init__(self, data: dict, name: str):
-        # straight into the instance dict: one per materialized row, and
-        # FDMFunction.__setattr__ would route each store through a check
-        state = self.__dict__
-        state["_name"] = name
-        state["_data"] = data
-        state["_codomain"] = ANY
-        state["_lazy_domain"] = None
-
-    @property
-    def domain(self) -> Domain:
-        if self._lazy_domain is None:
-            object.__setattr__(
-                self, "_lazy_domain", DiscreteDomain(self._data)
-            )
-        return self._lazy_domain
-
-    @property
-    def is_enumerable(self) -> bool:
-        return True
 
 
 class ComputedTupleFunction(FDMFunction):
@@ -297,8 +294,9 @@ class BoundTuple(FDMFunction):
         self._relation._delete_attr(self._key, attr)
 
     def snapshot(self) -> TupleFunction:
-        """An immutable copy of the current state."""
-        return TupleFunction(dict(self._data()), name=self._name)
+        """The current state as an immutable tuple: the committed row
+        itself, shared."""
+        return TupleFunction.of(self._data(), self._name)
 
     def __eq__(self, other: Any) -> bool:
         return self.snapshot() == other
@@ -312,18 +310,6 @@ class BoundTuple(FDMFunction):
         except Exception:  # tuple deleted meanwhile
             inner = "<deleted>"
         return f"{self._name}{{{inner}}}"
-
-
-def as_tuple_function(value: Any, name: str | None = None) -> FDMFunction:
-    """Coerce *value* (tuple function or mapping) into a tuple function."""
-    if isinstance(value, FDMFunction):
-        return value
-    if isinstance(value, Mapping):
-        return TupleFunction(value, name=name)
-    raise SchemaError(
-        f"cannot interpret {value!r} as a tuple function; provide a mapping "
-        "or an FDM function"
-    )
 
 
 def tuple_function(**attrs: Any) -> TupleFunction:

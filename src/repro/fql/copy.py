@@ -80,7 +80,7 @@ def deep_copy(
         data = {
             attr: _copy_value(value, memo) for attr, value in fn.items()
         }
-        clone = TupleFunction(data, name=fn.fn_name)
+        clone = TupleFunction.of(data, fn.fn_name)  # the source's own names
         memo[id(fn)] = clone
         return clone
 

@@ -30,7 +30,7 @@ from repro.fdm.databases import DatabaseFunction, database
 from repro.fdm.domains import Domain, PredicateDomain
 from repro.fdm.functions import DerivedFunction, FDMFunction
 from repro.fdm.relations import MaterialRelationFunction, RelationFunction
-from repro.fdm.tuples import TupleFunction
+from repro.fdm.tuples import TupleFunction, check_attributes
 from repro.fql.aggregates import Aggregate
 
 __all__ = [
@@ -203,6 +203,7 @@ class AggregatedRelationFunction(DerivedFunction):
                 raise OperatorError(
                     f"{agg_name}={agg!r} is not an Aggregate"
                 )
+        check_attributes(aggs)  # once here, not per output row
         super().__init__((groups,), name=name or f"agg({groups.name})")
         self._aggs = dict(aggs)
 
@@ -241,7 +242,7 @@ class AggregatedRelationFunction(DerivedFunction):
         data: dict[str, Any] = by.key_attrs(key) if by is not None else {}
         for agg_name, agg in self._aggs.items():
             data[agg_name] = agg.compute(members)
-        return TupleFunction(data, name=f"{self._name}[{key!r}]")
+        return TupleFunction.of(data, f"{self._name}[{key!r}]")
 
     def defined_at(self, *args: Any) -> bool:
         return self.source.defined_at(*args)

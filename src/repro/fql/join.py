@@ -515,7 +515,7 @@ class JoinedRelationFunction(DerivedFunction):
         if binding is None:
             raise UndefinedInputError(self._name, key)
         row = _merge_binding_into_row(binding, self._plan.atoms, self._order)
-        return TupleFunction(row, name=f"{self._name}{key!r}")
+        return TupleFunction.of(row, f"{self._name}{key!r}")
 
     def defined_at(self, *args: Any) -> bool:
         if not args:
@@ -533,7 +533,7 @@ class JoinedRelationFunction(DerivedFunction):
             row = _merge_binding_into_row(
                 binding, self._plan.atoms, self._order
             )
-            yield key, TupleFunction(row, name=f"{self._name}{key!r}")
+            yield key, TupleFunction.of(row, f"{self._name}{key!r}")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())

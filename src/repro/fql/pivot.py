@@ -65,7 +65,7 @@ class PivotedRelationFunction(DerivedFunction):
             str(column_value): self._agg.compute(members)
             for column_value, members in cells.items()
         }
-        return TupleFunction(data, name=f"{self._name}[{row_value!r}]")
+        return TupleFunction.of(data, f"{self._name}[{row_value!r}]")
 
     @property
     def domain(self) -> Domain:

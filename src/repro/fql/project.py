@@ -96,11 +96,10 @@ def project(source: FDMFunction, attrs: Any) -> MappedFunction:
         raise OperatorError("project() needs at least one attribute")
 
     def transform(key: Any, value: Any) -> Any:
-        if isinstance(value, TupleFunction):
-            return value.project(attr_list)
         if isinstance(value, FDMFunction):
-            return TupleFunction(
-                {a: value(a) for a in attr_list}, name=value.fn_name
+            # the names are the value's own: no check needed
+            return TupleFunction.of(
+                {a: value(a) for a in attr_list}, value.fn_name
             )
         raise OperatorError(
             f"project() expects tuple-valued mappings, found {value!r}"

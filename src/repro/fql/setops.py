@@ -271,7 +271,7 @@ def difference(old: FDMFunction, new: FDMFunction) -> MaterialRelationFunction:
             changed.append((key, difference(ov, nv)))
         else:
             changed.append(
-                (key, TupleFunction({"old": ov, "new": nv}, name=f"Δ[{key!r}]"))
+                (key, TupleFunction.of({"old": ov, "new": nv}, f"Δ[{key!r}]"))
             )
     for key in new.keys():
         if key not in old_key_set:

@@ -18,6 +18,7 @@ from typing import Any, Iterator
 
 from repro._util import MISSING, TOMBSTONE
 from repro.fdm.functions import FDMFunction, values_equal
+from repro.fdm.tuples import BoundTuple, TupleFunction
 
 __all__ = ["Delta", "snapshot_value"]
 
@@ -25,18 +26,18 @@ __all__ = ["Delta", "snapshot_value"]
 def snapshot_value(value: Any) -> Any:
     """Normalize a raw changed value into a stable snapshot.
 
-    Row dicts become tuple functions (so predicates and transforms see
-    the same shape enumeration yields); live FDM functions are deep
-    copied (the original keeps mutating); tombstones map to MISSING.
+    A row dict becomes a tuple function that shares it (so predicates
+    and transforms see the same shape enumeration yields): it is a
+    committed row or a transform's fresh output, and neither is mutated
+    in place, so wrapping it copies nothing, checks nothing and cannot
+    raise. Live FDM functions are deep copied (the original keeps
+    mutating); tombstones map to MISSING.
     """
     if value is MISSING or value is TOMBSTONE:
         return MISSING
     if isinstance(value, dict):
-        from repro.fdm.tuples import TupleFunction
-
-        return TupleFunction(dict(value))
+        return TupleFunction.of(value)
     if isinstance(value, FDMFunction):
-        from repro.fdm.tuples import BoundTuple
         from repro.fql.copy import deep_copy
 
         if isinstance(value, BoundTuple):

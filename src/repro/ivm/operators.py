@@ -519,7 +519,7 @@ def _group_output(fn, state, gk, by, aggs, stats):
             data[name] = agg.compute(members.values())
             if stats is not None:
                 stats.group_refolds += 1
-    return TupleFunction(data, name=f"{fn.fn_name}[{gk!r}]")
+    return TupleFunction.of(data, f"{fn.fn_name}[{gk!r}]")
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +563,7 @@ def join_rule(fn, base_deltas, aux, stats):
         for binding in sub.bindings(prefetch=False):
             rkey = tuple(binding[name][0] for name in order)
             row = _merge_binding_into_row(binding, probe, order)
-            rows[rkey] = TupleFunction(row, name=f"{fn.fn_name}{rkey!r}")
+            rows[rkey] = TupleFunction.of(row, f"{fn.fn_name}{rkey!r}")
         return rows
 
     old_rows: dict[Any, Any] = {}

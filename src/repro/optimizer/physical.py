@@ -279,7 +279,7 @@ class FusedGroupAggregateFunction(DerivedFunction):
         data = self._by.key_attrs(group_key)
         for agg_name, agg in self._aggs.items():
             data[agg_name] = agg.result(acc[agg_name])
-        return TupleFunction(data, name=f"{self._name}[{group_key!r}]")
+        return TupleFunction.of(data, f"{self._name}[{group_key!r}]")
 
     @property
     def domain(self) -> Domain:

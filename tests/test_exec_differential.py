@@ -510,18 +510,18 @@ def test_an_operand_error_is_an_error_in_both_modes(
 def test_keys_of_ordered_column_batches_build_no_rows(monkeypatch):
     # the order node sorts the image's columns (numpy kernels only) and
     # yields column batches; their keys need no row tuples
-    from repro.fdm.tuples import RowTuple
+    from repro.fdm.tuples import TupleFunction
 
     db = connect("keys-without-rows", default=False)
     db["people"] = {i: {"age": (i * 7919) % 2000} for i in range(2000)}
     built = []
-    init = RowTuple.__init__
+    of = TupleFunction.of
 
-    def counting_init(self, data, name):
+    def counting_of(data, name="t"):
         built.append(1)
-        init(self, data, name)
+        return of(data, name)
 
-    monkeypatch.setattr(RowTuple, "__init__", counting_init)
+    monkeypatch.setattr(TupleFunction, "of", counting_of)
     with using_exec_mode("batch"), using_kernel_backend("numpy"):
         keys = list(fql.order_by(db.people, "age").keys())
     assert keys == sorted(range(2000), key=lambda i: (i * 7919) % 2000)

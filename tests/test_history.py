@@ -13,7 +13,9 @@ Every read is checked against a model of the committed states:
 
 * a transaction sees the state at its start stamp plus its own writes;
 * a read outside a transaction sees the newest state, and the naive,
-  batched and offloaded executors return it in one order;
+  batched and offloaded executors return it in one order; it also
+  reads a lazy and an eager maintained group view over ``t`` (attached
+  again after each reopen), which hold the newest state's groups;
 * a commit aborts (first-committer-wins) exactly when the model says a
   key it writes was written by a commit after its snapshot, and every
   writing commit, re-partition included, takes the next stamp;
@@ -136,8 +138,16 @@ def _expected(state, name):
     return {p: {"p": p, "total": total} for p, total in totals.items()}
 
 
+def _attach_views(db):
+    for view in ("lazy", "eager"):
+        db.create_maintained_view(
+            view, _QUERIES["group"](db.t), eager=view == "eager"
+        )
+
+
 def _check_reads(db, state, rng, outside):
-    """Point reads, a scan, a count and one query against *state*."""
+    """Point reads, a scan, a count and one query against *state*; out
+    of a transaction, the maintained views too."""
     t = db.t
     for key in rng.sample(range(KEYS), 3):
         assert t.defined_at(key) == (key in state), key
@@ -156,6 +166,10 @@ def _check_reads(db, state, rng, outside):
             assert _pairs(t, _QUERIES[name]) == batched, name
         with using_exec_mode("batch"), using_offload_mode("force"):
             assert _pairs(t, _QUERIES[name]) == batched, name
+        for view in ("lazy", "eager"):
+            assert dict(_pairs(db(view), _QUERIES["scan"])) == (
+                _expected(state, "group")
+            ), view
 
 
 def _run(seed, tmp_path):
@@ -165,6 +179,7 @@ def _run(seed, tmp_path):
     db = repro.connect(name, wal_path=path)
     initial = {k: _row(rng) for k in range(0, KEYS, 2)}
     db.create_table("t", rows=initial)
+    _attach_views(db)
     model = Model(db.manager.now(), initial)
     sessions = []
     free = repro.relation({}, name="f")
@@ -264,6 +279,7 @@ def _run(seed, tmp_path):
             sessions.clear()
             db.close()
             db = repro.connect(name, wal_path=path)
+            _attach_views(db)
         elif action < 0.89:
             log.append(f"{i}: checkpoint and restore ({len(sessions)} open)")
             checkpoint = str(tmp_path / f"{name}.ckpt")

@@ -690,3 +690,81 @@ def test_a_group_views_first_sync_reads_the_source_in_one_pass():
         n, total = expected.get(status, (0, 0))
         expected[status] = (n + 1, total + row("amount"))
     assert {k: (r["n"], r["total"]) for k, r in rows.items()} == expected
+
+
+# -- one tuple carrier: a committed row is wrapped, shared, never re-checked --
+
+
+_WEDGE_VIEWS = {
+    "filter": lambda t: fql.filter(t, "a >= 2"),
+    "group": lambda t: fql.group_and_aggregate(by=["a"], n=fql.Count(), input=t),
+}
+
+
+def _rows(fn):
+    return {k: dict(v.items()) for k, v in fn.items()}
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "wal"])
+@pytest.mark.parametrize("kind", sorted(_WEDGE_VIEWS))
+@pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+def test_an_int_attribute_name_commits_once_under_a_view(
+    durable, kind, eager, tmp_path
+):
+    """The store takes a row whose attribute name is an int (the log
+    writes it as ``"7"``). With a view attached that row once raised
+    from the changelog after the WAL append and the segment apply: the
+    write reported failure yet was committed, and every read of the
+    table raised until the next commit."""
+    from repro.exec import using_exec_mode
+
+    path = str(tmp_path / "names.wal") if durable else None
+    db = repro.connect("int-name", wal_path=path, default=False)
+    db.create_table("t", {1: {"a": 1, "b": "x"}}, key_name="k")
+    expression = _WEDGE_VIEWS[kind](db.t)
+    view = db.create_maintained_view("v", expression, eager=eager)
+    _rows(view)  # a lazy view syncs from here on
+    db.t[2] = {"a": 2, 7: "y"}
+    assert _rows(db.t) == {1: {"a": 1, "b": "x"}, 2: {"a": 2, 7: "y"}}
+    with using_exec_mode("naive"):
+        expected = _rows(expression)
+    assert _rows(view) == expected
+    db.close()
+    if durable:
+        reopened = repro.connect("int-name", wal_path=path, default=False)
+        assert _rows(reopened.t) == {1: {"a": 1, "b": "x"}, 2: {"a": 2, "7": "y"}}
+        reopened.close()
+
+
+def test_a_snapshot_shares_the_committed_row():
+    from repro.ivm import snapshot_value
+
+    row = {"a": 1}
+    assert snapshot_value(row)._data is row
+    db = repro.connect("shared-row", default=False)
+    db.create_table("t", {1: {"a": 1}})
+    assert db.t[1].snapshot()._data is db.t._raw_read(1)
+    db.close()
+
+
+def test_a_one_row_commit_under_a_view_builds_no_domain(monkeypatch):
+    from repro.fdm.domains import DiscreteDomain
+
+    db = repro.connect("no-domain", default=False)
+    db.create_table("t", {i: {"g": i % 3, "v": i} for i in range(30)})
+    expression = fql.group_and_aggregate(by=["g"], total=fql.Sum("v"), input=db.t)
+    view = db.create_maintained_view("v", expression, eager=True)
+    _rows(view)
+    built = []
+    init = DiscreteDomain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteDomain, "__init__", counting_init)
+    db.t[4] = {"g": 1, "v": 40}
+    monkeypatch.undo()
+    assert built == []
+    assert _rows(view)[1]["total"] == sum(i for i in range(30) if i % 3 == 1) + 36
+    db.close()
